@@ -73,8 +73,9 @@ pub trait UntimedBlock {
 
     /// Restores state captured by [`UntimedBlock::snapshot_state`].
     /// Returns `false` when the words do not fit this block (wrong
-    /// length), in which case the block is left unchanged. The default
-    /// (stateless) implementation accepts only an empty slice.
+    /// length, or a word its type cannot hold), in which case the block
+    /// is left unchanged. The default (stateless) implementation accepts
+    /// only an empty slice.
     fn restore_state(&mut self, words: &[u64]) -> bool {
         words.is_empty()
     }
@@ -196,7 +197,7 @@ impl UntimedBlock for Ram {
     }
 
     fn restore_state(&mut self, words: &[u64]) -> bool {
-        if words.len() != self.words.len() {
+        if words.len() != self.words.len() || !words.iter().all(|w| Value::raw_fits(self.ty, *w)) {
             return false;
         }
         for (slot, raw) in self.words.iter_mut().zip(words) {

@@ -69,7 +69,7 @@ use crate::sim::compiled::{
 };
 use crate::sim::obs::BatchObs;
 use crate::sim::opt::{OptLevel, OptStats};
-use crate::sim::snapshot::{SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::sim::Simulator;
 use crate::system::System;
 use crate::trace::Trace;
@@ -838,6 +838,8 @@ impl BatchedSim {
         let state_words = snap.section_exact("states", self.systems[0].timed.len())?;
         let n_regs: usize = self.regs.iter().map(|rf| rf.len() / lanes).sum();
         let reg_words = snap.section_exact("regs", n_regs)?;
+        check_words("slots", slot_words, self.prog.slot_ty.iter().copied())?;
+        check_words("regs", reg_words, reg_types(&self.systems[0]))?;
         for (i, t) in self.systems[0].timed.iter().enumerate() {
             let idx = state_words[i];
             let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);

@@ -35,7 +35,7 @@ use crate::sim::budget::Budget;
 use crate::sim::hash::CompiledTape;
 use crate::sim::obs::SimObs;
 use crate::sim::opt::{self, OptEnv, OptLevel, OptStats};
-use crate::sim::snapshot::{SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::sim::Simulator;
 use crate::system::{NetSource, System};
 use crate::trace::Trace;
@@ -817,6 +817,8 @@ impl CompiledSim {
         let state_words = snap.section_exact("states", self.states.len())?;
         let n_regs: usize = self.regs.iter().map(Vec::len).sum();
         let reg_words = snap.section_exact("regs", n_regs)?;
+        check_words("slots", slot_words, self.slot_ty.iter().copied())?;
+        check_words("regs", reg_words, reg_types(&self.sys))?;
         for (i, t) in self.sys.timed.iter().enumerate() {
             let idx = state_words[i];
             let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);

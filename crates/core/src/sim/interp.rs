@@ -22,7 +22,7 @@ use crate::fsm::StateRef;
 use crate::sim::budget::Budget;
 use crate::sim::eval::{eval_node, EvalCache};
 use crate::sim::obs::SimObs;
-use crate::sim::snapshot::{hash_system, SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::{check_words, hash_system, reg_types, SimSnapshot, SnapshotBackend};
 use crate::sim::Simulator;
 use crate::system::{NetSource, System};
 use crate::trace::Trace;
@@ -40,6 +40,22 @@ struct Pend {
     inst: usize,
     sfg: usize,
     target: Target,
+}
+
+/// Per-cycle work lists, kept across steps so a steady-state
+/// [`Simulator::step`] does not allocate. Each is cleared where `step`
+/// starts using it.
+#[derive(Debug, Default)]
+struct StepScratch {
+    pending: Vec<Pend>,
+    next_states: Vec<StateRef>,
+    /// Outputs of the current instance driven by its marked SFGs.
+    driven: Vec<bool>,
+    reg_writes: Vec<(usize, Reg, Value)>,
+    /// Untimed blocks fired this cycle.
+    fired: Vec<bool>,
+    in_buf: Vec<Value>,
+    out_buf: Vec<Value>,
 }
 
 /// The interpreted (cycle-scheduler) simulator.
@@ -74,6 +90,8 @@ pub struct InterpSim {
     sys: System,
     nets: Vec<Value>,
     fresh: Vec<bool>,
+    /// Freshness at cycle start: primary inputs and constants.
+    fresh_at_start: Vec<bool>,
     regs: Vec<Vec<Value>>,
     states: Vec<StateRef>,
     caches: Vec<EvalCache>,
@@ -84,6 +102,7 @@ pub struct InterpSim {
     out_net: Vec<Vec<Option<usize>>>,
     /// Per untimed inst, per output port: the driven net, if any.
     untimed_out_net: Vec<Vec<Option<usize>>>,
+    scratch: StepScratch,
     cycle: u64,
     trace: Option<Trace>,
     full_trace: Option<Trace>,
@@ -142,18 +161,30 @@ impl InterpSim {
                 _ => {}
             }
         }
-        let fresh = vec![false; sys.nets.len()];
+        let fresh_at_start: Vec<bool> = sys
+            .nets
+            .iter()
+            .map(|n| {
+                matches!(
+                    n.source,
+                    NetSource::PrimaryInput(_) | NetSource::Constant(_)
+                )
+            })
+            .collect();
+        let fresh = fresh_at_start.clone();
         let design_hash = hash_system(&sys);
         Ok(InterpSim {
             sys,
             nets,
             fresh,
+            fresh_at_start,
             regs,
             states,
             caches,
             all_sfgs,
             out_net,
             untimed_out_net,
+            scratch: StepScratch::default(),
             cycle: 0,
             trace: None,
             full_trace: None,
@@ -215,6 +246,8 @@ impl InterpSim {
         let state_words = snap.section_exact("states", self.states.len())?;
         let n_regs: usize = self.regs.iter().map(Vec::len).sum();
         let reg_words = snap.section_exact("regs", n_regs)?;
+        check_words("nets", net_words, self.sys.nets.iter().map(|n| n.ty))?;
+        check_words("regs", reg_words, reg_types(&self.sys))?;
         for (i, t) in self.sys.timed.iter().enumerate() {
             let idx = state_words[i];
             let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);
@@ -401,20 +434,25 @@ impl Simulator for InterpSim {
         let sys = &mut self.sys;
         let nets = &mut self.nets;
         let fresh = &mut self.fresh;
+        let StepScratch {
+            pending,
+            next_states,
+            driven,
+            reg_writes,
+            fired,
+            in_buf,
+            out_buf,
+        } = &mut self.scratch;
 
         // Freshness: primary inputs and constants are available at cycle
         // start; everything else must be produced.
-        for (i, net) in sys.nets.iter().enumerate() {
-            fresh[i] = matches!(
-                net.source,
-                NetSource::PrimaryInput(_) | NetSource::Constant(_)
-            );
-        }
+        fresh.copy_from_slice(&self.fresh_at_start);
 
         // Phase 0: transition selection, marking SFGs for execution.
         let t_select = self.obs.as_ref().map(|o| o.sp_select.timer());
-        let mut pending: Vec<Pend> = Vec::new();
-        let mut next_states = self.states.clone();
+        pending.clear();
+        next_states.clear();
+        next_states.extend_from_slice(&self.states);
         for (i, t) in sys.timed.iter().enumerate() {
             self.caches[i].bump();
             let comp = &t.comp;
@@ -452,7 +490,8 @@ impl Simulator for InterpSim {
 
             // Outputs not driven by the marked SFGs hold their value and
             // count as settled immediately.
-            let mut driven = vec![false; comp.outputs.len()];
+            driven.clear();
+            driven.resize(comp.outputs.len(), false);
             for sfg_ref in active {
                 let sfg = &comp.sfgs[sfg_ref.index()];
                 for (p, node) in &sfg.outputs {
@@ -495,10 +534,9 @@ impl Simulator for InterpSim {
         let t_eval = self.obs.as_ref().map(|o| o.sp_eval.timer());
         let mut firings = 0u64;
         let mut iterations = 0u64;
-        let mut reg_writes: Vec<(usize, Reg, Value)> = Vec::new();
-        let mut fired = vec![false; sys.untimed.len()];
-        let mut in_buf: Vec<Value> = Vec::new();
-        let mut out_buf: Vec<Value> = Vec::new();
+        reg_writes.clear();
+        fired.clear();
+        fired.resize(sys.untimed.len(), false);
         loop {
             iterations += 1;
             self.budget.check_settle(iterations, self.cycle)?;
@@ -562,8 +600,8 @@ impl Simulator for InterpSim {
                         .enumerate()
                         .map(|(p, n)| n.map_or(inst.outputs[p].ty.zero(), |n| nets[n])),
                 );
-                if inst.block.ready(&in_buf) {
-                    inst.block.fire(&in_buf, &mut out_buf);
+                if inst.block.ready(in_buf) {
+                    inst.block.fire(in_buf, out_buf);
                 }
                 for (p, n) in out_nets.iter().enumerate() {
                     if let Some(n) = n {
@@ -614,10 +652,10 @@ impl Simulator for InterpSim {
         // Phase 3: register update and state commit.
         let t_commit = self.obs.as_ref().map(|o| o.sp_commit.timer());
         let reg_update_count = reg_writes.len() as u64;
-        for (inst, reg, v) in reg_writes {
+        for &(inst, reg, v) in reg_writes.iter() {
             self.regs[inst][reg.index()] = v;
         }
-        self.states = next_states;
+        self.states.copy_from_slice(next_states);
         self.cycle += 1;
         drop(t_commit);
 

@@ -51,7 +51,7 @@ use crate::sim::compiled::{
 use crate::sim::hash::{CompiledTape, FusedTape};
 use crate::sim::obs::SimObs;
 use crate::sim::opt::{OptLevel, OptStats};
-use crate::sim::snapshot::{SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::sim::Simulator;
 use crate::system::System;
 use crate::trace::Trace;
@@ -1337,6 +1337,8 @@ impl FusedSim {
         let slot_words = snap.section_exact("slots", self.slots.len())?;
         let state_words = snap.section_exact("states", self.states.len())?;
         let reg_words = snap.section_exact("regs", self.regs.len())?;
+        check_words("slots", slot_words, self.prog.slot_ty.iter().copied())?;
+        check_words("regs", reg_words, reg_types(&self.sys))?;
         for (i, t) in self.sys.timed.iter().enumerate() {
             let idx = state_words[i];
             let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);

@@ -41,6 +41,7 @@ use std::fmt::Write as _;
 
 use crate::rng::XorShift64;
 use crate::system::System;
+use crate::value::{SigType, Value};
 use crate::CoreError;
 
 /// FNV-1a, 64-bit — the in-tree hash used for design hashes and
@@ -121,6 +122,32 @@ pub(crate) fn hash_program(sys: &System, prog: &super::compiled::Program) -> u64
         prog.slot_ty, prog.pre_tape, prog.tape, prog.fsm_tables, prog.reg_writes, prog.net_slot
     ));
     h.finish()
+}
+
+/// The register types of `sys` in snapshot order: instance by
+/// instance, register by register.
+pub(crate) fn reg_types(sys: &System) -> impl Iterator<Item = SigType> + '_ {
+    sys.timed
+        .iter()
+        .flat_map(|t| t.comp.regs.iter().map(|r| r.ty))
+}
+
+/// Checks every word of snapshot section `section` against its type
+/// (see [`Value::raw_fits`]), so a restore never installs a word that
+/// decoding would reject. `words` and `types` have the same length.
+pub(crate) fn check_words(
+    section: &str,
+    words: &[u64],
+    types: impl IntoIterator<Item = SigType>,
+) -> Result<(), CoreError> {
+    for (i, (raw, ty)) in words.iter().zip(types).enumerate() {
+        if !Value::raw_fits(ty, *raw) {
+            return Err(CoreError::SnapshotFormat {
+                reason: format!("section `{section}` word {i}: {raw:#x} is not a {ty} value"),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Which back-end family a snapshot was taken from. Interpreted state

@@ -150,6 +150,18 @@ impl Value {
         }
     }
 
+    /// Whether `raw` is the [`Value::to_raw`] encoding of some value of
+    /// type `ty`: a `Bool` is 0 or 1, a bit word fits its width, and a
+    /// fixed-point mantissa is within its format's range.
+    pub(crate) fn raw_fits(ty: SigType, raw: u64) -> bool {
+        match ty {
+            SigType::Bool => raw <= 1,
+            SigType::Bits(w) => mask(w, raw) == raw,
+            SigType::Fixed(f) => (f.min_mantissa()..=f.max_mantissa()).contains(&(raw as i64)),
+            SigType::Float => true,
+        }
+    }
+
     /// Rebuilds a value of type `ty` from its [`Value::to_raw`]
     /// encoding.
     pub fn from_raw(ty: SigType, raw: u64) -> Value {

@@ -5,9 +5,10 @@
 //! the typed-error contract for mismatched designs, back-end families
 //! and damaged byte streams.
 
+use ocapi::rng::XorShift64;
 use ocapi::{
-    BatchedSim, CompiledSim, Component, CoreError, InterpSim, OptLevel, SigType, SimSnapshot,
-    Simulator, SnapshotBackend, System, Value,
+    BatchedSim, CompiledSim, Component, CoreError, Fix, Format, FusedSim, InterpSim, OptLevel,
+    Overflow, Rounding, SigType, SimSnapshot, Simulator, SnapshotBackend, System, Value,
 };
 
 /// The FSM-bearing accumulator from `sim_equivalence.rs`: accumulates
@@ -329,4 +330,226 @@ fn corrupted_snapshot_bytes_are_rejected() {
         SimSnapshot::from_bytes(&[]),
         Err(CoreError::SnapshotFormat { .. })
     ));
+}
+
+/// A one-register fixed-point delay line: `y` is `x` one cycle late.
+fn fixed_system() -> System {
+    let fmt = Format::new(8, 2).unwrap();
+    let c = Component::build("fx");
+    let x = c.input("x", SigType::Fixed(fmt)).unwrap();
+    let y = c.output("y", SigType::Fixed(fmt)).unwrap();
+    let r = c.reg("r", SigType::Fixed(fmt)).unwrap();
+    let s = c.sfg("s").unwrap();
+    s.drive(y, &c.q(r)).unwrap();
+    s.next(r, &c.read(x)).unwrap();
+    let mut sb = System::build("fx_sys");
+    let u = sb.add_component("u0", c.finish().unwrap()).unwrap();
+    sb.input("x", SigType::Fixed(fmt)).unwrap();
+    sb.connect_input("x", u, "x").unwrap();
+    sb.output("y", u, "y").unwrap();
+    sb.finish().unwrap()
+}
+
+fn drive_fixed(sim: &mut dyn Simulator, cycles: usize) {
+    let fmt = Format::new(8, 2).unwrap();
+    for i in 0..cycles {
+        let x = Fix::from_f64(
+            i as f64 * 0.75 - 1.5,
+            fmt,
+            Rounding::Nearest,
+            Overflow::Saturate,
+        );
+        sim.set_input("x", Value::Fixed(x)).unwrap();
+        sim.step().unwrap();
+    }
+}
+
+/// FNV-1a, 64-bit: the snapshot format's trailing checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `bytes` with word `index` of section `name` replaced by `word` and
+/// the checksum recomputed, so the damage passes `from_bytes` and only
+/// the restore-time checks can catch it.
+fn tamper(bytes: &[u8], name: &str, index: usize, word: u64) -> SimSnapshot {
+    let mut out = bytes.to_vec();
+    let u16_at = |b: &[u8], p: usize| usize::from(u16::from_le_bytes([b[p], b[p + 1]]));
+    let u32_at = |b: &[u8], p: usize| u32::from_le_bytes(b[p..p + 4].try_into().unwrap()) as usize;
+    // magic, version, backend, reserved, design hash, cycle
+    let n_sections = u32_at(&out, 24);
+    let mut pos = 28;
+    for _ in 0..n_sections {
+        let name_len = u16_at(&out, pos);
+        let this = std::str::from_utf8(&out[pos + 2..pos + 2 + name_len]).unwrap() == name;
+        pos += 2 + name_len;
+        let n_words = u32_at(&out, pos);
+        pos += 4;
+        if this {
+            assert!(index < n_words, "section `{name}` has {n_words} words");
+            let at = pos + 8 * index;
+            out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            let body = out.len() - 8;
+            let sum = fnv1a(&out[..body]);
+            out[body..].copy_from_slice(&sum.to_le_bytes());
+            return SimSnapshot::from_bytes(&out).expect("checksum recomputed");
+        }
+        pos += 8 * n_words;
+    }
+    panic!("no section `{name}`");
+}
+
+/// Asserts a typed format error naming `section` and word `index`.
+fn assert_bad_word(result: Result<(), CoreError>, section: &str, index: usize) {
+    match result {
+        Err(CoreError::SnapshotFormat { reason }) => assert!(
+            reason.contains(&format!("section `{section}` word {index}:")),
+            "unexpected reason: {reason}"
+        ),
+        other => panic!("expected a SnapshotFormat error, got {other:?}"),
+    }
+}
+
+/// A checksum-valid snapshot whose fixed-point mantissa is outside its
+/// format (`<8,2>` holds -128..=127) must fail restore with a typed
+/// error on every engine, instead of panicking in restore or in the
+/// next `output()`.
+#[test]
+fn out_of_range_words_are_rejected_on_restore() {
+    let too_big = 1000u64;
+    let too_small = (-129i64) as u64;
+
+    let mut interp = InterpSim::new(fixed_system()).unwrap();
+    drive_fixed(&mut interp, 3);
+    let bytes = interp.snapshot().to_bytes();
+    for word in [too_big, too_small] {
+        let mut fresh = InterpSim::new(fixed_system()).unwrap();
+        assert_bad_word(fresh.restore(&tamper(&bytes, "regs", 0, word)), "regs", 0);
+        assert_bad_word(fresh.restore(&tamper(&bytes, "nets", 1, word)), "nets", 1);
+    }
+
+    for level in [OptLevel::None, OptLevel::Full] {
+        let mut compiled = CompiledSim::new_with(fixed_system(), level).unwrap();
+        drive_fixed(&mut compiled, 3);
+        let bytes = compiled.snapshot().to_bytes();
+        let bad_reg = tamper(&bytes, "regs", 0, too_big);
+        // Every slot of this design is Bool or at most 8 bits wide.
+        let bad_slot = tamper(&bytes, "slots", 0, u64::MAX >> 1);
+
+        let mut fresh = CompiledSim::new_with(fixed_system(), level).unwrap();
+        assert_bad_word(fresh.restore(&bad_reg), "regs", 0);
+        assert_bad_word(fresh.restore(&bad_slot), "slots", 0);
+        let mut fused = FusedSim::new_with(fixed_system(), level).unwrap();
+        assert_bad_word(fused.restore(&bad_reg), "regs", 0);
+        assert_bad_word(fused.restore(&bad_slot), "slots", 0);
+        let mut batch = BatchedSim::from_fn(2, || Ok(fixed_system()), level).unwrap();
+        assert_bad_word(batch.restore_lane(1, &bad_reg), "regs", 0);
+        assert_bad_word(batch.restore_lane(1, &bad_slot), "slots", 0);
+
+        // The untouched snapshot still restores and resumes.
+        let good = SimSnapshot::from_bytes(&bytes).unwrap();
+        fresh.restore(&good).unwrap();
+        drive_fixed(&mut fresh, 2);
+        drive_fixed(&mut compiled, 2);
+        assert_eq!(fresh.output("y").unwrap(), compiled.output("y").unwrap());
+    }
+}
+
+/// A bit word wider than its width and a `Bool` other than 0/1 are
+/// rejected the same way.
+#[test]
+fn bits_and_bool_words_must_fit_their_type() {
+    let sys = acc_system();
+    let bool_net = sys.nets.iter().position(|n| n.ty == SigType::Bool).unwrap();
+    let mut interp = InterpSim::new(sys).unwrap();
+    drive_cycle(&mut interp, 0);
+    let bytes = interp.snapshot().to_bytes();
+    let mut fresh = InterpSim::new(acc_system()).unwrap();
+    // `acc` is Bits(8).
+    assert_bad_word(fresh.restore(&tamper(&bytes, "regs", 0, 0x100)), "regs", 0);
+    assert_bad_word(
+        fresh.restore(&tamper(&bytes, "nets", bool_net, 2)),
+        "nets",
+        bool_net,
+    );
+
+    let mut compiled = CompiledSim::new(acc_system()).unwrap();
+    drive_cycle(&mut compiled, 0);
+    let bytes = compiled.snapshot().to_bytes();
+    let mut fresh = CompiledSim::new(acc_system()).unwrap();
+    assert_bad_word(fresh.restore(&tamper(&bytes, "regs", 0, 0x1ff)), "regs", 0);
+}
+
+fn random_value(ty: SigType, r: &mut XorShift64) -> Value {
+    match ty {
+        SigType::Bool => Value::Bool(r.next_bool()),
+        SigType::Bits(w) => Value::bits(w, r.next_u64()),
+        SigType::Fixed(f) => Value::Fixed(Fix::from_f64(
+            (r.next_f64() * 2.0 - 1.0) * f.max_value(),
+            f,
+            Rounding::Nearest,
+            Overflow::Saturate,
+        )),
+        SigType::Float => Value::Float(r.next_f64()),
+    }
+}
+
+/// The validation never rejects a real snapshot: every in-tree design,
+/// driven with random inputs, snapshots and restores on every engine.
+#[test]
+fn real_design_snapshots_pass_validation() {
+    use ocapi_designs::{dect, hcor, image, modem, wlan};
+    let builds: [fn() -> System; 5] = [
+        || hcor::build_system().unwrap(),
+        || modem::build_system().unwrap(),
+        || wlan::build_system().unwrap(),
+        || image::build_system(2).unwrap(),
+        || dect::transceiver::build_system(&Default::default()).unwrap(),
+    ];
+    for build in builds {
+        let inputs: Vec<(String, SigType)> = build()
+            .primary_inputs
+            .iter()
+            .map(|p| (p.name.clone(), p.ty))
+            .collect();
+        let run = |sim: &mut dyn Simulator| {
+            let mut r = XorShift64::new(17);
+            for _ in 0..200 {
+                for (name, ty) in &inputs {
+                    sim.set_input(name, random_value(*ty, &mut r)).unwrap();
+                }
+                sim.step().unwrap();
+            }
+        };
+        let mut interp = InterpSim::new(build()).unwrap();
+        run(&mut interp);
+        InterpSim::new(build())
+            .unwrap()
+            .restore(&interp.snapshot())
+            .unwrap();
+        for level in [OptLevel::None, OptLevel::Full] {
+            let mut compiled = CompiledSim::new_with(build(), level).unwrap();
+            run(&mut compiled);
+            let snap = compiled.snapshot();
+            CompiledSim::new_with(build(), level)
+                .unwrap()
+                .restore(&snap)
+                .unwrap();
+            let mut fused = FusedSim::new_with(build(), level).unwrap();
+            run(&mut fused);
+            FusedSim::new_with(build(), level)
+                .unwrap()
+                .restore(&fused.snapshot())
+                .unwrap();
+            let mut batch = BatchedSim::from_fn(2, || Ok(build()), level).unwrap();
+            run(&mut batch);
+            let lane = batch.snapshot_lane(1).unwrap();
+            BatchedSim::from_fn(2, || Ok(build()), level)
+                .unwrap()
+                .restore_lane(0, &lane)
+                .unwrap();
+        }
+    }
 }

@@ -17,6 +17,11 @@ pub struct KernelStats {
 }
 
 /// An event-driven simulator for an [`RtlDesign`].
+///
+/// The delta loop runs without heap allocation once its buffers have
+/// grown to the design's working size: the two update queues are swapped
+/// rather than rebuilt, and wake-ups are deduplicated with a per-process
+/// stamp instead of a search of the run list.
 #[derive(Debug)]
 pub struct RtlSim {
     design: RtlDesign,
@@ -27,6 +32,16 @@ pub struct RtlSim {
     rising: Vec<Vec<usize>>,
     /// scheduled assignments for the next delta
     scheduled: Vec<(SignalId, Value)>,
+    /// the assignments being applied in the current delta (swapped with
+    /// `scheduled` at the top of each delta)
+    applying: Vec<(SignalId, Value)>,
+    /// processes to run in the current delta, in first-trigger order
+    to_run: Vec<usize>,
+    /// process -> the delta (by `stats.deltas`) it was last queued in
+    queued: Vec<u64>,
+    /// input and output values of the extern process being fired
+    ext_in: Vec<Value>,
+    ext_out: Vec<Value>,
     delta_limit: usize,
     stats: KernelStats,
 }
@@ -37,13 +52,15 @@ impl RtlSim {
     /// first [`RtlSim::settle`].
     pub fn new(design: RtlDesign) -> RtlSim {
         let n_sig = design.signals.len();
-        let mut sens = vec![Vec::new(); n_sig];
+        let mut sens: Vec<Vec<usize>> = vec![Vec::new(); n_sig];
         let mut rising = vec![Vec::new(); n_sig];
         for (pi, p) in design.processes.iter().enumerate() {
             match &p.trigger {
                 Trigger::Signals(list) => {
                     for s in list {
-                        if !sens[s.index()].contains(&pi) {
+                        // Processes are visited in order, so a repeat
+                        // within one list can only be the last entry.
+                        if sens[s.index()].last() != Some(&pi) {
                             sens[s.index()].push(pi);
                         }
                     }
@@ -52,12 +69,18 @@ impl RtlSim {
             }
         }
         let values = design.signals.iter().map(|s| s.init).collect();
+        let queued = vec![0; design.processes.len()];
         RtlSim {
             design,
             values,
             sens,
             rising,
             scheduled: Vec::new(),
+            applying: Vec::new(),
+            to_run: Vec::new(),
+            queued,
+            ext_in: Vec::new(),
+            ext_out: Vec::new(),
             delta_limit: 10_000,
             stats: KernelStats::default(),
         }
@@ -89,8 +112,9 @@ impl RtlSim {
     ///
     /// Returns [`RtlError::DeltaOverflow`] on combinational feedback.
     pub fn elaborate(&mut self) -> Result<(), RtlError> {
-        let all: Vec<usize> = (0..self.design.processes.len()).collect();
-        self.run_processes(&all)?;
+        for pi in 0..self.design.processes.len() {
+            self.run_process(pi)?;
+        }
         self.settle()
     }
 
@@ -110,30 +134,37 @@ impl RtlSim {
                 });
             }
             self.stats.deltas += 1;
-            // Apply updates, collecting changed signals and edges.
-            let mut to_run: Vec<usize> = Vec::new();
-            let updates = std::mem::take(&mut self.scheduled);
-            for (s, v) in updates {
+            let stamp = self.stats.deltas;
+            // Apply updates, collecting the processes woken by changed
+            // signals and rising edges.
+            std::mem::swap(&mut self.scheduled, &mut self.applying);
+            self.to_run.clear();
+            for &(s, v) in &self.applying {
                 let old = self.values[s.index()];
                 if old == v {
                     continue;
                 }
                 self.stats.events += 1;
                 self.values[s.index()] = v;
-                for p in &self.sens[s.index()] {
-                    if !to_run.contains(p) {
-                        to_run.push(*p);
-                    }
-                }
+                wake(
+                    &mut self.to_run,
+                    &mut self.queued,
+                    &self.sens[s.index()],
+                    stamp,
+                );
                 if old == Value::Bool(false) && v == Value::Bool(true) {
-                    for p in &self.rising[s.index()] {
-                        if !to_run.contains(p) {
-                            to_run.push(*p);
-                        }
-                    }
+                    wake(
+                        &mut self.to_run,
+                        &mut self.queued,
+                        &self.rising[s.index()],
+                        stamp,
+                    );
                 }
             }
-            self.run_processes(&to_run)?;
+            self.applying.clear();
+            for k in 0..self.to_run.len() {
+                self.run_process(self.to_run[k])?;
+            }
         }
         // `for delta in 0..` either returns Ok (queue drained) or
         // Err (limit hit) from inside the loop.
@@ -142,47 +173,50 @@ impl RtlSim {
         })
     }
 
-    fn run_processes(&mut self, procs: &[usize]) -> Result<(), RtlError> {
-        for &pi in procs {
-            self.stats.process_runs += 1;
-            // Split borrows: processes and values are distinct fields, but
-            // Extern bodies need &mut block while reading values; stage the
-            // body execution against a snapshot of current values.
-            let (assigns, extern_io) = {
-                let p = &self.design.processes[pi];
-                match &p.body {
-                    ProcessBody::Stmts(stmts) => {
-                        let mut out = Vec::new();
-                        for s in stmts {
-                            exec_stmt(s, &self.values, &mut out)?;
-                        }
-                        (out, None)
-                    }
-                    ProcessBody::Extern {
-                        inputs, outputs, ..
-                    } => {
-                        let ins: Vec<Value> =
-                            inputs.iter().map(|s| self.values[s.index()]).collect();
-                        let outs: Vec<SignalId> = outputs.clone();
-                        (Vec::new(), Some((ins, outs)))
+    /// Runs process `pi`, scheduling its assignments for the next delta.
+    /// A process that fails schedules nothing.
+    fn run_process(&mut self, pi: usize) -> Result<(), RtlError> {
+        self.stats.process_runs += 1;
+        match &mut self.design.processes[pi].body {
+            ProcessBody::Stmts(stmts) => {
+                let mark = self.scheduled.len();
+                for s in stmts.iter() {
+                    if let Err(e) = exec_stmt(s, &self.values, &mut self.scheduled) {
+                        self.scheduled.truncate(mark);
+                        return Err(e);
                     }
                 }
-            };
-            self.scheduled.extend(assigns);
-            if let Some((ins, outs)) = extern_io {
-                let mut out_vals: Vec<Value> =
-                    outs.iter().map(|s| self.values[s.index()]).collect();
-                if let ProcessBody::Extern { block, .. } = &mut self.design.processes[pi].body {
-                    if block.ready(&ins) {
-                        block.fire(&ins, &mut out_vals);
-                        for (s, v) in outs.iter().zip(out_vals) {
-                            self.scheduled.push((*s, v));
-                        }
-                    }
+            }
+            ProcessBody::Extern {
+                inputs,
+                outputs,
+                block,
+            } => {
+                let values = &self.values;
+                self.ext_in.clear();
+                self.ext_in.extend(inputs.iter().map(|s| values[s.index()]));
+                self.ext_out.clear();
+                self.ext_out
+                    .extend(outputs.iter().map(|s| values[s.index()]));
+                if block.ready(&self.ext_in) {
+                    block.fire(&self.ext_in, &mut self.ext_out);
+                    self.scheduled
+                        .extend(outputs.iter().copied().zip(self.ext_out.iter().copied()));
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// Queues every process in `procs` not yet queued in delta `stamp`,
+/// keeping first-trigger order.
+fn wake(to_run: &mut Vec<usize>, queued: &mut [u64], procs: &[usize], stamp: u64) {
+    for &p in procs {
+        if queued[p] != stamp {
+            queued[p] = stamp;
+            to_run.push(p);
+        }
     }
 }
 

@@ -31,28 +31,23 @@ struct InstLower<'a> {
     /// Held copies for guard reads (None = read the input directly).
     guard_input: Vec<SignalId>,
     reg_r: Vec<SignalId>,
-    shared: Vec<bool>,
+    /// The signal of each shared datapath node (None = inlined).
     node_sig: Vec<Option<SignalId>>,
-    guard_shared: Vec<bool>,
+    /// The signal of each shared guard node (None = inlined).
     guard_sig: Vec<Option<SignalId>>,
 }
 
 impl<'a> InstLower<'a> {
     fn expr_of(&self, id: NodeId, guard: bool) -> Expr {
-        let shared = if guard {
-            &self.guard_shared
+        let sigs = if guard {
+            &self.guard_sig
         } else {
-            &self.shared
+            &self.node_sig
         };
-        if shared[id.index()] {
-            let sig = if guard {
-                self.guard_sig[id.index()]
-            } else {
-                self.node_sig[id.index()]
-            };
-            return Expr::Sig(sig.expect("shared node has a signal"));
+        match sigs[id.index()] {
+            Some(sig) => Expr::Sig(sig),
+            None => self.inline(id, guard),
         }
-        self.inline(id, guard)
     }
 
     fn inline(&self, id: NodeId, guard: bool) -> Expr {
@@ -259,32 +254,30 @@ fn lower(sys: System) -> Lowered {
             input_expr,
             guard_input,
             reg_r: reg_r.clone(),
-            shared,
             node_sig,
             guard_sig,
-            guard_shared,
         };
 
         // Shared-node processes.
         for i in 0..comp.nodes.len() {
-            if il.shared[i] {
+            if let Some(sig) = il.node_sig[i] {
                 let expr = il.inline(NodeId::from_index(i), false);
                 let mut sensitivity = Vec::new();
                 expr.support(&mut sensitivity);
                 d.process(
                     &format!("{prefix}.n{i}_p"),
                     Trigger::Signals(sensitivity),
-                    ProcessBody::Stmts(vec![Stmt::Assign(il.node_sig[i].expect("shared"), expr)]),
+                    ProcessBody::Stmts(vec![Stmt::Assign(sig, expr)]),
                 );
             }
-            if il.guard_shared[i] {
+            if let Some(sig) = il.guard_sig[i] {
                 let expr = il.inline(NodeId::from_index(i), true);
                 let mut sensitivity = Vec::new();
                 expr.support(&mut sensitivity);
                 d.process(
                     &format!("{prefix}.g{i}_p"),
                     Trigger::Signals(sensitivity),
-                    ProcessBody::Stmts(vec![Stmt::Assign(il.guard_sig[i].expect("shared"), expr)]),
+                    ProcessBody::Stmts(vec![Stmt::Assign(sig, expr)]),
                 );
             }
         }

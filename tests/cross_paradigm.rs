@@ -96,13 +96,15 @@ fn wlan_paradigms_agree() {
     let mut interp = InterpSim::new(wlan::build_system().expect("build")).expect("sim");
     let a = drive(&mut interp);
     let mut compiled = CompiledSim::new(wlan::build_system().expect("build")).expect("sim");
-    assert_eq!(a, drive(&mut compiled));
+    assert_eq!(a, drive(&mut compiled), "compiled");
+    let mut rtl = RtlSystemSim::new(wlan::build_system().expect("build")).expect("sim");
+    assert_eq!(a, drive(&mut rtl), "rtl");
     let mut gates = GateSystemSim::new(
         wlan::build_system().expect("build"),
         &SynthOptions::default(),
     )
     .expect("sim");
-    assert_eq!(a, drive(&mut gates));
+    assert_eq!(a, drive(&mut gates), "gates");
 }
 
 #[test]
