@@ -23,17 +23,16 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ocapi::rng::XorShift64;
-use ocapi::sim::fault::{run_campaign_batched_par, run_campaign_par, FaultEvent, FaultPlan};
+use ocapi::sim::fault::{run_campaign_cached_par, run_campaign_par, FaultEvent, FaultPlan};
 use ocapi::sim::par::ParConfig;
-use ocapi::{InterpSim, Simulator, Value};
+use ocapi::{CompiledTape, InterpSim, Simulator, Value};
 use ocapi_bench::{
     fingerprint, parse_args, timed, write_profile, BenchArgs, BenchError, FaultEngine, Reporter,
     Robust,
 };
 use ocapi_designs::hcor;
 use ocapi_gatesim::fault::{
-    flush_grade_obs, stuck_at_coverage_scalar, stuck_at_coverage_sharded,
-    stuck_at_coverage_sharded_stats, CycleStimulus, GradeStats,
+    flush_grade_obs, stuck_at_coverage, stuck_at_coverage_sharded_stats, CycleStimulus, GradeStats,
 };
 use ocapi_obs::Registry;
 use ocapi_synth::{synthesize, SynthOptions};
@@ -117,19 +116,21 @@ fn system_level_campaign(
 
     // The same campaign through the lane-batched compiled back-end:
     // `--lanes` fault runs share one micro-op tape walk per cycle, and
-    // the chunks shard across the same worker pool. Classification must
-    // match the scalar interpreter event-for-event — asserted on every
-    // benchmark run, like the thread-count contract above.
+    // the chunks shard across the same worker pool. The one tape compile
+    // is part of the timed run. Classification must match the scalar
+    // interpreter event-for-event — asserted on every benchmark run,
+    // like the thread-count contract above.
     let t_batched = root.child("campaign_batched").timer();
     let (batched, secs_batched) = timed(|| {
-        run_campaign_batched_par(
+        let tape = CompiledTape::compile(&sys, args.opt_level())?;
+        run_campaign_cached_par(
             &pool,
             hcor::build_system,
+            &tape,
             stimulus,
             cycles,
             &events,
             args.lanes,
-            args.opt_level(),
         )
     });
     let batched = batched?;
@@ -382,7 +383,7 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
         let t_grade = root.child("grade").timer();
         let (graded, secs) = timed(|| match args.fault_engine {
             FaultEngine::Packed => stuck_at_coverage_sharded_stats(&netlist.netlist, &stim, &pool),
-            FaultEngine::Scalar => stuck_at_coverage_scalar(&netlist.netlist, &stim),
+            FaultEngine::Scalar => stuck_at_coverage(&netlist.netlist, &stim),
         });
         let (graded, stats) = graded?;
         drop(t_grade);
@@ -479,11 +480,11 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     let stimuli = stimuli_for(&bits, &[11]);
     let t_abl = root.child("ablation").timer();
     let (serial, t_serial) =
-        timed(|| stuck_at_coverage_sharded(&netlist.netlist, &stimuli, &ParConfig::single()));
-    let serial = serial?;
+        timed(|| stuck_at_coverage_sharded_stats(&netlist.netlist, &stimuli, &ParConfig::single()));
+    let (serial, _) = serial?;
     let (sharded, t_sharded) =
-        timed(|| stuck_at_coverage_sharded(&netlist.netlist, &stimuli, &pool));
-    let sharded = sharded?;
+        timed(|| stuck_at_coverage_sharded_stats(&netlist.netlist, &stimuli, &pool));
+    let (sharded, _) = sharded?;
     drop(t_abl);
     assert_eq!(serial.detected, sharded.detected, "engines disagree");
     assert_eq!(serial.undetected, sharded.undetected, "engines disagree");
@@ -512,7 +513,7 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     let (packed, t_packed) =
         timed(|| stuck_at_coverage_sharded_stats(&netlist.netlist, &stimuli, &pool));
     let (packed, packed_stats) = packed?;
-    let (scalar, t_scalar) = timed(|| stuck_at_coverage_scalar(&netlist.netlist, &stimuli));
+    let (scalar, t_scalar) = timed(|| stuck_at_coverage(&netlist.netlist, &stimuli));
     let (scalar, scalar_stats) = scalar?;
     drop(t_h2h);
     assert_eq!(

@@ -369,7 +369,7 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     let (packed, t_packed) =
         timed(|| fault::stuck_at_coverage_sharded_stats(&hcor_net.netlist, &stim, &pool));
     let (packed, packed_stats) = packed?;
-    let (scalar, t_scalar) = timed(|| fault::stuck_at_coverage_scalar(&hcor_net.netlist, &stim));
+    let (scalar, t_scalar) = timed(|| fault::stuck_at_coverage(&hcor_net.netlist, &stim));
     let (scalar, scalar_stats) = scalar?;
     drop(t_fault);
     assert_eq!(packed.detected, scalar.detected, "fault engines disagree");

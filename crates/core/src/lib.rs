@@ -84,9 +84,8 @@ pub use fsm::{Fsm, FsmBuilder, StateRef, Transition, TransitionBuilder};
 pub use sim::budget::{Budget, BudgetKind};
 pub use sim::chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 pub use sim::fault::{
-    apply_plan_lane, run_campaign, run_campaign_batched, run_campaign_batched_par,
-    run_campaign_cached_par, run_campaign_par, CampaignReport, FaultEvent, FaultKind, FaultOutcome,
-    FaultPlan, FaultSite, FaultySim,
+    apply_plan_lane, run_campaign_cached_par, run_campaign_par, CampaignReport, FaultEvent,
+    FaultKind, FaultOutcome, FaultPlan, FaultSite, FaultySim,
 };
 pub use sim::hash::{hash_compiled, hash_system, CompiledTape, FusedTape};
 pub use sim::lower::{ExecEngine, FusedSim, LowerStats};

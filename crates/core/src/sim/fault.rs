@@ -14,12 +14,21 @@
 //!
 //! Faults are scheduled by a declarative [`FaultPlan`]; plans can be
 //! built explicitly or sampled with the deterministic in-tree
-//! [`XorShift64`](crate::rng::XorShift64) PRNG, so every campaign is
-//! reproducible from its seed. [`run_campaign`] sweeps a list of fault
-//! events against a golden (fault-free) run and classifies each as
-//! masked, silently corrupting, or detected — the raw material for
-//! detection-latency and graceful-degradation studies (see the
-//! `fault_coverage` and `ber_sweep` benchmark binaries).
+//! [`XorShift64`] PRNG, so every campaign is reproducible from its seed.
+//! A campaign sweeps a list of fault events against a golden
+//! (fault-free) run and classifies each as masked, silently corrupting,
+//! detected or timed out — the raw material for detection-latency and
+//! graceful-degradation studies (see the `fault_coverage` and
+//! `ber_sweep` benchmark binaries). There are two campaign drivers, both
+//! sharded over a worker pool with reports that are bit-identical for
+//! every thread count:
+//!
+//! * [`run_campaign_par`] — the reference: one fresh simulator of any
+//!   back-end per event;
+//! * [`run_campaign_cached_par`] — lane-batched: chunks of events share
+//!   one walk of a [`CompiledTape`] per cycle, and
+//!   classify every event exactly as the reference does over
+//!   [`CompiledSim`] at the tape's level.
 //!
 //! Because both cycle-true back-ends expose identical peek/poke
 //! semantics, the interpreted and compiled simulators stay
@@ -28,10 +37,13 @@
 //! plans and asserts identical traces.
 //!
 //! [`InterpSim`]: crate::InterpSim
-//! [`CompiledSim`]: crate::CompiledSim
 //! [`ocapi-gatesim`]: https://example.org/asic-dse
 
 use crate::rng::XorShift64;
+use crate::sim::batch::BatchedSim;
+use crate::sim::compiled::CompiledSim;
+use crate::sim::hash::CompiledTape;
+use crate::sim::par::{map_indexed, ParConfig, ParError};
 use crate::sim::Simulator;
 use crate::system::System;
 use crate::trace::Trace;
@@ -546,8 +558,8 @@ fn first_output_divergence(golden: &Trace, faulty: &Trace) -> Option<u64> {
 /// Runs the golden (fault-free) reference over `cycles` cycles and
 /// returns its recorded trace.
 fn golden_trace<S: Simulator>(
-    make_sim: &mut impl FnMut() -> Result<S, CoreError>,
-    stimulus: &mut impl FnMut(&mut dyn Simulator, u64) -> Result<(), CoreError>,
+    make_sim: &impl Fn() -> Result<S, CoreError>,
+    stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
     cycles: u64,
 ) -> Result<Trace, CoreError> {
     let mut golden_sim = make_sim()?;
@@ -559,12 +571,11 @@ fn golden_trace<S: Simulator>(
     Ok(golden_sim.trace().clone())
 }
 
-/// One faulty run, classified against the golden trace. This is the
-/// work item of both the sequential and the sharded campaign drivers,
-/// so the two are outcome-identical by construction.
+/// One faulty run, classified against the golden trace: the work item
+/// of [`run_campaign_par`].
 fn run_event<S: Simulator>(
-    make_sim: &mut impl FnMut() -> Result<S, CoreError>,
-    stimulus: &mut impl FnMut(&mut dyn Simulator, u64) -> Result<(), CoreError>,
+    make_sim: &impl Fn() -> Result<S, CoreError>,
+    stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
     cycles: u64,
     golden: &Trace,
     event: &FaultEvent,
@@ -600,95 +611,70 @@ fn classify_error(cycle: u64, error: CoreError) -> FaultOutcome {
     }
 }
 
+/// Maps a sharded-map failure onto the campaign's error type.
+fn par_error(e: ParError<CoreError>) -> CoreError {
+    match e {
+        ParError::Task { error, .. } => error,
+        ParError::Panic { index } => CoreError::WorkerPanic { index },
+    }
+}
+
 /// Runs a fault campaign: one golden run plus one faulty run per event,
 /// each over `cycles` cycles with the same `stimulus` closure (called
-/// before every step with the current cycle number).
+/// before every step with the current cycle number). This is the
+/// reference driver every other campaign path is checked against.
 ///
 /// `make_sim` builds a fresh simulator per run, so runs are independent;
 /// any back-end with peek/poke support works, and mixing back-ends
 /// across campaigns is fine because they are cycle-equivalent.
 ///
-/// For large campaigns, [`run_campaign_par`] shards the faulty runs
-/// across worker threads and produces the identical report.
+/// The golden run executes once on the calling thread; every fault
+/// event is then an independent work item of the
+/// [`par`](crate::sim::par) engine, sharded across
+/// [`ParConfig::threads`] worker threads. Because each item builds its
+/// own simulator, is classified against the shared golden trace, and the
+/// merged report is assembled in event order, the returned
+/// [`CampaignReport`] is **bit-identical for every thread count**;
+/// `ParConfig::single()` runs the events one after another on the
+/// calling thread.
 ///
 /// # Errors
 ///
 /// Propagates errors from `make_sim`, from the golden (fault-free) run,
 /// and from stimulus application. Errors raised by a *faulty* run's step
 /// are not errors of the campaign — they are recorded as
-/// [`FaultOutcome::Detected`].
-pub fn run_campaign<S: Simulator>(
-    mut make_sim: impl FnMut() -> Result<S, CoreError>,
-    mut stimulus: impl FnMut(&mut dyn Simulator, u64) -> Result<(), CoreError>,
-    cycles: u64,
-    events: &[FaultEvent],
-) -> Result<CampaignReport, CoreError> {
-    let golden = golden_trace(&mut make_sim, &mut stimulus, cycles)?;
-    let mut report = CampaignReport::default();
-    for event in events {
-        let outcome = run_event(&mut make_sim, &mut stimulus, cycles, &golden, event)?;
-        report.outcomes.push((event.clone(), outcome));
-    }
-    Ok(report)
-}
-
-/// [`run_campaign`] with the faulty runs sharded across
-/// [`ParConfig::threads`](crate::sim::par::ParConfig::threads) worker
-/// threads.
-///
-/// The golden run executes once on the calling thread; every fault
-/// event is then an independent work item of the
-/// [`par`](crate::sim::par) engine. Because each item builds its own
-/// simulator, is classified against the shared golden trace, and the
-/// merged report is assembled in event order, the returned
-/// [`CampaignReport`] is **bit-identical for every thread count** —
-/// `ParConfig::single()` reproduces [`run_campaign`] exactly.
-///
-/// # Errors
-///
-/// As [`run_campaign`], plus [`CoreError::WorkerPanic`] when a faulty
-/// run's closure panics in a worker (the campaign still surfaces an
-/// error instead of hanging or aborting, and the reported failure is
-/// always the lowest-indexed one).
+/// [`FaultOutcome::Detected`]. A faulty run's closure that panics in a
+/// worker surfaces as [`CoreError::WorkerPanic`] (never a hang or an
+/// abort), and the reported failure is always the lowest-indexed one.
 pub fn run_campaign_par<S: Simulator>(
-    pool: &crate::sim::par::ParConfig,
+    pool: &ParConfig,
     make_sim: impl Fn() -> Result<S, CoreError> + Sync,
     stimulus: impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError> + Sync,
     cycles: u64,
     events: &[FaultEvent],
 ) -> Result<CampaignReport, CoreError> {
-    let golden = golden_trace(&mut || make_sim(), &mut |s, c| stimulus(s, c), cycles)?;
-    let outcomes = crate::sim::par::map_indexed(pool, events, |_, event| {
-        run_event(
-            &mut || make_sim(),
-            &mut |s, c| stimulus(s, c),
-            cycles,
-            &golden,
-            event,
-        )
-        .map(|outcome| (event.clone(), outcome))
+    let golden = golden_trace(&make_sim, &stimulus, cycles)?;
+    let outcomes = map_indexed(pool, events, |_, event| {
+        run_event(&make_sim, &stimulus, cycles, &golden, event)
+            .map(|outcome| (event.clone(), outcome))
     })
-    .map_err(|e| match e {
-        crate::sim::par::ParError::Task { error, .. } => error,
-        crate::sim::par::ParError::Panic { index } => CoreError::WorkerPanic { index },
-    })?;
+    .map_err(par_error)?;
     Ok(CampaignReport { outcomes })
 }
 
 /// Applies every event of `plan` active at the batch's current cycle to
-/// one lane of a [`BatchedSim`](crate::sim::batch::BatchedSim),
-/// mirroring `FaultySim::apply_faults` exactly (peek, corrupt, poke — in
-/// event order). Lane-batched Monte-Carlo drivers call this before each
-/// step and mask the lane
-/// ([`BatchedSim::fail_lane`](crate::sim::batch::BatchedSim::fail_lane))
-/// when it fails, so one lane's bad fault site never aborts its batch.
+/// one lane of a [`BatchedSim`], mirroring `FaultySim::apply_faults`
+/// exactly (peek, corrupt, poke — in event order). Lane-batched
+/// Monte-Carlo drivers call this before each step and mask the lane
+/// ([`BatchedSim::fail_lane`]) when it fails, so one lane's bad fault
+/// site never aborts its batch.
 ///
 /// # Errors
 ///
 /// Returns the first peek/poke error ([`CoreError::UnknownName`] for an
 /// unknown site, [`CoreError::ValueType`] for a type conflict).
 pub fn apply_plan_lane(
-    sim: &mut crate::sim::batch::BatchedSim,
+    sim: &mut BatchedSim,
     lane: usize,
     plan: &FaultPlan,
 ) -> Result<(), CoreError> {
@@ -711,53 +697,28 @@ pub fn apply_plan_lane(
     Ok(())
 }
 
-/// One batched chunk of faulty runs: `chunk.len()` lanes stepped through
-/// one shared tape walk per cycle, each lane injecting its own event.
-/// This is the work item of both batched campaign drivers, so — as with
-/// [`run_event`] — the sequential and sharded paths are
-/// outcome-identical by construction.
+/// One lane-batched chunk of faulty runs: `chunk.len()` lanes
+/// instantiated from `tape` and stepped through one shared tape walk per
+/// cycle, each lane injecting its own event. The work item of
+/// [`run_campaign_cached_par`].
 ///
 /// Per-lane semantics replicate [`run_event`] exactly: a failing fault
 /// application or step masks *that lane* at the pre-step cycle (becoming
 /// its [`FaultOutcome::Detected`] record) while the remaining lanes keep
 /// running; surviving lanes are classified against the golden trace.
-/// How a batched campaign builds its compiled simulators: compile at a
-/// level per chunk, or instantiate from one shared cached tape.
-#[derive(Clone, Copy)]
-enum TapeSource<'a> {
-    Level(crate::sim::opt::OptLevel),
-    Cached(&'a crate::sim::hash::CompiledTape),
-}
-
-impl TapeSource<'_> {
-    fn batch(self, systems: Vec<System>) -> Result<crate::sim::batch::BatchedSim, CoreError> {
-        match self {
-            TapeSource::Level(level) => crate::sim::batch::BatchedSim::new_with(systems, level),
-            TapeSource::Cached(tape) => crate::sim::batch::BatchedSim::from_tape(systems, tape),
-        }
-    }
-
-    fn scalar(self, sys: System) -> Result<crate::sim::compiled::CompiledSim, CoreError> {
-        match self {
-            TapeSource::Level(level) => crate::sim::compiled::CompiledSim::new_with(sys, level),
-            TapeSource::Cached(tape) => crate::sim::compiled::CompiledSim::from_tape(sys, tape),
-        }
-    }
-}
-
 fn run_event_chunk(
-    make_sys: &mut impl FnMut() -> Result<System, CoreError>,
-    stimulus: &mut impl FnMut(&mut dyn Simulator, u64) -> Result<(), CoreError>,
+    make_sys: &impl Fn() -> Result<System, CoreError>,
+    stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
     cycles: u64,
     golden: &Trace,
     chunk: &[FaultEvent],
-    source: TapeSource<'_>,
+    tape: &CompiledTape,
 ) -> Result<Vec<FaultOutcome>, CoreError> {
     let mut systems = Vec::with_capacity(chunk.len());
     for _ in 0..chunk.len() {
         systems.push(make_sys()?);
     }
-    let mut sim = source.batch(systems)?;
+    let mut sim = BatchedSim::from_tape(systems, tape)?;
     sim.enable_trace();
     let plans: Vec<FaultPlan> = chunk
         .iter()
@@ -792,168 +753,57 @@ fn run_event_chunk(
         .collect())
 }
 
-/// [`run_campaign`] over the lane-batched compiled back-end
-/// ([`BatchedSim`](crate::sim::batch::BatchedSim)): events are grouped
-/// into chunks of `lanes` and every chunk walks the micro-op tape once
-/// per cycle for all of its lanes.
+/// [`run_campaign_par`] over the lane-batched compiled back-end
+/// ([`BatchedSim`]), instantiated from one cached [`CompiledTape`]:
+/// events are grouped into chunks of `lanes`, every chunk walks the
+/// micro-op tape once per cycle for all of its lanes, and the chunks
+/// shard across [`ParConfig::threads`] worker threads. No simulator is
+/// recompiled per chunk — the campaign path of the persistent simulation
+/// service, where one cached compilation serves thousands of jobs. A
+/// one-off campaign compiles its tape with [`CompiledTape::compile`].
 ///
-/// The golden run uses the scalar compiled back-end at the same `level`.
-/// `stimulus` must be a pure function of the cycle number (it is invoked
-/// once per cycle and broadcast to every live lane), which every
+/// The golden run uses the scalar [`CompiledSim`] built from the same
+/// tape. `stimulus` must be a pure function of the cycle number (it is
+/// invoked once per cycle and broadcast to every live lane), which every
 /// campaign stimulus already satisfies — per-run divergence comes from
 /// the injected faults, never the stimulus.
 ///
 /// **Determinism:** a lane runs the event at global index
 /// `chunk * lanes + lane` and injects exactly what the scalar path
-/// injects for that index, so the classification of every event is
-/// byte-identical to [`run_campaign`] over the compiled back-end for
-/// every lane count — `lanes = 1` reproduces it one run at a time.
-/// Drivers that *sample* per-event randomness must key it on that global
-/// index (e.g. [`XorShift64::stream`]), never on lane position.
+/// injects for that index, and the merged report is assembled in chunk
+/// order, so the classification of every event is byte-identical to
+/// [`run_campaign_par`] over [`CompiledSim`] at the tape's level, for
+/// every lane count and every thread count. Drivers that *sample*
+/// per-event randomness must key it on that global index (e.g.
+/// [`XorShift64::stream`]), never on lane position.
 ///
 /// # Errors
 ///
-/// As [`run_campaign`]: errors from system construction, the golden run
-/// and stimulus application propagate; per-lane faulty-run errors are
-/// recorded as [`FaultOutcome::Detected`].
-pub fn run_campaign_batched(
-    mut make_sys: impl FnMut() -> Result<System, CoreError>,
-    mut stimulus: impl FnMut(&mut dyn Simulator, u64) -> Result<(), CoreError>,
-    cycles: u64,
-    events: &[FaultEvent],
-    lanes: usize,
-    level: crate::sim::opt::OptLevel,
-) -> Result<CampaignReport, CoreError> {
-    let lanes = lanes.max(1);
-    let golden = golden_trace(
-        &mut || crate::sim::compiled::CompiledSim::new_with(make_sys()?, level),
-        &mut stimulus,
-        cycles,
-    )?;
-    let mut report = CampaignReport::default();
-    for chunk in events.chunks(lanes) {
-        let outcomes = run_event_chunk(
-            &mut make_sys,
-            &mut stimulus,
-            cycles,
-            &golden,
-            chunk,
-            TapeSource::Level(level),
-        )?;
-        report.outcomes.extend(chunk.iter().cloned().zip(outcomes));
-    }
-    Ok(report)
-}
-
-/// [`run_campaign_batched`] with the chunks sharded across
-/// [`ParConfig::threads`](crate::sim::par::ParConfig::threads) worker
-/// threads — the lanes × threads composition of DESIGN.md §7/§11.
-///
-/// Chunk composition depends only on the event order and `lanes`, and
-/// the merged report is assembled in chunk order, so the returned
-/// [`CampaignReport`] is bit-identical for every thread count *and*
-/// every lane count.
-///
-/// # Errors
-///
-/// As [`run_campaign_batched`], plus [`CoreError::WorkerPanic`] when a
-/// chunk's closure panics in a worker.
-pub fn run_campaign_batched_par(
-    pool: &crate::sim::par::ParConfig,
-    make_sys: impl Fn() -> Result<System, CoreError> + Sync,
-    stimulus: impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError> + Sync,
-    cycles: u64,
-    events: &[FaultEvent],
-    lanes: usize,
-    level: crate::sim::opt::OptLevel,
-) -> Result<CampaignReport, CoreError> {
-    let lanes = lanes.max(1);
-    let golden = golden_trace(
-        &mut || crate::sim::compiled::CompiledSim::new_with(make_sys()?, level),
-        &mut |s, c| stimulus(s, c),
-        cycles,
-    )?;
-    run_chunks_par(
-        pool,
-        make_sys,
-        stimulus,
-        cycles,
-        events,
-        lanes,
-        golden,
-        TapeSource::Level(level),
-    )
-}
-
-/// [`run_campaign_batched_par`] over a cached
-/// [`CompiledTape`](crate::CompiledTape): the golden run and every
-/// faulty chunk instantiate simulators from the tape instead of
-/// recompiling per chunk — the campaign path of the persistent
-/// simulation service, where one cached compilation serves thousands of
-/// jobs. Classification is byte-identical to
-/// [`run_campaign_batched_par`] at the tape's level, for every lane
-/// count and thread count.
-///
-/// # Errors
-///
-/// As [`run_campaign_batched_par`], plus [`CoreError::TapeMismatch`]
-/// when `make_sys` builds a system the tape was not compiled from.
-#[allow(clippy::too_many_arguments)]
+/// As [`run_campaign_par`]: errors from system construction, the golden
+/// run and stimulus application propagate; per-lane faulty-run errors
+/// are recorded as [`FaultOutcome::Detected`]. Additionally
+/// [`CoreError::TapeMismatch`] when `make_sys` builds a system the tape
+/// was not compiled from.
 pub fn run_campaign_cached_par(
-    pool: &crate::sim::par::ParConfig,
+    pool: &ParConfig,
     make_sys: impl Fn() -> Result<System, CoreError> + Sync,
-    tape: &crate::sim::hash::CompiledTape,
+    tape: &CompiledTape,
     stimulus: impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError> + Sync,
     cycles: u64,
     events: &[FaultEvent],
     lanes: usize,
 ) -> Result<CampaignReport, CoreError> {
-    let lanes = lanes.max(1);
-    let source = TapeSource::Cached(tape);
     let golden = golden_trace(
-        &mut || source.scalar(make_sys()?),
-        &mut |s, c| stimulus(s, c),
+        &|| CompiledSim::from_tape(make_sys()?, tape),
+        &stimulus,
         cycles,
     )?;
-    run_chunks_par(
-        pool, make_sys, stimulus, cycles, events, lanes, golden, source,
-    )
-}
-
-/// The shared sharded chunk loop of both batched campaign drivers.
-#[allow(clippy::too_many_arguments)]
-fn run_chunks_par(
-    pool: &crate::sim::par::ParConfig,
-    make_sys: impl Fn() -> Result<System, CoreError> + Sync,
-    stimulus: impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError> + Sync,
-    cycles: u64,
-    events: &[FaultEvent],
-    lanes: usize,
-    golden: Trace,
-    source: TapeSource<'_>,
-) -> Result<CampaignReport, CoreError> {
-    let chunks: Vec<&[FaultEvent]> = events.chunks(lanes).collect();
-    let parts = crate::sim::par::map_indexed(pool, &chunks, |_, chunk| {
-        run_event_chunk(
-            &mut || make_sys(),
-            &mut |s, c| stimulus(s, c),
-            cycles,
-            &golden,
-            chunk,
-            source,
-        )
-        .map(|outcomes| {
-            chunk
-                .iter()
-                .cloned()
-                .zip(outcomes)
-                .collect::<Vec<(FaultEvent, FaultOutcome)>>()
-        })
+    let chunks: Vec<&[FaultEvent]> = events.chunks(lanes.max(1)).collect();
+    let parts = map_indexed(pool, &chunks, |_, chunk| {
+        run_event_chunk(&make_sys, &stimulus, cycles, &golden, chunk, tape)
+            .map(|outcomes| chunk.iter().cloned().zip(outcomes).collect::<Vec<_>>())
     })
-    .map_err(|e| match e {
-        crate::sim::par::ParError::Task { error, .. } => error,
-        crate::sim::par::ParError::Panic { index } => CoreError::WorkerPanic { index },
-    })?;
+    .map_err(par_error)?;
     Ok(CampaignReport {
         outcomes: parts.into_iter().flatten().collect(),
     })
@@ -1114,7 +964,8 @@ mod tests {
             // Flip a bit after the run window: no effect → masked.
             FaultEvent::flip(FaultSite::reg("u0", "r"), 0, 50),
         ];
-        let report = run_campaign(
+        let report = run_campaign_par(
+            &ParConfig::single(),
             || InterpSim::new(counter_system()),
             |_, _| Ok(()),
             10,

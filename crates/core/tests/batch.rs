@@ -5,9 +5,9 @@
 //! errors mid-flight and is masked off rather than poisoning the batch.
 
 use ocapi::{
-    run_campaign, run_campaign_batched, run_campaign_batched_par, BatchedSim, CompiledSim,
-    Component, CoreError, FaultEvent, FaultOutcome, FaultSite, OptLevel, ParConfig, Ram, SigType,
-    Simulator, System, Value,
+    run_campaign_cached_par, run_campaign_par, BatchedSim, CompiledSim, CompiledTape, Component,
+    CoreError, FaultEvent, FaultOutcome, FaultSite, OptLevel, ParConfig, Ram, SigType, Simulator,
+    System, Value,
 };
 
 /// The FSM accumulator from the equivalence suite: lanes that receive
@@ -344,11 +344,12 @@ fn campaign_stimulus(sim: &mut dyn Simulator, c: u64) -> Result<(), CoreError> {
 
 /// The batched campaign classifies every event exactly as the scalar
 /// one, for every lane count and thread count: lanes × threads is pure
-/// geometry.
+/// geometry, and one cached tape serves every geometry.
 #[test]
 fn batched_campaign_outcomes_equal_scalar_for_all_geometries() {
     let events = campaign_events();
-    let scalar = run_campaign(
+    let scalar = run_campaign_par(
+        &ParConfig::single(),
         || CompiledSim::new_with(acc_system(), OptLevel::Full),
         campaign_stimulus,
         10,
@@ -360,34 +361,21 @@ fn batched_campaign_outcomes_equal_scalar_for_all_geometries() {
     assert!(scalar.masked() >= 1);
     assert!(scalar.detected() >= 1);
 
+    let tape = CompiledTape::compile(&acc_system(), OptLevel::Full).unwrap();
     for lanes in [1usize, 3, 8] {
-        let batched = run_campaign_batched(
-            || Ok(acc_system()),
-            campaign_stimulus,
-            10,
-            &events,
-            lanes,
-            OptLevel::Full,
-        )
-        .unwrap();
-        assert_eq!(
-            scalar.outcomes, batched.outcomes,
-            "lanes={lanes} diverged from scalar campaign"
-        );
         for threads in [1usize, 4] {
-            let pool = ParConfig::new(threads);
-            let par = run_campaign_batched_par(
-                &pool,
+            let batched = run_campaign_cached_par(
+                &ParConfig::new(threads),
                 || Ok(acc_system()),
-                |s, c| campaign_stimulus(s, c),
+                &tape,
+                campaign_stimulus,
                 10,
                 &events,
                 lanes,
-                OptLevel::Full,
             )
             .unwrap();
             assert_eq!(
-                scalar.outcomes, par.outcomes,
+                scalar.outcomes, batched.outcomes,
                 "lanes={lanes} threads={threads} diverged from scalar campaign"
             );
         }

@@ -6,8 +6,8 @@
 
 use ocapi::dataflow::{DataflowGraph, FnActor, Source};
 use ocapi::{
-    map_indexed_retry, run_campaign_batched_par, Component, CoreError, FaultEvent, FaultSite,
-    InterpSim, OptLevel, ParConfig, SigType, Simulator, System, Value,
+    map_indexed_retry, run_campaign_cached_par, CompiledTape, Component, CoreError, FaultEvent,
+    FaultSite, InterpSim, OptLevel, ParConfig, SigType, Simulator, System, Value,
 };
 
 fn accumulator() -> Component {
@@ -73,18 +73,19 @@ fn masked_lane_reporting_identical_across_threads_and_lanes() {
         sim.set_input("stop", Value::Bool(false))
     };
 
+    let tape = CompiledTape::compile(&acc_system(), OptLevel::Full).unwrap();
     let mut renderings: Vec<(usize, usize, String)> = Vec::new();
     for threads in [1usize, 4] {
         for lanes in [1usize, 8] {
             let pool = ParConfig::new(threads);
-            let report = run_campaign_batched_par(
+            let report = run_campaign_cached_par(
                 &pool,
                 || Ok(acc_system()),
+                &tape,
                 stimulus,
                 8,
                 &events,
                 lanes,
-                OptLevel::Full,
             )
             .unwrap();
             // Debug form carries every (cycle, error) pair verbatim.

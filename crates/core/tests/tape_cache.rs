@@ -1,13 +1,13 @@
 //! Differential suite for the compiled-tape cache contract: a simulator
 //! instantiated from a cached [`CompiledTape`] must be bit-identical to
-//! one compiled from scratch — scalar and lane-batched, in snapshots,
-//! and through the parallel fault-campaign driver — because the
-//! persistent simulation service serves every warm request this way.
+//! one compiled from scratch — scalar and lane-batched, and in
+//! snapshots — because the persistent simulation service serves every
+//! warm request this way. The cached-tape fault-campaign driver is
+//! checked against the reference campaign in the batch suite.
 
 use ocapi::{
-    run_campaign_batched_par, run_campaign_cached_par, BatchedSim, CompiledSim, CompiledTape,
-    Component, CoreError, FaultEvent, FaultSite, OptLevel, ParConfig, SigType, Simulator, System,
-    Value,
+    BatchedSim, CompiledSim, CompiledTape, Component, CoreError, OptLevel, SigType, Simulator,
+    System, Value,
 };
 
 /// The FSM accumulator from the batch suite: control flow diverges per
@@ -158,61 +158,5 @@ fn from_tape_rejects_mismatched_systems() {
             assert_eq!(expected, tape.system_hash());
         }
         other => panic!("expected TapeMismatch, got {other:?}"),
-    }
-}
-
-fn campaign_events() -> Vec<FaultEvent> {
-    vec![
-        FaultEvent::flip(FaultSite::reg("u0", "acc"), 7, 2),
-        FaultEvent::flip(FaultSite::reg("u0", "acc"), 0, 50),
-        FaultEvent::flip(FaultSite::net("no_such_net"), 0, 3),
-        FaultEvent::flip(FaultSite::reg("u0", "acc"), 6, 5),
-        FaultEvent::flip(FaultSite::net("x"), 2, 4),
-        FaultEvent::stuck_at(FaultSite::reg("u0", "acc"), 1, true, 1, 6),
-        FaultEvent::flip(FaultSite::reg("u0", "acc"), 3, 9),
-    ]
-}
-
-fn campaign_stimulus(sim: &mut dyn Simulator, c: u64) -> Result<(), CoreError> {
-    sim.set_input("x", Value::bits(8, (c + 1) & 0xff))?;
-    sim.set_input("stop", Value::Bool(false))?;
-    Ok(())
-}
-
-/// The cached-tape campaign driver classifies every event exactly like
-/// the compile-per-call driver, for every lanes × threads geometry, and
-/// one tape serves all of them.
-#[test]
-fn cached_campaign_outcomes_equal_fresh_for_all_geometries() {
-    let events = campaign_events();
-    let tape = CompiledTape::compile(&acc_system(), OptLevel::Full).unwrap();
-    for lanes in [1usize, 3, 8] {
-        for threads in [1usize, 4] {
-            let pool = ParConfig::new(threads);
-            let fresh = run_campaign_batched_par(
-                &pool,
-                || Ok(acc_system()),
-                |s, c| campaign_stimulus(s, c),
-                10,
-                &events,
-                lanes,
-                OptLevel::Full,
-            )
-            .unwrap();
-            let cached = run_campaign_cached_par(
-                &pool,
-                || Ok(acc_system()),
-                &tape,
-                |s, c| campaign_stimulus(s, c),
-                10,
-                &events,
-                lanes,
-            )
-            .unwrap();
-            assert_eq!(
-                fresh.outcomes, cached.outcomes,
-                "lanes={lanes} threads={threads}: cached campaign diverged"
-            );
-        }
     }
 }

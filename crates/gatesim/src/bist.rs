@@ -150,7 +150,7 @@ pub struct BistReport {
 /// Generates `patterns` cycles of LFSR stimulus for every input bus of
 /// `net` (one shared LFSR, slices of its state per bus) — the stimulus
 /// a BIST controller would apply. Usable directly with
-/// [`crate::fault::stuck_at_coverage_parallel`].
+/// [`crate::fault::stuck_at_coverage_sharded_stats`].
 pub fn lfsr_stimulus(net: &Netlist, patterns: usize, seed: u64) -> Vec<CycleStimulus> {
     let mut lfsr = Lfsr::new(16, seed & 0xffff);
     (0..patterns)
@@ -255,13 +255,13 @@ pub struct BistSignoff {
 /// Answers the sign-off question in one call: runs the good machine for
 /// the fused signature and grades the same pattern set for stuck-at
 /// coverage, with the fault batches sharded across `pool` (see
-/// [`crate::fault::stuck_at_coverage_sharded`]). Deterministic for any
-/// thread count.
+/// [`crate::fault::stuck_at_coverage_sharded_stats`]). Deterministic for
+/// any thread count.
 ///
 /// # Errors
 ///
 /// As [`golden_signature`] and
-/// [`stuck_at_coverage_sharded`](crate::fault::stuck_at_coverage_sharded).
+/// [`stuck_at_coverage_sharded_stats`](crate::fault::stuck_at_coverage_sharded_stats).
 pub fn bist_signoff(
     net: &Netlist,
     stimuli: &[CycleStimulus],
@@ -372,7 +372,7 @@ mod tests {
     fn signoff_matches_single_threaded_engines() {
         let n = demo_netlist();
         let stim = lfsr_stimulus(&n, 64, 0xace1);
-        let serial_cov = crate::fault::stuck_at_coverage_parallel(&n, &stim);
+        let (serial_cov, _) = crate::fault::stuck_at_coverage(&n, &stim).expect("grade");
         let serial_sig = golden_signature(&n, &stim).expect("bist").signature;
         for threads in [1usize, 4] {
             let s = bist_signoff(&n, &stim, &ocapi::ParConfig::new(threads)).expect("signoff");

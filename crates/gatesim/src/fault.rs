@@ -10,24 +10,25 @@
 //!
 //! Fault injection replaces the faulty gate's driver with a constant,
 //! which models the classic single-stuck-line fault on the gate output
-//! net. Two engines are provided:
+//! net. Both engines take per-cycle bus stimulus ([`CycleStimulus`]) and
+//! run the same apply–settle–clock–observe cycle, observing every output
+//! bus after each clock edge:
 //!
 //! * [`stuck_at_coverage`] — serial: one rebuilt [`GateSim`] per fault.
-//!   Exact, flexible (the caller drives the machine with a closure),
-//!   and fast enough for the design sizes here.
-//! * [`stuck_at_coverage_parallel`] — bit-parallel: the fault-free
+//!   Exact, simple, and the reference the packed engine is checked
+//!   against.
+//! * [`stuck_at_coverage_sharded_stats`] — bit-parallel: the fault-free
 //!   machine and up to 63 faulty machines share one pass, one bit lane
 //!   per machine in a `u64` per wire — the classic deductive-era
-//!   speedup. Takes explicit per-cycle bus stimulus and observes every
-//!   output bus after each clock edge.
+//!   speedup — with the 63-fault words sharded across a worker pool.
 //!
 //! Both engines grade the same fault universe — [`enumerate_faults`] is
-//! the single enumeration they (and the sharded and BIST graders) share,
-//! so the universes can never drift — and both report their
-//! gate-evaluation economics as [`GradeStats`]: the packed engine grades
-//! up to 63 fault machines per gate evaluation where the serial engine
-//! grades at most one, the multiple the `table_gates`/`fault_coverage`
-//! benchmarks record and CI gates on.
+//! the single enumeration they (and the BIST sign-off) share, so the
+//! universes can never drift — classify every fault identically, and
+//! report their gate-evaluation economics as [`GradeStats`]: the packed
+//! engine grades up to 63 fault machines per gate evaluation where the
+//! serial engine grades at most one, the multiple the
+//! `table_gates`/`fault_coverage` benchmarks record and CI gates on.
 
 use ocapi_synth::gate::{Gate, GateKind, Netlist};
 
@@ -141,68 +142,13 @@ fn inject(net: &Netlist, fault: Fault) -> Netlist {
     n
 }
 
-/// Runs `drive` against the fault-free netlist and against every
-/// single-stuck-at faulty machine, comparing the observed output
-/// streams.
-///
-/// ```
-/// use ocapi_gatesim::fault::stuck_at_coverage;
-/// use ocapi_synth::gate::{GateKind, Netlist};
-///
-/// let mut n = Netlist::new();
-/// let x = n.input_bus("x", 2);
-/// let y = n.gate(GateKind::Xor2, &[x[0], x[1]]);
-/// n.output_bus("y", vec![y]);
-/// let report = stuck_at_coverage(&n, |sim| {
-///     let ins = sim.netlist().input_by_name("x").unwrap().to_vec();
-///     let outs = sim.netlist().output_by_name("y").unwrap().to_vec();
-///     (0..4).map(|v| {
-///         sim.set_bus(&ins, v);
-///         sim.settle()?;
-///         Ok(sim.bus(&outs))
-///     }).collect()
-/// }).unwrap();
-/// assert_eq!(report.coverage(), 1.0); // XOR is fully testable
-/// ```
-///
-/// `drive` receives a fresh simulator and returns whatever it observed
-/// (typically one packed output word per cycle); a fault is *detected*
-/// when its observation stream differs from the fault-free one.
-/// Constant gates are not fault sites (a stuck constant is either the
-/// same circuit or the complementary constant fault, which is counted
-/// on the gate that consumes it).
-///
-/// An error from the fault-free run is the caller's problem and is
-/// returned. An error from a *faulty* machine — typically a
-/// [`GateError::Oscillation`] when the fault turns a structurally false
-/// loop into a live one — counts the fault as detected: instability is
-/// observable on a tester.
-pub fn stuck_at_coverage(
-    net: &Netlist,
-    mut drive: impl FnMut(&mut GateSim) -> Result<Vec<u64>, GateError>,
-) -> Result<FaultReport, GateError> {
-    let golden = {
-        let mut sim = GateSim::new(net.clone())?;
-        drive(&mut sim)?
-    };
-    let sites = enumerate_faults(net);
-    let mut detected = 0;
-    let mut undetected = Vec::new();
-    for fault in &sites {
-        let observed = GateSim::new(inject(net, *fault))
-            .and_then(|mut sim| drive(&mut sim).map(Some))
-            .unwrap_or(None);
-        match observed {
-            Some(seen) if seen == golden => undetected.push(*fault),
-            // Divergence, or an oscillating faulty machine: detected.
-            _ => detected += 1,
-        }
-    }
-    Ok(FaultReport {
-        total: sites.len(),
-        detected,
-        undetected,
-    })
+/// One cycle of bus-level stimulus: values to apply to named input
+/// buses before the clock edge.
+#[derive(Debug, Clone, Default)]
+pub struct CycleStimulus {
+    /// `(input bus name, value)` pairs; unlisted buses hold their
+    /// previous value (zero on the first cycle).
+    pub inputs: Vec<(String, u64)>,
 }
 
 /// Drives one [`GateSim`] through the apply–settle–clock–observe cycle
@@ -234,20 +180,46 @@ fn drive_stimuli(sim: &mut GateSim, stimuli: &[CycleStimulus]) -> Result<Vec<u64
     Ok(seen)
 }
 
-/// Serial stimulus-driven grading: [`stuck_at_coverage`] with the exact
-/// apply–settle–clock–observe driver of the bit-parallel engine, so the
-/// two engines classify every fault identically — the reference the
-/// `--fault-engine scalar|packed` benchmark switch byte-diffs. Also
-/// returns the gate-evaluation accounting (one machine per eval), the
-/// denominator of the packed engine's ≥ 32× faults-per-gate-eval CI
+/// Serial stuck-at grading: runs `stimuli` against the fault-free
+/// netlist and against one rebuilt [`GateSim`] per single-stuck-at
+/// faulty machine, comparing the observed output streams.
+///
+/// ```
+/// use ocapi_gatesim::fault::{stuck_at_coverage, CycleStimulus};
+/// use ocapi_synth::gate::{GateKind, Netlist};
+///
+/// let mut n = Netlist::new();
+/// let x = n.input_bus("x", 2);
+/// let y = n.gate(GateKind::Xor2, &[x[0], x[1]]);
+/// n.output_bus("y", vec![y]);
+/// let stimuli: Vec<CycleStimulus> = (0..4)
+///     .map(|v| CycleStimulus { inputs: vec![("x".into(), v)] })
+///     .collect();
+/// let (report, _) = stuck_at_coverage(&n, &stimuli).unwrap();
+/// assert_eq!(report.coverage(), 1.0); // XOR is fully testable
+/// ```
+///
+/// Each cycle applies the stimulus, settles the combinational logic,
+/// clocks every DFF and observes every output bus — the exact cycle of
+/// the packed engine, so the two classify every fault identically (the
+/// reference the `--fault-engine scalar|packed` benchmark switch
+/// byte-diffs). A fault is *detected* when its observation stream
+/// differs from the fault-free one. Constant gates are not fault sites
+/// (a stuck constant is either the same circuit or the complementary
+/// constant fault, which is counted on the gate that consumes it).
+///
+/// Also returns the gate-evaluation accounting (one machine per eval),
+/// the denominator of the packed engine's ≥ 32× faults-per-gate-eval CI
 /// gate.
 ///
 /// # Errors
 ///
 /// Returns the fault-free machine's error (typically
-/// [`GateError::Oscillation`]); faulty-machine errors count the fault
-/// as detected, exactly as in [`stuck_at_coverage`].
-pub fn stuck_at_coverage_scalar(
+/// [`GateError::Oscillation`]). An error from a *faulty* machine —
+/// typically an oscillation when the fault turns a structurally false
+/// loop into a live one — counts the fault as detected: instability is
+/// observable on a tester.
+pub fn stuck_at_coverage(
     net: &Netlist,
     stimuli: &[CycleStimulus],
 ) -> Result<(FaultReport, GradeStats), GateError> {
@@ -274,6 +246,7 @@ pub fn stuck_at_coverage_scalar(
             .unwrap_or(None);
         match observed {
             Some(seen) if seen == golden => undetected.push(*fault),
+            // Divergence, or an oscillating faulty machine: detected.
             _ => detected += 1,
         }
     }
@@ -287,84 +260,10 @@ pub fn stuck_at_coverage_scalar(
     ))
 }
 
-/// One cycle of bus-level stimulus for the parallel engine: values to
-/// apply to named input buses before the clock edge.
-#[derive(Debug, Clone, Default)]
-pub struct CycleStimulus {
-    /// `(input bus name, value)` pairs; unlisted buses hold their
-    /// previous value (zero on the first cycle).
-    pub inputs: Vec<(String, u64)>,
-}
-
-/// Bit-parallel stuck-at coverage: lane 0 simulates the fault-free
-/// machine, lanes 1..64 simulate one faulty machine each, all sharing a
-/// single evaluation pass per batch.
-///
-/// Semantics per cycle: apply the stimulus, settle the combinational
-/// logic, clock every DFF, settle again, then observe every output bus.
-/// A fault is detected when any observed bit differs from lane 0 on any
-/// cycle — including faults that make a structurally false loop
-/// oscillate (instability is observable on a tester).
-///
-/// The report is identical to [`stuck_at_coverage`] run with the same
-/// apply–settle–clock–observe driver: both engines count a fault that
-/// makes the machine oscillate as detected (the serial kernel via the
-/// typed [`GateError::Oscillation`], this engine via lanes still
-/// flipping at the pass cap).
-pub fn stuck_at_coverage_parallel(net: &Netlist, stimuli: &[CycleStimulus]) -> FaultReport {
-    stuck_at_coverage_parallel_stats(net, stimuli).0
-}
-
-/// [`stuck_at_coverage_parallel`] with the gate-evaluation accounting:
-/// each word-level evaluation advances every fault machine packed into
-/// its batch, which is where the engine's ≥ 32× faults-per-gate-eval
-/// advantage over [`stuck_at_coverage_scalar`] comes from.
-pub fn stuck_at_coverage_parallel_stats(
-    net: &Netlist,
-    stimuli: &[CycleStimulus],
-) -> (FaultReport, GradeStats) {
-    let sites = enumerate_faults(net);
-    let (report, stats) = grade_fault_list(net, &sites, stimuli);
-    (report, stats)
-}
-
-/// Bit-parallel grading of an explicit fault list (packed into
-/// [`FAULTS_PER_WORD`]-fault words in list order). This is the kernel
-/// behind [`stuck_at_coverage_parallel`]; exposed so callers can grade
-/// subsets — incremental re-grading, or the pack-boundary tests that
-/// pin down word rollover at 63/64/65 faults.
-pub fn grade_fault_list(
-    net: &Netlist,
-    faults: &[Fault],
-    stimuli: &[CycleStimulus],
-) -> (FaultReport, GradeStats) {
-    let mut detected = 0usize;
-    let mut undetected = Vec::new();
-    let mut stats = GradeStats {
-        faults: faults.len() as u64,
-        ..GradeStats::default()
-    };
-    for batch in faults.chunks(FAULTS_PER_WORD) {
-        let (caught, evals) = run_batch(net, batch, stimuli);
-        stats.gate_evals += evals;
-        stats.machine_evals += evals * batch.len() as u64;
-        stats.fault_words += 1;
-        collect_batch(batch, caught, &mut detected, &mut undetected);
-    }
-    (
-        FaultReport {
-            total: faults.len(),
-            detected,
-            undetected,
-        },
-        stats,
-    )
-}
-
 /// Every single-stuck-at fault site of `net`, in gate order (constants
 /// excluded), stuck-at-0 before stuck-at-1 per gate — the one fault
-/// universe every grading engine (serial, packed, sharded, BIST
-/// sign-off) enumerates, so their universes can never drift.
+/// universe every grading engine (serial, packed, BIST sign-off)
+/// enumerates, so their universes can never drift.
 pub fn enumerate_faults(net: &Netlist) -> Vec<Fault> {
     net.gates
         .iter()
@@ -374,56 +273,52 @@ pub fn enumerate_faults(net: &Netlist) -> Vec<Fault> {
         .collect()
 }
 
-/// Splits one batch's caught-lane mask into the detected count and the
-/// escaped faults, in batch order.
-fn collect_batch(batch: &[Fault], caught: u64, detected: &mut usize, undetected: &mut Vec<Fault>) {
-    for (k, f) in batch.iter().enumerate() {
-        if (caught >> (k + 1)) & 1 == 1 {
-            *detected += 1;
-        } else {
-            undetected.push(*f);
-        }
-    }
-}
-
-/// [`stuck_at_coverage_parallel`] with the 63-fault batches sharded
-/// across [`ParConfig::threads`](ocapi::ParConfig::threads) worker
-/// threads: each worker grades whole batches independently, and the
-/// per-batch results are merged in batch order.
+/// Bit-parallel stuck-at coverage: in every 64-bit word, lane 0
+/// simulates the fault-free machine and lanes 1..64 simulate one faulty
+/// machine each, all sharing a single evaluation pass per
+/// [`FAULTS_PER_WORD`]-fault batch. The batches shard across
+/// [`ParConfig::threads`](ocapi::ParConfig::threads) worker threads and
+/// are merged in batch order.
 ///
-/// Because the batch boundaries and the per-batch bit-parallel kernel
-/// are identical to the single-threaded engine, the report is
-/// **bit-identical for every thread count** — including the order of
-/// `undetected`. `ParConfig::single()` reproduces
-/// [`stuck_at_coverage_parallel`] exactly.
+/// Semantics per cycle are those of [`stuck_at_coverage`]: apply the
+/// stimulus, settle, clock every DFF, settle again, observe every output
+/// bus. A fault is detected when any observed bit differs from lane 0 on
+/// any cycle — including faults that make a structurally false loop
+/// oscillate (lanes still flipping at the settle-pass cap), which the
+/// serial engine reports as a typed [`GateError::Oscillation`]. The
+/// report is therefore identical to [`stuck_at_coverage`]'s.
+///
+/// Each word-level evaluation advances every fault machine packed into
+/// its batch, which is where the engine's ≥ 32× faults-per-gate-eval
+/// advantage over the serial grader comes from. The batch boundaries and
+/// the per-batch kernel do not depend on the pool, so the report
+/// (including the order of `undetected`) and the [`GradeStats`] are
+/// **bit-identical for every thread count**.
 ///
 /// # Errors
 ///
 /// Returns [`GateError::WorkerPanic`] if a worker panics while grading
 /// a batch (contained at the batch boundary — never a hang).
-pub fn stuck_at_coverage_sharded(
-    net: &Netlist,
-    stimuli: &[CycleStimulus],
-    pool: &ocapi::ParConfig,
-) -> Result<FaultReport, GateError> {
-    stuck_at_coverage_sharded_stats(net, stimuli, pool).map(|(r, _)| r)
-}
-
-/// [`stuck_at_coverage_sharded`] with the gate-evaluation accounting.
-/// The per-batch evaluation counts are pure functions of (netlist,
-/// stimulus, batch), merged in batch order — deterministic for every
-/// thread count, like the report itself.
-///
-/// # Errors
-///
-/// As [`stuck_at_coverage_sharded`].
 pub fn stuck_at_coverage_sharded_stats(
     net: &Netlist,
     stimuli: &[CycleStimulus],
     pool: &ocapi::ParConfig,
 ) -> Result<(FaultReport, GradeStats), GateError> {
-    let sites = enumerate_faults(net);
-    let batches: Vec<&[Fault]> = sites.chunks(FAULTS_PER_WORD).collect();
+    grade_fault_list(net, &enumerate_faults(net), stimuli, pool)
+}
+
+/// Bit-parallel grading of an explicit fault list, packed into
+/// [`FAULTS_PER_WORD`]-fault words in list order and sharded across
+/// `pool` — the kernel of [`stuck_at_coverage_sharded_stats`], callable
+/// on subsets by the pack-boundary tests that pin down word rollover at
+/// 63/64/65 faults.
+fn grade_fault_list(
+    net: &Netlist,
+    faults: &[Fault],
+    stimuli: &[CycleStimulus],
+    pool: &ocapi::ParConfig,
+) -> Result<(FaultReport, GradeStats), GateError> {
+    let batches: Vec<&[Fault]> = faults.chunks(FAULTS_PER_WORD).collect();
     let masks = ocapi::sim::par::map_indexed(pool, &batches, |_, batch| {
         Ok::<(u64, u64), GateError>(run_batch(net, batch, stimuli))
     })
@@ -435,18 +330,24 @@ pub fn stuck_at_coverage_sharded_stats(
     let mut detected = 0usize;
     let mut undetected = Vec::new();
     let mut stats = GradeStats {
-        faults: sites.len() as u64,
+        faults: faults.len() as u64,
         ..GradeStats::default()
     };
     for (batch, (caught, evals)) in batches.iter().zip(masks) {
         stats.gate_evals += evals;
         stats.machine_evals += evals * batch.len() as u64;
         stats.fault_words += 1;
-        collect_batch(batch, caught, &mut detected, &mut undetected);
+        for (k, f) in batch.iter().enumerate() {
+            if (caught >> (k + 1)) & 1 == 1 {
+                detected += 1;
+            } else {
+                undetected.push(*f);
+            }
+        }
     }
     Ok((
         FaultReport {
-            total: sites.len(),
+            total: faults.len(),
             detected,
             undetected,
         },
@@ -590,6 +491,7 @@ fn run_batch(net: &Netlist, batch: &[Fault], stimuli: &[CycleStimulus]) -> (u64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocapi::ParConfig;
     use ocapi_synth::gate::Netlist;
 
     /// y = (a & b) | (a & !b) — redundant logic: the OR is really just
@@ -605,21 +507,32 @@ mod tests {
         n
     }
 
-    fn exhaustive(sim: &mut GateSim) -> Result<Vec<u64>, GateError> {
-        let ins = sim.netlist().input_by_name("x").expect("in").to_vec();
-        let outs = sim.netlist().output_by_name("y").expect("out").to_vec();
-        (0..4)
-            .map(|x| {
-                sim.set_bus(&ins, x);
-                sim.settle()?;
-                Ok(sim.bus(&outs))
+    fn stim(values: &[u64]) -> Vec<CycleStimulus> {
+        values
+            .iter()
+            .map(|v| CycleStimulus {
+                inputs: vec![("x".into(), *v)],
             })
             .collect()
     }
 
+    /// Every value of the 2-bit input bus `x`. On a combinational
+    /// netlist the clock edge of each cycle changes nothing.
+    fn exhaustive() -> Vec<CycleStimulus> {
+        stim(&[0, 1, 2, 3])
+    }
+
+    fn serial(net: &Netlist, stimuli: &[CycleStimulus]) -> FaultReport {
+        stuck_at_coverage(net, stimuli).expect("grade").0
+    }
+
+    fn packed(net: &Netlist, stimuli: &[CycleStimulus]) -> (FaultReport, GradeStats) {
+        stuck_at_coverage_sharded_stats(net, stimuli, &ParConfig::single()).expect("packed")
+    }
+
     #[test]
     fn redundant_logic_has_untestable_faults() {
-        let rep = stuck_at_coverage(&redundant(), exhaustive).expect("grade");
+        let rep = serial(&redundant(), &exhaustive());
         assert_eq!(rep.total, 8, "4 gates x 2 polarities");
         assert!(
             rep.coverage() < 1.0,
@@ -637,7 +550,7 @@ mod tests {
         let i = n.input_bus("x", 2);
         let o = n.gate(GateKind::Xor2, &[i[0], i[1]]);
         n.output_bus("y", vec![o]);
-        let rep = stuck_at_coverage(&n, exhaustive).expect("grade");
+        let rep = serial(&n, &exhaustive());
         assert_eq!(rep.total, 2);
         assert_eq!(rep.detected, 2);
         assert_eq!(rep.coverage(), 1.0);
@@ -645,56 +558,9 @@ mod tests {
 
     #[test]
     fn empty_vector_set_detects_nothing_but_initial_state() {
-        let rep = stuck_at_coverage(&redundant(), |_| Ok(Vec::new())).expect("grade");
+        let rep = serial(&redundant(), &[]);
         assert_eq!(rep.detected, 0);
         assert_eq!(rep.undetected.len(), rep.total);
-    }
-
-    /// Serial engine with the exact apply–settle–clock–observe driver
-    /// the parallel engine implements, for equivalence checks.
-    fn serial_reference(net: &Netlist, stimuli: &[CycleStimulus]) -> FaultReport {
-        stuck_at_coverage(net, |sim| {
-            let outs: Vec<Vec<_>> = sim
-                .netlist()
-                .outputs
-                .iter()
-                .map(|(_, ws)| ws.clone())
-                .collect();
-            let mut seen = Vec::new();
-            for cyc in stimuli {
-                for (name, value) in &cyc.inputs {
-                    let ws = sim.netlist().input_by_name(name).expect("in").to_vec();
-                    sim.set_bus(&ws, *value);
-                }
-                sim.settle()?;
-                sim.clock()?;
-                for ws in &outs {
-                    seen.push(sim.bus(ws));
-                }
-            }
-            Ok(seen)
-        })
-        .expect("grade")
-    }
-
-    fn stim(values: &[u64]) -> Vec<CycleStimulus> {
-        values
-            .iter()
-            .map(|v| CycleStimulus {
-                inputs: vec![("x".into(), *v)],
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_combinational_redundancy() {
-        let net = redundant();
-        let stimuli = stim(&[0, 1, 2, 3]);
-        let s = serial_reference(&net, &stimuli);
-        let p = stuck_at_coverage_parallel(&net, &stimuli);
-        assert_eq!(s.total, p.total);
-        assert_eq!(s.detected, p.detected);
-        assert_eq!(s.undetected, p.undetected);
     }
 
     #[test]
@@ -707,8 +573,8 @@ mod tests {
         let q2 = n.dff(b, true);
         n.output_bus("y", vec![q2, q]);
         let stimuli = stim(&[1, 2, 0, 3, 1, 0, 2]);
-        let s = serial_reference(&n, &stimuli);
-        let p = stuck_at_coverage_parallel(&n, &stimuli);
+        let s = serial(&n, &stimuli);
+        let (p, _) = packed(&n, &stimuli);
         assert_eq!(s.detected, p.detected);
         assert_eq!(s.undetected, p.undetected);
     }
@@ -735,9 +601,9 @@ mod tests {
     #[test]
     fn scalar_stimulus_grader_matches_packed_engine() {
         let net = redundant();
-        let stimuli = stim(&[0, 1, 2, 3]);
-        let (scalar, s_stats) = stuck_at_coverage_scalar(&net, &stimuli).expect("scalar");
-        let (packed, p_stats) = stuck_at_coverage_parallel_stats(&net, &stimuli);
+        let stimuli = exhaustive();
+        let (scalar, s_stats) = stuck_at_coverage(&net, &stimuli).expect("scalar");
+        let (packed, p_stats) = packed(&net, &stimuli);
         assert_eq!(scalar.total, packed.total);
         assert_eq!(scalar.detected, packed.detected);
         assert_eq!(scalar.undetected, packed.undetected);
@@ -759,12 +625,11 @@ mod tests {
         let net = redundant();
         let universe = enumerate_faults(&net);
         assert_eq!(universe.len(), 8, "4 gates x 2 polarities");
-        let stimuli = stim(&[0, 1, 2, 3]);
-        let serial = serial_reference(&net, &stimuli);
-        let packed = stuck_at_coverage_parallel(&net, &stimuli);
-        let sharded =
-            stuck_at_coverage_sharded(&net, &stimuli, &ocapi::ParConfig::new(2)).expect("sharded");
-        for rep in [&serial, &packed, &sharded] {
+        let stimuli = exhaustive();
+        let serial = serial(&net, &stimuli);
+        let (sharded, _) =
+            stuck_at_coverage_sharded_stats(&net, &stimuli, &ParConfig::new(2)).expect("sharded");
+        for rep in [&serial, &sharded] {
             assert_eq!(rep.total, universe.len());
             assert!(rep.undetected.iter().all(|f| universe.contains(f)));
         }
@@ -791,7 +656,8 @@ mod tests {
         assert_eq!(universe.len(), 80);
         for (count, words) in [(63usize, 1u64), (64, 2), (65, 2)] {
             let subset = &universe[..count];
-            let (report, stats) = grade_fault_list(&n, subset, &stimuli);
+            let (report, stats) =
+                grade_fault_list(&n, subset, &stimuli, &ParConfig::single()).expect("grade");
             assert_eq!(report.total, count);
             assert_eq!(
                 stats.fault_words, words,
@@ -819,9 +685,7 @@ mod tests {
 
     #[test]
     fn grade_obs_flush_is_deterministic() {
-        let net = redundant();
-        let stimuli = stim(&[0, 1, 2, 3]);
-        let (_, stats) = stuck_at_coverage_parallel_stats(&net, &stimuli);
+        let (_, stats) = packed(&redundant(), &exhaustive());
         let reg = ocapi_obs::Registry::new();
         flush_grade_obs(&reg, &stats);
         assert_eq!(reg.counter("gate.fault_words").get(), stats.fault_words);
@@ -843,53 +707,22 @@ mod tests {
         }
         n.output_bus("y", vec![w]);
         let stimuli = stim(&[0, 1]);
-        let p = stuck_at_coverage_parallel(&n, &stimuli);
+        let (p, _) = packed(&n, &stimuli);
         assert_eq!(p.total, 100);
         assert_eq!(p.detected, 100);
-        let s = serial_reference(&n, &stimuli);
-        assert_eq!(s.detected, 100);
+        assert_eq!(serial(&n, &stimuli).detected, 100);
     }
 
     #[test]
     fn sequential_fault_needs_clocking() {
         // A DFF in the path: the fault on its input shows only after a
-        // clock edge.
+        // clock edge, which every graded cycle applies.
         let mut n = Netlist::new();
         let i = n.input_bus("x", 1);
         let inv = n.gate(GateKind::Inv, &[i[0]]);
         let q = n.dff(inv, false);
         n.output_bus("y", vec![q]);
-
-        // Combinational-only drive: DFF never clocks, input faults hide.
-        let comb_only = stuck_at_coverage(&n, |sim| {
-            let ins = sim.netlist().input_by_name("x").expect("in").to_vec();
-            let outs = sim.netlist().output_by_name("y").expect("out").to_vec();
-            (0..2)
-                .map(|x| {
-                    sim.set_bus(&ins, x);
-                    sim.settle()?;
-                    Ok(sim.bus(&outs))
-                })
-                .collect()
-        })
-        .expect("grade");
-        // Only DFF-output stuck-at-1 flips the (constant-0) observation.
-        assert_eq!(comb_only.detected, 1, "{comb_only:?}");
-
-        // With clocking, every fault propagates.
-        let clocked = stuck_at_coverage(&n, |sim| {
-            let ins = sim.netlist().input_by_name("x").expect("in").to_vec();
-            let outs = sim.netlist().output_by_name("y").expect("out").to_vec();
-            (0..4)
-                .map(|x| {
-                    sim.set_bus(&ins, x & 1);
-                    sim.settle()?;
-                    sim.clock()?;
-                    Ok(sim.bus(&outs))
-                })
-                .collect()
-        })
-        .expect("grade");
+        let clocked = serial(&n, &stim(&[0, 1, 0, 1]));
         assert_eq!(clocked.coverage(), 1.0, "{clocked:?}");
     }
 }

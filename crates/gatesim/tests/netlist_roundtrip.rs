@@ -136,7 +136,7 @@ fn optimized_netlist_round_trips() {
 
 #[test]
 fn parallel_fault_simulation_matches_serial() {
-    use ocapi_gatesim::fault::{stuck_at_coverage, stuck_at_coverage_parallel, CycleStimulus};
+    use ocapi_gatesim::fault::{stuck_at_coverage, stuck_at_coverage_sharded_stats, CycleStimulus};
     for seed in 0..cases() {
         let recipe = random_recipe(&mut XorShift64::new(0xfa17 + seed));
         let net = build(&recipe);
@@ -147,29 +147,10 @@ fn parallel_fault_simulation_matches_serial() {
                 inputs: vec![("x".into(), *x as u64 & 0xf)],
             })
             .collect();
-        let serial = stuck_at_coverage(&net, |sim| {
-            let outs: Vec<Vec<_>> = sim
-                .netlist()
-                .outputs
-                .iter()
-                .map(|(_, ws)| ws.clone())
-                .collect();
-            let mut seen = Vec::new();
-            for cyc in &stimuli {
-                for (name, value) in &cyc.inputs {
-                    let ws = sim.netlist().input_by_name(name).expect("in").to_vec();
-                    sim.set_bus(&ws, *value);
-                }
-                sim.settle()?;
-                sim.clock()?;
-                for ws in &outs {
-                    seen.push(sim.bus(ws));
-                }
-            }
-            Ok(seen)
-        })
-        .expect("serial grade");
-        let parallel = stuck_at_coverage_parallel(&net, &stimuli);
+        let (serial, _) = stuck_at_coverage(&net, &stimuli).expect("serial grade");
+        let (parallel, _) =
+            stuck_at_coverage_sharded_stats(&net, &stimuli, &ocapi::ParConfig::single())
+                .expect("parallel grade");
         assert_eq!(serial.total, parallel.total, "seed {seed}");
         assert_eq!(serial.detected, parallel.detected, "seed {seed}");
         assert_eq!(serial.undetected, parallel.undetected, "seed {seed}");

@@ -58,6 +58,27 @@ fn opt_u64(req: &Json, key: &str, default: u64) -> Result<u64, ServeError> {
     }
 }
 
+/// Upper bounds on the request fields that size a job's allocations
+/// (event list, golden trace, burst list, payload buffers). Far above
+/// every in-tree client, low enough that one request cannot exhaust the
+/// daemon's memory.
+const MAX_EVENTS: u64 = 1 << 16;
+const MAX_CYCLES: u64 = 1 << 16;
+const MAX_BURSTS: u64 = 1 << 16;
+const MAX_PAYLOAD_LEN: u64 = 1 << 12;
+
+/// [`opt_u64`] that rejects values above `cap` with a parse error
+/// naming the field and the cap.
+fn capped_u64(req: &Json, key: &str, default: u64, cap: u64) -> Result<u64, ServeError> {
+    let v = opt_u64(req, key, default)?;
+    if v > cap {
+        return Err(ServeError::Parse(format!(
+            "field `{key}` is {v}, above the cap of {cap}"
+        )));
+    }
+    Ok(v)
+}
+
 fn opt_bool(req: &Json, key: &str, default: bool) -> Result<bool, ServeError> {
     match req.get(key) {
         None => Ok(default),
@@ -232,8 +253,8 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
     };
     let channel = opt_f64_arr(req, "channel", &[1.0, 0.45])?;
     let noise = opt_f64_arr(req, "noise", &[0.05])?;
-    let bursts = opt_u64(req, "bursts", 4)?.max(1);
-    let payload_len = opt_u64(req, "payload_len", 64)?.max(16) as usize;
+    let bursts = capped_u64(req, "bursts", 4, MAX_BURSTS)?.max(1);
+    let payload_len = capped_u64(req, "payload_len", 64, MAX_PAYLOAD_LEN)?.max(16) as usize;
     let lanes = opt_u64(req, "lanes", 1)?.max(1) as usize;
     let threads = opt_u64(req, "threads", 1)?.max(1) as usize;
     let level = opt_level(req)?;
@@ -345,8 +366,8 @@ pub fn run_campaign_job(
     let id = request_id(req)?;
     reject_engine(req, "campaign")?;
     let design = design_of(req, Design::Hcor)?;
-    let cycles = opt_u64(req, "cycles", 96)?.max(2);
-    let n_events = opt_u64(req, "events", 32)?.max(1);
+    let cycles = capped_u64(req, "cycles", 96, MAX_CYCLES)?.max(2);
+    let n_events = capped_u64(req, "events", 32, MAX_EVENTS)?.max(1);
     let seed = opt_u64(req, "seed", 0xca3)?;
     let lanes = opt_u64(req, "lanes", 1)?.max(1) as usize;
     let threads = opt_u64(req, "threads", 1)?.max(1) as usize;

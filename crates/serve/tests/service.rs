@@ -199,3 +199,61 @@ fn parked_sessions_resume_byte_identically() {
     );
     assert!(closed.contains("\"closed\":true"));
 }
+
+/// Requests whose size fields would make the daemon reserve unbounded
+/// memory are refused with an error frame naming the field; the daemon
+/// keeps serving the next request on its socket.
+#[test]
+fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
+    let socket = std::env::temp_dir()
+        .join(format!("ocapi-serve-caps-{}.sock", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let state = Arc::new(ServerState::new(&socket, 8, 8, None));
+    let daemon = {
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || run(&state).unwrap())
+    };
+    for _ in 0..200 {
+        if UnixStream::connect(&socket).is_ok() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    // Exactly representable as a JSON number, far above every cap.
+    let huge = 1u64 << 40;
+    for (field, request) in [
+        (
+            "events",
+            format!(r#"{{"op":"campaign","id":"big","design":"hcor","cycles":8,"events":{huge}}}"#),
+        ),
+        (
+            "cycles",
+            format!(r#"{{"op":"campaign","id":"big","design":"hcor","cycles":{huge},"events":2}}"#),
+        ),
+        (
+            "bursts",
+            format!(r#"{{"op":"ber","id":"big","design":"dect","bursts":{huge}}}"#),
+        ),
+        (
+            "payload_len",
+            format!(r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":{huge}}}"#),
+        ),
+    ] {
+        let reply = exchange(&socket, &request);
+        assert!(reply.contains("\"type\":\"error\""), "{field}: {reply}");
+        assert!(reply.contains(&format!("`{field}`")), "{field}: {reply}");
+        assert!(reply.contains("cap"), "{field}: {reply}");
+    }
+
+    let ok = exchange(&socket, &campaign("after", 2, 1));
+    assert!(ok.contains("\"type\":\"done\""), "{ok}");
+    assert_eq!(ok, transcript(&state, &campaign("after", 2, 1)));
+
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut w = stream.try_clone().unwrap();
+    write_frame(&mut w, r#"{"op":"shutdown","id":"bye"}"#).unwrap();
+    w.flush().unwrap();
+    daemon.join().unwrap();
+}

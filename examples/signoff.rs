@@ -15,8 +15,7 @@
 use std::path::Path;
 
 use asic_dse::ocapi_designs::hcor;
-use asic_dse::ocapi_gatesim::fault::stuck_at_coverage;
-use asic_dse::ocapi_gatesim::GateSim;
+use asic_dse::ocapi_gatesim::fault::{stuck_at_coverage, CycleStimulus};
 use asic_dse::ocapi_synth::{emit, opt, parse, synthesize, techmap, timing, SynthOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,34 +50,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Fault-grade the functional test pattern on the mapped netlist.
-    let bits = hcor::test_pattern(256, 7);
-    let report = stuck_at_coverage(&mapped, |sim: &mut GateSim| {
-        let bit = sim.netlist().input_by_name("bit_in").expect("in").to_vec();
-        let en = sim.netlist().input_by_name("enable").expect("in").to_vec();
-        let th = sim
-            .netlist()
-            .input_by_name("threshold")
-            .expect("in")
-            .to_vec();
-        let outs: Vec<Vec<_>> = sim
-            .netlist()
-            .outputs
-            .iter()
-            .map(|(_, ws)| ws.clone())
-            .collect();
-        let mut seen = Vec::new();
-        for b in &bits {
-            sim.set_bus(&bit, *b as u64);
-            sim.set_bus(&en, 1);
-            sim.set_bus(&th, 11);
-            sim.settle()?;
-            sim.clock()?;
-            for ws in &outs {
-                seen.push(sim.bus(ws));
-            }
-        }
-        Ok(seen)
-    })?;
+    let stimuli: Vec<CycleStimulus> = hcor::test_pattern(256, 7)
+        .iter()
+        .map(|b| CycleStimulus {
+            inputs: vec![
+                ("bit_in".into(), *b as u64),
+                ("enable".into(), 1),
+                ("threshold".into(), 11),
+            ],
+        })
+        .collect();
+    let (report, _) = stuck_at_coverage(&mapped, &stimuli)?;
     println!(
         "stuck-at fault coverage of the testbench vectors: {}/{} = {:.1}%",
         report.detected,
