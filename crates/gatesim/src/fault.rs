@@ -30,8 +30,9 @@
 //! serial engine grades at most one, the multiple the
 //! `table_gates`/`fault_coverage` benchmarks record and CI gates on.
 
-use ocapi_synth::gate::{Gate, GateKind, Netlist};
+use ocapi_synth::gate::{Gate, GateKind, Netlist, WireId};
 
+use crate::kernel::{gate_table, GateRec};
 use crate::{GateError, GateSim};
 
 /// Fault machines packed per `u64` word by the bit-parallel engine
@@ -318,9 +319,10 @@ fn grade_fault_list(
     stimuli: &[CycleStimulus],
     pool: &ocapi::ParConfig,
 ) -> Result<(FaultReport, GradeStats), GateError> {
+    let plan = GradePlan::new(net, stimuli);
     let batches: Vec<&[Fault]> = faults.chunks(FAULTS_PER_WORD).collect();
     let masks = ocapi::sim::par::map_indexed(pool, &batches, |_, batch| {
-        Ok::<(u64, u64), GateError>(run_batch(net, batch, stimuli))
+        Ok::<(u64, u64), GateError>(run_batch(&plan, batch))
     })
     .map_err(|e| match e {
         ocapi::ParError::Task { error, .. } => error,
@@ -355,8 +357,46 @@ fn grade_fault_list(
     ))
 }
 
+/// What every 63-fault batch of one grading call shares, built once per
+/// call: the packed gate table, the combinational and flip-flop gate
+/// lists, and the stimulus with its bus names resolved.
+struct GradePlan<'a> {
+    net: &'a Netlist,
+    gates: Vec<GateRec>,
+    /// Every non-flip-flop gate (constants included), in netlist order.
+    comb: Vec<u32>,
+    dffs: Vec<u32>,
+    /// Per cycle, the input buses to drive. Unknown bus names are
+    /// dropped, matching the serial driver contract where the caller
+    /// resolves names itself.
+    cycles: Vec<Vec<(&'a [WireId], u64)>>,
+}
+
+impl<'a> GradePlan<'a> {
+    fn new(net: &'a Netlist, stimuli: &[CycleStimulus]) -> GradePlan<'a> {
+        let gates = gate_table(net);
+        let (dffs, comb): (Vec<u32>, Vec<u32>) =
+            (0..gates.len() as u32).partition(|gi| gates[*gi as usize].kind == GateKind::Dff);
+        GradePlan {
+            net,
+            gates,
+            comb,
+            dffs,
+            cycles: stimuli
+                .iter()
+                .map(|cyc| {
+                    cyc.inputs
+                        .iter()
+                        .filter_map(|(name, value)| Some((net.input_by_name(name)?, *value)))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Evaluates one gate bitwise over 64 lanes.
-fn eval_lanes(kind: GateKind, i: &[u64]) -> u64 {
+fn eval_lanes(kind: GateKind, i: [u64; 3]) -> u64 {
     match kind {
         GateKind::Const0 => 0,
         GateKind::Const1 => !0,
@@ -378,10 +418,10 @@ fn eval_lanes(kind: GateKind, i: &[u64]) -> u64 {
 /// gate evaluations performed (combinational evaluations in the settle
 /// passes and DFF samples at the clock edges — each advancing every
 /// machine in the word at once).
-fn run_batch(net: &Netlist, batch: &[Fault], stimuli: &[CycleStimulus]) -> (u64, u64) {
+fn run_batch(plan: &GradePlan<'_>, batch: &[Fault]) -> (u64, u64) {
     // Per-gate fault lanes: (force-to-one bits, force-mask bits).
-    let mut force_mask = vec![0u64; net.gates.len()];
-    let mut force_ones = vec![0u64; net.gates.len()];
+    let mut force_mask = vec![0u64; plan.gates.len()];
+    let mut force_ones = vec![0u64; plan.gates.len()];
     for (k, f) in batch.iter().enumerate() {
         let lane = 1u64 << (k + 1);
         force_mask[f.gate] |= lane;
@@ -389,29 +429,18 @@ fn run_batch(net: &Netlist, batch: &[Fault], stimuli: &[CycleStimulus]) -> (u64,
             force_ones[f.gate] |= lane;
         }
     }
+    let force = |gi: u32, v: u64| {
+        let (m, o) = (force_mask[gi as usize], force_ones[gi as usize]);
+        (v & !m) | (o & m)
+    };
 
     let broadcast = |b: bool| if b { !0u64 } else { 0u64 };
-    let mut wires = vec![0u64; net.n_wires];
-    let comb: Vec<usize> = net
-        .gates
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| g.kind != GateKind::Dff)
-        .map(|(gi, _)| gi)
-        .collect();
-    let dffs: Vec<usize> = net
-        .gates
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| g.kind == GateKind::Dff)
-        .map(|(gi, _)| gi)
-        .collect();
+    let mut wires = vec![0u64; plan.net.n_wires];
 
     // Reset: DFF outputs at their initial value (with output faults).
-    for gi in &dffs {
-        let g = &net.gates[*gi];
-        let v = broadcast(g.init);
-        wires[g.output.index()] = (v & !force_mask[*gi]) | (force_ones[*gi] & force_mask[*gi]);
+    for gi in &plan.dffs {
+        let init = plan.net.gates[*gi as usize].init;
+        wires[plan.gates[*gi as usize].out as usize] = force(*gi, broadcast(init));
     }
 
     // Settle: evaluate the combinational gates to a fixed point. The
@@ -419,23 +448,19 @@ fn run_batch(net: &Netlist, batch: &[Fault], stimuli: &[CycleStimulus]) -> (u64,
     // lanes still flipping at the cap are oscillating faulty machines.
     let mut caught = 0u64;
     let mut evals = 0u64;
-    let max_passes = comb.len() + 2;
+    let max_passes = plan.comb.len() + 2;
     let settle = |wires: &mut Vec<u64>, caught: &mut u64, evals: &mut u64| {
         for pass in 0..max_passes {
             let mut changed = 0u64;
-            for gi in &comb {
-                let g = &net.gates[*gi];
-                let mut ins = [0u64; 3];
-                for (k, w) in g.inputs.iter().enumerate() {
-                    ins[k] = wires[w.index()];
-                }
-                let mut v = eval_lanes(g.kind, &ins[..]);
-                v = (v & !force_mask[*gi]) | (force_ones[*gi] & force_mask[*gi]);
-                let w = g.output.index();
+            for gi in &plan.comb {
+                let g = &plan.gates[*gi as usize];
+                let ins = g.ins.map(|w| wires[w as usize]);
+                let v = force(*gi, eval_lanes(g.kind, ins));
+                let w = g.out as usize;
                 changed |= wires[w] ^ v;
                 wires[w] = v;
             }
-            *evals += comb.len() as u64;
+            *evals += plan.comb.len() as u64;
             if changed == 0 {
                 break;
             }
@@ -448,37 +473,27 @@ fn run_batch(net: &Netlist, batch: &[Fault], stimuli: &[CycleStimulus]) -> (u64,
     };
     settle(&mut wires, &mut caught, &mut evals);
 
-    for cyc in stimuli {
-        for (name, value) in &cyc.inputs {
-            // Unknown bus names are ignored, matching the serial driver
-            // contract where the caller resolves names itself.
-            let Some(ws) = net.input_by_name(name) else {
-                continue;
-            };
+    let mut sampled: Vec<(usize, u64)> = Vec::with_capacity(plan.dffs.len());
+    for cycle in &plan.cycles {
+        for (ws, value) in cycle {
             for (k, w) in ws.iter().enumerate() {
-                wires[w.index()] = broadcast((value >> k) & 1 == 1);
+                wires[w.index()] = broadcast(k < 64 && (value >> k) & 1 == 1);
             }
         }
         settle(&mut wires, &mut caught, &mut evals);
         // Clock edge: sample all DFF inputs simultaneously.
-        let sampled: Vec<(usize, u64)> = dffs
-            .iter()
-            .map(|gi| {
-                let g = &net.gates[*gi];
-                let v = wires[g.inputs[0].index()];
-                (
-                    g.output.index(),
-                    (v & !force_mask[*gi]) | (force_ones[*gi] & force_mask[*gi]),
-                )
-            })
-            .collect();
-        evals += dffs.len() as u64;
-        for (w, v) in sampled {
+        sampled.clear();
+        sampled.extend(plan.dffs.iter().map(|gi| {
+            let g = &plan.gates[*gi as usize];
+            (g.out as usize, force(*gi, wires[g.ins[0] as usize]))
+        }));
+        evals += plan.dffs.len() as u64;
+        for &(w, v) in &sampled {
             wires[w] = v;
         }
         settle(&mut wires, &mut caught, &mut evals);
         // Observe every output bus against lane 0.
-        for (_, ws) in &net.outputs {
+        for (_, ws) in &plan.net.outputs {
             for w in ws {
                 let v = wires[w.index()];
                 caught |= v ^ broadcast(v & 1 == 1);
@@ -711,6 +726,23 @@ mod tests {
         assert_eq!(p.total, 100);
         assert_eq!(p.detected, 100);
         assert_eq!(serial(&n, &stimuli).detected, 100);
+    }
+
+    #[test]
+    fn wide_input_buses_grade_like_the_serial_engine() {
+        // Wires at index ≥ 64 lie beyond the u64 stimulus window and
+        // drive false in both engines (the GateSim::set_bus contract).
+        // A plain `value >> k` overflows there: a debug panic, and in
+        // release bit 64 driven from bit 0.
+        let mut n = Netlist::new();
+        let x = n.input_bus("x", 65);
+        let y = n.gate(GateKind::Xor2, &[x[0], x[64]]);
+        n.output_bus("y", vec![y]);
+        let stimuli = stim(&[1, 0, 1]);
+        let s = serial(&n, &stimuli);
+        let (p, _) = packed(&n, &stimuli);
+        assert_eq!(s.detected, p.detected);
+        assert_eq!(s.undetected, p.undetected);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The event-driven gate evaluation kernel.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -103,6 +101,158 @@ pub(crate) fn osc_limit(gates: usize) -> u64 {
     (gates as u64 + 1) * 1024
 }
 
+/// One gate as the evaluation loops read it: the kind, three input
+/// wire indices (unused slots repeat input 0; a constant, which has no
+/// inputs, repeats its output) and the output wire. Built once per
+/// netlist ([`gate_table`]) and shared by the event-driven kernel and
+/// the packed stuck-at grader.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GateRec {
+    pub(crate) kind: GateKind,
+    pub(crate) ins: [u32; 3],
+    pub(crate) out: u32,
+}
+
+/// The packed gate table of `net`, indexed like `net.gates`.
+pub(crate) fn gate_table(net: &Netlist) -> Vec<GateRec> {
+    net.gates
+        .iter()
+        .map(|g| {
+            let first = g.inputs.first().unwrap_or(&g.output).index() as u32;
+            let mut ins = [first; 3];
+            for (slot, w) in ins.iter_mut().zip(&g.inputs) {
+                *slot = w.index() as u32;
+            }
+            GateRec {
+                kind: g.kind,
+                ins,
+                out: g.output.index() as u32,
+            }
+        })
+        .collect()
+}
+
+/// The gate's function as an 8-entry truth table indexed by
+/// `in0 | in1 << 1 | in2 << 2`, so evaluation is a table shift instead
+/// of a branch on the kind. Matches [`GateKind::eval`]; a `Dff` passes
+/// its D input (flip-flops are never scheduled for evaluation).
+fn truth_table(kind: GateKind) -> u8 {
+    match kind {
+        GateKind::Const0 => 0x00,
+        GateKind::Const1 => 0xff,
+        GateKind::Buf | GateKind::Dff => 0xaa,
+        GateKind::Inv => 0x55,
+        GateKind::And2 => 0x88,
+        GateKind::Or2 => 0xee,
+        GateKind::Nand2 => 0x77,
+        GateKind::Nor2 => 0x11,
+        GateKind::Xor2 => 0x66,
+        GateKind::Xnor2 => 0x99,
+        // sel ? a : b over [sel, a, b].
+        GateKind::Mux2 => 0xd8,
+    }
+}
+
+/// Evaluates a gate record against the current wire values.
+#[inline]
+fn eval(g: &GateRec, values: &[bool]) -> bool {
+    let idx = usize::from(values[g.ins[0] as usize])
+        | usize::from(values[g.ins[1] as usize]) << 1
+        | usize::from(values[g.ins[2] as usize]) << 2;
+    (truth_table(g.kind) >> idx) & 1 == 1
+}
+
+/// The combinational fanout of every wire in compressed sparse row
+/// form: the gates reading wire `w` are
+/// `fan[fan_start[w]..fan_start[w + 1]]`, in gate order. Flip-flops sample
+/// on the clock, not on events, and constants never change, so neither
+/// appears.
+fn fanout_csr(gates: &[GateRec], n_wires: usize) -> (Vec<u32>, Vec<u32>) {
+    // (input wire, reading gate) for every pin of every combinational gate.
+    let reads = || {
+        gates
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| !matches!(g.kind, GateKind::Dff | GateKind::Const0 | GateKind::Const1))
+            .flat_map(|(gi, g)| {
+                g.ins[..g.kind.arity()]
+                    .iter()
+                    .map(move |w| (*w as usize, gi as u32))
+            })
+    };
+    let mut fan_start = vec![0u32; n_wires + 1];
+    for (w, _) in reads() {
+        fan_start[w + 1] += 1;
+    }
+    for w in 0..n_wires {
+        fan_start[w + 1] += fan_start[w];
+    }
+    let mut fill = fan_start[..n_wires].to_vec();
+    let mut fan = vec![0u32; fan_start[n_wires] as usize];
+    for (w, gi) in reads() {
+        fan[fill[w] as usize] = gi;
+        fill[w] += 1;
+    }
+    (fan_start, fan)
+}
+
+/// The set of gates awaiting evaluation, as a two-level bitmap: one bit
+/// per gate, one summary bit per 64-gate word, and a cursor on the
+/// lowest summary word that may be non-empty. [`DirtySet::pop`] returns
+/// the lowest set index — the order a min-heap over the same set pops.
+#[derive(Debug)]
+struct DirtySet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    cursor: usize,
+}
+
+impl DirtySet {
+    fn new(gates: usize) -> DirtySet {
+        let words = gates.div_ceil(64);
+        let summary = words.div_ceil(64);
+        DirtySet {
+            words: vec![0; words],
+            summary: vec![0; summary],
+            cursor: summary,
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, gate: u32) {
+        let w = (gate >> 6) as usize;
+        self.words[w] |= 1 << (gate & 63);
+        let s = w >> 6;
+        self.summary[s] |= 1 << (w & 63);
+        self.cursor = self.cursor.min(s);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
+        while let Some(&sum) = self.summary.get(self.cursor) {
+            if sum == 0 {
+                self.cursor += 1;
+                continue;
+            }
+            let w = (self.cursor << 6) | sum.trailing_zeros() as usize;
+            let bits = self.words[w];
+            let rest = bits & (bits - 1);
+            self.words[w] = rest;
+            if rest == 0 {
+                self.summary[self.cursor] = sum & (sum - 1);
+            }
+            return Some(((w as u32) << 6) | bits.trailing_zeros());
+        }
+        None
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.summary.fill(0);
+        self.cursor = self.summary.len();
+    }
+}
+
 /// An event-driven simulator for a gate-level netlist.
 ///
 /// Wires start at the constant/DFF initial values; undriven wires are
@@ -112,15 +262,19 @@ pub(crate) fn osc_limit(gates: usize) -> u64 {
 #[derive(Debug)]
 pub struct GateSim {
     net: Netlist,
+    /// Packed gate records, indexed like `net.gates`.
+    gates: Vec<GateRec>,
     values: Vec<bool>,
-    fanout: Vec<Vec<u32>>,
+    /// CSR fanout (see [`fanout_csr`]): one entry per wire plus one.
+    fan_start: Vec<u32>,
+    fan: Vec<u32>,
     /// gate indices of all DFFs
     dffs: Vec<u32>,
-    dirty: Vec<bool>,
-    /// Min-heap on gate index: gates are created in rough dependency
-    /// order, so this evaluates close to levelized order and avoids the
-    /// exponential glitching a LIFO worklist suffers in deep adder trees.
-    worklist: BinaryHeap<Reverse<u32>>,
+    /// Gates awaiting evaluation, popped lowest index first: gates are
+    /// created in rough dependency order, so this evaluates close to
+    /// levelized order and avoids the exponential glitching a LIFO
+    /// worklist suffers in deep adder trees.
+    dirty: DirtySet,
     /// DFF sample scratch, reused across [`GateSim::clock`] calls so a
     /// clocked run allocates nothing per cycle.
     sample_buf: Vec<(usize, bool)>,
@@ -163,43 +317,36 @@ impl GateSim {
         for (w, v) in presets {
             values[w.index()] = *v;
         }
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); net.n_wires];
+        let gates = gate_table(&net);
+        let (fan_start, fan) = fanout_csr(&gates, net.n_wires);
         let mut dffs = Vec::new();
-        for (gi, g) in net.gates.iter().enumerate() {
+        let mut dirty = DirtySet::new(gates.len());
+        for ((gi, g), rec) in net.gates.iter().enumerate().zip(&gates) {
             match g.kind {
                 GateKind::Dff => {
-                    values[g.output.index()] = g.init;
+                    values[rec.out as usize] = g.init;
                     dffs.push(gi as u32);
                 }
-                GateKind::Const0 => values[g.output.index()] = false,
-                GateKind::Const1 => values[g.output.index()] = true,
-                _ => {
-                    for i in &g.inputs {
-                        fanout[i.index()].push(gi as u32);
-                    }
-                }
+                GateKind::Const0 => values[rec.out as usize] = false,
+                GateKind::Const1 => values[rec.out as usize] = true,
+                // Initial evaluation of all combinational gates.
+                _ => dirty.insert(gi as u32),
             }
         }
-        // DFF inputs still need fanout entries? No: DFFs sample on clock,
-        // not on events. Constants never change.
-        let n_gates = net.gates.len();
         let mut sim = GateSim {
             net,
+            gates,
             values,
-            fanout,
+            fan_start,
+            fan,
             dffs,
-            dirty: vec![false; n_gates],
-            worklist: BinaryHeap::with_capacity(n_gates),
+            dirty,
             sample_buf: Vec::new(),
             stats: GateSimStats::default(),
             obs: None,
             eval_budget: None,
             labels: None,
         };
-        // Initial evaluation of all combinational gates.
-        for gi in 0..n_gates {
-            sim.schedule(gi as u32);
-        }
         sim.settle()?;
         Ok(sim)
     }
@@ -268,13 +415,11 @@ impl GateSim {
 
     /// Drives a primary-input wire (takes effect at the next settle).
     pub fn set_wire(&mut self, w: WireId, value: bool) {
-        if self.values[w.index()] != value {
-            self.values[w.index()] = value;
+        let w = w.index();
+        if self.values[w] != value {
+            self.values[w] = value;
             self.stats.events += 1;
-            for gi in 0..self.fanout[w.index()].len() {
-                let g = self.fanout[w.index()][gi];
-                self.schedule(g);
-            }
+            self.schedule_fanout(w);
         }
     }
 
@@ -290,14 +435,12 @@ impl GateSim {
         }
     }
 
-    fn schedule(&mut self, gate: u32) {
-        let g = &self.net.gates[gate as usize];
-        if matches!(g.kind, GateKind::Dff | GateKind::Const0 | GateKind::Const1) {
-            return;
-        }
-        if !self.dirty[gate as usize] {
-            self.dirty[gate as usize] = true;
-            self.worklist.push(Reverse(gate));
+    /// Marks every combinational reader of wire `w` dirty.
+    #[inline]
+    fn schedule_fanout(&mut self, w: usize) {
+        let (lo, hi) = (self.fan_start[w] as usize, self.fan_start[w + 1] as usize);
+        for &f in &self.fan[lo..hi] {
+            self.dirty.insert(f);
         }
     }
 
@@ -317,32 +460,21 @@ impl GateSim {
     /// meaningless) state and can be reset by re-driving its inputs.
     pub fn settle(&mut self) -> Result<(), GateError> {
         let mut guard = 0u64;
-        let osc_limit = osc_limit(self.net.gates.len());
+        let osc_limit = osc_limit(self.gates.len());
         let limit = self.eval_budget.map_or(osc_limit, |b| b.min(osc_limit));
-        while let Some(Reverse(gi)) = self.worklist.pop() {
-            self.dirty[gi as usize] = false;
+        while let Some(gi) = self.dirty.pop() {
             guard += 1;
             if guard >= limit {
                 return Err(self.quiesce_failure(guard, gi, limit < osc_limit));
             }
-            let g = &self.net.gates[gi as usize];
-            let ins: [bool; 3] = {
-                let mut v = [false; 3];
-                for (k, w) in g.inputs.iter().enumerate() {
-                    v[k] = self.values[w.index()];
-                }
-                v
-            };
-            let newv = g.kind.eval(&ins[..g.kind.arity()]);
+            let g = &self.gates[gi as usize];
+            let newv = eval(g, &self.values);
             self.stats.gate_evals += 1;
-            let out = g.output;
-            if self.values[out.index()] != newv {
-                self.values[out.index()] = newv;
+            let out = g.out as usize;
+            if self.values[out] != newv {
+                self.values[out] = newv;
                 self.stats.events += 1;
-                for k in 0..self.fanout[out.index()].len() {
-                    let f = self.fanout[out.index()][k];
-                    self.schedule(f);
-                }
+                self.schedule_fanout(out);
             }
         }
         self.flush_obs();
@@ -356,10 +488,7 @@ impl GateSim {
     /// membership of the sensitised loop(s).
     fn quiesce_failure(&mut self, evals: u64, current: u32, budgeted: bool) -> GateError {
         if budgeted {
-            self.worklist.clear();
-            for d in &mut self.dirty {
-                *d = false;
-            }
+            self.dirty.clear();
             self.flush_obs();
             let budget = self.eval_budget.unwrap_or(evals);
             if let Some(o) = &self.obs {
@@ -382,33 +511,20 @@ impl GateSim {
         // (uncounted in the activity stats) and report every gate it
         // visits — the loop membership, identical at any partition
         // count.
-        let mut cycling = vec![false; self.net.gates.len()];
+        let mut cycling = vec![false; self.gates.len()];
         let mut next = Some(current);
-        let sweep = (self.net.gates.len() as u64 + 1) * 16;
+        let sweep = (self.gates.len() as u64 + 1) * 16;
         for _ in 0..sweep {
             let Some(gi) = next else { break };
             cycling[gi as usize] = true;
-            let g = &self.net.gates[gi as usize];
-            let ins: [bool; 3] = {
-                let mut v = [false; 3];
-                for (k, w) in g.inputs.iter().enumerate() {
-                    v[k] = self.values[w.index()];
-                }
-                v
-            };
-            let newv = g.kind.eval(&ins[..g.kind.arity()]);
-            let out = g.output;
-            if self.values[out.index()] != newv {
-                self.values[out.index()] = newv;
-                for k in 0..self.fanout[out.index()].len() {
-                    let f = self.fanout[out.index()][k];
-                    self.schedule(f);
-                }
+            let g = &self.gates[gi as usize];
+            let newv = eval(g, &self.values);
+            let out = g.out as usize;
+            if self.values[out] != newv {
+                self.values[out] = newv;
+                self.schedule_fanout(out);
             }
-            next = self.worklist.pop().map(|Reverse(g)| {
-                self.dirty[g as usize] = false;
-                g
-            });
+            next = self.dirty.pop();
         }
         let unstable: Vec<String> = cycling
             .iter()
@@ -421,13 +537,10 @@ impl GateSim {
                 // map is monotonic, so index-sorted local order is
                 // index-sorted global order.
                 let disp = self.labels.as_ref().map_or(gi as u32, |labels| labels[gi]);
-                format!("gate {disp} ({:?})", self.net.gates[gi].kind)
+                format!("gate {disp} ({:?})", self.gates[gi].kind)
             })
             .collect();
-        self.worklist.clear();
-        for d in &mut self.dirty {
-            *d = false;
-        }
+        self.dirty.clear();
         self.flush_obs();
         if let Some(o) = &self.obs {
             o.log.record(
@@ -459,17 +572,14 @@ impl GateSim {
         let mut sampled = std::mem::take(&mut self.sample_buf);
         sampled.clear();
         sampled.extend(self.dffs.iter().map(|gi| {
-            let g = &self.net.gates[*gi as usize];
-            (g.output.index(), self.values[g.inputs[0].index()])
+            let g = &self.gates[*gi as usize];
+            (g.out as usize, self.values[g.ins[0] as usize])
         }));
         for &(out, v) in &sampled {
             if self.values[out] != v {
                 self.values[out] = v;
                 self.stats.events += 1;
-                for k in 0..self.fanout[out].len() {
-                    let f = self.fanout[out][k];
-                    self.schedule(f);
-                }
+                self.schedule_fanout(out);
             }
         }
         self.sample_buf = sampled;
@@ -486,6 +596,64 @@ impl GateSim {
 mod tests {
     use super::*;
     use ocapi_synth::bitops::{ripple_add, ripple_sub};
+
+    #[test]
+    fn truth_tables_match_gate_eval() {
+        use GateKind::*;
+        for kind in [
+            Const0, Const1, Buf, Inv, And2, Or2, Nand2, Nor2, Xor2, Xnor2, Mux2,
+        ] {
+            for idx in 0..8usize {
+                let ins = [idx & 1 == 1, idx & 2 == 2, idx & 4 == 4];
+                let rec = GateRec {
+                    kind,
+                    ins: [0, 1, 2],
+                    out: 3,
+                };
+                assert_eq!(
+                    eval(&rec, &ins),
+                    kind.eval(&ins[..kind.arity()]),
+                    "{kind:?} on {ins:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_set_pops_in_min_heap_order() {
+        // Reference: the dirty-flagged min-heap the bitmap replaced.
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let n = 64 * 64 * 2 + 37;
+        let mut set = DirtySet::new(n);
+        let mut heap = BinaryHeap::new();
+        let mut flag = vec![false; n];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(3) {
+                let want = heap.pop().map(|Reverse(g)| {
+                    flag[g as usize] = false;
+                    g
+                });
+                assert_eq!(set.pop(), want);
+                continue;
+            }
+            let g = (x >> 20) as usize % n;
+            set.insert(g as u32);
+            if !flag[g] {
+                flag[g] = true;
+                heap.push(Reverse(g as u32));
+            }
+        }
+        while let Some(Reverse(g)) = heap.pop() {
+            flag[g as usize] = false;
+            assert_eq!(set.pop(), Some(g));
+        }
+        assert_eq!(set.pop(), None);
+    }
 
     #[test]
     fn adder_netlist_simulates() {
@@ -645,12 +813,16 @@ mod tests {
         clean.gate_into(GateKind::Inv, &[w], w);
         clean.output_bus("osc", vec![w]);
         let reg = Registry::new();
+        let gates = gate_table(&clean);
+        let (fan_start, fan) = fanout_csr(&gates, clean.n_wires);
+        assert_eq!((&fan_start[..], &fan[..]), (&[0, 1][..], &[0][..]));
         let mut kernel = GateSim {
             values: vec![false; clean.n_wires],
-            fanout: vec![vec![0]; clean.n_wires],
+            gates,
+            fan_start,
+            fan,
             dffs: Vec::new(),
-            dirty: vec![false; clean.gates.len()],
-            worklist: BinaryHeap::new(),
+            dirty: DirtySet::new(clean.gates.len()),
             sample_buf: Vec::new(),
             stats: GateSimStats::default(),
             obs: None,
@@ -659,7 +831,7 @@ mod tests {
             net: clean,
         };
         kernel.attach_obs(&reg);
-        kernel.schedule(0);
+        kernel.dirty.insert(0);
         assert!(kernel.settle().is_err());
         assert_eq!(reg.events().recorded(), 1);
         assert!(reg.events().snapshot()[0].kind == "oscillation");

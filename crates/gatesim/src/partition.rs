@@ -28,10 +28,10 @@
 //! Not just final values — the activity *stats* match too, because the
 //! per-cluster event order is preserved exactly:
 //!
-//! * The min-heap worklist pops gates in index order among the dirty
-//!   set, and a sub-netlist preserves relative gate order, so the
+//! * A kernel always evaluates the lowest-indexed gate of its dirty
+//!   set next, and a sub-netlist preserves relative gate order, so the
 //!   evaluation sequence *within a cluster* is the same whether the
-//!   cluster shares a heap with unrelated clusters (flat) or not
+//!   cluster shares a dirty set with unrelated clusters (flat) or not
 //!   (partitioned).
 //! * Mirror wires are preset to the remote flip-flop's `init` value
 //!   before the initial settle ([`GateSim::with_inputs`]), matching

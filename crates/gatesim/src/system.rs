@@ -68,7 +68,13 @@ struct UntimedIo {
     out_wires: Vec<Vec<WireId>>,
     in_tys: Vec<SigType>,
     out_tys: Vec<SigType>,
+    /// The input pattern the block last saw; `None` before its first
+    /// visit.
     last_in: Option<Vec<Value>>,
+    /// Input and output scratch, reused across passes and cycles so a
+    /// steady-state step allocates nothing.
+    ins: Vec<Value>,
+    outs: Vec<Value>,
 }
 
 /// Phase spans + cycle counter of the gate-level system simulator,
@@ -267,6 +273,8 @@ impl GateSystemSim {
                 in_tys,
                 out_tys,
                 last_in: None,
+                ins: Vec::new(),
+                outs: Vec::new(),
             });
         }
 
@@ -330,33 +338,62 @@ impl GateSystemSim {
     }
 
     /// Runs untimed blocks until no input pattern changes.
+    ///
+    /// Each pass visits every block whose input pattern changed, then
+    /// settles the netlist. If the blocks feed each other only
+    /// acyclically, n blocks reach their fixed point within n + 1
+    /// passes: give a block depth 0 when no block output reaches its
+    /// inputs, else one more than the deepest block feeding it, so
+    /// depths are below n. Inputs of depth-0 blocks are final before the
+    /// first pass; once pass p has visited every block of depth below p
+    /// with final inputs and settled, the inputs of depth-p blocks are
+    /// final too. So pass n visits the deepest blocks with final inputs
+    /// and pass n + 1 sees no change. A change in pass n + 1 therefore
+    /// means a combinational loop through the blocks: instead of firing,
+    /// that pass reports the blocks whose inputs still change, labelled
+    /// and sorted as the interpreter reports a waiting block.
     fn run_untimed(&mut self) -> Result<(), CoreError> {
-        loop {
+        let bound = self.untimed.len() + 1;
+        for pass in 1..=bound {
             let mut changed = false;
+            let mut waiting = Vec::new();
             for u in &mut self.untimed {
-                let ins: Vec<Value> = u
-                    .in_wires
-                    .iter()
-                    .zip(&u.in_tys)
-                    .map(|(w, ty)| decode(self.sim.bus(w), *ty))
-                    .collect();
-                if u.last_in.as_ref() == Some(&ins) {
+                u.ins.clear();
+                u.ins.extend(
+                    u.in_wires
+                        .iter()
+                        .zip(&u.in_tys)
+                        .map(|(w, ty)| decode(self.sim.bus(w), *ty)),
+                );
+                if u.last_in.as_ref() == Some(&u.ins) {
                     continue;
                 }
-                let mut outs: Vec<Value> = u
-                    .out_wires
-                    .iter()
-                    .zip(&u.out_tys)
-                    .map(|(w, ty)| decode(self.sim.bus(w), *ty))
-                    .collect();
-                if u.block.ready(&ins) {
-                    u.block.fire(&ins, &mut outs);
-                    for (w, v) in u.out_wires.iter().zip(&outs) {
+                if pass == bound {
+                    waiting.push(format!("{} (untimed)", u.block.name()));
+                    continue;
+                }
+                u.outs.clear();
+                u.outs.extend(
+                    u.out_wires
+                        .iter()
+                        .zip(&u.out_tys)
+                        .map(|(w, ty)| decode(self.sim.bus(w), *ty)),
+                );
+                if u.block.ready(&u.ins) {
+                    u.block.fire(&u.ins, &mut u.outs);
+                    for (w, v) in u.out_wires.iter().zip(&u.outs) {
                         self.sim.set_bus(w, encode(v));
                     }
                 }
-                u.last_in = Some(ins);
+                match &mut u.last_in {
+                    Some(last) => last.clone_from(&u.ins),
+                    None => u.last_in = Some(u.ins.clone()),
+                }
                 changed = true;
+            }
+            if !waiting.is_empty() {
+                waiting.sort();
+                return Err(CoreError::CombinationalLoop { waiting });
             }
             self.sim.settle().map_err(gate_err(self.cycle))?;
             if !changed {
@@ -378,8 +415,7 @@ impl Simulator for GateSystemSim {
                 name: name.to_owned(),
             })?;
         value.check_type_with(*ty, || format!("primary input `{name}`"))?;
-        let wires = wires.clone();
-        self.sim.set_bus(&wires, encode(&value));
+        self.sim.set_bus(wires, encode(&value));
         Ok(())
     }
 

@@ -70,6 +70,10 @@ check table1 fused_cycles_per_sec
 check_relative table1 fused_cycles_per_sec hcor_compiled_cycles_per_sec 1.5
 check ber_sweep batched_runs_per_sec
 check fault_coverage grade_faults_per_sec
+# The flat event-driven gate kernel: the netlist row of Table 1 and the
+# single-core side of the partitioned engine's same-run gate below.
+check table1 dect_gate_cycles_per_sec
+check table_gates single_core_cycles_per_sec
 check table_gates partitioned_cycles_per_sec
 # The partitioned engine's reason to exist: K balanced sub-kernels
 # settling on the pool must beat the flat kernel on the same netlist,

@@ -1,6 +1,7 @@
 //! Steady-state cycles must not touch the heap: after a short warm-up,
 //! `set_input` + `step` + `output` on HCOR and DECT allocates zero times
-//! on every cycle-based engine and on the event-driven RT kernel.
+//! on every cycle-based engine, on the event-driven RT kernel and on the
+//! gate-level system simulator.
 //!
 //! The global allocator counts per thread, so tests running in parallel
 //! do not see each other's allocations.
@@ -15,7 +16,9 @@ use asic_dse::ocapi_designs::dect::transceiver::{
     build_system, TransceiverConfig, CYCLES_PER_SYMBOL,
 };
 use asic_dse::ocapi_designs::hcor;
+use asic_dse::ocapi_gatesim::GateSystemSim;
 use asic_dse::ocapi_rtl::RtlSystemSim;
+use asic_dse::ocapi_synth::SynthOptions;
 
 struct Counting;
 
@@ -149,6 +152,10 @@ fn assert_alloc_free(w: &Workload) {
         (
             "rtl",
             Box::new(RtlSystemSim::new((w.build)()).expect("rtl")),
+        ),
+        (
+            "gate",
+            Box::new(GateSystemSim::new((w.build)(), &SynthOptions::default()).expect("gate")),
         ),
     ];
     for (name, sim) in &mut engines {
