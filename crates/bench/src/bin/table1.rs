@@ -26,8 +26,8 @@
 
 use ocapi::sim::par::{map_indexed, ParError};
 use ocapi::{
-    BatchObs, BatchedSim, CompiledSim, CompiledTape, Component, CoreError, ExecEngine, FusedSim,
-    FusedTape, InterpSim, OptLevel, ParConfig, SimObs, Simulator, System, Value,
+    BatchObs, BatchedSim, CompiledSim, CompiledTape, Component, CoreError, InterpSim, OptLevel,
+    ParConfig, SimObs, Simulator, System, Value,
 };
 use ocapi_bench::{
     mb, parse_args, timed, write_profile, BenchArgs, BenchError, CountingAlloc, Reporter,
@@ -197,28 +197,6 @@ fn hcor_table(
         },
         |s| Ok(drive(s)? * lanes as u64),
     )?;
-    // The direct-threaded fused engine (`--engine fused`): same tape,
-    // lowered to kernel runs + superinstructions (DESIGN.md § Lowered
-    // execution). Results stay byte-identical; only speed may differ.
-    let fused = if args.engine == ExecEngine::Fused {
-        let (speed, mem) = measure(
-            || {
-                let mut s = FusedSim::new_with(hcor::build_system()?, args.opt_level())?;
-                s.attach_obs(SimObs::fused(obs));
-                Ok(s)
-            },
-            |s| drive(s),
-        )?;
-        let stats = FusedSim::new_with(hcor::build_system()?, args.opt_level())?.lower_stats();
-        println!(
-            "  fused lowering: {} micro-ops -> {} kernels, {} superinstructions \
-             ({}% fused)",
-            stats.micro_in, stats.kernels, stats.superinstructions, stats.coverage_pct
-        );
-        Some((speed, mem))
-    } else {
-        None
-    };
     let (rtl_speed, rtl_mem) = measure(
         || Ok(RtlSystemSim::new(hcor::build_system()?)?),
         |s| drive(s),
@@ -232,7 +210,7 @@ fn hcor_table(
         |s| drive(s),
     )?;
 
-    let mut rows = vec![
+    let rows = vec![
         Row {
             kind: "DSL (interpreted obj)".into(),
             source_lines: dsl_l,
@@ -264,30 +242,12 @@ fn hcor_table(
             process_mb: gate_mem,
         },
     ];
-    if let Some((speed, mem)) = &fused {
-        rows.insert(
-            2,
-            Row {
-                kind: "DSL (fused)".into(),
-                source_lines: dsl_l,
-                cycles_per_sec: *speed,
-                process_mb: mem.clone(),
-            },
-        );
-    }
     print_design("HCOR (header correlator)", gates, &rows);
     rep.perf_f64("hcor_interp_cycles_per_sec", interp_speed);
     rep.perf_f64("hcor_compiled_cycles_per_sec", comp_speed);
     rep.perf_f64("hcor_batched_cycles_per_sec", batch_speed);
     rep.perf_f64("hcor_rtl_cycles_per_sec", rtl_speed);
     rep.perf_f64("hcor_gate_cycles_per_sec", gate_speed);
-    if let Some((speed, _)) = &fused {
-        rep.perf_f64("hcor_fused_cycles_per_sec", *speed);
-        // The headline regression-gate metric: HCOR fused throughput
-        // (`scripts/bench_regress.sh` compares it against
-        // `hcor_compiled_cycles_per_sec`).
-        rep.perf_f64("fused_cycles_per_sec", *speed);
-    }
     tape_len_metrics("hcor", rep, hcor::build_system)
 }
 
@@ -358,28 +318,6 @@ fn dect_table(
         },
         |s| Ok(drive(s, p_obj)? * lanes as u64),
     )?;
-    // Direct-threaded fused engine on the full transceiver tape — the
-    // richest source of load-op-store / cmp+select fusion candidates.
-    let fused = if args.engine == ExecEngine::Fused {
-        let (speed, mem) = measure(
-            || {
-                let mut s = FusedSim::new_with(transceiver::build_system(&cfg)?, args.opt_level())?;
-                s.attach_obs(SimObs::fused(obs));
-                Ok(s)
-            },
-            |s| drive(s, p_obj),
-        )?;
-        let stats =
-            FusedSim::new_with(transceiver::build_system(&cfg)?, args.opt_level())?.lower_stats();
-        println!(
-            "  fused lowering: {} micro-ops -> {} kernels, {} superinstructions \
-             ({}% fused)",
-            stats.micro_in, stats.kernels, stats.superinstructions, stats.coverage_pct
-        );
-        Some((speed, mem))
-    } else {
-        None
-    };
     let (rtl_speed, rtl_mem) = measure(
         || Ok(RtlSystemSim::new(transceiver::build_system(&cfg)?)?),
         |s| drive(s, p_rtl),
@@ -394,7 +332,7 @@ fn dect_table(
         |s| drive(s, p_gate),
     )?;
 
-    let mut rows = vec![
+    let rows = vec![
         Row {
             kind: "DSL (interpreted obj)".into(),
             source_lines: dsl_l,
@@ -426,26 +364,12 @@ fn dect_table(
             process_mb: gate_mem,
         },
     ];
-    if let Some((speed, mem)) = &fused {
-        rows.insert(
-            2,
-            Row {
-                kind: "DSL (fused)".into(),
-                source_lines: dsl_l,
-                cycles_per_sec: *speed,
-                process_mb: mem.clone(),
-            },
-        );
-    }
     print_design("DECT (radiolink transceiver)", gates, &rows);
     rep.perf_f64("dect_interp_cycles_per_sec", interp_speed);
     rep.perf_f64("dect_compiled_cycles_per_sec", comp_speed);
     rep.perf_f64("dect_batched_cycles_per_sec", batch_speed);
     rep.perf_f64("dect_rtl_cycles_per_sec", rtl_speed);
     rep.perf_f64("dect_gate_cycles_per_sec", gate_speed);
-    if let Some((speed, _)) = &fused {
-        rep.perf_f64("dect_fused_cycles_per_sec", *speed);
-    }
     tape_len_metrics("dect", rep, || transceiver::build_system(&cfg))
 }
 
@@ -469,21 +393,15 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     rep.perf_u64("tape_len_opt2", (h2 + d2) as u64);
     println!("\ncode-size ratio (generated RT-VHDL lines / DSL lines):");
     let hs = hcor::build_system()?;
-    // Front-end cost split: tape compilation (capture → levelized
-    // micro-op tape) vs lowering (tape → direct-threaded kernel
-    // program), summed over both designs at the CLI's opt level.
+    // Front-end cost: tape compilation (capture → levelized micro-op
+    // tape), summed over both designs at the CLI's opt level.
     {
         let ds2 = transceiver::build_system(&TransceiverConfig::default())?;
         let (htape, hc) = timed(|| CompiledTape::compile(&hs, args.opt_level()));
         let (dtape, dc) = timed(|| CompiledTape::compile(&ds2, args.opt_level()));
-        let htape = htape?;
-        let dtape = dtape?;
-        let (hf, hl) = timed(|| FusedTape::from_compiled(&hs, &htape));
-        let (df, dl) = timed(|| FusedTape::from_compiled(&ds2, &dtape));
-        hf?;
-        df?;
+        htape?;
+        dtape?;
         rep.perf_f64("tape_compile_secs", hc + dc);
-        rep.perf_f64("tape_lower_secs", hl + dl);
     }
     let (hv, _) = hdl_lines(&hs)?;
     let hd = dsl_lines(&["hcor"]);

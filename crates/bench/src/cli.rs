@@ -33,7 +33,7 @@
 //!   `deterministic` section is byte-identical across thread counts;
 //!   the `timing` section is advisory wall-clock data.
 
-use ocapi::{ExecEngine, OptLevel, ParConfig};
+use ocapi::{OptLevel, ParConfig};
 
 /// Which stuck-at grading engine `--fault-engine` selects.
 ///
@@ -94,12 +94,6 @@ pub struct BenchArgs {
     pub retries: u32,
     /// Stuck-at grading engine (`--fault-engine packed|scalar`).
     pub fault_engine: FaultEngine,
-    /// Simulation engine (`--engine interp|compiled|fused`). Only
-    /// `table1` (the throughput tables) acts on it today: `fused` adds
-    /// the direct-threaded rows and their perf-JSON points. Results
-    /// are engine-independent — the CI determinism job byte-diffs
-    /// `--json` across engines.
-    pub engine: ExecEngine,
     /// Partition count for the model-parallel gate engine
     /// (`--partitions`, ≥ 1; 1 = single sub-kernel). Only `table_gates`
     /// acts on it today. Results are bit-identical for every K — the
@@ -124,7 +118,6 @@ impl BenchArgs {
             resume: false,
             retries: 1,
             fault_engine: FaultEngine::default(),
-            engine: ExecEngine::Compiled,
             partitions: 1,
         }
     }
@@ -149,7 +142,7 @@ pub fn usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--threads N] [--lanes N] [--quick] [--opt N] [--json PATH] [--perf-json PATH] [--profile-json PATH]\n\
          \x20      [--checkpoint DIR] [--checkpoint-every N] [--resume] [--retries N]\n\
-         \x20      [--fault-engine packed|scalar] [--engine interp|compiled|fused] [--partitions K]\n\
+         \x20      [--fault-engine packed|scalar] [--partitions K]\n\
          \n\
          \x20 -t, --threads N    worker threads for the sharded engines (default 1;\n\
          \x20                    results are bit-identical for every N)\n\
@@ -185,11 +178,6 @@ pub fn usage(bin: &str) -> String {
          \x20                    fault machines per u64 word; scalar re-runs the\n\
          \x20                    netlist once per fault). Classification is\n\
          \x20                    byte-identical either way\n\
-         \x20     --engine interp|compiled|fused\n\
-         \x20                    simulation engine for the throughput tables\n\
-         \x20                    (default compiled; fused adds the\n\
-         \x20                    direct-threaded rows and perf points). Results\n\
-         \x20                    are byte-identical across engines\n\
          \x20     --partitions K\n\
          \x20                    partitions for the model-parallel gate engine\n\
          \x20                    (default 1). The netlist is split into K\n\
@@ -279,13 +267,6 @@ pub fn parse_arg_list(bin: &str, args: &[String]) -> Result<BenchArgs, String> {
                 out.fault_engine =
                     parse_fault_engine("--fault-engine", &arg["--fault-engine=".len()..])?;
             }
-            "--engine" => {
-                let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
-                out.engine = parse_engine(arg, v)?;
-            }
-            _ if arg.starts_with("--engine=") => {
-                out.engine = parse_engine("--engine", &arg["--engine=".len()..])?;
-            }
             "--partitions" => {
                 let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
                 out.partitions = parse_partitions(arg, v)?;
@@ -327,12 +308,6 @@ fn parse_fault_engine(flag: &str, v: &str) -> Result<FaultEngine, String> {
         "scalar" => Ok(FaultEngine::Scalar),
         _ => Err(format!("{flag} expects `packed` or `scalar`, got `{v}`")),
     }
-}
-
-/// Parses an `--engine` selector.
-fn parse_engine(flag: &str, v: &str) -> Result<ExecEngine, String> {
-    ExecEngine::parse(v)
-        .ok_or_else(|| format!("{flag} expects `interp`, `compiled` or `fused`, got `{v}`"))
 }
 
 /// Parses and range-checks a `--lanes` count (≥ 1).

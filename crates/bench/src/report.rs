@@ -134,13 +134,12 @@ impl Reporter {
     /// The perf document: run configuration plus throughput metrics.
     pub fn perf_json(&self, args: &BenchArgs) -> String {
         format!(
-            "{{\n  \"bin\": \"{}\",\n  \"threads\": {},\n  \"lanes\": {},\n  \"quick\": {},\n  \"opt\": {},\n  \"engine\": \"{}\",\n  \"partitions\": {},\n  \"perf\": {}\n}}\n",
+            "{{\n  \"bin\": \"{}\",\n  \"threads\": {},\n  \"lanes\": {},\n  \"quick\": {},\n  \"opt\": {},\n  \"partitions\": {},\n  \"perf\": {}\n}}\n",
             escape(&self.bin),
             args.threads,
             args.lanes,
             args.quick,
             args.opt,
-            args.engine.as_str(),
             args.partitions,
             Reporter::object(&self.perf)
         )

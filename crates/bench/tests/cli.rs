@@ -2,7 +2,7 @@
 //! thread-count invariance of the sharded BER measurement (the property
 //! the CI determinism job checks end-to-end on the built binaries).
 
-use ocapi::{CompiledTape, ExecEngine, OptLevel, ParConfig};
+use ocapi::{CompiledTape, OptLevel, ParConfig};
 use ocapi_bench::ber::{
     measure, measure_batched, measure_with_faults, measure_with_faults_batched,
 };
@@ -80,6 +80,8 @@ fn unknown_flags_and_bad_values_are_errors() {
     assert!(parse_arg_list("bin", &argv(&["--threads", "0"])).is_err());
     assert!(parse_arg_list("bin", &argv(&["--json"])).is_err());
     assert!(parse_arg_list("bin", &argv(&["--profile-json"])).is_err());
+    // The engine selector went with the threaded-code engine.
+    assert!(parse_arg_list("bin", &argv(&["--engine", "compiled"])).is_err());
     // `--help` uses the empty-message sentinel, distinct from errors.
     assert_eq!(
         parse_arg_list("bin", &argv(&["--help"])).unwrap_err(),
@@ -107,30 +109,6 @@ fn fault_engine_flag_parses_both_spellings_and_rejects_junk() {
         assert!(msg.contains("--fault-engine"), "names the flag: {msg}");
     }
     assert!(parse_arg_list("bin", &argv(&["--fault-engine"])).is_err());
-}
-
-#[test]
-fn engine_flag_parses_both_spellings_and_rejects_junk() {
-    let a = parse_arg_list("bin", &[]).expect("defaults parse");
-    assert_eq!(a.engine, ExecEngine::Compiled, "compiled by default");
-    for (spelling, want) in [
-        (argv(&["--engine", "interp"]), ExecEngine::Interp),
-        (argv(&["--engine=interp"]), ExecEngine::Interp),
-        (argv(&["--engine", "compiled"]), ExecEngine::Compiled),
-        (argv(&["--engine=compiled"]), ExecEngine::Compiled),
-        (argv(&["--engine", "fused"]), ExecEngine::Fused),
-        (argv(&["--engine=fused"]), ExecEngine::Fused),
-    ] {
-        let a = parse_arg_list("bin", &spelling).expect("parse");
-        assert_eq!(a.engine, want, "{spelling:?}");
-        assert_eq!(a.engine.as_str(), want.as_str());
-    }
-    for bad in ["", "batched", "FUSED", "jit"] {
-        let msg = parse_arg_list("bin", &argv(&["--engine", bad]))
-            .expect_err(&format!("--engine {bad} must be rejected"));
-        assert!(msg.contains("--engine"), "names the flag: {msg}");
-    }
-    assert!(parse_arg_list("bin", &argv(&["--engine"])).is_err());
 }
 
 #[test]

@@ -87,12 +87,12 @@ pub use sim::fault::{
     apply_plan_lane, run_campaign_cached_par, run_campaign_par, CampaignReport, FaultEvent,
     FaultKind, FaultOutcome, FaultPlan, FaultSite, FaultySim,
 };
-pub use sim::hash::{hash_compiled, hash_system, CompiledTape, FusedTape};
-pub use sim::lower::{ExecEngine, FusedSim, LowerStats};
+pub use sim::hash::{hash_compiled, hash_system, CompiledTape};
 pub use sim::obs::{BatchObs, SimObs};
 pub use sim::par::{map_indexed_retry, ParConfig, ParError, PoolStats, RetryStats, Stopwatch};
 pub use sim::snapshot::{SimSnapshot, SnapshotBackend};
 pub use sim::{BatchedSim, CompiledSim, InterpSim, OptLevel, OptStats, Simulator};
+pub use sim::{FusedSim, FusedTape, LowerStats};
 pub use system::{
     InstanceId, Net, NetSink, NetSource, PrimaryInput, PrimaryOutput, System, SystemBuilder,
     TimedInstance, UntimedInstance,

@@ -39,16 +39,13 @@
 //! `AND`/`OR`/`XOR`/`MUX` word op advances up to 64 lanes at once.
 //! Bool comparisons lower to their bitwise identities (`==` → XNOR,
 //! `<` → `!a & b`, …). Everything else — multi-bit `Bits` arithmetic,
-//! fixed-point, float, `Drive`/`Fire` — stays on the scalar per-lane
-//! loop, whose all-alive arm streams 8-wide unrolled stripes instead.
-//! (The scalar-engine superinstruction fusion of DESIGN.md §10 is a
-//! [`FusedSim`](crate::FusedSim) concern and never applies here: the
-//! batched tape's segments keep the compiled micro-op form so the
-//! word/scalar split stays the only lowering dimension.)
-//! The word path runs only while *no lane is masked*; as soon as any
-//! lane dies, every word segment falls back to the identical scalar
-//! micro-ops, so masked-lane freezing semantics are unchanged and
-//! results stay byte-identical either way.
+//! fixed-point, float, `Drive`/`Fire` — runs on `sim::exec`, the one
+//! micro-op executor [`CompiledSim`] shares (DESIGN.md §10), whose
+//! all-alive instantiation streams 8-wide unrolled stripes. The word
+//! path runs only while *no lane is masked*; as soon as any lane dies,
+//! the whole tape runs on the executor's mask-guarded instantiation
+//! instead, so masked-lane freezing semantics are unchanged and results
+//! stay byte-identical either way.
 //!
 //! **Seeding contract** (composes with the `sim::par` sharding model,
 //! DESIGN.md §7): batching never introduces randomness of its own. A
@@ -63,13 +60,11 @@
 //! [`Program`]: crate::sim::compiled::Program
 
 use crate::sim::budget::Budget;
-use crate::sim::compiled::{
-    build_program, decode, encode, init_regs, init_states, make_trace, Cmp, CompiledTransition,
-    Micro, Program,
-};
+use crate::sim::compiled::{build_program, decode, encode, make_trace, Cmp, Micro, Program};
+use crate::sim::exec::{self, All, Live, State};
 use crate::sim::obs::BatchObs;
 use crate::sim::opt::{OptLevel, OptStats};
-use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::SimSnapshot;
 use crate::sim::Simulator;
 use crate::system::System;
 use crate::trace::Trace;
@@ -93,20 +88,12 @@ pub struct BatchedSim {
     systems: Vec<System>,
     prog: Program,
     lanes: usize,
-    /// Lane-major stripes: slot `k` of lane `l` is `slots[k*lanes + l]`.
-    slots: Vec<u64>,
-    /// FSM state per (instance, lane): `states[i*lanes + l]`.
-    states: Vec<u32>,
-    /// Per instance: SFG activation stripes `active[i][k*lanes + l]`.
-    active: Vec<Vec<bool>>,
-    /// Per instance: register stripes `regs[i][r*lanes + l]`.
-    regs: Vec<Vec<u64>>,
+    /// Lane-major stripes of every lane's state.
+    st: State,
     /// Lane-active mask: `false` = masked off by a per-lane error.
     alive: Vec<bool>,
     /// First error per masked lane: (cycle before the failing step, error).
     errors: Vec<Option<(u64, CoreError)>>,
-    in_buf: Vec<Value>,
-    out_buf: Vec<Value>,
     cycle: u64,
     traces: Option<Vec<Trace>>,
     obs: Option<BatchObs>,
@@ -708,43 +695,13 @@ impl BatchedSim {
             .max()
             .unwrap_or(0)
             * lanes.div_ceil(64);
-        let sys0 = &systems[0];
-
-        let mut slots = vec![0u64; prog.init_slots.len() * lanes];
-        for (k, v) in prog.init_slots.iter().enumerate() {
-            slots[k * lanes..(k + 1) * lanes].fill(*v);
-        }
-        let states = init_states(sys0)
-            .into_iter()
-            .flat_map(|s| std::iter::repeat_n(s, lanes))
-            .collect();
-        let active = sys0
-            .timed
-            .iter()
-            .map(|t| vec![false; t.comp.sfgs.len() * lanes])
-            .collect();
-        let regs = init_regs(sys0)
-            .into_iter()
-            .map(|rs| {
-                let mut stripe = vec![0u64; rs.len() * lanes];
-                for (r, v) in rs.iter().enumerate() {
-                    stripe[r * lanes..(r + 1) * lanes].fill(*v);
-                }
-                stripe
-            })
-            .collect();
 
         Ok(BatchedSim {
+            st: State::new(&prog, &systems[0], lanes),
             prog,
             lanes,
-            slots,
-            states,
-            active,
-            regs,
             alive: vec![true; lanes],
             errors: vec![None; lanes],
-            in_buf: Vec::new(),
-            out_buf: Vec::new(),
             cycle: 0,
             traces: None,
             obs: None,
@@ -786,34 +743,9 @@ impl BatchedSim {
         if let Some((_, e)) = self.lane_error(lane) {
             return Err(e.clone());
         }
-        let lanes = self.lanes;
-        let mut s = SimSnapshot::new(SnapshotBackend::Compiled, self.design_hash, self.cycle);
-        let n_slots = self.prog.init_slots.len();
-        s.push_section(
-            "slots",
-            (0..n_slots).map(|k| self.slots[k * lanes + lane]).collect(),
-        );
-        s.push_section(
-            "states",
-            (0..self.systems[0].timed.len())
-                .map(|i| u64::from(self.states[i * lanes + lane]))
-                .collect(),
-        );
-        let mut regs = Vec::new();
-        for rf in &self.regs {
-            let n_regs = rf.len() / lanes;
-            for r in 0..n_regs {
-                regs.push(rf[r * lanes + lane]);
-            }
-        }
-        s.push_section("regs", regs);
-        for (i, u) in self.systems[lane].untimed.iter().enumerate() {
-            let words = u.block.snapshot_state();
-            if !words.is_empty() {
-                s.push_section(&format!("untimed.{i}"), words);
-            }
-        }
-        Ok(s)
+        Ok(self
+            .st
+            .snapshot(lane, &self.systems[lane], self.design_hash, self.cycle))
     }
 
     /// Restores one lane from a snapshot taken by
@@ -831,49 +763,13 @@ impl BatchedSim {
     /// for damaged sections.
     pub fn restore_lane(&mut self, lane: usize, snap: &SimSnapshot) -> Result<(), CoreError> {
         self.check_lane(lane)?;
-        snap.check(SnapshotBackend::Compiled, self.design_hash)?;
-        let lanes = self.lanes;
-        let n_slots = self.prog.init_slots.len();
-        let slot_words = snap.section_exact("slots", n_slots)?;
-        let state_words = snap.section_exact("states", self.systems[0].timed.len())?;
-        let n_regs: usize = self.regs.iter().map(|rf| rf.len() / lanes).sum();
-        let reg_words = snap.section_exact("regs", n_regs)?;
-        check_words("slots", slot_words, self.prog.slot_ty.iter().copied())?;
-        check_words("regs", reg_words, reg_types(&self.systems[0]))?;
-        for (i, t) in self.systems[0].timed.iter().enumerate() {
-            let idx = state_words[i];
-            let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);
-            if idx >= n_states {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!("state selector {idx} out of range for `{}`", t.name),
-                });
-            }
-        }
-        for (k, w) in slot_words.iter().enumerate() {
-            self.slots[k * lanes + lane] = *w;
-        }
-        for (i, w) in state_words.iter().enumerate() {
-            self.states[i * lanes + lane] = *w as u32;
-        }
-        let mut k = 0;
-        for rf in &mut self.regs {
-            let n = rf.len() / lanes;
-            for r in 0..n {
-                rf[r * lanes + lane] = reg_words[k];
-                k += 1;
-            }
-        }
-        for (i, u) in self.systems[lane].untimed.iter_mut().enumerate() {
-            let words = snap.section(&format!("untimed.{i}")).unwrap_or(&[]);
-            if !u.block.restore_state(words) {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!(
-                        "untimed block `{}` rejected its state section",
-                        u.block.name()
-                    ),
-                });
-            }
-        }
+        self.st.restore(
+            lane,
+            snap,
+            self.design_hash,
+            &self.prog,
+            &mut self.systems[lane],
+        )?;
         self.alive[lane] = true;
         self.errors[lane] = None;
         self.cycle = snap.cycle();
@@ -1030,7 +926,7 @@ impl BatchedSim {
         let slot = self.input_slot(name, &value)?;
         self.check_lane(lane)?;
         if self.alive[lane] {
-            self.slots[slot * self.lanes + lane] = encode(&value);
+            self.st.slots[slot * self.lanes + lane] = encode(&value);
         }
         Ok(())
     }
@@ -1083,7 +979,7 @@ impl BatchedSim {
         let i = self.net_index(name)?;
         value.check_type_with(self.systems[0].nets[i].ty, || format!("net `{name}`"))?;
         if self.alive[lane] {
-            self.slots[self.prog.net_slot[i] as usize * self.lanes + lane] = encode(&value);
+            self.st.slots[self.prog.net_slot[i] as usize * self.lanes + lane] = encode(&value);
         }
         Ok(())
     }
@@ -1103,7 +999,7 @@ impl BatchedSim {
         self.check_lane(lane)?;
         let (i, j) = crate::sim::interp::find_reg(&self.systems[0], instance, reg)?;
         Ok(decode(
-            self.regs[i][j * self.lanes + lane],
+            self.st.regs[i][j * self.lanes + lane],
             self.systems[0].timed[i].comp.regs[j].ty,
         ))
     }
@@ -1125,12 +1021,11 @@ impl BatchedSim {
     ) -> Result<(), CoreError> {
         self.check_lane(lane)?;
         let (i, j) = crate::sim::interp::find_reg(&self.systems[0], instance, reg)?;
-        value.check_type(
-            self.systems[0].timed[i].comp.regs[j].ty,
-            &format!("register `{instance}.{reg}`"),
-        )?;
+        value.check_type_with(self.systems[0].timed[i].comp.regs[j].ty, || {
+            format!("register `{instance}.{reg}`")
+        })?;
         if self.alive[lane] {
-            self.regs[i][j * self.lanes + lane] = encode(&value);
+            self.st.regs[i][j * self.lanes + lane] = encode(&value);
         }
         Ok(())
     }
@@ -1164,7 +1059,7 @@ impl BatchedSim {
             kind: "fsm",
             name: instance.to_owned(),
         })?;
-        Ok(&fsm.states[self.states[i * self.lanes + lane] as usize])
+        Ok(&fsm.states[self.st.states[i * self.lanes + lane] as usize])
     }
 
     fn check_lane(&self, lane: usize) -> Result<(), CoreError> {
@@ -1204,7 +1099,7 @@ impl BatchedSim {
 
     fn read_net_slot(&self, net: usize, lane: usize) -> Value {
         let sl = self.prog.net_slot[net] as usize;
-        decode(self.slots[sl * self.lanes + lane], self.prog.slot_ty[sl])
+        decode(self.st.slots[sl * self.lanes + lane], self.prog.slot_ty[sl])
     }
 
     /// The error of the lowest-indexed masked lane (every lane is dead
@@ -1220,330 +1115,47 @@ impl BatchedSim {
             })
     }
 
-    /// One pass of the selected tape over every live lane, walking the
-    /// build-time segment plan: bitsliced word blocks run as packed
-    /// `u64` ops (up to 64 lanes per op), scalar segments run each
-    /// micro-op's tight inner lane loop over the slot stripes. Returns
-    /// the number of packed word operations executed.
-    ///
-    /// The scalar loop comes in two shapes, chosen once per pass: while
-    /// no lane is masked (the overwhelmingly common case) the inner loop
-    /// carries no per-lane branch and streams the stripes in unrolled
-    /// 8-wide chunks; once any lane is masked, every store is guarded by
-    /// the lane mask so a dead lane's stripes stay frozen — and word
-    /// blocks fall back to their scalar instruction range, because a
-    /// packed store cannot skip a dead lane's bit.
-    fn exec(&mut self, pre: bool) -> u64 {
-        let lanes = self.lanes;
-        let instrs: &[Micro] = if pre {
-            &self.prog.pre_tape
+    /// One pass of the selected tape over every live lane. While no
+    /// lane is masked (the overwhelmingly common case) the build-time
+    /// segment plan runs: bitsliced word blocks as packed `u64` ops (up
+    /// to 64 lanes per op), scalar segments on the executor's branch-free
+    /// stripes. Once any lane is masked a packed store could not skip its
+    /// bit, so the whole tape runs on the executor's mask-guarded
+    /// instantiation instead. Returns the packed word operations run.
+    fn tape_pass(&mut self, pre: bool) -> u64 {
+        let (instrs, segments) = if pre {
+            (&self.prog.pre_tape, &self.plan.pre)
         } else {
-            &self.prog.tape
+            (&self.prog.tape, &self.plan.tape)
         };
-        let segments: &[Segment] = if pre { &self.plan.pre } else { &self.plan.tape };
-        let blocks = &self.plan.blocks;
-        let scratch = &mut self.word_scratch;
-        let untimed_io = &self.prog.untimed_io;
-        let s = &mut self.slots;
-        let alive = &self.alive;
-        let all_alive = alive.iter().all(|a| *a);
-        let regs = &self.regs;
-        let active = &self.active;
-        let systems = &mut self.systems;
-        let in_buf = &mut self.in_buf;
-        let out_buf = &mut self.out_buf;
-
-        // `at!(x, l)` — slot `x` of lane `l` in the striped state vector.
-        macro_rules! at {
-            ($x:expr, $l:ident) => {
-                s[*$x as usize * lanes + $l]
-            };
+        let io = &self.prog.untimed_io;
+        if !self.alive.iter().all(|a| *a) {
+            exec::run(
+                instrs,
+                io,
+                &mut self.st,
+                &mut self.systems,
+                Live(&self.alive),
+            );
+            return 0;
         }
-        // Applies `$val` to `$dst` across every live lane: branch-free
-        // over all lanes while none is masked, mask-guarded after.
-        macro_rules! lanewise {
-            ($dst:expr, |$l:ident| $val:expr) => {{
-                let d = *$dst as usize * lanes;
-                // One range check up front lets the per-lane store checks
-                // fold away in the branch-free loop below.
-                assert!(d + lanes <= s.len());
-                if all_alive {
-                    // Unrolled 8-wide stripes: fixed-shape straight-line
-                    // stores the optimizer can keep in registers and
-                    // vectorize, with a scalar tail for `lanes % 8`.
-                    let mut base = 0usize;
-                    while base + 8 <= lanes {
-                        let $l = base;
-                        s[d + $l] = $val;
-                        let $l = base + 1;
-                        s[d + $l] = $val;
-                        let $l = base + 2;
-                        s[d + $l] = $val;
-                        let $l = base + 3;
-                        s[d + $l] = $val;
-                        let $l = base + 4;
-                        s[d + $l] = $val;
-                        let $l = base + 5;
-                        s[d + $l] = $val;
-                        let $l = base + 6;
-                        s[d + $l] = $val;
-                        let $l = base + 7;
-                        s[d + $l] = $val;
-                        base += 8;
-                    }
-                    for $l in base..lanes {
-                        s[d + $l] = $val;
-                    }
-                } else {
-                    for $l in 0..lanes {
-                        if alive[$l] {
-                            s[d + $l] = $val;
-                        }
-                    }
-                }
-            }};
-        }
-
-        // The full scalar interpretation of `instrs[$range]` — the body
-        // of the pre-plan executor, kept as the only semantics: word
-        // blocks must be unobservable next to it.
-        macro_rules! scalar_run {
-            ($range:expr) => {
-                for m in &instrs[$range] {
-                    match m {
-                        Micro::Copy { dst, src } => lanewise!(dst, |l| at!(src, l)),
-                        Micro::RegRead { dst, inst, reg } => {
-                            let r = &regs[*inst as usize];
-                            let base = *reg as usize * lanes;
-                            lanewise!(dst, |l| r[base + l]);
-                        }
-                        Micro::AddB { dst, a, b, mask } => {
-                            lanewise!(dst, |l| at!(a, l).wrapping_add(at!(b, l)) & mask);
-                        }
-                        Micro::SubB { dst, a, b, mask } => {
-                            lanewise!(dst, |l| at!(a, l).wrapping_sub(at!(b, l)) & mask);
-                        }
-                        Micro::MulB { dst, a, b, mask } => {
-                            lanewise!(dst, |l| at!(a, l).wrapping_mul(at!(b, l)) & mask);
-                        }
-                        Micro::AndU { dst, a, b } => lanewise!(dst, |l| at!(a, l) & at!(b, l)),
-                        Micro::OrU { dst, a, b } => lanewise!(dst, |l| at!(a, l) | at!(b, l)),
-                        Micro::XorU { dst, a, b } => lanewise!(dst, |l| at!(a, l) ^ at!(b, l)),
-                        Micro::NotU { dst, a, mask } => lanewise!(dst, |l| !at!(a, l) & mask),
-                        Micro::NegB { dst, a, mask } => {
-                            lanewise!(dst, |l| at!(a, l).wrapping_neg() & mask);
-                        }
-                        Micro::ShlB { dst, a, n, mask } => {
-                            if *n >= 64 {
-                                lanewise!(dst, |l| {
-                                    let _ = l;
-                                    0
-                                });
-                            } else {
-                                lanewise!(dst, |l| (at!(a, l) << n) & mask);
-                            }
-                        }
-                        Micro::ShrB { dst, a, n } => {
-                            if *n >= 64 {
-                                lanewise!(dst, |l| {
-                                    let _ = l;
-                                    0
-                                });
-                            } else {
-                                lanewise!(dst, |l| at!(a, l) >> n);
-                            }
-                        }
-                        Micro::ShrMask { dst, a, n, mask } => {
-                            if *n >= 64 {
-                                lanewise!(dst, |l| {
-                                    let _ = l;
-                                    0
-                                });
-                            } else {
-                                lanewise!(dst, |l| (at!(a, l) >> n) & mask);
-                            }
-                        }
-                        Micro::CmpU { dst, a, b, kind } => {
-                            lanewise!(dst, |l| kind.apply(at!(a, l).cmp(&at!(b, l))) as u64);
-                        }
-                        Micro::AddF {
-                            dst,
-                            a,
-                            b,
-                            sha,
-                            shb,
-                        } => {
-                            lanewise!(dst, |l| {
-                                let x = (at!(a, l) as i64) << sha;
-                                let y = (at!(b, l) as i64) << shb;
-                                (x + y) as u64
-                            });
-                        }
-                        Micro::SubF {
-                            dst,
-                            a,
-                            b,
-                            sha,
-                            shb,
-                        } => {
-                            lanewise!(dst, |l| {
-                                let x = (at!(a, l) as i64) << sha;
-                                let y = (at!(b, l) as i64) << shb;
-                                (x - y) as u64
-                            });
-                        }
-                        Micro::MulF { dst, a, b } => {
-                            lanewise!(dst, |l| {
-                                let p = at!(a, l) as i64 as i128 * at!(b, l) as i64 as i128;
-                                p as i64 as u64
-                            });
-                        }
-                        Micro::NegF { dst, a } => {
-                            lanewise!(dst, |l| (at!(a, l) as i64).wrapping_neg() as u64);
-                        }
-                        Micro::CmpF {
-                            dst,
-                            a,
-                            b,
-                            sha,
-                            shb,
-                            kind,
-                        } => {
-                            lanewise!(dst, |l| {
-                                let x = (at!(a, l) as i64 as i128) << sha;
-                                let y = (at!(b, l) as i64 as i128) << shb;
-                                kind.apply(x.cmp(&y)) as u64
-                            });
-                        }
-                        Micro::CastF {
-                            dst,
-                            a,
-                            src,
-                            target,
-                            rnd,
-                            ovf,
-                        } => {
-                            lanewise!(dst, |l| {
-                                let v = ocapi_fixp::Fix::from_raw(at!(a, l) as i64, *src);
-                                v.cast(*target, *rnd, *ovf).mantissa() as u64
-                            });
-                        }
-                        Micro::FloatToFix {
-                            dst,
-                            a,
-                            target,
-                            rnd,
-                            ovf,
-                        } => {
-                            lanewise!(dst, |l| {
-                                let x = f64::from_bits(at!(a, l));
-                                ocapi_fixp::Fix::from_f64(x, *target, *rnd, *ovf).mantissa() as u64
-                            });
-                        }
-                        Micro::AddFl { dst, a, b } => {
-                            lanewise!(dst, |l| {
-                                (f64::from_bits(at!(a, l)) + f64::from_bits(at!(b, l))).to_bits()
-                            });
-                        }
-                        Micro::SubFl { dst, a, b } => {
-                            lanewise!(dst, |l| {
-                                (f64::from_bits(at!(a, l)) - f64::from_bits(at!(b, l))).to_bits()
-                            });
-                        }
-                        Micro::MulFl { dst, a, b } => {
-                            lanewise!(dst, |l| {
-                                (f64::from_bits(at!(a, l)) * f64::from_bits(at!(b, l))).to_bits()
-                            });
-                        }
-                        Micro::NegFl { dst, a } => {
-                            lanewise!(dst, |l| (-f64::from_bits(at!(a, l))).to_bits());
-                        }
-                        Micro::CmpFl { dst, a, b, kind } => {
-                            lanewise!(dst, |l| {
-                                let o = f64::from_bits(at!(a, l))
-                                    .partial_cmp(&f64::from_bits(at!(b, l)))
-                                    .unwrap_or(std::cmp::Ordering::Equal);
-                                kind.apply(o) as u64
-                            });
-                        }
-                        Micro::MaskTo { dst, a, mask } => lanewise!(dst, |l| at!(a, l) & mask),
-                        Micro::NonZero { dst, a } => lanewise!(dst, |l| (at!(a, l) != 0) as u64),
-                        Micro::NonZeroFloat { dst, a } => {
-                            lanewise!(dst, |l| (f64::from_bits(at!(a, l)) != 0.0) as u64);
-                        }
-                        Micro::ToFloatBits { dst, a } => {
-                            lanewise!(dst, |l| (at!(a, l) as f64).to_bits());
-                        }
-                        Micro::ToFloatFix { dst, a, frac_bits } => {
-                            lanewise!(dst, |l| {
-                                (at!(a, l) as i64 as f64 * f64::powi(2.0, -(*frac_bits as i32)))
-                                    .to_bits()
-                            });
-                        }
-                        Micro::SelectU { dst, c, t, e } => {
-                            lanewise!(dst, |l| if at!(c, l) != 0 { at!(t, l) } else { at!(e, l) });
-                        }
-                        Micro::Drive {
-                            net_slot,
-                            inst,
-                            cands,
-                        } => {
-                            let act = &active[*inst as usize];
-                            let d = *net_slot as usize * lanes;
-                            for l in 0..lanes {
-                                if !all_alive && !alive[l] {
-                                    continue;
-                                }
-                                for (sfg, src) in cands {
-                                    if act[*sfg as usize * lanes + l] {
-                                        s[d + l] = s[*src as usize * lanes + l];
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        Micro::Fire { inst } => {
-                            let u = *inst as usize;
-                            let (ins, outs) = &untimed_io[u];
-                            for l in 0..lanes {
-                                if !alive[l] {
-                                    continue;
-                                }
-                                in_buf.clear();
-                                in_buf.extend(
-                                    ins.iter()
-                                        .map(|(sl, ty)| decode(s[*sl as usize * lanes + l], *ty)),
-                                );
-                                out_buf.clear();
-                                out_buf.extend(
-                                    outs.iter()
-                                        .map(|(sl, ty)| decode(s[*sl as usize * lanes + l], *ty)),
-                                );
-                                let block = &mut systems[l].untimed[u].block;
-                                if block.ready(in_buf) {
-                                    block.fire(in_buf, out_buf);
-                                    for ((sl, _), v) in outs.iter().zip(out_buf.iter()) {
-                                        s[*sl as usize * lanes + l] = encode(v);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-        }
-
-        let mut word_ops = 0u64;
+        let mut word_ops = 0;
         for seg in segments {
             match *seg {
-                Segment::Scalar { start, end } => scalar_run!(start..end),
+                Segment::Scalar { start, end } => exec::run(
+                    &instrs[start..end],
+                    io,
+                    &mut self.st,
+                    &mut self.systems,
+                    All(self.lanes),
+                ),
                 Segment::Word(b) => {
-                    let blk = &blocks[b as usize];
-                    if all_alive {
-                        word_ops += exec_word_block(blk, s, scratch, lanes);
-                    } else {
-                        scalar_run!(blk.start..blk.end);
-                    }
+                    word_ops += exec_word_block(
+                        &self.plan.blocks[b as usize],
+                        &mut self.st.slots,
+                        &mut self.word_scratch,
+                        self.lanes,
+                    );
                 }
             }
         }
@@ -1559,7 +1171,7 @@ impl Simulator for BatchedSim {
         let base = slot * self.lanes;
         for l in 0..self.lanes {
             if self.alive[l] {
-                self.slots[base + l] = bits;
+                self.st.slots[base + l] = bits;
             }
         }
         Ok(())
@@ -1580,59 +1192,18 @@ impl Simulator for BatchedSim {
         let c0 = self.cycle;
 
         // Guard evaluation over held values.
-        let t_pre = self.obs.as_ref().map(|o| o.sp_pre.timer());
-        let w_pre = self.exec(true);
-        drop(t_pre);
+        let t = self.obs.as_ref().map(|o| o.sp_pre.timer());
+        let w_pre = self.tape_pass(true);
+        drop(t);
 
-        // Per-lane transition selection.
-        let t_select = self.obs.as_ref().map(|o| o.sp_select.timer());
-        let lanes = self.lanes;
-        let fsm_tables = &self.prog.fsm_tables;
-        let slots = &self.slots;
-        let states = &mut self.states;
-        let active = &mut self.active;
-        for (i, tables) in fsm_tables.iter().enumerate() {
-            let act = &mut active[i];
-            if tables.is_empty() {
-                for a in act.iter_mut() {
-                    *a = true;
-                }
-                continue;
-            }
-            let nsfg = act.len() / lanes;
-            for l in 0..lanes {
-                if !self.alive[l] {
-                    continue;
-                }
-                for k in 0..nsfg {
-                    act[k * lanes + l] = false;
-                }
-                let st = states[i * lanes + l] as usize;
-                let mut chosen: Option<&CompiledTransition> = None;
-                for tr in &tables[st] {
-                    let take = match tr.guard_slot {
-                        None => true,
-                        Some(g) => slots[g as usize * lanes + l] != 0,
-                    };
-                    if take {
-                        chosen = Some(tr);
-                        break;
-                    }
-                }
-                if let Some(tr) = chosen {
-                    states[i * lanes + l] = tr.to;
-                    for sk in &tr.sfgs {
-                        act[*sk as usize * lanes + l] = true;
-                    }
-                }
-            }
-        }
-        drop(t_select);
+        let t = self.obs.as_ref().map(|o| o.sp_select.timer());
+        exec::select(&self.prog.fsm_tables, &mut self.st, Live(&self.alive));
+        drop(t);
 
         // Main tape: one walk, all lanes.
-        let t_eval = self.obs.as_ref().map(|o| o.sp_eval.timer());
-        let w_tape = self.exec(false);
-        drop(t_eval);
+        let t = self.obs.as_ref().map(|o| o.sp_eval.timer());
+        let w_tape = self.tape_pass(false);
+        drop(t);
         if let Some(o) = &self.obs {
             o.tape_passes.incr();
             if w_pre + w_tape > 0 {
@@ -1640,24 +1211,9 @@ impl Simulator for BatchedSim {
             }
         }
 
-        // Per-lane register commit.
-        let t_commit = self.obs.as_ref().map(|o| o.sp_commit.timer());
-        for w in &self.prog.reg_writes {
-            let act = &self.active[w.inst as usize];
-            let rf = &mut self.regs[w.inst as usize];
-            for l in 0..lanes {
-                if !self.alive[l] {
-                    continue;
-                }
-                for (sfg, src) in &w.cands {
-                    if act[*sfg as usize * lanes + l] {
-                        rf[w.reg as usize * lanes + l] = self.slots[*src as usize * lanes + l];
-                        break;
-                    }
-                }
-            }
-        }
-        drop(t_commit);
+        let t = self.obs.as_ref().map(|o| o.sp_commit.timer());
+        exec::commit(&self.prog.reg_writes, &mut self.st, Live(&self.alive));
+        drop(t);
 
         self.cycle += 1;
 
@@ -1677,7 +1233,7 @@ impl Simulator for BatchedSim {
                     .chain(sys.primary_outputs.iter().map(|p| p.net))
                     .map(|net| {
                         let sl = self.prog.net_slot[net] as usize;
-                        decode(self.slots[sl * lanes + l], self.prog.slot_ty[sl])
+                        decode(self.st.slots[sl * self.lanes + l], self.prog.slot_ty[sl])
                     })
                     .collect();
                 if let Err(e) = trace.record_cycle(&row) {
@@ -1735,7 +1291,7 @@ impl Simulator for BatchedSim {
         let bits = encode(&value);
         for l in 0..self.lanes {
             if self.alive[l] {
-                self.slots[base + l] = bits;
+                self.st.slots[base + l] = bits;
             }
         }
         Ok(())
@@ -1749,14 +1305,13 @@ impl Simulator for BatchedSim {
     /// Broadcasts to every live lane.
     fn poke_reg(&mut self, instance: &str, reg: &str, value: Value) -> Result<(), CoreError> {
         let (i, j) = crate::sim::interp::find_reg(&self.systems[0], instance, reg)?;
-        value.check_type(
-            self.systems[0].timed[i].comp.regs[j].ty,
-            &format!("register `{instance}.{reg}`"),
-        )?;
+        value.check_type_with(self.systems[0].timed[i].comp.regs[j].ty, || {
+            format!("register `{instance}.{reg}`")
+        })?;
         let bits = encode(&value);
         for l in 0..self.lanes {
             if self.alive[l] {
-                self.regs[i][j * self.lanes + l] = bits;
+                self.st.regs[i][j * self.lanes + l] = bits;
             }
         }
         Ok(())

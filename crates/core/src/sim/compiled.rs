@@ -16,6 +16,10 @@
 //!   so a cycle is one linear pass — no graph traversal, no scheduling,
 //!   no dynamic dispatch.
 //!
+//! The tape runs on `sim::exec`, the one micro-op executor, instantiated
+//! for exactly one lane; [`crate::BatchedSim`] runs the same executor
+//! over N lanes.
+//!
 //! Soundness note: monomorphisation relies on runtime fixed-point formats
 //! always matching the statically inferred node types, which holds
 //! because [`crate::BinOp::result_type`] rejects any combination whose
@@ -27,15 +31,17 @@
 //! interpreted simulator must be used.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
 use crate::comp::{Component, NodeId, NodeKind};
 use crate::sim::budget::Budget;
+use crate::sim::exec::{self, One, State};
 use crate::sim::hash::CompiledTape;
 use crate::sim::obs::SimObs;
 use crate::sim::opt::{self, OptEnv, OptLevel, OptStats};
-use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::SimSnapshot;
 use crate::sim::Simulator;
 use crate::system::{NetSource, System};
 use crate::trace::Trace;
@@ -122,10 +128,9 @@ impl Cmp {
     }
 }
 
-/// A monomorphised micro-instruction over raw `u64` slots.
-///
-/// Crate-visible so the lane-batched executor (`sim::batch`) can walk
-/// the same tape with its own (strided, multi-lane) inner loops.
+/// A monomorphised micro-instruction over raw `u64` slots. Its
+/// semantics live in one place, `sim::exec::run`, which both tape
+/// simulators execute.
 #[derive(Debug, Clone)]
 pub(crate) enum Micro {
     Copy {
@@ -338,39 +343,23 @@ pub(crate) struct RegWriteSel {
 /// to the interpreted simulator for any design both accept.
 pub struct CompiledSim {
     sys: System,
-    slots: Vec<u64>,
-    init_slots: Vec<u64>,
-    slot_ty: Vec<SigType>,
-    pre_tape: Vec<Micro>,
-    tape: Vec<Micro>,
-    fsm_tables: Vec<Vec<Vec<CompiledTransition>>>,
-    reg_writes: Vec<RegWriteSel>,
-    states: Vec<u32>,
-    active: Vec<Vec<bool>>,
-    regs: Vec<Vec<u64>>,
-    net_slot: Vec<u32>,
-    untimed_io: Vec<UntimedIo>,
-    in_buf: Vec<Value>,
-    out_buf: Vec<Value>,
+    /// Shared with the [`CompiledTape`] it was instantiated from.
+    prog: Arc<Program>,
+    /// The one-lane instance of the striped state `sim::exec` runs over.
+    st: State,
     cycle: u64,
     trace: Option<Trace>,
     obs: Option<SimObs>,
-    opt_stats: OptStats,
     budget: Budget,
     design_hash: u64,
-    /// Exclusive upper bound on every slot index either tape, the FSM
-    /// guards or the commit candidates reference; asserted once per
-    /// step so the per-op range checks in the hot loop can fold (the
-    /// same pattern `BatchedSim` uses for its lane stripes).
-    slot_bound: u32,
 }
 
 impl std::fmt::Debug for CompiledSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledSim")
             .field("system", &self.sys.name)
-            .field("slots", &self.slots.len())
-            .field("tape_len", &self.tape.len())
+            .field("slots", &self.st.slots.len())
+            .field("tape_len", &self.prog.tape.len())
             .finish()
     }
 }
@@ -426,9 +415,8 @@ impl Builder {
 }
 
 /// The immutable result of levelizing and monomorphising one system:
-/// everything [`CompiledSim`] needs apart from the mutable per-instance
-/// state. Crate-visible so `sim::batch` can replicate the state over N
-/// lanes while sharing one tape walk.
+/// everything [`CompiledSim`] and [`crate::BatchedSim`] need apart from
+/// the mutable per-lane state (`sim::exec::State`).
 #[derive(Debug, Clone)]
 pub(crate) struct Program {
     pub(crate) init_slots: Vec<u64>,
@@ -440,22 +428,6 @@ pub(crate) struct Program {
     pub(crate) net_slot: Vec<u32>,
     pub(crate) untimed_io: Vec<UntimedIo>,
     pub(crate) opt_stats: OptStats,
-}
-
-/// Initial FSM state per timed instance.
-pub(crate) fn init_states(sys: &System) -> Vec<u32> {
-    sys.timed
-        .iter()
-        .map(|t| t.comp.fsm.as_ref().map_or(0, |f| f.initial.0))
-        .collect()
-}
-
-/// Initial register file (encoded) per timed instance.
-pub(crate) fn init_regs(sys: &System) -> Vec<Vec<u64>> {
-    sys.timed
-        .iter()
-        .map(|t| t.comp.regs.iter().map(|r| encode(&r.init)).collect())
-        .collect()
 }
 
 /// Levelizes and monomorphises `sys` into a [`Program`].
@@ -706,11 +678,11 @@ impl CompiledSim {
     pub fn new_with(sys: System, level: OptLevel) -> Result<CompiledSim, CoreError> {
         let prog = build_program(&sys, level)?;
         let design_hash = crate::sim::snapshot::hash_program(&sys, &prog);
-        Ok(CompiledSim::from_parts(sys, prog, design_hash))
+        Ok(CompiledSim::from_parts(sys, Arc::new(prog), design_hash))
     }
 
     /// Instantiates a simulator from a cached [`CompiledTape`] without
-    /// recompiling: the levelized program is reused and only the mutable
+    /// recompiling: the levelized program is shared and only the mutable
     /// per-instance state is built fresh. Behaviour (and
     /// [`CompiledSim::design_hash`]) is identical to compiling `sys` at
     /// the tape's level — the warm path of the simulation service's
@@ -724,43 +696,21 @@ impl CompiledSim {
         tape.check_system(&sys)?;
         Ok(CompiledSim::from_parts(
             sys,
-            (*tape.prog).clone(),
+            Arc::clone(&tape.prog),
             tape.program_hash(),
         ))
     }
 
     /// Assembles a simulator around an already-built program.
-    fn from_parts(sys: System, prog: Program, design_hash: u64) -> CompiledSim {
-        let slot_bound = crate::sim::lower::slot_bound_of(&prog);
-        let states = init_states(&sys);
-        let active = sys
-            .timed
-            .iter()
-            .map(|t| vec![false; t.comp.sfgs.len()])
-            .collect();
-        let regs = init_regs(&sys);
+    fn from_parts(sys: System, prog: Arc<Program>, design_hash: u64) -> CompiledSim {
         CompiledSim {
-            slots: prog.init_slots.clone(),
-            init_slots: prog.init_slots,
-            slot_ty: prog.slot_ty,
-            pre_tape: prog.pre_tape,
-            tape: prog.tape,
-            fsm_tables: prog.fsm_tables,
-            reg_writes: prog.reg_writes,
-            states,
-            active,
-            regs,
-            net_slot: prog.net_slot,
-            untimed_io: prog.untimed_io,
-            in_buf: Vec::new(),
-            out_buf: Vec::new(),
+            st: State::new(&prog, &sys, 1),
+            prog,
             cycle: 0,
             trace: None,
             obs: None,
-            opt_stats: prog.opt_stats,
             budget: Budget::none(),
             design_hash,
-            slot_bound,
             sys,
         }
     }
@@ -785,20 +735,7 @@ impl CompiledSim {
     /// cycle count — as a [`SimSnapshot`]. Traces and budgets are not
     /// part of the snapshot. Take snapshots between steps.
     pub fn snapshot(&self) -> SimSnapshot {
-        let mut s = SimSnapshot::new(SnapshotBackend::Compiled, self.design_hash, self.cycle);
-        s.push_section("slots", self.slots.clone());
-        s.push_section(
-            "states",
-            self.states.iter().map(|x| u64::from(*x)).collect(),
-        );
-        s.push_section("regs", self.regs.iter().flatten().copied().collect());
-        for (i, u) in self.sys.untimed.iter().enumerate() {
-            let words = u.block.snapshot_state();
-            if !words.is_empty() {
-                s.push_section(&format!("untimed.{i}"), words);
-            }
-        }
-        s
+        self.st.snapshot(0, &self.sys, self.design_hash, self.cycle)
     }
 
     /// Restores state captured by [`CompiledSim::snapshot`] (or from a
@@ -812,44 +749,8 @@ impl CompiledSim {
     /// back-end family or has damaged sections. On error the simulator
     /// state is unspecified; call [`CompiledSim::reset`] before reuse.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
-        snap.check(SnapshotBackend::Compiled, self.design_hash)?;
-        let slot_words = snap.section_exact("slots", self.slots.len())?;
-        let state_words = snap.section_exact("states", self.states.len())?;
-        let n_regs: usize = self.regs.iter().map(Vec::len).sum();
-        let reg_words = snap.section_exact("regs", n_regs)?;
-        check_words("slots", slot_words, self.slot_ty.iter().copied())?;
-        check_words("regs", reg_words, reg_types(&self.sys))?;
-        for (i, t) in self.sys.timed.iter().enumerate() {
-            let idx = state_words[i];
-            let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);
-            if idx >= n_states {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!("state selector {idx} out of range for `{}`", t.name),
-                });
-            }
-        }
-        self.slots.copy_from_slice(slot_words);
-        for (st, idx) in self.states.iter_mut().zip(state_words) {
-            *st = *idx as u32;
-        }
-        let mut k = 0;
-        for file in &mut self.regs {
-            for r in file.iter_mut() {
-                *r = reg_words[k];
-                k += 1;
-            }
-        }
-        for (i, u) in self.sys.untimed.iter_mut().enumerate() {
-            let words = snap.section(&format!("untimed.{i}")).unwrap_or(&[]);
-            if !u.block.restore_state(words) {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!(
-                        "untimed block `{}` rejected its state section",
-                        u.block.name()
-                    ),
-                });
-            }
-        }
+        self.st
+            .restore(0, snap, self.design_hash, &self.prog, &mut self.sys)?;
         self.cycle = snap.cycle();
         Ok(())
     }
@@ -869,20 +770,20 @@ impl CompiledSim {
     /// the deterministic namespace.
     pub fn attach_obs(&mut self, obs: SimObs) {
         if let Some(oc) = &obs.opt {
-            oc.record(&self.opt_stats);
+            oc.record(&self.prog.opt_stats);
         }
         self.obs = Some(obs);
     }
 
     /// Number of instructions executed per cycle (tape + guard pre-tape).
     pub fn tape_len(&self) -> usize {
-        self.tape.len() + self.pre_tape.len()
+        self.prog.tape.len() + self.prog.pre_tape.len()
     }
 
     /// What the tape optimizer did at build time (all-zero apart from
     /// the `instrs_*`/`slots_*` totals when built at [`OptLevel::None`]).
     pub fn opt_stats(&self) -> OptStats {
-        self.opt_stats
+        self.prog.opt_stats
     }
 
     /// The current FSM state name of a timed instance.
@@ -906,18 +807,12 @@ impl CompiledSim {
             kind: "fsm",
             name: instance.to_owned(),
         })?;
-        Ok(&fsm.states[self.states[i] as usize])
+        Ok(&fsm.states[self.st.states[i] as usize])
     }
 
     /// Resets the simulation to power-up state.
     pub fn reset(&mut self) {
-        self.slots.copy_from_slice(&self.init_slots);
-        for (i, t) in self.sys.timed.iter().enumerate() {
-            for (j, r) in t.comp.regs.iter().enumerate() {
-                self.regs[i][j] = encode(&r.init);
-            }
-            self.states[i] = t.comp.fsm.as_ref().map_or(0, |f| f.initial.0);
-        }
+        self.st.reset(&self.prog, &self.sys);
         for u in &mut self.sys.untimed {
             u.block.reset();
         }
@@ -927,185 +822,10 @@ impl CompiledSim {
         }
     }
 
-    fn exec(&mut self, pre: bool) {
-        let instrs: &[Micro] = if pre { &self.pre_tape } else { &self.tape };
-        let s = &mut self.slots;
-        for m in instrs {
-            match m {
-                Micro::Copy { dst, src } => s[*dst as usize] = s[*src as usize],
-                Micro::RegRead { dst, inst, reg } => {
-                    s[*dst as usize] = self.regs[*inst as usize][*reg as usize]
-                }
-                Micro::AddB { dst, a, b, mask } => {
-                    s[*dst as usize] = s[*a as usize].wrapping_add(s[*b as usize]) & mask
-                }
-                Micro::SubB { dst, a, b, mask } => {
-                    s[*dst as usize] = s[*a as usize].wrapping_sub(s[*b as usize]) & mask
-                }
-                Micro::MulB { dst, a, b, mask } => {
-                    s[*dst as usize] = s[*a as usize].wrapping_mul(s[*b as usize]) & mask
-                }
-                Micro::AndU { dst, a, b } => s[*dst as usize] = s[*a as usize] & s[*b as usize],
-                Micro::OrU { dst, a, b } => s[*dst as usize] = s[*a as usize] | s[*b as usize],
-                Micro::XorU { dst, a, b } => s[*dst as usize] = s[*a as usize] ^ s[*b as usize],
-                Micro::NotU { dst, a, mask } => s[*dst as usize] = !s[*a as usize] & mask,
-                Micro::NegB { dst, a, mask } => {
-                    s[*dst as usize] = s[*a as usize].wrapping_neg() & mask
-                }
-                Micro::ShlB { dst, a, n, mask } => {
-                    s[*dst as usize] = if *n >= 64 {
-                        0
-                    } else {
-                        (s[*a as usize] << n) & mask
-                    }
-                }
-                Micro::ShrB { dst, a, n } => {
-                    s[*dst as usize] = if *n >= 64 { 0 } else { s[*a as usize] >> n }
-                }
-                Micro::ShrMask { dst, a, n, mask } => {
-                    s[*dst as usize] = if *n >= 64 {
-                        0
-                    } else {
-                        (s[*a as usize] >> n) & mask
-                    }
-                }
-                Micro::CmpU { dst, a, b, kind } => {
-                    s[*dst as usize] = kind.apply(s[*a as usize].cmp(&s[*b as usize])) as u64
-                }
-                Micro::AddF {
-                    dst,
-                    a,
-                    b,
-                    sha,
-                    shb,
-                } => {
-                    let x = (s[*a as usize] as i64) << sha;
-                    let y = (s[*b as usize] as i64) << shb;
-                    s[*dst as usize] = (x + y) as u64;
-                }
-                Micro::SubF {
-                    dst,
-                    a,
-                    b,
-                    sha,
-                    shb,
-                } => {
-                    let x = (s[*a as usize] as i64) << sha;
-                    let y = (s[*b as usize] as i64) << shb;
-                    s[*dst as usize] = (x - y) as u64;
-                }
-                Micro::MulF { dst, a, b } => {
-                    let p = s[*a as usize] as i64 as i128 * s[*b as usize] as i64 as i128;
-                    s[*dst as usize] = p as i64 as u64;
-                }
-                Micro::NegF { dst, a } => {
-                    s[*dst as usize] = (s[*a as usize] as i64).wrapping_neg() as u64
-                }
-                Micro::CmpF {
-                    dst,
-                    a,
-                    b,
-                    sha,
-                    shb,
-                    kind,
-                } => {
-                    let x = (s[*a as usize] as i64 as i128) << sha;
-                    let y = (s[*b as usize] as i64 as i128) << shb;
-                    s[*dst as usize] = kind.apply(x.cmp(&y)) as u64;
-                }
-                Micro::CastF {
-                    dst,
-                    a,
-                    src,
-                    target,
-                    rnd,
-                    ovf,
-                } => {
-                    let v = Fix::from_raw(s[*a as usize] as i64, *src);
-                    s[*dst as usize] = v.cast(*target, *rnd, *ovf).mantissa() as u64;
-                }
-                Micro::FloatToFix {
-                    dst,
-                    a,
-                    target,
-                    rnd,
-                    ovf,
-                } => {
-                    let x = f64::from_bits(s[*a as usize]);
-                    s[*dst as usize] = Fix::from_f64(x, *target, *rnd, *ovf).mantissa() as u64;
-                }
-                Micro::AddFl { dst, a, b } => {
-                    s[*dst as usize] =
-                        (f64::from_bits(s[*a as usize]) + f64::from_bits(s[*b as usize])).to_bits()
-                }
-                Micro::SubFl { dst, a, b } => {
-                    s[*dst as usize] =
-                        (f64::from_bits(s[*a as usize]) - f64::from_bits(s[*b as usize])).to_bits()
-                }
-                Micro::MulFl { dst, a, b } => {
-                    s[*dst as usize] =
-                        (f64::from_bits(s[*a as usize]) * f64::from_bits(s[*b as usize])).to_bits()
-                }
-                Micro::NegFl { dst, a } => {
-                    s[*dst as usize] = (-f64::from_bits(s[*a as usize])).to_bits()
-                }
-                Micro::CmpFl { dst, a, b, kind } => {
-                    let o = f64::from_bits(s[*a as usize])
-                        .partial_cmp(&f64::from_bits(s[*b as usize]))
-                        .unwrap_or(std::cmp::Ordering::Equal);
-                    s[*dst as usize] = kind.apply(o) as u64;
-                }
-                Micro::MaskTo { dst, a, mask } => s[*dst as usize] = s[*a as usize] & mask,
-                Micro::NonZero { dst, a } => s[*dst as usize] = (s[*a as usize] != 0) as u64,
-                Micro::NonZeroFloat { dst, a } => {
-                    s[*dst as usize] = (f64::from_bits(s[*a as usize]) != 0.0) as u64
-                }
-                Micro::ToFloatBits { dst, a } => {
-                    s[*dst as usize] = (s[*a as usize] as f64).to_bits()
-                }
-                Micro::ToFloatFix { dst, a, frac_bits } => {
-                    let v = s[*a as usize] as i64 as f64 * f64::powi(2.0, -(*frac_bits as i32));
-                    s[*dst as usize] = v.to_bits();
-                }
-                Micro::SelectU { dst, c, t, e } => {
-                    s[*dst as usize] = if s[*c as usize] != 0 {
-                        s[*t as usize]
-                    } else {
-                        s[*e as usize]
-                    }
-                }
-                Micro::Drive {
-                    net_slot,
-                    inst,
-                    cands,
-                } => {
-                    let act = &self.active[*inst as usize];
-                    for (sfg, src) in cands {
-                        if act[*sfg as usize] {
-                            s[*net_slot as usize] = s[*src as usize];
-                            break;
-                        }
-                    }
-                }
-                Micro::Fire { inst } => {
-                    let u = *inst as usize;
-                    let (ins, outs) = &self.untimed_io[u];
-                    self.in_buf.clear();
-                    self.in_buf
-                        .extend(ins.iter().map(|(sl, ty)| decode(s[*sl as usize], *ty)));
-                    self.out_buf.clear();
-                    self.out_buf
-                        .extend(outs.iter().map(|(sl, ty)| decode(s[*sl as usize], *ty)));
-                    let block = &mut self.sys.untimed[u].block;
-                    if block.ready(&self.in_buf) {
-                        block.fire(&self.in_buf, &mut self.out_buf);
-                        for ((sl, _), v) in outs.iter().zip(&self.out_buf) {
-                            s[*sl as usize] = encode(v);
-                        }
-                    }
-                }
-            }
-        }
+    /// The value on net `net`.
+    fn read_net(&self, net: usize) -> Value {
+        let sl = self.prog.net_slot[net] as usize;
+        decode(self.st.slots[sl], self.prog.slot_ty[sl])
     }
 }
 
@@ -1474,119 +1194,55 @@ impl Simulator for CompiledSim {
                 name: name.to_owned(),
             })?;
         value.check_type_with(pi.ty, || format!("primary input `{name}`"))?;
-        self.slots[self.net_slot[pi.net] as usize] = encode(&value);
+        self.st.slots[self.prog.net_slot[pi.net] as usize] = encode(&value);
         Ok(())
     }
 
     fn step(&mut self) -> Result<(), CoreError> {
         self.budget.check_cycle(self.cycle)?;
-        // One bounds proof up front instead of re-checking every slot
-        // index op-by-op: every index either tape references is below
-        // `slot_bound` by construction.
-        assert!(
-            self.slot_bound as usize <= self.slots.len(),
-            "compiled tape references slots beyond the state vector"
-        );
+        let prog = &*self.prog;
+        let st = &mut self.st;
+        let sys = std::slice::from_mut(&mut self.sys);
+        let obs = self.obs.as_ref();
+
         // Guard evaluation over held values.
-        let t_pre = self
-            .obs
-            .as_ref()
-            .and_then(|o| o.sp_pre.as_ref())
-            .map(|s| s.timer());
-        self.exec(true);
-        drop(t_pre);
+        let t = obs.and_then(|o| o.sp_pre.as_ref()).map(|s| s.timer());
+        exec::run(&prog.pre_tape, &prog.untimed_io, st, sys, One);
+        drop(t);
 
-        // Transition selection. Disjoint field borrows let the chosen
-        // transition's sfg list be read in place — no per-cycle clone.
-        let t_select = self.obs.as_ref().map(|o| o.sp_select.timer());
-        let mut firings = 0u64;
-        let fsm_tables = &self.fsm_tables;
-        let slots = &self.slots;
-        let states = &mut self.states;
-        let active = &mut self.active;
-        for (i, tables) in fsm_tables.iter().enumerate() {
-            if tables.is_empty() {
-                firings += active[i].len() as u64;
-                for a in &mut active[i] {
-                    *a = true;
-                }
-                continue;
-            }
-            for a in &mut active[i] {
-                *a = false;
-            }
-            let state = states[i] as usize;
-            let mut chosen: Option<&CompiledTransition> = None;
-            for tr in &tables[state] {
-                let take = match tr.guard_slot {
-                    None => true,
-                    Some(g) => slots[g as usize] != 0,
-                };
-                if take {
-                    chosen = Some(tr);
-                    break;
-                }
-            }
-            if let Some(tr) = chosen {
-                states[i] = tr.to;
-                for sk in &tr.sfgs {
-                    if !active[i][*sk as usize] {
-                        firings += 1;
-                    }
-                    active[i][*sk as usize] = true;
-                }
-            }
-        }
-        drop(t_select);
+        let t = obs.map(|o| o.sp_select.timer());
+        let firings = exec::select(&prog.fsm_tables, st, One);
+        drop(t);
 
-        // Main tape.
-        let t_eval = self.obs.as_ref().map(|o| o.sp_eval.timer());
-        self.exec(false);
-        drop(t_eval);
+        let t = obs.map(|o| o.sp_eval.timer());
+        exec::run(&prog.tape, &prog.untimed_io, st, sys, One);
+        drop(t);
 
-        // Register update.
-        let t_commit = self.obs.as_ref().map(|o| o.sp_commit.timer());
-        let mut reg_update_count = 0u64;
-        for wi in 0..self.reg_writes.len() {
-            let w = &self.reg_writes[wi];
-            let act = &self.active[w.inst as usize];
-            let mut val = None;
-            for (sfg, src) in &w.cands {
-                if act[*sfg as usize] {
-                    val = Some(self.slots[*src as usize]);
-                    break;
-                }
-            }
-            if let Some(v) = val {
-                self.regs[w.inst as usize][w.reg as usize] = v;
-                reg_update_count += 1;
-            }
-        }
-        drop(t_commit);
+        let t = obs.map(|o| o.sp_commit.timer());
+        let reg_updates = exec::commit(&prog.reg_writes, st, One);
+        drop(t);
 
         self.cycle += 1;
         if let Some(trace) = &mut self.trace {
-            let _t_trace = self.obs.as_ref().map(|o| o.sp_trace.timer());
-            let row: Vec<Value> = self
-                .sys
+            let _t = obs.map(|o| o.sp_trace.timer());
+            let sys = &self.sys;
+            let row: Vec<Value> = sys
                 .primary_inputs
                 .iter()
-                .map(|p| {
-                    let sl = self.net_slot[p.net] as usize;
-                    decode(self.slots[sl], self.slot_ty[sl])
+                .map(|p| p.net)
+                .chain(sys.primary_outputs.iter().map(|p| p.net))
+                .map(|net| {
+                    let sl = prog.net_slot[net] as usize;
+                    decode(self.st.slots[sl], prog.slot_ty[sl])
                 })
-                .chain(self.sys.primary_outputs.iter().map(|p| {
-                    let sl = self.net_slot[p.net] as usize;
-                    decode(self.slots[sl], self.slot_ty[sl])
-                }))
                 .collect();
             trace.record_cycle(&row)?;
         }
 
-        if let Some(o) = &self.obs {
+        if let Some(o) = obs {
             o.cycles.incr();
             o.sfg_firings.add(firings);
-            o.reg_updates.add(reg_update_count);
+            o.reg_updates.add(reg_updates);
         }
         Ok(())
     }
@@ -1596,10 +1252,7 @@ impl Simulator for CompiledSim {
             .primary_outputs
             .iter()
             .find(|p| p.name == name)
-            .map(|p| {
-                let sl = self.net_slot[p.net] as usize;
-                decode(self.slots[sl], self.slot_ty[sl])
-            })
+            .map(|p| self.read_net(p.net))
             .ok_or_else(|| CoreError::UnknownName {
                 kind: "primary output",
                 name: name.to_owned(),
@@ -1633,8 +1286,7 @@ impl Simulator for CompiledSim {
                 kind: "net",
                 name: name.to_owned(),
             })?;
-        let sl = self.net_slot[i] as usize;
-        Ok(decode(self.slots[sl], self.slot_ty[sl]))
+        Ok(self.read_net(i))
     }
 
     fn poke_net(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
@@ -1648,22 +1300,24 @@ impl Simulator for CompiledSim {
                 name: name.to_owned(),
             })?;
         value.check_type_with(self.sys.nets[i].ty, || format!("net `{name}`"))?;
-        self.slots[self.net_slot[i] as usize] = encode(&value);
+        self.st.slots[self.prog.net_slot[i] as usize] = encode(&value);
         Ok(())
     }
 
     fn peek_reg(&self, instance: &str, reg: &str) -> Result<Value, CoreError> {
         let (i, j) = crate::sim::interp::find_reg(&self.sys, instance, reg)?;
-        Ok(decode(self.regs[i][j], self.sys.timed[i].comp.regs[j].ty))
+        Ok(decode(
+            self.st.regs[i][j],
+            self.sys.timed[i].comp.regs[j].ty,
+        ))
     }
 
     fn poke_reg(&mut self, instance: &str, reg: &str, value: Value) -> Result<(), CoreError> {
         let (i, j) = crate::sim::interp::find_reg(&self.sys, instance, reg)?;
-        value.check_type(
-            self.sys.timed[i].comp.regs[j].ty,
-            &format!("register `{instance}.{reg}`"),
-        )?;
-        self.regs[i][j] = encode(&value);
+        value.check_type_with(self.sys.timed[i].comp.regs[j].ty, || {
+            format!("register `{instance}.{reg}`")
+        })?;
+        self.st.regs[i][j] = encode(&value);
         Ok(())
     }
 }

@@ -34,7 +34,9 @@
 //! [`crate::BatchedSim::from_tape`]. Instantiation verifies the
 //! structural hash of the offered system against the tape's, so a cache
 //! lookup gone wrong is a typed [`CoreError::TapeMismatch`], never a
-//! silently wrong simulation.
+//! silently wrong simulation. Both tape simulators execute the tape as
+//! it is, through one executor, so there is no per-engine artifact to
+//! cache beside it.
 
 use std::sync::Arc;
 
@@ -142,109 +144,6 @@ impl CompiledTape {
             });
         }
         Ok(())
-    }
-}
-
-/// One direct-threaded lowering of a [`CompiledTape`]: the cacheable
-/// artifact of the fused back-end (DESIGN.md § Lowered execution).
-///
-/// The lowering is a pure deterministic function of the compiled
-/// program, so a `FusedTape` shares its source tape's hashes — the
-/// same `(structural hash, program hash)` key space as compiled tapes
-/// and snapshots. What it does *not* share is the execution artifact:
-/// a cache must still key compiled and fused entries separately
-/// (see [`crate::ExecEngine`]), because the artifacts have different
-/// types and costs.
-///
-/// Cheap to clone and safe to share across threads; instantiate
-/// simulators without re-lowering via [`crate::FusedSim::from_tape`].
-#[derive(Clone)]
-pub struct FusedTape {
-    inner: CompiledTape,
-    lowered: Arc<crate::sim::lower::Lowered>,
-}
-
-impl std::fmt::Debug for FusedTape {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FusedTape")
-            .field("program_hash", &self.program_hash())
-            .field("level", &self.level())
-            .field("stats", &self.lowered.stats())
-            .finish()
-    }
-}
-
-impl FusedTape {
-    /// Compiles, optimizes and lowers `sys` at `level` in one call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotCompilable`] when the conservative
-    /// cross-component dependence graph is cyclic.
-    pub fn compile(sys: &System, level: OptLevel) -> Result<FusedTape, CoreError> {
-        let tape = CompiledTape::compile(sys, level)?;
-        FusedTape::from_compiled(sys, &tape)
-    }
-
-    /// Lowers an already-compiled tape — the cheap half of
-    /// [`FusedTape::compile`], for callers (like the serve cache) that
-    /// may already hold the compiled artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::TapeMismatch`] when `sys` is not the
-    /// system `tape` was compiled from (the lowering needs the
-    /// system's register/SFG layout, so the pairing is verified).
-    pub fn from_compiled(sys: &System, tape: &CompiledTape) -> Result<FusedTape, CoreError> {
-        tape.check_system(sys)?;
-        let lowered = crate::sim::lower::lower_program(sys, &tape.prog);
-        Ok(FusedTape {
-            inner: tape.clone(),
-            lowered: Arc::new(lowered),
-        })
-    }
-
-    /// Unwraps the compiled tape this lowering was derived from,
-    /// discarding the lowered program.
-    pub fn into_compiled(self) -> CompiledTape {
-        self.inner
-    }
-
-    /// The structural hash of the source system ([`hash_system`]).
-    pub fn system_hash(&self) -> u64 {
-        self.inner.system_hash()
-    }
-
-    /// The program hash of the source build — identical to the source
-    /// [`CompiledTape::program_hash`], because the lowered form is a
-    /// pure function of the program the hash covers.
-    pub fn program_hash(&self) -> u64 {
-        self.inner.program_hash()
-    }
-
-    /// The optimization level the source tape was compiled at.
-    pub fn level(&self) -> OptLevel {
-        self.inner.level()
-    }
-
-    /// Number of micro-ops lowered per cycle (tape + guard pre-tape).
-    pub fn tape_len(&self) -> usize {
-        self.inner.tape_len()
-    }
-
-    /// What the lowering pass did (kernels, superinstructions, fusion
-    /// coverage) — deterministic counters.
-    pub fn lower_stats(&self) -> crate::sim::lower::LowerStats {
-        self.lowered.stats()
-    }
-
-    /// The source compiled tape.
-    pub(crate) fn compiled(&self) -> &CompiledTape {
-        &self.inner
-    }
-
-    pub(crate) fn lowered(&self) -> Arc<crate::sim::lower::Lowered> {
-        Arc::clone(&self.lowered)
     }
 }
 

@@ -739,10 +739,9 @@ impl Simulator for InterpSim {
 
     fn poke_reg(&mut self, instance: &str, reg: &str, value: Value) -> Result<(), CoreError> {
         let (i, j) = find_reg(&self.sys, instance, reg)?;
-        value.check_type(
-            self.sys.timed[i].comp.regs[j].ty,
-            &format!("register `{instance}.{reg}`"),
-        )?;
+        value.check_type_with(self.sys.timed[i].comp.regs[j].ty, || {
+            format!("register `{instance}.{reg}`")
+        })?;
         self.regs[i][j] = value;
         Ok(())
     }

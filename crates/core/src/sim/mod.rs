@@ -6,7 +6,10 @@
 //! regenerated for maximum speed. [`InterpSim`] and [`CompiledSim`] are
 //! the two back-ends; both implement [`Simulator`] and produce identical
 //! cycle-by-cycle behaviour (see the `codegen_equivalence` integration
-//! test).
+//! test). [`BatchedSim`] runs N independent instances of one compiled
+//! tape in lockstep. The compiled tape has exactly one executor,
+//! `exec`, which both tape simulators instantiate: for one lane fixed
+//! at compile time, and for N lane stripes with or without masked lanes.
 //!
 //! The kernels in this module are **panic-free on constructible
 //! designs**: every runtime failure (combinational loops, type-confused
@@ -19,10 +22,11 @@ pub mod budget;
 pub mod chaos;
 mod compiled;
 mod eval;
+mod exec;
 pub mod fault;
 pub mod hash;
 mod interp;
-pub mod lower;
+mod lower;
 pub mod obs;
 pub mod opt;
 pub mod par;
@@ -32,9 +36,9 @@ pub use batch::BatchedSim;
 pub use budget::{Budget, BudgetKind};
 pub use chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 pub use compiled::CompiledSim;
-pub use hash::{hash_compiled, hash_system, CompiledTape, FusedTape};
+pub use hash::{hash_compiled, hash_system, CompiledTape};
 pub use interp::InterpSim;
-pub use lower::{ExecEngine, FusedSim, LowerStats};
+pub use lower::{FusedSim, FusedTape, LowerStats};
 pub use obs::{BatchObs, SimObs};
 pub use opt::{OptLevel, OptStats};
 pub use snapshot::{SimSnapshot, SnapshotBackend};

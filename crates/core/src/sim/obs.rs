@@ -15,9 +15,6 @@
 //!   `trace`
 //! * `compiled` → `guard_pre_tape`, `transition_select`, `tape`,
 //!   `register_update`, `trace`
-//! * `fused` → `transition_select`, `exec`, `register_update`, `trace`
-//!   (the direct-threaded schedule runs as one `exec` phase; the other
-//!   spans exist with zero hits so profile shapes stay comparable)
 //!
 //! Both the span *structure* and the per-span hit counts are pure
 //! functions of the workload — the deterministic half of the obs
@@ -26,7 +23,6 @@
 
 use ocapi_obs::{Counter, EventLog, Registry, Span};
 
-use crate::sim::lower::LowerStats;
 use crate::sim::opt::OptStats;
 
 /// Counter handles for the compiled back-end's build-time tape
@@ -65,35 +61,6 @@ impl OptCounters {
     }
 }
 
-/// Counter handles for the direct-threaded lowering pass behind the
-/// fused back-end. Like [`OptCounters`] these are pure functions of the
-/// optimized program (the deterministic namespace), flushed once per
-/// `FusedSim::attach_obs`. The names stay under `compiled.lower.*`
-/// because the lowering consumes the *compiled* program — the fused
-/// engine is a second executor of the same build, not a new compiler.
-#[derive(Debug, Clone)]
-pub(crate) struct LowerCounters {
-    kernels: Counter,
-    superinstructions: Counter,
-    fusion_coverage_pct: Counter,
-}
-
-impl LowerCounters {
-    fn new(reg: &Registry) -> LowerCounters {
-        LowerCounters {
-            kernels: reg.counter("compiled.lower.kernels"),
-            superinstructions: reg.counter("compiled.lower.superinstructions"),
-            fusion_coverage_pct: reg.counter("compiled.lower.fusion_coverage_pct"),
-        }
-    }
-
-    pub(crate) fn record(&self, s: &LowerStats) {
-        self.kernels.add(s.kernels);
-        self.superinstructions.add(s.superinstructions);
-        self.fusion_coverage_pct.add(s.coverage_pct);
-    }
-}
-
 /// Counter + span + event-log handles for one simulator back-end.
 ///
 /// Build with [`SimObs::interp`] or [`SimObs::compiled`] and hand to
@@ -125,8 +92,6 @@ pub struct SimObs {
     pub(crate) events: EventLog,
     /// Tape-optimizer counters (compiled back-end only).
     pub(crate) opt: Option<OptCounters>,
-    /// Lowering-pass counters (fused back-end only).
-    pub(crate) lower: Option<LowerCounters>,
 }
 
 impl SimObs {
@@ -138,18 +103,6 @@ impl SimObs {
     /// The bundle for the compiled (levelized-tape) back-end.
     pub fn compiled(reg: &Registry) -> SimObs {
         SimObs::attach(reg, "compiled", "tape", true)
-    }
-
-    /// The bundle for the fused (direct-threaded) back-end. The whole
-    /// threaded schedule — guards, transition select, kernel runs,
-    /// register commit — executes as one `exec` phase, so only that
-    /// span and `trace` accrue hits; attaching also resolves the
-    /// deterministic `compiled.lower.*` counters, flushed at
-    /// `FusedSim::attach_obs`.
-    pub fn fused(reg: &Registry) -> SimObs {
-        let mut obs = SimObs::attach(reg, "fused", "exec", false);
-        obs.lower = Some(LowerCounters::new(reg));
-        obs
     }
 
     fn attach(reg: &Registry, backend: &str, eval_label: &str, pre: bool) -> SimObs {
@@ -166,7 +119,6 @@ impl SimObs {
             sp_trace: root.child("trace"),
             events: reg.events().clone(),
             opt: pre.then(|| OptCounters::new(reg, backend)),
-            lower: None,
         }
     }
 
@@ -260,24 +212,6 @@ mod tests {
         assert_eq!(roots[1].label(), "interp");
         assert!(labels[1].iter().any(|l| l == "evaluate"));
         assert!(labels[1].len() >= 4 && labels[0].len() >= 4);
-    }
-
-    #[test]
-    fn fused_attach_resolves_the_lower_counters() {
-        let reg = Registry::new();
-        let obs = SimObs::fused(&reg);
-        if let Some(lc) = &obs.lower {
-            lc.record(&LowerStats {
-                micro_in: 10,
-                kernels: 4,
-                superinstructions: 3,
-                fused_micros: 8,
-                coverage_pct: 80,
-            });
-        }
-        assert_eq!(reg.counter("compiled.lower.kernels").get(), 4);
-        assert_eq!(reg.counter("compiled.lower.superinstructions").get(), 3);
-        assert_eq!(reg.counter("compiled.lower.fusion_coverage_pct").get(), 80);
     }
 
     #[test]

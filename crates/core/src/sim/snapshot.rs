@@ -30,12 +30,9 @@
 //! Snapshots of [`CompiledSim`](crate::CompiledSim) and of a
 //! [`BatchedSim`](crate::BatchedSim) lane are interchangeable when both
 //! simulators were built from the same system at the same optimization
-//! level: the lane state is exactly one compiled-state stripe. The
-//! direct-threaded [`FusedSim`](crate::FusedSim) joins the same family:
-//! its lowering is a pure function of the compiled program (same design
-//! hash, same state layout), so fused and compiled snapshots restore
-//! into each other byte-for-byte — a session parked on one engine can
-//! resume on the other.
+//! level: both keep their state in the striped layout of `sim::exec`,
+//! and one shared routine captures and restores one lane of it — a
+//! session parked on one engine can resume on the other.
 
 use std::fmt::Write as _;
 

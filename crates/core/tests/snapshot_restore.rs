@@ -7,8 +7,8 @@
 
 use ocapi::rng::XorShift64;
 use ocapi::{
-    BatchedSim, CompiledSim, Component, CoreError, Fix, Format, FusedSim, InterpSim, OptLevel,
-    Overflow, Rounding, SigType, SimSnapshot, Simulator, SnapshotBackend, System, Value,
+    BatchedSim, CompiledSim, Component, CoreError, Fix, Format, InterpSim, OptLevel, Overflow,
+    Rounding, SigType, SimSnapshot, Simulator, SnapshotBackend, System, Value,
 };
 
 /// The FSM-bearing accumulator from `sim_equivalence.rs`: accumulates
@@ -441,9 +441,6 @@ fn out_of_range_words_are_rejected_on_restore() {
         let mut fresh = CompiledSim::new_with(fixed_system(), level).unwrap();
         assert_bad_word(fresh.restore(&bad_reg), "regs", 0);
         assert_bad_word(fresh.restore(&bad_slot), "slots", 0);
-        let mut fused = FusedSim::new_with(fixed_system(), level).unwrap();
-        assert_bad_word(fused.restore(&bad_reg), "regs", 0);
-        assert_bad_word(fused.restore(&bad_slot), "slots", 0);
         let mut batch = BatchedSim::from_fn(2, || Ok(fixed_system()), level).unwrap();
         assert_bad_word(batch.restore_lane(1, &bad_reg), "regs", 0);
         assert_bad_word(batch.restore_lane(1, &bad_slot), "slots", 0);
@@ -536,12 +533,6 @@ fn real_design_snapshots_pass_validation() {
             CompiledSim::new_with(build(), level)
                 .unwrap()
                 .restore(&snap)
-                .unwrap();
-            let mut fused = FusedSim::new_with(build(), level).unwrap();
-            run(&mut fused);
-            FusedSim::new_with(build(), level)
-                .unwrap()
-                .restore(&fused.snapshot())
                 .unwrap();
             let mut batch = BatchedSim::from_fn(2, || Ok(build()), level).unwrap();
             run(&mut batch);

@@ -245,7 +245,6 @@ fn run_loadgen(
             resume: false,
             retries: 1,
             fault_engine: FaultEngine::Packed,
-            engine: ocapi::ExecEngine::Compiled,
             partitions: 1,
         };
         write_atomic(path, rep.perf_json(&args).as_bytes())?;

@@ -5,11 +5,11 @@
 //! magnitude more than instantiating a simulator from an existing
 //! [`CompiledTape`], and a service sees the same handful of designs
 //! over and over. The cache keys each tape on
-//! `(`[`ocapi::hash_system`]`, `[`OptLevel`]`, `[`ExecEngine`]`)` — the
-//! stable structural hash promoted to public API for exactly this
-//! purpose, plus the execution back-end, so a fused lowering and a
-//! plain compiled tape of the same design never alias one cache slot.
-//! Least-recently-used entries beyond a fixed capacity are evicted.
+//! `(`[`ocapi::hash_system`]`, `[`OptLevel`]`)` — the stable structural
+//! hash promoted to public API for exactly this purpose. Every job runs
+//! the compiled tape, whichever engine name a session asked for, so one
+//! entry serves them all. Least-recently-used entries beyond a fixed
+//! capacity are evicted.
 //!
 //! Telemetry lands in the server's advisory [`Registry`] as
 //! `serve.cache.hits` / `serve.cache.misses` / `serve.cache.evictions`.
@@ -19,22 +19,13 @@
 
 use std::sync::Mutex;
 
-use ocapi::{hash_system, CompiledTape, CoreError, ExecEngine, FusedTape, OptLevel, System};
+use ocapi::{hash_system, CompiledTape, CoreError, OptLevel, System};
 use ocapi_obs::Registry;
-
-/// A cached artifact: one per execution back-end. The fused variant
-/// carries its lowered program alongside the compiled tape it was
-/// derived from.
-#[derive(Clone)]
-enum CachedTape {
-    Compiled(CompiledTape),
-    Fused(FusedTape),
-}
 
 /// One cache slot, ordered by recency via `stamp`.
 struct Entry {
-    key: (u64, OptLevel, ExecEngine),
-    tape: CachedTape,
+    key: (u64, OptLevel),
+    tape: CompiledTape,
     stamp: u64,
 }
 
@@ -87,13 +78,17 @@ impl TapeCache {
         self.len() == 0
     }
 
-    /// Looks up `key`, compiles via `build` on a miss; shared body of
-    /// [`TapeCache::get`] / [`TapeCache::get_fused`].
-    fn get_with(
-        &self,
-        key: (u64, OptLevel, ExecEngine),
-        build: impl FnOnce() -> Result<CachedTape, CoreError>,
-    ) -> Result<CachedTape, CoreError> {
+    /// The tape for `sys` at `level`: a clone of the cached tape on a
+    /// hit (cheap — the program is reference-counted), a fresh
+    /// compilation inserted into the cache on a miss. The system itself
+    /// is not retained; callers keep it to instantiate simulators.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CoreError::NotCompilable`] from a miss's
+    /// compilation; the failed key is not cached.
+    pub fn get(&self, sys: &System, level: OptLevel) -> Result<CompiledTape, CoreError> {
+        let key = (hash_system(sys), level);
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             inner.clock += 1;
@@ -109,7 +104,7 @@ impl TapeCache {
         // Compile outside the lock: a slow compilation must not stall
         // every other connection's cache hits. Two racing misses on the
         // same key both compile; the duplicate insert below is folded.
-        let tape = build()?;
+        let tape = CompiledTape::compile(sys, level)?;
         self.obs.advisory_counter("serve.cache.misses").add(1);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.clock += 1;
@@ -137,45 +132,6 @@ impl TapeCache {
             }
         }
         Ok(tape)
-    }
-
-    /// The tape for `sys` at `level`: a clone of the cached tape on a
-    /// hit (cheap — the program is reference-counted), a fresh
-    /// compilation inserted into the cache on a miss. The system itself
-    /// is not retained; callers keep it to instantiate simulators.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::NotCompilable`] from a miss's
-    /// compilation; the failed key is not cached.
-    pub fn get(&self, sys: &System, level: OptLevel) -> Result<CompiledTape, CoreError> {
-        let key = (hash_system(sys), level, ExecEngine::Compiled);
-        match self.get_with(key, || {
-            Ok(CachedTape::Compiled(CompiledTape::compile(sys, level)?))
-        })? {
-            CachedTape::Compiled(t) => Ok(t),
-            // Unreachable: the engine is part of the key.
-            CachedTape::Fused(t) => Ok(t.into_compiled()),
-        }
-    }
-
-    /// The fused (direct-threaded) tape for `sys` at `level`. Cached
-    /// under its own engine key: a fused entry never aliases the plain
-    /// compiled entry of the same `(design, level)` pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::NotCompilable`] from a miss's
-    /// compilation; the failed key is not cached.
-    pub fn get_fused(&self, sys: &System, level: OptLevel) -> Result<FusedTape, CoreError> {
-        let key = (hash_system(sys), level, ExecEngine::Fused);
-        match self.get_with(key, || {
-            Ok(CachedTape::Fused(FusedTape::compile(sys, level)?))
-        })? {
-            CachedTape::Fused(t) => Ok(t),
-            // Unreachable: the engine is part of the key.
-            CachedTape::Compiled(t) => FusedTape::from_compiled(sys, &t),
-        }
     }
 
     /// Current values of the three cache counters
@@ -225,24 +181,6 @@ mod tests {
         cache.get(&design("d"), OptLevel::Full).unwrap();
         assert_eq!(cache.stats(), (0, 2, 0));
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn engine_is_part_of_the_key() {
-        // The fused lowering of a design must not alias the plain
-        // compiled entry: same (design, level), different engine → two
-        // misses, two entries, then one hit each on re-lookup.
-        let cache = TapeCache::new(4, Registry::new());
-        let c = cache.get(&design("d"), OptLevel::Full).unwrap();
-        let f = cache.get_fused(&design("d"), OptLevel::Full).unwrap();
-        assert_eq!(cache.stats(), (0, 2, 0), "fused aliased compiled");
-        assert_eq!(cache.len(), 2);
-        // Same design hash (the lowering is a pure function of the
-        // program), distinct cache identities.
-        assert_eq!(c.program_hash(), f.program_hash());
-        cache.get(&design("d"), OptLevel::Full).unwrap();
-        cache.get_fused(&design("d"), OptLevel::Full).unwrap();
-        assert_eq!(cache.stats(), (2, 2, 0));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::io::Write;
 use ocapi::rng::XorShift64;
 use ocapi::sim::par::ParConfig;
 use ocapi::{
-    run_campaign_cached_par, CompiledSim, CoreError, ExecEngine, FaultEvent, FaultPlan, FaultSite,
-    Fix, FusedSim, OptLevel, Overflow, Rounding, SigType, SimSnapshot, Simulator, System, Value,
+    run_campaign_cached_par, CompiledSim, CoreError, FaultEvent, FaultPlan, FaultSite, Fix,
+    OptLevel, Overflow, Rounding, SigType, SimSnapshot, Simulator, System, Value,
 };
 use ocapi_bench::ber::measure_batched;
 use ocapi_bench::Robust;
@@ -109,24 +109,24 @@ fn opt_level(req: &Json) -> Result<OptLevel, ServeError> {
     }
 }
 
-/// The execution back-end for warm-session jobs: `compiled` (default)
-/// or `fused`. The interpreter is never served — park/resume is a
-/// compiled-family snapshot contract.
-fn engine_of(req: &Json) -> Result<ExecEngine, ServeError> {
+/// The engine name a warm session asks for: `compiled` (default) or
+/// `fused`, echoed back by `session.open`. Both run the compiled tape;
+/// `fused` names the retired threaded-code engine and stays accepted so
+/// existing clients keep working. The interpreter is never served —
+/// park/resume is a compiled-family snapshot contract.
+fn engine_of(req: &Json) -> Result<&'static str, ServeError> {
     match req.get("engine") {
-        None => Ok(ExecEngine::Compiled),
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| ServeError::Parse("field `engine` must be a string".into()))?;
-            match ExecEngine::parse(s) {
-                Some(ExecEngine::Compiled) => Ok(ExecEngine::Compiled),
-                Some(ExecEngine::Fused) => Ok(ExecEngine::Fused),
-                _ => Err(ServeError::Parse(format!(
-                    "field `engine` must be `compiled` or `fused`, got `{s}`"
-                ))),
-            }
-        }
+        None => Ok("compiled"),
+        Some(v) => match v
+            .as_str()
+            .ok_or_else(|| ServeError::Parse("field `engine` must be a string".into()))?
+        {
+            "compiled" => Ok("compiled"),
+            "fused" => Ok("fused"),
+            s => Err(ServeError::Parse(format!(
+                "field `engine` must be `compiled` or `fused`, got `{s}`"
+            ))),
+        },
     }
 }
 
@@ -420,15 +420,7 @@ pub fn session_open(
     let level = opt_level(req)?;
     let engine = engine_of(req)?;
     let seed = opt_u64(req, "seed", 1)?;
-    // Warm the engine's own cache slot: fused and compiled tapes of
-    // the same design never alias (the engine is part of the key).
-    let design_hash = match engine {
-        ExecEngine::Fused => state
-            .cache
-            .get_fused(&design.build()?, level)?
-            .program_hash(),
-        _ => state.cache.get(&design.build()?, level)?.program_hash(),
-    };
+    let design_hash = state.cache.get(&design.build()?, level)?.program_hash();
     let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
     if sessions.contains(name) {
         return Err(ServeError::Parse(format!(
@@ -440,7 +432,6 @@ pub fn session_open(
         ParkedSession {
             design,
             level,
-            engine,
             seed,
             snapshot: None,
             digest: FNV_OFFSET,
@@ -454,59 +445,13 @@ pub fn session_open(
             obj([
                 ("session", Json::Str(name.to_owned())),
                 ("design", Json::Str(design.name().to_owned())),
-                ("engine", Json::Str(engine.as_str().to_owned())),
+                ("engine", Json::Str(engine.to_owned())),
                 ("design_hash", Json::Str(format!("{design_hash:016x}"))),
                 ("cycle", Json::Num(0.0)),
             ]),
         ),
     )?;
     Ok(())
-}
-
-/// The live simulator of one warm session: either compiled-family
-/// engine behind one set of park/resume entry points. The lowered
-/// program and the plain tape share design hash and snapshot layout,
-/// so the session digest is a pure function of the workload, not the
-/// engine.
-enum SessionSim {
-    Compiled(Box<CompiledSim>),
-    Fused(Box<FusedSim>),
-}
-
-impl SessionSim {
-    fn build(state: &ServerState, sys: System, parked: &ParkedSession) -> Result<Self, ServeError> {
-        Ok(match parked.engine {
-            ExecEngine::Fused => {
-                let tape = state.cache.get_fused(&sys, parked.level)?;
-                SessionSim::Fused(Box::new(FusedSim::from_tape(sys, &tape)?))
-            }
-            _ => {
-                let tape = state.cache.get(&sys, parked.level)?;
-                SessionSim::Compiled(Box::new(CompiledSim::from_tape(sys, &tape)?))
-            }
-        })
-    }
-
-    fn restore(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
-        match self {
-            SessionSim::Compiled(s) => s.restore(snap),
-            SessionSim::Fused(s) => s.restore(snap),
-        }
-    }
-
-    fn snapshot(&self) -> SimSnapshot {
-        match self {
-            SessionSim::Compiled(s) => s.snapshot(),
-            SessionSim::Fused(s) => s.snapshot(),
-        }
-    }
-
-    fn as_sim(&mut self) -> &mut dyn Simulator {
-        match self {
-            SessionSim::Compiled(s) => &mut **s,
-            SessionSim::Fused(s) => &mut **s,
-        }
-    }
 }
 
 /// `session.run`: resume the parked session from its snapshot (cycle 0
@@ -559,16 +504,16 @@ pub fn session_run(
     let sys = parked.design.build()?;
     let inputs = input_decls(&sys);
     let outputs = output_names(&sys);
-    let mut session = SessionSim::build(state, sys, &parked)?;
+    let tape = state.cache.get(&sys, parked.level)?;
+    let mut sim = CompiledSim::from_tape(sys, &tape)?;
     if let Some(bytes) = &parked.snapshot {
-        session.restore(&SimSnapshot::from_bytes(bytes)?)?;
+        sim.restore(&SimSnapshot::from_bytes(bytes)?)?;
     }
-    let sim = session.as_sim();
     let from_cycle = sim.cycle();
     let mut digest = parked.digest;
     for _ in 0..cycles {
         let cycle = sim.cycle();
-        drive_inputs(sim, &inputs, parked.seed, cycle)?;
+        drive_inputs(&mut sim, &inputs, parked.seed, cycle)?;
         sim.step()?;
         digest = fnv(digest, &cycle.to_be_bytes());
         for name in &outputs {
@@ -577,7 +522,7 @@ pub fn session_run(
         }
     }
     let to_cycle = sim.cycle();
-    let snapshot = session.snapshot().to_bytes();
+    let snapshot = sim.snapshot().to_bytes();
     {
         let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
         sessions.repark(name, snapshot, digest);

@@ -16,7 +16,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ocapi::{ExecEngine, OptLevel};
+use ocapi::OptLevel;
 use ocapi_obs::{Counter, Registry};
 
 use crate::cache::TapeCache;
@@ -39,10 +39,6 @@ pub struct ParkedSession {
     pub design: Design,
     /// Tape optimization level (part of the cache key).
     pub level: OptLevel,
-    /// Execution back-end the session runs on (part of the cache
-    /// key). Snapshots interchange between the compiled family's
-    /// engines, so the digest stays engine-independent.
-    pub engine: ExecEngine,
     /// Base seed of the deterministic input stimulus.
     pub seed: u64,
     /// Snapshot bytes from the last run; `None` before the first run
@@ -558,13 +554,40 @@ mod tests {
     }
 
     #[test]
+    fn compiled_and_fused_sessions_share_one_cache_entry() {
+        // Both engine names run the compiled tape: the first open
+        // compiles it, every later lookup of the design hits.
+        let state = ServerState::new("/tmp/unused.sock", 4, 4, None);
+        for (session, engine) in [("c", "compiled"), ("f", "fused")] {
+            let frames = roundtrip(
+                &state,
+                &format!(
+                    r#"{{"op":"session.open","id":"o{session}","session":"{session}","design":"hcor","engine":"{engine}"}}"#
+                ),
+            );
+            assert!(
+                frames[0].contains(&format!(r#""engine":"{engine}""#)),
+                "{}",
+                frames[0]
+            );
+            roundtrip(
+                &state,
+                &format!(
+                    r#"{{"op":"session.run","id":"r{session}","session":"{session}","cycles":4}}"#
+                ),
+            );
+        }
+        assert_eq!(state.cache.stats(), (3, 1, 0));
+        assert_eq!(state.cache.len(), 1);
+    }
+
+    #[test]
     fn session_table_bounds_live_entries_and_tombstones() {
         let obs = Registry::new();
         let mut table = SessionTable::new(2, &obs);
         let parked = || ParkedSession {
             design: Design::Hcor,
             level: OptLevel::Full,
-            engine: ExecEngine::Compiled,
             seed: 1,
             snapshot: None,
             digest: 0,

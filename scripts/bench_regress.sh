@@ -63,11 +63,6 @@ check_relative() { # bin key_a key_b ratio
 }
 
 check table1 hcor_compiled_cycles_per_sec
-check table1 fused_cycles_per_sec
-# The fused engine's reason to exist: the direct-threaded lowering must
-# stay well ahead of the switch-dispatch compiled loop on the same
-# runner, same run (DESIGN.md § Lowered execution).
-check_relative table1 fused_cycles_per_sec hcor_compiled_cycles_per_sec 1.5
 check ber_sweep batched_runs_per_sec
 check fault_coverage grade_faults_per_sec
 # The flat event-driven gate kernel: the netlist row of Table 1 and the

@@ -23,11 +23,6 @@ done
 # partitioned-vs-single-core relative gate never reads the baseline).
 ./target/release/table_gates --quick --threads 4 --partitions 4 \
   --perf-json "$out/table_gates-p4.perf.json"
-# A second table1 pass on the direct-threaded fused engine: records
-# fused_cycles_per_sec (and the fused per-design rows) next to the
-# default-engine metrics; bench_regress takes the max per (bin, key).
-./target/release/table1 --quick --threads 4 --engine fused \
-  --perf-json "$out/table1-fused.perf.json"
 # The persistent-service job rate, measured against a freshly started
 # daemon the same way the CI bench-smoke job measures it.
 sock="$out/refresh.sock"

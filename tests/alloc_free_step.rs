@@ -1,7 +1,8 @@
 //! Steady-state cycles must not touch the heap: after a short warm-up,
 //! `set_input` + `step` + `output` on HCOR and DECT allocates zero times
 //! on every cycle-based engine, on the event-driven RT kernel and on the
-//! gate-level system simulator.
+//! gate-level system simulator. Register pokes — the fault injector's
+//! per-cycle corruption primitive — are allocation-free too.
 //!
 //! The global allocator counts per thread, so tests running in parallel
 //! do not see each other's allocations.
@@ -10,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
 use asic_dse::ocapi::rng::XorShift64;
-use asic_dse::ocapi::{BatchedSim, CompiledSim, FusedSim, InterpSim, Simulator, System, Value};
+use asic_dse::ocapi::{BatchedSim, CompiledSim, CoreError, InterpSim, Simulator, System, Value};
 use asic_dse::ocapi_designs::dect::burst::{generate, BurstConfig};
 use asic_dse::ocapi_designs::dect::transceiver::{
     build_system, TransceiverConfig, CYCLES_PER_SYMBOL,
@@ -142,10 +143,6 @@ fn assert_alloc_free(w: &Workload) {
             Box::new(CompiledSim::new((w.build)()).expect("compiled")),
         ),
         (
-            "fused",
-            Box::new(FusedSim::new((w.build)()).expect("fused")),
-        ),
-        (
             "batched",
             Box::new(BatchedSim::new((0..4).map(|_| (w.build)()).collect()).expect("batched")),
         ),
@@ -175,4 +172,83 @@ fn hcor_steady_state_is_allocation_free() {
 #[test]
 fn dect_steady_state_is_allocation_free() {
     assert_alloc_free(&dect_workload());
+}
+
+/// Allocations made by `MEASURED` register pokes, cycling through every
+/// register of `sys`, after one warm-up round over all of them.
+fn steady_state_poke_allocations(
+    sys: &System,
+    mut poke: impl FnMut(&str, &str) -> Result<(), CoreError>,
+) -> u64 {
+    let regs: Vec<(&str, &str)> = sys
+        .timed
+        .iter()
+        .flat_map(|t| {
+            t.comp
+                .regs
+                .iter()
+                .map(|r| (t.name.as_str(), r.name.as_str()))
+        })
+        .collect();
+    assert!(!regs.is_empty(), "{}: no registers to poke", sys.name);
+    for (inst, reg) in &regs {
+        poke(inst, reg).expect("poke_reg");
+    }
+    let before = allocations();
+    for (inst, reg) in regs.iter().cycle().take(MEASURED) {
+        poke(inst, reg).expect("poke_reg");
+    }
+    allocations() - before
+}
+
+/// Each engine's `poke_reg` (and the batch's `poke_reg_lane`) writing
+/// back the value `peek_reg` reads.
+fn assert_poke_reg_alloc_free(w: &Workload) {
+    let sys = (w.build)();
+    let mut interp = InterpSim::new((w.build)()).expect("interp");
+    let mut compiled = CompiledSim::new((w.build)()).expect("compiled");
+    let mut batched = BatchedSim::new((0..4).map(|_| (w.build)()).collect()).expect("batched");
+    let counts = [
+        (
+            "interp",
+            steady_state_poke_allocations(&sys, |i, r| {
+                let v = interp.peek_reg(i, r)?;
+                interp.poke_reg(i, r, v)
+            }),
+        ),
+        (
+            "compiled",
+            steady_state_poke_allocations(&sys, |i, r| {
+                let v = compiled.peek_reg(i, r)?;
+                compiled.poke_reg(i, r, v)
+            }),
+        ),
+        (
+            "batched",
+            steady_state_poke_allocations(&sys, |i, r| {
+                let v = batched.peek_reg(i, r)?;
+                batched.poke_reg(i, r, v)
+            }),
+        ),
+        (
+            "batched lane",
+            steady_state_poke_allocations(&sys, |i, r| {
+                let v = batched.peek_reg_lane(3, i, r)?;
+                batched.poke_reg_lane(3, i, r, v)
+            }),
+        ),
+    ];
+    for (name, n) in counts {
+        assert_eq!(n, 0, "{name}: {n} allocations in steady-state poke_reg");
+    }
+}
+
+#[test]
+fn hcor_poke_reg_is_allocation_free() {
+    assert_poke_reg_alloc_free(&hcor_workload());
+}
+
+#[test]
+fn dect_poke_reg_is_allocation_free() {
+    assert_poke_reg_alloc_free(&dect_workload());
 }
