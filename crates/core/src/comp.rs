@@ -278,6 +278,20 @@ impl Component {
         &self.input_deps[id.index()]
     }
 
+    /// The input ports (as indices into [`Component::inputs`]) that any
+    /// FSM transition guard reads, sorted.
+    pub fn guard_inputs(&self) -> Vec<usize> {
+        let mut ports: Vec<usize> = self
+            .fsm
+            .iter()
+            .flat_map(|f| f.transitions.iter().filter_map(|t| t.guard))
+            .flat_map(|g| self.input_deps(g).iter().map(|&p| p as usize))
+            .collect();
+        ports.sort_unstable();
+        ports.dedup();
+        ports
+    }
+
     /// Which SFGs would execute if the FSM is absent (all of them).
     pub fn all_sfg_refs(&self) -> Vec<SfgRef> {
         (0..self.sfgs.len() as u32).map(SfgRef).collect()

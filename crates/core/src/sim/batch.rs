@@ -8,7 +8,7 @@
 //! identical tape once per instance pays the full instruction-dispatch
 //! cost N times for one design's worth of control flow.
 //!
-//! [`BatchedSim`] amortizes that cost: one [`Program`] (the monomorphised
+//! [`BatchedSim`] amortizes that cost: one `Program` (the monomorphised
 //! tape of `sim::compiled`) is executed over N independent *lanes* in a
 //! single pass. State is struct-of-arrays — every slot of the scalar
 //! state vector becomes a lane-major stripe of N `u64`s — and each
@@ -32,7 +32,7 @@
 //! value matches lane-for-lane at every optimization level.
 //!
 //! **Word-parallel fast path** (DESIGN.md §13): at build time the tape
-//! is split into *segments*. Runs of ≥ [`MIN_WORD_RUN`] consecutive
+//! is split into *segments*. Runs of ≥ `MIN_WORD_RUN` consecutive
 //! micro-ops whose operands and destination are all `Bool` slots are
 //! lowered to packed `u64` word operations — the Bool lanes are
 //! *bitsliced* (lane `l` in bit `l % 64` of word `l / 64`), so one
@@ -57,7 +57,6 @@
 //! byte-identical for any `--lanes`/`--threads` combination.
 //!
 //! [`CompiledSim`]: crate::CompiledSim
-//! [`Program`]: crate::sim::compiled::Program
 
 use crate::sim::budget::Budget;
 use crate::sim::compiled::{build_program, decode, encode, make_trace, Cmp, Micro, Program};
@@ -869,7 +868,7 @@ impl BatchedSim {
     /// tapes plus a histogram of contiguous eligible-run lengths (index
     /// = run length, value = count). Shows how much Bool logic the tape
     /// holds and how fragmented it is — a large eligible count with all
-    /// runs shorter than [`MIN_WORD_RUN`] means the scheduler (not the
+    /// runs shorter than `MIN_WORD_RUN` means the scheduler (not the
     /// classifier) is what limits word coverage.
     pub fn word_eligibility(&self) -> (usize, usize, Vec<usize>) {
         let mut eligible = 0usize;

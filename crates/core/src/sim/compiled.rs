@@ -549,10 +549,7 @@ pub(crate) fn build_program(sys: &System, level: OptLevel) -> Result<Program, Co
             .collect();
         let mut out_slots = Vec::new();
         for (p, decl) in inst.outputs.iter().enumerate() {
-            let net = sys.nets.iter().position(|n| {
-                    matches!(n.source, NetSource::UntimedOut { inst: i2, port } if i2 == u && port == p)
-                });
-            let slot = match net {
+            let slot = match sys.untimed_output_net(u, p) {
                 Some(n) => b.net_slot[n],
                 None => b.alloc(decl.ty.zero()),
             };

@@ -98,10 +98,6 @@ pub struct InterpSim {
     /// Per timed inst without an FSM: every SFG, precomputed so phase 0
     /// borrows the list instead of allocating it each cycle.
     all_sfgs: Vec<Vec<crate::comp::SfgRef>>,
-    /// Per timed inst, per output port: the driven net, if any.
-    out_net: Vec<Vec<Option<usize>>>,
-    /// Per untimed inst, per output port: the driven net, if any.
-    untimed_out_net: Vec<Vec<Option<usize>>>,
     scratch: StepScratch,
     cycle: u64,
     trace: Option<Trace>,
@@ -144,23 +140,6 @@ impl InterpSim {
             .map(|t| EvalCache::new(t.comp.nodes.len()))
             .collect();
         let all_sfgs = sys.timed.iter().map(|t| t.comp.all_sfg_refs()).collect();
-        let mut out_net: Vec<Vec<Option<usize>>> = sys
-            .timed
-            .iter()
-            .map(|t| vec![None; t.comp.outputs.len()])
-            .collect();
-        let mut untimed_out_net: Vec<Vec<Option<usize>>> = sys
-            .untimed
-            .iter()
-            .map(|u| vec![None; u.outputs.len()])
-            .collect();
-        for (i, net) in sys.nets.iter().enumerate() {
-            match net.source {
-                NetSource::TimedOut { inst, port } => out_net[inst][port] = Some(i),
-                NetSource::UntimedOut { inst, port } => untimed_out_net[inst][port] = Some(i),
-                _ => {}
-            }
-        }
         let fresh_at_start: Vec<bool> = sys
             .nets
             .iter()
@@ -182,8 +161,6 @@ impl InterpSim {
             states,
             caches,
             all_sfgs,
-            out_net,
-            untimed_out_net,
             scratch: StepScratch::default(),
             cycle: 0,
             trace: None,
@@ -518,7 +495,7 @@ impl Simulator for InterpSim {
             }
             for (p, d) in driven.iter().enumerate() {
                 if !d {
-                    if let Some(net) = self.out_net[i][p] {
+                    if let Some(net) = sys.timed_output_net(i, p) {
                         fresh[net] = true; // held value
                     }
                 }
@@ -565,7 +542,7 @@ impl Simulator for InterpSim {
                     )?;
                     match pend.target {
                         Target::Out { port, .. } => {
-                            if let Some(net) = self.out_net[pend.inst][port] {
+                            if let Some(net) = sys.timed_output_net(pend.inst, port) {
                                 nets[net] = v;
                                 fresh[net] = true;
                             }
@@ -592,7 +569,8 @@ impl Simulator for InterpSim {
                 }
                 in_buf.clear();
                 in_buf.extend(in_nets.iter().map(|n| nets[*n]));
-                let out_nets = &self.untimed_out_net[u];
+                let first = sys.out_base[sys.timed.len() + u];
+                let out_nets = &sys.out_net[first..first + inst.outputs.len()];
                 out_buf.clear();
                 out_buf.extend(
                     out_nets

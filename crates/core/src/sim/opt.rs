@@ -5,7 +5,7 @@
 //! elimination named among the semantic checks feeding it (§5). This
 //! module is that optimisation step for [`crate::CompiledSim`]: it runs
 //! after topological sorting and before micro-op lowering, over the
-//! generic [`Instr`] tape, so every pass sees the same slot-typed SSA-like
+//! generic `Instr` tape, so every pass sees the same slot-typed SSA-like
 //! program the monomorphiser sees.
 //!
 //! Passes, in order (see `DESIGN.md` §9):

@@ -143,6 +143,12 @@ pub struct System {
     pub(crate) timed_in_net: Vec<Vec<usize>>,
     /// Per untimed instance and input port: the driving net.
     pub(crate) untimed_in_net: Vec<Vec<usize>>,
+    /// Per output port, the timed instances' ports first and then the
+    /// untimed ones': the driven net, if any.
+    pub(crate) out_net: Vec<Option<usize>>,
+    /// Per instance, timed then untimed: its first port's index in
+    /// `out_net`.
+    pub(crate) out_base: Vec<usize>,
 }
 
 impl System {
@@ -168,6 +174,38 @@ impl System {
     /// The net driving an untimed instance's input port.
     pub fn untimed_input_net(&self, inst: usize, port: usize) -> usize {
         self.untimed_in_net[inst][port]
+    }
+
+    /// The net a timed instance's output port drives; `None` when no
+    /// input or primary output reads the port.
+    pub fn timed_output_net(&self, inst: usize, port: usize) -> Option<usize> {
+        self.out_net[self.out_base[inst] + port]
+    }
+
+    /// The net an untimed instance's output port drives; `None` when no
+    /// input or primary output reads the port.
+    pub fn untimed_output_net(&self, inst: usize, port: usize) -> Option<usize> {
+        self.out_net[self.out_base[self.timed.len() + inst] + port]
+    }
+
+    /// The input ports of timed instance `inst` that an FSM transition
+    /// guard reads through a register, sorted: those feeding a guard and
+    /// driven by neither a primary input nor a constant.
+    ///
+    /// The cycle scheduler evaluates guards before any component drives
+    /// its outputs, so a guard sees an internally driven input as it was
+    /// last cycle, while a primary input or a tie-off is already stable.
+    /// Every RT-level and gate-level model reproduces that by sampling
+    /// exactly these ports into a held register.
+    pub fn guard_held_inputs(&self, inst: usize) -> Vec<usize> {
+        let mut ports = self.timed[inst].comp.guard_inputs();
+        ports.retain(|&p| {
+            !matches!(
+                self.nets[self.timed_in_net[inst][p]].source,
+                NetSource::PrimaryInput(_) | NetSource::Constant(_)
+            )
+        });
+        ports
     }
 
     /// Total number of gates-of-state: registers plus FSM state bits,
@@ -495,6 +533,24 @@ impl SystemBuilder {
             })
             .collect();
 
+        let port_counts = (self.timed.iter().map(|t| t.comp.outputs.len()))
+            .chain(self.untimed.iter().map(|u| u.outputs.len()));
+        let mut out_base = Vec::with_capacity(self.timed.len() + self.untimed.len());
+        let mut n_ports = 0;
+        for n in port_counts {
+            out_base.push(n_ports);
+            n_ports += n;
+        }
+        let mut out_net = vec![None; n_ports];
+        for (i, net) in nets.iter().enumerate() {
+            let slot = match net.source {
+                NetSource::TimedOut { inst, port } => out_base[inst] + port,
+                NetSource::UntimedOut { inst, port } => out_base[self.timed.len() + inst] + port,
+                _ => continue,
+            };
+            out_net[slot] = Some(i);
+        }
+
         Ok(System {
             name: self.name,
             timed: self.timed,
@@ -504,6 +560,8 @@ impl SystemBuilder {
             primary_outputs,
             timed_in_net,
             untimed_in_net,
+            out_net,
+            out_base,
         })
     }
 

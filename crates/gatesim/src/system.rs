@@ -114,12 +114,14 @@ impl std::fmt::Debug for GateSystemSim {
 
 impl GateSystemSim {
     /// Synthesizes every timed component and assembles the flat netlist.
+    /// Each instance samples the inputs [`System::guard_held_inputs`]
+    /// names into held flip-flops for its guards, and no other input.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::CheckFailed`] wrapping synthesis errors
     /// (float signals).
-    pub fn new(sys: System, options: &SynthOptions) -> Result<GateSystemSim, CoreError> {
+    pub fn new(mut sys: System, options: &SynthOptions) -> Result<GateSystemSim, CoreError> {
         let mut flat = Netlist::new();
 
         // One bus of wires per net.
@@ -132,18 +134,7 @@ impl GateSystemSim {
         let mut area = 0.0;
 
         for (ti, t) in sys.timed.iter().enumerate() {
-            // Guard inputs driven by internal nets must be registered.
-            let mut held: Vec<usize> = Vec::new();
-            for (pi, _) in t.comp.inputs.iter().enumerate() {
-                let net = sys.timed_input_net(ti, pi);
-                let internal = !matches!(
-                    sys.nets[net].source,
-                    NetSource::PrimaryInput(_) | NetSource::Constant(_)
-                );
-                if internal {
-                    held.push(pi);
-                }
-            }
+            let held = sys.guard_held_inputs(ti);
             let cn = synthesize_with_held(&t.comp, options, &held).map_err(|e| {
                 CoreError::CheckFailed {
                     diagnostics: vec![e.to_string()],
@@ -192,10 +183,7 @@ impl GateSystemSim {
             }
             // Connect output port buses to their nets with buffers.
             for (pi, p) in t.comp.outputs.iter().enumerate() {
-                let Some(net) = sys.nets.iter().position(|n| {
-                    matches!(n.source, NetSource::TimedOut { inst, port }
-                        if inst == ti && port == pi)
-                }) else {
+                let Some(net) = sys.timed_output_net(ti, pi) else {
                     continue;
                 };
                 let bus = local
@@ -210,27 +198,6 @@ impl GateSystemSim {
                 }
             }
         }
-
-        // Untimed block plumbing.
-        let in_nets: Vec<Vec<usize>> = (0..sys.untimed.len())
-            .map(|ui| {
-                (0..sys.untimed[ui].inputs.len())
-                    .map(|pi| sys.untimed_input_net(ui, pi))
-                    .collect()
-            })
-            .collect();
-        let out_nets: Vec<Vec<Option<usize>>> = (0..sys.untimed.len())
-            .map(|ui| {
-                (0..sys.untimed[ui].outputs.len())
-                    .map(|pi| {
-                        sys.nets.iter().position(|n| {
-                            matches!(n.source, NetSource::UntimedOut { inst, port }
-                                if inst == ui && port == pi)
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
 
         let inputs: Vec<(String, SigType, Vec<WireId>)> = sys
             .primary_inputs
@@ -253,17 +220,18 @@ impl GateSystemSim {
             .collect();
 
         let mut untimed = Vec::new();
-        for (ui, inst) in sys.untimed.into_iter().enumerate() {
+        for (ui, inst) in std::mem::take(&mut sys.untimed).into_iter().enumerate() {
             let in_tys: Vec<SigType> = inst.inputs.iter().map(|p| p.ty).collect();
             let out_tys: Vec<SigType> = inst.outputs.iter().map(|p| p.ty).collect();
-            let in_wires: Vec<Vec<WireId>> =
-                in_nets[ui].iter().map(|n| net_bus[*n].clone()).collect();
-            let out_wires: Vec<Vec<WireId>> = out_nets[ui]
+            let in_wires: Vec<Vec<WireId>> = (0..in_tys.len())
+                .map(|pi| net_bus[sys.untimed_input_net(ui, pi)].clone())
+                .collect();
+            let out_wires: Vec<Vec<WireId>> = out_tys
                 .iter()
                 .enumerate()
-                .map(|(pi, n)| match n {
-                    Some(n) => net_bus[*n].clone(),
-                    None => flat.wires(out_tys[pi].width() as usize),
+                .map(|(pi, ty)| match sys.untimed_output_net(ui, pi) {
+                    Some(n) => net_bus[n].clone(),
+                    None => flat.wires(ty.width() as usize),
                 })
                 .collect();
             untimed.push(UntimedIo {

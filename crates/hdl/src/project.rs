@@ -7,12 +7,12 @@
 //! compilation order.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use ocapi::{System, Trace};
 
-use crate::{testbench, vhdl, CodegenError};
+use crate::ident;
+use crate::{testbench, verilog, vhdl, CodegenError};
 
 /// The files a project write produced, in compilation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,115 +22,39 @@ pub struct ProjectManifest {
 }
 
 /// Writes the complete VHDL project for `sys` into `dir` (created if
-/// missing). When a recorded `trace` is given, a self-checking testbench
-/// is included.
+/// missing): the support package, one file per distinct component, the
+/// structural top level and, when a recorded `trace` is given, a
+/// self-checking testbench.
 ///
 /// # Errors
 ///
-/// Returns [`CodegenError`] for generation failures; I/O errors are
-/// wrapped in [`CodegenError::Io`].
+/// Returns [`CodegenError`] for generation failures, including
+/// [`CodegenError::HeldGuardConflict`] when instances of one component
+/// disagree on which guard inputs are held; I/O errors are wrapped in
+/// [`CodegenError::Io`].
 pub fn write_vhdl_project(
     sys: &System,
     trace: Option<&Trace>,
     dir: &Path,
 ) -> Result<ProjectManifest, CodegenError> {
-    fs::create_dir_all(dir).map_err(io_err)?;
-    let mut files = Vec::new();
-
-    let emit = |name: &str, contents: &str, files: &mut Vec<String>| -> Result<(), CodegenError> {
-        let path = dir.join(name);
-        let mut f = fs::File::create(path).map_err(io_err)?;
-        f.write_all(contents.as_bytes()).map_err(io_err)?;
-        files.push(name.to_owned());
-        Ok(())
-    };
-
-    emit("ocapi_pkg.vhd", &vhdl::package_source(), &mut files)?;
-
-    // One file per distinct component. Held-port info depends on what
-    // drives each *instance's* pins, so it is derived per instance and
-    // merged: for ports outside every guard cone the union of held sets
-    // is safe (held-ness only suppresses an unused output registration),
-    // but a guard samples either the pin or its held copy, so all
-    // instances of a component must agree on the held-ness of each
-    // guard-feeding port — disagreement is a typed error.
-    let mut order: Vec<&str> = Vec::new();
-    let mut merged: std::collections::HashMap<&str, (&ocapi::Component, Vec<usize>, Vec<usize>)> =
-        std::collections::HashMap::new();
-    for (ti, t) in sys.timed.iter().enumerate() {
-        let held: Vec<usize> = (0..t.comp.inputs.len())
-            .filter(|&pi| {
-                let net = sys.timed_input_net(ti, pi);
-                !matches!(
-                    sys.nets[net].source,
-                    ocapi::NetSource::PrimaryInput(_) | ocapi::NetSource::Constant(_)
-                )
-            })
-            .collect();
-        let gports = guard_ports(&t.comp);
-        let guard_held: Vec<usize> = held
-            .iter()
-            .copied()
-            .filter(|pi| gports.contains(pi))
-            .collect();
-        match merged.get_mut(t.comp.name.as_str()) {
-            None => {
-                order.push(&t.comp.name);
-                merged.insert(&t.comp.name, (&t.comp, held, guard_held));
-            }
-            Some((comp, union, first_guard_held)) => {
-                if *first_guard_held != guard_held {
-                    let pi = first_guard_held
-                        .iter()
-                        .chain(&guard_held)
-                        .copied()
-                        .find(|p| first_guard_held.contains(p) != guard_held.contains(p))
-                        .unwrap_or(0);
-                    return Err(CodegenError::HeldGuardConflict {
-                        component: comp.name.clone(),
-                        port: comp
-                            .inputs
-                            .get(pi)
-                            .map(|p| p.name.clone())
-                            .unwrap_or_default(),
-                    });
-                }
-                for pi in held {
-                    if let Err(at) = union.binary_search(&pi) {
-                        union.insert(at, pi);
-                    }
-                }
-            }
-        }
+    let mut files = vec![("ocapi_pkg.vhd".to_owned(), vhdl::package_source())];
+    for (comp, held) in crate::components(sys)? {
+        files.push((
+            format!("{}.vhd", ident::vhdl(&comp.name)),
+            vhdl::component_source_with_held(comp, &held)?,
+        ));
     }
-    for name in order {
-        let (comp, held, _) = &merged[name];
-        let src = vhdl::component_source_with_held(comp, held)?;
-        emit(
-            &format!("{}.vhd", crate::ident::vhdl(name)),
-            &src,
-            &mut files,
-        )?;
-    }
-
-    emit(
-        &format!("{}_top.vhd", crate::ident::vhdl(&sys.name)),
-        &vhdl::system_source_top_only(sys)?,
-        &mut files,
-    )?;
-
+    files.push((
+        format!("{}_top.vhd", ident::vhdl(&sys.name)),
+        vhdl::system_source_top_only(sys),
+    ));
     if let Some(trace) = trace {
-        emit(
-            &format!("{}_tb.vhd", crate::ident::vhdl(&sys.name)),
-            &testbench::vhdl_testbench(&sys.name, trace)?,
-            &mut files,
-        )?;
+        files.push((
+            format!("{}_tb.vhd", ident::vhdl(&sys.name)),
+            testbench::vhdl_testbench(&sys.name, trace)?,
+        ));
     }
-
-    let list = files.join("\n") + "\n";
-    emit("files.lst", &list, &mut files)?;
-    files.pop(); // files.lst does not list itself
-    Ok(ProjectManifest { files })
+    write_project(dir, files)
 }
 
 /// Writes the complete Verilog project for `sys` into `dir` (created if
@@ -138,58 +62,42 @@ pub fn write_vhdl_project(
 ///
 /// # Errors
 ///
-/// Returns [`CodegenError`] for generation failures; I/O errors are
-/// wrapped in [`CodegenError::Io`].
+/// As [`write_vhdl_project`].
 pub fn write_verilog_project(
     sys: &System,
     trace: Option<&Trace>,
     dir: &Path,
 ) -> Result<ProjectManifest, CodegenError> {
-    fs::create_dir_all(dir).map_err(io_err)?;
-    let mut files = Vec::new();
-    let emit = |name: &str, contents: &str, files: &mut Vec<String>| -> Result<(), CodegenError> {
-        let path = dir.join(name);
-        let mut f = fs::File::create(path).map_err(io_err)?;
-        f.write_all(contents.as_bytes()).map_err(io_err)?;
-        files.push(name.to_owned());
-        Ok(())
-    };
-    emit(
-        &format!("{}.v", crate::ident::verilog(&sys.name)),
-        &crate::verilog::system_source(sys)?,
-        &mut files,
-    )?;
+    let mut files = vec![(
+        format!("{}.v", ident::verilog(&sys.name)),
+        verilog::system_source(sys)?,
+    )];
     if let Some(trace) = trace {
-        emit(
-            &format!("{}_tb.v", crate::ident::verilog(&sys.name)),
-            &testbench::verilog_testbench(&sys.name, trace)?,
-            &mut files,
-        )?;
+        files.push((
+            format!("{}_tb.v", ident::verilog(&sys.name)),
+            testbench::verilog_testbench(&sys.name, trace)?,
+        ));
     }
-    let list = files.join("\n") + "\n";
-    emit("files.lst", &list, &mut files)?;
-    files.pop();
-    Ok(ProjectManifest { files })
+    write_project(dir, files)
 }
 
-/// The sorted, deduplicated set of input-port indices feeding any FSM
-/// transition guard of `comp`.
-fn guard_ports(comp: &ocapi::Component) -> Vec<usize> {
-    let mut ports: Vec<usize> = comp
-        .fsm
-        .iter()
-        .flat_map(|f| f.transitions.iter().filter_map(|t| t.guard))
-        .flat_map(|g| comp.input_deps(g).iter().map(|&p| p as usize))
-        .collect();
-    ports.sort_unstable();
-    ports.dedup();
-    ports
-}
-
-fn io_err(e: std::io::Error) -> CodegenError {
-    CodegenError::Io {
+/// Writes `files` (name, contents) into `dir`, then a `files.lst` naming
+/// them in order.
+fn write_project(
+    dir: &Path,
+    files: Vec<(String, String)>,
+) -> Result<ProjectManifest, CodegenError> {
+    let io_err = |e: std::io::Error| CodegenError::Io {
         message: e.to_string(),
+    };
+    fs::create_dir_all(dir).map_err(io_err)?;
+    let mut names = Vec::with_capacity(files.len());
+    for (name, contents) in files {
+        fs::write(dir.join(&name), contents).map_err(io_err)?;
+        names.push(name);
     }
+    fs::write(dir.join("files.lst"), names.join("\n") + "\n").map_err(io_err)?;
+    Ok(ProjectManifest { files: names })
 }
 
 #[cfg(test)]
@@ -288,14 +196,17 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("ocapi_conflict_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let err = write_vhdl_project(&sys, None, &dir).expect_err("conflict");
+        let conflict = CodegenError::HeldGuardConflict {
+            component: "gated".to_owned(),
+            port: "go".to_owned(),
+        };
+        assert_eq!(write_vhdl_project(&sys, None, &dir), Err(conflict.clone()));
         assert_eq!(
-            err,
-            CodegenError::HeldGuardConflict {
-                component: "gated".to_owned(),
-                port: "go".to_owned(),
-            }
+            write_verilog_project(&sys, None, &dir),
+            Err(conflict.clone())
         );
+        assert_eq!(vhdl::system_source(&sys), Err(conflict.clone()));
+        assert_eq!(verilog::system_source(&sys), Err(conflict));
         let _ = fs::remove_dir_all(&dir);
     }
 

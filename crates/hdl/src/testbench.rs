@@ -8,44 +8,9 @@
 
 use std::fmt::Write as _;
 
-use ocapi::{SigType, Trace, Value};
+use ocapi::Trace;
 
-use crate::CodegenError;
-
-fn vhdl_ty(t: SigType) -> String {
-    match t {
-        SigType::Bool => "std_logic".to_owned(),
-        SigType::Bits(w) => format!("unsigned({} downto 0)", w - 1),
-        SigType::Fixed(f) => format!("signed({} downto 0)", f.wl() - 1),
-        SigType::Float => "real".to_owned(),
-    }
-}
-
-fn vhdl_lit(v: &Value) -> String {
-    match v {
-        Value::Bool(b) => if *b { "'1'" } else { "'0'" }.to_owned(),
-        Value::Bits { width, bits } => format!("to_unsigned({bits}, {width})"),
-        Value::Fixed(f) => format!("to_signed({}, {})", f.mantissa(), f.format().wl()),
-        Value::Float(x) => format!("{x:?}"),
-    }
-}
-
-fn verilog_lit(v: &Value) -> String {
-    match v {
-        Value::Bool(b) => format!("1'b{}", u8::from(*b)),
-        Value::Bits { width, bits } => format!("{width}'d{bits}"),
-        Value::Fixed(f) => {
-            let m = f.mantissa();
-            let wl = f.format().wl();
-            if m >= 0 {
-                format!("{wl}'sd{m}")
-            } else {
-                format!("-{wl}'sd{}", -m)
-            }
-        }
-        Value::Float(x) => format!("{x:?}"),
-    }
-}
+use crate::{verilog, vhdl, CodegenError};
 
 /// Generates a self-checking VHDL testbench named `<dut>_tb` replaying
 /// the trace against entity `work.<dut>_top`.
@@ -68,7 +33,7 @@ pub fn vhdl_testbench(dut: &str, trace: &Trace) -> Result<String, CodegenError> 
     let _ = writeln!(out, "  signal clk : std_logic := '0';");
     let _ = writeln!(out, "  signal rst : std_logic := '1';");
     for s in &trace.signals {
-        let _ = writeln!(out, "  signal {} : {};", sanitize(&s.name), vhdl_ty(s.ty));
+        let _ = writeln!(out, "  signal {} : {};", sanitize(&s.name), vhdl::ty(s.ty));
     }
     let _ = writeln!(out, "begin");
     let _ = writeln!(out, "  clk <= not clk after 5 ns;");
@@ -92,7 +57,7 @@ pub fn vhdl_testbench(dut: &str, trace: &Trace) -> Result<String, CodegenError> 
                     out,
                     "    {} <= {};",
                     sanitize(&s.name),
-                    vhdl_lit(&s.values[cycle])
+                    vhdl::literal(&s.values[cycle])
                 );
             }
         }
@@ -103,7 +68,7 @@ pub fn vhdl_testbench(dut: &str, trace: &Trace) -> Result<String, CodegenError> 
                     out,
                     "    assert {} = {} report \"cycle {cycle}: {} mismatch\" severity error;",
                     sanitize(&s.name),
-                    vhdl_lit(&s.values[cycle]),
+                    vhdl::literal(&s.values[cycle]),
                     s.name
                 );
             }
@@ -169,7 +134,7 @@ pub fn verilog_testbench(dut: &str, trace: &Trace) -> Result<String, CodegenErro
                     out,
                     "    {} = {};",
                     sanitize(&s.name),
-                    verilog_lit(&s.values[cycle])
+                    verilog::literal(&s.values[cycle])
                 );
             }
         }
@@ -180,7 +145,7 @@ pub fn verilog_testbench(dut: &str, trace: &Trace) -> Result<String, CodegenErro
                 let _ = writeln!(
                     out,
                     "    if ({n} !== {}) begin $display(\"cycle {cycle}: {n} mismatch\"); errors = errors + 1; end",
-                    verilog_lit(&s.values[cycle])
+                    verilog::literal(&s.values[cycle])
                 );
             }
         }

@@ -1,23 +1,23 @@
 //! Verilog-2001 code generation.
 //!
-//! Mirrors the VHDL back-end ([`crate::vhdl`]) with one structural
-//! difference: every expression node is emitted as an explicit wire with
-//! its own continuous assignment. This pins down the width and signedness
-//! of every intermediate result, so Verilog's context-determined sizing
-//! rules cannot diverge from the simulator's semantics.
+//! Mirrors the VHDL back-end ([`crate::vhdl`]): both print the structure
+//! of [`ocapi_rtl::ComponentPlan`], which the RT kernel's lowering builds
+//! from too. This writer's sharing rule differs: every non-leaf node the
+//! plan's cones reach is emitted as an explicit wire with its own
+//! continuous assignment. This pins down the width and signedness of every
+//! intermediate result, so Verilog's context-determined sizing rules
+//! cannot diverge from the simulator's semantics.
 //!
 //! Rounding-mode fidelity note: in generated Verilog, `Truncate` casts are
 //! exact and all other rounding modes are emitted as round-to-nearest
-//! (add-half-then-shift). Bit-exact verification against the simulators is
-//! done through [`ocapi_rtl`]'s direct lowering, not through this text.
-//!
-//! [`ocapi_rtl`]: https://docs.rs/ocapi-rtl
+//! (add-half-then-shift). Bit-exact verification against the simulators
+//! runs on [`ocapi_rtl::RtlSystemSim`], which shares this text's plan but
+//! not its statements; no simulator reads this text back.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use ocapi::{BinOp, Component, NodeId, NodeKind, SigType, System, UnOp, Value};
-use ocapi_fixp::Rounding;
+use ocapi_fixp::{Overflow, Rounding};
 
 use crate::CodegenError;
 
@@ -54,7 +54,7 @@ fn reg_decl(name: &str, t: SigType) -> String {
     }
 }
 
-fn literal(v: &Value) -> String {
+pub(crate) fn literal(v: &Value) -> String {
     match v {
         Value::Bool(b) => format!("1'b{}", u8::from(*b)),
         Value::Bits { width, bits } => format!("{width}'d{bits}"),
@@ -71,54 +71,20 @@ fn literal(v: &Value) -> String {
     }
 }
 
-/// Emits all reachable expression nodes as wires.
+/// Emits expression nodes as wires.
 struct VEmitter<'a> {
     comp: &'a Component,
-    reach: Vec<bool>,
+    /// The Verilog sharing rule: every node the cone computes
+    /// ([`ocapi_rtl::Cone::ops`]) is a wire.
+    ops: &'a [bool],
+    /// Wire-name prefix (`n` for the datapath, `g` for guard cones).
     prefix: &'static str,
-    held_inputs: Vec<bool>,
+    /// Input ports read through their registered (`_held`) copy — the
+    /// held guard inputs, for guard cones.
+    held: &'a [usize],
 }
 
-impl<'a> VEmitter<'a> {
-    fn new(
-        comp: &'a Component,
-        roots: &[NodeId],
-        held_inputs: Vec<bool>,
-        prefix: &'static str,
-    ) -> VEmitter<'a> {
-        let mut reach = vec![false; comp.nodes.len()];
-        let mut stack = roots.to_vec();
-        while let Some(n) = stack.pop() {
-            if reach[n.index()] {
-                continue;
-            }
-            reach[n.index()] = true;
-            match &comp.nodes[n.index()].kind {
-                NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::RegRead(_) => {}
-                NodeKind::Un(_, a) => stack.push(*a),
-                NodeKind::Bin(_, a, b) => {
-                    stack.push(*a);
-                    stack.push(*b);
-                }
-                NodeKind::Select {
-                    cond,
-                    then,
-                    otherwise,
-                } => {
-                    stack.push(*cond);
-                    stack.push(*then);
-                    stack.push(*otherwise);
-                }
-            }
-        }
-        VEmitter {
-            comp,
-            reach,
-            prefix,
-            held_inputs,
-        }
-    }
-
+impl VEmitter<'_> {
     /// The name an expression is available under.
     fn name(&self, id: NodeId) -> String {
         let node = &self.comp.nodes[id.index()];
@@ -126,7 +92,7 @@ impl<'a> VEmitter<'a> {
             NodeKind::Const(v) => literal(v),
             NodeKind::Input(p) => {
                 let n = sanitize(&self.comp.inputs[p.index()].name);
-                if self.held_inputs[p.index()] {
+                if self.held.contains(&p.index()) {
                     format!("{n}_held")
                 } else {
                     n
@@ -137,13 +103,12 @@ impl<'a> VEmitter<'a> {
         }
     }
 
-    /// Emits the wire definitions for every reachable operation node.
+    /// Emits the wire definitions for every node the cone computes.
     fn emit(&self, out: &mut String) {
         for (i, node) in self.comp.nodes.iter().enumerate() {
-            if !self.reach[i] {
+            if !self.ops[i] {
                 continue;
             }
-            let id = NodeId::from_index(i);
             let nm = format!("{}{}", self.prefix, i);
             match &node.kind {
                 NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::RegRead(_) => {}
@@ -164,8 +129,16 @@ impl<'a> VEmitter<'a> {
                     );
                 }
             }
-            let _ = id;
         }
+    }
+
+    /// The value of the first selected SFG's driver, else `default`.
+    fn select(&self, drivers: &[(usize, NodeId)], default: &str) -> String {
+        let mut rhs = String::new();
+        for (si, node) in drivers {
+            let _ = write!(rhs, "sel[{si}] ? {} : ", self.name(*node));
+        }
+        rhs + default
     }
 
     fn emit_un(&self, out: &mut String, nm: &str, op: UnOp, a: NodeId, out_ty: SigType) {
@@ -188,8 +161,9 @@ impl<'a> VEmitter<'a> {
             UnOp::Slice { lo, width: w } => {
                 let _ = writeln!(out, "  {decl} = {x}[{}:{}];", lo + w - 1, lo);
             }
-            UnOp::ToFixed(fmt, rnd, _ovf) => {
-                // widen -> round -> shift -> saturate (see module docs).
+            UnOp::ToFixed(fmt, rnd, ovf) => {
+                // widen -> round -> shift -> saturate or wrap (see module
+                // docs).
                 let src = match a_ty {
                     SigType::Fixed(sf) => sf,
                     _ => fmt, // floats rejected before emission
@@ -215,14 +189,16 @@ impl<'a> VEmitter<'a> {
                 let _ = writeln!(out, "  wire signed [{}:0] {nm}_s = {shifted};", w1 - 1);
                 let wl = fmt.wl();
                 let max = fmt.max_mantissa();
-                let min = fmt.min_mantissa();
-                let _ = writeln!(
-                    out,
-                    "  {decl} = ({nm}_s > {w1}'sd{max}) ? {wl}'sd{max} : \
-({nm}_s < -{w1}'sd{mn}) ? -{wl}'sd{mn} : {nm}_s[{h}:0];",
-                    mn = -min,
-                    h = wl - 1
-                );
+                let mn = -fmt.min_mantissa();
+                let h = wl - 1;
+                let _ = match ovf {
+                    Overflow::Saturate => writeln!(
+                        out,
+                        "  {decl} = ({nm}_s > {w1}'sd{max}) ? {wl}'sd{max} : \
+({nm}_s < -{w1}'sd{mn}) ? -{wl}'sd{mn} : {nm}_s[{h}:0];"
+                    ),
+                    Overflow::Wrap => writeln!(out, "  {decl} = {nm}_s[{h}:0];"),
+                };
             }
             UnOp::ToBits(_) => {
                 let _ = writeln!(out, "  {decl} = {x};");
@@ -324,7 +300,7 @@ impl<'a> VEmitter<'a> {
 }
 
 /// Generates a behavioural Verilog model for a RAM/ROM block.
-pub fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
+pub(crate) fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
     let mut out = String::new();
     let name = sanitize(name);
     let w = width(spec.word);
@@ -366,18 +342,6 @@ fn sanitize(name: &str) -> String {
     crate::ident::verilog(name)
 }
 
-fn check_no_floats(comp: &Component) -> Result<(), CodegenError> {
-    if comp.nodes.iter().any(|n| n.ty == SigType::Float)
-        || comp.inputs.iter().any(|p| p.ty == SigType::Float)
-        || comp.outputs.iter().any(|p| p.ty == SigType::Float)
-    {
-        return Err(CodegenError::FloatNotSynthesizable {
-            component: comp.name.clone(),
-        });
-    }
-    Ok(())
-}
-
 /// Generates the Verilog module for one timed component. Guard-input
 /// registration follows the same rules as [`crate::vhdl::component_source`].
 ///
@@ -400,7 +364,7 @@ pub fn component_source_with_held(
     comp: &Component,
     held_ports: &[usize],
 ) -> Result<String, CodegenError> {
-    check_no_floats(comp)?;
+    let (plan, held) = crate::plan(comp, held_ports)?;
     let mut out = String::new();
     let name = sanitize(&comp.name);
     let _ = writeln!(out, "module {name} (");
@@ -436,39 +400,22 @@ pub fn component_source_with_held(
     let _ = writeln!(out, "\n);");
 
     let n_sfgs = comp.sfgs.len();
-    let roots: Vec<NodeId> = comp
-        .sfgs
-        .iter()
-        .flat_map(|s| {
-            s.outputs
-                .iter()
-                .map(|(_, n)| *n)
-                .chain(s.reg_writes.iter().map(|(_, n)| *n))
-        })
-        .collect();
-    let dp = VEmitter::new(comp, &roots, vec![false; comp.inputs.len()], "n");
-    let guard_roots: Vec<NodeId> = comp
-        .fsm
-        .iter()
-        .flat_map(|f| f.transitions.iter().filter_map(|t| t.guard))
-        .collect();
-    let mut held = vec![false; comp.inputs.len()];
-    for p in held_ports {
-        held[*p] = true;
-    }
-    let guards = VEmitter::new(comp, &guard_roots, held, "g");
-
-    let mut guard_inputs: Vec<usize> = guard_roots
-        .iter()
-        .flat_map(|g| comp.input_deps(*g).iter().map(|p| *p as usize))
-        .filter(|p| held_ports.contains(p))
-        .collect();
-    guard_inputs.sort_unstable();
-    guard_inputs.dedup();
+    let dp = VEmitter {
+        comp,
+        ops: &plan.datapath.ops,
+        prefix: "n",
+        held: &[],
+    };
+    let guards = VEmitter {
+        comp,
+        ops: &plan.guards.ops,
+        prefix: "g",
+        held: &held,
+    };
 
     // State encoding and controller.
     if let Some(fsm) = &comp.fsm {
-        let sb = (fsm.states.len().next_power_of_two().trailing_zeros()).max(1);
+        let sb = plan.state_bits;
         for (i, s) in fsm.states.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -489,7 +436,7 @@ pub fn component_source_with_held(
         let n = sanitize(&p.name);
         let _ = writeln!(out, "  {};", reg_decl(&format!("{n}_hold"), p.ty));
     }
-    for p in &guard_inputs {
+    for p in &held {
         let d = &comp.inputs[*p];
         let _ = writeln!(
             out,
@@ -567,31 +514,15 @@ pub fn component_source_with_held(
 
     // Output and register muxes.
     let _ = writeln!(out, "\n  // output and register selection");
-    for (pi, p) in comp.outputs.iter().enumerate() {
+    for (p, drivers) in comp.outputs.iter().zip(&plan.output_drivers) {
         let n = sanitize(&p.name);
-        let mut rhs = String::new();
-        for (si, sfg) in comp.sfgs.iter().enumerate() {
-            for (port, node) in &sfg.outputs {
-                if port.index() == pi {
-                    let _ = write!(rhs, "sel[{si}] ? {} : ", dp.name(*node));
-                }
-            }
-        }
-        let _ = write!(rhs, "{n}_hold");
+        let rhs = dp.select(drivers, &format!("{n}_hold"));
         let _ = writeln!(out, "  {} = {rhs};", wire_decl(&format!("{n}_int"), p.ty));
         let _ = writeln!(out, "  assign {n} = {n}_int;");
     }
-    for (ri, r) in comp.regs.iter().enumerate() {
+    for (r, drivers) in comp.regs.iter().zip(&plan.reg_drivers) {
         let n = sanitize(&r.name);
-        let mut rhs = String::new();
-        for (si, sfg) in comp.sfgs.iter().enumerate() {
-            for (reg, node) in &sfg.reg_writes {
-                if reg.index() == ri {
-                    let _ = write!(rhs, "sel[{si}] ? {} : ", dp.name(*node));
-                }
-            }
-        }
-        let _ = write!(rhs, "{n}_r");
+        let rhs = dp.select(drivers, &format!("{n}_r"));
         let _ = writeln!(out, "  {} = {rhs};", wire_decl(&format!("{n}_next"), r.ty));
     }
 
@@ -616,7 +547,7 @@ pub fn component_source_with_held(
     for p in &comp.outputs {
         let _ = writeln!(out, "      {}_hold <= 0;", sanitize(&p.name));
     }
-    for p in &guard_inputs {
+    for p in &held {
         let _ = writeln!(out, "      {}_held <= 0;", sanitize(&comp.inputs[*p].name));
     }
     let _ = writeln!(out, "    end else begin");
@@ -631,7 +562,7 @@ pub fn component_source_with_held(
         let n = sanitize(&p.name);
         let _ = writeln!(out, "      {n}_hold <= {n}_int;");
     }
-    for p in &guard_inputs {
+    for p in &held {
         let n = sanitize(&comp.inputs[*p].name);
         let _ = writeln!(out, "      {n}_held <= {n};");
     }
@@ -649,40 +580,18 @@ pub fn component_source_with_held(
 /// # Errors
 ///
 /// Returns [`CodegenError::FloatNotSynthesizable`] if any component uses
-/// float signals.
+/// float signals, and [`CodegenError::HeldGuardConflict`] if instances of
+/// one component disagree on which guard inputs are held.
 pub fn system_source(sys: &System) -> Result<String, CodegenError> {
     let mut out = String::new();
-    let mut held: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (ti, t) in sys.timed.iter().enumerate() {
-        let entry = held.entry(t.comp.name.as_str()).or_default();
-        for (pi, _) in t.comp.inputs.iter().enumerate() {
-            let net = sys.timed_input_net(ti, pi);
-            let internal = !matches!(
-                sys.nets[net].source,
-                ocapi::NetSource::PrimaryInput(_) | ocapi::NetSource::Constant(_)
-            );
-            if internal && !entry.contains(&pi) {
-                entry.push(pi);
-            }
-        }
-    }
-    let mut seen: HashMap<&str, ()> = HashMap::new();
-    for t in &sys.timed {
-        if seen.insert(t.comp.name.as_str(), ()).is_none() {
-            let held_ports = held.get(t.comp.name.as_str()).cloned().unwrap_or_default();
-            out.push_str(&component_source_with_held(&t.comp, &held_ports)?);
-            out.push('\n');
-        }
+    for (comp, held) in crate::components(sys)? {
+        out.push_str(&component_source_with_held(comp, &held)?);
+        out.push('\n');
     }
     // Behavioural models for memory blocks.
-    let mut seen_mem: HashMap<String, ()> = HashMap::new();
-    for u in &sys.untimed {
-        if let Some(spec) = u.block.memory_spec() {
-            if seen_mem.insert(u.block.name().to_owned(), ()).is_none() {
-                out.push_str(&memory_model(u.block.name(), &spec));
-                out.push('\n');
-            }
-        }
+    for (name, spec) in crate::memories(sys) {
+        out.push_str(&memory_model(name, &spec));
+        out.push('\n');
     }
     let name = sanitize(&sys.name);
     let _ = writeln!(out, "module {name}_top (");
@@ -748,11 +657,7 @@ pub fn system_source(sys: &System) -> Result<String, CodegenError> {
             let _ = write!(out, ",\n    .{}(net{net})", sanitize(&p.name));
         }
         for (pi, p) in t.comp.outputs.iter().enumerate() {
-            let net = sys
-                .nets
-                .iter()
-                .position(|n| matches!(n.source, ocapi::NetSource::TimedOut { inst, port } if inst == ti && port == pi));
-            match net {
+            match sys.timed_output_net(ti, pi) {
                 Some(net) => {
                     let _ = write!(out, ",\n    .{}(net{net})", sanitize(&p.name));
                 }
@@ -792,12 +697,8 @@ pub fn system_source(sys: &System) -> Result<String, CodegenError> {
             first = false;
         }
         for (pi, p) in u.outputs.iter().enumerate() {
-            let net = sys
-                .nets
-                .iter()
-                .position(|n| matches!(n.source, ocapi::NetSource::UntimedOut { inst, port } if inst == ui && port == pi));
             let sep = if first { "    " } else { ",\n    " };
-            match net {
+            match sys.untimed_output_net(ui, pi) {
                 Some(net) => {
                     let _ = write!(out, "{sep}.{}(net{net})", sanitize(&p.name));
                 }

@@ -10,21 +10,26 @@
 //! * a **sequential** process committing state, registers and output-hold
 //!   values on the rising clock edge.
 //!
-//! FSM guards read *registered* copies of the input ports ("the conditions
-//! are stored in registers inside the signal flow graphs", §3) which makes
-//! the generated hardware cycle-exact with both simulators.
+//! The structure comes from [`ocapi_rtl::ComponentPlan`], which the RT
+//! kernel's lowering builds from too. This writer gives a cone node its
+//! own signal when it is a non-leaf node used twice or any select.
+//!
+//! FSM guards read *registered* copies of the inputs that
+//! [`System::guard_held_inputs`] names ("the conditions are stored in
+//! registers inside the signal flow graphs", §3), which makes the
+//! generated hardware cycle-exact with both simulators.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use ocapi::{BinOp, UnOp};
 use ocapi::{Component, NodeId, NodeKind, SigType, System, Value};
 use ocapi_fixp::{Overflow, Rounding};
+use ocapi_rtl::Cone;
 
 use crate::CodegenError;
 
 /// The support package with fixed-point helpers, emitted once per design.
-pub fn package_source() -> String {
+pub(crate) fn package_source() -> String {
     r#"library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -72,7 +77,7 @@ end package body;
     .to_owned()
 }
 
-fn ty(t: SigType) -> String {
+pub(crate) fn ty(t: SigType) -> String {
     match t {
         SigType::Bool => "std_logic".to_owned(),
         SigType::Bits(w) => format!("unsigned({} downto 0)", w - 1),
@@ -89,7 +94,7 @@ fn zero(t: SigType) -> String {
     }
 }
 
-fn literal(v: &Value) -> String {
+pub(crate) fn literal(v: &Value) -> String {
     match v {
         Value::Bool(b) => if *b { "'1'" } else { "'0'" }.to_owned(),
         Value::Bits { width, bits } => format!("to_unsigned({bits}, {width})"),
@@ -111,72 +116,34 @@ struct Emitter<'a> {
     comp: &'a Component,
     /// Nodes that get their own signal + concurrent assignment.
     shared: Vec<bool>,
-    /// Per input port: whether reads refer to the registered (`_held`)
-    /// copy — used for FSM guard cones on internally-driven inputs.
-    held_inputs: Vec<bool>,
+    /// Input ports read through their registered (`_held`) copy — the
+    /// held guard inputs, for guard cones.
+    held: &'a [usize],
     /// Signal-name prefix (`n` for the datapath, `g` for guard cones).
     prefix: &'static str,
 }
 
 impl<'a> Emitter<'a> {
+    /// The VHDL sharing rule: a non-leaf node used twice, or any select,
+    /// gets its own signal.
     fn new(
         comp: &'a Component,
-        roots: &[NodeId],
-        held_inputs: Vec<bool>,
+        cone: &Cone,
+        held: &'a [usize],
         prefix: &'static str,
     ) -> Emitter<'a> {
-        // Count uses among the reachable cone; nodes used more than once,
-        // and all Select nodes, become explicit signals.
-        let mut uses = vec![0u32; comp.nodes.len()];
-        let mut reach = vec![false; comp.nodes.len()];
-        let mut stack: Vec<NodeId> = roots.to_vec();
-        for r in roots {
-            uses[r.index()] += 1;
-        }
-        while let Some(n) = stack.pop() {
-            if reach[n.index()] {
-                continue;
-            }
-            reach[n.index()] = true;
-            let visit = |c: NodeId, uses: &mut Vec<u32>, stack: &mut Vec<NodeId>| {
-                uses[c.index()] += 1;
-                stack.push(c);
-            };
-            match &comp.nodes[n.index()].kind {
-                NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::RegRead(_) => {}
-                NodeKind::Un(_, a) => visit(*a, &mut uses, &mut stack),
-                NodeKind::Bin(_, a, b) => {
-                    visit(*a, &mut uses, &mut stack);
-                    visit(*b, &mut uses, &mut stack);
-                }
-                NodeKind::Select {
-                    cond,
-                    then,
-                    otherwise,
-                } => {
-                    visit(*cond, &mut uses, &mut stack);
-                    visit(*then, &mut uses, &mut stack);
-                    visit(*otherwise, &mut uses, &mut stack);
-                }
-            }
-        }
         let shared = comp
             .nodes
             .iter()
             .enumerate()
             .map(|(i, node)| {
-                reach[i]
-                    && match node.kind {
-                        NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::RegRead(_) => false,
-                        NodeKind::Select { .. } => true,
-                        _ => uses[i] > 1,
-                    }
+                cone.ops[i] && (cone.uses[i] > 1 || matches!(node.kind, NodeKind::Select { .. }))
             })
             .collect();
         Emitter {
             comp,
             shared,
-            held_inputs,
+            held,
             prefix,
         }
     }
@@ -202,7 +169,7 @@ impl<'a> Emitter<'a> {
             NodeKind::Const(v) => literal(v),
             NodeKind::Input(p) => {
                 let name = sanitize(&self.comp.inputs[p.index()].name);
-                if self.held_inputs[p.index()] {
+                if self.held.contains(&p.index()) {
                     format!("{name}_held")
                 } else {
                     name
@@ -355,6 +322,15 @@ impl<'a> Emitter<'a> {
         }
     }
 
+    /// The value of the first selected SFG's driver, else `default`.
+    fn select(&self, drivers: &[(usize, NodeId)], default: &str) -> String {
+        let mut rhs = String::new();
+        for (si, node) in drivers {
+            let _ = write!(rhs, "{} when sel({si}) = '1' else ", self.expr(*node));
+        }
+        rhs + default
+    }
+
     fn shared_declarations(&self, out: &mut String) {
         for (i, node) in self.comp.nodes.iter().enumerate() {
             if self.shared[i] {
@@ -373,25 +349,13 @@ fn sanitize(name: &str) -> String {
     crate::ident::vhdl(name)
 }
 
-fn check_no_floats(comp: &Component) -> Result<(), CodegenError> {
-    if comp.nodes.iter().any(|n| n.ty == SigType::Float)
-        || comp.inputs.iter().any(|p| p.ty == SigType::Float)
-        || comp.outputs.iter().any(|p| p.ty == SigType::Float)
-    {
-        return Err(CodegenError::FloatNotSynthesizable {
-            component: comp.name.clone(),
-        });
-    }
-    Ok(())
-}
-
 /// Generates the VHDL entity and architecture for one timed component.
 ///
 /// FSM guards sample input ports directly (external pins are stable at
 /// the cycle start, like the DECT `hold_request` pin). When an input that
 /// feeds a guard is driven by another component's combinational output,
-/// pass its index in `held_ports` so the guard reads a registered copy —
-/// [`system_source`] derives this automatically from the topology. This
+/// pass its index in `held_ports` so the guard reads a registered copy;
+/// [`system_source`] passes [`System::guard_held_inputs`]. This
 /// reproduces the cycle scheduler's phase-0 semantics exactly.
 ///
 /// # Errors
@@ -413,7 +377,7 @@ pub fn component_source_with_held(
     comp: &Component,
     held_ports: &[usize],
 ) -> Result<String, CodegenError> {
-    check_no_floats(comp)?;
+    let (plan, held) = crate::plan(comp, held_ports)?;
     let mut out = String::new();
     let name = sanitize(&comp.name);
 
@@ -437,39 +401,8 @@ pub fn component_source_with_held(
 
     let n_sfgs = comp.sfgs.len();
 
-    // Main datapath roots: all SFG assignments.
-    let roots: Vec<NodeId> = comp
-        .sfgs
-        .iter()
-        .flat_map(|s| {
-            s.outputs
-                .iter()
-                .map(|(_, n)| *n)
-                .chain(s.reg_writes.iter().map(|(_, n)| *n))
-        })
-        .collect();
-    let dp = Emitter::new(comp, &roots, vec![false; comp.inputs.len()], "n");
-
-    // Guard cones (held-input variant).
-    let guard_roots: Vec<NodeId> = comp
-        .fsm
-        .iter()
-        .flat_map(|f| f.transitions.iter().filter_map(|t| t.guard))
-        .collect();
-    let mut held = vec![false; comp.inputs.len()];
-    for p in held_ports {
-        held[*p] = true;
-    }
-    let guards = Emitter::new(comp, &guard_roots, held, "g");
-
-    // Which guard-feeding inputs need held registers?
-    let mut guard_inputs: Vec<usize> = guard_roots
-        .iter()
-        .flat_map(|g| comp.input_deps(*g).iter().map(|p| *p as usize))
-        .filter(|p| held_ports.contains(p))
-        .collect();
-    guard_inputs.sort_unstable();
-    guard_inputs.dedup();
+    let dp = Emitter::new(comp, &plan.datapath, &[], "n");
+    let guards = Emitter::new(comp, &plan.guards, &held, "g");
 
     // Declarations.
     if let Some(fsm) = &comp.fsm {
@@ -496,7 +429,7 @@ pub fn component_source_with_held(
         let n = sanitize(&p.name);
         let _ = writeln!(out, "  signal {n}_int, {n}_hold : {};", ty(p.ty));
     }
-    for p in &guard_inputs {
+    for p in &held {
         let decl = &comp.inputs[*p];
         let _ = writeln!(
             out,
@@ -586,39 +519,15 @@ pub fn component_source_with_held(
     dp.shared_assignments(&mut out);
 
     // Output and register selection muxes.
-    for (pi, p) in comp.outputs.iter().enumerate() {
+    for (p, drivers) in comp.outputs.iter().zip(&plan.output_drivers) {
         let n = sanitize(&p.name);
-        let mut drivers: Vec<(usize, NodeId)> = Vec::new();
-        for (si, sfg) in comp.sfgs.iter().enumerate() {
-            for (port, node) in &sfg.outputs {
-                if port.index() == pi {
-                    drivers.push((si, *node));
-                }
-            }
-        }
-        let mut rhs = String::new();
-        for (si, node) in &drivers {
-            let _ = write!(rhs, "{} when sel({si}) = '1' else ", dp.expr(*node));
-        }
-        let _ = write!(rhs, "{n}_hold");
+        let rhs = dp.select(drivers, &format!("{n}_hold"));
         let _ = writeln!(out, "  {n}_int <= {rhs};");
         let _ = writeln!(out, "  {n} <= {n}_int;");
     }
-    for (ri, r) in comp.regs.iter().enumerate() {
+    for (r, drivers) in comp.regs.iter().zip(&plan.reg_drivers) {
         let n = sanitize(&r.name);
-        let mut drivers: Vec<(usize, NodeId)> = Vec::new();
-        for (si, sfg) in comp.sfgs.iter().enumerate() {
-            for (reg, node) in &sfg.reg_writes {
-                if reg.index() == ri {
-                    drivers.push((si, *node));
-                }
-            }
-        }
-        let mut rhs = String::new();
-        for (si, node) in &drivers {
-            let _ = write!(rhs, "{} when sel({si}) = '1' else ", dp.expr(*node));
-        }
-        let _ = write!(rhs, "{n}_r");
+        let rhs = dp.select(drivers, &format!("{n}_r"));
         let _ = writeln!(out, "  {n}_next <= {rhs};");
     }
 
@@ -646,7 +555,7 @@ pub fn component_source_with_held(
     for p in &comp.outputs {
         let _ = writeln!(out, "        {}_hold <= {};", sanitize(&p.name), zero(p.ty));
     }
-    for p in &guard_inputs {
+    for p in &held {
         let decl = &comp.inputs[*p];
         let _ = writeln!(
             out,
@@ -667,7 +576,7 @@ pub fn component_source_with_held(
         let n = sanitize(&p.name);
         let _ = writeln!(out, "        {n}_hold <= {n}_int;");
     }
-    for p in &guard_inputs {
+    for p in &held {
         let n = sanitize(&comp.inputs[*p].name);
         let _ = writeln!(out, "        {n}_held <= {n};");
     }
@@ -685,52 +594,28 @@ pub fn component_source_with_held(
 /// # Errors
 ///
 /// Returns [`CodegenError::FloatNotSynthesizable`] if any component uses
-/// float signals.
+/// float signals, and [`CodegenError::HeldGuardConflict`] if instances of
+/// one component disagree on which guard inputs are held.
 pub fn system_source(sys: &System) -> Result<String, CodegenError> {
     let mut out = package_source();
     out.push('\n');
-    // Guard inputs driven by non-primary nets must be registered; take
-    // the union over all instances of a component.
-    let mut held: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (ti, t) in sys.timed.iter().enumerate() {
-        let entry = held.entry(t.comp.name.as_str()).or_default();
-        for (pi, _) in t.comp.inputs.iter().enumerate() {
-            let net = sys.timed_input_net(ti, pi);
-            let internal = !matches!(
-                sys.nets[net].source,
-                ocapi::NetSource::PrimaryInput(_) | ocapi::NetSource::Constant(_)
-            );
-            if internal && !entry.contains(&pi) {
-                entry.push(pi);
-            }
-        }
-    }
-    let mut seen: HashMap<&str, ()> = HashMap::new();
-    for t in &sys.timed {
-        if seen.insert(t.comp.name.as_str(), ()).is_none() {
-            let held_ports = held.get(t.comp.name.as_str()).cloned().unwrap_or_default();
-            out.push_str(&component_source_with_held(&t.comp, &held_ports)?);
-            out.push('\n');
-        }
+    for (comp, held) in crate::components(sys)? {
+        out.push_str(&component_source_with_held(comp, &held)?);
+        out.push('\n');
     }
     // Behavioural models for memory blocks (generated, not hand-written).
-    let mut seen_mem: HashMap<String, ()> = HashMap::new();
-    for u in &sys.untimed {
-        if let Some(spec) = u.block.memory_spec() {
-            if seen_mem.insert(u.block.name().to_owned(), ()).is_none() {
-                out.push_str(&memory_model(u.block.name(), &spec));
-                out.push('\n');
-            }
-        }
+    for (name, spec) in crate::memories(sys) {
+        out.push_str(&memory_model(name, &spec));
+        out.push('\n');
     }
-    out.push_str(&system_source_top_only(sys)?);
+    out.push_str(&system_source_top_only(sys));
     Ok(out)
 }
 
 /// Generates a behavioural VHDL model for a RAM/ROM block: asynchronous
 /// read, write on the rising clock edge (matching the cycle scheduler's
 /// "write visible from the next firing" semantics).
-pub fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
+pub(crate) fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
     let mut out = String::new();
     let name = sanitize(name);
     let word_ty = ty(spec.word);
@@ -798,12 +683,7 @@ pub fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
 /// Generates only the structural top-level entity of a system (the
 /// per-component entities and the package are emitted separately by
 /// [`crate::project::write_vhdl_project`]).
-///
-/// # Errors
-///
-/// Currently infallible; returns `Result` for parity with the other
-/// generators.
-pub fn system_source_top_only(sys: &System) -> Result<String, CodegenError> {
+pub(crate) fn system_source_top_only(sys: &System) -> String {
     let mut out = String::new();
     // Top level.
     let name = sanitize(&sys.name);
@@ -888,11 +768,7 @@ pub fn system_source_top_only(sys: &System) -> Result<String, CodegenError> {
             let _ = write!(out, ",\n      {} => net{net}", sanitize(&p.name));
         }
         for (pi, p) in t.comp.outputs.iter().enumerate() {
-            let net = sys
-                .nets
-                .iter()
-                .position(|n| matches!(n.source, ocapi::NetSource::TimedOut { inst, port } if inst == ti && port == pi));
-            match net {
+            match sys.timed_output_net(ti, pi) {
                 Some(net) => {
                     let _ = write!(out, ",\n      {} => net{net}", sanitize(&p.name));
                 }
@@ -933,12 +809,8 @@ pub fn system_source_top_only(sys: &System) -> Result<String, CodegenError> {
             first = false;
         }
         for (pi, p) in u.outputs.iter().enumerate() {
-            let net = sys
-                .nets
-                .iter()
-                .position(|n| matches!(n.source, ocapi::NetSource::UntimedOut { inst, port } if inst == ui && port == pi));
             let sep = if first { "      " } else { ",\n      " };
-            match net {
+            match sys.untimed_output_net(ui, pi) {
                 Some(net) => {
                     let _ = write!(out, "{sep}{} => net{net}", sanitize(&p.name));
                 }
@@ -954,5 +826,5 @@ pub fn system_source_top_only(sys: &System) -> Result<String, CodegenError> {
         let _ = writeln!(out, "  {} <= net{};", sanitize(&p.name), p.net);
     }
     let _ = writeln!(out, "end architecture;");
-    Ok(out)
+    out
 }

@@ -196,6 +196,37 @@ fn fixed_point_emission() {
 }
 
 #[test]
+fn verilog_casts_clamp_only_when_saturating() {
+    use ocapi::{Format, Overflow, Rounding};
+    let fmt = Format::new(8, 4).unwrap();
+    let cast = |ovf| {
+        let c = Component::build("cast");
+        let a = c.input("a", SigType::Fixed(fmt)).unwrap();
+        let o = c.output("o", SigType::Fixed(fmt)).unwrap();
+        let s = c.sfg("s").unwrap();
+        let sq = (c.read(a) * c.read(a)).to_fixed(fmt, Rounding::Nearest, ovf);
+        s.drive(o, &sq).unwrap();
+        verilog::component_source(&c.finish().unwrap()).unwrap()
+    };
+    // The cast wire: `wire signed [7:0] nK = ...;`, after its helper
+    // wires `nK_w`, `nK_q` and `nK_s`.
+    let cast_line = |src: &str| {
+        src.lines()
+            .find(|l| l.starts_with("  wire signed [7:0] n") && l.ends_with("_s[7:0];"))
+            .map(str::to_owned)
+            .unwrap_or_else(|| panic!("no cast wire in\n{src}"))
+    };
+    let sat = cast_line(&cast(Overflow::Saturate));
+    assert!(sat.contains("_s > 17'sd127) ? 8'sd127 : "), "{sat}");
+    assert!(sat.contains("_s < -17'sd128) ? -8'sd128 : "), "{sat}");
+    let wrap = cast_line(&cast(Overflow::Wrap));
+    assert!(
+        !wrap.contains('?'),
+        "a wrapping cast keeps the low bits: {wrap}"
+    );
+}
+
+#[test]
 fn testbenches_replay_trace() {
     let mut sim = InterpSim::new(fig4_system()).unwrap();
     sim.enable_trace();

@@ -4,6 +4,12 @@
 //! declarations, combinational processes with sensitivity lists,
 //! clock-edge processes, and behavioural "extern" processes for untimed
 //! blocks (the hand-supplied RAM/ROM models of the original flow).
+//!
+//! An [`RtlDesign`] is flat: one copy of every process per instance,
+//! states encoded as `Bits`, and selects inlined into expressions. The HDL
+//! writers print one entity per component with enumerated states, so
+//! they print from the per-component [`crate::ComponentPlan`] that this
+//! design is lowered from, not from this IR.
 
 use ocapi::{BinOp, SigType, UnOp, UntimedBlock, Value};
 

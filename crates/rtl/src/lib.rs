@@ -8,9 +8,15 @@
 //! the VHDL but do not ship a commercial simulator, this crate *is* the
 //! RT-level baseline: a faithful event-driven kernel — signals, processes,
 //! sensitivity lists, delta cycles — plus a lowering that turns a captured
-//! [`ocapi::System`] into exactly the process structure of the generated
-//! VHDL (controller process, datapath assignments, sequential process,
+//! [`ocapi::System`] into the process structure of the generated VHDL
+//! (controller process, datapath assignments, sequential process,
 //! output-hold and guard-hold registers).
+//!
+//! That structure is derived once per component, by [`ComponentPlan`]:
+//! the datapath and guard cones with their use counts, the drivers of
+//! every output port and register, and the state encoding. The lowering
+//! here and both HDL writers of `ocapi-hdl` read it, and each applies its
+//! own rule for which cone nodes become named signals.
 //!
 //! The kernel is a genuine event-driven engine, not a throttled cycle
 //! simulator: work per cycle is proportional to signal *activity*, every
@@ -47,8 +53,10 @@ mod error;
 mod ir;
 mod kernel;
 mod lower;
+mod plan;
 
 pub use error::RtlError;
 pub use ir::{Expr, Process, ProcessBody, RtlDesign, SignalDecl, SignalId, Stmt, Trigger};
 pub use kernel::{KernelStats, RtlSim};
 pub use lower::RtlSystemSim;
+pub use plan::{ComponentPlan, Cone};

@@ -1,12 +1,13 @@
 //! Lowering a captured [`ocapi::System`] to the event-driven RTL kernel.
 //!
-//! The lowering produces exactly the process structure of the generated
-//! VHDL (see `ocapi-hdl`): per timed component a controller process,
-//! per-shared-node datapath assignments, output/register selection
-//! processes, and one rising-edge process; untimed blocks become
-//! behavioural "extern" processes sensitive to their inputs. FSM guards
-//! read registered copies of internally-driven inputs and direct values of
-//! external pins, which reproduces the cycle scheduler's phase-0 semantics
+//! The lowering produces the process structure of the generated VHDL (see
+//! `ocapi-hdl`) from the same [`ComponentPlan`]: per timed component a
+//! controller process, one process per shared node (a non-leaf node used
+//! twice), output/register selection processes, and one rising-edge
+//! process; untimed blocks become behavioural "extern" processes
+//! sensitive to their inputs. FSM guards read registered copies of the
+//! inputs [`System::guard_held_inputs`] names and direct values of the
+//! rest, which reproduces the cycle scheduler's phase-0 semantics
 //! event-accurately — the `rtl_matches_core` tests assert cycle-for-cycle
 //! equality against both core simulators.
 
@@ -17,11 +18,8 @@ use ocapi::{
 
 use crate::ir::{Expr, ProcessBody, RtlDesign, SignalId, Stmt, Trigger};
 use crate::kernel::{KernelStats, RtlSim};
+use crate::plan::{ComponentPlan, Cone};
 use crate::RtlError;
-
-fn state_bits(n_states: usize) -> u32 {
-    (n_states.next_power_of_two().trailing_zeros()).max(1)
-}
 
 /// Per-instance lowering context.
 struct InstLower<'a> {
@@ -79,61 +77,40 @@ impl<'a> InstLower<'a> {
             },
         }
     }
+
+    /// `target` takes the value of the first selected SFG's driver, else
+    /// `default`.
+    fn select(
+        &self,
+        sel: &[SignalId],
+        drivers: &[(usize, NodeId)],
+        target: SignalId,
+        default: SignalId,
+    ) -> Vec<Stmt> {
+        let last = vec![Stmt::Assign(target, Expr::Sig(default))];
+        drivers.iter().rev().fold(last, |chain, (si, node)| {
+            vec![Stmt::If {
+                cond: Expr::Sig(sel[*si]),
+                then: vec![Stmt::Assign(target, self.expr_of(*node, false))],
+                otherwise: chain,
+            }]
+        })
+    }
 }
 
-fn mark_shared(comp: &Component, roots: &[NodeId]) -> Vec<bool> {
-    let mut uses = vec![0u32; comp.nodes.len()];
-    let mut reach = vec![false; comp.nodes.len()];
-    let mut stack = roots.to_vec();
-    for r in roots {
-        uses[r.index()] += 1;
+/// Adds a combinational process sensitive to every signal `body` reads.
+fn comb_process(d: &mut RtlDesign, name: &str, body: Vec<Stmt>) {
+    let mut sensitivity = Vec::new();
+    for s in &body {
+        s.support(&mut sensitivity);
     }
-    while let Some(n) = stack.pop() {
-        if reach[n.index()] {
-            continue;
-        }
-        reach[n.index()] = true;
-        let mut visit = |c: NodeId| {
-            uses[c.index()] += 1;
-        };
-        match &comp.nodes[n.index()].kind {
-            NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::RegRead(_) => {}
-            NodeKind::Un(_, a) => {
-                visit(*a);
-                stack.push(*a);
-            }
-            NodeKind::Bin(_, a, b) => {
-                visit(*a);
-                visit(*b);
-                stack.push(*a);
-                stack.push(*b);
-            }
-            NodeKind::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                visit(*cond);
-                visit(*then);
-                visit(*otherwise);
-                stack.push(*cond);
-                stack.push(*then);
-                stack.push(*otherwise);
-            }
-        }
-    }
-    comp.nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| {
-            reach[i]
-                && uses[i] > 1
-                && !matches!(
-                    n.kind,
-                    NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::RegRead(_)
-                )
-        })
-        .collect()
+    sensitivity.sort_by_key(|s| s.index());
+    sensitivity.dedup();
+    d.process(
+        name,
+        Trigger::Signals(sensitivity),
+        ProcessBody::Stmts(body),
+    );
 }
 
 /// Lowers a system to an RTL design plus bookkeeping for the testbench.
@@ -143,7 +120,7 @@ struct Lowered {
     net_sig: Vec<SignalId>,
 }
 
-fn lower(sys: System) -> Lowered {
+fn lower(mut sys: System) -> Lowered {
     let mut d = RtlDesign::new(&sys.name);
     let clk = d.signal("clk", SigType::Bool, Value::Bool(false));
 
@@ -162,6 +139,7 @@ fn lower(sys: System) -> Lowered {
 
     for (ti, t) in sys.timed.iter().enumerate() {
         let comp = &t.comp;
+        let plan = ComponentPlan::new(comp);
         let prefix = &t.name;
         let n_sfgs = comp.sfgs.len();
 
@@ -182,31 +160,14 @@ fn lower(sys: System) -> Lowered {
             .map(|pi| net_sig[sys.timed_input_net(ti, pi)])
             .collect();
 
-        // Guard reads: a held register for internally-driven inputs.
-        let guard_roots: Vec<NodeId> = comp
-            .fsm
-            .iter()
-            .flat_map(|f| f.transitions.iter().filter_map(|t| t.guard))
-            .collect();
-        let mut needs_held = vec![false; comp.inputs.len()];
-        for g in &guard_roots {
-            for p in comp.input_deps(*g) {
-                let net = sys.timed_input_net(ti, *p as usize);
-                let internal = !matches!(
-                    sys.nets[net].source,
-                    NetSource::PrimaryInput(_) | NetSource::Constant(_)
-                );
-                if internal {
-                    needs_held[*p as usize] = true;
-                }
-            }
-        }
+        // Guard reads: a held register for each guard-held input.
+        let held = sys.guard_held_inputs(ti);
         let guard_input: Vec<SignalId> = comp
             .inputs
             .iter()
             .enumerate()
             .map(|(pi, p)| {
-                if needs_held[pi] {
+                if held.contains(&pi) {
                     d.signal(&format!("{prefix}.{}_held", p.name), p.ty, p.ty.zero())
                 } else {
                     input_expr[pi]
@@ -225,26 +186,15 @@ fn lower(sys: System) -> Lowered {
             })
             .collect();
 
-        // Shared datapath/guard node signals.
-        let dp_roots: Vec<NodeId> = comp
-            .sfgs
-            .iter()
-            .flat_map(|s| {
-                s.outputs
-                    .iter()
-                    .map(|(_, n)| *n)
-                    .chain(s.reg_writes.iter().map(|(_, n)| *n))
-            })
-            .collect();
-        let shared = mark_shared(comp, &dp_roots);
-        let guard_shared = mark_shared(comp, &guard_roots);
+        // Shared datapath/guard node signals: a non-leaf node used twice.
+        let shared = |cone: &Cone, i: usize| cone.ops[i] && cone.uses[i] > 1;
         let mut node_sig: Vec<Option<SignalId>> = vec![None; comp.nodes.len()];
         let mut guard_sig: Vec<Option<SignalId>> = vec![None; comp.nodes.len()];
         for (i, node) in comp.nodes.iter().enumerate() {
-            if shared[i] {
+            if shared(&plan.datapath, i) {
                 node_sig[i] = Some(d.signal(&format!("{prefix}.n{i}"), node.ty, node.ty.zero()));
             }
-            if guard_shared[i] {
+            if shared(&plan.guards, i) {
                 guard_sig[i] = Some(d.signal(&format!("{prefix}.g{i}"), node.ty, node.ty.zero()));
             }
         }
@@ -284,7 +234,7 @@ fn lower(sys: System) -> Lowered {
 
         // Controller.
         let (state, state_next) = if let Some(fsm) = &comp.fsm {
-            let sb = state_bits(fsm.states.len());
+            let sb = plan.state_bits;
             let init = Value::bits(sb, fsm.initial.index() as u64);
             let state = d.signal(&format!("{prefix}.state"), SigType::Bits(sb), init);
             let state_next = d.signal(&format!("{prefix}.state_next"), SigType::Bits(sb), init);
@@ -332,17 +282,7 @@ fn lower(sys: System) -> Lowered {
                 }];
             }
             body.extend(case);
-            let mut sensitivity = Vec::new();
-            for s in &body {
-                s.support(&mut sensitivity);
-            }
-            sensitivity.sort_by_key(|s| s.index());
-            sensitivity.dedup();
-            d.process(
-                &format!("{prefix}.ctrl"),
-                Trigger::Signals(sensitivity),
-                ProcessBody::Stmts(body),
-            );
+            comb_process(&mut d, &format!("{prefix}.ctrl"), body);
             (Some(state), Some(state_next))
         } else {
             (None, None)
@@ -352,87 +292,29 @@ fn lower(sys: System) -> Lowered {
         let mut out_hold: Vec<Option<SignalId>> = vec![None; comp.outputs.len()];
         let mut out_int: Vec<Option<SignalId>> = vec![None; comp.outputs.len()];
         for (pi, p) in comp.outputs.iter().enumerate() {
-            let drivers: Vec<(usize, NodeId)> = comp
-                .sfgs
-                .iter()
-                .enumerate()
-                .flat_map(|(si, sfg)| {
-                    sfg.outputs
-                        .iter()
-                        .filter(|(port, _)| port.index() == pi)
-                        .map(move |(_, n)| (si, *n))
-                })
-                .collect();
+            let drivers = &plan.output_drivers[pi];
             if drivers.is_empty() {
                 continue;
             }
-            let net = sys.nets.iter().position(|n| {
-                matches!(n.source, NetSource::TimedOut { inst, port } if inst == ti && port == pi)
-            });
-            let int = match net {
+            let int = match sys.timed_output_net(ti, pi) {
                 Some(n) => net_sig[n],
                 None => d.signal(&format!("{prefix}.{}_int", p.name), p.ty, p.ty.zero()),
             };
             let hold = d.signal(&format!("{prefix}.{}_hold", p.name), p.ty, p.ty.zero());
             out_int[pi] = Some(int);
             out_hold[pi] = Some(hold);
-
-            let mut chain: Vec<Stmt> = vec![Stmt::Assign(int, Expr::Sig(hold))];
-            for (si, node) in drivers.iter().rev() {
-                chain = vec![Stmt::If {
-                    cond: Expr::Sig(sel[*si]),
-                    then: vec![Stmt::Assign(int, il.expr_of(*node, false))],
-                    otherwise: chain,
-                }];
-            }
-            let mut sensitivity = Vec::new();
-            for s in &chain {
-                s.support(&mut sensitivity);
-            }
-            sensitivity.sort_by_key(|s| s.index());
-            sensitivity.dedup();
-            d.process(
-                &format!("{prefix}.{}_mux", p.name),
-                Trigger::Signals(sensitivity),
-                ProcessBody::Stmts(chain),
-            );
+            let chain = il.select(&sel, drivers, int, hold);
+            comb_process(&mut d, &format!("{prefix}.{}_mux", p.name), chain);
         }
 
         // Register next-value selection.
         for (ri, r) in comp.regs.iter().enumerate() {
-            let drivers: Vec<(usize, NodeId)> = comp
-                .sfgs
-                .iter()
-                .enumerate()
-                .flat_map(|(si, sfg)| {
-                    sfg.reg_writes
-                        .iter()
-                        .filter(|(reg, _)| reg.index() == ri)
-                        .map(move |(_, n)| (si, *n))
-                })
-                .collect();
+            let drivers = &plan.reg_drivers[ri];
             if drivers.is_empty() {
                 continue;
             }
-            let mut chain: Vec<Stmt> = vec![Stmt::Assign(reg_next[ri], Expr::Sig(reg_r[ri]))];
-            for (si, node) in drivers.iter().rev() {
-                chain = vec![Stmt::If {
-                    cond: Expr::Sig(sel[*si]),
-                    then: vec![Stmt::Assign(reg_next[ri], il.expr_of(*node, false))],
-                    otherwise: chain,
-                }];
-            }
-            let mut sensitivity = Vec::new();
-            for s in &chain {
-                s.support(&mut sensitivity);
-            }
-            sensitivity.sort_by_key(|s| s.index());
-            sensitivity.dedup();
-            d.process(
-                &format!("{prefix}.{}_nx", r.name),
-                Trigger::Signals(sensitivity),
-                ProcessBody::Stmts(chain),
-            );
+            let chain = il.select(&sel, drivers, reg_next[ri], reg_r[ri]);
+            comb_process(&mut d, &format!("{prefix}.{}_nx", r.name), chain);
         }
 
         // Sequential process.
@@ -448,13 +330,11 @@ fn lower(sys: System) -> Lowered {
                 seq.push(Stmt::Assign(h, Expr::Sig(i)));
             }
         }
-        for (pi, held) in needs_held.iter().enumerate() {
-            if *held {
-                seq.push(Stmt::Assign(
-                    il.guard_input[pi],
-                    Expr::Sig(il.input_expr[pi]),
-                ));
-            }
+        for &pi in &held {
+            seq.push(Stmt::Assign(
+                il.guard_input[pi],
+                Expr::Sig(il.input_expr[pi]),
+            ));
         }
         if !seq.is_empty() {
             d.process(
@@ -471,37 +351,17 @@ fn lower(sys: System) -> Lowered {
     // (event-driven semantics). Blocks whose state advances on identical
     // consecutive inputs (e.g. a FIFO pop) would diverge from the cycle
     // scheduler; address/write patterns like the RAM/ROM models are safe.
-    let in_nets: Vec<Vec<usize>> = (0..sys.untimed.len())
-        .map(|ui| {
-            (0..sys.untimed[ui].inputs.len())
-                .map(|pi| sys.untimed_input_net(ui, pi))
-                .collect()
-        })
-        .collect();
-    let out_nets: Vec<Vec<Option<usize>>> = (0..sys.untimed.len())
-        .map(|ui| {
-            (0..sys.untimed[ui].outputs.len())
-                .map(|pi| {
-                    sys.nets.iter().position(|n| {
-                        matches!(n.source, NetSource::UntimedOut { inst, port }
-                            if inst == ui && port == pi)
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    for (ui, inst) in sys.untimed.into_iter().enumerate() {
-        let inputs: Vec<SignalId> = in_nets[ui].iter().map(|n| net_sig[*n]).collect();
-        let outputs: Vec<SignalId> = out_nets[ui]
+    for (ui, inst) in std::mem::take(&mut sys.untimed).into_iter().enumerate() {
+        let inputs: Vec<SignalId> = (0..inst.inputs.len())
+            .map(|pi| net_sig[sys.untimed_input_net(ui, pi)])
+            .collect();
+        let outputs: Vec<SignalId> = inst
+            .outputs
             .iter()
             .enumerate()
-            .map(|(pi, n)| match n {
-                Some(n) => net_sig[*n],
-                None => d.signal(
-                    &format!("{}.out{pi}", inst.block.name()),
-                    inst.outputs[pi].ty,
-                    inst.outputs[pi].ty.zero(),
-                ),
+            .map(|(pi, p)| match sys.untimed_output_net(ui, pi) {
+                Some(n) => net_sig[n],
+                None => d.signal(&format!("{}.out{pi}", inst.block.name()), p.ty, p.ty.zero()),
             })
             .collect();
         let name = format!("{}.beh", inst.block.name());

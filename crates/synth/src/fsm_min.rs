@@ -41,7 +41,7 @@ struct Outcome {
 const MAX_GUARDS: usize = 12;
 
 /// Minimises `fsm`. Machines whose distinct-guard count exceeds
-/// [`MAX_GUARDS`] are returned unchanged (`merged == 0`).
+/// `MAX_GUARDS` (12) are returned unchanged (`merged == 0`).
 ///
 /// ```
 /// use ocapi::{Component, SigType};
