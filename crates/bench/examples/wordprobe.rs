@@ -8,11 +8,17 @@
 //! run below the planner's minimum means the scheduler (not the
 //! classifier) limits coverage.
 //!
+//! It probes 64-lane batches: a one-lane batch runs the scalar tape and
+//! plans nothing, while the plan is the same at every wider lane count.
+//!
 //! `cargo run --release -p ocapi-bench --example wordprobe`
 
-use ocapi::{BatchedSim, OptLevel};
+use ocapi::{BatchedSim, OptLevel, System};
 use ocapi_designs::dect::transceiver::{build_system, TransceiverConfig};
 use ocapi_designs::hcor;
+
+/// Lanes of every probed batch.
+const LANES: usize = 64;
 
 fn probe(label: &str, sim: &BatchedSim) {
     let (eligible, total, hist) = sim.word_eligibility();
@@ -24,22 +30,23 @@ fn probe(label: &str, sim: &BatchedSim) {
 }
 
 fn main() -> Result<(), ocapi::CoreError> {
-    for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
-        let sys = build_system(&TransceiverConfig {
+    let dect = || -> Result<System, ocapi::CoreError> {
+        build_system(&TransceiverConfig {
             train: true,
             agc: false,
             adapt: true,
-        })?;
+        })
+    };
+    for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
         probe(
             &format!("dect {level:?}"),
-            &BatchedSim::new_with(vec![sys], level)?,
+            &BatchedSim::from_fn(LANES, dect, level)?,
         );
     }
     for level in [OptLevel::None, OptLevel::Full] {
-        let sys = hcor::build_system()?;
         probe(
             &format!("hcor {level:?}"),
-            &BatchedSim::new_with(vec![sys], level)?,
+            &BatchedSim::from_fn(LANES, hcor::build_system, level)?,
         );
     }
     Ok(())

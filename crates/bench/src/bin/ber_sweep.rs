@@ -222,9 +222,11 @@ fn run(args: &ocapi_bench::BenchArgs) -> Result<(), BenchError> {
     // Packed word operations executed by the batched sweeps' bitsliced
     // Bool segments (the `batch.word_ops` counter, DESIGN.md §13): a
     // perf-trajectory record of how much of the tape ran word-parallel.
-    // Zero only if every eligible run had a masked lane — the sweeps
+    // It reads 0 at `--lanes 1`: a one-lane batch runs the scalar tape
+    // and plans no word blocks (DESIGN.md §11). At two or more lanes it
+    // is zero only if every eligible run had a masked lane — the sweeps
     // above always include fault-free points, so a vanishing counter
-    // means the word planner regressed.
+    // there means the word planner regressed.
     rep.perf_u64("batch_word_ops", obs.counter("batch.word_ops").get());
     rep.perf_f64(
         "scalar_runs_per_sec",

@@ -41,11 +41,18 @@
 //! `<` → `!a & b`, …). Everything else — multi-bit `Bits` arithmetic,
 //! fixed-point, float, `Drive`/`Fire` — runs on `sim::exec`, the one
 //! micro-op executor [`CompiledSim`] shares (DESIGN.md §10), whose
-//! all-alive instantiation streams 8-wide unrolled stripes. The word
+//! all-alive kernels stream each stripe in 8-lane chunks. The word
 //! path runs only while *no lane is masked*; as soon as any lane dies,
 //! the whole tape runs on the executor's mask-guarded instantiation
 //! instead, so masked-lane freezing semantics are unchanged and results
 //! stay byte-identical either way.
+//!
+//! **One lane** (DESIGN.md §11): a batch of one lane *is* the scalar
+//! engine. It shares the tape's program as [`CompiledSim`] does (no
+//! copy, no word-run clustering, no word plan) and runs every phase on
+//! the executor's one-lane geometry, so it steps as fast as
+//! [`CompiledSim`] while keeping the batch API — lane errors, lane
+//! snapshots, per-lane traces. Its `batch.word_ops` counter reads 0.
 //!
 //! **Seeding contract** (composes with the `sim::par` sharding model,
 //! DESIGN.md §7): batching never introduces randomness of its own. A
@@ -58,9 +65,14 @@
 //!
 //! [`CompiledSim`]: crate::CompiledSim
 
+use std::sync::Arc;
+
 use crate::sim::budget::Budget;
-use crate::sim::compiled::{build_program, decode, encode, make_trace, Cmp, Micro, Program};
-use crate::sim::exec::{self, All, Live, State};
+use crate::sim::compiled::{
+    decode, encode, make_trace, traced_nets, Cmp, Micro, Program, UntimedIo,
+};
+use crate::sim::exec::{self, All, Lanes, Live, One, State};
+use crate::sim::hash::CompiledTape;
 use crate::sim::obs::BatchObs;
 use crate::sim::opt::{OptLevel, OptStats};
 use crate::sim::snapshot::SimSnapshot;
@@ -85,7 +97,9 @@ pub struct BatchedSim {
     /// One system per lane; `systems[0]` is the one the tape was
     /// compiled from, every lane's untimed blocks live in its own copy.
     systems: Vec<System>,
-    prog: Program,
+    /// A one-lane batch shares the tape's program; a wider one runs a
+    /// private copy reordered for the word plan.
+    prog: Arc<Program>,
     lanes: usize,
     /// Lane-major stripes of every lane's state.
     st: State,
@@ -98,7 +112,8 @@ pub struct BatchedSim {
     obs: Option<BatchObs>,
     budget: Budget,
     design_hash: u64,
-    /// Build-time bitslicing plan over both tapes (see module docs).
+    /// Build-time bitslicing plan over both tapes (see module docs);
+    /// empty for a one-lane batch.
     plan: WordPlan,
     /// Packed scratch: the widest block's `locals` × `ceil(lanes/64)`.
     word_scratch: Vec<u64>,
@@ -644,16 +659,19 @@ impl BatchedSim {
     /// single-pass schedule.
     pub fn new_with(systems: Vec<System>, level: OptLevel) -> Result<BatchedSim, CoreError> {
         check_lanes(&systems)?;
-        let prog = build_program(&systems[0], level)?;
-        let design_hash = crate::sim::snapshot::hash_program(&systems[0], &prog);
-        BatchedSim::from_parts(systems, prog, design_hash)
+        // The tape path, minus its structural check: `systems[0]` is
+        // the system just compiled.
+        let tape = CompiledTape::compile(&systems[0], level)?;
+        let design_hash = tape.program_hash();
+        BatchedSim::from_parts(systems, tape.prog, design_hash)
     }
 
-    /// Instantiates a batch from a cached
-    /// [`CompiledTape`](crate::CompiledTape) without recompiling: the
-    /// levelized program is reused (the word-run clustering below still
-    /// runs on this batch's private copy) and only the lane-striped
-    /// mutable state is built fresh. Behaviour and
+    /// Instantiates a batch from a cached [`CompiledTape`] without
+    /// recompiling: the levelized program is reused and only the
+    /// lane-striped mutable state is built fresh. A one-lane batch
+    /// shares the tape's program as it is, like
+    /// [`CompiledSim::from_tape`](crate::CompiledSim::from_tape); a
+    /// wider one clusters word runs in a private copy. Behaviour and
     /// [`BatchedSim::design_hash`] are identical to compiling
     /// `systems[0]` at the tape's level — the warm path of the
     /// simulation service's tape cache.
@@ -663,30 +681,33 @@ impl BatchedSim {
     /// As [`BatchedSim::new_with`], plus [`CoreError::TapeMismatch`]
     /// when `systems[0]` is not structurally the system the tape was
     /// compiled from.
-    pub fn from_tape(
-        systems: Vec<System>,
-        tape: &crate::sim::hash::CompiledTape,
-    ) -> Result<BatchedSim, CoreError> {
+    pub fn from_tape(systems: Vec<System>, tape: &CompiledTape) -> Result<BatchedSim, CoreError> {
         check_lanes(&systems)?;
         tape.check_system(&systems[0])?;
-        BatchedSim::from_parts(systems, (*tape.prog).clone(), tape.program_hash())
+        BatchedSim::from_parts(systems, Arc::clone(&tape.prog), tape.program_hash())
     }
 
     /// Assembles a batch around an already-built program.
     fn from_parts(
         systems: Vec<System>,
-        mut prog: Program,
+        prog: Arc<Program>,
         design_hash: u64,
     ) -> Result<BatchedSim, CoreError> {
-        // Cluster word-eligible ops before planning (and after hashing,
-        // so the reorder never shows in snapshot compatibility). The
-        // reordered tape is the one both the word path and the scalar
-        // fallback execute.
-        let slot_ty = prog.slot_ty.clone();
-        schedule_word_runs(&mut prog.pre_tape, &slot_ty);
-        schedule_word_runs(&mut prog.tape, &slot_ty);
         let lanes = systems.len();
-        let plan = build_word_plan(&prog);
+        let (prog, plan) = if lanes == 1 {
+            // One lane runs the scalar geometry: nothing to bitslice.
+            (prog, WordPlan::default())
+        } else {
+            // Cluster word-eligible ops before planning (and after
+            // hashing, so the reorder never shows in snapshot
+            // compatibility). The reordered tape is the one both the
+            // word path and the masked-lane fallback execute.
+            let mut prog = Arc::unwrap_or_clone(prog);
+            schedule_word_runs(&mut prog.pre_tape, &prog.slot_ty);
+            schedule_word_runs(&mut prog.tape, &prog.slot_ty);
+            let plan = build_word_plan(&prog);
+            (Arc::new(prog), plan)
+        };
         let scratch_len = plan
             .blocks
             .iter()
@@ -853,7 +874,8 @@ impl BatchedSim {
 
     /// Number of bitsliced word blocks the build-time planner carved
     /// out of the two tapes (0 when no run of Bool micro-ops reached
-    /// the minimum length).
+    /// the minimum length, and for a one-lane batch, which plans none).
+    /// The plan does not depend on the lane count otherwise.
     pub fn word_blocks(&self) -> usize {
         self.plan.blocks.len()
     }
@@ -869,7 +891,9 @@ impl BatchedSim {
     /// = run length, value = count). Shows how much Bool logic the tape
     /// holds and how fragmented it is — a large eligible count with all
     /// runs shorter than `MIN_WORD_RUN` means the scheduler (not the
-    /// classifier) is what limits word coverage.
+    /// classifier) is what limits word coverage. A one-lane batch runs
+    /// the tape unclustered, so probe a wider batch for the runs the
+    /// scheduler forms.
     pub fn word_eligibility(&self) -> (usize, usize, Vec<usize>) {
         let mut eligible = 0usize;
         let mut total = 0usize;
@@ -1113,53 +1137,79 @@ impl BatchedSim {
                 op: "batched step with no lanes".to_owned(),
             })
     }
+}
 
-    /// One pass of the selected tape over every live lane. While no
-    /// lane is masked (the overwhelmingly common case) the build-time
-    /// segment plan runs: bitsliced word blocks as packed `u64` ops (up
-    /// to 64 lanes per op), scalar segments on the executor's branch-free
-    /// stripes. Once any lane is masked a packed store could not skip its
-    /// bit, so the whole tape runs on the executor's mask-guarded
-    /// instantiation instead. Returns the packed word operations run.
-    fn tape_pass(&mut self, pre: bool) -> u64 {
-        let (instrs, segments) = if pre {
-            (&self.prog.pre_tape, &self.plan.pre)
-        } else {
-            (&self.prog.tape, &self.plan.tape)
-        };
-        let io = &self.prog.untimed_io;
-        if !self.alive.iter().all(|a| *a) {
-            exec::run(
-                instrs,
-                io,
-                &mut self.st,
-                &mut self.systems,
-                Live(&self.alive),
-            );
-            return 0;
-        }
-        let mut word_ops = 0;
-        for seg in segments {
-            match *seg {
-                Segment::Scalar { start, end } => exec::run(
-                    &instrs[start..end],
-                    io,
-                    &mut self.st,
-                    &mut self.systems,
-                    All(self.lanes),
-                ),
-                Segment::Word(b) => {
-                    word_ops += exec_word_block(
-                        &self.plan.blocks[b as usize],
-                        &mut self.st.slots,
-                        &mut self.word_scratch,
-                        self.lanes,
-                    );
-                }
+/// One pass of `instrs` on geometry `lanes`. With `segments`, the word
+/// plan runs instead: its bitsliced blocks as packed `u64` ops (up to 64
+/// lanes per op), the scalar segments between them on `lanes`. Returns
+/// the packed word operations run.
+fn tape_pass<L: Lanes>(
+    instrs: &[Micro],
+    segments: Option<(&[Segment], &[WordBlock])>,
+    scratch: &mut [u64],
+    io: &[UntimedIo],
+    st: &mut State,
+    systems: &mut [System],
+    lanes: L,
+) -> u64 {
+    let Some((segments, blocks)) = segments else {
+        exec::run(instrs, io, st, systems, lanes);
+        return 0;
+    };
+    let mut word_ops = 0;
+    for seg in segments {
+        match *seg {
+            Segment::Scalar { start, end } => {
+                exec::run(&instrs[start..end], io, st, systems, lanes);
+            }
+            Segment::Word(b) => {
+                word_ops += exec_word_block(&blocks[b as usize], &mut st.slots, scratch, lanes.n());
             }
         }
-        word_ops
     }
+    word_ops
+}
+
+/// One batched cycle on geometry `lanes`, each phase under its span:
+/// guard pre-tape, transition selection, one shared tape pass, register
+/// commit. `plan` is the word plan, given when several lanes are all
+/// live; `scratch` is its packed scratch.
+fn cycle<L: Lanes>(
+    prog: &Program,
+    st: &mut State,
+    systems: &mut [System],
+    lanes: L,
+    plan: Option<&WordPlan>,
+    scratch: &mut [u64],
+    obs: Option<&BatchObs>,
+) {
+    let io = &prog.untimed_io;
+
+    // Guard evaluation over held values.
+    let t = obs.map(|o| o.sp_pre.timer());
+    let pre = plan.map(|p| (&p.pre[..], &p.blocks[..]));
+    let w_pre = tape_pass(&prog.pre_tape, pre, scratch, io, st, systems, lanes);
+    drop(t);
+
+    let t = obs.map(|o| o.sp_select.timer());
+    exec::select(&prog.fsm_tables, st, lanes);
+    drop(t);
+
+    // Main tape: one walk, all lanes.
+    let t = obs.map(|o| o.sp_eval.timer());
+    let main = plan.map(|p| (&p.tape[..], &p.blocks[..]));
+    let w_tape = tape_pass(&prog.tape, main, scratch, io, st, systems, lanes);
+    drop(t);
+    if let Some(o) = obs {
+        o.tape_passes.incr();
+        if w_pre + w_tape > 0 {
+            o.word_ops.add(w_pre + w_tape);
+        }
+    }
+
+    let t = obs.map(|o| o.sp_commit.timer());
+    exec::commit(&prog.reg_writes, st, lanes);
+    drop(t);
 }
 
 impl Simulator for BatchedSim {
@@ -1178,6 +1228,11 @@ impl Simulator for BatchedSim {
 
     /// One batched cycle: guard pre-tape, per-lane transition selection,
     /// one shared tape pass, per-lane register commit, per-lane trace.
+    /// A one-lane batch runs on the scalar geometry of
+    /// [`CompiledSim`](crate::CompiledSim); a wider one on the word plan
+    /// while every lane is live, and mask-guarded once one is not (a
+    /// packed store could not skip a masked lane's bit).
+    ///
     /// A lane whose trace recording fails is masked off (see
     /// [`BatchedSim::fail_lane`]); the step itself only errors once
     /// *every* lane is masked, returning the lowest-indexed lane's
@@ -1190,29 +1245,26 @@ impl Simulator for BatchedSim {
         }
         let c0 = self.cycle;
 
-        // Guard evaluation over held values.
-        let t = self.obs.as_ref().map(|o| o.sp_pre.timer());
-        let w_pre = self.tape_pass(true);
-        drop(t);
-
-        let t = self.obs.as_ref().map(|o| o.sp_select.timer());
-        exec::select(&self.prog.fsm_tables, &mut self.st, Live(&self.alive));
-        drop(t);
-
-        // Main tape: one walk, all lanes.
-        let t = self.obs.as_ref().map(|o| o.sp_eval.timer());
-        let w_tape = self.tape_pass(false);
-        drop(t);
-        if let Some(o) = &self.obs {
-            o.tape_passes.incr();
-            if w_pre + w_tape > 0 {
-                o.word_ops.add(w_pre + w_tape);
-            }
+        let BatchedSim {
+            prog,
+            st,
+            systems,
+            alive,
+            plan,
+            word_scratch,
+            obs,
+            ..
+        } = self;
+        let obs = obs.as_ref();
+        if alive.len() == 1 {
+            // The one lane is live (checked above).
+            cycle(prog, st, systems, One, None, word_scratch, obs);
+        } else if alive.iter().all(|a| *a) {
+            let n = alive.len();
+            cycle(prog, st, systems, All(n), Some(plan), word_scratch, obs);
+        } else {
+            cycle(prog, st, systems, Live(alive), None, word_scratch, obs);
         }
-
-        let t = self.obs.as_ref().map(|o| o.sp_commit.timer());
-        exec::commit(&self.prog.reg_writes, &mut self.st, Live(&self.alive));
-        drop(t);
 
         self.cycle += 1;
 
@@ -1220,22 +1272,16 @@ impl Simulator for BatchedSim {
         let mut failed: Vec<(usize, CoreError)> = Vec::new();
         if let Some(traces) = &mut self.traces {
             let _t_trace = self.obs.as_ref().map(|o| o.sp_trace.timer());
-            let sys = &self.systems[0];
+            let (prog, st, n) = (&self.prog, &self.st, self.lanes);
             for (l, trace) in traces.iter_mut().enumerate() {
                 if !self.alive[l] {
                     continue;
                 }
-                let row: Vec<Value> = sys
-                    .primary_inputs
-                    .iter()
-                    .map(|p| p.net)
-                    .chain(sys.primary_outputs.iter().map(|p| p.net))
-                    .map(|net| {
-                        let sl = self.prog.net_slot[net] as usize;
-                        decode(self.st.slots[sl * self.lanes + l], self.prog.slot_ty[sl])
-                    })
-                    .collect();
-                if let Err(e) = trace.record_cycle(&row) {
+                let row = traced_nets(&self.systems[0]).map(|net| {
+                    let sl = prog.net_slot[net] as usize;
+                    decode(st.slots[sl * n + l], prog.slot_ty[sl])
+                });
+                if let Err(e) = trace.record_cycle(row) {
                     failed.push((l, e));
                 }
             }

@@ -114,18 +114,6 @@ impl Cmp {
             _ => unreachable!("not a comparison"),
         }
     }
-
-    #[inline]
-    pub(crate) fn apply(self, o: std::cmp::Ordering) -> bool {
-        match self {
-            Cmp::Eq => o.is_eq(),
-            Cmp::Ne => o.is_ne(),
-            Cmp::Lt => o.is_lt(),
-            Cmp::Le => o.is_le(),
-            Cmp::Gt => o.is_gt(),
-            Cmp::Ge => o.is_ge(),
-        }
-    }
 }
 
 /// A monomorphised micro-instruction over raw `u64` slots. Its
@@ -673,9 +661,11 @@ impl CompiledSim {
     /// Returns [`CoreError::NotCompilable`] when the conservative
     /// cross-component dependence graph is cyclic.
     pub fn new_with(sys: System, level: OptLevel) -> Result<CompiledSim, CoreError> {
-        let prog = build_program(&sys, level)?;
-        let design_hash = crate::sim::snapshot::hash_program(&sys, &prog);
-        Ok(CompiledSim::from_parts(sys, Arc::new(prog), design_hash))
+        // The tape path, minus its structural check: `sys` is the
+        // system just compiled.
+        let tape = CompiledTape::compile(&sys, level)?;
+        let design_hash = tape.program_hash();
+        Ok(CompiledSim::from_parts(sys, tape.prog, design_hash))
     }
 
     /// Instantiates a simulator from a cached [`CompiledTape`] without
@@ -1019,6 +1009,18 @@ impl Micro {
     }
 }
 
+/// The nets a trace row records, in [`make_trace`]'s signal order:
+/// primary inputs, then primary outputs — as one exact-size iterator,
+/// so a row feeds [`Trace::record_cycle`] without being collected.
+pub(crate) fn traced_nets(sys: &System) -> impl ExactSizeIterator<Item = usize> + '_ {
+    let (ins, outs) = (&sys.primary_inputs, &sys.primary_outputs);
+    (0..ins.len() + outs.len()).map(move |k| match ins.get(k) {
+        Some(p) => p.net,
+        None => outs[k - ins.len()].net,
+    })
+}
+
+/// An empty trace of `sys`'s primary inputs, then its primary outputs.
 pub(crate) fn make_trace(sys: &System) -> Trace {
     Trace::new(
         sys.primary_inputs
@@ -1222,18 +1224,10 @@ impl Simulator for CompiledSim {
         self.cycle += 1;
         if let Some(trace) = &mut self.trace {
             let _t = obs.map(|o| o.sp_trace.timer());
-            let sys = &self.sys;
-            let row: Vec<Value> = sys
-                .primary_inputs
-                .iter()
-                .map(|p| p.net)
-                .chain(sys.primary_outputs.iter().map(|p| p.net))
-                .map(|net| {
-                    let sl = prog.net_slot[net] as usize;
-                    decode(self.st.slots[sl], prog.slot_ty[sl])
-                })
-                .collect();
-            trace.record_cycle(&row)?;
+            trace.record_cycle(traced_nets(&self.sys).map(|net| {
+                let sl = prog.net_slot[net] as usize;
+                decode(self.st.slots[sl], prog.slot_ty[sl])
+            }))?;
         }
 
         if let Some(o) = obs {

@@ -11,26 +11,48 @@
 //!
 //! * [`One`] fixes one lane at compile time, so every stripe offset
 //!   folds away and the scalar instantiation is a plain pass over the
-//!   slot array;
-//! * [`All`] is N lanes with none masked: the per-op lane loop carries
-//!   no branch and streams the stripe eight lanes at a time;
-//! * [`Live`] is N lanes of which some are masked off: every store is
-//!   guarded by the lane mask, so a dead lane's state stays frozen.
+//!   slot array (a one-lane batch runs it too);
+//! * [`All`] is N lanes with none masked;
+//! * [`Live`] is N lanes of which some are masked off: a masked lane is
+//!   neither evaluated nor written, so its state stays frozen.
+//!
+//! **Kernels.** Each op is one call of a fixed-width lane kernel of its
+//! geometry (`map1`/`map2`/`map3` over slot stripes, `copy` between the
+//! slot and register arrays). [`All`]'s kernels walk a stripe in 8-lane
+//! chunks and load every operand chunk before storing the result chunk,
+//! so an op whose destination is also a source stays correct, with one
+//! range check per operand per chunk. Whatever an op's static operands
+//! select is matched once per op, outside the lane loop: the compare
+//! kind, and a cast's shift direction, rounding and overflow mode — a
+//! `CastF` is `Fix::cast`'s exact arithmetic inlined on `i64`s, keeping
+//! `Fix::from_raw`'s mantissa-range assert. `SelectU` is a mask blend.
+//! Only `Fire` and the `Drive` of an FSM instance walk lanes one by one.
+//!
+//! **Static control.** An instance without an FSM runs every SFG every
+//! cycle. Its activation flags are set once, when the [`State`] is
+//! built; transition selection skips it (still counting its firings),
+//! its `Drive`s copy their first candidate, and its register writes
+//! commit as plain stripe copies.
 //!
 //! `BatchedSim` builds its bitsliced Bool word blocks and the
 //! masked-lane fallback on top of [`run`] (see `sim::batch`).
 
-use ocapi_fixp::Fix;
+use std::cmp::Ordering;
+
+use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
 use crate::sim::compiled::{
-    decode, encode, CompiledTransition, Micro, Program, RegWriteSel, UntimedIo,
+    decode, encode, Cmp, CompiledTransition, Micro, Program, RegWriteSel, UntimedIo,
 };
 use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::system::System;
 use crate::value::Value;
 use crate::CoreError;
 
-/// Lane geometry of a striped state vector.
+/// Lane geometry of a striped state vector, and the fixed-width lane
+/// kernels every [`Micro`] op runs through. Stripe `x` of a slot (or
+/// register) array starts at `x * n`; a kernel call computes one op for
+/// every live lane of its stripes.
 pub(crate) trait Lanes: Copy {
     /// Lanes per stripe.
     fn n(self) -> usize;
@@ -38,22 +60,69 @@ pub(crate) trait Lanes: Copy {
     /// Whether lane `l` takes writes.
     fn live(self, l: usize) -> bool;
 
-    /// `s[d + l] = f(s, l)` for every live lane `l` of the stripe at `d`.
+    /// Number of live lanes.
     #[inline(always)]
-    fn each(self, s: &mut [u64], d: usize, f: impl Fn(&[u64], usize) -> u64) {
+    fn live_lanes(self) -> u64 {
+        (0..self.n()).filter(|l| self.live(*l)).count() as u64
+    }
+
+    /// `s[d] = f(s[a])`, stripe-wise, in every live lane.
+    #[inline(always)]
+    fn map1(self, s: &mut [u64], d: u32, a: u32, f: impl Fn(u64) -> u64) {
         let n = self.n();
-        // One range check up front lets the per-lane store checks fold.
-        assert!(d + n <= s.len());
+        let (d, a) = (d as usize * n, a as usize * n);
         for l in 0..n {
             if self.live(l) {
-                let v = f(s, l);
-                s[d + l] = v;
+                s[d + l] = f(s[a + l]);
+            }
+        }
+    }
+
+    /// `s[d] = f(s[a], s[b])`, stripe-wise, in every live lane.
+    #[inline(always)]
+    fn map2(self, s: &mut [u64], d: u32, a: u32, b: u32, f: impl Fn(u64, u64) -> u64) {
+        let n = self.n();
+        let (d, a, b) = (d as usize * n, a as usize * n, b as usize * n);
+        for l in 0..n {
+            if self.live(l) {
+                s[d + l] = f(s[a + l], s[b + l]);
+            }
+        }
+    }
+
+    /// `s[d] = f(s[a], s[b], s[c])`, stripe-wise, in every live lane.
+    #[inline(always)]
+    fn map3(self, s: &mut [u64], d: u32, [a, b, c]: [u32; 3], f: impl Fn(u64, u64, u64) -> u64) {
+        let n = self.n();
+        let (d, a, b, c) = (
+            d as usize * n,
+            a as usize * n,
+            b as usize * n,
+            c as usize * n,
+        );
+        for l in 0..n {
+            if self.live(l) {
+                s[d + l] = f(s[a + l], s[b + l], s[c + l]);
+            }
+        }
+    }
+
+    /// `dst[d] = src[a]`: one stripe copied between two arrays (a
+    /// register read or a register write), in every live lane.
+    #[inline(always)]
+    fn copy(self, dst: &mut [u64], d: u32, src: &[u64], a: u32) {
+        let n = self.n();
+        let (d, a) = (d as usize * n, a as usize * n);
+        for l in 0..n {
+            if self.live(l) {
+                dst[d + l] = src[a + l];
             }
         }
     }
 }
 
 /// One always-live lane, fixed at compile time: the scalar layout.
+/// Every stripe offset folds to the slot index itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct One;
 
@@ -69,9 +138,24 @@ impl Lanes for One {
     }
 }
 
-/// `n` lanes, none of them masked.
+/// `n` lanes, none of them masked. Its kernels stream each stripe in
+/// fixed 8-lane chunks: every operand chunk is loaded (one range check
+/// each) before the destination chunk is stored, so an op whose
+/// destination is also a source stays correct; a scalar tail takes the
+/// last `n % 8` lanes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct All(pub(crate) usize);
+
+/// Lanes per fixed-width chunk of [`All`]'s kernels.
+const CHUNK: usize = 8;
+
+/// The `CHUNK` words of `s` starting at `at`.
+#[inline(always)]
+fn load(s: &[u64], at: usize) -> [u64; CHUNK] {
+    let mut x = [0; CHUNK];
+    x.copy_from_slice(&s[at..at + CHUNK]);
+    x
+}
 
 impl Lanes for All {
     #[inline(always)]
@@ -85,27 +169,72 @@ impl Lanes for All {
     }
 
     #[inline(always)]
-    fn each(self, s: &mut [u64], d: usize, f: impl Fn(&[u64], usize) -> u64) {
+    fn live_lanes(self) -> u64 {
+        self.0 as u64
+    }
+
+    #[inline(always)]
+    fn map1(self, s: &mut [u64], d: u32, a: u32, f: impl Fn(u64) -> u64) {
         let n = self.0;
-        assert!(d + n <= s.len());
-        // Fixed-shape 8-lane chunks the optimizer can keep in registers
-        // and vectorize, then a scalar tail for `n % 8`.
-        let mut base = 0;
-        while base + 8 <= n {
-            for l in base..base + 8 {
-                let v = f(s, l);
-                s[d + l] = v;
-            }
-            base += 8;
+        let (d, a) = (d as usize * n, a as usize * n);
+        let mut l = 0;
+        while l + CHUNK <= n {
+            let x = load(s, a + l);
+            s[d + l..d + l + CHUNK].copy_from_slice(&x.map(&f));
+            l += CHUNK;
         }
-        for l in base..n {
-            let v = f(s, l);
-            s[d + l] = v;
+        for l in l..n {
+            s[d + l] = f(s[a + l]);
         }
+    }
+
+    #[inline(always)]
+    fn map2(self, s: &mut [u64], d: u32, a: u32, b: u32, f: impl Fn(u64, u64) -> u64) {
+        let n = self.0;
+        let (d, a, b) = (d as usize * n, a as usize * n, b as usize * n);
+        let mut l = 0;
+        while l + CHUNK <= n {
+            let (x, y) = (load(s, a + l), load(s, b + l));
+            let out: [u64; CHUNK] = std::array::from_fn(|k| f(x[k], y[k]));
+            s[d + l..d + l + CHUNK].copy_from_slice(&out);
+            l += CHUNK;
+        }
+        for l in l..n {
+            s[d + l] = f(s[a + l], s[b + l]);
+        }
+    }
+
+    #[inline(always)]
+    fn map3(self, s: &mut [u64], d: u32, [a, b, c]: [u32; 3], f: impl Fn(u64, u64, u64) -> u64) {
+        let n = self.0;
+        let (d, a, b, c) = (
+            d as usize * n,
+            a as usize * n,
+            b as usize * n,
+            c as usize * n,
+        );
+        let mut l = 0;
+        while l + CHUNK <= n {
+            let (x, y, z) = (load(s, a + l), load(s, b + l), load(s, c + l));
+            let out: [u64; CHUNK] = std::array::from_fn(|k| f(x[k], y[k], z[k]));
+            s[d + l..d + l + CHUNK].copy_from_slice(&out);
+            l += CHUNK;
+        }
+        for l in l..n {
+            s[d + l] = f(s[a + l], s[b + l], s[c + l]);
+        }
+    }
+
+    #[inline(always)]
+    fn copy(self, dst: &mut [u64], d: u32, src: &[u64], a: u32) {
+        let n = self.0;
+        let (d, a) = (d as usize * n, a as usize * n);
+        dst[d..d + n].copy_from_slice(&src[a..a + n]);
     }
 }
 
-/// One lane per flag; lanes whose flag is `false` are masked off.
+/// One lane per flag; lanes whose flag is `false` are masked off: they
+/// are neither evaluated nor written.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Live<'a>(pub(crate) &'a [bool]);
 
@@ -132,6 +261,11 @@ pub(crate) struct State {
     pub(crate) states: Vec<u32>,
     /// Per instance: SFG `k` active in lane `l` at `active[i][k * n + l]`.
     active: Vec<Vec<bool>>,
+    /// Per instance: it has no FSM, so every SFG runs every cycle. Its
+    /// activation flags are set once, here, and never change; its
+    /// `Drive`s copy their first candidate and its register writes
+    /// commit as plain stripe copies.
+    always_on: Vec<bool>,
     /// Per instance: register `r` of lane `l` at `regs[i][r * n + l]`.
     pub(crate) regs: Vec<Vec<u64>>,
     /// `Fire` marshalling buffers, kept so that steady-state cycles do
@@ -143,6 +277,7 @@ pub(crate) struct State {
 impl State {
     /// Power-up state of `n` lanes of `sys` compiled into `prog`.
     pub(crate) fn new(prog: &Program, sys: &System, n: usize) -> State {
+        let always_on: Vec<bool> = prog.fsm_tables.iter().map(Vec::is_empty).collect();
         let mut st = State {
             n,
             slots: vec![0; prog.init_slots.len() * n],
@@ -150,8 +285,10 @@ impl State {
             active: sys
                 .timed
                 .iter()
-                .map(|t| vec![false; t.comp.sfgs.len() * n])
+                .zip(&always_on)
+                .map(|(t, on)| vec![*on; t.comp.sfgs.len() * n])
                 .collect(),
+            always_on,
             regs: sys
                 .timed
                 .iter()
@@ -277,9 +414,141 @@ impl State {
     }
 }
 
+/// `s[d] = cmp(s[a], s[b])` as 0/1 under `kind`, with the kind matched
+/// once per op. `ord` orders two raw words; for floats an unordered pair
+/// (a NaN) compares equal.
+#[inline(always)]
+fn compare<L: Lanes>(
+    lanes: L,
+    s: &mut [u64],
+    d: u32,
+    a: u32,
+    b: u32,
+    kind: Cmp,
+    ord: impl Fn(u64, u64) -> Ordering + Copy,
+) {
+    match kind {
+        Cmp::Eq => lanes.map2(s, d, a, b, move |x, y| u64::from(ord(x, y).is_eq())),
+        Cmp::Ne => lanes.map2(s, d, a, b, move |x, y| u64::from(ord(x, y).is_ne())),
+        Cmp::Lt => lanes.map2(s, d, a, b, move |x, y| u64::from(ord(x, y).is_lt())),
+        Cmp::Le => lanes.map2(s, d, a, b, move |x, y| u64::from(ord(x, y).is_le())),
+        Cmp::Gt => lanes.map2(s, d, a, b, move |x, y| u64::from(ord(x, y).is_gt())),
+        Cmp::Ge => lanes.map2(s, d, a, b, move |x, y| u64::from(ord(x, y).is_ge())),
+    }
+}
+
+/// `Fix::from_raw(s[a], src).cast(target, rnd, ovf)` in every live lane,
+/// with `Fix::cast`'s exact arithmetic: the shift, the bounds and both
+/// modes are resolved once per op, and each lane is plain `i64` work.
+/// A source mantissa outside `src` panics exactly like `Fix::from_raw`.
+///
+/// A right shift (`src` has more fraction bits) drops `sh` bits under
+/// the rounding mode; a left shift cannot round and saturates against
+/// bounds pre-shifted right, so an overflowing `m << sh` is never formed.
+/// Wrap keeps the low `wl` bits, sign-extended (`wl <= 63`).
+#[inline(always)]
+fn cast<L: Lanes>(
+    lanes: L,
+    s: &mut [u64],
+    [d, a]: [u32; 2],
+    src: Format,
+    target: Format,
+    rnd: Rounding,
+    ovf: Overflow,
+) {
+    let shift = src.frac_bits() as i32 - target.frac_bits() as i32;
+    let (lo, hi) = (target.min_mantissa(), target.max_mantissa());
+    let sx = 64 - target.wl();
+    if shift <= 0 {
+        let sh = shift.unsigned_abs();
+        match ovf {
+            Overflow::Saturate => {
+                let (lo_in, hi_in) = (-((-lo) >> sh), hi >> sh);
+                cast_lanes(lanes, s, [d, a], src, move |m| {
+                    if m > hi_in {
+                        hi
+                    } else if m < lo_in {
+                        lo
+                    } else {
+                        m << sh
+                    }
+                });
+            }
+            Overflow::Wrap => cast_lanes(lanes, s, [d, a], src, move |m| {
+                (m.wrapping_shl(sh) << sx) >> sx
+            }),
+        }
+    } else {
+        let sh = shift as u32;
+        match ovf {
+            Overflow::Saturate => round(lanes, s, [d, a], src, sh, rnd, move |v| v.clamp(lo, hi)),
+            Overflow::Wrap => round(lanes, s, [d, a], src, sh, rnd, move |v| (v << sx) >> sx),
+        }
+    }
+}
+
+/// The right-shift half of [`cast`]: `m >> sh` rounded under `rnd`
+/// (`0 < sh < 64`), then `reduce`d into the target range. `dropped` is
+/// the `sh` low bits the shift discards, read as a non-negative value.
+#[inline(always)]
+fn round<L: Lanes>(
+    lanes: L,
+    s: &mut [u64],
+    da: [u32; 2],
+    src: Format,
+    sh: u32,
+    rnd: Rounding,
+    reduce: impl Fn(i64) -> i64 + Copy,
+) {
+    let low = (1u64 << sh) - 1;
+    let half = 1u64 << (sh - 1);
+    let dropped = move |m: i64| m as u64 & low;
+    match rnd {
+        Rounding::Truncate => cast_lanes(lanes, s, da, src, move |m| reduce(m >> sh)),
+        // Ties away from zero on the value: a negative tie rounds down.
+        Rounding::Nearest => cast_lanes(lanes, s, da, src, move |m| {
+            let r = dropped(m);
+            reduce((m >> sh) + i64::from(r > half || (r == half && m >= 0)))
+        }),
+        Rounding::NearestEven => cast_lanes(lanes, s, da, src, move |m| {
+            let (f, r) = (m >> sh, dropped(m));
+            reduce(f + i64::from(r > half || (r == half && f & 1 == 1)))
+        }),
+        Rounding::Ceil => cast_lanes(lanes, s, da, src, move |m| {
+            reduce((m >> sh) + i64::from(dropped(m) != 0))
+        }),
+        Rounding::TowardZero => cast_lanes(lanes, s, da, src, move |m| {
+            reduce((m >> sh) + i64::from(m < 0 && dropped(m) != 0))
+        }),
+    }
+}
+
+/// `s[d] = f(s[a])` over sign-extended mantissas of format `src`, with
+/// `Fix::from_raw`'s range assert on every source word.
+#[inline(always)]
+fn cast_lanes<L: Lanes>(
+    lanes: L,
+    s: &mut [u64],
+    [d, a]: [u32; 2],
+    src: Format,
+    f: impl Fn(i64) -> i64 + Copy,
+) {
+    let (lo, hi) = (src.min_mantissa(), src.max_mantissa());
+    lanes.map1(s, d, a, move |x| {
+        let m = x as i64;
+        assert!(
+            m >= lo && m <= hi,
+            "mantissa {m} out of range for format {src}"
+        );
+        f(m) as u64
+    });
+}
+
 /// Evaluates `ops` in every live lane of `st` — the one interpreter of
 /// [`Micro`] semantics. `io` is the program's untimed-block wiring and
-/// `systems[l]` holds lane `l`'s untimed blocks.
+/// `systems[l]` holds lane `l`'s untimed blocks. Each op is one kernel
+/// call of `lanes`; only `Fire` and the `Drive` of an FSM instance walk
+/// the lanes one by one.
 pub(crate) fn run<L: Lanes>(
     ops: &[Micro],
     io: &[UntimedIo],
@@ -288,93 +557,64 @@ pub(crate) fn run<L: Lanes>(
     lanes: L,
 ) {
     let n = lanes.n();
-    // Stripe index of slot (or register, or SFG) `x` in lane `l`.
-    // Derived from `lanes`, not from a local, and captured by value
-    // (`move`): with `One` this closure is zero-sized and the stripe
-    // width folds to the constant 1.
-    let at = move |x: &u32, l: usize| *x as usize * lanes.n() + l;
     let State {
         slots: s,
         regs,
         active,
+        always_on,
         in_buf,
         out_buf,
         ..
     } = st;
     for m in ops {
-        match m {
-            Micro::Copy { dst, src } => lanes.each(s, at(dst, 0), move |s, l| s[at(src, l)]),
-            Micro::RegRead { dst, inst, reg } => {
-                let r = &regs[*inst as usize];
-                lanes.each(s, at(dst, 0), move |_, l| r[at(reg, l)]);
-            }
+        match *m {
+            Micro::Copy { dst, src } => lanes.map1(s, dst, src, |x| x),
+            Micro::RegRead { dst, inst, reg } => lanes.copy(s, dst, &regs[inst as usize], reg),
             Micro::AddB { dst, a, b, mask } => {
-                lanes.each(s, at(dst, 0), move |s, l| {
-                    s[at(a, l)].wrapping_add(s[at(b, l)]) & mask
-                });
+                lanes.map2(s, dst, a, b, move |x, y| x.wrapping_add(y) & mask);
             }
             Micro::SubB { dst, a, b, mask } => {
-                lanes.each(s, at(dst, 0), move |s, l| {
-                    s[at(a, l)].wrapping_sub(s[at(b, l)]) & mask
-                });
+                lanes.map2(s, dst, a, b, move |x, y| x.wrapping_sub(y) & mask);
             }
             Micro::MulB { dst, a, b, mask } => {
-                lanes.each(s, at(dst, 0), move |s, l| {
-                    s[at(a, l)].wrapping_mul(s[at(b, l)]) & mask
-                });
+                lanes.map2(s, dst, a, b, move |x, y| x.wrapping_mul(y) & mask);
             }
-            Micro::AndU { dst, a, b } => {
-                lanes.each(s, at(dst, 0), move |s, l| s[at(a, l)] & s[at(b, l)]);
-            }
-            Micro::OrU { dst, a, b } => {
-                lanes.each(s, at(dst, 0), move |s, l| s[at(a, l)] | s[at(b, l)]);
-            }
-            Micro::XorU { dst, a, b } => {
-                lanes.each(s, at(dst, 0), move |s, l| s[at(a, l)] ^ s[at(b, l)]);
-            }
-            Micro::NotU { dst, a, mask } => {
-                lanes.each(s, at(dst, 0), move |s, l| !s[at(a, l)] & mask)
-            }
+            Micro::AndU { dst, a, b } => lanes.map2(s, dst, a, b, |x, y| x & y),
+            Micro::OrU { dst, a, b } => lanes.map2(s, dst, a, b, |x, y| x | y),
+            Micro::XorU { dst, a, b } => lanes.map2(s, dst, a, b, |x, y| x ^ y),
+            Micro::NotU { dst, a, mask } => lanes.map1(s, dst, a, move |x| !x & mask),
             Micro::NegB { dst, a, mask } => {
-                lanes.each(s, at(dst, 0), move |s, l| s[at(a, l)].wrapping_neg() & mask);
+                lanes.map1(s, dst, a, move |x| x.wrapping_neg() & mask);
             }
-            Micro::ShlB { dst, n: sh, .. }
-            | Micro::ShrB { dst, n: sh, .. }
-            | Micro::ShrMask { dst, n: sh, .. }
-                if *sh >= 64 =>
+            Micro::ShlB { dst, a, n: sh, .. }
+            | Micro::ShrB { dst, a, n: sh }
+            | Micro::ShrMask { dst, a, n: sh, .. }
+                if sh >= 64 =>
             {
-                lanes.each(s, at(dst, 0), move |_, _| 0);
+                lanes.map1(s, dst, a, |_| 0);
             }
             Micro::ShlB {
                 dst,
                 a,
                 n: sh,
                 mask,
-            } => lanes.each(s, at(dst, 0), move |s, l| (s[at(a, l)] << sh) & mask),
-            Micro::ShrB { dst, a, n: sh } => {
-                lanes.each(s, at(dst, 0), move |s, l| s[at(a, l)] >> sh)
-            }
+            } => lanes.map1(s, dst, a, move |x| (x << sh) & mask),
+            Micro::ShrB { dst, a, n: sh } => lanes.map1(s, dst, a, move |x| x >> sh),
             Micro::ShrMask {
                 dst,
                 a,
                 n: sh,
                 mask,
-            } => lanes.each(s, at(dst, 0), move |s, l| (s[at(a, l)] >> sh) & mask),
-            Micro::CmpU { dst, a, b, kind } => {
-                lanes.each(s, at(dst, 0), move |s, l| {
-                    kind.apply(s[at(a, l)].cmp(&s[at(b, l)])) as u64
-                });
-            }
+            } => lanes.map1(s, dst, a, move |x| (x >> sh) & mask),
+            Micro::CmpU { dst, a, b, kind } => compare(lanes, s, dst, a, b, kind, |x, y| x.cmp(&y)),
             Micro::AddF {
                 dst,
                 a,
                 b,
                 sha,
                 shb,
-            } => lanes.each(s, at(dst, 0), move |s, l| {
-                let x = (s[at(a, l)] as i64) << sha;
-                let y = (s[at(b, l)] as i64) << shb;
-                (x + y) as u64
+            } => lanes.map2(s, dst, a, b, move |x, y| {
+                (((x as i64) << sha) + ((y as i64) << shb)) as u64
             }),
             Micro::SubF {
                 dst,
@@ -382,19 +622,14 @@ pub(crate) fn run<L: Lanes>(
                 b,
                 sha,
                 shb,
-            } => lanes.each(s, at(dst, 0), move |s, l| {
-                let x = (s[at(a, l)] as i64) << sha;
-                let y = (s[at(b, l)] as i64) << shb;
-                (x - y) as u64
+            } => lanes.map2(s, dst, a, b, move |x, y| {
+                (((x as i64) << sha) - ((y as i64) << shb)) as u64
             }),
-            Micro::MulF { dst, a, b } => lanes.each(s, at(dst, 0), move |s, l| {
-                let p = s[at(a, l)] as i64 as i128 * s[at(b, l)] as i64 as i128;
-                p as i64 as u64
+            Micro::MulF { dst, a, b } => lanes.map2(s, dst, a, b, |x, y| {
+                (x as i64 as i128 * y as i64 as i128) as i64 as u64
             }),
             Micro::NegF { dst, a } => {
-                lanes.each(s, at(dst, 0), move |s, l| {
-                    (s[at(a, l)] as i64).wrapping_neg() as u64
-                });
+                lanes.map1(s, dst, a, |x| (x as i64).wrapping_neg() as u64);
             }
             Micro::CmpF {
                 dst,
@@ -403,10 +638,8 @@ pub(crate) fn run<L: Lanes>(
                 sha,
                 shb,
                 kind,
-            } => lanes.each(s, at(dst, 0), move |s, l| {
-                let x = (s[at(a, l)] as i64 as i128) << sha;
-                let y = (s[at(b, l)] as i64 as i128) << shb;
-                kind.apply(x.cmp(&y)) as u64
+            } => compare(lanes, s, dst, a, b, kind, move |x, y| {
+                ((x as i64 as i128) << sha).cmp(&((y as i64 as i128) << shb))
             }),
             Micro::CastF {
                 dst,
@@ -415,91 +648,85 @@ pub(crate) fn run<L: Lanes>(
                 target,
                 rnd,
                 ovf,
-            } => lanes.each(s, at(dst, 0), move |s, l| {
-                let v = Fix::from_raw(s[at(a, l)] as i64, *src);
-                v.cast(*target, *rnd, *ovf).mantissa() as u64
-            }),
+            } => cast(lanes, s, [dst, a], src, target, rnd, ovf),
             Micro::FloatToFix {
                 dst,
                 a,
                 target,
                 rnd,
                 ovf,
-            } => lanes.each(s, at(dst, 0), move |s, l| {
-                let x = f64::from_bits(s[at(a, l)]);
-                Fix::from_f64(x, *target, *rnd, *ovf).mantissa() as u64
+            } => lanes.map1(s, dst, a, move |x| {
+                Fix::from_f64(f64::from_bits(x), target, rnd, ovf).mantissa() as u64
             }),
-            Micro::AddFl { dst, a, b } => lanes.each(s, at(dst, 0), move |s, l| {
-                (f64::from_bits(s[at(a, l)]) + f64::from_bits(s[at(b, l)])).to_bits()
+            Micro::AddFl { dst, a, b } => lanes.map2(s, dst, a, b, |x, y| {
+                (f64::from_bits(x) + f64::from_bits(y)).to_bits()
             }),
-            Micro::SubFl { dst, a, b } => lanes.each(s, at(dst, 0), move |s, l| {
-                (f64::from_bits(s[at(a, l)]) - f64::from_bits(s[at(b, l)])).to_bits()
+            Micro::SubFl { dst, a, b } => lanes.map2(s, dst, a, b, |x, y| {
+                (f64::from_bits(x) - f64::from_bits(y)).to_bits()
             }),
-            Micro::MulFl { dst, a, b } => lanes.each(s, at(dst, 0), move |s, l| {
-                (f64::from_bits(s[at(a, l)]) * f64::from_bits(s[at(b, l)])).to_bits()
+            Micro::MulFl { dst, a, b } => lanes.map2(s, dst, a, b, |x, y| {
+                (f64::from_bits(x) * f64::from_bits(y)).to_bits()
             }),
             Micro::NegFl { dst, a } => {
-                lanes.each(s, at(dst, 0), move |s, l| {
-                    (-f64::from_bits(s[at(a, l)])).to_bits()
-                });
+                lanes.map1(s, dst, a, |x| (-f64::from_bits(x)).to_bits());
             }
-            Micro::CmpFl { dst, a, b, kind } => lanes.each(s, at(dst, 0), move |s, l| {
-                let o = f64::from_bits(s[at(a, l)])
-                    .partial_cmp(&f64::from_bits(s[at(b, l)]))
-                    .unwrap_or(std::cmp::Ordering::Equal);
-                kind.apply(o) as u64
+            Micro::CmpFl { dst, a, b, kind } => compare(lanes, s, dst, a, b, kind, |x, y| {
+                f64::from_bits(x)
+                    .partial_cmp(&f64::from_bits(y))
+                    .unwrap_or(Ordering::Equal)
             }),
-            Micro::MaskTo { dst, a, mask } => {
-                lanes.each(s, at(dst, 0), move |s, l| s[at(a, l)] & mask)
-            }
-            Micro::NonZero { dst, a } => {
-                lanes.each(s, at(dst, 0), move |s, l| (s[at(a, l)] != 0) as u64);
-            }
+            Micro::MaskTo { dst, a, mask } => lanes.map1(s, dst, a, move |x| x & mask),
+            Micro::NonZero { dst, a } => lanes.map1(s, dst, a, |x| u64::from(x != 0)),
             Micro::NonZeroFloat { dst, a } => {
-                lanes.each(s, at(dst, 0), move |s, l| {
-                    (f64::from_bits(s[at(a, l)]) != 0.0) as u64
-                });
+                lanes.map1(s, dst, a, |x| u64::from(f64::from_bits(x) != 0.0));
             }
-            Micro::ToFloatBits { dst, a } => {
-                lanes.each(s, at(dst, 0), move |s, l| (s[at(a, l)] as f64).to_bits());
+            Micro::ToFloatBits { dst, a } => lanes.map1(s, dst, a, |x| (x as f64).to_bits()),
+            Micro::ToFloatFix { dst, a, frac_bits } => {
+                let scale = f64::powi(2.0, -(frac_bits as i32));
+                lanes.map1(s, dst, a, move |x| (x as i64 as f64 * scale).to_bits());
             }
-            Micro::ToFloatFix { dst, a, frac_bits } => lanes.each(s, at(dst, 0), move |s, l| {
-                (s[at(a, l)] as i64 as f64 * f64::powi(2.0, -(*frac_bits as i32))).to_bits()
-            }),
-            Micro::SelectU { dst, c, t, e } => lanes.each(s, at(dst, 0), move |s, l| {
-                if s[at(c, l)] != 0 {
-                    s[at(t, l)]
-                } else {
-                    s[at(e, l)]
-                }
+            // A mask blend: all-ones where the condition holds.
+            Micro::SelectU { dst, c, t, e } => lanes.map3(s, dst, [c, t, e], |c, t, e| {
+                let m = u64::from(c != 0).wrapping_neg();
+                (t & m) | (e & !m)
             }),
             // The net takes the value of the first candidate whose SFG
-            // runs this cycle, and holds when none does.
+            // runs this cycle, and holds when none does. Every SFG of an
+            // instance without an FSM runs, so its first candidate wins.
             Micro::Drive {
                 net_slot,
                 inst,
-                cands,
+                ref cands,
             } => {
-                let act = &active[*inst as usize];
+                let i = inst as usize;
+                if always_on[i] {
+                    if let Some(&(_, src)) = cands.first() {
+                        lanes.map1(s, net_slot, src, |x| x);
+                    }
+                    continue;
+                }
+                let act = &active[i];
+                let at = move |x: u32, l: usize| x as usize * n + l;
                 for l in (0..n).filter(move |l| lanes.live(*l)) {
-                    if let Some((_, src)) = cands.iter().find(move |(sfg, _)| act[at(sfg, l)]) {
+                    if let Some(&(_, src)) = cands.iter().find(move |(sfg, _)| act[at(*sfg, l)]) {
                         s[at(net_slot, l)] = s[at(src, l)];
                     }
                 }
             }
             Micro::Fire { inst } => {
-                let u = *inst as usize;
+                let u = inst as usize;
                 let (ins, outs) = &io[u];
+                let at = move |x: u32, l: usize| x as usize * n + l;
                 for l in (0..n).filter(move |l| lanes.live(*l)) {
                     in_buf.clear();
-                    in_buf.extend(ins.iter().map(|(sl, ty)| decode(s[at(sl, l)], *ty)));
+                    in_buf.extend(ins.iter().map(|(sl, ty)| decode(s[at(*sl, l)], *ty)));
                     out_buf.clear();
-                    out_buf.extend(outs.iter().map(|(sl, ty)| decode(s[at(sl, l)], *ty)));
+                    out_buf.extend(outs.iter().map(|(sl, ty)| decode(s[at(*sl, l)], *ty)));
                     let block = &mut systems[l].untimed[u].block;
                     if block.ready(in_buf) {
                         block.fire(in_buf, out_buf);
                         for ((sl, _), v) in outs.iter().zip(out_buf.iter()) {
-                            s[at(sl, l)] = encode(v);
+                            s[at(*sl, l)] = encode(v);
                         }
                     }
                 }
@@ -511,7 +738,8 @@ pub(crate) fn run<L: Lanes>(
 /// Transition selection (phase 0 of the cycle) in every live lane: each
 /// FSM takes the first transition out of its state whose guard slot
 /// holds, and exactly that transition's SFGs become active; an instance
-/// without an FSM runs every SFG. Returns the SFG activations.
+/// without an FSM runs every SFG (its flags were set once, in
+/// [`State::new`]). Returns the SFG activations.
 pub(crate) fn select<L: Lanes>(
     tables: &[Vec<Vec<CompiledTransition>>],
     st: &mut State,
@@ -522,9 +750,8 @@ pub(crate) fn select<L: Lanes>(
     let slots = &st.slots;
     for (i, table) in tables.iter().enumerate() {
         let act = &mut st.active[i];
-        if table.is_empty() {
+        if st.always_on[i] {
             firings += act.len() as u64;
-            act.fill(true);
             continue;
         }
         let n_sfgs = act.len() / n;
@@ -551,14 +778,23 @@ pub(crate) fn select<L: Lanes>(
 }
 
 /// Register update (the last phase of the cycle) in every live lane:
-/// each register takes the value of the first candidate whose SFG ran.
-/// Returns the register writes.
+/// each register takes the value of the first candidate whose SFG ran —
+/// for an instance without an FSM, a plain stripe copy of its first
+/// candidate. Returns the register writes.
 pub(crate) fn commit<L: Lanes>(writes: &[RegWriteSel], st: &mut State, lanes: L) -> u64 {
     let n = lanes.n();
     let mut updates = 0;
     for w in writes {
-        let act = &st.active[w.inst as usize];
-        let rf = &mut st.regs[w.inst as usize];
+        let i = w.inst as usize;
+        let rf = &mut st.regs[i];
+        if st.always_on[i] {
+            if let Some(&(_, src)) = w.cands.first() {
+                lanes.copy(rf, w.reg, &st.slots, src);
+                updates += lanes.live_lanes();
+            }
+            continue;
+        }
+        let act = &st.active[i];
         for l in (0..n).filter(move |l| lanes.live(*l)) {
             let ran = w
                 .cands
@@ -571,4 +807,128 @@ pub(crate) fn commit<L: Lanes>(writes: &[RegWriteSel], st: &mut State, lanes: L)
         }
     }
     updates
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+
+    const ROUNDINGS: [Rounding; 5] = [
+        Rounding::Truncate,
+        Rounding::Nearest,
+        Rounding::NearestEven,
+        Rounding::Ceil,
+        Rounding::TowardZero,
+    ];
+    const OVERFLOWS: [Overflow; 2] = [Overflow::Saturate, Overflow::Wrap];
+
+    /// For each fraction width: the narrowest format holding it and the
+    /// widest one (63 bits), so casts both narrow and widen the word.
+    fn formats(frac_bits: impl IntoIterator<Item = u32>) -> Vec<Format> {
+        frac_bits
+            .into_iter()
+            .flat_map(|fb| {
+                let wl = fb.max(1);
+                [Format::new(wl, wl - fb), Format::new(63, 63 - fb)]
+            })
+            .map(Result::unwrap)
+            .collect()
+    }
+
+    /// Boundary mantissas of `src` — min, max, 0, ±1 and their
+    /// neighbours — plus, for a right shift, exact ties below and above
+    /// even and odd floors and the words either side of a tie.
+    fn mantissas(src: Format, shift: i32) -> Vec<i64> {
+        let (lo, hi) = (src.min_mantissa(), src.max_mantissa());
+        let mut ms: Vec<i128> = vec![
+            lo.into(),
+            (lo + 1).into(),
+            -1,
+            0,
+            1,
+            (hi - 1).into(),
+            hi.into(),
+        ];
+        if shift > 0 {
+            let (half, one) = (1i128 << (shift - 1), 1i128 << shift);
+            for t in [half, one + half, 2 * one + half, half - 1, half + 1] {
+                ms.extend([t, -t]);
+            }
+        }
+        let mut ms: Vec<i64> = ms
+            .into_iter()
+            .filter_map(|m| i64::try_from(m).ok())
+            .filter(|m| (lo..=hi).contains(m))
+            .collect();
+        ms.sort_unstable();
+        ms.dedup();
+        ms
+    }
+
+    /// The cast kernel equals `Fix::cast` word for word, at one lane, at
+    /// 64 lanes and in place, for every rounding and overflow mode and
+    /// every shift a valid format pair can have: `-63..=63` (formats
+    /// hold at most 63 bits, so no shift reaches 64).
+    #[test]
+    fn cast_kernel_equals_fix_cast() {
+        let sources = formats([0, 1, 2, 7, 8, 31, 32, 33, 62, 63]);
+        let targets = formats(0..=63);
+        let mut shifts = BTreeSet::new();
+        for &src in &sources {
+            for &target in &targets {
+                let shift = src.frac_bits() as i32 - target.frac_bits() as i32;
+                shifts.insert(shift);
+                let ms = mantissas(src, shift);
+                for rnd in ROUNDINGS {
+                    for ovf in OVERFLOWS {
+                        let case = format!("{src} -> {target}, {rnd:?}, {ovf:?}");
+                        let want: Vec<u64> = ms
+                            .iter()
+                            .map(|m| {
+                                Fix::from_raw(*m, src).cast(target, rnd, ovf).mantissa() as u64
+                            })
+                            .collect();
+                        for (m, w) in ms.iter().zip(&want) {
+                            let mut s = [*m as u64, 0];
+                            cast(One, &mut s, [1, 0], src, target, rnd, ovf);
+                            assert_eq!(s[1], *w, "{case}, one lane, mantissa {m}");
+                        }
+                        let lane = |l: usize| ms[l % ms.len()] as u64;
+                        let mut s: Vec<u64> = (0..64).map(lane).chain([0; 64]).collect();
+                        cast(All(64), &mut s, [1, 0], src, target, rnd, ovf);
+                        let mut in_place: Vec<u64> = (0..64).map(lane).collect();
+                        cast(All(64), &mut in_place, [0, 0], src, target, rnd, ovf);
+                        for l in 0..64 {
+                            let w = want[l % ms.len()];
+                            assert_eq!(s[64 + l], w, "{case}, lane {l} of 64");
+                            assert_eq!(in_place[l], w, "{case}, lane {l} of 64 in place");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(shifts, (-63..=63).collect());
+    }
+
+    /// A masked lane is neither evaluated nor written: its word may hold
+    /// anything, even a mantissa `Fix::from_raw` would reject.
+    #[test]
+    fn masked_lanes_are_not_evaluated() {
+        let src = Format::new(8, 4).unwrap();
+        let target = Format::new(4, 4).unwrap();
+        let mut s = [3 << 4, u64::MAX / 2, 0, 7];
+        let lanes = Live(&[true, false]);
+        cast(
+            lanes,
+            &mut s,
+            [1, 0],
+            src,
+            target,
+            Rounding::Truncate,
+            Overflow::Wrap,
+        );
+        assert_eq!(s, [3 << 4, u64::MAX / 2, 3, 7]);
+    }
 }

@@ -34,9 +34,16 @@
 //! [`crate::BatchedSim::from_tape`]. Instantiation verifies the
 //! structural hash of the offered system against the tape's, so a cache
 //! lookup gone wrong is a typed [`CoreError::TapeMismatch`], never a
-//! silently wrong simulation. Both tape simulators execute the tape as
-//! it is, through one executor, so there is no per-engine artifact to
-//! cache beside it.
+//! silently wrong simulation. That check runs on every instantiation;
+//! it streams the system's `{:?}` text into the hasher without building
+//! a string, so on a short run it costs about what formatting costs.
+//! Compiling hashes the system once: the program hash extends the
+//! structural hash instead of recomputing it, and
+//! [`crate::CompiledSim::new_with`] and [`crate::BatchedSim::new_with`]
+//! go through [`CompiledTape::compile`] too. Both tape simulators
+//! execute the tape as it is, through one executor — a one-lane batch
+//! shares the tape's program like `CompiledSim` — so there is no
+//! per-engine artifact to cache beside it.
 
 use std::sync::Arc;
 
@@ -95,8 +102,8 @@ impl CompiledTape {
     /// cross-component dependence graph is cyclic.
     pub fn compile(sys: &System, level: OptLevel) -> Result<CompiledTape, CoreError> {
         let prog = build_program(sys, level)?;
-        let system_hash = crate::sim::snapshot::hash_system(sys);
-        let program_hash = crate::sim::snapshot::hash_program(sys, &prog);
+        let system_hash = hash_system(sys);
+        let program_hash = crate::sim::snapshot::hash_program(system_hash, &prog);
         Ok(CompiledTape {
             prog: Arc::new(prog),
             system_hash,

@@ -20,6 +20,7 @@
 use crate::comp::{NodeId, Reg};
 use crate::fsm::StateRef;
 use crate::sim::budget::Budget;
+use crate::sim::compiled::{make_trace, traced_nets};
 use crate::sim::eval::{eval_node, EvalCache};
 use crate::sim::obs::SimObs;
 use crate::sim::snapshot::{check_words, hash_system, reg_types, SimSnapshot, SnapshotBackend};
@@ -377,19 +378,6 @@ impl InterpSim {
     }
 }
 
-fn make_trace(sys: &System) -> Trace {
-    Trace::new(
-        sys.primary_inputs
-            .iter()
-            .map(|p| (p.name.clone(), p.ty, true))
-            .chain(
-                sys.primary_outputs
-                    .iter()
-                    .map(|p| (p.name.clone(), sys.nets[p.net].ty, false)),
-            ),
-    )
-}
-
 impl Simulator for InterpSim {
     fn set_input(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
         let pi = self
@@ -640,13 +628,7 @@ impl Simulator for InterpSim {
         if self.trace.is_some() || self.full_trace.is_some() {
             let _t_trace = self.obs.as_ref().map(|o| o.sp_trace.timer());
             if let Some(trace) = &mut self.trace {
-                let row: Vec<Value> = sys
-                    .primary_inputs
-                    .iter()
-                    .map(|p| nets[p.net])
-                    .chain(sys.primary_outputs.iter().map(|p| nets[p.net]))
-                    .collect();
-                trace.record_cycle(&row)?;
+                trace.record_cycle(traced_nets(sys).map(|net| nets[net]))?;
             }
             if let Some(trace) = &mut self.full_trace {
                 trace.record_cycle(nets)?;

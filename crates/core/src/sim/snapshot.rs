@@ -15,7 +15,10 @@
 //!    back-ends the hash also covers the levelized tape, so the same
 //!    design compiled at a different [`OptLevel`](crate::OptLevel)
 //!    produces a *different* hash. A restore into a mismatched
-//!    simulator fails with [`CoreError::SnapshotMismatch`].
+//!    simulator fails with [`CoreError::SnapshotMismatch`]. The hash
+//!    input is the design's `{:?}` text, streamed into the hasher field
+//!    by field (no `String` is built), so hashing costs what formatting
+//!    costs; the values are those of hashing the formatted strings.
 //! 2. **Checksummed framing.** The byte format is versioned, carries a
 //!    trailing FNV-1a checksum, and every section length is validated,
 //!    so a truncated or corrupted file fails with
@@ -34,7 +37,7 @@
 //! and one shared routine captures and restores one lane of it — a
 //! session parked on one engine can resume on the other.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::rng::XorShift64;
 use crate::system::System;
@@ -43,6 +46,11 @@ use crate::CoreError;
 
 /// FNV-1a, 64-bit — the in-tree hash used for design hashes and
 /// snapshot checksums (offline build: no external hashing crates).
+///
+/// It is also a [`fmt::Write`] sink: a design hash streams `{:?}` text
+/// into it instead of building a `String` first. FNV-1a consumes bytes
+/// one at a time, so the split of the text into chunks does not change
+/// the value.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv(u64);
 
@@ -61,14 +69,30 @@ impl Fnv {
         }
     }
 
-    pub(crate) fn write_str(&mut self, s: &str) {
+    /// Hashes one field: `s`, then a `0xff` delimiter, so ("ab","c")
+    /// and ("a","bc") hash differently.
+    pub(crate) fn field(&mut self, s: &str) {
         self.write(s.as_bytes());
-        // Delimit, so ("ab","c") and ("a","bc") hash differently.
+        self.write(&[0xff]);
+    }
+
+    /// [`Fnv::field`] of formatted text, streamed: the same value as
+    /// `field(&format!(..))`.
+    pub(crate) fn field_fmt(&mut self, args: fmt::Arguments<'_>) {
+        // Writing into an `Fnv` cannot fail.
+        let _ = fmt::Write::write_fmt(self, args);
         self.write(&[0xff]);
     }
 
     pub(crate) fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -79,42 +103,43 @@ impl Fnv {
 /// contribute.
 pub(crate) fn hash_system(sys: &System) -> u64 {
     let mut h = Fnv::new();
-    h.write_str("ocapi.system.v1");
-    h.write_str(&sys.name);
+    h.field("ocapi.system.v1");
+    h.field(&sys.name);
     for t in &sys.timed {
-        h.write_str(&t.name);
-        h.write_str(&format!(
+        h.field(&t.name);
+        h.field_fmt(format_args!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             t.comp.inputs, t.comp.outputs, t.comp.regs, t.comp.nodes, t.comp.sfgs, t.comp.fsm
         ));
     }
     for u in &sys.untimed {
-        h.write_str(u.block.name());
-        h.write_str(&format!("{:?}|{:?}", u.inputs, u.outputs));
+        h.field(u.block.name());
+        h.field_fmt(format_args!("{:?}|{:?}", u.inputs, u.outputs));
     }
     for n in &sys.nets {
-        h.write_str(&format!(
+        h.field_fmt(format_args!(
             "{}|{:?}|{:?}|{:?}",
             n.name, n.ty, n.source, n.sinks
         ));
     }
-    h.write_str(&format!(
+    h.field_fmt(format_args!(
         "{:?}|{:?}",
         sys.primary_inputs, sys.primary_outputs
     ));
     h.finish()
 }
 
-/// The design hash of a compiled back-end: the structural system hash
-/// combined with the levelized program (slot layout, both tapes, FSM
-/// tables, register-write selectors, net-to-slot map). Two builds of
-/// the same system at different optimization levels produce different
-/// tapes, hence different hashes — a snapshot cannot cross them.
-pub(crate) fn hash_program(sys: &System, prog: &super::compiled::Program) -> u64 {
+/// The design hash of a compiled back-end: the structural hash
+/// `system_hash` ([`hash_system`] of the compiled system) combined with
+/// the levelized program (slot layout, both tapes, FSM tables,
+/// register-write selectors, net-to-slot map). Two builds of the same
+/// system at different optimization levels produce different tapes,
+/// hence different hashes — a snapshot cannot cross them.
+pub(crate) fn hash_program(system_hash: u64, prog: &super::compiled::Program) -> u64 {
     let mut h = Fnv::new();
-    h.write_str("ocapi.program.v1");
-    h.write(&hash_system(sys).to_le_bytes());
-    h.write_str(&format!(
+    h.field("ocapi.program.v1");
+    h.write(&system_hash.to_le_bytes());
+    h.field_fmt(format_args!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
         prog.slot_ty, prog.pre_tape, prog.tape, prog.fsm_tables, prog.reg_writes, prog.net_slot
     ));

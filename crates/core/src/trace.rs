@@ -6,6 +6,7 @@
 //! the system stimuli are also translated into test-benches"), and it can
 //! be dumped as a VCD file for waveform viewing.
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 use crate::value::{SigType, Value};
@@ -48,13 +49,22 @@ impl Trace {
     }
 
     /// Appends one cycle of values (same order as the declarations).
+    /// `values` is any exact-size row — a slice, or a simulator's
+    /// iterator over its state, which is fed in without being collected
+    /// first.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::TraceShape`] — recording nothing — when
     /// `values` has a different length than the declared signals, so a
     /// malformed row can never tear the trace (partial columns).
-    pub fn record_cycle(&mut self, values: &[Value]) -> Result<(), CoreError> {
+    pub fn record_cycle<I>(&mut self, values: I) -> Result<(), CoreError>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: Borrow<Value>,
+    {
+        let values = values.into_iter();
         if values.len() != self.signals.len() {
             return Err(CoreError::TraceShape {
                 expected: self.signals.len(),
@@ -62,7 +72,7 @@ impl Trace {
             });
         }
         for (s, v) in self.signals.iter_mut().zip(values) {
-            s.values.push(*v);
+            s.values.push(*v.borrow());
         }
         Ok(())
     }
@@ -133,10 +143,11 @@ mod tests {
             ("a".to_owned(), SigType::Bool, true),
             ("y".to_owned(), SigType::Bits(4), false),
         ]);
-        t.record_cycle(&[Value::Bool(true), Value::bits(4, 3)])
+        t.record_cycle([Value::Bool(true), Value::bits(4, 3)])
             .unwrap();
-        t.record_cycle(&[Value::Bool(false), Value::bits(4, 9)])
-            .unwrap();
+        // Slices work as rows too.
+        let row = vec![Value::Bool(false), Value::bits(4, 9)];
+        t.record_cycle(row.as_slice()).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.signal("y").map(|s| s.values[1]), Some(Value::bits(4, 9)));
         assert!(t.signal("nope").is_none());
@@ -148,7 +159,7 @@ mod tests {
             ("a".to_owned(), SigType::Bool, true),
             ("y".to_owned(), SigType::Bits(4), false),
         ]);
-        let err = t.record_cycle(&[Value::Bool(true)]).unwrap_err();
+        let err = t.record_cycle([Value::Bool(true)]).unwrap_err();
         assert_eq!(
             err,
             CoreError::TraceShape {
@@ -158,7 +169,7 @@ mod tests {
         );
         // The malformed row recorded nothing: no partial columns.
         assert!(t.is_empty());
-        t.record_cycle(&[Value::Bool(true), Value::bits(4, 1)])
+        t.record_cycle([Value::Bool(true), Value::bits(4, 1)])
             .unwrap();
         assert_eq!(t.len(), 1);
     }
@@ -166,9 +177,9 @@ mod tests {
     #[test]
     fn vcd_has_headers_and_changes() {
         let mut t = Trace::new([("a".to_owned(), SigType::Bool, true)]);
-        t.record_cycle(&[Value::Bool(true)]).unwrap();
-        t.record_cycle(&[Value::Bool(true)]).unwrap(); // no change: no dump line
-        t.record_cycle(&[Value::Bool(false)]).unwrap();
+        t.record_cycle([Value::Bool(true)]).unwrap();
+        t.record_cycle([Value::Bool(true)]).unwrap(); // no change: no dump line
+        t.record_cycle([Value::Bool(false)]).unwrap();
         let vcd = t.to_vcd();
         assert!(vcd.contains("$var wire 1 s0 a $end"));
         assert!(vcd.contains("#0\n1s0"));

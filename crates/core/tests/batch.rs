@@ -4,11 +4,14 @@
 //! level, for every tested lane count — including runs where one lane
 //! errors mid-flight and is masked off rather than poisoning the batch.
 
+use ocapi::rng::XorShift64;
 use ocapi::{
     run_campaign_cached_par, run_campaign_par, BatchedSim, CompiledSim, CompiledTape, Component,
-    CoreError, FaultEvent, FaultOutcome, FaultSite, OptLevel, ParConfig, Ram, SigType, Simulator,
-    System, Value,
+    CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, OptLevel, Overflow, ParConfig, Ram,
+    Rounding, SigType, Simulator, System, Value,
 };
+use ocapi_designs::dect::transceiver::TransceiverConfig;
+use ocapi_designs::{dect, hcor};
 
 /// The FSM accumulator from the equivalence suite: lanes that receive
 /// different `stop` sequences diverge in control flow, exercising the
@@ -303,22 +306,93 @@ fn masked_lane_does_not_poison_the_batch() {
 
 /// A 1-lane batch is a scalar simulator: the `Simulator` facade
 /// (broadcast writes, lane-0 reads) reproduces `CompiledSim` exactly.
+/// A random type-correct value for one primary input.
+fn random_input(ty: SigType, rng: &mut XorShift64) -> Value {
+    match ty {
+        SigType::Bool => Value::Bool(rng.next_bool()),
+        SigType::Bits(w) => Value::bits(w, rng.next_u64() & (u64::MAX >> (64 - w.min(64)))),
+        SigType::Fixed(fmt) => Value::Fixed(Fix::from_f64(
+            rng.next_f64() * 4.0 - 2.0,
+            fmt,
+            Rounding::Nearest,
+            Overflow::Saturate,
+        )),
+        SigType::Float => Value::Float(rng.next_f64() * 4.0 - 2.0),
+    }
+}
+
+/// Sets every primary input of `sys` to a fresh random value in both
+/// simulators, then steps both.
+fn step_both(sys: &System, rng: &mut XorShift64, a: &mut dyn Simulator, b: &mut dyn Simulator) {
+    for p in &sys.primary_inputs {
+        let v = random_input(p.ty, rng);
+        a.set_input(&p.name, v).unwrap();
+        b.set_input(&p.name, v).unwrap();
+    }
+    a.step().unwrap();
+    b.step().unwrap();
+}
+
+/// A design builder with its name.
+type NamedDesign = (&'static str, fn() -> System);
+
+/// A one-lane batch is the scalar engine: on the FSM accumulator, on
+/// HCOR (FSM control) and on DECT (untimed blocks), every output of
+/// every cycle and the whole trace equal `CompiledSim`'s; its lane
+/// snapshot is the scalar snapshot and resumes in a `CompiledSim`; and
+/// masking its one lane makes the next step return that lane's error.
 #[test]
 fn single_lane_batch_is_scalar_via_trait() {
-    let mut batch = BatchedSim::new(vec![acc_system()]).unwrap();
-    let mut scalar = CompiledSim::new(acc_system()).unwrap();
-    batch.enable_trace();
-    scalar.enable_trace();
-    for c in 0..12u64 {
-        for sim in [&mut batch as &mut dyn Simulator, &mut scalar] {
-            sim.set_input("x", Value::bits(8, c + 1)).unwrap();
-            sim.set_input("stop", Value::Bool(c == 7)).unwrap();
-            sim.step().unwrap();
+    let designs: [NamedDesign; 3] = [
+        ("acc", acc_system),
+        ("hcor", || hcor::build_system().unwrap()),
+        ("dect", || {
+            dect::transceiver::build_system(&TransceiverConfig::default()).unwrap()
+        }),
+    ];
+    for (name, make) in designs {
+        let sys = make();
+        let mut rng = XorShift64::new(0x1a7e);
+        let mut batch = BatchedSim::new(vec![make()]).unwrap();
+        let mut scalar = CompiledSim::new(make()).unwrap();
+        batch.enable_trace();
+        scalar.enable_trace();
+        for c in 0..512 {
+            step_both(&sys, &mut rng, &mut batch, &mut scalar);
+            for p in &sys.primary_outputs {
+                assert_eq!(
+                    batch.output(&p.name).unwrap(),
+                    scalar.output(&p.name).unwrap(),
+                    "{name}: output `{}` at cycle {c}",
+                    p.name
+                );
+            }
         }
-        assert_eq!(batch.output("sum").unwrap(), scalar.output("sum").unwrap());
+        assert_eq!(batch.trace(), scalar.trace(), "{name}");
+        assert_eq!(batch.cycle(), scalar.cycle(), "{name}");
+
+        let snap = batch.snapshot_lane(0).unwrap();
+        assert_eq!(snap, scalar.snapshot(), "{name}");
+        let mut resumed = CompiledSim::new(make()).unwrap();
+        resumed.restore(&snap).unwrap();
+        for c in 0..16 {
+            step_both(&sys, &mut rng, &mut batch, &mut resumed);
+            for p in &sys.primary_outputs {
+                assert_eq!(
+                    batch.output(&p.name).unwrap(),
+                    resumed.output(&p.name).unwrap(),
+                    "{name}: output `{}` {c} cycles after the restore",
+                    p.name
+                );
+            }
+        }
+
+        let e = CoreError::Unsupported {
+            op: "test mask".to_owned(),
+        };
+        batch.fail_lane(0, e.clone());
+        assert_eq!(batch.step(), Err(e), "{name}");
     }
-    assert_eq!(batch.trace(), scalar.trace());
-    assert_eq!(batch.cycle(), scalar.cycle());
 }
 
 fn campaign_events() -> Vec<FaultEvent> {
@@ -412,7 +486,6 @@ fn mismatched_lane_systems_are_rejected() {
 // Word-parallel (bitsliced Bool) fast-path differentials.
 // ---------------------------------------------------------------------------
 
-use ocapi::rng::XorShift64;
 use ocapi::BatchObs;
 use ocapi_obs::Registry;
 

@@ -13,11 +13,11 @@ fn sample_trace() -> Trace {
         ("clk_en".to_owned(), SigType::Bool, true),
         ("y".to_owned(), SigType::Bits(4), false),
     ]);
-    t.record_cycle(&[Value::Bool(true), Value::bits(4, 3)])
+    t.record_cycle([Value::Bool(true), Value::bits(4, 3)])
         .expect("row 0");
-    t.record_cycle(&[Value::Bool(false), Value::bits(4, 3)])
+    t.record_cycle([Value::Bool(false), Value::bits(4, 3)])
         .expect("row 1");
-    t.record_cycle(&[Value::Bool(false), Value::bits(4, 9)])
+    t.record_cycle([Value::Bool(false), Value::bits(4, 9)])
         .expect("row 2");
     t
 }

@@ -403,13 +403,12 @@ impl Simulator for GateSystemSim {
         drop(t_clock);
         if let Some(trace) = &mut self.trace {
             let _t_trace = self.obs.as_ref().map(|o| o.sp_trace.timer());
-            let row: Vec<Value> = self
-                .inputs
-                .iter()
-                .map(|(_, ty, w)| decode(self.sim.bus(w), *ty))
-                .chain(self.latched.iter().copied())
-                .collect();
-            trace.record_cycle(&row)?;
+            // Inputs, then the latched outputs, without collecting a row.
+            let (ins, outs) = (&self.inputs, &self.latched);
+            trace.record_cycle((0..ins.len() + outs.len()).map(|k| match ins.get(k) {
+                Some((_, ty, w)) => decode(self.sim.bus(w), *ty),
+                None => outs[k - ins.len()],
+            }))?;
         }
         if let Some(o) = &self.obs {
             o.cycles.incr();

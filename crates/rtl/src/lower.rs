@@ -484,13 +484,12 @@ impl Simulator for RtlSystemSim {
         self.sim.settle().map_err(to_core)?;
         self.cycle += 1;
         if let Some(trace) = &mut self.trace {
-            let row: Vec<Value> = self
-                .inputs
-                .iter()
-                .map(|(_, _, s)| self.sim.value(*s))
-                .chain(self.latched.iter().copied())
-                .collect();
-            trace.record_cycle(&row)?;
+            // Inputs, then the latched outputs, without collecting a row.
+            let (ins, outs) = (&self.inputs, &self.latched);
+            trace.record_cycle((0..ins.len() + outs.len()).map(|k| match ins.get(k) {
+                Some((_, _, s)) => self.sim.value(*s),
+                None => outs[k - ins.len()],
+            }))?;
         }
         Ok(())
     }

@@ -1,8 +1,11 @@
 //! Steady-state cycles must not touch the heap: after a short warm-up,
 //! `set_input` + `step` + `output` on HCOR and DECT allocates zero times
-//! on every cycle-based engine, on the event-driven RT kernel and on the
-//! gate-level system simulator. Register pokes — the fault injector's
-//! per-cycle corruption primitive — are allocation-free too.
+//! on every cycle-based engine (the batched one at four lanes and at
+//! one), on the event-driven RT kernel and on the gate-level system
+//! simulator. Register pokes — the fault injector's per-cycle corruption
+//! primitive — are allocation-free too. A traced cycle feeds its row
+//! straight into the trace, so all it may allocate is the amortized
+//! growth of the trace's value columns.
 //!
 //! The global allocator counts per thread, so tests running in parallel
 //! do not see each other's allocations.
@@ -133,29 +136,46 @@ fn steady_state_allocations(sim: &mut dyn Simulator, w: &Workload, outputs: &[St
     allocations() - before
 }
 
-fn assert_alloc_free(w: &Workload) {
-    let sys = (w.build)();
-    let outputs: Vec<String> = sys.primary_outputs.iter().map(|o| o.name.clone()).collect();
-    let mut engines: Vec<(&str, Box<dyn Simulator>)> = vec![
-        ("interp", Box::new(InterpSim::new(sys).expect("interp"))),
+/// Every engine on `w`'s design, named, with its lane count.
+fn engines(w: &Workload) -> Vec<(&'static str, usize, Box<dyn Simulator>)> {
+    vec![
+        (
+            "interp",
+            1,
+            Box::new(InterpSim::new((w.build)()).expect("interp")),
+        ),
         (
             "compiled",
+            1,
             Box::new(CompiledSim::new((w.build)()).expect("compiled")),
         ),
         (
             "batched",
+            4,
             Box::new(BatchedSim::new((0..4).map(|_| (w.build)()).collect()).expect("batched")),
         ),
         (
+            "batched 1 lane",
+            1,
+            Box::new(BatchedSim::new(vec![(w.build)()]).expect("batched 1 lane")),
+        ),
+        (
             "rtl",
+            1,
             Box::new(RtlSystemSim::new((w.build)()).expect("rtl")),
         ),
         (
             "gate",
+            1,
             Box::new(GateSystemSim::new((w.build)(), &SynthOptions::default()).expect("gate")),
         ),
-    ];
-    for (name, sim) in &mut engines {
+    ]
+}
+
+fn assert_alloc_free(w: &Workload) {
+    let sys = (w.build)();
+    let outputs: Vec<String> = sys.primary_outputs.iter().map(|o| o.name.clone()).collect();
+    for (name, _, mut sim) in engines(w) {
         let n = steady_state_allocations(sim.as_mut(), w, &outputs);
         assert_eq!(
             n, 0,
@@ -172,6 +192,32 @@ fn hcor_steady_state_is_allocation_free() {
 #[test]
 fn dect_steady_state_is_allocation_free() {
     assert_alloc_free(&dect_workload());
+}
+
+const TRACED: usize = 4_096;
+
+/// Traced from power-up for `TRACED` cycles, every engine makes fewer
+/// than 0.1 allocations per lane-cycle: the trace's value columns grow
+/// by doubling, and no cycle collects a row of its own.
+#[test]
+fn traced_cycles_do_not_allocate_rows() {
+    let w = hcor_workload();
+    for (name, lanes, mut sim) in engines(&w) {
+        sim.enable_trace();
+        let before = allocations();
+        for row in w.rows.iter().cycle().take(TRACED) {
+            for (input, v) in w.inputs.iter().zip(row) {
+                sim.set_input(input, *v).expect("set");
+            }
+            sim.step().expect("step");
+        }
+        let per_lane_cycle = (allocations() - before) as f64 / (lanes * TRACED) as f64;
+        assert!(
+            per_lane_cycle < 0.1,
+            "{name}: {per_lane_cycle:.3} allocations per traced lane-cycle"
+        );
+        assert_eq!(sim.trace().len(), TRACED, "{name}");
+    }
 }
 
 /// Allocations made by `MEASURED` register pokes, cycling through every
