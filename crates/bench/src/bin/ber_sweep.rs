@@ -219,15 +219,6 @@ fn run(args: &ocapi_bench::BenchArgs) -> Result<(), BenchError> {
     rep.perf_f64("sweep_wall_secs", wall);
     rep.perf_u64("burst_runs", total_runs);
     rep.perf_f64("runs_per_sec", total_runs as f64 / wall.max(1e-12));
-    // Packed word operations executed by the batched sweeps' bitsliced
-    // Bool segments (the `batch.word_ops` counter, DESIGN.md §13): a
-    // perf-trajectory record of how much of the tape ran word-parallel.
-    // It reads 0 at `--lanes 1`: a one-lane batch runs the scalar tape
-    // and plans no word blocks (DESIGN.md §11). At two or more lanes it
-    // is zero only if every eligible run had a masked lane — the sweeps
-    // above always include fault-free points, so a vanishing counter
-    // there means the word planner regressed.
-    rep.perf_u64("batch_word_ops", obs.counter("batch.word_ops").get());
     rep.perf_f64(
         "scalar_runs_per_sec",
         hh_bursts as f64 / scalar_secs.max(1e-12),

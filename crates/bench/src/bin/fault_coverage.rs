@@ -27,8 +27,7 @@ use ocapi::sim::fault::{run_campaign_cached_par, run_campaign_par, FaultEvent, F
 use ocapi::sim::par::ParConfig;
 use ocapi::{CompiledTape, InterpSim, Simulator, Value};
 use ocapi_bench::{
-    fingerprint, parse_args, timed, write_profile, BenchArgs, BenchError, FaultEngine, Reporter,
-    Robust,
+    fingerprint, parse_args, timed, write_profile, BenchArgs, BenchError, Reporter, Robust,
 };
 use ocapi_designs::hcor;
 use ocapi_gatesim::fault::{
@@ -369,11 +368,10 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     // The lower bound: a constant stream never exercises the datapath.
     sets.push(("all-zero idle (64)".into(), vec![false; 64], vec![11]));
 
-    // `--fault-engine` switches the grader: packed (63 fault machines
-    // per word, sharded) or scalar (one netlist re-run per fault). The
-    // deterministic results — detected/total per set — are identical
-    // either way; the CI determinism job byte-diffs the two `--json`
-    // outputs. Only the perf section records which engine ran.
+    // Every set is graded, and timed, on the packed grader (63 fault
+    // machines per word, sharded); each report must equal the reference
+    // one-fault-at-a-time grader's on the same set, checked untimed on
+    // every run.
     let mut best: Option<ocapi_gatesim::fault::FaultReport> = None;
     let mut grade_secs = 0.0f64;
     let mut grade_faults = 0u64;
@@ -381,12 +379,15 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     for (label, bits, thresholds) in &sets {
         let stim = stimuli_for(bits, thresholds);
         let t_grade = root.child("grade").timer();
-        let (graded, secs) = timed(|| match args.fault_engine {
-            FaultEngine::Packed => stuck_at_coverage_sharded_stats(&netlist.netlist, &stim, &pool),
-            FaultEngine::Scalar => stuck_at_coverage(&netlist.netlist, &stim),
-        });
+        let (graded, secs) =
+            timed(|| stuck_at_coverage_sharded_stats(&netlist.netlist, &stim, &pool));
         let (graded, stats) = graded?;
         drop(t_grade);
+        let (reference, _) = stuck_at_coverage(&netlist.netlist, &stim)?;
+        assert_eq!(
+            graded, reference,
+            "packed grader disagrees with the reference on `{label}`"
+        );
         grade_secs += secs;
         grade_faults += graded.total as u64;
         grade_stats.merge(&stats);
@@ -408,7 +409,6 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
         "grade_faults_per_sec",
         grade_faults as f64 / grade_secs.max(1e-12),
     );
-    rep.perf_str("grade_engine", args.fault_engine.as_str());
     rep.perf_u64("grade_gate_evals", grade_stats.gate_evals);
     rep.perf_f64(
         "grade_faults_per_gate_eval",

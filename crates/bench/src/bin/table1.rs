@@ -15,6 +15,9 @@
 //! instance-cycles per second — the scalar-vs-batched comparison the
 //! Monte-Carlo workloads bank on.
 //!
+//! Every speed is timed with no observability bundle attached; the same
+//! drive then runs once more, untimed, on a fresh simulator with its
+//! bundle attached, so `--profile-json` keeps its deterministic counts.
 //! The simulator drive loops are inherently serial (one sim, one clock);
 //! the `--threads N` pool shards the synthesis runs behind the gate-eq
 //! column instead. `--quick` shrinks the driven pattern lengths for CI.
@@ -54,9 +57,12 @@ struct Row {
 }
 
 /// Measures one simulator: build under allocation accounting, run the
-/// driver, report speed and peak footprint.
+/// driver with no obs bundle attached, report speed and peak footprint.
+/// Then, with `attach`, drive a fresh build once more, untimed, with its
+/// bundle attached: the profile's deterministic counts come from there.
 fn measure<S: Simulator>(
-    build: impl FnOnce() -> Result<S, BenchError>,
+    build: impl Fn() -> Result<S, BenchError>,
+    attach: Option<&dyn Fn(&mut S)>,
     drive: impl Fn(&mut S) -> Result<u64, CoreError>,
 ) -> Result<(f64, String), BenchError> {
     CountingAlloc::reset_peak();
@@ -66,6 +72,11 @@ fn measure<S: Simulator>(
     let cycles = cycles?;
     let peak = CountingAlloc::peak().saturating_sub(before);
     drop(sim);
+    if let Some(attach) = attach {
+        let mut observed = build()?;
+        attach(&mut observed);
+        drive(&mut observed)?;
+    }
     Ok((cycles as f64 / secs, mb(peak)))
 }
 
@@ -143,234 +154,103 @@ fn tape_len_metrics(
     Ok((len0, len2))
 }
 
-fn hcor_table(
+/// The DSL sources of the DECT transceiver, HCOR included.
+const DECT_DSL: [&str; 4] = [
+    "hcor",
+    "dect/pc_controller",
+    "dect/datapaths",
+    "dect/transceiver",
+];
+
+/// One design of Table 1: how to build it, and how to drive it for the
+/// workload size of each paradigm.
+struct TableDesign<'a> {
+    /// Prefix of its result and perf keys.
+    key: &'static str,
+    title: &'static str,
+    /// Its DSL sources, for the line count.
+    dsl: &'a [&'a str],
+    build: &'a dyn Fn() -> Result<System, CoreError>,
+    /// Drives one simulator through a workload of the given size and
+    /// returns the cycles run.
+    drive: &'a dyn Fn(&mut dyn Simulator, usize) -> Result<u64, CoreError>,
+    /// Workload sizes for the object-level engines (interpreted,
+    /// compiled, batched), the RT kernel and the gate-level netlist.
+    sizes: [usize; 3],
+}
+
+/// Prints one design's Table 1 rows and records its results and speeds.
+fn design_table(
     args: &BenchArgs,
     rep: &mut Reporter,
     obs: &Registry,
+    d: &TableDesign<'_>,
 ) -> Result<(usize, usize), BenchError> {
-    let bits = hcor::test_pattern(if args.quick { 256 } else { 3000 }, 99);
-    let drive_bits = bits.clone();
-    let drive = move |sim: &mut dyn Simulator| -> Result<u64, CoreError> {
-        sim.set_input("enable", Value::Bool(true))?;
-        sim.set_input("threshold", Value::bits(5, 17))?; // never locks
-        for b in &drive_bits {
-            sim.set_input("bit_in", Value::Bool(*b))?;
-            sim.step()?;
-        }
-        Ok(drive_bits.len() as u64)
-    };
-
-    let sys = hcor::build_system()?;
+    let sys = (d.build)()?;
     let (vhdl_l, verilog_l) = hdl_lines(&sys)?;
-    let dsl_l = dsl_lines(&["hcor"]);
+    let dsl_l = dsl_lines(d.dsl);
     let gates = gate_count(&sys, &args.pool(), obs)?;
-    rep.result_u64("hcor_dsl_lines", dsl_l as u64);
-    rep.result_u64("hcor_vhdl_lines", vhdl_l as u64);
-    rep.result_u64("hcor_verilog_lines", verilog_l as u64);
-    rep.result_f64("hcor_gate_eq", gates);
+    let key = d.key;
+    rep.result_u64(&format!("{key}_dsl_lines"), dsl_l as u64);
+    rep.result_u64(&format!("{key}_vhdl_lines"), vhdl_l as u64);
+    rep.result_u64(&format!("{key}_verilog_lines"), verilog_l as u64);
+    rep.result_f64(&format!("{key}_gate_eq"), gates);
 
-    let (interp_speed, interp_mem) = measure(
-        || {
-            let mut s = InterpSim::new(hcor::build_system()?)?;
-            s.attach_obs(SimObs::interp(obs));
-            Ok(s)
-        },
-        |s| drive(s),
+    let [n_obj, n_rtl, n_gate] = d.sizes;
+    let (level, lanes) = (args.opt_level(), args.lanes);
+    let interp = measure(
+        || Ok(InterpSim::new((d.build)()?)?),
+        Some(&|s: &mut InterpSim| s.attach_obs(SimObs::interp(obs))),
+        |s| (d.drive)(s, n_obj),
     )?;
-    let (comp_speed, comp_mem) = measure(
-        || {
-            let mut s = CompiledSim::new_with(hcor::build_system()?, args.opt_level())?;
-            s.attach_obs(SimObs::compiled(obs));
-            Ok(s)
-        },
-        |s| drive(s),
+    let compiled = measure(
+        || Ok(CompiledSim::new_with((d.build)()?, level)?),
+        Some(&|s: &mut CompiledSim| s.attach_obs(SimObs::compiled(obs))),
+        |s| (d.drive)(s, n_obj),
     )?;
     // The lane-batched compiled tape, all `--lanes` instances driven in
     // lockstep (`BatchedSim` broadcasts inputs through the `Simulator`
     // trait); the aggregate throughput is instance-cycles per second.
-    let lanes = args.lanes;
-    let (batch_speed, batch_mem) = measure(
-        || {
-            let mut s = BatchedSim::from_fn(lanes, hcor::build_system, args.opt_level())?;
-            s.attach_obs(BatchObs::new(obs));
-            Ok(s)
-        },
-        |s| Ok(drive(s)? * lanes as u64),
+    let batched = measure(
+        || Ok(BatchedSim::from_fn(lanes, d.build, level)?),
+        Some(&|s: &mut BatchedSim| s.attach_obs(BatchObs::new(obs))),
+        |s| Ok((d.drive)(s, n_obj)? * lanes as u64),
     )?;
-    let (rtl_speed, rtl_mem) = measure(
-        || Ok(RtlSystemSim::new(hcor::build_system()?)?),
-        |s| drive(s),
+    let rtl = measure(
+        || Ok(RtlSystemSim::new((d.build)()?)?),
+        None,
+        |s| (d.drive)(s, n_rtl),
     )?;
-    let (gate_speed, gate_mem) = measure(
-        || {
-            let mut s = GateSystemSim::new(hcor::build_system()?, &SynthOptions::default())?;
-            s.attach_obs(obs);
-            Ok(s)
-        },
-        |s| drive(s),
+    let gate = measure(
+        || Ok(GateSystemSim::new((d.build)()?, &SynthOptions::default())?),
+        Some(&|s: &mut GateSystemSim| s.attach_obs(obs)),
+        |s| (d.drive)(s, n_gate),
     )?;
 
-    let rows = vec![
-        Row {
-            kind: "DSL (interpreted obj)".into(),
-            source_lines: dsl_l,
-            cycles_per_sec: interp_speed,
-            process_mb: interp_mem,
-        },
-        Row {
-            kind: "DSL (compiled)".into(),
-            source_lines: dsl_l,
-            cycles_per_sec: comp_speed,
-            process_mb: comp_mem,
-        },
-        Row {
-            kind: format!("DSL (batched x{lanes})"),
-            source_lines: dsl_l,
-            cycles_per_sec: batch_speed,
-            process_mb: batch_mem,
-        },
-        Row {
-            kind: "VHDL (RT, event-driven)".into(),
-            source_lines: vhdl_l,
-            cycles_per_sec: rtl_speed,
-            process_mb: rtl_mem,
-        },
-        Row {
-            kind: "Verilog (netlist)".into(),
-            source_lines: verilog_l,
-            cycles_per_sec: gate_speed,
-            process_mb: gate_mem,
-        },
-    ];
-    print_design("HCOR (header correlator)", gates, &rows);
-    rep.perf_f64("hcor_interp_cycles_per_sec", interp_speed);
-    rep.perf_f64("hcor_compiled_cycles_per_sec", comp_speed);
-    rep.perf_f64("hcor_batched_cycles_per_sec", batch_speed);
-    rep.perf_f64("hcor_rtl_cycles_per_sec", rtl_speed);
-    rep.perf_f64("hcor_gate_cycles_per_sec", gate_speed);
-    tape_len_metrics("hcor", rep, hcor::build_system)
-}
-
-fn dect_table(
-    args: &BenchArgs,
-    rep: &mut Reporter,
-    obs: &Registry,
-) -> Result<(usize, usize), BenchError> {
-    let cfg = TransceiverConfig::default();
-    let make_burst = |n: usize| {
-        generate(&BurstConfig {
-            payload_len: n,
-            ..BurstConfig::default()
-        })
-    };
-    let drive = |sim: &mut dyn Simulator, payload: usize| -> Result<u64, CoreError> {
-        let burst = make_burst(payload);
-        transceiver::run_burst(sim, &burst, None)?;
-        Ok((burst.samples.len() * transceiver::CYCLES_PER_SYMBOL) as u64)
-    };
-
-    let sys = transceiver::build_system(&cfg)?;
-    let (vhdl_l, verilog_l) = hdl_lines(&sys)?;
-    let dsl_l = dsl_lines(&[
-        "hcor",
-        "dect/pc_controller",
-        "dect/datapaths",
-        "dect/transceiver",
-    ]);
-    let gates = gate_count(&sys, &args.pool(), obs)?;
-    rep.result_u64("dect_dsl_lines", dsl_l as u64);
-    rep.result_u64("dect_vhdl_lines", vhdl_l as u64);
-    rep.result_u64("dect_verilog_lines", verilog_l as u64);
-    rep.result_f64("dect_gate_eq", gates);
-
-    // Payload lengths per paradigm, scaled to each kernel's speed (and
-    // shrunk further under `--quick`).
-    let (p_obj, p_rtl, p_gate) = if args.quick {
-        (128, 64, 8)
-    } else {
-        (960, 480, 32)
-    };
-    let (interp_speed, interp_mem) = measure(
-        || {
-            let mut s = InterpSim::new(transceiver::build_system(&cfg)?)?;
-            s.attach_obs(SimObs::interp(obs));
-            Ok(s)
-        },
-        |s| drive(s, p_obj),
-    )?;
-    let (comp_speed, comp_mem) = measure(
-        || {
-            let mut s = CompiledSim::new_with(transceiver::build_system(&cfg)?, args.opt_level())?;
-            s.attach_obs(SimObs::compiled(obs));
-            Ok(s)
-        },
-        |s| drive(s, p_obj),
-    )?;
-    // Lane-batched compiled tape, all lanes replaying the same burst in
-    // lockstep through the broadcasting `Simulator` trait.
-    let lanes = args.lanes;
-    let (batch_speed, batch_mem) = measure(
-        || {
-            let mut s =
-                BatchedSim::from_fn(lanes, || transceiver::build_system(&cfg), args.opt_level())?;
-            s.attach_obs(BatchObs::new(obs));
-            Ok(s)
-        },
-        |s| Ok(drive(s, p_obj)? * lanes as u64),
-    )?;
-    let (rtl_speed, rtl_mem) = measure(
-        || Ok(RtlSystemSim::new(transceiver::build_system(&cfg)?)?),
-        |s| drive(s, p_rtl),
-    )?;
-    let (gate_speed, gate_mem) = measure(
-        || {
-            let mut s =
-                GateSystemSim::new(transceiver::build_system(&cfg)?, &SynthOptions::default())?;
-            s.attach_obs(obs);
-            Ok(s)
-        },
-        |s| drive(s, p_gate),
-    )?;
-
-    let rows = vec![
-        Row {
-            kind: "DSL (interpreted obj)".into(),
-            source_lines: dsl_l,
-            cycles_per_sec: interp_speed,
-            process_mb: interp_mem,
-        },
-        Row {
-            kind: "DSL (compiled)".into(),
-            source_lines: dsl_l,
-            cycles_per_sec: comp_speed,
-            process_mb: comp_mem,
-        },
-        Row {
-            kind: format!("DSL (batched x{lanes})"),
-            source_lines: dsl_l,
-            cycles_per_sec: batch_speed,
-            process_mb: batch_mem,
-        },
-        Row {
-            kind: "VHDL (RT, event-driven)".into(),
-            source_lines: vhdl_l,
-            cycles_per_sec: rtl_speed,
-            process_mb: rtl_mem,
-        },
-        Row {
-            kind: "Verilog (netlist)".into(),
-            source_lines: verilog_l,
-            cycles_per_sec: gate_speed,
-            process_mb: gate_mem,
-        },
-    ];
-    print_design("DECT (radiolink transceiver)", gates, &rows);
-    rep.perf_f64("dect_interp_cycles_per_sec", interp_speed);
-    rep.perf_f64("dect_compiled_cycles_per_sec", comp_speed);
-    rep.perf_f64("dect_batched_cycles_per_sec", batch_speed);
-    rep.perf_f64("dect_rtl_cycles_per_sec", rtl_speed);
-    rep.perf_f64("dect_gate_cycles_per_sec", gate_speed);
-    tape_len_metrics("dect", rep, || transceiver::build_system(&cfg))
+    let rows = [
+        ("DSL (interpreted obj)".to_owned(), dsl_l, interp),
+        ("DSL (compiled)".to_owned(), dsl_l, compiled),
+        (format!("DSL (batched x{lanes})"), dsl_l, batched),
+        ("VHDL (RT, event-driven)".to_owned(), vhdl_l, rtl),
+        ("Verilog (netlist)".to_owned(), verilog_l, gate),
+    ]
+    .map(|(kind, source_lines, (cycles_per_sec, process_mb))| Row {
+        kind,
+        source_lines,
+        cycles_per_sec,
+        process_mb,
+    });
+    print_design(d.title, gates, &rows);
+    for (engine, row) in ["interp", "compiled", "batched", "rtl", "gate"]
+        .iter()
+        .zip(&rows)
+    {
+        rep.perf_f64(
+            &format!("{key}_{engine}_cycles_per_sec"),
+            row.cycles_per_sec,
+        );
+    }
+    tape_len_metrics(key, rep, d.build)
 }
 
 fn main() {
@@ -387,8 +267,55 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     println!("Table 1 reproduction: performances of interpreted and compiled approaches");
     println!("(speed measured on this machine; see EXPERIMENTS.md for the comparison)");
     println!("compiled tape optimization: --opt {}", args.opt);
-    let (h0, h2) = hcor_table(args, &mut rep, &obs)?;
-    let (d0, d2) = dect_table(args, &mut rep, &obs)?;
+    let bits = hcor::test_pattern(if args.quick { 256 } else { 3000 }, 99);
+    let (h0, h2) = design_table(
+        args,
+        &mut rep,
+        &obs,
+        &TableDesign {
+            key: "hcor",
+            title: "HCOR (header correlator)",
+            dsl: &["hcor"],
+            build: &hcor::build_system,
+            drive: &|sim, n| {
+                sim.set_input("enable", Value::Bool(true))?;
+                sim.set_input("threshold", Value::bits(5, 17))?; // never locks
+                for b in &bits[..n] {
+                    sim.set_input("bit_in", Value::Bool(*b))?;
+                    sim.step()?;
+                }
+                Ok(n as u64)
+            },
+            sizes: [bits.len(); 3],
+        },
+    )?;
+    let cfg = TransceiverConfig::default();
+    let (d0, d2) = design_table(
+        args,
+        &mut rep,
+        &obs,
+        &TableDesign {
+            key: "dect",
+            title: "DECT (radiolink transceiver)",
+            dsl: &DECT_DSL,
+            build: &|| transceiver::build_system(&cfg),
+            drive: &|sim, payload_len| {
+                let burst = generate(&BurstConfig {
+                    payload_len,
+                    ..BurstConfig::default()
+                });
+                transceiver::run_burst(sim, &burst, None)?;
+                Ok((burst.samples.len() * transceiver::CYCLES_PER_SYMBOL) as u64)
+            },
+            // Payload lengths per paradigm, scaled to each kernel's
+            // speed (and shrunk further under `--quick`).
+            sizes: if args.quick {
+                [128, 64, 8]
+            } else {
+                [960, 480, 32]
+            },
+        },
+    )?;
     rep.perf_u64("tape_len_opt0", (h0 + d0) as u64);
     rep.perf_u64("tape_len_opt2", (h2 + d2) as u64);
     println!("\ncode-size ratio (generated RT-VHDL lines / DSL lines):");
@@ -409,12 +336,7 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     rep.result_f64("hcor_code_ratio", hv as f64 / hd as f64);
     let ds = transceiver::build_system(&TransceiverConfig::default())?;
     let (dv, _) = hdl_lines(&ds)?;
-    let dd = dsl_lines(&[
-        "hcor",
-        "dect/pc_controller",
-        "dect/datapaths",
-        "dect/transceiver",
-    ]);
+    let dd = dsl_lines(&DECT_DSL);
     println!("  DECT: {:.1}x", dv as f64 / dd as f64);
     rep.result_f64("dect_code_ratio", dv as f64 / dd as f64);
     rep.write(args)?;

@@ -35,33 +35,6 @@
 
 use ocapi::{OptLevel, ParConfig};
 
-/// Which stuck-at grading engine `--fault-engine` selects.
-///
-/// Both engines share one fault universe (`gatesim::enumerate_faults`)
-/// and classify identically — the CI determinism job byte-diffs their
-/// `--json` output — but the packed engine advances up to 63 fault
-/// machines per gate evaluation, while the scalar engine re-simulates
-/// the netlist once per fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultEngine {
-    /// Word-parallel grading: 63 fault machines + the good machine
-    /// packed per `u64` (the default).
-    #[default]
-    Packed,
-    /// One faulty netlist re-simulation per fault (the reference).
-    Scalar,
-}
-
-impl FaultEngine {
-    /// The `--fault-engine` spelling of this engine.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultEngine::Packed => "packed",
-            FaultEngine::Scalar => "scalar",
-        }
-    }
-}
-
 /// Parsed benchmark options, shared by all five bins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
@@ -92,8 +65,6 @@ pub struct BenchArgs {
     /// re-run with their original index-derived seeds, so recovery is
     /// bit-identical to a first-try success.
     pub retries: u32,
-    /// Stuck-at grading engine (`--fault-engine packed|scalar`).
-    pub fault_engine: FaultEngine,
     /// Partition count for the model-parallel gate engine
     /// (`--partitions`, ≥ 1; 1 = single sub-kernel). Only `table_gates`
     /// acts on it today. Results are bit-identical for every K — the
@@ -117,7 +88,6 @@ impl BenchArgs {
             checkpoint_every: 64,
             resume: false,
             retries: 1,
-            fault_engine: FaultEngine::default(),
             partitions: 1,
         }
     }
@@ -142,7 +112,7 @@ pub fn usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--threads N] [--lanes N] [--quick] [--opt N] [--json PATH] [--perf-json PATH] [--profile-json PATH]\n\
          \x20      [--checkpoint DIR] [--checkpoint-every N] [--resume] [--retries N]\n\
-         \x20      [--fault-engine packed|scalar] [--partitions K]\n\
+         \x20      [--partitions K]\n\
          \n\
          \x20 -t, --threads N    worker threads for the sharded engines (default 1;\n\
          \x20                    results are bit-identical for every N)\n\
@@ -173,11 +143,6 @@ pub fn usage(bin: &str) -> String {
          \x20     --retries N    attempts per sharded work item (default 1);\n\
          \x20                    retried items rerun with their original seeds,\n\
          \x20                    so recovery is bit-identical\n\
-         \x20     --fault-engine packed|scalar\n\
-         \x20                    stuck-at grading engine (default packed: 63\n\
-         \x20                    fault machines per u64 word; scalar re-runs the\n\
-         \x20                    netlist once per fault). Classification is\n\
-         \x20                    byte-identical either way\n\
          \x20     --partitions K\n\
          \x20                    partitions for the model-parallel gate engine\n\
          \x20                    (default 1). The netlist is split into K\n\
@@ -259,14 +224,6 @@ pub fn parse_arg_list(bin: &str, args: &[String]) -> Result<BenchArgs, String> {
             _ if arg.starts_with("--retries=") => {
                 out.retries = parse_at_least_one("--retries", &arg["--retries=".len()..])? as u32;
             }
-            "--fault-engine" => {
-                let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
-                out.fault_engine = parse_fault_engine(arg, v)?;
-            }
-            _ if arg.starts_with("--fault-engine=") => {
-                out.fault_engine =
-                    parse_fault_engine("--fault-engine", &arg["--fault-engine=".len()..])?;
-            }
             "--partitions" => {
                 let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
                 out.partitions = parse_partitions(arg, v)?;
@@ -298,15 +255,6 @@ fn parse_opt_level(flag: &str, v: &str) -> Result<u8, String> {
     match v.parse::<u8>() {
         Ok(n @ 0..=2) => Ok(n),
         _ => Err(format!("{flag} expects 0, 1 or 2, got `{v}`")),
-    }
-}
-
-/// Parses a `--fault-engine` selector.
-fn parse_fault_engine(flag: &str, v: &str) -> Result<FaultEngine, String> {
-    match v {
-        "packed" => Ok(FaultEngine::Packed),
-        "scalar" => Ok(FaultEngine::Scalar),
-        _ => Err(format!("{flag} expects `packed` or `scalar`, got `{v}`")),
     }
 }
 

@@ -28,7 +28,7 @@ pub mod error;
 pub mod report;
 
 pub use checkpoint::{fingerprint, job_dir, CheckpointStream, Robust};
-pub use cli::{parse_arg_list, parse_args, usage, BenchArgs, FaultEngine};
+pub use cli::{parse_arg_list, parse_args, usage, BenchArgs};
 pub use error::BenchError;
 pub use report::{write_atomic, write_profile, Reporter};
 

@@ -94,14 +94,6 @@ impl Reporter {
         self.perf.push((key.to_owned(), v.to_string()));
     }
 
-    /// Records a string perf annotation (e.g. which engine ran —
-    /// configuration that belongs next to the timings, not in the
-    /// deterministic results).
-    pub fn perf_str(&mut self, key: &str, v: &str) {
-        self.perf
-            .push((key.to_owned(), format!("\"{}\"", escape(v))));
-    }
-
     /// Records the observability counters of one sharded map under
     /// `prefix`: items, items/sec, wall seconds, worker count and mean
     /// utilization.

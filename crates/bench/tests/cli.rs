@@ -6,7 +6,7 @@ use ocapi::{CompiledTape, OptLevel, ParConfig};
 use ocapi_bench::ber::{
     measure, measure_batched, measure_with_faults, measure_with_faults_batched,
 };
-use ocapi_bench::{parse_arg_list, BenchArgs, FaultEngine, Robust};
+use ocapi_bench::{parse_arg_list, BenchArgs, Robust};
 use ocapi_designs::dect::transceiver::{build_system, TransceiverConfig};
 
 fn argv(args: &[&str]) -> Vec<String> {
@@ -87,28 +87,6 @@ fn unknown_flags_and_bad_values_are_errors() {
         parse_arg_list("bin", &argv(&["--help"])).unwrap_err(),
         String::new()
     );
-}
-
-#[test]
-fn fault_engine_flag_parses_both_spellings_and_rejects_junk() {
-    let a = parse_arg_list("bin", &[]).expect("defaults parse");
-    assert_eq!(a.fault_engine, FaultEngine::Packed, "packed by default");
-    for (spelling, want) in [
-        (argv(&["--fault-engine", "scalar"]), FaultEngine::Scalar),
-        (argv(&["--fault-engine=scalar"]), FaultEngine::Scalar),
-        (argv(&["--fault-engine", "packed"]), FaultEngine::Packed),
-        (argv(&["--fault-engine=packed"]), FaultEngine::Packed),
-    ] {
-        let a = parse_arg_list("bin", &spelling).expect("parse");
-        assert_eq!(a.fault_engine, want, "{spelling:?}");
-        assert_eq!(a.fault_engine.as_str(), want.as_str());
-    }
-    for bad in ["", "both", "PACKED", "64"] {
-        let msg = parse_arg_list("bin", &argv(&["--fault-engine", bad]))
-            .expect_err(&format!("--fault-engine {bad} must be rejected"));
-        assert!(msg.contains("--fault-engine"), "names the flag: {msg}");
-    }
-    assert!(parse_arg_list("bin", &argv(&["--fault-engine"])).is_err());
 }
 
 #[test]

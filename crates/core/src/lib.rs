@@ -25,7 +25,9 @@
 //!   systems, including SDF repetition vectors and static schedules.
 //! * **Two simulation back-ends** (§5): the interpreted [`InterpSim`]
 //!   walks the data structure; the compiled [`CompiledSim`] levelizes the
-//!   whole system into a flat evaluation tape.
+//!   whole system into a flat evaluation tape. One simulator runs that
+//!   tape over any number of lanes, [`BatchedSim`]; `CompiledSim` is its
+//!   one-lane form.
 //!
 //! # Example: the paper's Figure 4 FSM
 //!

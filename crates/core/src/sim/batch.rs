@@ -1,4 +1,4 @@
-//! Lane-batched execution of the compiled micro-op tape.
+//! The compiled-tape simulator, over one lane or many.
 //!
 //! The compiled back-end exists to make the statistical workloads
 //! tractable — the paper's environment runs "a BER simulation in
@@ -16,6 +16,13 @@
 //! tape walk (instruction decode, dispatch, operand indexing) is paid
 //! once per cycle instead of once per instance.
 //!
+//! The lane count is geometry, not a second engine (DESIGN.md §10–§11):
+//! every batch shares its tape's program and runs it on `sim::exec`,
+//! the one micro-op executor — on its one-lane instantiation for a
+//! single lane, on its 8-lane-chunked kernels while no lane is masked,
+//! and mask-guarded once one is. [`CompiledSim`] is the one-lane batch
+//! behind the scalar API.
+//!
 //! Lanes stay *independent*:
 //!
 //! * every lane has its own FSM states, SFG activation flags, register
@@ -27,32 +34,10 @@
 //!   stripes freeze, its first error and cycle are recorded, and the
 //!   remaining lanes keep running.
 //!
-//! Results are bit-identical to running N scalar [`CompiledSim`]s: the
-//! `batch` integration suite asserts every output and every `peek_net`
-//! value matches lane-for-lane at every optimization level.
-//!
-//! **Word-parallel fast path** (DESIGN.md §13): at build time the tape
-//! is split into *segments*. Runs of ≥ `MIN_WORD_RUN` consecutive
-//! micro-ops whose operands and destination are all `Bool` slots are
-//! lowered to packed `u64` word operations — the Bool lanes are
-//! *bitsliced* (lane `l` in bit `l % 64` of word `l / 64`), so one
-//! `AND`/`OR`/`XOR`/`MUX` word op advances up to 64 lanes at once.
-//! Bool comparisons lower to their bitwise identities (`==` → XNOR,
-//! `<` → `!a & b`, …). Everything else — multi-bit `Bits` arithmetic,
-//! fixed-point, float, `Drive`/`Fire` — runs on `sim::exec`, the one
-//! micro-op executor [`CompiledSim`] shares (DESIGN.md §10), whose
-//! all-alive kernels stream each stripe in 8-lane chunks. The word
-//! path runs only while *no lane is masked*; as soon as any lane dies,
-//! the whole tape runs on the executor's mask-guarded instantiation
-//! instead, so masked-lane freezing semantics are unchanged and results
-//! stay byte-identical either way.
-//!
-//! **One lane** (DESIGN.md §11): a batch of one lane *is* the scalar
-//! engine. It shares the tape's program as [`CompiledSim`] does (no
-//! copy, no word-run clustering, no word plan) and runs every phase on
-//! the executor's one-lane geometry, so it steps as fast as
-//! [`CompiledSim`] while keeping the batch API — lane errors, lane
-//! snapshots, per-lane traces. Its `batch.word_ops` counter reads 0.
+//! Results are bit-identical to running N one-lane simulators: the
+//! `batch` and `tape_engines` integration suites assert every output
+//! and every `peek_net` value matches lane-for-lane (and the
+//! interpreter) at every optimization level.
 //!
 //! **Seeding contract** (composes with the `sim::par` sharding model,
 //! DESIGN.md §7): batching never introduces randomness of its own. A
@@ -68,21 +53,19 @@
 use std::sync::Arc;
 
 use crate::sim::budget::Budget;
-use crate::sim::compiled::{
-    decode, encode, make_trace, traced_nets, Cmp, Micro, Program, UntimedIo,
-};
+use crate::sim::compiled::{decode, encode, Program};
 use crate::sim::exec::{self, All, Lanes, Live, One, State};
 use crate::sim::hash::CompiledTape;
-use crate::sim::obs::BatchObs;
+use crate::sim::obs::{BatchObs, TapeObs};
 use crate::sim::opt::{OptLevel, OptStats};
 use crate::sim::snapshot::SimSnapshot;
 use crate::sim::Simulator;
 use crate::system::System;
-use crate::trace::Trace;
-use crate::value::{SigType, Value};
+use crate::trace::{make_trace, traced_nets, Trace};
+use crate::value::Value;
 use crate::CoreError;
 
-/// The lane-batched tape executor. See the [module docs](self).
+/// The compiled-tape simulator over N lanes. See the [module docs](self).
 ///
 /// Construct with [`BatchedSim::new`] / [`BatchedSim::new_with`] from one
 /// structurally identical [`System`] per lane (the systems carry the
@@ -90,33 +73,29 @@ use crate::CoreError;
 /// builder closure. Drive either through the lane-addressed methods
 /// (`set_input_lane`, `output_lane`, …) or through the [`Simulator`]
 /// trait, which *broadcasts* writes to every live lane and reads lane 0 —
-/// a 1-lane batch behaves exactly like a scalar [`CompiledSim`].
+/// a 1-lane batch is exactly the scalar [`CompiledSim`].
 ///
 /// [`CompiledSim`]: crate::CompiledSim
 pub struct BatchedSim {
     /// One system per lane; `systems[0]` is the one the tape was
     /// compiled from, every lane's untimed blocks live in its own copy.
     systems: Vec<System>,
-    /// A one-lane batch shares the tape's program; a wider one runs a
-    /// private copy reordered for the word plan.
+    /// Shared with the [`CompiledTape`] it was instantiated from.
     prog: Arc<Program>,
     lanes: usize,
     /// Lane-major stripes of every lane's state.
     st: State,
     /// Lane-active mask: `false` = masked off by a per-lane error.
     alive: Vec<bool>,
+    /// Number of `false` entries in `alive`.
+    masked: usize,
     /// First error per masked lane: (cycle before the failing step, error).
     errors: Vec<Option<(u64, CoreError)>>,
     cycle: u64,
     traces: Option<Vec<Trace>>,
-    obs: Option<BatchObs>,
+    obs: Option<TapeObs>,
     budget: Budget,
     design_hash: u64,
-    /// Build-time bitslicing plan over both tapes (see module docs);
-    /// empty for a one-lane batch.
-    plan: WordPlan,
-    /// Packed scratch: the widest block's `locals` × `ceil(lanes/64)`.
-    word_scratch: Vec<u64>,
 }
 
 impl std::fmt::Debug for BatchedSim {
@@ -193,447 +172,6 @@ fn shape_diff(a: &System, b: &System, lane: usize) -> Option<String> {
     None
 }
 
-/// Minimum run of consecutive word-eligible micro-ops worth bitslicing:
-/// below this the gather/scatter transposition costs more than the
-/// scalar lane loop it replaces.
-const MIN_WORD_RUN: usize = 4;
-
-/// A packed word operation over block-local scratch stripes.
-///
-/// Operands are *local* stripe indices interned at plan time; every
-/// stripe is `ceil(lanes/64)` words holding one Bool slot bitsliced
-/// across the lane dimension (lane `l` lives in bit `l % 64` of word
-/// `l / 64`). Bits beyond the last lane in the tail word are garbage
-/// after `Not`/`Xnor`/`OrN` — harmless, because scatter only extracts
-/// lane bits and every op is bitwise (bit `k` of the result depends
-/// only on bit `k` of the operands).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WordOp {
-    /// `d = a & b`
-    And { d: u32, a: u32, b: u32 },
-    /// `d = a | b`
-    Or { d: u32, a: u32, b: u32 },
-    /// `d = a ^ b` — also Bool `!=`.
-    Xor { d: u32, a: u32, b: u32 },
-    /// `d = !(a ^ b)` — Bool `==`.
-    Xnor { d: u32, a: u32, b: u32 },
-    /// `d = !a & b` — Bool `<` (and `>` with swapped operands).
-    AndN { d: u32, a: u32, b: u32 },
-    /// `d = !a | b` — Bool `<=` (and `>=` with swapped operands).
-    OrN { d: u32, a: u32, b: u32 },
-    /// `d = !a`
-    Not { d: u32, a: u32 },
-    /// `d = a`
-    Copy { d: u32, a: u32 },
-    /// `d = (c & t) | (!c & e)` — lanewise select.
-    Mux { d: u32, c: u32, t: u32, e: u32 },
-}
-
-/// One bitsliced run of a tape.
-#[derive(Debug, Clone)]
-struct WordBlock {
-    /// The instruction range `instrs[start..end]` this block replaces —
-    /// the masked-lane fallback re-runs exactly these scalar micro-ops.
-    start: usize,
-    end: usize,
-    /// `(slot, local)`: stripes packed from the slot vector up front
-    /// (slots read before any in-block write).
-    gather: Vec<(u32, u32)>,
-    /// `(slot, local)`: stripes unpacked back into the slot vector
-    /// afterwards (every slot the block writes).
-    scatter: Vec<(u32, u32)>,
-    ops: Vec<WordOp>,
-    /// Scratch stripes the block needs.
-    locals: u32,
-}
-
-/// One region of a planned tape: a scalar instruction range, or an
-/// index into [`WordPlan::blocks`].
-#[derive(Debug, Clone, Copy)]
-enum Segment {
-    Scalar { start: usize, end: usize },
-    Word(u32),
-}
-
-/// Build-time plan splitting both tapes into scalar and word segments.
-#[derive(Debug, Clone, Default)]
-struct WordPlan {
-    pre: Vec<Segment>,
-    tape: Vec<Segment>,
-    blocks: Vec<WordBlock>,
-}
-
-/// The word lowering of one micro-op — with *global* slot operands —
-/// when every operand and the destination is a `Bool` slot (always
-/// stored 0/1) and the op has a lanewise bitwise identity. Multi-bit
-/// `Bits`, fixed-point and float ops return `None`: their lanes carry
-/// full words that do not bitslice (DESIGN.md §13).
-fn word_op(m: &Micro, ty: &[SigType]) -> Option<WordOp> {
-    let is_bool = |s: &u32| matches!(ty.get(*s as usize), Some(SigType::Bool));
-    match m {
-        Micro::AndU { dst, a, b } if is_bool(dst) && is_bool(a) && is_bool(b) => {
-            Some(WordOp::And {
-                d: *dst,
-                a: *a,
-                b: *b,
-            })
-        }
-        Micro::OrU { dst, a, b } if is_bool(dst) && is_bool(a) && is_bool(b) => Some(WordOp::Or {
-            d: *dst,
-            a: *a,
-            b: *b,
-        }),
-        Micro::XorU { dst, a, b } if is_bool(dst) && is_bool(a) && is_bool(b) => {
-            Some(WordOp::Xor {
-                d: *dst,
-                a: *a,
-                b: *b,
-            })
-        }
-        Micro::NotU { dst, a, mask } if *mask == 1 && is_bool(dst) && is_bool(a) => {
-            Some(WordOp::Not { d: *dst, a: *a })
-        }
-        Micro::Copy { dst, src } if is_bool(dst) && is_bool(src) => {
-            Some(WordOp::Copy { d: *dst, a: *src })
-        }
-        // A Bool slot already holds 0/1, so `!= 0` and `& 1` are the
-        // identity on the packed bit.
-        Micro::NonZero { dst, a } if is_bool(dst) && is_bool(a) => {
-            Some(WordOp::Copy { d: *dst, a: *a })
-        }
-        Micro::MaskTo { dst, a, mask } if *mask == 1 && is_bool(dst) && is_bool(a) => {
-            Some(WordOp::Copy { d: *dst, a: *a })
-        }
-        Micro::SelectU { dst, c, t, e }
-            if is_bool(dst) && is_bool(c) && is_bool(t) && is_bool(e) =>
-        {
-            Some(WordOp::Mux {
-                d: *dst,
-                c: *c,
-                t: *t,
-                e: *e,
-            })
-        }
-        Micro::CmpU { dst, a, b, kind } if is_bool(dst) && is_bool(a) && is_bool(b) => {
-            let (d, a, b) = (*dst, *a, *b);
-            Some(match kind {
-                Cmp::Eq => WordOp::Xnor { d, a, b },
-                Cmp::Ne => WordOp::Xor { d, a, b },
-                Cmp::Lt => WordOp::AndN { d, a, b },
-                Cmp::Gt => WordOp::AndN { d, a: b, b: a },
-                Cmp::Le => WordOp::OrN { d, a, b },
-                Cmp::Ge => WordOp::OrN { d, a: b, b: a },
-            })
-        }
-        _ => None,
-    }
-}
-
-/// The slot read-set (up to three slots) and destination of one pure
-/// micro-op, or `None` for ops with non-slot effects — [`Micro::Drive`]
-/// resolves nets against instance activity and [`Micro::Fire`] advances
-/// untimed-block state — which act as scheduling barriers nothing may
-/// move across. `RegRead` is pure within a tape pass: registers only
-/// change at the end of [`BatchedSim::step`], never mid-tape.
-fn micro_rw(m: &Micro) -> Option<([u32; 3], usize, u32)> {
-    use Micro as M;
-    Some(match m {
-        M::Copy { dst, src } => ([*src, 0, 0], 1, *dst),
-        M::RegRead { dst, .. } => ([0; 3], 0, *dst),
-        M::AddB { dst, a, b, .. }
-        | M::SubB { dst, a, b, .. }
-        | M::MulB { dst, a, b, .. }
-        | M::AndU { dst, a, b }
-        | M::OrU { dst, a, b }
-        | M::XorU { dst, a, b }
-        | M::CmpU { dst, a, b, .. }
-        | M::AddF { dst, a, b, .. }
-        | M::SubF { dst, a, b, .. }
-        | M::MulF { dst, a, b }
-        | M::CmpF { dst, a, b, .. }
-        | M::AddFl { dst, a, b }
-        | M::SubFl { dst, a, b }
-        | M::MulFl { dst, a, b }
-        | M::CmpFl { dst, a, b, .. } => ([*a, *b, 0], 2, *dst),
-        M::NotU { dst, a, .. }
-        | M::NegB { dst, a, .. }
-        | M::ShlB { dst, a, .. }
-        | M::ShrB { dst, a, .. }
-        | M::ShrMask { dst, a, .. }
-        | M::NegF { dst, a }
-        | M::CastF { dst, a, .. }
-        | M::FloatToFix { dst, a, .. }
-        | M::NegFl { dst, a }
-        | M::MaskTo { dst, a, .. }
-        | M::NonZero { dst, a }
-        | M::NonZeroFloat { dst, a }
-        | M::ToFloatBits { dst, a }
-        | M::ToFloatFix { dst, a, .. } => ([*a, 0, 0], 1, *dst),
-        M::SelectU { dst, c, t, e } => ([*c, *t, *e], 3, *dst),
-        M::Drive { .. } | M::Fire { .. } => return None,
-    })
-}
-
-/// Whether swapping adjacent ops `(prev, op)` changes the computation:
-/// true when `op` reads what `prev` writes, writes what `prev` reads,
-/// or both write the same slot.
-fn rw_conflict(r: &[u32], d: u32, pr: &[u32], pd: u32) -> bool {
-    d == pd || pr.contains(&d) || r.contains(&pd)
-}
-
-/// Clusters word-eligible ops into contiguous runs by hoisting each one
-/// leftwards past independent scalar ops until it joins the previous
-/// eligible op (or hits a dependency or a barrier). Compiled tapes emit
-/// in dependency order, which interleaves the sparse Bool ops with the
-/// Bits/fixed-point work between them — on the DECT transceiver every
-/// eligible op sits in a run of length one, so without this pass the
-/// planner never reaches [`MIN_WORD_RUN`]. Each hoist is a chain of
-/// adjacent swaps, each individually checked side-effect-free, so the
-/// reordered tape computes exactly what the original did; relative
-/// order *within* the eligible ops and *within* the scalar ops is
-/// preserved. Runs after the design hash is taken, so snapshots stay
-/// compatible with the unscheduled program.
-fn schedule_word_runs(tape: &mut Vec<Micro>, ty: &[SigType]) {
-    let mut out: Vec<Micro> = Vec::with_capacity(tape.len());
-    for m in tape.drain(..) {
-        if word_op(&m, ty).is_some() {
-            if let Some((r, rn, d)) = micro_rw(&m) {
-                let r = &r[..rn];
-                let mut pos = out.len();
-                while pos > 0 {
-                    let prev = &out[pos - 1];
-                    if word_op(prev, ty).is_some() {
-                        break;
-                    }
-                    match micro_rw(prev) {
-                        Some((pr, prn, pd)) if !rw_conflict(r, d, &pr[..prn], pd) => pos -= 1,
-                        _ => break,
-                    }
-                }
-                out.insert(pos, m);
-                continue;
-            }
-        }
-        out.push(m);
-    }
-    *tape = out;
-}
-
-/// Interns global slots to block-local stripe indices while recording
-/// which stripes must be gathered (read before any in-block write) and
-/// scattered (written at all). Linear scans: blocks are short tape runs.
-#[derive(Default)]
-struct Interner {
-    map: Vec<(u32, u32)>,
-    gather: Vec<(u32, u32)>,
-    scatter: Vec<(u32, u32)>,
-}
-
-impl Interner {
-    fn local(&mut self, g: u32) -> (u32, bool) {
-        if let Some((_, l)) = self.map.iter().find(|(gg, _)| *gg == g) {
-            (*l, false)
-        } else {
-            let l = self.map.len() as u32;
-            self.map.push((g, l));
-            (l, true)
-        }
-    }
-
-    /// A slot read by an op. First-touch-as-source means the value must
-    /// come from the slot vector — record a gather.
-    fn src(&mut self, g: u32) -> u32 {
-        let (l, fresh) = self.local(g);
-        if fresh {
-            self.gather.push((g, l));
-        }
-        l
-    }
-
-    /// A slot written by an op: scattered back once, at first write.
-    fn dst(&mut self, g: u32) -> u32 {
-        let (l, _) = self.local(g);
-        if !self.scatter.iter().any(|(gg, _)| *gg == g) {
-            self.scatter.push((g, l));
-        }
-        l
-    }
-}
-
-/// Finalizes one run of word ops into a [`WordBlock`]: sources are
-/// interned before destinations per op, so an op that reads and writes
-/// the same slot still gathers the pre-op value.
-fn build_word_block(start: usize, end: usize, ops: &[WordOp]) -> WordBlock {
-    let mut it = Interner::default();
-    let ops = ops
-        .iter()
-        .map(|op| match *op {
-            WordOp::And { d, a, b } => {
-                let (a, b) = (it.src(a), it.src(b));
-                WordOp::And { d: it.dst(d), a, b }
-            }
-            WordOp::Or { d, a, b } => {
-                let (a, b) = (it.src(a), it.src(b));
-                WordOp::Or { d: it.dst(d), a, b }
-            }
-            WordOp::Xor { d, a, b } => {
-                let (a, b) = (it.src(a), it.src(b));
-                WordOp::Xor { d: it.dst(d), a, b }
-            }
-            WordOp::Xnor { d, a, b } => {
-                let (a, b) = (it.src(a), it.src(b));
-                WordOp::Xnor { d: it.dst(d), a, b }
-            }
-            WordOp::AndN { d, a, b } => {
-                let (a, b) = (it.src(a), it.src(b));
-                WordOp::AndN { d: it.dst(d), a, b }
-            }
-            WordOp::OrN { d, a, b } => {
-                let (a, b) = (it.src(a), it.src(b));
-                WordOp::OrN { d: it.dst(d), a, b }
-            }
-            WordOp::Not { d, a } => {
-                let a = it.src(a);
-                WordOp::Not { d: it.dst(d), a }
-            }
-            WordOp::Copy { d, a } => {
-                let a = it.src(a);
-                WordOp::Copy { d: it.dst(d), a }
-            }
-            WordOp::Mux { d, c, t, e } => {
-                let (c, t, e) = (it.src(c), it.src(t), it.src(e));
-                WordOp::Mux {
-                    d: it.dst(d),
-                    c,
-                    t,
-                    e,
-                }
-            }
-        })
-        .collect();
-    WordBlock {
-        start,
-        end,
-        gather: it.gather,
-        scatter: it.scatter,
-        ops,
-        locals: it.map.len() as u32,
-    }
-}
-
-/// Splits one tape into scalar segments and word blocks: maximal runs
-/// of word-eligible micro-ops of length ≥ [`MIN_WORD_RUN`] become
-/// blocks, everything else stays scalar.
-fn plan_tape(instrs: &[Micro], ty: &[SigType], blocks: &mut Vec<WordBlock>) -> Vec<Segment> {
-    let mut segs = Vec::new();
-    let mut scalar_start = 0usize;
-    let mut i = 0usize;
-    while i < instrs.len() {
-        let mut ops = Vec::new();
-        let mut j = i;
-        while j < instrs.len() {
-            match word_op(&instrs[j], ty) {
-                Some(op) => {
-                    ops.push(op);
-                    j += 1;
-                }
-                None => break,
-            }
-        }
-        if ops.len() >= MIN_WORD_RUN {
-            if scalar_start < i {
-                segs.push(Segment::Scalar {
-                    start: scalar_start,
-                    end: i,
-                });
-            }
-            blocks.push(build_word_block(i, j, &ops));
-            segs.push(Segment::Word((blocks.len() - 1) as u32));
-            scalar_start = j;
-        }
-        // `instrs[j]` is ineligible (or past the end): the next run can
-        // only start after it.
-        i = j + 1;
-    }
-    if scalar_start < instrs.len() {
-        segs.push(Segment::Scalar {
-            start: scalar_start,
-            end: instrs.len(),
-        });
-    }
-    segs
-}
-
-fn build_word_plan(prog: &Program) -> WordPlan {
-    let mut blocks = Vec::new();
-    let pre = plan_tape(&prog.pre_tape, &prog.slot_ty, &mut blocks);
-    let tape = plan_tape(&prog.tape, &prog.slot_ty, &mut blocks);
-    WordPlan { pre, tape, blocks }
-}
-
-/// Executes one bitsliced block over the full (all-alive) batch:
-/// transposes the gathered Bool stripes into packed words, runs the
-/// word ops, transposes the written stripes back out. Returns the
-/// number of packed word operations performed.
-fn exec_word_block(blk: &WordBlock, s: &mut [u64], scratch: &mut [u64], lanes: usize) -> u64 {
-    let words = lanes.div_ceil(64);
-    for (slot, local) in &blk.gather {
-        let base = *slot as usize * lanes;
-        let out = *local as usize * words;
-        for w in 0..words {
-            let l0 = w * 64;
-            let n = (lanes - l0).min(64);
-            let mut packed = 0u64;
-            for k in 0..n {
-                packed |= (s[base + l0 + k] & 1) << k;
-            }
-            scratch[out + w] = packed;
-        }
-    }
-    // `wloop!(d, |w| ..)` — one packed op across the stripe's words.
-    macro_rules! wloop {
-        ($d:expr, |$w:ident| $val:expr) => {{
-            let d = *$d as usize * words;
-            for $w in 0..words {
-                scratch[d + $w] = $val;
-            }
-        }};
-    }
-    macro_rules! rd {
-        ($x:expr, $w:ident) => {
-            scratch[*$x as usize * words + $w]
-        };
-    }
-    for op in &blk.ops {
-        match op {
-            WordOp::And { d, a, b } => wloop!(d, |w| rd!(a, w) & rd!(b, w)),
-            WordOp::Or { d, a, b } => wloop!(d, |w| rd!(a, w) | rd!(b, w)),
-            WordOp::Xor { d, a, b } => wloop!(d, |w| rd!(a, w) ^ rd!(b, w)),
-            WordOp::Xnor { d, a, b } => wloop!(d, |w| !(rd!(a, w) ^ rd!(b, w))),
-            WordOp::AndN { d, a, b } => wloop!(d, |w| !rd!(a, w) & rd!(b, w)),
-            WordOp::OrN { d, a, b } => wloop!(d, |w| !rd!(a, w) | rd!(b, w)),
-            WordOp::Not { d, a } => wloop!(d, |w| !rd!(a, w)),
-            WordOp::Copy { d, a } => wloop!(d, |w| rd!(a, w)),
-            WordOp::Mux { d, c, t, e } => {
-                wloop!(d, |w| (rd!(c, w) & rd!(t, w)) | (!rd!(c, w) & rd!(e, w)));
-            }
-        }
-    }
-    for (slot, local) in &blk.scatter {
-        let base = *slot as usize * lanes;
-        let src = *local as usize * words;
-        for w in 0..words {
-            let l0 = w * 64;
-            let n = (lanes - l0).min(64);
-            let packed = scratch[src + w];
-            for k in 0..n {
-                s[base + l0 + k] = (packed >> k) & 1;
-            }
-        }
-    }
-    blk.ops.len() as u64 * words as u64
-}
-
 impl BatchedSim {
     /// Compiles `systems[0]` and runs all lanes through its tape at the
     /// default optimization level. One lane per system.
@@ -663,15 +201,12 @@ impl BatchedSim {
         // the system just compiled.
         let tape = CompiledTape::compile(&systems[0], level)?;
         let design_hash = tape.program_hash();
-        BatchedSim::from_parts(systems, tape.prog, design_hash)
+        Ok(BatchedSim::from_parts(systems, tape.prog, design_hash))
     }
 
     /// Instantiates a batch from a cached [`CompiledTape`] without
-    /// recompiling: the levelized program is reused and only the
-    /// lane-striped mutable state is built fresh. A one-lane batch
-    /// shares the tape's program as it is, like
-    /// [`CompiledSim::from_tape`](crate::CompiledSim::from_tape); a
-    /// wider one clusters word runs in a private copy. Behaviour and
+    /// recompiling: the levelized program is shared and only the
+    /// lane-striped mutable state is built fresh. Behaviour and
     /// [`BatchedSim::design_hash`] are identical to compiling
     /// `systems[0]` at the tape's level — the warm path of the
     /// simulation service's tape cache.
@@ -684,53 +219,30 @@ impl BatchedSim {
     pub fn from_tape(systems: Vec<System>, tape: &CompiledTape) -> Result<BatchedSim, CoreError> {
         check_lanes(&systems)?;
         tape.check_system(&systems[0])?;
-        BatchedSim::from_parts(systems, Arc::clone(&tape.prog), tape.program_hash())
+        Ok(BatchedSim::from_parts(
+            systems,
+            Arc::clone(&tape.prog),
+            tape.program_hash(),
+        ))
     }
 
     /// Assembles a batch around an already-built program.
-    fn from_parts(
-        systems: Vec<System>,
-        prog: Arc<Program>,
-        design_hash: u64,
-    ) -> Result<BatchedSim, CoreError> {
+    fn from_parts(systems: Vec<System>, prog: Arc<Program>, design_hash: u64) -> BatchedSim {
         let lanes = systems.len();
-        let (prog, plan) = if lanes == 1 {
-            // One lane runs the scalar geometry: nothing to bitslice.
-            (prog, WordPlan::default())
-        } else {
-            // Cluster word-eligible ops before planning (and after
-            // hashing, so the reorder never shows in snapshot
-            // compatibility). The reordered tape is the one both the
-            // word path and the masked-lane fallback execute.
-            let mut prog = Arc::unwrap_or_clone(prog);
-            schedule_word_runs(&mut prog.pre_tape, &prog.slot_ty);
-            schedule_word_runs(&mut prog.tape, &prog.slot_ty);
-            let plan = build_word_plan(&prog);
-            (Arc::new(prog), plan)
-        };
-        let scratch_len = plan
-            .blocks
-            .iter()
-            .map(|b| b.locals as usize)
-            .max()
-            .unwrap_or(0)
-            * lanes.div_ceil(64);
-
-        Ok(BatchedSim {
+        BatchedSim {
             st: State::new(&prog, &systems[0], lanes),
             prog,
             lanes,
             alive: vec![true; lanes],
+            masked: 0,
             errors: vec![None; lanes],
             cycle: 0,
             traces: None,
             obs: None,
             budget: Budget::none(),
             design_hash,
-            plan,
-            word_scratch: vec![0; scratch_len],
             systems,
-        })
+        }
     }
 
     /// Attaches watchdog limits ([`Budget`]) to the whole batch:
@@ -763,9 +275,13 @@ impl BatchedSim {
         if let Some((_, e)) = self.lane_error(lane) {
             return Err(e.clone());
         }
-        Ok(self
-            .st
-            .snapshot(lane, &self.systems[lane], self.design_hash, self.cycle))
+        Ok(self.capture(lane))
+    }
+
+    /// [`BatchedSim::snapshot_lane`] of an in-range lane, masked or not.
+    pub(crate) fn capture(&self, lane: usize) -> SimSnapshot {
+        self.st
+            .snapshot(lane, &self.systems[lane], self.design_hash, self.cycle)
     }
 
     /// Restores one lane from a snapshot taken by
@@ -790,7 +306,10 @@ impl BatchedSim {
             &self.prog,
             &mut self.systems[lane],
         )?;
-        self.alive[lane] = true;
+        if !self.alive[lane] {
+            self.alive[lane] = true;
+            self.masked -= 1;
+        }
         self.errors[lane] = None;
         self.cycle = snap.cycle();
         Ok(())
@@ -826,7 +345,7 @@ impl BatchedSim {
 
     /// Number of lanes masked off so far.
     pub fn masked_lanes(&self) -> usize {
-        self.alive.iter().filter(|a| !**a).count()
+        self.masked
     }
 
     /// The first error of a masked lane, with the cycle (as counted
@@ -849,9 +368,10 @@ impl BatchedSim {
     fn mask_lane(&mut self, lane: usize, cycle: u64, error: CoreError) {
         if lane < self.lanes && self.alive[lane] {
             self.alive[lane] = false;
+            self.masked += 1;
             self.errors[lane] = Some((cycle, error));
-            if let Some(o) = &self.obs {
-                o.masked_lanes.incr();
+            if let Some(c) = self.obs.as_ref().and_then(|o| o.masked.as_ref()) {
+                c.incr();
             }
         }
     }
@@ -872,57 +392,6 @@ impl BatchedSim {
         self.prog.opt_stats
     }
 
-    /// Number of bitsliced word blocks the build-time planner carved
-    /// out of the two tapes (0 when no run of Bool micro-ops reached
-    /// the minimum length, and for a one-lane batch, which plans none).
-    /// The plan does not depend on the lane count otherwise.
-    pub fn word_blocks(&self) -> usize {
-        self.plan.blocks.len()
-    }
-
-    /// Scalar micro-ops the word blocks replace per all-alive tape
-    /// pass — the planner's coverage, for tests and perf reporting.
-    pub fn word_tape_coverage(&self) -> usize {
-        self.plan.blocks.iter().map(|b| b.end - b.start).sum()
-    }
-
-    /// Planner diagnostics: `(eligible, total)` micro-ops across both
-    /// tapes plus a histogram of contiguous eligible-run lengths (index
-    /// = run length, value = count). Shows how much Bool logic the tape
-    /// holds and how fragmented it is — a large eligible count with all
-    /// runs shorter than `MIN_WORD_RUN` means the scheduler (not the
-    /// classifier) is what limits word coverage. A one-lane batch runs
-    /// the tape unclustered, so probe a wider batch for the runs the
-    /// scheduler forms.
-    pub fn word_eligibility(&self) -> (usize, usize, Vec<usize>) {
-        let mut eligible = 0usize;
-        let mut total = 0usize;
-        let mut hist: Vec<usize> = Vec::new();
-        for tape in [&self.prog.pre_tape, &self.prog.tape] {
-            let mut run = 0usize;
-            for m in tape.iter() {
-                total += 1;
-                if word_op(m, &self.prog.slot_ty).is_some() {
-                    eligible += 1;
-                    run += 1;
-                } else if run > 0 {
-                    if hist.len() <= run {
-                        hist.resize(run + 1, 0);
-                    }
-                    hist[run] += 1;
-                    run = 0;
-                }
-            }
-            if run > 0 {
-                if hist.len() <= run {
-                    hist.resize(run + 1, 0);
-                }
-                hist[run] += 1;
-            }
-        }
-        (eligible, total, hist)
-    }
-
     /// Attaches the batch observability bundle: flushes the
     /// (deterministic) `batch.lanes` counter once, then every batched
     /// step bumps `batch.tape_passes`, every masking event bumps
@@ -930,7 +399,30 @@ impl BatchedSim {
     /// tape walk.
     pub fn attach_obs(&mut self, obs: BatchObs) {
         obs.lanes.add(self.lanes as u64);
+        self.attach(obs.into());
+    }
+
+    /// Attaches either bundle, already resolved to the per-cycle handles.
+    pub(crate) fn attach(&mut self, obs: TapeObs) {
         self.obs = Some(obs);
+    }
+
+    /// Returns every lane to power-up state: state slots, FSM states,
+    /// registers and untimed blocks. Masked lanes are revived, the cycle
+    /// count restarts at 0 and enabled traces restart empty; the budget
+    /// and any attached bundle stay.
+    pub fn reset(&mut self) {
+        self.st.reset(&self.prog, &self.systems[0]);
+        for u in self.systems.iter_mut().flat_map(|s| &mut s.untimed) {
+            u.block.reset();
+        }
+        self.alive.fill(true);
+        self.masked = 0;
+        self.errors.fill(None);
+        self.cycle = 0;
+        if let Some(traces) = &mut self.traces {
+            traces.fill_with(|| make_trace(&self.systems[0]));
+        }
     }
 
     /// Sets a primary input of one lane for the coming cycle(s). Writes
@@ -960,6 +452,7 @@ impl BatchedSim {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownName`] for an unknown output or lane.
+    #[inline]
     pub fn output_lane(&self, lane: usize, name: &str) -> Result<Value, CoreError> {
         self.check_lane(lane)?;
         let sys = &self.systems[0];
@@ -1107,6 +600,7 @@ impl BatchedSim {
             })
     }
 
+    #[inline(always)]
     fn input_slot(&self, name: &str, value: &Value) -> Result<usize, CoreError> {
         let pi = self.systems[0]
             .primary_inputs
@@ -1125,153 +619,13 @@ impl BatchedSim {
         decode(self.st.slots[sl * self.lanes + lane], self.prog.slot_ty[sl])
     }
 
-    /// The error of the lowest-indexed masked lane (every lane is dead
-    /// when this is called).
-    fn first_error(&self) -> CoreError {
-        self.errors
-            .iter()
-            .flatten()
-            .map(|(_, e)| e.clone())
-            .next()
-            .unwrap_or(CoreError::Unsupported {
-                op: "batched step with no lanes".to_owned(),
-            })
-    }
-}
-
-/// One pass of `instrs` on geometry `lanes`. With `segments`, the word
-/// plan runs instead: its bitsliced blocks as packed `u64` ops (up to 64
-/// lanes per op), the scalar segments between them on `lanes`. Returns
-/// the packed word operations run.
-fn tape_pass<L: Lanes>(
-    instrs: &[Micro],
-    segments: Option<(&[Segment], &[WordBlock])>,
-    scratch: &mut [u64],
-    io: &[UntimedIo],
-    st: &mut State,
-    systems: &mut [System],
-    lanes: L,
-) -> u64 {
-    let Some((segments, blocks)) = segments else {
-        exec::run(instrs, io, st, systems, lanes);
-        return 0;
-    };
-    let mut word_ops = 0;
-    for seg in segments {
-        match *seg {
-            Segment::Scalar { start, end } => {
-                exec::run(&instrs[start..end], io, st, systems, lanes);
-            }
-            Segment::Word(b) => {
-                word_ops += exec_word_block(&blocks[b as usize], &mut st.slots, scratch, lanes.n());
-            }
-        }
-    }
-    word_ops
-}
-
-/// One batched cycle on geometry `lanes`, each phase under its span:
-/// guard pre-tape, transition selection, one shared tape pass, register
-/// commit. `plan` is the word plan, given when several lanes are all
-/// live; `scratch` is its packed scratch.
-fn cycle<L: Lanes>(
-    prog: &Program,
-    st: &mut State,
-    systems: &mut [System],
-    lanes: L,
-    plan: Option<&WordPlan>,
-    scratch: &mut [u64],
-    obs: Option<&BatchObs>,
-) {
-    let io = &prog.untimed_io;
-
-    // Guard evaluation over held values.
-    let t = obs.map(|o| o.sp_pre.timer());
-    let pre = plan.map(|p| (&p.pre[..], &p.blocks[..]));
-    let w_pre = tape_pass(&prog.pre_tape, pre, scratch, io, st, systems, lanes);
-    drop(t);
-
-    let t = obs.map(|o| o.sp_select.timer());
-    exec::select(&prog.fsm_tables, st, lanes);
-    drop(t);
-
-    // Main tape: one walk, all lanes.
-    let t = obs.map(|o| o.sp_eval.timer());
-    let main = plan.map(|p| (&p.tape[..], &p.blocks[..]));
-    let w_tape = tape_pass(&prog.tape, main, scratch, io, st, systems, lanes);
-    drop(t);
-    if let Some(o) = obs {
-        o.tape_passes.incr();
-        if w_pre + w_tape > 0 {
-            o.word_ops.add(w_pre + w_tape);
-        }
-    }
-
-    let t = obs.map(|o| o.sp_commit.timer());
-    exec::commit(&prog.reg_writes, st, lanes);
-    drop(t);
-}
-
-impl Simulator for BatchedSim {
-    /// Broadcasts to every live lane.
-    fn set_input(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
-        let slot = self.input_slot(name, &value)?;
-        let bits = encode(&value);
-        let base = slot * self.lanes;
-        for l in 0..self.lanes {
-            if self.alive[l] {
-                self.st.slots[base + l] = bits;
-            }
-        }
-        Ok(())
-    }
-
-    /// One batched cycle: guard pre-tape, per-lane transition selection,
-    /// one shared tape pass, per-lane register commit, per-lane trace.
-    /// A one-lane batch runs on the scalar geometry of
-    /// [`CompiledSim`](crate::CompiledSim); a wider one on the word plan
-    /// while every lane is live, and mask-guarded once one is not (a
-    /// packed store could not skip a masked lane's bit).
-    ///
-    /// A lane whose trace recording fails is masked off (see
-    /// [`BatchedSim::fail_lane`]); the step itself only errors once
-    /// *every* lane is masked, returning the lowest-indexed lane's
-    /// error — so a 1-lane batch reports errors exactly like the scalar
-    /// compiled back-end.
-    fn step(&mut self) -> Result<(), CoreError> {
-        self.budget.check_cycle(self.cycle)?;
-        if !self.alive.iter().any(|a| *a) {
-            return Err(self.first_error());
-        }
-        let c0 = self.cycle;
-
-        let BatchedSim {
-            prog,
-            st,
-            systems,
-            alive,
-            plan,
-            word_scratch,
-            obs,
-            ..
-        } = self;
-        let obs = obs.as_ref();
-        if alive.len() == 1 {
-            // The one lane is live (checked above).
-            cycle(prog, st, systems, One, None, word_scratch, obs);
-        } else if alive.iter().all(|a| *a) {
-            let n = alive.len();
-            cycle(prog, st, systems, All(n), Some(plan), word_scratch, obs);
-        } else {
-            cycle(prog, st, systems, Live(alive), None, word_scratch, obs);
-        }
-
-        self.cycle += 1;
-
-        // Per-lane trace; a failing lane is masked, not fatal.
+    /// Appends the finished cycle to every live lane's trace. A lane
+    /// whose row fails is masked at the cycle it failed in; the error
+    /// surfaces once every lane is masked.
+    fn record_traces(&mut self) -> Result<(), CoreError> {
         let mut failed: Vec<(usize, CoreError)> = Vec::new();
         if let Some(traces) = &mut self.traces {
-            let _t_trace = self.obs.as_ref().map(|o| o.sp_trace.timer());
+            let _t = self.obs.as_ref().map(|o| o.trace.timer());
             let (prog, st, n) = (&self.prog, &self.st, self.lanes);
             for (l, trace) in traces.iter_mut().enumerate() {
                 if !self.alive[l] {
@@ -1287,11 +641,114 @@ impl Simulator for BatchedSim {
             }
         }
         for (l, e) in failed {
-            self.mask_lane(l, c0, e);
+            self.mask_lane(l, self.cycle - 1, e);
         }
-
-        if !self.alive.iter().any(|a| *a) {
+        if self.masked == self.lanes {
             return Err(self.first_error());
+        }
+        Ok(())
+    }
+
+    /// The error of the lowest-indexed masked lane (every lane is dead
+    /// when this is called).
+    fn first_error(&self) -> CoreError {
+        self.errors
+            .iter()
+            .flatten()
+            .map(|(_, e)| e.clone())
+            .next()
+            .unwrap_or(CoreError::Unsupported {
+                op: "batched step with no lanes".to_owned(),
+            })
+    }
+}
+
+/// One cycle on geometry `lanes`, each phase under its span: guard
+/// pre-tape, transition selection, one shared tape pass, register
+/// commit.
+fn cycle<L: Lanes>(
+    prog: &Program,
+    st: &mut State,
+    systems: &mut [System],
+    lanes: L,
+    obs: Option<&TapeObs>,
+) {
+    let io = &prog.untimed_io;
+
+    // Guard evaluation over held values.
+    let t = obs.and_then(|o| o.pre.as_ref()).map(|s| s.timer());
+    exec::run(&prog.pre_tape, io, st, systems, lanes);
+    drop(t);
+
+    let t = obs.map(|o| o.select.timer());
+    let firings = exec::select(&prog.fsm_tables, st, lanes);
+    drop(t);
+
+    // Main tape: one walk, all lanes.
+    let t = obs.map(|o| o.eval.timer());
+    exec::run(&prog.tape, io, st, systems, lanes);
+    drop(t);
+
+    let t = obs.map(|o| o.commit.timer());
+    let reg_updates = exec::commit(&prog.reg_writes, st, lanes);
+    drop(t);
+
+    if let Some(o) = obs {
+        o.count_cycle(firings, reg_updates);
+    }
+}
+
+/// Writes `bits` into every live lane of stripe `k`.
+#[inline(always)]
+fn broadcast(stripes: &mut [u64], k: usize, alive: &[bool], bits: u64) {
+    if let [true] = alive {
+        // One live lane: the stripe is the slot.
+        stripes[k] = bits;
+        return;
+    }
+    for (w, live) in stripes[k * alive.len()..].iter_mut().zip(alive) {
+        if *live {
+            *w = bits;
+        }
+    }
+}
+
+impl Simulator for BatchedSim {
+    /// Broadcasts to every live lane.
+    fn set_input(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
+        let slot = self.input_slot(name, &value)?;
+        broadcast(&mut self.st.slots, slot, &self.alive, encode(&value));
+        Ok(())
+    }
+
+    /// One batched cycle: guard pre-tape, per-lane transition selection,
+    /// one shared tape pass, per-lane register commit, per-lane trace.
+    /// A one-lane batch runs the executor's one-lane geometry; a wider
+    /// one its all-lanes kernels while every lane is live, and the
+    /// mask-guarded ones once one is not.
+    ///
+    /// A lane whose trace recording fails is masked off (see
+    /// [`BatchedSim::fail_lane`]); the step itself only errors once
+    /// *every* lane is masked, returning the lowest-indexed lane's
+    /// error — so a 1-lane batch reports errors exactly like the scalar
+    /// compiled back-end.
+    fn step(&mut self) -> Result<(), CoreError> {
+        self.budget.check_cycle(self.cycle)?;
+        if self.masked == self.lanes {
+            return Err(self.first_error());
+        }
+        let (prog, st, systems) = (&*self.prog, &mut self.st, &mut self.systems[..]);
+        let obs = self.obs.as_ref();
+        if self.lanes == 1 {
+            cycle(prog, st, systems, One, obs);
+        } else if self.masked == 0 {
+            cycle(prog, st, systems, All(self.lanes), obs);
+        } else {
+            cycle(prog, st, systems, Live(&self.alive), obs);
+        }
+        self.cycle += 1;
+        if self.traces.is_some() {
+            self.record_traces()?;
         }
         Ok(())
     }
@@ -1332,13 +789,8 @@ impl Simulator for BatchedSim {
     fn poke_net(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
         let i = self.net_index(name)?;
         value.check_type_with(self.systems[0].nets[i].ty, || format!("net `{name}`"))?;
-        let base = self.prog.net_slot[i] as usize * self.lanes;
-        let bits = encode(&value);
-        for l in 0..self.lanes {
-            if self.alive[l] {
-                self.st.slots[base + l] = bits;
-            }
-        }
+        let slot = self.prog.net_slot[i] as usize;
+        broadcast(&mut self.st.slots, slot, &self.alive, encode(&value));
         Ok(())
     }
 
@@ -1353,12 +805,7 @@ impl Simulator for BatchedSim {
         value.check_type_with(self.systems[0].timed[i].comp.regs[j].ty, || {
             format!("register `{instance}.{reg}`")
         })?;
-        let bits = encode(&value);
-        for l in 0..self.lanes {
-            if self.alive[l] {
-                self.st.regs[i][j * self.lanes + l] = bits;
-            }
-        }
+        broadcast(&mut self.st.regs[i], j, &self.alive, encode(&value));
         Ok(())
     }
 }
@@ -1403,8 +850,6 @@ mod tests {
         assert_eq!(reg.counter("batch.lanes").get(), 4);
         assert_eq!(reg.counter("batch.tape_passes").get(), 8);
         assert_eq!(reg.counter("batch.masked_lanes").get(), 1);
-        // An 8-bit counter has no Bool micro-ops: nothing to bitslice.
-        assert_eq!(reg.counter("batch.word_ops").get(), 0);
         // The phase tree hangs off one `batch` root.
         let roots = reg.roots();
         let batch_root = roots.iter().find(|r| r.label() == "batch").unwrap();
@@ -1425,78 +870,5 @@ mod tests {
         // Masked lanes freeze; live lanes keep counting.
         assert_eq!(sim.output_lane(2, "count").unwrap(), Value::bits(8, 4));
         assert_eq!(sim.output_lane(0, "count").unwrap(), Value::bits(8, 7));
-    }
-
-    /// A pure-Bool majority/parity voter: every combinational micro-op
-    /// is Bool, so the planner must carve out at least one word block.
-    fn bool_vote_system() -> System {
-        let c = Component::build("vote");
-        let a = c.input("a", SigType::Bool).unwrap();
-        let b = c.input("b", SigType::Bool).unwrap();
-        let ci = c.input("ci", SigType::Bool).unwrap();
-        let maj = c.output("maj", SigType::Bool).unwrap();
-        let par = c.output("par", SigType::Bool).unwrap();
-        let sfg = c.sfg("vote").unwrap();
-        let (ra, rb, rc) = (c.read(a), c.read(b), c.read(ci));
-        let m = (&ra & &rb) | (&ra & &rc) | (&rb & &rc);
-        let p = &(&ra ^ &rb) ^ &rc;
-        sfg.drive(maj, &m).unwrap();
-        sfg.drive(par, &p).unwrap();
-        let comp = c.finish().unwrap();
-        let mut sb = System::build("vote_sys");
-        let u = sb.add_component("u0", comp).unwrap();
-        for name in ["a", "b", "ci"] {
-            sb.input(name, SigType::Bool).unwrap();
-            sb.connect_input(name, u, name).unwrap();
-        }
-        sb.output("maj", u, "maj").unwrap();
-        sb.output("par", u, "par").unwrap();
-        sb.finish().unwrap()
-    }
-
-    #[test]
-    fn bool_tape_is_bitsliced_and_word_ops_counted() {
-        for level in [OptLevel::None, OptLevel::Full] {
-            let reg = Registry::new();
-            let mut sim = BatchedSim::from_fn(8, || Ok(bool_vote_system()), level).unwrap();
-            assert!(sim.word_blocks() >= 1, "no word block planned ({level:?})");
-            assert!(sim.word_tape_coverage() >= MIN_WORD_RUN);
-            sim.attach_obs(BatchObs::new(&reg));
-            for l in 0..8usize {
-                let bits = l as u64;
-                sim.set_input_lane(l, "a", Value::Bool(bits & 1 != 0))
-                    .unwrap();
-                sim.set_input_lane(l, "b", Value::Bool(bits & 2 != 0))
-                    .unwrap();
-                sim.set_input_lane(l, "ci", Value::Bool(bits & 4 != 0))
-                    .unwrap();
-            }
-            sim.step().unwrap();
-            let packed = reg.counter("batch.word_ops").get();
-            assert!(packed > 0, "word path did not run ({level:?})");
-            for l in 0..8usize {
-                let (a, b, ci) = (l & 1 != 0, l & 2 != 0, l & 4 != 0);
-                assert_eq!(
-                    sim.output_lane(l, "maj").unwrap(),
-                    Value::Bool((a & b) | (a & ci) | (b & ci)),
-                    "maj lane {l} ({level:?})"
-                );
-                assert_eq!(
-                    sim.output_lane(l, "par").unwrap(),
-                    Value::Bool(a ^ b ^ ci),
-                    "par lane {l} ({level:?})"
-                );
-            }
-            // Any masked lane forces the scalar fallback over the word
-            // segments: the packed counter freezes.
-            sim.fail_lane(
-                3,
-                CoreError::Unsupported {
-                    op: "test mask".to_owned(),
-                },
-            );
-            sim.step().unwrap();
-            assert_eq!(reg.counter("batch.word_ops").get(), packed, "{level:?}");
-        }
     }
 }

@@ -16,9 +16,10 @@
 //!   so a cycle is one linear pass — no graph traversal, no scheduling,
 //!   no dynamic dispatch.
 //!
-//! The tape runs on `sim::exec`, the one micro-op executor, instantiated
-//! for exactly one lane; [`crate::BatchedSim`] runs the same executor
-//! over N lanes.
+//! One simulator runs the tape: [`crate::BatchedSim`], on `sim/exec.rs`,
+//! the one micro-op executor. [`CompiledSim`] is its one-lane form —
+//! the scalar API (infallible snapshots, no lane arguments) over a
+//! one-lane batch that shares the tape's program.
 //!
 //! Soundness note: monomorphisation relies on runtime fixed-point formats
 //! always matching the statically inferred node types, which holds
@@ -31,13 +32,12 @@
 //! interpreted simulator must be used.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
 use crate::comp::{Component, NodeId, NodeKind};
+use crate::sim::batch::BatchedSim;
 use crate::sim::budget::Budget;
-use crate::sim::exec::{self, One, State};
 use crate::sim::hash::CompiledTape;
 use crate::sim::obs::SimObs;
 use crate::sim::opt::{self, OptEnv, OptLevel, OptStats};
@@ -117,8 +117,7 @@ impl Cmp {
 }
 
 /// A monomorphised micro-instruction over raw `u64` slots. Its
-/// semantics live in one place, `sim::exec::run`, which both tape
-/// simulators execute.
+/// semantics live in one place, the executor in `sim/exec.rs`.
 #[derive(Debug, Clone)]
 pub(crate) enum Micro {
     Copy {
@@ -324,33 +323,14 @@ pub(crate) struct RegWriteSel {
     pub(crate) cands: Vec<(u32, u32)>,
 }
 
-/// The compiled (levelized, monomorphised single-pass) simulator.
+/// The compiled (levelized, monomorphised single-pass) simulator: a
+/// one-lane [`BatchedSim`] behind the scalar API.
 ///
 /// Construct with [`CompiledSim::new`]; drive through the [`Simulator`]
 /// trait exactly like [`crate::InterpSim`]. Behaviour is cycle-identical
 /// to the interpreted simulator for any design both accept.
-pub struct CompiledSim {
-    sys: System,
-    /// Shared with the [`CompiledTape`] it was instantiated from.
-    prog: Arc<Program>,
-    /// The one-lane instance of the striped state `sim::exec` runs over.
-    st: State,
-    cycle: u64,
-    trace: Option<Trace>,
-    obs: Option<SimObs>,
-    budget: Budget,
-    design_hash: u64,
-}
-
-impl std::fmt::Debug for CompiledSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledSim")
-            .field("system", &self.sys.name)
-            .field("slots", &self.st.slots.len())
-            .field("tape_len", &self.prog.tape.len())
-            .finish()
-    }
-}
+#[derive(Debug)]
+pub struct CompiledSim(BatchedSim);
 
 pub(crate) fn encode(v: &Value) -> u64 {
     match v {
@@ -403,8 +383,7 @@ impl Builder {
 }
 
 /// The immutable result of levelizing and monomorphising one system:
-/// everything [`CompiledSim`] and [`crate::BatchedSim`] need apart from
-/// the mutable per-lane state (`sim::exec::State`).
+/// everything a [`BatchedSim`] needs apart from its mutable lane state.
 #[derive(Debug, Clone)]
 pub(crate) struct Program {
     pub(crate) init_slots: Vec<u64>,
@@ -661,11 +640,7 @@ impl CompiledSim {
     /// Returns [`CoreError::NotCompilable`] when the conservative
     /// cross-component dependence graph is cyclic.
     pub fn new_with(sys: System, level: OptLevel) -> Result<CompiledSim, CoreError> {
-        // The tape path, minus its structural check: `sys` is the
-        // system just compiled.
-        let tape = CompiledTape::compile(&sys, level)?;
-        let design_hash = tape.program_hash();
-        Ok(CompiledSim::from_parts(sys, tape.prog, design_hash))
+        BatchedSim::new_with(vec![sys], level).map(CompiledSim)
     }
 
     /// Instantiates a simulator from a cached [`CompiledTape`] without
@@ -680,26 +655,7 @@ impl CompiledSim {
     /// Returns [`CoreError::TapeMismatch`] when `sys` is not
     /// structurally the system the tape was compiled from.
     pub fn from_tape(sys: System, tape: &CompiledTape) -> Result<CompiledSim, CoreError> {
-        tape.check_system(&sys)?;
-        Ok(CompiledSim::from_parts(
-            sys,
-            Arc::clone(&tape.prog),
-            tape.program_hash(),
-        ))
-    }
-
-    /// Assembles a simulator around an already-built program.
-    fn from_parts(sys: System, prog: Arc<Program>, design_hash: u64) -> CompiledSim {
-        CompiledSim {
-            st: State::new(&prog, &sys, 1),
-            prog,
-            cycle: 0,
-            trace: None,
-            obs: None,
-            budget: Budget::none(),
-            design_hash,
-            sys,
-        }
+        BatchedSim::from_tape(vec![sys], tape).map(CompiledSim)
     }
 
     /// Attaches watchdog limits ([`Budget`]): subsequent steps fail
@@ -707,14 +663,14 @@ impl CompiledSim {
     /// The settle-iteration limit does not apply here — the compiled
     /// tape is straight-line code with no settle loop.
     pub fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
+        self.0.set_budget(budget);
     }
 
     /// The design hash keying this simulator's snapshots: the system
     /// structure *and* the levelized tape, so the same design compiled
     /// at a different [`OptLevel`] refuses each other's snapshots.
     pub fn design_hash(&self) -> u64 {
-        self.design_hash
+        self.0.design_hash()
     }
 
     /// Captures the complete mutable simulation state — state slots,
@@ -722,11 +678,11 @@ impl CompiledSim {
     /// cycle count — as a [`SimSnapshot`]. Traces and budgets are not
     /// part of the snapshot. Take snapshots between steps.
     pub fn snapshot(&self) -> SimSnapshot {
-        self.st.snapshot(0, &self.sys, self.design_hash, self.cycle)
+        self.0.capture(0)
     }
 
     /// Restores state captured by [`CompiledSim::snapshot`] (or from a
-    /// [`crate::BatchedSim`] lane of the same build).
+    /// [`BatchedSim`] lane of the same build).
     ///
     /// # Errors
     ///
@@ -736,15 +692,12 @@ impl CompiledSim {
     /// back-end family or has damaged sections. On error the simulator
     /// state is unspecified; call [`CompiledSim::reset`] before reuse.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
-        self.st
-            .restore(0, snap, self.design_hash, &self.prog, &mut self.sys)?;
-        self.cycle = snap.cycle();
-        Ok(())
+        self.0.restore_lane(0, snap)
     }
 
     /// The simulated system.
     pub fn system(&self) -> &System {
-        &self.sys
+        self.0.system()
     }
 
     /// Attaches an observability bundle (counters + phase spans, see
@@ -757,20 +710,20 @@ impl CompiledSim {
     /// the deterministic namespace.
     pub fn attach_obs(&mut self, obs: SimObs) {
         if let Some(oc) = &obs.opt {
-            oc.record(&self.prog.opt_stats);
+            oc.record(&self.opt_stats());
         }
-        self.obs = Some(obs);
+        self.0.attach(obs.into());
     }
 
     /// Number of instructions executed per cycle (tape + guard pre-tape).
     pub fn tape_len(&self) -> usize {
-        self.prog.tape.len() + self.prog.pre_tape.len()
+        self.0.tape_len()
     }
 
     /// What the tape optimizer did at build time (all-zero apart from
     /// the `instrs_*`/`slots_*` totals when built at [`OptLevel::None`]).
     pub fn opt_stats(&self) -> OptStats {
-        self.prog.opt_stats
+        self.0.opt_stats()
     }
 
     /// The current FSM state name of a timed instance.
@@ -780,39 +733,12 @@ impl CompiledSim {
     /// Returns [`CoreError::UnknownName`] if the instance does not exist
     /// or has no FSM.
     pub fn state_name(&self, instance: &str) -> Result<&str, CoreError> {
-        let (i, t) = self
-            .sys
-            .timed
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.name == instance)
-            .ok_or_else(|| CoreError::UnknownName {
-                kind: "instance",
-                name: instance.to_owned(),
-            })?;
-        let fsm = t.comp.fsm.as_ref().ok_or_else(|| CoreError::UnknownName {
-            kind: "fsm",
-            name: instance.to_owned(),
-        })?;
-        Ok(&fsm.states[self.st.states[i] as usize])
+        self.0.state_name_lane(0, instance)
     }
 
     /// Resets the simulation to power-up state.
     pub fn reset(&mut self) {
-        self.st.reset(&self.prog, &self.sys);
-        for u in &mut self.sys.untimed {
-            u.block.reset();
-        }
-        self.cycle = 0;
-        if let Some(t) = &mut self.trace {
-            *t = make_trace(&self.sys);
-        }
-    }
-
-    /// The value on net `net`.
-    fn read_net(&self, net: usize) -> Value {
-        let sl = self.prog.net_slot[net] as usize;
-        decode(self.st.slots[sl], self.prog.slot_ty[sl])
+        self.0.reset();
     }
 }
 
@@ -1009,31 +935,6 @@ impl Micro {
     }
 }
 
-/// The nets a trace row records, in [`make_trace`]'s signal order:
-/// primary inputs, then primary outputs — as one exact-size iterator,
-/// so a row feeds [`Trace::record_cycle`] without being collected.
-pub(crate) fn traced_nets(sys: &System) -> impl ExactSizeIterator<Item = usize> + '_ {
-    let (ins, outs) = (&sys.primary_inputs, &sys.primary_outputs);
-    (0..ins.len() + outs.len()).map(move |k| match ins.get(k) {
-        Some(p) => p.net,
-        None => outs[k - ins.len()].net,
-    })
-}
-
-/// An empty trace of `sys`'s primary inputs, then its primary outputs.
-pub(crate) fn make_trace(sys: &System) -> Trace {
-    Trace::new(
-        sys.primary_inputs
-            .iter()
-            .map(|p| (p.name.clone(), p.ty, true))
-            .chain(
-                sys.primary_outputs
-                    .iter()
-                    .map(|p| (p.name.clone(), sys.nets[p.net].ty, false)),
-            ),
-    )
-}
-
 /// Emits the duplicated guard cone of `node`, reading input ports from
 /// their (held) net slots, and returns the slot holding the guard value.
 fn emit_guard_cone(
@@ -1183,132 +1084,42 @@ fn describe(instr: &Instr, sys: &System) -> String {
 
 impl Simulator for CompiledSim {
     fn set_input(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
-        let pi = self
-            .sys
-            .primary_inputs
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| CoreError::UnknownName {
-                kind: "primary input",
-                name: name.to_owned(),
-            })?;
-        value.check_type_with(pi.ty, || format!("primary input `{name}`"))?;
-        self.st.slots[self.prog.net_slot[pi.net] as usize] = encode(&value);
-        Ok(())
+        self.0.set_input(name, value)
     }
 
     fn step(&mut self) -> Result<(), CoreError> {
-        self.budget.check_cycle(self.cycle)?;
-        let prog = &*self.prog;
-        let st = &mut self.st;
-        let sys = std::slice::from_mut(&mut self.sys);
-        let obs = self.obs.as_ref();
-
-        // Guard evaluation over held values.
-        let t = obs.and_then(|o| o.sp_pre.as_ref()).map(|s| s.timer());
-        exec::run(&prog.pre_tape, &prog.untimed_io, st, sys, One);
-        drop(t);
-
-        let t = obs.map(|o| o.sp_select.timer());
-        let firings = exec::select(&prog.fsm_tables, st, One);
-        drop(t);
-
-        let t = obs.map(|o| o.sp_eval.timer());
-        exec::run(&prog.tape, &prog.untimed_io, st, sys, One);
-        drop(t);
-
-        let t = obs.map(|o| o.sp_commit.timer());
-        let reg_updates = exec::commit(&prog.reg_writes, st, One);
-        drop(t);
-
-        self.cycle += 1;
-        if let Some(trace) = &mut self.trace {
-            let _t = obs.map(|o| o.sp_trace.timer());
-            trace.record_cycle(traced_nets(&self.sys).map(|net| {
-                let sl = prog.net_slot[net] as usize;
-                decode(self.st.slots[sl], prog.slot_ty[sl])
-            }))?;
-        }
-
-        if let Some(o) = obs {
-            o.cycles.incr();
-            o.sfg_firings.add(firings);
-            o.reg_updates.add(reg_updates);
-        }
-        Ok(())
+        self.0.step()
     }
 
     fn output(&self, name: &str) -> Result<Value, CoreError> {
-        self.sys
-            .primary_outputs
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| self.read_net(p.net))
-            .ok_or_else(|| CoreError::UnknownName {
-                kind: "primary output",
-                name: name.to_owned(),
-            })
+        self.0.output(name)
     }
 
     fn cycle(&self) -> u64 {
-        self.cycle
+        self.0.cycle()
     }
 
     fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(make_trace(&self.sys));
-        }
+        self.0.enable_trace();
     }
 
     fn trace(&self) -> &Trace {
-        static EMPTY: std::sync::OnceLock<Trace> = std::sync::OnceLock::new();
-        self.trace
-            .as_ref()
-            .unwrap_or_else(|| EMPTY.get_or_init(Trace::default))
+        self.0.trace()
     }
 
     fn peek_net(&self, name: &str) -> Result<Value, CoreError> {
-        let i = self
-            .sys
-            .nets
-            .iter()
-            .position(|n| n.name == name)
-            .ok_or_else(|| CoreError::UnknownName {
-                kind: "net",
-                name: name.to_owned(),
-            })?;
-        Ok(self.read_net(i))
+        self.0.peek_net(name)
     }
 
     fn poke_net(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
-        let i = self
-            .sys
-            .nets
-            .iter()
-            .position(|n| n.name == name)
-            .ok_or_else(|| CoreError::UnknownName {
-                kind: "net",
-                name: name.to_owned(),
-            })?;
-        value.check_type_with(self.sys.nets[i].ty, || format!("net `{name}`"))?;
-        self.st.slots[self.prog.net_slot[i] as usize] = encode(&value);
-        Ok(())
+        self.0.poke_net(name, value)
     }
 
     fn peek_reg(&self, instance: &str, reg: &str) -> Result<Value, CoreError> {
-        let (i, j) = crate::sim::interp::find_reg(&self.sys, instance, reg)?;
-        Ok(decode(
-            self.st.regs[i][j],
-            self.sys.timed[i].comp.regs[j].ty,
-        ))
+        self.0.peek_reg(instance, reg)
     }
 
     fn poke_reg(&mut self, instance: &str, reg: &str, value: Value) -> Result<(), CoreError> {
-        let (i, j) = crate::sim::interp::find_reg(&self.sys, instance, reg)?;
-        value.check_type_with(self.sys.timed[i].comp.regs[j].ty, || {
-            format!("register `{instance}.{reg}`")
-        })?;
-        self.st.regs[i][j] = encode(&value);
-        Ok(())
+        self.0.poke_reg(instance, reg, value)
     }
 }

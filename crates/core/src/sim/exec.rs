@@ -1,17 +1,17 @@
 //! The one executor of the compiled micro-op tape.
 //!
-//! [`CompiledSim`](crate::CompiledSim) and
-//! [`BatchedSim`](crate::BatchedSim) run the same levelized [`Program`]
-//! over the same state layout: every state slot, FSM selector,
-//! SFG-activation flag and register is a lane-major *stripe* — entry `k`
-//! of lane `l` sits at `k * n + l` — and the scalar simulator is the
-//! one-lane case. This module states the semantics of every [`Micro`]
+//! [`BatchedSim`](crate::BatchedSim), the one tape simulator, runs a
+//! levelized [`Program`] over one state layout: every state slot, FSM
+//! selector, SFG-activation flag and register is a lane-major *stripe* —
+//! entry `k` of lane `l` sits at `k * n + l` — and
+//! [`CompiledSim`](crate::CompiledSim) is the one-lane case. This module
+//! states the semantics of every [`Micro`]
 //! op, of transition selection, `Drive`, `Fire` and the register commit
 //! exactly once, generic over the lane geometry [`Lanes`]:
 //!
 //! * [`One`] fixes one lane at compile time, so every stripe offset
-//!   folds away and the scalar instantiation is a plain pass over the
-//!   slot array (a one-lane batch runs it too);
+//!   folds away and the one-lane instantiation is a plain pass over the
+//!   slot array;
 //! * [`All`] is N lanes with none masked;
 //! * [`Live`] is N lanes of which some are masked off: a masked lane is
 //!   neither evaluated nor written, so its state stays frozen.
@@ -33,9 +33,6 @@
 //! built; transition selection skips it (still counting its firings),
 //! its `Drive`s copy their first candidate, and its register writes
 //! commit as plain stripe copies.
-//!
-//! `BatchedSim` builds its bitsliced Bool word blocks and the
-//! masked-lane fallback on top of [`run`] (see `sim::batch`).
 
 use std::cmp::Ordering;
 

@@ -40,10 +40,10 @@
 //! Compiling hashes the system once: the program hash extends the
 //! structural hash instead of recomputing it, and
 //! [`crate::CompiledSim::new_with`] and [`crate::BatchedSim::new_with`]
-//! go through [`CompiledTape::compile`] too. Both tape simulators
-//! execute the tape as it is, through one executor — a one-lane batch
-//! shares the tape's program like `CompiledSim` — so there is no
-//! per-engine artifact to cache beside it.
+//! go through [`CompiledTape::compile`] too. One simulator executes the
+//! tape as it is — every [`crate::BatchedSim`], and `CompiledSim` as its
+//! one-lane form, shares the tape's program — so there is no per-engine
+//! or per-lane-count artifact to cache beside it.
 
 use std::sync::Arc;
 

@@ -20,13 +20,13 @@
 use crate::comp::{NodeId, Reg};
 use crate::fsm::StateRef;
 use crate::sim::budget::Budget;
-use crate::sim::compiled::{make_trace, traced_nets};
 use crate::sim::eval::{eval_node, EvalCache};
 use crate::sim::obs::SimObs;
 use crate::sim::snapshot::{check_words, hash_system, reg_types, SimSnapshot, SnapshotBackend};
 use crate::sim::Simulator;
 use crate::system::{NetSource, System};
 use crate::trace::Trace;
+use crate::trace::{make_trace, traced_nets};
 use crate::value::{SigType, Value};
 use crate::CoreError;
 

@@ -6,10 +6,11 @@
 //! regenerated for maximum speed. [`InterpSim`] and [`CompiledSim`] are
 //! the two back-ends; both implement [`Simulator`] and produce identical
 //! cycle-by-cycle behaviour (see the `codegen_equivalence` integration
-//! test). [`BatchedSim`] runs N independent instances of one compiled
-//! tape in lockstep. The compiled tape has exactly one executor,
-//! `exec`, which both tape simulators instantiate: for one lane fixed
-//! at compile time, and for N lane stripes with or without masked lanes.
+//! test). One simulator runs the compiled tape, [`BatchedSim`]: N
+//! independent instances in lockstep, with [`CompiledSim`] its one-lane
+//! form. The tape has exactly one executor, `exec`, instantiated for one
+//! lane fixed at compile time and for N lane stripes with or without
+//! masked lanes.
 //!
 //! The kernels in this module are **panic-free on constructible
 //! designs**: every runtime failure (combinational loops, type-confused

@@ -15,6 +15,12 @@
 //!   `trace`
 //! * `compiled` → `guard_pre_tape`, `transition_select`, `tape`,
 //!   `register_update`, `trace`
+//! * `batch` ([`BatchObs`]) → the same five phases as `compiled`
+//!
+//! The tape simulator (`BatchedSim`, and `CompiledSim` as its one-lane
+//! form) resolves either tape bundle into one set of per-cycle handles,
+//! so one step reports `compiled.*` or `batch.*` with the same phase
+//! timers.
 //!
 //! Both the span *structure* and the per-span hit counts are pure
 //! functions of the workload — the deterministic half of the obs
@@ -141,11 +147,7 @@ impl SimObs {
 ///   error (incremented at the masking event);
 /// * `batch.tape_passes` — full walks of the main tape (one per batched
 ///   step, regardless of lane count — the amortization the batch
-///   exists for);
-/// * `batch.word_ops` — packed `u64` word operations executed by the
-///   bitsliced Bool fast path (each one advances up to 64 lanes at
-///   once; 0 when the tape has no word-eligible runs or a masked lane
-///   forces the scalar fallback).
+///   exists for).
 ///
 /// The phase spans hang off a `batch` root and mirror the compiled
 /// back-end's tree: `guard_pre_tape`, `transition_select`, `tape`,
@@ -158,8 +160,6 @@ pub struct BatchObs {
     pub(crate) masked_lanes: Counter,
     /// Full tape walks (one per batched step).
     pub(crate) tape_passes: Counter,
-    /// Packed word operations executed by the bitsliced fast path.
-    pub(crate) word_ops: Counter,
     /// Guard pre-tape execution.
     pub(crate) sp_pre: Span,
     /// Per-lane transition selection.
@@ -180,12 +180,72 @@ impl BatchObs {
             lanes: reg.counter("batch.lanes"),
             masked_lanes: reg.counter("batch.masked_lanes"),
             tape_passes: reg.counter("batch.tape_passes"),
-            word_ops: reg.counter("batch.word_ops"),
             sp_pre: root.child("guard_pre_tape"),
             sp_select: root.child("transition_select"),
             sp_eval: root.child("tape"),
             sp_commit: root.child("register_update"),
             sp_trace: root.child("trace"),
+        }
+    }
+}
+
+/// The handles one tape simulator (`BatchedSim`, and `CompiledSim` as
+/// its one-lane form) reports into, resolved from either bundle: the
+/// same five phase spans, plus the bundle's own per-cycle counters.
+#[derive(Debug, Clone)]
+pub(crate) struct TapeObs {
+    /// Guard pre-tape (absent from an interpreter bundle).
+    pub(crate) pre: Option<Span>,
+    pub(crate) select: Span,
+    pub(crate) eval: Span,
+    pub(crate) commit: Span,
+    pub(crate) trace: Span,
+    /// One per cycle: `compiled.cycles` or `batch.tape_passes`.
+    passes: Counter,
+    /// `compiled.sfg_firings` and `compiled.reg_updates`.
+    activity: Option<(Counter, Counter)>,
+    /// `batch.masked_lanes`.
+    pub(crate) masked: Option<Counter>,
+}
+
+impl TapeObs {
+    /// Counts one finished cycle with its SFG firings and register
+    /// updates (summed over the live lanes).
+    pub(crate) fn count_cycle(&self, firings: u64, reg_updates: u64) {
+        self.passes.incr();
+        if let Some((f, u)) = &self.activity {
+            f.add(firings);
+            u.add(reg_updates);
+        }
+    }
+}
+
+impl From<SimObs> for TapeObs {
+    fn from(o: SimObs) -> TapeObs {
+        TapeObs {
+            pre: o.sp_pre,
+            select: o.sp_select,
+            eval: o.sp_eval,
+            commit: o.sp_commit,
+            trace: o.sp_trace,
+            passes: o.cycles,
+            activity: Some((o.sfg_firings, o.reg_updates)),
+            masked: None,
+        }
+    }
+}
+
+impl From<BatchObs> for TapeObs {
+    fn from(o: BatchObs) -> TapeObs {
+        TapeObs {
+            pre: Some(o.sp_pre),
+            select: o.sp_select,
+            eval: o.sp_eval,
+            commit: o.sp_commit,
+            trace: o.sp_trace,
+            passes: o.tape_passes,
+            activity: None,
+            masked: Some(o.masked_lanes),
         }
     }
 }

@@ -33,9 +33,9 @@
 //! Snapshots of [`CompiledSim`](crate::CompiledSim) and of a
 //! [`BatchedSim`](crate::BatchedSim) lane are interchangeable when both
 //! simulators were built from the same system at the same optimization
-//! level: both keep their state in the striped layout of `sim::exec`,
-//! and one shared routine captures and restores one lane of it — a
-//! session parked on one engine can resume on the other.
+//! level: a `CompiledSim` is a one-lane `BatchedSim`, and one routine
+//! captures and restores one lane of the striped layout of `sim::exec` —
+//! a session parked on a scalar simulator can resume in a batch lane.
 
 use std::fmt::{self, Write as _};
 

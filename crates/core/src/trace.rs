@@ -9,8 +9,34 @@
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 
+use crate::system::System;
 use crate::value::{SigType, Value};
 use crate::CoreError;
+
+/// The nets a trace row records, in [`make_trace`]'s signal order:
+/// primary inputs, then primary outputs — as one exact-size iterator,
+/// so a row feeds [`Trace::record_cycle`] without being collected.
+pub(crate) fn traced_nets(sys: &System) -> impl ExactSizeIterator<Item = usize> + '_ {
+    let (ins, outs) = (&sys.primary_inputs, &sys.primary_outputs);
+    (0..ins.len() + outs.len()).map(move |k| match ins.get(k) {
+        Some(p) => p.net,
+        None => outs[k - ins.len()].net,
+    })
+}
+
+/// An empty trace of `sys`'s primary inputs, then its primary outputs.
+pub(crate) fn make_trace(sys: &System) -> Trace {
+    Trace::new(
+        sys.primary_inputs
+            .iter()
+            .map(|p| (p.name.clone(), p.ty, true))
+            .chain(
+                sys.primary_outputs
+                    .iter()
+                    .map(|p| (p.name.clone(), sys.nets[p.net].ty, false)),
+            ),
+    )
+}
 
 /// One recorded signal: name, type and per-cycle values.
 #[derive(Debug, Clone, PartialEq)]

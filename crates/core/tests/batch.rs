@@ -7,8 +7,8 @@
 use ocapi::rng::XorShift64;
 use ocapi::{
     run_campaign_cached_par, run_campaign_par, BatchedSim, CompiledSim, CompiledTape, Component,
-    CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, OptLevel, Overflow, ParConfig, Ram,
-    Rounding, SigType, Simulator, System, Value,
+    CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, InterpSim, OptLevel, Overflow, ParConfig,
+    Ram, Rounding, SigType, Simulator, System, Value,
 };
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor};
@@ -217,6 +217,56 @@ fn batched_ram_system_matches_scalar_lanes_1_3_8() {
     }
 }
 
+/// `reset` returns every lane to power-up — slots, registers, FSM states
+/// and each lane's own RAM — revives masked lanes and restarts traces:
+/// afterwards the batch steps exactly like a fresh one.
+#[test]
+fn reset_revives_lanes_and_matches_a_fresh_batch() {
+    let lanes = 3;
+    let stim = |l: usize, c: u64| Value::bits(8, (l as u64 * 37 + c * 5) & 0xff);
+    let mut used = BatchedSim::from_fn(lanes, || Ok(ram_system()), OptLevel::Full).unwrap();
+    used.enable_trace();
+    for c in 0..20 {
+        for l in 0..lanes {
+            used.set_input_lane(l, "wdata_in", stim(l, c + 100))
+                .unwrap();
+        }
+        used.step().unwrap();
+    }
+    used.fail_lane(
+        1,
+        CoreError::Unsupported {
+            op: "test mask".to_owned(),
+        },
+    );
+    used.step().unwrap();
+    used.reset();
+    assert_eq!((used.cycle(), used.masked_lanes()), (0, 0));
+    assert!(used.alive(1) && used.lane_error(1).is_none());
+
+    let mut fresh = BatchedSim::from_fn(lanes, || Ok(ram_system()), OptLevel::Full).unwrap();
+    fresh.enable_trace();
+    for c in 0..20 {
+        for sim in [&mut used, &mut fresh] {
+            for l in 0..lanes {
+                sim.set_input_lane(l, "wdata_in", stim(l, c)).unwrap();
+            }
+            sim.step().unwrap();
+        }
+        for l in 0..lanes {
+            assert_eq!(
+                used.output_lane(l, "y").unwrap(),
+                fresh.output_lane(l, "y").unwrap(),
+                "lane {l} cycle {c}"
+            );
+        }
+    }
+    for l in 0..lanes {
+        assert_eq!(used.trace_lane(l), fresh.trace_lane(l), "lane {l}");
+        assert_eq!(used.snapshot_lane(l), fresh.snapshot_lane(l), "lane {l}");
+    }
+}
+
 /// A lane failed mid-run is masked off: its state freezes at the failing
 /// cycle, its error is recorded, and the surviving lanes keep matching
 /// their scalar references exactly.
@@ -304,8 +354,6 @@ fn masked_lane_does_not_poison_the_batch() {
     }
 }
 
-/// A 1-lane batch is a scalar simulator: the `Simulator` facade
-/// (broadcast writes, lane-0 reads) reproduces `CompiledSim` exactly.
 /// A random type-correct value for one primary input.
 fn random_input(ty: SigType, rng: &mut XorShift64) -> Value {
     match ty {
@@ -321,16 +369,18 @@ fn random_input(ty: SigType, rng: &mut XorShift64) -> Value {
     }
 }
 
-/// Sets every primary input of `sys` to a fresh random value in both
-/// simulators, then steps both.
-fn step_both(sys: &System, rng: &mut XorShift64, a: &mut dyn Simulator, b: &mut dyn Simulator) {
+/// Sets every primary input of `sys` to a fresh random value in every
+/// simulator, then steps them all.
+fn step_all(sys: &System, rng: &mut XorShift64, sims: &mut [&mut dyn Simulator]) {
     for p in &sys.primary_inputs {
         let v = random_input(p.ty, rng);
-        a.set_input(&p.name, v).unwrap();
-        b.set_input(&p.name, v).unwrap();
+        for sim in sims.iter_mut() {
+            sim.set_input(&p.name, v).unwrap();
+        }
     }
-    a.step().unwrap();
-    b.step().unwrap();
+    for sim in sims.iter_mut() {
+        sim.step().unwrap();
+    }
 }
 
 /// A design builder with its name.
@@ -338,9 +388,10 @@ type NamedDesign = (&'static str, fn() -> System);
 
 /// A one-lane batch is the scalar engine: on the FSM accumulator, on
 /// HCOR (FSM control) and on DECT (untimed blocks), every output of
-/// every cycle and the whole trace equal `CompiledSim`'s; its lane
-/// snapshot is the scalar snapshot and resumes in a `CompiledSim`; and
-/// masking its one lane makes the next step return that lane's error.
+/// every cycle and the whole trace equal the interpreter's; its lane
+/// snapshot is the `CompiledSim` snapshot and resumes in a
+/// `CompiledSim`; and masking its one lane makes the next step return
+/// that lane's error.
 #[test]
 fn single_lane_batch_is_scalar_via_trait() {
     let designs: [NamedDesign; 3] = [
@@ -354,29 +405,30 @@ fn single_lane_batch_is_scalar_via_trait() {
         let sys = make();
         let mut rng = XorShift64::new(0x1a7e);
         let mut batch = BatchedSim::new(vec![make()]).unwrap();
+        let mut interp = InterpSim::new(make()).unwrap();
         let mut scalar = CompiledSim::new(make()).unwrap();
         batch.enable_trace();
-        scalar.enable_trace();
+        interp.enable_trace();
         for c in 0..512 {
-            step_both(&sys, &mut rng, &mut batch, &mut scalar);
+            step_all(&sys, &mut rng, &mut [&mut batch, &mut interp, &mut scalar]);
             for p in &sys.primary_outputs {
                 assert_eq!(
                     batch.output(&p.name).unwrap(),
-                    scalar.output(&p.name).unwrap(),
+                    interp.output(&p.name).unwrap(),
                     "{name}: output `{}` at cycle {c}",
                     p.name
                 );
             }
         }
-        assert_eq!(batch.trace(), scalar.trace(), "{name}");
-        assert_eq!(batch.cycle(), scalar.cycle(), "{name}");
+        assert_eq!(batch.trace(), interp.trace(), "{name}");
+        assert_eq!(batch.cycle(), interp.cycle(), "{name}");
 
         let snap = batch.snapshot_lane(0).unwrap();
         assert_eq!(snap, scalar.snapshot(), "{name}");
         let mut resumed = CompiledSim::new(make()).unwrap();
         resumed.restore(&snap).unwrap();
         for c in 0..16 {
-            step_both(&sys, &mut rng, &mut batch, &mut resumed);
+            step_all(&sys, &mut rng, &mut [&mut batch, &mut resumed]);
             for p in &sys.primary_outputs {
                 assert_eq!(
                     batch.output(&p.name).unwrap(),
@@ -483,16 +535,12 @@ fn mismatched_lane_systems_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Word-parallel (bitsliced Bool) fast-path differentials.
+// Bool-dense differentials: every lane geometry, masked lanes.
 // ---------------------------------------------------------------------------
 
-use ocapi::BatchObs;
-use ocapi_obs::Registry;
-
-/// A Bool-dense design covering every word-op lowering: AND/OR/XOR
-/// chains, NOT, `==`/`>` comparisons (XNOR / AND-NOT), a mux
-/// (SELECT), and a Bool register so state feeds back through the
-/// bitsliced region every cycle.
+/// A Bool-dense design: AND/OR/XOR chains, NOT, `==`/`>` comparisons,
+/// a mux (SELECT), and a Bool register so state feeds back through the
+/// Bool logic every cycle.
 fn bool_gate_system() -> System {
     let c = Component::build("gates");
     let a = c.input("a", SigType::Bool).unwrap();
@@ -536,15 +584,11 @@ fn bool_stimulus(l: usize, cyc: u64) -> Vec<(&'static str, Value)> {
     ]
 }
 
-/// The bitsliced fast path is unobservable next to scalar compiled
-/// runs at every opt level and lane geometry — including 64 lanes
-/// (one full word) and 3 (a partial tail word).
+/// The lane geometry is unobservable next to scalar compiled runs at
+/// every opt level — including 64 lanes (eight full 8-lane chunks) and
+/// 3 (a chunk tail only).
 #[test]
 fn batched_bool_system_matches_scalar_lanes_1_3_8_64() {
-    // The planner must actually have carved word blocks out of this
-    // design, or the test would vacuously pass through scalar code.
-    let probe = BatchedSim::from_fn(2, || Ok(bool_gate_system()), OptLevel::Full).unwrap();
-    assert!(probe.word_blocks() >= 1, "no word block planned");
     for level in [OptLevel::None, OptLevel::Full] {
         for lanes in [1usize, 3, 8, 64] {
             assert_batch_matches_scalar(&bool_gate_system, &bool_stimulus, lanes, level, 24);
@@ -552,15 +596,13 @@ fn batched_bool_system_matches_scalar_lanes_1_3_8_64() {
     }
 }
 
-/// Masking a lane mid-run flips every word segment to its scalar
-/// fallback; survivors still match their scalar twins bit-for-bit and
-/// the packed-op counter stops advancing.
+/// Masking a lane mid-run moves the batch onto the mask-guarded
+/// kernels; the masked lane freezes and the survivors still match their
+/// scalar twins bit-for-bit.
 #[test]
 fn masked_bool_lane_forces_scalar_fallback_and_survivors_match() {
     let lanes = 8;
-    let reg = Registry::new();
     let mut batch = BatchedSim::from_fn(lanes, || Ok(bool_gate_system()), OptLevel::Full).unwrap();
-    batch.attach_obs(BatchObs::new(&reg));
     let mut scalars: Vec<CompiledSim> = (0..lanes)
         .map(|_| CompiledSim::new_with(bool_gate_system(), OptLevel::Full).unwrap())
         .collect();
@@ -579,11 +621,6 @@ fn masked_bool_lane_forces_scalar_fallback_and_survivors_match() {
             s.step().unwrap();
         }
     }
-    let packed = reg.counter("batch.word_ops").get();
-    assert!(
-        packed > 0,
-        "word path did not engage while all lanes were alive"
-    );
 
     batch.fail_lane(
         5,
@@ -599,8 +636,6 @@ fn masked_bool_lane_forces_scalar_fallback_and_survivors_match() {
             s.step().unwrap();
         }
     }
-    // Fallback engaged: no packed ops counted after the masking.
-    assert_eq!(reg.counter("batch.word_ops").get(), packed);
     assert_eq!(batch.output_lane(5, "y").unwrap(), frozen_y);
     for l in (0..lanes).filter(|l| *l != 5) {
         for o in ["y", "z"] {

@@ -14,11 +14,12 @@
 
 use ocapi::rng::XorShift64;
 use ocapi::{
-    BatchedSim, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel, Overflow, Rounding,
-    SigType, Simulator, System, Value,
+    BatchObs, BatchedSim, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel, Overflow,
+    Rounding, SigType, SimObs, Simulator, System, Value,
 };
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor, image, modem, wlan};
+use ocapi_obs::Registry;
 
 /// A named design builder.
 type DesignBuilder = (&'static str, Box<dyn Fn() -> System>);
@@ -358,5 +359,154 @@ fn tape_rejects_the_wrong_system() {
     match BatchedSim::from_tape(vec![wlan()], &tape) {
         Err(CoreError::TapeMismatch { .. }) => {}
         other => panic!("expected TapeMismatch, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// `(name, value)` of each named counter, then `(root/child, hits)` of
+/// every phase span in the registry.
+fn obs_pin(reg: &Registry, counters: &[&str]) -> Vec<(String, u64)> {
+    let mut pin: Vec<(String, u64)> = counters
+        .iter()
+        .map(|c| ((*c).to_owned(), reg.counter(c).get()))
+        .collect();
+    for root in reg.roots() {
+        for child in root.children() {
+            pin.push((format!("{}/{}", root.label(), child.label()), child.count()));
+        }
+    }
+    pin
+}
+
+const COMPILED_COUNTERS: [&str; 10] = [
+    "compiled.cycles",
+    "compiled.sfg_firings",
+    "compiled.convergence_iters",
+    "compiled.reg_updates",
+    "compiled.opt.instrs_in",
+    "compiled.opt.instrs_out",
+    "compiled.opt.folded",
+    "compiled.opt.cse_hits",
+    "compiled.opt.dce_removed",
+    "compiled.opt.slots_saved",
+];
+
+const BATCH_COUNTERS: [&str; 3] = ["batch.lanes", "batch.masked_lanes", "batch.tape_passes"];
+
+/// The compiled and batch observability bundles count exactly what they
+/// counted before the tape engines shared one simulator type. HCOR and
+/// DECT run a fixed stimulus: `CompiledSim` 16 cycles, 24 traced, a
+/// reset and 8 more (still traced); a traced one-lane batch masked after
+/// 32 cycles (the next step fails); an 8-lane batch traced from cycle
+/// 10, with lane 3 masked after 20 of its 40 cycles.
+#[test]
+fn tape_engine_obs_counts_are_pinned() {
+    let one_lane: &[(&str, u64)] = &[
+        ("batch.lanes", 1),
+        ("batch.masked_lanes", 1),
+        ("batch.tape_passes", 32),
+        ("batch/guard_pre_tape", 32),
+        ("batch/register_update", 32),
+        ("batch/tape", 32),
+        ("batch/trace", 32),
+        ("batch/transition_select", 32),
+    ];
+    let eight_lanes: &[(&str, u64)] = &[
+        ("batch.lanes", 8),
+        ("batch.masked_lanes", 1),
+        ("batch.tape_passes", 40),
+        ("batch/guard_pre_tape", 40),
+        ("batch/register_update", 40),
+        ("batch/tape", 40),
+        ("batch/trace", 30),
+        ("batch/transition_select", 40),
+    ];
+    let pinned: [(&str, &[(&str, u64)]); 2] = [
+        (
+            "hcor",
+            &[
+                ("compiled.cycles", 48),
+                ("compiled.sfg_firings", 48),
+                ("compiled.convergence_iters", 0),
+                ("compiled.reg_updates", 190),
+                ("compiled.opt.instrs_in", 92),
+                ("compiled.opt.instrs_out", 65),
+                ("compiled.opt.folded", 0),
+                ("compiled.opt.cse_hits", 21),
+                ("compiled.opt.dce_removed", 1),
+                ("compiled.opt.slots_saved", 27),
+                ("compiled/guard_pre_tape", 48),
+                ("compiled/register_update", 48),
+                ("compiled/tape", 48),
+                ("compiled/trace", 32),
+                ("compiled/transition_select", 48),
+            ],
+        ),
+        (
+            "dect",
+            &[
+                ("compiled.cycles", 48),
+                ("compiled.sfg_firings", 1152),
+                ("compiled.convergence_iters", 0),
+                ("compiled.reg_updates", 1785),
+                ("compiled.opt.instrs_in", 484),
+                ("compiled.opt.instrs_out", 443),
+                ("compiled.opt.folded", 0),
+                ("compiled.opt.cse_hits", 33),
+                ("compiled.opt.dce_removed", 2),
+                ("compiled.opt.slots_saved", 42),
+                ("compiled/guard_pre_tape", 48),
+                ("compiled/register_update", 48),
+                ("compiled/tape", 48),
+                ("compiled/trace", 32),
+                ("compiled/transition_select", 48),
+            ],
+        ),
+    ];
+    for ((name, mk), (pinned_name, want_c)) in designs().into_iter().zip(pinned) {
+        assert_eq!(name, pinned_name);
+        let sig = input_sig(&mk());
+        let own = |pin: &[(&str, u64)]| -> Vec<(String, u64)> {
+            pin.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect()
+        };
+
+        let reg = Registry::new();
+        let mut c = CompiledSim::new_with(mk(), OptLevel::Full).expect("compiled");
+        c.attach_obs(SimObs::compiled(&reg));
+        warm(&mut c, &sig, 21, 16);
+        c.enable_trace();
+        warm(&mut c, &sig, 22, 24);
+        c.reset();
+        warm(&mut c, &sig, 23, 8);
+        let got = obs_pin(&reg, &COMPILED_COUNTERS);
+        assert_eq!(got, own(want_c), "{name}: compiled");
+
+        let reg = Registry::new();
+        let mut b1 = BatchedSim::from_fn(1, || Ok(mk()), OptLevel::Full).expect("batched");
+        b1.attach_obs(BatchObs::new(&reg));
+        b1.enable_trace();
+        warm(&mut b1, &sig, 24, 32);
+        let e = CoreError::Unsupported {
+            op: "pin mask".to_owned(),
+        };
+        b1.fail_lane(0, e.clone());
+        assert_eq!(b1.step(), Err(e), "{name}");
+        let got = obs_pin(&reg, &BATCH_COUNTERS);
+        assert_eq!(got, own(one_lane), "{name}: one lane");
+
+        let reg = Registry::new();
+        let mut b8 = BatchedSim::from_fn(8, || Ok(mk()), OptLevel::Full).expect("batched");
+        b8.attach_obs(BatchObs::new(&reg));
+        warm(&mut b8, &sig, 25, 10);
+        b8.enable_trace();
+        warm(&mut b8, &sig, 26, 10);
+        b8.fail_lane(
+            3,
+            CoreError::Unsupported {
+                op: "pin mask".to_owned(),
+            },
+        );
+        warm(&mut b8, &sig, 27, 20);
+        let got = obs_pin(&reg, &BATCH_COUNTERS);
+        assert_eq!(got, own(eight_lanes), "{name}: eight lanes");
     }
 }

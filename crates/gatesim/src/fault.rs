@@ -50,7 +50,7 @@ pub struct Fault {
 }
 
 /// The result of grading a vector set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultReport {
     /// Total faults injected (2 × gate count, constants excluded).
     pub total: usize,

@@ -30,7 +30,7 @@ use std::io::Write as _;
 use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 
-use ocapi_bench::cli::{BenchArgs, FaultEngine};
+use ocapi_bench::cli::BenchArgs;
 use ocapi_bench::report::{write_atomic, Reporter};
 use ocapi_serve::proto::{is_deterministic, is_terminal, read_frame, write_frame};
 use ocapi_serve::{Json, ServeError};
@@ -244,7 +244,6 @@ fn run_loadgen(
             checkpoint_every: 4,
             resume: false,
             retries: 1,
-            fault_engine: FaultEngine::Packed,
             partitions: 1,
         };
         write_atomic(path, rep.perf_json(&args).as_bytes())?;
