@@ -18,36 +18,9 @@
 
 use std::io::Write as _;
 
-use ocapi::PoolStats;
+use ocapi_obs::json::{escape, num};
 
 use crate::cli::BenchArgs;
-
-/// Escapes a string for a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an f64 as a JSON number (finite values only; NaN/inf become
-/// null, which JSON has no number for).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 /// Collects key → value pairs for one benchmark binary and writes the
 /// two JSON files selected by the CLI.
@@ -92,17 +65,6 @@ impl Reporter {
     /// Records an integer perf metric.
     pub fn perf_u64(&mut self, key: &str, v: u64) {
         self.perf.push((key.to_owned(), v.to_string()));
-    }
-
-    /// Records the observability counters of one sharded map under
-    /// `prefix`: items, items/sec, wall seconds, worker count and mean
-    /// utilization.
-    pub fn perf_pool(&mut self, prefix: &str, stats: &PoolStats) {
-        self.perf_u64(&format!("{prefix}_items"), stats.items as u64);
-        self.perf_f64(&format!("{prefix}_items_per_sec"), stats.items_per_sec());
-        self.perf_f64(&format!("{prefix}_wall_secs"), stats.wall_secs);
-        self.perf_u64(&format!("{prefix}_workers"), stats.threads as u64);
-        self.perf_f64(&format!("{prefix}_utilization"), stats.utilization());
     }
 
     fn object(pairs: &[(String, String)]) -> String {

@@ -421,7 +421,7 @@ impl SimSnapshot {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{name}\":[");
+            let _ = write!(s, "\"{}\":[", ocapi_obs::json::escape(name));
             for (j, w) in words.iter().enumerate() {
                 if j > 0 {
                     s.push(',');

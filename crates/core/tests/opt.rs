@@ -10,11 +10,15 @@
 //! `OptStats` assertions then pin down that the intended rule actually
 //! fired (or, for the signed fixed-point cases, that it did **not**).
 //!
-//! A seeded differential fuzz loop at the end compares `OptLevel::None`
-//! against `Full` on random expression DAGs; the `slow-tests` feature
-//! multiplies the case count.
+//! A seeded differential at the end runs generated systems, whose
+//! expression pools hold the constants 0, 1, 8 and 255 so identities,
+//! CSE and DCE fire, through the workspace's one generator and
+//! every-engine checker (`tests/agree/mod.rs`), which compares `None`,
+//! `Basic` and `Full` on every net and register each cycle.
 
-use ocapi::rng::XorShift64;
+#[path = "../../../tests/agree/mod.rs"]
+mod agree;
+
 use ocapi::{
     CompiledSim, Component, ComponentBuilder, Fix, Format, InterpSim, OptLevel, OptStats, Overflow,
     Rounding, Sig, SigType, SimObs, Simulator, System, Value,
@@ -357,136 +361,9 @@ fn attach_obs_flushes_optimizer_counters() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Seeded differential fuzz: OptLevel::None vs Full on random DAGs.
-// ---------------------------------------------------------------------
-
-/// Random expression DAG over an 8-bit pool (the generator mirrors the
-/// `prop_equivalence` recipe but aims expressions at the optimizer:
-/// small constants and repeated picks make identities, shared
-/// subexpressions and dead cones likely).
-fn random_system(seed: u64) -> System {
-    let mut rng = XorShift64::new(0x0b7_0000 + seed);
-    let c = Component::build("fuzz");
-    let xi = c.input("x", SigType::Bits(8)).expect("input");
-    let si = c.input("sel", SigType::Bool).expect("input");
-    let r0 = c.reg("r0", SigType::Bits(8)).expect("reg");
-    let sel = c.read(si);
-
-    let mut pool: Vec<Sig> = vec![
-        c.read(xi),
-        c.q(r0),
-        c.const_bits(8, 0),
-        c.const_bits(8, 1),
-        c.const_bits(8, 8),
-        c.const_bits(8, 255),
-        c.const_bits(8, rng.next_u64() & 0xff),
-    ];
-    let n_steps = 4 + rng.index(20);
-    for _ in 0..n_steps {
-        let a = pool[rng.index(pool.len())].clone();
-        let b = pool[rng.index(pool.len())].clone();
-        let s = match rng.below(8) {
-            0 => a + b,
-            1 => a - b,
-            2 => a * b,
-            3 => a & b,
-            4 => a | b,
-            5 => a ^ b,
-            6 => sel.mux(&a, &b),
-            _ => a.lt(&b).mux(&b, &a),
-        };
-        pool.push(s);
-    }
-    let out = pool[rng.index(pool.len())].clone();
-    let nxt = pool[rng.index(pool.len())].clone();
-
-    let o = c.output("o", SigType::Bits(8)).expect("output");
-    let s = c.sfg("main").expect("sfg");
-    s.drive(o, &out).expect("drive");
-    s.next(r0, &nxt).expect("next");
-    let guard = c.q(r0).lt(&c.const_bits(8, (rng.next_u64() & 0xff).max(1)));
-    let f = c.fsm().expect("fsm");
-    let s0 = f.initial("a").expect("state");
-    let s1 = f.state("b").expect("state");
-    f.from(s0).when(&guard).run(s.id()).to(s1).expect("t");
-    f.from(s0).always().run(s.id()).to(s0).expect("t");
-    f.from(s1).always().run(s.id()).to(s0).expect("t");
-    let comp = c.finish().expect("finish");
-
-    let mut sb = System::build("fuzz");
-    let u = sb.add_component("u", comp).expect("add");
-    sb.input("x", SigType::Bits(8)).expect("pi");
-    sb.input("sel", SigType::Bool).expect("pi");
-    sb.connect_input("x", u, "x").expect("conn");
-    sb.connect_input("sel", u, "sel").expect("conn");
-    sb.output("o", u, "o").expect("po");
-    sb.finish().expect("system")
-}
-
-fn fuzz_cases() -> u64 {
-    if cfg!(feature = "slow-tests") {
-        256
-    } else {
-        48
-    }
-}
-
-/// One fuzz case: `None` vs `Full` on the same random system, comparing
-/// the output, every net, the register and the FSM state each cycle.
-fn check_fuzz_seed(seed: u64) {
-    let net_names: Vec<String> = random_system(seed)
-        .nets
-        .iter()
-        .map(|n| n.name.clone())
-        .collect();
-    let mut none = CompiledSim::new_with(random_system(seed), OptLevel::None).expect("compiled");
-    let mut full = CompiledSim::new_with(random_system(seed), OptLevel::Full).expect("compiled");
-    let mut rng = XorShift64::new(0xf0220000 ^ seed);
-    for cyc in 0..40 {
-        let x = rng.next_u64() & 0xff;
-        let sel = rng.next_bool();
-        for sim in [&mut none as &mut dyn Simulator, &mut full] {
-            sim.set_input("x", Value::bits(8, x)).expect("set");
-            sim.set_input("sel", Value::Bool(sel)).expect("set");
-            sim.step().expect("step");
-        }
-        assert_eq!(
-            none.output("o").expect("out"),
-            full.output("o").expect("out"),
-            "seed {seed}: output diverged at cycle {cyc}"
-        );
-        for name in &net_names {
-            assert_eq!(
-                none.peek_net(name).expect("peek"),
-                full.peek_net(name).expect("peek"),
-                "seed {seed}: net `{name}` diverged at cycle {cyc}"
-            );
-        }
-        assert_eq!(
-            none.peek_reg("u", "r0").expect("reg"),
-            full.peek_reg("u", "r0").expect("reg"),
-            "seed {seed}: register diverged at cycle {cyc}"
-        );
-        assert_eq!(
-            none.state_name("u").expect("state"),
-            full.state_name("u").expect("state"),
-            "seed {seed}: state diverged at cycle {cyc}"
-        );
-    }
-}
-
+/// Seeds `1144..1168`, disjoint from the seeds the workspace's
+/// `tests/engines_agree.rs` runs.
 #[test]
 fn fuzz_none_vs_full_agree() {
-    let seeds: Vec<u64> = (0..fuzz_cases()).collect();
-    match ocapi::sim::par::map_indexed(&ocapi::ParConfig::available(), &seeds, |_, &seed| {
-        check_fuzz_seed(seed);
-        Ok::<_, ocapi::CoreError>(())
-    }) {
-        Ok(_) => {}
-        Err(ocapi::ParError::Panic { index }) => {
-            panic!("fuzz case for seed {index} failed (assertion output above)")
-        }
-        Err(ocapi::ParError::Task { index, error }) => panic!("case {index}: {error}"),
-    }
+    agree::check_generated(1144..1168);
 }

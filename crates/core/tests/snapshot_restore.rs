@@ -401,6 +401,23 @@ fn tamper(bytes: &[u8], name: &str, index: usize, word: u64) -> SimSnapshot {
     panic!("no section `{name}`");
 }
 
+/// A section name comes from outside bytes, so `to_json` escapes it: a
+/// quote or backslash in the name cannot break the document.
+#[test]
+fn json_escapes_section_names() {
+    let name = "a\"b\\c";
+    // The header (magic, version, backend, reserved, hash, cycle), then
+    // one empty section and the checksum.
+    let mut bytes = InterpSim::new(acc_system()).unwrap().snapshot().to_bytes()[..24].to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    bytes.extend_from_slice(name.as_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
+    let json = SimSnapshot::from_bytes(&bytes).unwrap().to_json();
+    assert!(json.contains(r#""a\"b\\c":[]"#), "{json}");
+}
+
 /// Asserts a typed format error naming `section` and word `index`.
 fn assert_bad_word(result: Result<(), CoreError>, section: &str, index: usize) {
     match result {

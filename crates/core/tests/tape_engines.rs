@@ -1,16 +1,17 @@
-//! Differential suite for the two tape engines on the in-tree designs.
+//! Pins for the two tape engines on the in-tree designs.
 //!
 //! `CompiledSim` and `BatchedSim` run the same micro-op executor over
-//! one lane and over N lane stripes; both must match the interpreter
-//! exactly. Every primary output *and every named net* is compared each
-//! cycle, at all three optimization levels, on all five in-tree designs
-//! (HCOR, DECT transceiver, modem, WLAN, image): `CompiledSim`, and
-//! `BatchedSim` at 1 and 64 lanes (lanes 0 and 63 peeked), against
-//! `InterpSim`. A seeded sweep (scaled up by the `slow-tests` feature)
-//! drives the same designs with more random stimuli. The remaining
-//! tests pin what a stored artifact depends on: the program hash of
-//! every design at every level, snapshot interchange between the
-//! engines, typed errors on level or family confusion, and tape reuse.
+//! one lane and over N lane stripes. Their every-net differential
+//! against the interpreter on these designs runs here, through the
+//! workspace's one every-engine checker (`tests/agree/mod.rs`) together
+//! with the RT and gate engines; generated systems run through it in
+//! `tests/engines_agree.rs`. The other tests pin what a stored artifact
+//! depends on: the program hash of every design at every level,
+//! snapshot interchange between the engines, typed errors on level or
+//! family confusion, tape reuse and the obs counts.
+
+#[path = "../../../tests/agree/mod.rs"]
+mod agree;
 
 use ocapi::rng::XorShift64;
 use ocapi::{
@@ -21,28 +22,19 @@ use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor, image, modem, wlan};
 use ocapi_obs::Registry;
 
-/// A named design builder.
-type DesignBuilder = (&'static str, Box<dyn Fn() -> System>);
-
 const LEVELS: [OptLevel; 3] = [OptLevel::None, OptLevel::Basic, OptLevel::Full];
 
 /// The in-tree designs, by builder. `image` uses the quantiser shift
 /// its own tests use; `dect` the default transceiver configuration.
-fn designs() -> Vec<DesignBuilder> {
-    vec![
-        (
-            "hcor",
-            Box::new(|| hcor::build_system().expect("hcor")) as Box<dyn Fn() -> System>,
-        ),
-        (
-            "dect",
-            Box::new(|| {
-                dect::transceiver::build_system(&TransceiverConfig::default()).expect("dect")
-            }),
-        ),
-        ("modem", Box::new(|| modem::build_system().expect("modem"))),
-        ("wlan", Box::new(|| wlan::build_system().expect("wlan"))),
-        ("image", Box::new(|| image::build_system(2).expect("image"))),
+fn designs() -> [agree::Design; 5] {
+    [
+        ("hcor", || hcor::build_system().expect("hcor")),
+        ("dect", || {
+            dect::transceiver::build_system(&TransceiverConfig::default()).expect("dect")
+        }),
+        ("modem", || modem::build_system().expect("modem")),
+        ("wlan", || wlan::build_system().expect("wlan")),
+        ("image", || image::build_system(2).expect("image")),
     ]
 }
 
@@ -64,119 +56,22 @@ fn random_input(ty: SigType, rng: &mut XorShift64) -> Value {
     }
 }
 
-/// Drives interp, compiled and 1- and 64-lane batched engines (each
-/// tape engine at opt {0,1,2}) with identical random stimuli — the
-/// batches broadcast them to every lane — and asserts every output and
-/// every net agrees cycle by cycle.
-fn assert_engines_agree(name: &str, mk: &dyn Fn() -> System, seed: u64, cycles: u64) {
-    let probe = mk();
-    let net_names: Vec<String> = probe.nets.iter().map(|n| n.name.clone()).collect();
-    let out_names: Vec<String> = probe
-        .primary_outputs
-        .iter()
-        .map(|p| p.name.clone())
-        .collect();
-    let in_sig: Vec<(String, SigType)> = probe
-        .primary_inputs
-        .iter()
-        .map(|p| (p.name.clone(), p.ty))
-        .collect();
-
-    let mut interp = InterpSim::new(mk()).expect("interp");
-    let mut compiled: Vec<(OptLevel, CompiledSim)> = LEVELS
-        .into_iter()
-        .map(|l| (l, CompiledSim::new_with(mk(), l).expect("compiled")))
-        .collect();
-    let mut batched: Vec<(OptLevel, BatchedSim)> = LEVELS
-        .into_iter()
-        .flat_map(|l| [1, 64].map(|lanes| (l, lanes)))
-        .map(|(l, lanes)| {
-            let sim = BatchedSim::from_fn(lanes, || Ok(mk()), l).expect("batched");
-            (l, sim)
-        })
-        .collect();
-
-    let mut rng = XorShift64::new(seed);
-    for cyc in 0..cycles {
-        let inputs: Vec<(String, Value)> = in_sig
-            .iter()
-            .map(|(n, ty)| (n.clone(), random_input(*ty, &mut rng)))
-            .collect();
-        for sim in std::iter::once(&mut interp as &mut dyn Simulator)
-            .chain(compiled.iter_mut().map(|(_, s)| s as &mut dyn Simulator))
-            .chain(batched.iter_mut().map(|(_, s)| s as &mut dyn Simulator))
-        {
-            for (n, v) in &inputs {
-                sim.set_input(n, *v).expect("set_input");
-            }
-            sim.step().expect("step");
-        }
-        for out in &out_names {
-            let want = interp.output(out).expect("output");
-            for (l, sim) in &compiled {
-                assert_eq!(
-                    want,
-                    sim.output(out).expect("output"),
-                    "{name}: compiled output `{out}` diverged at cycle {cyc} ({l:?})"
-                );
-            }
-            for (l, sim) in &batched {
-                for lane in [0, sim.lanes() - 1] {
-                    assert_eq!(
-                        want,
-                        sim.output_lane(lane, out).expect("output"),
-                        "{name}: batched x{} lane {lane} output `{out}` diverged at cycle \
-                         {cyc} ({l:?})",
-                        sim.lanes()
-                    );
-                }
-            }
-        }
-        for net in &net_names {
-            let want = interp.peek_net(net).expect("peek_net");
-            for (l, sim) in &compiled {
-                assert_eq!(
-                    want,
-                    sim.peek_net(net).expect("peek_net"),
-                    "{name}: compiled net `{net}` diverged at cycle {cyc} ({l:?})"
-                );
-            }
-            for (l, sim) in &batched {
-                for lane in [0, sim.lanes() - 1] {
-                    assert_eq!(
-                        want,
-                        sim.peek_net_lane(lane, net).expect("peek_net"),
-                        "{name}: batched x{} lane {lane} net `{net}` diverged at cycle \
-                         {cyc} ({l:?})",
-                        sim.lanes()
-                    );
-                }
-            }
-        }
-    }
-}
-
+/// Every design on every engine of the checker: outputs, and on the
+/// tape engines every net and register, each cycle.
 #[test]
 fn tape_engines_match_interp_on_all_designs() {
-    for (name, mk) in designs() {
-        assert_engines_agree(name, mk.as_ref(), 0xD1FF_u64 ^ name.len() as u64, 48);
-    }
+    agree::check_designs(&designs(), &[0xD1FF], 48);
 }
 
-/// Seeded sweep: more seeds × more cycles under `slow-tests`.
+/// Seeded sweep: more seeds × more cycles under `slow-tests`, the
+/// seeds' stimuli back to back on one build of each design.
 #[test]
 fn tape_engines_fuzz_sweep_stays_bit_identical() {
-    let (seeds, cycles) = if cfg!(feature = "slow-tests") {
-        (8u64, 256)
-    } else {
-        (2u64, 64)
-    };
-    for (name, mk) in designs() {
-        for j in 0..seeds {
-            let seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(j + 1) ^ name.len() as u64;
-            assert_engines_agree(name, mk.as_ref(), seed, cycles);
-        }
-    }
+    let (seeds, cycles) = if agree::SLOW { (8, 256) } else { (2, 64) };
+    let seeds: Vec<u64> = (1..=seeds)
+        .map(|j| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(j))
+        .collect();
+    agree::check_designs(&designs(), &seeds, cycles);
 }
 
 /// The program hash keys snapshots, cached tapes and checkpoint

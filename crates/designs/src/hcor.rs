@@ -9,7 +9,7 @@
 //! registered correlation first crosses the threshold — the same
 //! control/data split as every component in the environment.
 
-use ocapi::{Component, CoreError, InterpSim, SigType, Simulator, System, Value};
+use ocapi::{Component, CoreError, SigType, Simulator, System, Value};
 
 /// The 16-bit DECT S-field sync word (RFP transmissions), LSB = oldest.
 pub const SYNC_WORD: u16 = 0xe98a;
@@ -173,16 +173,6 @@ pub fn test_pattern(noise_len: usize, seed: u64) -> Vec<bool> {
         bits.push(rnd());
     }
     bits
-}
-
-/// Sanity entry point used by doctests and the quickstart example.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn detect_cycle_interp() -> Result<Option<u64>, CoreError> {
-    let mut sim = InterpSim::new(build_system()?)?;
-    run_detection(&mut sim, &test_pattern(40, 7), 16)
 }
 
 #[cfg(test)]

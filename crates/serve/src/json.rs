@@ -14,6 +14,8 @@
 
 use std::fmt;
 
+use ocapi_obs::json::escape;
+
 use crate::error::ServeError;
 
 /// A parsed or under-construction JSON value.
@@ -141,23 +143,6 @@ impl fmt::Display for Json {
             }
         }
     }
-}
-
-/// Escapes a string for a JSON literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Convenience builder for insertion-ordered objects:
