@@ -24,6 +24,13 @@ pub enum CodegenError {
         /// The guard-feeding input port the instances disagree on.
         port: String,
     },
+    /// Two instances that share an entity name build different modules:
+    /// two different components share a name, and one entity cannot be
+    /// both.
+    ComponentConflict {
+        /// The shared entity name.
+        component: String,
+    },
     /// An I/O failure while writing a generated project to disk.
     Io {
         /// The underlying error, rendered.
@@ -43,6 +50,10 @@ impl fmt::Display for CodegenError {
                 f,
                 "instances of component `{component}` disagree on whether guard input `{port}` \
                  is internally driven; one shared entity cannot register and not register it"
+            ),
+            CodegenError::ComponentConflict { component } => write!(
+                f,
+                "two different components are named `{component}`; one entity cannot be both"
             ),
             CodegenError::Io { message } => write!(f, "project write failed: {message}"),
         }

@@ -25,11 +25,13 @@
 //! * **Code-size reports** ([`report`]) — the line-count comparison of
 //!   Table 1 (DSL description vs generated HDL).
 //!
-//! Both writers print each component from an [`ocapi_rtl::ComponentPlan`]:
-//! the same cones, drivers and state encoding that the RT kernel's
-//! lowering simulates. So this crate depends on `ocapi-rtl`. Which guard
-//! inputs are registered is [`ocapi::System::guard_held_inputs`], the rule
-//! the RT kernel and gate-level simulation use as well.
+//! Both printers print one module AST, [`ocapi_rtl::ast`]: per component
+//! a [`Module`] and per system a [`Top`], the structure the RT kernel
+//! elaborates too. They differ only in its [`Sharing`] rule, and keep
+//! identifier escaping, literals, types and expression syntax to
+//! themselves. So this crate depends on `ocapi-rtl`. Which guard inputs are
+//! registered is [`ocapi::System::guard_held_inputs`], the rule the RT
+//! kernel and gate-level simulation use as well.
 //!
 //! Floating-point signals are deliberately rejected: they exist for
 //! high-level modelling only and must be quantised to fixed point before
@@ -45,64 +47,90 @@ pub mod vhdl;
 
 pub use error::CodegenError;
 
-use ocapi::{Component, MemorySpec, System};
-use ocapi_rtl::ComponentPlan;
+use ocapi::{MemorySpec, System};
+use ocapi_rtl::ast::{Module, Sharing, Top};
 
-/// The plan both writers print a component from, and the guard inputs
-/// among `held_ports`, sorted.
-fn plan(
-    comp: &Component,
-    held_ports: &[usize],
-) -> Result<(ComponentPlan, Vec<usize>), CodegenError> {
-    let plan = ComponentPlan::new(comp);
-    if plan.has_float {
-        return Err(CodegenError::FloatNotSynthesizable {
-            component: comp.name.clone(),
-        });
-    }
-    let mut held = comp.guard_inputs();
-    held.retain(|p| held_ports.contains(p));
-    Ok((plan, held))
-}
-
-/// The distinct components of `sys` in first-instance order, each with
-/// the guard-held inputs ([`System::guard_held_inputs`]) of its
-/// instances.
+/// The top level of `sys` with modules built by `sharing`, once every
+/// entity name names one module.
 ///
-/// Every instance of a component shares one entity, whose guards read
-/// either a pin or its held copy, so all instances must hold the same
-/// guard inputs; otherwise this returns
-/// [`CodegenError::HeldGuardConflict`].
-fn components(sys: &System) -> Result<Vec<(&Component, Vec<usize>)>, CodegenError> {
-    let mut out: Vec<(&Component, Vec<usize>)> = Vec::new();
-    for (ti, t) in sys.timed.iter().enumerate() {
-        let held = sys.guard_held_inputs(ti);
-        match out.iter().find(|(c, _)| c.name == t.comp.name) {
-            None => out.push((&t.comp, held)),
-            Some((comp, first)) => {
-                let differs = |p: &&usize| first.contains(p) != held.contains(p);
-                if let Some(&p) = first.iter().chain(&held).find(differs) {
-                    return Err(CodegenError::HeldGuardConflict {
-                        component: comp.name.clone(),
-                        port: comp.inputs[p].name.clone(),
-                    });
-                }
-            }
+/// Each component is printed once, so all instances that share its name
+/// must build equal modules. A differing held set is a
+/// [`CodegenError::HeldGuardConflict`], and any other difference a
+/// [`CodegenError::ComponentConflict`].
+fn top(sys: &System, sharing: Sharing) -> Result<Top, CodegenError> {
+    let top = Top::new(sys, sharing);
+    for (k, inst) in top.instances.iter().enumerate() {
+        let m = &inst.module;
+        let mut earlier = top.instances[..k].iter().map(|i| &i.module);
+        let Some(first) = earlier.find(|f| f.name == m.name) else {
+            continue;
+        };
+        let differs = |p: &&usize| first.held.contains(p) != m.held.contains(p);
+        if let Some(&p) = first.held.iter().chain(&m.held).find(differs) {
+            let owner = if first.held.contains(&p) { first } else { m };
+            return Err(CodegenError::HeldGuardConflict {
+                component: m.name.clone(),
+                port: owner.inputs[p].name.clone(),
+            });
+        }
+        if first != m {
+            return Err(CodegenError::ComponentConflict {
+                component: m.name.clone(),
+            });
         }
     }
-    Ok(out)
+    Ok(top)
 }
 
-/// The distinct memory blocks of `sys`, by block name in first-instance
+/// The distinct modules of `top`, in first-instance order.
+fn modules(top: &Top) -> Vec<&Module> {
+    let named = top
+        .instances
+        .iter()
+        .map(|i| (i.module.name.as_str(), &i.module));
+    first_by_name(named).into_iter().map(|(_, m)| m).collect()
+}
+
+/// The distinct memory blocks of `top`, by block name in first-instance
 /// order.
-fn memories(sys: &System) -> Vec<(&str, MemorySpec)> {
-    let mut out: Vec<(&str, MemorySpec)> = Vec::new();
-    for u in &sys.untimed {
-        if let Some(spec) = u.block.memory_spec() {
-            if out.iter().all(|(n, _)| *n != u.block.name()) {
-                out.push((u.block.name(), spec));
-            }
+fn memories(top: &Top) -> Vec<(&str, &MemorySpec)> {
+    let specs = top
+        .blocks
+        .iter()
+        .filter_map(|b| Some((b.name.as_str(), b.memory.as_ref()?)));
+    first_by_name(specs)
+}
+
+/// The first of `items` under each name, in order.
+fn first_by_name<'a, T>(items: impl Iterator<Item = (&'a str, T)>) -> Vec<(&'a str, T)> {
+    let mut out: Vec<(&str, T)> = Vec::new();
+    for (name, item) in items {
+        if out.iter().all(|(n, _)| *n != name) {
+            out.push((name, item));
         }
     }
     out
+}
+
+/// Rejects a module no HDL synthesizes.
+fn synthesizable(m: &Module) -> Result<(), CodegenError> {
+    if m.has_float {
+        return Err(CodegenError::FloatNotSynthesizable {
+            component: m.name.clone(),
+        });
+    }
+    Ok(())
+}
+
+/// Writes each of `items` on a line of its own after `indent`, separated
+/// by `sep`, with no newline after the last.
+fn list(out: &mut String, indent: &str, sep: &str, items: impl IntoIterator<Item = String>) {
+    for (k, item) in items.into_iter().enumerate() {
+        if k > 0 {
+            out.push_str(sep);
+            out.push('\n');
+        }
+        out.push_str(indent);
+        out.push_str(&item);
+    }
 }

@@ -2,9 +2,9 @@
 //!
 //! The original environment handed generated VHDL files to the synthesis
 //! tools (Figure 8). [`write_vhdl_project`] produces the same hand-off: a
-//! directory with the support package, one file per component entity, the
-//! structural top level, the self-checking testbench, and a `files.lst`
-//! compilation order.
+//! directory with the support package, one file per component entity and
+//! per memory model, the structural top level, the self-checking
+//! testbench, and a `files.lst` compilation order.
 
 use std::fs;
 use std::path::Path;
@@ -22,32 +22,26 @@ pub struct ProjectManifest {
 }
 
 /// Writes the complete VHDL project for `sys` into `dir` (created if
-/// missing): the support package, one file per distinct component, the
-/// structural top level and, when a recorded `trace` is given, a
-/// self-checking testbench.
+/// missing): the support package, one file per distinct component, one
+/// per distinct memory block, the structural top level and, when a
+/// recorded `trace` is given, a self-checking testbench.
 ///
 /// # Errors
 ///
 /// Returns [`CodegenError`] for generation failures, including
 /// [`CodegenError::HeldGuardConflict`] when instances of one component
-/// disagree on which guard inputs are held; I/O errors are wrapped in
-/// [`CodegenError::Io`].
+/// disagree on which guard inputs are held and
+/// [`CodegenError::ComponentConflict`] when two different components share
+/// a name; I/O errors are wrapped in [`CodegenError::Io`].
 pub fn write_vhdl_project(
     sys: &System,
     trace: Option<&Trace>,
     dir: &Path,
 ) -> Result<ProjectManifest, CodegenError> {
     let mut files = vec![("ocapi_pkg.vhd".to_owned(), vhdl::package_source())];
-    for (comp, held) in crate::components(sys)? {
-        files.push((
-            format!("{}.vhd", ident::vhdl(&comp.name)),
-            vhdl::component_source_with_held(comp, &held)?,
-        ));
+    for (entity, text) in vhdl::entities(sys)? {
+        files.push((format!("{entity}.vhd"), text));
     }
-    files.push((
-        format!("{}_top.vhd", ident::vhdl(&sys.name)),
-        vhdl::system_source_top_only(sys),
-    ));
     if let Some(trace) = trace {
         files.push((
             format!("{}_tb.vhd", ident::vhdl(&sys.name)),

@@ -1,25 +1,31 @@
-//! Verilog-2001 code generation.
+//! Verilog-2001 printing.
 //!
-//! Mirrors the VHDL back-end ([`crate::vhdl`]): both print the structure
-//! of [`ocapi_rtl::ComponentPlan`], which the RT kernel's lowering builds
-//! from too. This writer's sharing rule differs: every non-leaf node the
-//! plan's cones reach is emitted as an explicit wire with its own
-//! continuous assignment. This pins down the width and signedness of every
-//! intermediate result, so Verilog's context-determined sizing rules
-//! cannot diverge from the simulator's semantics.
+//! Mirrors the VHDL printer ([`crate::vhdl`]): both print the module AST
+//! of [`ocapi_rtl::ast`], which the RT kernel elaborates too. This
+//! printer's modules are built with [`Sharing::Every`]: every non-leaf
+//! node of a cone is an explicit wire with its own continuous assignment.
+//! This pins down the width and signedness of every intermediate result,
+//! so Verilog's context-determined sizing rules cannot diverge from the
+//! simulator's semantics.
 //!
 //! Rounding-mode fidelity note: in generated Verilog, `Truncate` casts are
-//! exact and all other rounding modes are emitted as round-to-nearest
-//! (add-half-then-shift). Bit-exact verification against the simulators
-//! runs on [`ocapi_rtl::RtlSystemSim`], which shares this text's plan but
-//! not its statements; no simulator reads this text back.
+//! exact, and every other rounding mode is printed as add-half, then
+//! arithmetic shift, so ties go toward +∞. No simulator mode rounds that
+//! way: `ocapi_fixp` rounds `Nearest` ties away from zero, so negative
+//! ties differ (a mantissa of −2 shifted right by 2 gives −1 in the
+//! simulators and 0 here), and `NearestEven`, `Ceil` and `TowardZero`
+//! differ further. Bit-exact verification against the simulators runs on
+//! [`ocapi_rtl::RtlSystemSim`], which elaborates the same module AST but
+//! computes with `ocapi_fixp`; no simulator reads this text back.
 
 use std::fmt::Write as _;
 
-use ocapi::{BinOp, Component, NodeId, NodeKind, SigType, System, UnOp, Value};
+use ocapi::{BinOp, Component, NetSource, SigType, System, UnOp, Value};
 use ocapi_fixp::{Overflow, Rounding};
+use ocapi_rtl::ast::{Expr, ExprKind, Module, NetKind, Reset, Sharing, Var};
 
-use crate::CodegenError;
+use crate::ident::verilog as sanitize;
+use crate::{list, CodegenError};
 
 fn width(t: SigType) -> u32 {
     match t {
@@ -34,25 +40,20 @@ fn is_signed(t: SigType) -> bool {
     matches!(t, SigType::Fixed(_))
 }
 
-fn wire_decl(name: &str, t: SigType) -> String {
+/// Declares `name` of type `t` as a `kind` (`wire`, `reg`, `input wire`,
+/// ...).
+fn decl(kind: &str, name: &str, t: SigType) -> String {
     let w = width(t);
-    let signed = if is_signed(t) { " signed" } else { "" };
     if w == 1 && !is_signed(t) {
-        format!("wire {name}")
+        format!("{kind} {name}")
     } else {
-        format!("wire{signed} [{}:0] {name}", w - 1)
+        let signed = if is_signed(t) { " signed" } else { "" };
+        format!("{kind}{signed} [{}:0] {name}", w - 1)
     }
 }
 
-fn reg_decl(name: &str, t: SigType) -> String {
-    let w = width(t);
-    let signed = if is_signed(t) { " signed" } else { "" };
-    if w == 1 && !is_signed(t) {
-        format!("reg {name}")
-    } else {
-        format!("reg{signed} [{}:0] {name}", w - 1)
-    }
-}
+/// The clock and reset ports every module opens with.
+const CLOCKS: [&str; 2] = ["input wire clk", "input wire rst"];
 
 pub(crate) fn literal(v: &Value) -> String {
     match v {
@@ -71,100 +72,67 @@ pub(crate) fn literal(v: &Value) -> String {
     }
 }
 
-/// Emits expression nodes as wires.
-struct VEmitter<'a> {
-    comp: &'a Component,
-    /// The Verilog sharing rule: every node the cone computes
-    /// ([`ocapi_rtl::Cone::ops`]) is a wire.
-    ops: &'a [bool],
-    /// Wire-name prefix (`n` for the datapath, `g` for guard cones).
-    prefix: &'static str,
-    /// Input ports read through their registered (`_held`) copy — the
-    /// held guard inputs, for guard cones.
-    held: &'a [usize],
+/// Prints the wires of one module.
+struct Printer<'a> {
+    m: &'a Module,
+    /// The state names; empty without a controller.
+    states: &'a [String],
 }
 
-impl VEmitter<'_> {
-    /// The name an expression is available under.
-    fn name(&self, id: NodeId) -> String {
-        let node = &self.comp.nodes[id.index()];
-        match &node.kind {
-            NodeKind::Const(v) => literal(v),
-            NodeKind::Input(p) => {
-                let n = sanitize(&self.comp.inputs[p.index()].name);
-                if self.held.contains(&p.index()) {
-                    format!("{n}_held")
-                } else {
-                    n
-                }
-            }
-            NodeKind::RegRead(r) => format!("{}_r", sanitize(&self.comp.regs[r.index()].name)),
-            _ => format!("{}{}", self.prefix, id.index()),
+impl Printer<'_> {
+    fn var(&self, v: Var) -> String {
+        self.m.var_name(v, sanitize)
+    }
+
+    fn state(&self, s: usize) -> String {
+        format!("ST_{}", sanitize(&self.states[s]).to_uppercase())
+    }
+
+    /// The name an expression is available under: a leaf or a net.
+    fn name(&self, e: &Expr) -> String {
+        match &e.kind {
+            ExprKind::Const(v) => literal(v),
+            ExprKind::Var(v) => self.var(*v),
+            ExprKind::Net(k) => self.m.nets[*k].name(),
+            _ => unreachable!("the Verilog rule names every operation"),
         }
     }
 
-    /// Emits the wire definitions for every node the cone computes.
-    fn emit(&self, out: &mut String) {
-        for (i, node) in self.comp.nodes.iter().enumerate() {
-            if !self.ops[i] {
-                continue;
-            }
-            let nm = format!("{}{}", self.prefix, i);
-            match &node.kind {
-                NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::RegRead(_) => {}
-                NodeKind::Un(op, a) => self.emit_un(out, &nm, *op, *a, node.ty),
-                NodeKind::Bin(op, a, b) => self.emit_bin(out, &nm, *op, *a, *b, node.ty),
-                NodeKind::Select {
+    /// The wire definitions of the `kind` nets, in node order.
+    fn emit(&self, out: &mut String, kind: NetKind) {
+        for net in self.m.nets.iter().filter(|n| n.kind == kind) {
+            let (e, nm) = (&net.expr, net.name());
+            let rhs = match &e.kind {
+                ExprKind::Un(op, a) => self.un(out, &nm, *op, a),
+                ExprKind::Bin(op, a, b) => self.bin(out, &nm, *op, a, b, e.ty),
+                ExprKind::Select {
                     cond,
                     then,
                     otherwise,
                 } => {
-                    let _ = writeln!(
-                        out,
-                        "  {} = {} ? {} : {};",
-                        wire_decl(&nm, node.ty),
-                        self.name(*cond),
-                        self.name(*then),
-                        self.name(*otherwise)
-                    );
+                    let (c, t) = (self.name(cond), self.name(then));
+                    format!("{c} ? {t} : {}", self.name(otherwise))
                 }
-            }
+                _ => self.name(e),
+            };
+            let _ = writeln!(out, "  {} = {rhs};", decl("wire", &nm, e.ty));
         }
     }
 
-    /// The value of the first selected SFG's driver, else `default`.
-    fn select(&self, drivers: &[(usize, NodeId)], default: &str) -> String {
-        let mut rhs = String::new();
-        for (si, node) in drivers {
-            let _ = write!(rhs, "sel[{si}] ? {} : ", self.name(*node));
-        }
-        rhs + default
-    }
-
-    fn emit_un(&self, out: &mut String, nm: &str, op: UnOp, a: NodeId, out_ty: SigType) {
+    /// The value of wire `nm`, a unary operation; helper wires go to `out`
+    /// first.
+    fn un(&self, out: &mut String, nm: &str, op: UnOp, a: &Expr) -> String {
         let x = self.name(a);
-        let a_ty = self.comp.nodes[a.index()].ty;
-        let decl = wire_decl(nm, out_ty);
         match op {
-            UnOp::Not => {
-                let _ = writeln!(out, "  {decl} = ~{x};");
-            }
-            UnOp::Neg => {
-                let _ = writeln!(out, "  {decl} = -{x};");
-            }
-            UnOp::Shl(n) => {
-                let _ = writeln!(out, "  {decl} = {x} << {n};");
-            }
-            UnOp::Shr(n) => {
-                let _ = writeln!(out, "  {decl} = {x} >> {n};");
-            }
-            UnOp::Slice { lo, width: w } => {
-                let _ = writeln!(out, "  {decl} = {x}[{}:{}];", lo + w - 1, lo);
-            }
+            UnOp::Not => format!("~{x}"),
+            UnOp::Neg => format!("-{x}"),
+            UnOp::Shl(n) => format!("{x} << {n}"),
+            UnOp::Shr(n) => format!("{x} >> {n}"),
+            UnOp::Slice { lo, width: w } => format!("{x}[{}:{lo}]", lo + w - 1),
             UnOp::ToFixed(fmt, rnd, ovf) => {
                 // widen -> round -> shift -> saturate or wrap (see module
                 // docs).
-                let src = match a_ty {
+                let src = match a.ty {
                     SigType::Fixed(sf) => sf,
                     _ => fmt, // floats rejected before emission
                 };
@@ -191,116 +159,83 @@ impl VEmitter<'_> {
                 let max = fmt.max_mantissa();
                 let mn = -fmt.min_mantissa();
                 let h = wl - 1;
-                let _ = match ovf {
-                    Overflow::Saturate => writeln!(
-                        out,
-                        "  {decl} = ({nm}_s > {w1}'sd{max}) ? {wl}'sd{max} : \
-({nm}_s < -{w1}'sd{mn}) ? -{wl}'sd{mn} : {nm}_s[{h}:0];"
+                match ovf {
+                    Overflow::Saturate => format!(
+                        "({nm}_s > {w1}'sd{max}) ? {wl}'sd{max} : \
+({nm}_s < -{w1}'sd{mn}) ? -{wl}'sd{mn} : {nm}_s[{h}:0]"
                     ),
-                    Overflow::Wrap => writeln!(out, "  {decl} = {nm}_s[{h}:0];"),
-                };
-            }
-            UnOp::ToBits(_) => {
-                let _ = writeln!(out, "  {decl} = {x};");
-            }
-            UnOp::ToFloat => {
-                let _ = writeln!(out, "  {decl} = {x}; // float: simulation only");
-            }
-            UnOp::ToBool => match a_ty {
-                SigType::Bool => {
-                    let _ = writeln!(out, "  {decl} = {x};");
+                    Overflow::Wrap => format!("{nm}_s[{h}:0]"),
                 }
-                _ => {
-                    let _ = writeln!(out, "  {decl} = ({x} != 0);");
-                }
-            },
+            }
+            UnOp::ToBool if a.ty != SigType::Bool => format!("({x} != 0)"),
+            UnOp::ToBits(_) | UnOp::ToFloat | UnOp::ToBool => x,
         }
     }
 
-    fn emit_bin(
+    /// The value of wire `nm`, a binary operation; helper wires go to
+    /// `out` first.
+    fn bin(
         &self,
         out: &mut String,
         nm: &str,
         op: BinOp,
-        a: NodeId,
-        b: NodeId,
-        out_ty: SigType,
-    ) {
+        a: &Expr,
+        b: &Expr,
+        ty: SigType,
+    ) -> String {
         let (xa, xb) = (self.name(a), self.name(b));
-        let (ta, tb) = (self.comp.nodes[a.index()].ty, self.comp.nodes[b.index()].ty);
-        let decl = wire_decl(nm, out_ty);
-        let arith_sym = |op: BinOp| match op {
+        let sym = match op {
             BinOp::Add => "+",
             BinOp::Sub => "-",
             BinOp::Mul => "*",
-            _ => unreachable!(),
+            BinOp::And => "&",
+            BinOp::Or => "|",
+            BinOp::Xor => "^",
+            BinOp::Eq => "==",
+            BinOp::Ne => "!=",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
         };
-        match op {
-            BinOp::Add | BinOp::Sub | BinOp::Mul => match (ta, tb, out_ty) {
-                (SigType::Fixed(fa), SigType::Fixed(fb), SigType::Fixed(fo))
-                    if op != BinOp::Mul =>
-                {
-                    let sha = fo.frac_bits() - fa.frac_bits();
-                    let shb = fo.frac_bits() - fb.frac_bits();
-                    let _ = writeln!(
-                        out,
-                        "  {decl} = ({xa} <<< {sha}) {} ({xb} <<< {shb});",
-                        arith_sym(op)
-                    );
-                }
-                _ => {
-                    let _ = writeln!(out, "  {decl} = {xa} {} {xb};", arith_sym(op));
-                }
-            },
-            BinOp::And => {
-                let _ = writeln!(out, "  {decl} = {xa} & {xb};");
+        let arith = matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul);
+        match (a.ty, b.ty, ty) {
+            (SigType::Fixed(fa), SigType::Fixed(fb), SigType::Fixed(fo))
+                if arith && op != BinOp::Mul =>
+            {
+                let sha = fo.frac_bits() - fa.frac_bits();
+                let shb = fo.frac_bits() - fb.frac_bits();
+                format!("({xa} <<< {sha}) {sym} ({xb} <<< {shb})")
             }
-            BinOp::Or => {
-                let _ = writeln!(out, "  {decl} = {xa} | {xb};");
+            _ if arith || matches!(op, BinOp::And | BinOp::Or | BinOp::Xor) => {
+                format!("{xa} {sym} {xb}")
             }
-            BinOp::Xor => {
-                let _ = writeln!(out, "  {decl} = {xa} ^ {xb};");
+            (SigType::Fixed(fa), SigType::Fixed(fb), _) => {
+                // Align to a common format through explicit wires so the
+                // comparison context cannot truncate.
+                let fbc = fa.frac_bits().max(fb.frac_bits());
+                let wlc = fa.wl().max(fb.wl()) + fbc.max(1);
+                let sha = fbc - fa.frac_bits();
+                let shb = fbc - fb.frac_bits();
+                let _ = writeln!(
+                    out,
+                    "  wire signed [{}:0] {nm}_l = ({xa} <<< {sha});",
+                    wlc - 1
+                );
+                let _ = writeln!(
+                    out,
+                    "  wire signed [{}:0] {nm}_r = ({xb} <<< {shb});",
+                    wlc - 1
+                );
+                format!("({nm}_l {sym} {nm}_r)")
             }
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let sym = match op {
-                    BinOp::Eq => "==",
-                    BinOp::Ne => "!=",
-                    BinOp::Lt => "<",
-                    BinOp::Le => "<=",
-                    BinOp::Gt => ">",
-                    _ => ">=",
-                };
-                match (ta, tb) {
-                    (SigType::Fixed(fa), SigType::Fixed(fb)) => {
-                        // Align to a common format through explicit wires so
-                        // the comparison context cannot truncate.
-                        let fbc = fa.frac_bits().max(fb.frac_bits());
-                        let wlc = fa.wl().max(fb.wl()) + fbc.max(1);
-                        let sha = fbc - fa.frac_bits();
-                        let shb = fbc - fb.frac_bits();
-                        let _ = writeln!(
-                            out,
-                            "  wire signed [{}:0] {nm}_l = ({xa} <<< {sha});",
-                            wlc - 1
-                        );
-                        let _ = writeln!(
-                            out,
-                            "  wire signed [{}:0] {nm}_r = ({xb} <<< {shb});",
-                            wlc - 1
-                        );
-                        let _ = writeln!(out, "  {decl} = ({nm}_l {sym} {nm}_r);");
-                    }
-                    _ => {
-                        let _ = writeln!(out, "  {decl} = ({xa} {sym} {xb});");
-                    }
-                }
-            }
+            _ => format!("({xa} {sym} {xb})"),
         }
     }
 }
 
 /// Generates a behavioural Verilog model for a RAM/ROM block.
-pub(crate) fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
+fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
     let mut out = String::new();
     let name = sanitize(name);
     let w = width(spec.word);
@@ -338,169 +273,84 @@ pub(crate) fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
     out
 }
 
-fn sanitize(name: &str) -> String {
-    crate::ident::verilog(name)
-}
-
-/// Generates the Verilog module for one timed component. Guard-input
-/// registration follows the same rules as [`crate::vhdl::component_source`].
+/// Generates the Verilog module for one timed component, registering the
+/// guard inputs among `held` as [`crate::vhdl::component_source`] does.
 ///
 /// # Errors
 ///
 /// Returns [`CodegenError::FloatNotSynthesizable`] if the component uses
 /// float signals.
-pub fn component_source(comp: &Component) -> Result<String, CodegenError> {
-    component_source_with_held(comp, &[])
+pub fn component_source(comp: &Component, held: &[usize]) -> Result<String, CodegenError> {
+    module_source(&Module::new(comp, held, Sharing::Every))
 }
 
-/// [`component_source`] with an explicit set of guard inputs that must be
-/// registered.
-///
-/// # Errors
-///
-/// Returns [`CodegenError::FloatNotSynthesizable`] if the component uses
-/// float signals.
-pub fn component_source_with_held(
-    comp: &Component,
-    held_ports: &[usize],
-) -> Result<String, CodegenError> {
-    let (plan, held) = crate::plan(comp, held_ports)?;
+/// Prints one module.
+fn module_source(m: &Module) -> Result<String, CodegenError> {
+    crate::synthesizable(m)?;
+    let states = m.controller.as_ref().map_or(&[][..], |c| &c.states);
+    let p = Printer { m, states };
     let mut out = String::new();
-    let name = sanitize(&comp.name);
-    let _ = writeln!(out, "module {name} (");
-    let _ = write!(out, "  input wire clk,\n  input wire rst");
-    for p in &comp.inputs {
-        let w = width(p.ty);
-        let signed = if is_signed(p.ty) { " signed" } else { "" };
-        if w == 1 && !is_signed(p.ty) {
-            let _ = write!(out, ",\n  input wire {}", sanitize(&p.name));
-        } else {
-            let _ = write!(
-                out,
-                ",\n  input wire{signed} [{}:0] {}",
-                w - 1,
-                sanitize(&p.name)
-            );
-        }
-    }
-    for p in &comp.outputs {
-        let w = width(p.ty);
-        let signed = if is_signed(p.ty) { " signed" } else { "" };
-        if w == 1 && !is_signed(p.ty) {
-            let _ = write!(out, ",\n  output wire {}", sanitize(&p.name));
-        } else {
-            let _ = write!(
-                out,
-                ",\n  output wire{signed} [{}:0] {}",
-                w - 1,
-                sanitize(&p.name)
-            );
-        }
-    }
+    let _ = writeln!(out, "module {} (", sanitize(&m.name));
+    let ports = (m.inputs.iter().map(|q| (q, "input wire")))
+        .chain(m.outputs.iter().map(|q| (q, "output wire")))
+        .map(|(q, kind)| decl(kind, &sanitize(&q.name), q.ty));
+    list(
+        &mut out,
+        "  ",
+        ",",
+        CLOCKS.map(String::from).into_iter().chain(ports),
+    );
     let _ = writeln!(out, "\n);");
 
-    let n_sfgs = comp.sfgs.len();
-    let dp = VEmitter {
-        comp,
-        ops: &plan.datapath.ops,
-        prefix: "n",
-        held: &[],
-    };
-    let guards = VEmitter {
-        comp,
-        ops: &plan.guards.ops,
-        prefix: "g",
-        held: &held,
-    };
-
-    // State encoding and controller.
-    if let Some(fsm) = &comp.fsm {
-        let sb = plan.state_bits;
-        for (i, s) in fsm.states.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  localparam ST_{} = {sb}'d{i};",
-                sanitize(s).to_uppercase()
-            );
+    // State encoding, then every register a commit writes.
+    if let Some(c) = &m.controller {
+        for s in 0..states.len() {
+            let _ = writeln!(out, "  localparam {} = {}'d{s};", p.state(s), c.bits);
         }
-        let _ = writeln!(out, "  reg [{}:0] state, state_next;", sb - 1);
+        let _ = writeln!(out, "  reg [{}:0] state, state_next;", c.bits - 1);
     }
-    if n_sfgs > 0 {
-        let _ = writeln!(out, "  reg [{}:0] sel;", n_sfgs - 1);
+    if m.sel_width > 0 {
+        let _ = writeln!(out, "  reg [{}:0] sel;", m.sel_width - 1);
     }
-    for r in &comp.regs {
-        let n = sanitize(&r.name);
-        let _ = writeln!(out, "  {};", reg_decl(&format!("{n}_r"), r.ty));
-    }
-    for p in &comp.outputs {
-        let n = sanitize(&p.name);
-        let _ = writeln!(out, "  {};", reg_decl(&format!("{n}_hold"), p.ty));
-    }
-    for p in &held {
-        let d = &comp.inputs[*p];
-        let _ = writeln!(
-            out,
-            "  {};",
-            reg_decl(&format!("{}_held", sanitize(&d.name)), d.ty)
-        );
+    for c in m.commits.iter().filter(|c| c.target != Var::State) {
+        let _ = writeln!(out, "  {};", decl("reg", &p.var(c.target), m.ty(c.target)));
     }
 
     let _ = writeln!(out, "\n  // guard cones (registered inputs)");
-    guards.emit(&mut out);
+    p.emit(&mut out, NetKind::Guard);
     let _ = writeln!(out, "\n  // datapath");
-    dp.emit(&mut out);
+    p.emit(&mut out, NetKind::Datapath);
 
     // Controller.
-    if let Some(fsm) = &comp.fsm {
+    if let Some(c) = &m.controller {
         let _ = writeln!(out, "\n  // controller: transition selection");
         let _ = writeln!(out, "  always @* begin");
         let _ = writeln!(out, "    state_next = state;");
-        let _ = writeln!(out, "    sel = {n_sfgs}'d0;");
+        let _ = writeln!(out, "    sel = {}'d0;", m.sel_width);
         let _ = writeln!(out, "    case (state)");
-        for (si, sname) in fsm.states.iter().enumerate() {
-            let _ = writeln!(out, "      ST_{}: begin", sanitize(sname).to_uppercase());
-            let trans: Vec<_> = fsm
-                .transitions
-                .iter()
-                .filter(|t| t.from.index() == si)
-                .collect();
-            let mut first = true;
-            let mut closed = false;
-            for t in &trans {
+        for (s, transitions) in c.transitions.iter().enumerate() {
+            let _ = writeln!(out, "      {}: begin", p.state(s));
+            for (k, t) in transitions.iter().enumerate() {
                 let mut body = String::new();
-                for a in &t.actions {
-                    let _ = writeln!(body, "          sel[{}] = 1'b1;", a.index());
+                for a in &t.selects {
+                    let _ = writeln!(body, "          sel[{a}] = 1'b1;");
                 }
-                let _ = writeln!(
-                    body,
-                    "          state_next = ST_{};",
-                    sanitize(&fsm.states[t.to.index()]).to_uppercase()
-                );
-                match t.guard {
+                let _ = writeln!(body, "          state_next = {};", p.state(t.to));
+                match &t.guard {
                     Some(g) => {
-                        let cond = guards.name(g);
-                        if first {
-                            let _ = writeln!(out, "        if ({cond}) begin");
-                        } else {
-                            let _ = writeln!(out, "        end else if ({cond}) begin");
-                        }
+                        let kw = if k == 0 { "if" } else { "end else if" };
+                        let _ = writeln!(out, "        {kw} ({}) begin", p.name(g));
                         out.push_str(&body);
-                        first = false;
                     }
+                    None if k == 0 => out.push_str(&body),
                     None => {
-                        if first {
-                            out.push_str(&body);
-                        } else {
-                            let _ = writeln!(out, "        end else begin");
-                            out.push_str(&body);
-                            let _ = writeln!(out, "        end");
-                        }
-                        closed = true;
-                        break;
+                        let _ = writeln!(out, "        end else begin");
+                        out.push_str(&body);
+                        let _ = writeln!(out, "        end");
                     }
                 }
             }
-            if !first && !closed {
+            if transitions.last().is_some_and(|t| t.guard.is_some()) {
                 let _ = writeln!(out, "        end");
             }
             let _ = writeln!(out, "      end");
@@ -508,63 +358,40 @@ pub fn component_source_with_held(
         let _ = writeln!(out, "      default: state_next = state;");
         let _ = writeln!(out, "    endcase");
         let _ = writeln!(out, "  end");
-    } else if n_sfgs > 0 {
-        let _ = writeln!(out, "\n  always @* sel = {{{n_sfgs}{{1'b1}}}}; // no FSM");
+    } else if m.sel_width > 0 {
+        let w = m.sel_width;
+        let _ = writeln!(out, "\n  always @* sel = {{{w}{{1'b1}}}}; // no FSM");
     }
 
     // Output and register muxes.
     let _ = writeln!(out, "\n  // output and register selection");
-    for (p, drivers) in comp.outputs.iter().zip(&plan.output_drivers) {
-        let n = sanitize(&p.name);
-        let rhs = dp.select(drivers, &format!("{n}_hold"));
-        let _ = writeln!(out, "  {} = {rhs};", wire_decl(&format!("{n}_int"), p.ty));
-        let _ = writeln!(out, "  assign {n} = {n}_int;");
-    }
-    for (r, drivers) in comp.regs.iter().zip(&plan.reg_drivers) {
-        let n = sanitize(&r.name);
-        let rhs = dp.select(drivers, &format!("{n}_r"));
-        let _ = writeln!(out, "  {} = {rhs};", wire_decl(&format!("{n}_next"), r.ty));
+    for mux in &m.muxes {
+        let target = p.var(mux.target);
+        let mut rhs = String::new();
+        for (k, e) in &mux.arms {
+            let _ = write!(rhs, "sel[{k}] ? {} : ", p.name(e));
+        }
+        let wire = decl("wire", &target, m.ty(mux.target));
+        let _ = writeln!(out, "  {wire} = {rhs}{};", p.var(mux.default));
+        if let Var::Int(o) = mux.target {
+            let _ = writeln!(out, "  assign {} = {target};", sanitize(&m.outputs[o].name));
+        }
     }
 
     // Sequential block.
     let _ = writeln!(out, "\n  always @(posedge clk) begin");
     let _ = writeln!(out, "    if (rst) begin");
-    if let Some(fsm) = &comp.fsm {
-        let _ = writeln!(
-            out,
-            "      state <= ST_{};",
-            sanitize(&fsm.states[fsm.initial.index()]).to_uppercase()
-        );
-    }
-    for r in &comp.regs {
-        let _ = writeln!(
-            out,
-            "      {}_r <= {};",
-            sanitize(&r.name),
-            literal(&r.init)
-        );
-    }
-    for p in &comp.outputs {
-        let _ = writeln!(out, "      {}_hold <= 0;", sanitize(&p.name));
-    }
-    for p in &held {
-        let _ = writeln!(out, "      {}_held <= 0;", sanitize(&comp.inputs[*p].name));
+    for c in &m.commits {
+        let reset = match &c.reset {
+            Reset::Value(v) => literal(v),
+            Reset::State(s) => p.state(*s),
+            Reset::Zero => "0".to_owned(),
+        };
+        let _ = writeln!(out, "      {} <= {reset};", p.var(c.target));
     }
     let _ = writeln!(out, "    end else begin");
-    if comp.fsm.is_some() {
-        let _ = writeln!(out, "      state <= state_next;");
-    }
-    for r in &comp.regs {
-        let n = sanitize(&r.name);
-        let _ = writeln!(out, "      {n}_r <= {n}_next;");
-    }
-    for p in &comp.outputs {
-        let n = sanitize(&p.name);
-        let _ = writeln!(out, "      {n}_hold <= {n}_int;");
-    }
-    for p in &held {
-        let n = sanitize(&comp.inputs[*p].name);
-        let _ = writeln!(out, "      {n}_held <= {n};");
+    for c in &m.commits {
+        let _ = writeln!(out, "      {} <= {};", p.var(c.target), p.var(c.source));
     }
     let _ = writeln!(out, "    end");
     let _ = writeln!(out, "  end");
@@ -573,145 +400,85 @@ pub fn component_source_with_held(
 }
 
 /// Generates the complete Verilog for a system: one module per timed
-/// component and a structural top-level module (untimed blocks appear as
-/// module instantiations whose behavioural models are supplied
-/// separately).
+/// component, a model per memory block, and a structural top-level
+/// module (the other untimed blocks appear as module instantiations whose
+/// behavioural models are supplied separately).
 ///
 /// # Errors
 ///
 /// Returns [`CodegenError::FloatNotSynthesizable`] if any component uses
-/// float signals, and [`CodegenError::HeldGuardConflict`] if instances of
-/// one component disagree on which guard inputs are held.
+/// float signals, [`CodegenError::HeldGuardConflict`] if instances of
+/// one component disagree on which guard inputs are held, and
+/// [`CodegenError::ComponentConflict`] if two different components share
+/// a name.
 pub fn system_source(sys: &System) -> Result<String, CodegenError> {
+    let top = crate::top(sys, Sharing::Every)?;
     let mut out = String::new();
-    for (comp, held) in crate::components(sys)? {
-        out.push_str(&component_source_with_held(comp, &held)?);
+    for m in crate::modules(&top) {
+        out.push_str(&module_source(m)?);
         out.push('\n');
     }
-    // Behavioural models for memory blocks.
-    for (name, spec) in crate::memories(sys) {
-        out.push_str(&memory_model(name, &spec));
+    for (name, spec) in crate::memories(&top) {
+        out.push_str(&memory_model(name, spec));
         out.push('\n');
     }
-    let name = sanitize(&sys.name);
-    let _ = writeln!(out, "module {name}_top (");
-    let _ = write!(out, "  input wire clk,\n  input wire rst");
-    for p in &sys.primary_inputs {
-        let w = width(p.ty);
-        if w == 1 && !is_signed(p.ty) {
-            let _ = write!(out, ",\n  input wire {}", sanitize(&p.name));
-        } else {
-            let signed = if is_signed(p.ty) { " signed" } else { "" };
-            let _ = write!(
-                out,
-                ",\n  input wire{signed} [{}:0] {}",
-                w - 1,
-                sanitize(&p.name)
-            );
-        }
-    }
-    for p in &sys.primary_outputs {
-        let t = sys.nets[p.net].ty;
-        let w = width(t);
-        if w == 1 && !is_signed(t) {
-            let _ = write!(out, ",\n  output wire {}", sanitize(&p.name));
-        } else {
-            let signed = if is_signed(t) { " signed" } else { "" };
-            let _ = write!(
-                out,
-                ",\n  output wire{signed} [{}:0] {}",
-                w - 1,
-                sanitize(&p.name)
-            );
-        }
-    }
+    let _ = writeln!(out, "module {}_top (", sanitize(&top.name));
+    let inputs = top
+        .inputs
+        .iter()
+        .map(|q| decl("input wire", &sanitize(&q.name), q.ty));
+    let outputs = top
+        .outputs
+        .iter()
+        .map(|q| decl("output wire", &sanitize(&q.name), top.nets[q.net].ty));
+    let ports = CLOCKS
+        .map(String::from)
+        .into_iter()
+        .chain(inputs)
+        .chain(outputs);
+    list(&mut out, "  ", ",", ports);
     let _ = writeln!(out, "\n);");
-    for (i, n) in sys.nets.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {}; // {}",
-            wire_decl(&format!("net{i}"), n.ty),
-            n.name
-        );
+    for (i, n) in top.nets.iter().enumerate() {
+        let wire = decl("wire", &format!("net{i}"), n.ty);
+        let _ = writeln!(out, "  {wire}; // {}", n.name);
     }
-    for (i, n) in sys.nets.iter().enumerate() {
-        match &n.source {
-            ocapi::NetSource::Constant(v) => {
-                let _ = writeln!(out, "  assign net{i} = {};", literal(v));
-            }
-            ocapi::NetSource::PrimaryInput(pi) => {
-                let _ = writeln!(
-                    out,
-                    "  assign net{i} = {};",
-                    sanitize(&sys.primary_inputs[*pi].name)
-                );
-            }
-            _ => {}
-        }
+    for (i, n) in top.nets.iter().enumerate() {
+        let source = match &n.source {
+            NetSource::Constant(v) => literal(v),
+            NetSource::PrimaryInput(pi) => sanitize(&top.inputs[*pi].name),
+            _ => continue,
+        };
+        let _ = writeln!(out, "  assign net{i} = {source};");
     }
-    for (ti, t) in sys.timed.iter().enumerate() {
-        let _ = writeln!(out, "  {} {} (", sanitize(&t.comp.name), sanitize(&t.name));
-        let _ = write!(out, "    .clk(clk),\n    .rst(rst)");
-        for (pi, p) in t.comp.inputs.iter().enumerate() {
-            let net = sys.timed_input_net(ti, pi);
-            let _ = write!(out, ",\n    .{}(net{net})", sanitize(&p.name));
-        }
-        for (pi, p) in t.comp.outputs.iter().enumerate() {
-            match sys.timed_output_net(ti, pi) {
-                Some(net) => {
-                    let _ = write!(out, ",\n    .{}(net{net})", sanitize(&p.name));
-                }
-                None => {
-                    let _ = write!(out, ",\n    .{}()", sanitize(&p.name));
-                }
-            }
-        }
+    let bind = |name: &str, net: Option<usize>| match net {
+        Some(n) => format!(".{}(net{n})", sanitize(name)),
+        None => format!(".{}()", sanitize(name)),
+    };
+    for inst in &top.instances {
+        let m = &inst.module;
+        let _ = writeln!(out, "  {} {} (", sanitize(&m.name), sanitize(&inst.name));
+        let inputs = (m.inputs.iter().zip(&inst.inputs)).map(|(q, n)| bind(&q.name, Some(*n)));
+        let outputs = (m.outputs.iter().zip(&inst.outputs)).map(|(q, n)| bind(&q.name, *n));
+        let ports = [".clk(clk)", ".rst(rst)"].map(String::from).into_iter();
+        list(&mut out, "    ", ",", ports.chain(inputs).chain(outputs));
         let _ = writeln!(out, "\n  );");
     }
-    for (ui, u) in sys.untimed.iter().enumerate() {
-        let is_mem = u.block.memory_spec();
-        if is_mem.is_some() {
-            let _ = writeln!(
-                out,
-                "  {} {}_i (",
-                sanitize(u.block.name()),
-                sanitize(u.block.name())
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "  {} {}_i ( // behavioural model supplied separately",
-                sanitize(u.block.name()),
-                sanitize(u.block.name())
-            );
-        }
-        let mut first = true;
-        if matches!(&is_mem, Some(m) if !m.is_rom) {
-            let _ = write!(out, "    .clk(clk)");
-            first = false;
-        }
-        for (pi, p) in u.inputs.iter().enumerate() {
-            let net = sys.untimed_input_net(ui, pi);
-            let sep = if first { "    " } else { ",\n    " };
-            let _ = write!(out, "{sep}.{}(net{net})", sanitize(&p.name));
-            first = false;
-        }
-        for (pi, p) in u.outputs.iter().enumerate() {
-            let sep = if first { "    " } else { ",\n    " };
-            match sys.untimed_output_net(ui, pi) {
-                Some(net) => {
-                    let _ = write!(out, "{sep}.{}(net{net})", sanitize(&p.name));
-                }
-                None => {
-                    let _ = write!(out, "{sep}.{}()", sanitize(&p.name));
-                }
-            }
-            first = false;
-        }
+    for b in &top.blocks {
+        let name = sanitize(&b.name);
+        let note = match b.memory {
+            Some(_) => "",
+            None => " // behavioural model supplied separately",
+        };
+        let _ = writeln!(out, "  {name} {name}_i ({note}");
+        let ram = matches!(&b.memory, Some(m) if !m.is_rom);
+        let inputs = b.inputs.iter().map(|(q, n)| bind(&q.name, Some(*n)));
+        let outputs = b.outputs.iter().map(|(q, n)| bind(&q.name, *n));
+        let ports = ram.then(|| ".clk(clk)".to_owned()).into_iter();
+        list(&mut out, "    ", ",", ports.chain(inputs).chain(outputs));
         let _ = writeln!(out, "\n  );");
     }
-    for p in &sys.primary_outputs {
-        let _ = writeln!(out, "  assign {} = net{};", sanitize(&p.name), p.net);
+    for q in &top.outputs {
+        let _ = writeln!(out, "  assign {} = net{};", sanitize(&q.name), q.net);
     }
     let _ = writeln!(out, "endmodule");
     Ok(out)

@@ -1,32 +1,47 @@
-//! VHDL code generation.
+//! VHDL printing.
 //!
 //! Each timed component becomes one entity with the paper's
 //! controller/datapath split (§6, Figure 8):
 //!
 //! * a **controller** process: state register plus transition selection,
 //!   producing a one-hot `sel` vector of active SFGs and the next state;
-//! * a **datapath**: dataflow-style concurrent assignments, one per shared
-//!   expression node, with per-output and per-register selection muxes;
+//! * a **datapath**: dataflow-style concurrent assignments, one per named
+//!   net, with per-output and per-register selection muxes;
 //! * a **sequential** process committing state, registers and output-hold
 //!   values on the rising clock edge.
 //!
-//! The structure comes from [`ocapi_rtl::ComponentPlan`], which the RT
-//! kernel's lowering builds from too. This writer gives a cone node its
-//! own signal when it is a non-leaf node used twice or any select.
+//! This printer prints the [`Module`] of each component and the system's
+//! [`Top`] from [`ocapi_rtl::ast`], the structure the RT kernel elaborates
+//! too. Its modules are built with [`Sharing::ReusedAndSelects`]: a cone
+//! node gets its own signal when it is a non-leaf node used twice or any
+//! select.
 //!
 //! FSM guards read *registered* copies of the inputs that
-//! [`System::guard_held_inputs`] names ("the conditions are stored in
-//! registers inside the signal flow graphs", §3), which makes the
-//! generated hardware cycle-exact with both simulators.
+//! [`ocapi::System::guard_held_inputs`] names ("the conditions are stored
+//! in registers inside the signal flow graphs", §3), so the generated
+//! controllers select the same SFGs in the same cycles as both simulators.
+//! The arithmetic is not bit-exact with them. Every cast whose rounding
+//! mode is not `Truncate` is printed as add-half, then arithmetic shift,
+//! so ties go toward +∞, while `ocapi_fixp` rounds `Nearest` ties away
+//! from zero: a mantissa of −2 shifted right by 2 gives −1 in the
+//! simulators and 0 here. `NearestEven`, `Ceil` and `TowardZero` differ
+//! further. DECT's error datapath and the image quantiser cast with
+//! `Nearest`.
 
 use std::fmt::Write as _;
 
-use ocapi::{BinOp, UnOp};
-use ocapi::{Component, NodeId, NodeKind, SigType, System, Value};
+use ocapi::{BinOp, Component, NetSource, SigType, System, UnOp, Value};
 use ocapi_fixp::{Overflow, Rounding};
-use ocapi_rtl::Cone;
+use ocapi_rtl::ast::{Expr, ExprKind, Module, Net, NetKind, Reset, Sharing, Top, Var};
 
-use crate::CodegenError;
+use crate::ident::vhdl as sanitize;
+use crate::{list, CodegenError};
+
+/// The clock and reset ports every entity opens with.
+const CLOCKS: [&str; 2] = ["clk : in std_logic", "rst : in std_logic"];
+
+/// The library clauses every design unit opens with.
+const IEEE: &str = "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n";
 
 /// The support package with fixed-point helpers, emitted once per design.
 pub(crate) fn package_source() -> String {
@@ -112,79 +127,39 @@ fn align(inner: &str, wl: u32, sh: u32) -> String {
     }
 }
 
-struct Emitter<'a> {
-    comp: &'a Component,
-    /// Nodes that get their own signal + concurrent assignment.
-    shared: Vec<bool>,
-    /// Input ports read through their registered (`_held`) copy — the
-    /// held guard inputs, for guard cones.
-    held: &'a [usize],
-    /// Signal-name prefix (`n` for the datapath, `g` for guard cones).
-    prefix: &'static str,
+/// Prints the expressions of one module.
+struct Printer<'a> {
+    m: &'a Module,
+    /// The state names; empty without a controller.
+    states: &'a [String],
 }
 
-impl<'a> Emitter<'a> {
-    /// The VHDL sharing rule: a non-leaf node used twice, or any select,
-    /// gets its own signal.
-    fn new(
-        comp: &'a Component,
-        cone: &Cone,
-        held: &'a [usize],
-        prefix: &'static str,
-    ) -> Emitter<'a> {
-        let shared = comp
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                cone.ops[i] && (cone.uses[i] > 1 || matches!(node.kind, NodeKind::Select { .. }))
-            })
-            .collect();
-        Emitter {
-            comp,
-            shared,
-            held,
-            prefix,
+impl Printer<'_> {
+    fn var(&self, v: Var) -> String {
+        self.m.var_name(v, sanitize)
+    }
+
+    fn net(&self, net: &Net) -> String {
+        match &net.label {
+            Some(l) => format!("{}_{}", net.name(), sanitize(l)),
+            None => net.name(),
         }
     }
 
-    fn sig_name(&self, id: NodeId) -> String {
-        let node = &self.comp.nodes[id.index()];
-        match node.name.as_deref() {
-            Some(n) => format!("{}{}_{}", self.prefix, id.index(), sanitize(n)),
-            None => format!("{}{}", self.prefix, id.index()),
+    fn expr(&self, e: &Expr) -> String {
+        match &e.kind {
+            ExprKind::Const(v) => literal(v),
+            ExprKind::Var(v) => self.var(*v),
+            ExprKind::Net(k) => self.net(&self.m.nets[*k]),
+            ExprKind::Un(op, a) => self.un(*op, a, e.ty),
+            ExprKind::Bin(op, a, b) => self.bin(*op, a, b, e.ty),
+            ExprKind::Select { .. } => unreachable!("the VHDL rule names every select"),
         }
     }
 
-    fn expr(&self, id: NodeId) -> String {
-        if self.shared[id.index()] {
-            return self.sig_name(id);
-        }
-        self.expr_inline(id)
-    }
-
-    fn expr_inline(&self, id: NodeId) -> String {
-        let node = &self.comp.nodes[id.index()];
-        match &node.kind {
-            NodeKind::Const(v) => literal(v),
-            NodeKind::Input(p) => {
-                let name = sanitize(&self.comp.inputs[p.index()].name);
-                if self.held.contains(&p.index()) {
-                    format!("{name}_held")
-                } else {
-                    name
-                }
-            }
-            NodeKind::RegRead(r) => format!("{}_r", sanitize(&self.comp.regs[r.index()].name)),
-            NodeKind::Un(op, a) => self.un(*op, *a, node.ty),
-            NodeKind::Bin(op, a, b) => self.bin(*op, *a, *b, node.ty),
-            NodeKind::Select { .. } => unreachable!("selects are always shared"),
-        }
-    }
-
-    fn un(&self, op: UnOp, a: NodeId, out_ty: SigType) -> String {
+    fn un(&self, op: UnOp, a: &Expr, out_ty: SigType) -> String {
         let x = self.expr(a);
-        let a_ty = self.comp.nodes[a.index()].ty;
+        let a_ty = a.ty;
         match op {
             UnOp::Not => format!("(not {x})"),
             UnOp::Neg => match a_ty {
@@ -231,9 +206,9 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn bin(&self, op: BinOp, a: NodeId, b: NodeId, out_ty: SigType) -> String {
+    fn bin(&self, op: BinOp, a: &Expr, b: &Expr, out_ty: SigType) -> String {
         let (xa, xb) = (self.expr(a), self.expr(b));
-        let (ta, tb) = (self.comp.nodes[a.index()].ty, self.comp.nodes[b.index()].ty);
+        let (ta, tb) = (a.ty, b.ty);
         let arith = |sym: &str| -> String {
             match (ta, tb, out_ty) {
                 (SigType::Bits(_), SigType::Bits(_), _) => {
@@ -292,61 +267,30 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Concurrent assignments for the shared nodes, in dependency order
-    /// (node index order is topological by construction).
-    fn shared_assignments(&self, out: &mut String) {
-        for (i, node) in self.comp.nodes.iter().enumerate() {
-            if !self.shared[i] {
-                continue;
-            }
-            let id = NodeId::from_index(i);
-            let name = self.sig_name(id);
-            match &node.kind {
-                NodeKind::Select {
+    /// The concurrent assignments of the `kind` nets, in node order.
+    fn assignments(&self, out: &mut String, kind: NetKind) {
+        for net in self.m.nets.iter().filter(|n| n.kind == kind) {
+            let name = self.net(net);
+            let _ = match &net.expr.kind {
+                ExprKind::Select {
                     cond,
                     then,
                     otherwise,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "  {name} <= {} when {} = '1' else {};",
-                        self.expr(*then),
-                        self.expr(*cond),
-                        self.expr(*otherwise)
-                    );
-                }
-                _ => {
-                    let _ = writeln!(out, "  {name} <= {};", self.expr_inline(id));
-                }
-            }
-        }
-    }
-
-    /// The value of the first selected SFG's driver, else `default`.
-    fn select(&self, drivers: &[(usize, NodeId)], default: &str) -> String {
-        let mut rhs = String::new();
-        for (si, node) in drivers {
-            let _ = write!(rhs, "{} when sel({si}) = '1' else ", self.expr(*node));
-        }
-        rhs + default
-    }
-
-    fn shared_declarations(&self, out: &mut String) {
-        for (i, node) in self.comp.nodes.iter().enumerate() {
-            if self.shared[i] {
-                let _ = writeln!(
+                } => writeln!(
                     out,
-                    "  signal {} : {};",
-                    self.sig_name(NodeId::from_index(i)),
-                    ty(node.ty)
-                );
-            }
+                    "  {name} <= {} when {} = '1' else {};",
+                    self.expr(then),
+                    self.expr(cond),
+                    self.expr(otherwise)
+                ),
+                _ => writeln!(out, "  {name} <= {};", self.expr(&net.expr)),
+            };
         }
     }
-}
 
-fn sanitize(name: &str) -> String {
-    crate::ident::vhdl(name)
+    fn state(&self, s: usize) -> String {
+        format!("st_{}", sanitize(&self.states[s]))
+    }
 }
 
 /// Generates the VHDL entity and architecture for one timed component.
@@ -354,7 +298,7 @@ fn sanitize(name: &str) -> String {
 /// FSM guards sample input ports directly (external pins are stable at
 /// the cycle start, like the DECT `hold_request` pin). When an input that
 /// feeds a guard is driven by another component's combinational output,
-/// pass its index in `held_ports` so the guard reads a registered copy;
+/// pass its index in `held` so the guard reads a registered copy;
 /// [`system_source`] passes [`System::guard_held_inputs`]. This
 /// reproduces the cycle scheduler's phase-0 semantics exactly.
 ///
@@ -362,173 +306,119 @@ fn sanitize(name: &str) -> String {
 ///
 /// Returns [`CodegenError::FloatNotSynthesizable`] if the component uses
 /// float signals.
-pub fn component_source(comp: &Component) -> Result<String, CodegenError> {
-    component_source_with_held(comp, &[])
+pub fn component_source(comp: &Component, held: &[usize]) -> Result<String, CodegenError> {
+    module_source(&Module::new(comp, held, Sharing::ReusedAndSelects))
 }
 
-/// [`component_source`] with an explicit set of guard inputs that must be
-/// registered (see there).
-///
-/// # Errors
-///
-/// Returns [`CodegenError::FloatNotSynthesizable`] if the component uses
-/// float signals.
-pub fn component_source_with_held(
-    comp: &Component,
-    held_ports: &[usize],
-) -> Result<String, CodegenError> {
-    let (plan, held) = crate::plan(comp, held_ports)?;
+/// Prints one module as an entity and its architecture.
+fn module_source(m: &Module) -> Result<String, CodegenError> {
+    crate::synthesizable(m)?;
+    let states = m.controller.as_ref().map_or(&[][..], |c| &c.states);
+    let p = Printer { m, states };
     let mut out = String::new();
-    let name = sanitize(&comp.name);
+    let name = sanitize(&m.name);
 
-    let _ = writeln!(out, "library ieee;");
-    let _ = writeln!(out, "use ieee.std_logic_1164.all;");
-    let _ = writeln!(out, "use ieee.numeric_std.all;");
+    out.push_str(IEEE);
     let _ = writeln!(out, "use work.ocapi_pkg.all;\n");
     let _ = writeln!(out, "entity {name} is");
     let _ = writeln!(out, "  port (");
-    let _ = writeln!(out, "    clk : in std_logic;");
-    let _ = write!(out, "    rst : in std_logic");
-    for p in &comp.inputs {
-        let _ = write!(out, ";\n    {} : in {}", sanitize(&p.name), ty(p.ty));
-    }
-    for p in &comp.outputs {
-        let _ = write!(out, ";\n    {} : out {}", sanitize(&p.name), ty(p.ty));
-    }
+    let ports = (m.inputs.iter().map(|q| (q, "in")))
+        .chain(m.outputs.iter().map(|q| (q, "out")))
+        .map(|(q, dir)| format!("{} : {dir} {}", sanitize(&q.name), ty(q.ty)));
+    list(
+        &mut out,
+        "    ",
+        ";",
+        CLOCKS.map(String::from).into_iter().chain(ports),
+    );
     let _ = writeln!(out, "\n  );");
     let _ = writeln!(out, "end entity;\n");
     let _ = writeln!(out, "architecture rtl of {name} is");
 
-    let n_sfgs = comp.sfgs.len();
-
-    let dp = Emitter::new(comp, &plan.datapath, &[], "n");
-    let guards = Emitter::new(comp, &plan.guards, &held, "g");
-
     // Declarations.
-    if let Some(fsm) = &comp.fsm {
-        let states: Vec<String> = fsm
-            .states
-            .iter()
-            .map(|s| format!("st_{}", sanitize(s)))
-            .collect();
-        let _ = writeln!(out, "  type state_t is ({});", states.join(", "));
+    if m.controller.is_some() {
+        let names: Vec<String> = (0..states.len()).map(|s| p.state(s)).collect();
+        let _ = writeln!(out, "  type state_t is ({});", names.join(", "));
         let _ = writeln!(out, "  signal state, state_next : state_t;");
     }
-    if n_sfgs > 0 {
-        let _ = writeln!(
-            out,
-            "  signal sel : std_logic_vector({} downto 0);",
-            n_sfgs - 1
-        );
+    if m.sel_width > 0 {
+        let top = m.sel_width - 1;
+        let _ = writeln!(out, "  signal sel : std_logic_vector({top} downto 0);");
     }
-    for r in &comp.regs {
-        let n = sanitize(&r.name);
-        let _ = writeln!(out, "  signal {n}_r, {n}_next : {};", ty(r.ty));
+    let regs = (0..m.regs.len()).map(|r| vec![Var::Reg(r), Var::Next(r)]);
+    let outputs = (0..m.outputs.len()).map(|o| vec![Var::Int(o), Var::Hold(o)]);
+    let held = m.held.iter().map(|&h| vec![Var::Held(h)]);
+    for vars in regs.chain(outputs).chain(held) {
+        let names: Vec<String> = vars.iter().map(|v| p.var(*v)).collect();
+        let t = ty(m.ty(vars[0]));
+        let _ = writeln!(out, "  signal {} : {t};", names.join(", "));
     }
-    for p in &comp.outputs {
-        let n = sanitize(&p.name);
-        let _ = writeln!(out, "  signal {n}_int, {n}_hold : {};", ty(p.ty));
+    for kind in [NetKind::Datapath, NetKind::Guard] {
+        for net in m.nets.iter().filter(|n| n.kind == kind) {
+            let _ = writeln!(out, "  signal {} : {};", p.net(net), ty(net.expr.ty));
+        }
     }
-    for p in &held {
-        let decl = &comp.inputs[*p];
-        let _ = writeln!(
-            out,
-            "  signal {}_held : {};",
-            sanitize(&decl.name),
-            ty(decl.ty)
-        );
-    }
-    dp.shared_declarations(&mut out);
-    guards.shared_declarations(&mut out);
 
     let _ = writeln!(out, "begin");
 
     // Controller process.
-    if let Some(fsm) = &comp.fsm {
+    if let Some(c) = &m.controller {
         let _ = writeln!(out, "\n  -- controller: transition selection");
         let _ = writeln!(out, "  ctrl : process (all)");
         let _ = writeln!(out, "  begin");
         let _ = writeln!(out, "    state_next <= state;");
         let _ = writeln!(out, "    sel <= (others => '0');");
         let _ = writeln!(out, "    case state is");
-        for (si, sname) in fsm.states.iter().enumerate() {
-            let _ = writeln!(out, "      when st_{} =>", sanitize(sname));
-            let trans: Vec<_> = fsm
-                .transitions
-                .iter()
-                .filter(|t| t.from.index() == si)
-                .collect();
-            if trans.is_empty() {
+        for (s, transitions) in c.transitions.iter().enumerate() {
+            let _ = writeln!(out, "      when {} =>", p.state(s));
+            if transitions.is_empty() {
                 let _ = writeln!(out, "        null;");
                 continue;
             }
-            let mut first = true;
-            let mut closed = false;
-            for t in &trans {
-                let body = {
-                    let mut b = String::new();
-                    for a in &t.actions {
-                        let _ = writeln!(b, "          sel({}) <= '1';", a.index());
-                    }
-                    let _ = writeln!(
-                        b,
-                        "          state_next <= st_{};",
-                        sanitize(&fsm.states[t.to.index()])
-                    );
-                    b
-                };
-                match t.guard {
+            for (k, t) in transitions.iter().enumerate() {
+                let mut body = String::new();
+                for a in &t.selects {
+                    let _ = writeln!(body, "          sel({a}) <= '1';");
+                }
+                let _ = writeln!(body, "          state_next <= {};", p.state(t.to));
+                match &t.guard {
                     Some(g) => {
-                        let cond = guards.expr(g);
-                        if first {
-                            let _ = writeln!(out, "        if {cond} = '1' then");
-                        } else {
-                            let _ = writeln!(out, "        elsif {cond} = '1' then");
-                        }
+                        let kw = if k == 0 { "if" } else { "elsif" };
+                        let _ = writeln!(out, "        {kw} {} = '1' then", p.expr(g));
                         out.push_str(&body);
-                        first = false;
                     }
+                    None if k == 0 => out.push_str(&body),
                     None => {
-                        if first {
-                            out.push_str(&body);
-                        } else {
-                            let _ = writeln!(out, "        else");
-                            out.push_str(&body);
-                            let _ = writeln!(out, "        end if;");
-                        }
-                        closed = true;
-                        break;
+                        let _ = writeln!(out, "        else");
+                        out.push_str(&body);
+                        let _ = writeln!(out, "        end if;");
                     }
                 }
             }
-            if !first && !closed {
+            if transitions.last().is_some_and(|t| t.guard.is_some()) {
                 let _ = writeln!(out, "        end if;");
             }
         }
         let _ = writeln!(out, "    end case;");
         let _ = writeln!(out, "  end process;");
-
-        // Guard shared-node assignments (held inputs).
-        guards.shared_assignments(&mut out);
-    } else if n_sfgs > 0 {
+        p.assignments(&mut out, NetKind::Guard);
+    } else if m.sel_width > 0 {
         let _ = writeln!(out, "\n  sel <= (others => '1'); -- no FSM: all SFGs run");
     }
 
-    // Datapath: shared node assignments.
+    // Datapath: named nets, then the output and register muxes.
     let _ = writeln!(out, "\n  -- datapath");
-    dp.shared_assignments(&mut out);
-
-    // Output and register selection muxes.
-    for (p, drivers) in comp.outputs.iter().zip(&plan.output_drivers) {
-        let n = sanitize(&p.name);
-        let rhs = dp.select(drivers, &format!("{n}_hold"));
-        let _ = writeln!(out, "  {n}_int <= {rhs};");
-        let _ = writeln!(out, "  {n} <= {n}_int;");
-    }
-    for (r, drivers) in comp.regs.iter().zip(&plan.reg_drivers) {
-        let n = sanitize(&r.name);
-        let rhs = dp.select(drivers, &format!("{n}_r"));
-        let _ = writeln!(out, "  {n}_next <= {rhs};");
+    p.assignments(&mut out, NetKind::Datapath);
+    for mux in &m.muxes {
+        let target = p.var(mux.target);
+        let mut rhs = String::new();
+        for (k, e) in &mux.arms {
+            let _ = write!(rhs, "{} when sel({k}) = '1' else ", p.expr(e));
+        }
+        let _ = writeln!(out, "  {target} <= {rhs}{};", p.var(mux.default));
+        if let Var::Int(o) = mux.target {
+            let _ = writeln!(out, "  {} <= {target};", sanitize(&m.outputs[o].name));
+        }
     }
 
     // Sequential process.
@@ -537,48 +427,17 @@ pub fn component_source_with_held(
     let _ = writeln!(out, "  begin");
     let _ = writeln!(out, "    if rising_edge(clk) then");
     let _ = writeln!(out, "      if rst = '1' then");
-    if let Some(fsm) = &comp.fsm {
-        let _ = writeln!(
-            out,
-            "        state <= st_{};",
-            sanitize(&fsm.states[fsm.initial.index()])
-        );
-    }
-    for r in &comp.regs {
-        let _ = writeln!(
-            out,
-            "        {}_r <= {};",
-            sanitize(&r.name),
-            literal(&r.init)
-        );
-    }
-    for p in &comp.outputs {
-        let _ = writeln!(out, "        {}_hold <= {};", sanitize(&p.name), zero(p.ty));
-    }
-    for p in &held {
-        let decl = &comp.inputs[*p];
-        let _ = writeln!(
-            out,
-            "        {}_held <= {};",
-            sanitize(&decl.name),
-            zero(decl.ty)
-        );
+    for c in &m.commits {
+        let reset = match &c.reset {
+            Reset::Value(v) => literal(v),
+            Reset::State(s) => p.state(*s),
+            Reset::Zero => zero(m.ty(c.target)),
+        };
+        let _ = writeln!(out, "        {} <= {reset};", p.var(c.target));
     }
     let _ = writeln!(out, "      else");
-    if comp.fsm.is_some() {
-        let _ = writeln!(out, "        state <= state_next;");
-    }
-    for r in &comp.regs {
-        let n = sanitize(&r.name);
-        let _ = writeln!(out, "        {n}_r <= {n}_next;");
-    }
-    for p in &comp.outputs {
-        let n = sanitize(&p.name);
-        let _ = writeln!(out, "        {n}_hold <= {n}_int;");
-    }
-    for p in &held {
-        let n = sanitize(&comp.inputs[*p].name);
-        let _ = writeln!(out, "        {n}_held <= {n};");
+    for c in &m.commits {
+        let _ = writeln!(out, "        {} <= {};", p.var(c.target), p.var(c.source));
     }
     let _ = writeln!(out, "      end if;");
     let _ = writeln!(out, "    end if;");
@@ -588,41 +447,51 @@ pub fn component_source_with_held(
 }
 
 /// Generates the complete VHDL for a system: the support package, one
-/// entity per timed component, black-box declarations for untimed blocks
-/// and a structural top-level entity.
+/// entity per timed component, a model per memory block, black-box
+/// declarations for the other untimed blocks and a structural top-level
+/// entity.
 ///
 /// # Errors
 ///
 /// Returns [`CodegenError::FloatNotSynthesizable`] if any component uses
-/// float signals, and [`CodegenError::HeldGuardConflict`] if instances of
-/// one component disagree on which guard inputs are held.
+/// float signals, [`CodegenError::HeldGuardConflict`] if instances of
+/// one component disagree on which guard inputs are held, and
+/// [`CodegenError::ComponentConflict`] if two different components share
+/// a name.
 pub fn system_source(sys: &System) -> Result<String, CodegenError> {
     let mut out = package_source();
-    out.push('\n');
-    for (comp, held) in crate::components(sys)? {
-        out.push_str(&component_source_with_held(comp, &held)?);
+    for (_, text) in entities(sys)? {
         out.push('\n');
+        out.push_str(&text);
     }
-    // Behavioural models for memory blocks (generated, not hand-written).
-    for (name, spec) in crate::memories(sys) {
-        out.push_str(&memory_model(name, &spec));
-        out.push('\n');
-    }
-    out.push_str(&system_source_top_only(sys));
     Ok(out)
+}
+
+/// The design units of `sys` in compilation order, each with the name of
+/// the entity it declares: one per component, one per memory block, and
+/// the top level.
+pub(crate) fn entities(sys: &System) -> Result<Vec<(String, String)>, CodegenError> {
+    let top = crate::top(sys, Sharing::ReusedAndSelects)?;
+    let mut units = Vec::new();
+    for m in crate::modules(&top) {
+        units.push((sanitize(&m.name), module_source(m)?));
+    }
+    for (name, spec) in crate::memories(&top) {
+        units.push((sanitize(name), memory_model(name, spec)));
+    }
+    units.push((format!("{}_top", sanitize(&top.name)), top_source(&top)));
+    Ok(units)
 }
 
 /// Generates a behavioural VHDL model for a RAM/ROM block: asynchronous
 /// read, write on the rising clock edge (matching the cycle scheduler's
 /// "write visible from the next firing" semantics).
-pub(crate) fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
+fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
     let mut out = String::new();
     let name = sanitize(name);
     let word_ty = ty(spec.word);
     let depth = 1usize << spec.addr_bits;
-    let _ = writeln!(out, "library ieee;");
-    let _ = writeln!(out, "use ieee.std_logic_1164.all;");
-    let _ = writeln!(out, "use ieee.numeric_std.all;\n");
+    let _ = writeln!(out, "{IEEE}");
     let _ = writeln!(out, "entity {name} is");
     let _ = writeln!(out, "  port (");
     if spec.is_rom {
@@ -680,56 +549,42 @@ pub(crate) fn memory_model(name: &str, spec: &ocapi::MemorySpec) -> String {
     out
 }
 
-/// Generates only the structural top-level entity of a system (the
-/// per-component entities and the package are emitted separately by
-/// [`crate::project::write_vhdl_project`]).
-pub(crate) fn system_source_top_only(sys: &System) -> String {
+/// Prints the structural top-level entity.
+fn top_source(top: &Top) -> String {
     let mut out = String::new();
-    // Top level.
-    let name = sanitize(&sys.name);
-    let _ = writeln!(out, "library ieee;");
-    let _ = writeln!(out, "use ieee.std_logic_1164.all;");
-    let _ = writeln!(out, "use ieee.numeric_std.all;\n");
+    let name = sanitize(&top.name);
+    let _ = writeln!(out, "{IEEE}");
     let _ = writeln!(out, "entity {name}_top is");
     let _ = writeln!(out, "  port (");
-    let _ = writeln!(out, "    clk : in std_logic;");
-    let _ = write!(out, "    rst : in std_logic");
-    for p in &sys.primary_inputs {
-        let _ = write!(out, ";\n    {} : in {}", sanitize(&p.name), ty(p.ty));
-    }
-    for p in &sys.primary_outputs {
-        let _ = write!(
-            out,
-            ";\n    {} : out {}",
-            sanitize(&p.name),
-            ty(sys.nets[p.net].ty)
-        );
-    }
+    let inputs = top
+        .inputs
+        .iter()
+        .map(|q| format!("{} : in {}", sanitize(&q.name), ty(q.ty)));
+    let outputs = top
+        .outputs
+        .iter()
+        .map(|q| format!("{} : out {}", sanitize(&q.name), ty(top.nets[q.net].ty)));
+    let ports = CLOCKS
+        .map(String::from)
+        .into_iter()
+        .chain(inputs)
+        .chain(outputs);
+    list(&mut out, "    ", ";", ports);
     let _ = writeln!(out, "\n  );");
     let _ = writeln!(out, "end entity;\n");
     let _ = writeln!(out, "architecture structural of {name}_top is");
-    for (i, n) in sys.nets.iter().enumerate() {
+    for (i, n) in top.nets.iter().enumerate() {
         let _ = writeln!(out, "  signal net{} : {}; -- {}", i, ty(n.ty), n.name);
     }
-    // Black-box component declarations for untimed blocks without a
-    // generated model.
-    for u in &sys.untimed {
-        if u.block.memory_spec().is_some() {
-            continue; // behavioural entity generated above
-        }
-        let _ = writeln!(out, "  component {} is", sanitize(u.block.name()));
+    // Component declarations for the black boxes; a memory's entity is
+    // generated.
+    for b in top.blocks.iter().filter(|b| b.memory.is_none()) {
+        let _ = writeln!(out, "  component {} is", sanitize(&b.name));
         let _ = writeln!(out, "    port (");
-        let mut first = true;
-        for p in &u.inputs {
-            let sep = if first { "      " } else { ";\n      " };
-            let _ = write!(out, "{sep}{} : in {}", sanitize(&p.name), ty(p.ty));
-            first = false;
-        }
-        for p in &u.outputs {
-            let sep = if first { "      " } else { ";\n      " };
-            let _ = write!(out, "{sep}{} : out {}", sanitize(&p.name), ty(p.ty));
-            first = false;
-        }
+        let ports = (b.inputs.iter().map(|(q, _)| (q, "in")))
+            .chain(b.outputs.iter().map(|(q, _)| (q, "out")))
+            .map(|(q, dir)| format!("{} : {dir} {}", sanitize(&q.name), ty(q.ty)));
+        list(&mut out, "      ", ";", ports);
         let _ = writeln!(out, "\n    );");
         let _ = writeln!(
             out,
@@ -737,93 +592,44 @@ pub(crate) fn system_source_top_only(sys: &System) -> String {
         );
     }
     let _ = writeln!(out, "begin");
-    // Constant ties and primary inputs.
-    for (i, n) in sys.nets.iter().enumerate() {
-        match &n.source {
-            ocapi::NetSource::Constant(v) => {
-                let _ = writeln!(out, "  net{i} <= {};", literal(v));
-            }
-            ocapi::NetSource::PrimaryInput(pi) => {
-                let _ = writeln!(
-                    out,
-                    "  net{i} <= {};",
-                    sanitize(&sys.primary_inputs[*pi].name)
-                );
-            }
-            _ => {}
-        }
+    for (i, n) in top.nets.iter().enumerate() {
+        let source = match &n.source {
+            NetSource::Constant(v) => literal(v),
+            NetSource::PrimaryInput(pi) => sanitize(&top.inputs[*pi].name),
+            _ => continue,
+        };
+        let _ = writeln!(out, "  net{i} <= {source};");
     }
-    // Instances.
-    for (ti, t) in sys.timed.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {} : entity work.{}",
-            sanitize(&t.name),
-            sanitize(&t.comp.name)
-        );
+    let bind = |name: &str, net: Option<usize>| match net {
+        Some(n) => format!("{} => net{n}", sanitize(name)),
+        None => format!("{} => open", sanitize(name)),
+    };
+    for inst in &top.instances {
+        let (m, label) = (&inst.module, sanitize(&inst.name));
+        let _ = writeln!(out, "  {label} : entity work.{}", sanitize(&m.name));
         let _ = writeln!(out, "    port map (");
-        let _ = write!(out, "      clk => clk,\n      rst => rst");
-        for (pi, p) in t.comp.inputs.iter().enumerate() {
-            let net = sys.timed_input_net(ti, pi);
-            let _ = write!(out, ",\n      {} => net{net}", sanitize(&p.name));
-        }
-        for (pi, p) in t.comp.outputs.iter().enumerate() {
-            match sys.timed_output_net(ti, pi) {
-                Some(net) => {
-                    let _ = write!(out, ",\n      {} => net{net}", sanitize(&p.name));
-                }
-                None => {
-                    let _ = write!(out, ",\n      {} => open", sanitize(&p.name));
-                }
-            }
-        }
+        let inputs = (m.inputs.iter().zip(&inst.inputs)).map(|(q, n)| bind(&q.name, Some(*n)));
+        let outputs = (m.outputs.iter().zip(&inst.outputs)).map(|(q, n)| bind(&q.name, *n));
+        let ports = ["clk => clk", "rst => rst"].map(String::from).into_iter();
+        list(&mut out, "      ", ",", ports.chain(inputs).chain(outputs));
         let _ = writeln!(out, "\n    );");
     }
-    for (ui, u) in sys.untimed.iter().enumerate() {
-        let is_mem = u.block.memory_spec();
-        if is_mem.is_some() {
-            let _ = writeln!(
-                out,
-                "  {}_i : entity work.{}",
-                sanitize(u.block.name()),
-                sanitize(u.block.name())
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "  {}_i : {}",
-                sanitize(u.block.name()),
-                sanitize(u.block.name())
-            );
-        }
+    for b in &top.blocks {
+        let name = sanitize(&b.name);
+        let _ = match b.memory {
+            Some(_) => writeln!(out, "  {name}_i : entity work.{name}"),
+            None => writeln!(out, "  {name}_i : {name}"),
+        };
         let _ = writeln!(out, "    port map (");
-        let mut first = true;
-        if matches!(&is_mem, Some(m) if !m.is_rom) {
-            let _ = write!(out, "      clk => clk");
-            first = false;
-        }
-        for (pi, p) in u.inputs.iter().enumerate() {
-            let net = sys.untimed_input_net(ui, pi);
-            let sep = if first { "      " } else { ",\n      " };
-            let _ = write!(out, "{sep}{} => net{net}", sanitize(&p.name));
-            first = false;
-        }
-        for (pi, p) in u.outputs.iter().enumerate() {
-            let sep = if first { "      " } else { ",\n      " };
-            match sys.untimed_output_net(ui, pi) {
-                Some(net) => {
-                    let _ = write!(out, "{sep}{} => net{net}", sanitize(&p.name));
-                }
-                None => {
-                    let _ = write!(out, "{sep}{} => open", sanitize(&p.name));
-                }
-            }
-            first = false;
-        }
+        let ram = matches!(&b.memory, Some(m) if !m.is_rom);
+        let inputs = b.inputs.iter().map(|(q, n)| bind(&q.name, Some(*n)));
+        let outputs = b.outputs.iter().map(|(q, n)| bind(&q.name, *n));
+        let ports = ram.then(|| "clk => clk".to_owned()).into_iter();
+        list(&mut out, "      ", ",", ports.chain(inputs).chain(outputs));
         let _ = writeln!(out, "\n    );");
     }
-    for p in &sys.primary_outputs {
-        let _ = writeln!(out, "  {} <= net{};", sanitize(&p.name), p.net);
+    for q in &top.outputs {
+        let _ = writeln!(out, "  {} <= net{};", sanitize(&q.name), q.net);
     }
     let _ = writeln!(out, "end architecture;");
     out

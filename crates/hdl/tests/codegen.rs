@@ -1,7 +1,7 @@
 //! Tests for VHDL/Verilog code generation and testbench generation.
 
 use ocapi::{Component, InterpSim, Ram, SigType, Simulator, System, Value};
-use ocapi_hdl::{report, testbench, verilog, vhdl, CodegenError};
+use ocapi_hdl::{project, report, testbench, verilog, vhdl, CodegenError};
 
 /// The paper's Figure 4 FSM with a small datapath.
 fn fig4_component() -> Component {
@@ -50,7 +50,7 @@ fn fig4_system() -> System {
 
 #[test]
 fn vhdl_component_structure() {
-    let src = vhdl::component_source(&fig4_component()).unwrap();
+    let src = vhdl::component_source(&fig4_component(), &[]).unwrap();
     // Entity and ports.
     assert!(src.contains("entity fig4 is"), "{src}");
     assert!(src.contains("eof : in std_logic"));
@@ -64,7 +64,7 @@ fn vhdl_component_structure() {
     // Standalone: guards read the external pin directly...
     assert!(!src.contains("eof_held"));
     // ...but with an explicit held set, a registered copy appears.
-    let held = vhdl::component_source_with_held(&fig4_component(), &[0]).unwrap();
+    let held = vhdl::component_source(&fig4_component(), &[0]).unwrap();
     assert!(held.contains("eof_held"));
     assert!(held.contains("eof_held <= eof;"));
     // Output hold register present.
@@ -92,7 +92,7 @@ fn vhdl_deterministic() {
 
 #[test]
 fn verilog_component_structure() {
-    let src = verilog::component_source(&fig4_component()).unwrap();
+    let src = verilog::component_source(&fig4_component(), &[]).unwrap();
     assert!(src.contains("module fig4 ("), "{src}");
     assert!(src.contains("input wire eof"));
     assert!(src.contains("input wire [7:0] x"));
@@ -101,7 +101,7 @@ fn verilog_component_structure() {
     assert!(src.contains("always @*"));
     assert!(src.contains("always @(posedge clk)"));
     assert!(!src.contains("eof_held"));
-    let held = verilog::component_source_with_held(&fig4_component(), &[0]).unwrap();
+    let held = verilog::component_source(&fig4_component(), &[0]).unwrap();
     assert!(held.contains("eof_held"));
     assert!(src.contains("endmodule"));
 }
@@ -166,11 +166,11 @@ fn float_rejected() {
     s.drive(o, &c.read(x)).unwrap();
     let comp = c.finish().unwrap();
     assert!(matches!(
-        vhdl::component_source(&comp),
+        vhdl::component_source(&comp, &[]),
         Err(CodegenError::FloatNotSynthesizable { .. })
     ));
     assert!(matches!(
-        verilog::component_source(&comp),
+        verilog::component_source(&comp, &[]),
         Err(CodegenError::FloatNotSynthesizable { .. })
     ));
 }
@@ -187,10 +187,10 @@ fn fixed_point_emission() {
     let sum = (c.read(a) * c.read(b)).to_fixed(fmt, Rounding::Nearest, Overflow::Saturate);
     s.drive(o, &sum).unwrap();
     let comp = c.finish().unwrap();
-    let v = vhdl::component_source(&comp).unwrap();
+    let v = vhdl::component_source(&comp, &[]).unwrap();
     assert!(v.contains("signed(7 downto 0)"));
     assert!(v.contains("fx_cast("), "{v}");
-    let vl = verilog::component_source(&comp).unwrap();
+    let vl = verilog::component_source(&comp, &[]).unwrap();
     assert!(vl.contains("wire signed [7:0]"));
     assert!(vl.contains(">>>"), "{vl}");
 }
@@ -206,7 +206,7 @@ fn verilog_casts_clamp_only_when_saturating() {
         let s = c.sfg("s").unwrap();
         let sq = (c.read(a) * c.read(a)).to_fixed(fmt, Rounding::Nearest, ovf);
         s.drive(o, &sq).unwrap();
-        verilog::component_source(&c.finish().unwrap()).unwrap()
+        verilog::component_source(&c.finish().unwrap(), &[]).unwrap()
     };
     // The cast wire: `wire signed [7:0] nK = ...;`, after its helper
     // wires `nK_w`, `nK_q` and `nK_s`.
@@ -369,7 +369,7 @@ fn reserved_name_component() -> Component {
 
 #[test]
 fn vhdl_escapes_reserved_identifiers() {
-    let src = vhdl::component_source(&reserved_name_component()).unwrap();
+    let src = vhdl::component_source(&reserved_name_component(), &[]).unwrap();
     assert!(
         src.contains("signal_esc : in unsigned(3 downto 0)"),
         "{src}"
@@ -382,7 +382,7 @@ fn vhdl_escapes_reserved_identifiers() {
 
 #[test]
 fn verilog_escapes_reserved_identifiers() {
-    let src = verilog::component_source(&reserved_name_component()).unwrap();
+    let src = verilog::component_source(&reserved_name_component(), &[]).unwrap();
     assert!(src.contains("input wire [3:0] reg_esc"), "{src}");
     assert!(src.contains("output wire [3:0] case_esc"), "{src}");
     // `signal` is not a Verilog keyword and must stay untouched.
@@ -433,4 +433,50 @@ fn testbench_and_file_names_escape_reserved_words() {
     let list = std::fs::read_to_string(dir.join("files.lst")).unwrap();
     assert!(list.contains("with_esc_tb.vhd"), "{list}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A counter of `width` bits named `blk`.
+fn blk_counter(width: u32) -> Component {
+    let c = Component::build("blk");
+    let out = c.output("count", SigType::Bits(width)).unwrap();
+    let r = c.reg("r", SigType::Bits(width)).unwrap();
+    let s = c.sfg("tick").unwrap();
+    let q = c.q(r);
+    s.drive(out, &q).unwrap();
+    s.next(r, &(q.clone() + c.const_bits(width, 1))).unwrap();
+    c.finish().unwrap()
+}
+
+#[test]
+fn different_components_sharing_a_name_are_rejected() {
+    let mut sb = System::build("clash");
+    let u0 = sb.add_component("u0", blk_counter(4)).unwrap();
+    let u1 = sb.add_component("u1", blk_counter(8)).unwrap();
+    sb.output("narrow", u0, "count").unwrap();
+    sb.output("wide", u1, "count").unwrap();
+    let sys = sb.finish().unwrap();
+    let conflict = CodegenError::ComponentConflict {
+        component: "blk".to_owned(),
+    };
+    assert_eq!(vhdl::system_source(&sys), Err(conflict.clone()));
+    assert_eq!(verilog::system_source(&sys), Err(conflict.clone()));
+    let dir = std::env::temp_dir().join(format!("ocapi_clash_{}", std::process::id()));
+    assert_eq!(
+        project::write_vhdl_project(&sys, None, &dir),
+        Err(conflict.clone())
+    );
+    assert_eq!(
+        project::write_verilog_project(&sys, None, &dir),
+        Err(conflict)
+    );
+    assert!(!dir.exists(), "a rejected project writes nothing");
+
+    // Two instances of one component still share its entity.
+    let mut sb = System::build("twins");
+    let u0 = sb.add_component("u0", blk_counter(4)).unwrap();
+    let u1 = sb.add_component("u1", blk_counter(4)).unwrap();
+    sb.output("a", u0, "count").unwrap();
+    sb.output("b", u1, "count").unwrap();
+    let src = vhdl::system_source(&sb.finish().unwrap()).unwrap();
+    assert_eq!(src.matches("entity blk is").count(), 1);
 }

@@ -6,10 +6,9 @@
 //! blocks (the hand-supplied RAM/ROM models of the original flow).
 //!
 //! An [`RtlDesign`] is flat: one copy of every process per instance,
-//! states encoded as `Bits`, and selects inlined into expressions. The HDL
-//! writers print one entity per component with enumerated states, so
-//! they print from the per-component [`crate::ComponentPlan`] that this
-//! design is lowered from, not from this IR.
+//! states encoded as `Bits`. It is elaborated from the module AST of
+//! [`crate::ast`], which the HDL printers print one entity per component
+//! from.
 
 use ocapi::{BinOp, SigType, UnOp, UntimedBlock, Value};
 

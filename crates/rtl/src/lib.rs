@@ -12,11 +12,10 @@
 //! (controller process, datapath assignments, sequential process,
 //! output-hold and guard-hold registers).
 //!
-//! That structure is derived once per component, by [`ComponentPlan`]:
-//! the datapath and guard cones with their use counts, the drivers of
-//! every output port and register, and the state encoding. The lowering
-//! here and both HDL writers of `ocapi-hdl` read it, and each applies its
-//! own rule for which cone nodes become named signals.
+//! That structure is built once, as the module AST of [`ast`]: an
+//! [`ast::Module`] per component and an [`ast::Top`] per system.
+//! [`RtlSystemSim`] elaborates it and both HDL printers of `ocapi-hdl`
+//! print it; they differ only in its [`ast::Sharing`] rule.
 //!
 //! The kernel is a genuine event-driven engine, not a throttled cycle
 //! simulator: work per cycle is proportional to signal *activity*, every
@@ -49,6 +48,7 @@
 //! # }
 //! ```
 
+pub mod ast;
 mod error;
 mod ir;
 mod kernel;
@@ -59,4 +59,3 @@ pub use error::RtlError;
 pub use ir::{Expr, Process, ProcessBody, RtlDesign, SignalDecl, SignalId, Stmt, Trigger};
 pub use kernel::{KernelStats, RtlSim};
 pub use lower::RtlSystemSim;
-pub use plan::{ComponentPlan, Cone};

@@ -1,100 +1,75 @@
-//! Lowering a captured [`ocapi::System`] to the event-driven RTL kernel.
+//! Elaborating a system's module AST into the event-driven RTL kernel.
 //!
-//! The lowering produces the process structure of the generated VHDL (see
-//! `ocapi-hdl`) from the same [`ComponentPlan`]: per timed component a
-//! controller process, one process per shared node (a non-leaf node used
-//! twice), output/register selection processes, and one rising-edge
-//! process; untimed blocks become behavioural "extern" processes
-//! sensitive to their inputs. FSM guards read registered copies of the
-//! inputs [`System::guard_held_inputs`] names and direct values of the
-//! rest, which reproduces the cycle scheduler's phase-0 semantics
-//! event-accurately — the `rtl_matches_core` tests assert cycle-for-cycle
-//! equality against both core simulators.
+//! [`RtlSystemSim`] builds the system's [`Top`] with [`Sharing::Reused`]
+//! and instantiates each timed instance's [`ast::Module`]: every name
+//! prefixed with the instance name, ports bound to net signals, states
+//! encoded as `Bits`. A module becomes one process per named net, a
+//! controller process, one selection process per driven output and
+//! register, and one rising-edge process; untimed blocks become
+//! behavioural "extern" processes sensitive to their inputs. Guards read
+//! the held copies the module declares, which reproduces the cycle
+//! scheduler's phase-0 semantics event-accurately — the `rtl_matches_core`
+//! tests assert cycle-for-cycle equality against both core simulators.
 
-use ocapi::{
-    BinOp, Component, CoreError, NetSource, NodeId, NodeKind, SigType, Simulator, System, Trace,
-    Value,
-};
+use ocapi::{BinOp, CoreError, NetSource, SigType, Simulator, System, Trace, Value};
 
+use crate::ast::{self, ExprKind, Instance, Sharing, Top, Var};
 use crate::ir::{Expr, ProcessBody, RtlDesign, SignalId, Stmt, Trigger};
 use crate::kernel::{KernelStats, RtlSim};
-use crate::plan::{ComponentPlan, Cone};
 use crate::RtlError;
 
-/// Per-instance lowering context.
-struct InstLower<'a> {
-    comp: &'a Component,
-    /// Expression for reading each input port (net signal or held copy).
-    input_expr: Vec<SignalId>,
-    /// Held copies for guard reads (None = read the input directly).
-    guard_input: Vec<SignalId>,
-    reg_r: Vec<SignalId>,
-    /// The signal of each shared datapath node (None = inlined).
-    node_sig: Vec<Option<SignalId>>,
-    /// The signal of each shared guard node (None = inlined).
-    guard_sig: Vec<Option<SignalId>>,
+/// The signals of one instance, by module variable.
+struct Bound {
+    /// Per input port: the driving net's signal.
+    pin: Vec<SignalId>,
+    /// Per input port: its held copy, or the pin when it has none.
+    held: Vec<SignalId>,
+    reg: Vec<SignalId>,
+    next: Vec<SignalId>,
+    /// Per output port: its value and hold signals; `None` when no SFG
+    /// drives it.
+    int: Vec<Option<SignalId>>,
+    hold: Vec<Option<SignalId>>,
+    /// The state and next-state signals.
+    state: Option<(SignalId, SignalId)>,
+    sel: Vec<SignalId>,
+    nets: Vec<SignalId>,
 }
 
-impl<'a> InstLower<'a> {
-    fn expr_of(&self, id: NodeId, guard: bool) -> Expr {
-        let sigs = if guard {
-            &self.guard_sig
-        } else {
-            &self.node_sig
-        };
-        match sigs[id.index()] {
-            Some(sig) => Expr::Sig(sig),
-            None => self.inline(id, guard),
+impl Bound {
+    fn var(&self, v: Var) -> Option<SignalId> {
+        match v {
+            Var::Pin(p) => Some(self.pin[p]),
+            Var::Held(p) => Some(self.held[p]),
+            Var::Reg(r) => Some(self.reg[r]),
+            Var::Next(r) => Some(self.next[r]),
+            Var::Int(o) => self.int[o],
+            Var::Hold(o) => self.hold[o],
+            Var::State => self.state.map(|s| s.0),
+            Var::StateNext => self.state.map(|s| s.1),
         }
     }
 
-    fn inline(&self, id: NodeId, guard: bool) -> Expr {
-        match &self.comp.nodes[id.index()].kind {
-            NodeKind::Const(v) => Expr::Const(*v),
-            NodeKind::Input(p) => {
-                let sig = if guard {
-                    self.guard_input[p.index()]
-                } else {
-                    self.input_expr[p.index()]
-                };
-                Expr::Sig(sig)
-            }
-            NodeKind::RegRead(r) => Expr::Sig(self.reg_r[r.index()]),
-            NodeKind::Un(op, a) => Expr::Un(*op, Box::new(self.expr_of(*a, guard))),
-            NodeKind::Bin(op, a, b) => Expr::Bin(
-                *op,
-                Box::new(self.expr_of(*a, guard)),
-                Box::new(self.expr_of(*b, guard)),
-            ),
-            NodeKind::Select {
+    fn expr(&self, e: &ast::Expr) -> Expr {
+        let sub = |x: &ast::Expr| Box::new(self.expr(x));
+        match &e.kind {
+            ExprKind::Const(v) => Expr::Const(*v),
+            // Only the signals of an output no SFG drives are unbound, and
+            // no expression reads them.
+            ExprKind::Var(v) => self.var(*v).map_or(Expr::Const(e.ty.zero()), Expr::Sig),
+            ExprKind::Net(k) => Expr::Sig(self.nets[*k]),
+            ExprKind::Un(op, a) => Expr::Un(*op, sub(a)),
+            ExprKind::Bin(op, a, b) => Expr::Bin(*op, sub(a), sub(b)),
+            ExprKind::Select {
                 cond,
                 then,
                 otherwise,
             } => Expr::Select {
-                c: Box::new(self.expr_of(*cond, guard)),
-                t: Box::new(self.expr_of(*then, guard)),
-                e: Box::new(self.expr_of(*otherwise, guard)),
+                c: sub(cond),
+                t: sub(then),
+                e: sub(otherwise),
             },
         }
-    }
-
-    /// `target` takes the value of the first selected SFG's driver, else
-    /// `default`.
-    fn select(
-        &self,
-        sel: &[SignalId],
-        drivers: &[(usize, NodeId)],
-        target: SignalId,
-        default: SignalId,
-    ) -> Vec<Stmt> {
-        let last = vec![Stmt::Assign(target, Expr::Sig(default))];
-        drivers.iter().rev().fold(last, |chain, (si, node)| {
-            vec![Stmt::If {
-                cond: Expr::Sig(sel[*si]),
-                then: vec![Stmt::Assign(target, self.expr_of(*node, false))],
-                otherwise: chain,
-            }]
-        })
     }
 }
 
@@ -113,273 +88,145 @@ fn comb_process(d: &mut RtlDesign, name: &str, body: Vec<Stmt>) {
     );
 }
 
-/// Lowers a system to an RTL design plus bookkeeping for the testbench.
-struct Lowered {
-    design: RtlDesign,
-    clk: SignalId,
-    net_sig: Vec<SignalId>,
-}
-
-fn lower(mut sys: System) -> Lowered {
-    let mut d = RtlDesign::new(&sys.name);
-    let clk = d.signal("clk", SigType::Bool, Value::Bool(false));
-
-    // Net signals.
-    let net_sig: Vec<SignalId> = sys
-        .nets
-        .iter()
-        .map(|n| {
-            let init = match &n.source {
-                NetSource::Constant(v) => *v,
-                _ => n.ty.zero(),
-            };
-            d.signal(&format!("net.{}", n.name), n.ty, init)
+/// Elaborates one timed instance into `d`.
+fn instantiate(d: &mut RtlDesign, clk: SignalId, net_sig: &[SignalId], inst: &Instance) {
+    let (m, prefix) = (&inst.module, &inst.name);
+    let name = |v: Var| format!("{prefix}.{}", m.var_name(v, str::to_owned));
+    let net_name = |n: &ast::Net| format!("{prefix}.{}", n.name());
+    let reg = (0..m.regs.len())
+        .map(|r| d.signal(&name(Var::Reg(r)), m.regs[r].ty, m.regs[r].init))
+        .collect();
+    let next = (0..m.regs.len())
+        .map(|r| d.signal(&name(Var::Next(r)), m.regs[r].ty, m.regs[r].init))
+        .collect();
+    let pin: Vec<SignalId> = inst.inputs.iter().map(|&n| net_sig[n]).collect();
+    let mut held = pin.clone();
+    for &p in &m.held {
+        let ty = m.inputs[p].ty;
+        held[p] = d.signal(&name(Var::Held(p)), ty, ty.zero());
+    }
+    let sel = (0..m.sel_width)
+        .map(|k| {
+            let init = Value::Bool(m.controller.is_none());
+            d.signal(&format!("{prefix}.sel{k}"), SigType::Bool, init)
         })
         .collect();
-
-    for (ti, t) in sys.timed.iter().enumerate() {
-        let comp = &t.comp;
-        let plan = ComponentPlan::new(comp);
-        let prefix = &t.name;
-        let n_sfgs = comp.sfgs.len();
-
-        // Register signals.
-        let reg_r: Vec<SignalId> = comp
-            .regs
-            .iter()
-            .map(|r| d.signal(&format!("{prefix}.{}_r", r.name), r.ty, r.init))
-            .collect();
-        let reg_next: Vec<SignalId> = comp
-            .regs
-            .iter()
-            .map(|r| d.signal(&format!("{prefix}.{}_next", r.name), r.ty, r.init))
-            .collect();
-
-        // Input reads: the driving net's signal.
-        let input_expr: Vec<SignalId> = (0..comp.inputs.len())
-            .map(|pi| net_sig[sys.timed_input_net(ti, pi)])
-            .collect();
-
-        // Guard reads: a held register for each guard-held input.
-        let held = sys.guard_held_inputs(ti);
-        let guard_input: Vec<SignalId> = comp
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                if held.contains(&pi) {
-                    d.signal(&format!("{prefix}.{}_held", p.name), p.ty, p.ty.zero())
-                } else {
-                    input_expr[pi]
-                }
-            })
-            .collect();
-
-        // Selection signals.
-        let sel: Vec<SignalId> = (0..n_sfgs)
-            .map(|k| {
-                d.signal(
-                    &format!("{prefix}.sel{k}"),
-                    SigType::Bool,
-                    Value::Bool(comp.fsm.is_none()),
-                )
-            })
-            .collect();
-
-        // Shared datapath/guard node signals: a non-leaf node used twice.
-        let shared = |cone: &Cone, i: usize| cone.ops[i] && cone.uses[i] > 1;
-        let mut node_sig: Vec<Option<SignalId>> = vec![None; comp.nodes.len()];
-        let mut guard_sig: Vec<Option<SignalId>> = vec![None; comp.nodes.len()];
-        for (i, node) in comp.nodes.iter().enumerate() {
-            if shared(&plan.datapath, i) {
-                node_sig[i] = Some(d.signal(&format!("{prefix}.n{i}"), node.ty, node.ty.zero()));
-            }
-            if shared(&plan.guards, i) {
-                guard_sig[i] = Some(d.signal(&format!("{prefix}.g{i}"), node.ty, node.ty.zero()));
-            }
-        }
-
-        let il = InstLower {
-            comp,
-            input_expr,
-            guard_input,
-            reg_r: reg_r.clone(),
-            node_sig,
-            guard_sig,
-        };
-
-        // Shared-node processes.
-        for i in 0..comp.nodes.len() {
-            if let Some(sig) = il.node_sig[i] {
-                let expr = il.inline(NodeId::from_index(i), false);
-                let mut sensitivity = Vec::new();
-                expr.support(&mut sensitivity);
-                d.process(
-                    &format!("{prefix}.n{i}_p"),
-                    Trigger::Signals(sensitivity),
-                    ProcessBody::Stmts(vec![Stmt::Assign(sig, expr)]),
-                );
-            }
-            if let Some(sig) = il.guard_sig[i] {
-                let expr = il.inline(NodeId::from_index(i), true);
-                let mut sensitivity = Vec::new();
-                expr.support(&mut sensitivity);
-                d.process(
-                    &format!("{prefix}.g{i}_p"),
-                    Trigger::Signals(sensitivity),
-                    ProcessBody::Stmts(vec![Stmt::Assign(sig, expr)]),
-                );
-            }
-        }
-
-        // Controller.
-        let (state, state_next) = if let Some(fsm) = &comp.fsm {
-            let sb = plan.state_bits;
-            let init = Value::bits(sb, fsm.initial.index() as u64);
-            let state = d.signal(&format!("{prefix}.state"), SigType::Bits(sb), init);
-            let state_next = d.signal(&format!("{prefix}.state_next"), SigType::Bits(sb), init);
-
-            let mut body: Vec<Stmt> = vec![Stmt::Assign(state_next, Expr::Sig(state))];
-            for s in &sel {
-                body.push(Stmt::Assign(*s, Expr::Const(Value::Bool(false))));
-            }
-            // Case over states as nested ifs, transitions as guard chains.
-            let mut case: Vec<Stmt> = Vec::new();
-            for (si, _) in fsm.states.iter().enumerate().rev() {
-                let mut chain: Vec<Stmt> = Vec::new();
-                for tr in fsm
-                    .transitions
-                    .iter()
-                    .filter(|t| t.from.index() == si)
-                    .rev()
-                {
-                    let mut taken: Vec<Stmt> = Vec::new();
-                    for a in &tr.actions {
-                        taken.push(Stmt::Assign(sel[a.index()], Expr::Const(Value::Bool(true))));
-                    }
-                    taken.push(Stmt::Assign(
-                        state_next,
-                        Expr::Const(Value::bits(sb, tr.to.index() as u64)),
-                    ));
-                    chain = match tr.guard {
-                        None => taken,
-                        Some(g) => vec![Stmt::If {
-                            cond: il.expr_of(g, true),
-                            then: taken,
-                            otherwise: chain,
-                        }],
-                    };
-                }
-                let cond = Expr::Bin(
-                    BinOp::Eq,
-                    Box::new(Expr::Sig(state)),
-                    Box::new(Expr::Const(Value::bits(sb, si as u64))),
-                );
-                case = vec![Stmt::If {
-                    cond,
-                    then: chain,
-                    otherwise: case,
-                }];
-            }
-            body.extend(case);
-            comb_process(&mut d, &format!("{prefix}.ctrl"), body);
-            (Some(state), Some(state_next))
-        } else {
-            (None, None)
-        };
-
-        // Output selection and hold.
-        let mut out_hold: Vec<Option<SignalId>> = vec![None; comp.outputs.len()];
-        let mut out_int: Vec<Option<SignalId>> = vec![None; comp.outputs.len()];
-        for (pi, p) in comp.outputs.iter().enumerate() {
-            let drivers = &plan.output_drivers[pi];
-            if drivers.is_empty() {
-                continue;
-            }
-            let int = match sys.timed_output_net(ti, pi) {
+    let nets = m
+        .nets
+        .iter()
+        .map(|n| d.signal(&net_name(n), n.expr.ty, n.expr.ty.zero()))
+        .collect();
+    let state = m.controller.as_ref().map(|c| {
+        let init = Value::bits(c.bits, c.initial as u64);
+        let (s, s_next) = (Var::State, Var::StateNext);
+        (
+            d.signal(&name(s), m.ty(s), init),
+            d.signal(&name(s_next), m.ty(s_next), init),
+        )
+    });
+    // An output no SFG drives gets no mux and no hold; a connected one
+    // drives its net directly.
+    let mut int = vec![None; m.outputs.len()];
+    let mut hold = vec![None; m.outputs.len()];
+    for mux in m.muxes.iter().filter(|x| !x.arms.is_empty()) {
+        if let Var::Int(o) = mux.target {
+            let ty = m.outputs[o].ty;
+            int[o] = Some(match inst.outputs[o] {
                 Some(n) => net_sig[n],
-                None => d.signal(&format!("{prefix}.{}_int", p.name), p.ty, p.ty.zero()),
-            };
-            let hold = d.signal(&format!("{prefix}.{}_hold", p.name), p.ty, p.ty.zero());
-            out_int[pi] = Some(int);
-            out_hold[pi] = Some(hold);
-            let chain = il.select(&sel, drivers, int, hold);
-            comb_process(&mut d, &format!("{prefix}.{}_mux", p.name), chain);
-        }
-
-        // Register next-value selection.
-        for (ri, r) in comp.regs.iter().enumerate() {
-            let drivers = &plan.reg_drivers[ri];
-            if drivers.is_empty() {
-                continue;
-            }
-            let chain = il.select(&sel, drivers, reg_next[ri], reg_r[ri]);
-            comb_process(&mut d, &format!("{prefix}.{}_nx", r.name), chain);
-        }
-
-        // Sequential process.
-        let mut seq: Vec<Stmt> = Vec::new();
-        if let (Some(state), Some(state_next)) = (state, state_next) {
-            seq.push(Stmt::Assign(state, Expr::Sig(state_next)));
-        }
-        for (ri, _) in comp.regs.iter().enumerate() {
-            seq.push(Stmt::Assign(reg_r[ri], Expr::Sig(reg_next[ri])));
-        }
-        for pi in 0..comp.outputs.len() {
-            if let (Some(h), Some(i)) = (out_hold[pi], out_int[pi]) {
-                seq.push(Stmt::Assign(h, Expr::Sig(i)));
-            }
-        }
-        for &pi in &held {
-            seq.push(Stmt::Assign(
-                il.guard_input[pi],
-                Expr::Sig(il.input_expr[pi]),
-            ));
-        }
-        if !seq.is_empty() {
-            d.process(
-                &format!("{prefix}.seq"),
-                Trigger::Rising(clk),
-                ProcessBody::Stmts(seq),
-            );
+                None => d.signal(&name(mux.target), ty, ty.zero()),
+            });
+            hold[o] = Some(d.signal(&name(mux.default), ty, ty.zero()));
         }
     }
+    let b = Bound {
+        pin,
+        held,
+        reg,
+        next,
+        int,
+        hold,
+        state,
+        sel,
+        nets,
+    };
 
-    // Untimed blocks become extern processes, sensitive to their inputs.
-    //
-    // Note: a stateful untimed block only re-fires when an input *changes*
-    // (event-driven semantics). Blocks whose state advances on identical
-    // consecutive inputs (e.g. a FIFO pop) would diverge from the cycle
-    // scheduler; address/write patterns like the RAM/ROM models are safe.
-    for (ui, inst) in std::mem::take(&mut sys.untimed).into_iter().enumerate() {
-        let inputs: Vec<SignalId> = (0..inst.inputs.len())
-            .map(|pi| net_sig[sys.untimed_input_net(ui, pi)])
-            .collect();
-        let outputs: Vec<SignalId> = inst
-            .outputs
-            .iter()
-            .enumerate()
-            .map(|(pi, p)| match sys.untimed_output_net(ui, pi) {
-                Some(n) => net_sig[n],
-                None => d.signal(&format!("{}.out{pi}", inst.block.name()), p.ty, p.ty.zero()),
-            })
-            .collect();
-        let name = format!("{}.beh", inst.block.name());
+    for (net, &sig) in m.nets.iter().zip(&b.nets) {
+        let expr = b.expr(&net.expr);
+        let mut sensitivity = Vec::new();
+        expr.support(&mut sensitivity);
         d.process(
-            &name,
-            Trigger::Signals(inputs.clone()),
-            ProcessBody::Extern {
-                inputs,
-                outputs,
-                block: inst.block,
-            },
+            &format!("{}_p", net_name(net)),
+            Trigger::Signals(sensitivity),
+            ProcessBody::Stmts(vec![Stmt::Assign(sig, expr)]),
         );
     }
 
-    Lowered {
-        design: d,
-        clk,
-        net_sig,
+    // The controller: a case over states as nested ifs, each state's
+    // transitions as a guard chain.
+    if let (Some(c), Some((state, state_next))) = (&m.controller, b.state) {
+        let encode = |s: usize| Expr::Const(Value::bits(c.bits, s as u64));
+        let mut body = vec![Stmt::Assign(state_next, Expr::Sig(state))];
+        for s in &b.sel {
+            body.push(Stmt::Assign(*s, Expr::Const(Value::Bool(false))));
+        }
+        let case = c.transitions.iter().enumerate().rev();
+        body.extend(case.fold(Vec::new(), |case, (si, transitions)| {
+            let chain = transitions.iter().rev().fold(Vec::new(), |chain, t| {
+                let run = t.selects.iter().map(|&k| b.sel[k]);
+                let mut taken: Vec<Stmt> = run
+                    .map(|s| Stmt::Assign(s, Expr::Const(Value::Bool(true))))
+                    .collect();
+                taken.push(Stmt::Assign(state_next, encode(t.to)));
+                match &t.guard {
+                    None => taken,
+                    Some(g) => vec![Stmt::If {
+                        cond: b.expr(g),
+                        then: taken,
+                        otherwise: chain,
+                    }],
+                }
+            });
+            let cond = Expr::Bin(BinOp::Eq, Box::new(Expr::Sig(state)), Box::new(encode(si)));
+            vec![Stmt::If {
+                cond,
+                then: chain,
+                otherwise: case,
+            }]
+        }));
+        comb_process(d, &format!("{prefix}.ctrl"), body);
+    }
+
+    for mux in m.muxes.iter().filter(|x| !x.arms.is_empty()) {
+        let (Some(target), Some(default)) = (b.var(mux.target), b.var(mux.default)) else {
+            continue;
+        };
+        let last = vec![Stmt::Assign(target, Expr::Sig(default))];
+        let chain = mux.arms.iter().rev().fold(last, |chain, (k, e)| {
+            vec![Stmt::If {
+                cond: Expr::Sig(b.sel[*k]),
+                then: vec![Stmt::Assign(target, b.expr(e))],
+                otherwise: chain,
+            }]
+        });
+        let process = match mux.target {
+            Var::Next(r) => format!("{prefix}.{}_nx", m.regs[r].name),
+            Var::Int(o) => format!("{prefix}.{}_mux", m.outputs[o].name),
+            v => format!("{}_mux", name(v)),
+        };
+        comb_process(d, &process, chain);
+    }
+
+    let seq: Vec<Stmt> = m
+        .commits
+        .iter()
+        .filter_map(|c| Some(Stmt::Assign(b.var(c.target)?, Expr::Sig(b.var(c.source)?))))
+        .collect();
+    if !seq.is_empty() {
+        d.process(
+            &format!("{prefix}.seq"),
+            Trigger::Rising(clk),
+            ProcessBody::Stmts(seq),
+        );
     }
 }
 
@@ -404,32 +251,66 @@ impl RtlSystemSim {
     ///
     /// Returns [`CoreError::CombinationalLoop`] if elaboration does not
     /// converge.
-    pub fn new(sys: System) -> Result<RtlSystemSim, CoreError> {
-        let inputs: Vec<(String, SigType, usize)> = sys
-            .primary_inputs
+    pub fn new(mut sys: System) -> Result<RtlSystemSim, CoreError> {
+        let top = Top::new(&sys, Sharing::Reused);
+        let mut d = RtlDesign::new(&top.name);
+        let clk = d.signal("clk", SigType::Bool, Value::Bool(false));
+        let net_sig: Vec<SignalId> = top
+            .nets
             .iter()
-            .map(|p| (p.name.clone(), p.ty, p.net))
+            .map(|n| {
+                let init = match n.source {
+                    NetSource::Constant(v) => v,
+                    _ => n.ty.zero(),
+                };
+                d.signal(&format!("net.{}", n.name), n.ty, init)
+            })
             .collect();
-        let outputs: Vec<(String, usize)> = sys
-            .primary_outputs
-            .iter()
-            .map(|p| (p.name.clone(), p.net))
-            .collect();
-        let lowered = lower(sys);
-        let mut sim = RtlSim::new(lowered.design);
+        for inst in &top.instances {
+            instantiate(&mut d, clk, &net_sig, inst);
+        }
+        // Untimed blocks become extern processes, sensitive to their
+        // inputs.
+        //
+        // Note: a stateful untimed block only re-fires when an input
+        // *changes* (event-driven semantics). Blocks whose state advances
+        // on identical consecutive inputs (e.g. a FIFO pop) would diverge
+        // from the cycle scheduler; address/write patterns like the
+        // RAM/ROM models are safe.
+        for (b, u) in top.blocks.iter().zip(std::mem::take(&mut sys.untimed)) {
+            let inputs: Vec<SignalId> = b.inputs.iter().map(|(_, n)| net_sig[*n]).collect();
+            let outputs = b
+                .outputs
+                .iter()
+                .enumerate()
+                .map(|(k, (q, net))| match net {
+                    Some(n) => net_sig[*n],
+                    None => d.signal(&format!("{}.out{k}", b.name), q.ty, q.ty.zero()),
+                })
+                .collect();
+            let body = ProcessBody::Extern {
+                inputs: inputs.clone(),
+                outputs,
+                block: u.block,
+            };
+            d.process(&format!("{}.beh", b.name), Trigger::Signals(inputs), body);
+        }
+        let mut sim = RtlSim::new(d);
         sim.elaborate().map_err(to_core)?;
-        let inputs = inputs
+        let inputs = top
+            .inputs
             .into_iter()
-            .map(|(n, t, net)| (n, t, lowered.net_sig[net]))
+            .map(|p| (p.name, p.ty, net_sig[p.net]))
             .collect();
-        let n_outputs = outputs.len();
-        let outputs: Vec<(String, SignalId)> = outputs
+        let n_outputs = top.outputs.len();
+        let outputs: Vec<(String, SignalId)> = top
+            .outputs
             .into_iter()
-            .map(|(n, net)| (n, lowered.net_sig[net]))
+            .map(|p| (p.name, net_sig[p.net]))
             .collect();
         Ok(RtlSystemSim {
             sim,
-            clk: lowered.clk,
+            clk,
             inputs,
             outputs,
             latched: vec![Value::Bool(false); n_outputs],
@@ -446,6 +327,11 @@ impl RtlSystemSim {
     /// The number of signals in the lowered design.
     pub fn signal_count(&self) -> usize {
         self.sim.design().signals.len()
+    }
+
+    /// The lowered design the kernel runs.
+    pub fn design(&self) -> &RtlDesign {
+        self.sim.design()
     }
 }
 

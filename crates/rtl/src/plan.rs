@@ -1,13 +1,8 @@
-//! The RT-level structure of one component, derived once.
+//! What the module builder reads from one component.
 //!
-//! The RT kernel's lowering ([`crate::RtlSystemSim`]) and both HDL writers
-//! of `ocapi-hdl` turn a [`Component`] into the same structure: a
-//! controller that selects SFGs, expression cones for the datapath and for
-//! the FSM guards, one selection mux per output port and per register,
-//! and a clocked process. [`ComponentPlan`] computes what all three read
-//! from the component. Each consumer keeps only its own rule for which
-//! cone nodes become named signals, because that rule decides the text it
-//! prints.
+//! [`ComponentPlan`] derives, once per component, what
+//! [`crate::ast::Module::new`] builds from: the datapath and guard cones
+//! with their use counts, and the state encoding.
 
 use ocapi::{Component, NodeId, NodeKind, SigType};
 
@@ -61,7 +56,7 @@ impl Cone {
     }
 }
 
-/// What the RT kernel and both HDL writers derive from one component.
+/// What the module builder derives from one component.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentPlan {
     /// The datapath cone, rooted at every SFG output drive and register
@@ -69,11 +64,6 @@ pub struct ComponentPlan {
     pub datapath: Cone,
     /// The guard cone, rooted at every FSM transition guard.
     pub guards: Cone,
-    /// Per output port: the `(sfg, node)` pairs that drive it, in SFG
-    /// order.
-    pub output_drivers: Vec<Vec<(usize, NodeId)>>,
-    /// Per register: the `(sfg, node)` pairs that write it, in SFG order.
-    pub reg_drivers: Vec<Vec<(usize, NodeId)>>,
     /// Bits of the binary state encoding; 0 without an FSM.
     pub state_bits: u32,
     /// Whether a node or port carries a float, which no HDL synthesizes.
@@ -98,16 +88,6 @@ impl ComponentPlan {
                 .iter()
                 .flat_map(|f| f.transitions.iter().filter_map(|t| t.guard)),
         );
-        let mut output_drivers = vec![Vec::new(); comp.outputs.len()];
-        let mut reg_drivers = vec![Vec::new(); comp.regs.len()];
-        for (si, sfg) in comp.sfgs.iter().enumerate() {
-            for (port, node) in &sfg.outputs {
-                output_drivers[port.index()].push((si, *node));
-            }
-            for (reg, node) in &sfg.reg_writes {
-                reg_drivers[reg.index()].push((si, *node));
-            }
-        }
         let state_bits = comp.fsm.as_ref().map_or(0, |f| {
             f.states.len().next_power_of_two().trailing_zeros().max(1)
         });
@@ -117,8 +97,6 @@ impl ComponentPlan {
         ComponentPlan {
             datapath,
             guards,
-            output_drivers,
-            reg_drivers,
             state_bits,
             has_float,
         }

@@ -125,7 +125,7 @@ impl Default for SynthOptions {
 ///
 /// Guard inputs listed in `options`' held set are sampled through a
 /// register, matching the system topology (see
-/// `ocapi_hdl::vhdl::component_source_with_held`); [`synthesize`] uses an
+/// `ocapi_hdl::vhdl::component_source`); [`synthesize`] uses an
 /// empty held set (all guard inputs are external pins).
 ///
 /// # Errors

@@ -6,6 +6,7 @@ use asic_dse::ocapi::{InterpSim, Simulator, Value};
 use asic_dse::ocapi_designs::dect::burst::{generate, BurstConfig};
 use asic_dse::ocapi_designs::dect::transceiver::{build_system, run_burst, TransceiverConfig};
 use asic_dse::ocapi_designs::hcor;
+use asic_dse::ocapi_hdl::project::write_vhdl_project;
 use asic_dse::ocapi_hdl::report::CodeSizeReport;
 use asic_dse::ocapi_hdl::{testbench, verilog, vhdl};
 
@@ -34,6 +35,33 @@ fn dect_vhdl_generation_is_complete_and_deterministic() {
     assert!(src.contains("entity dect_top is"));
     let again = vhdl::system_source(&build_system(&cfg).expect("build")).expect("codegen");
     assert_eq!(src, again, "generation must be deterministic");
+}
+
+#[test]
+fn dect_vhdl_project_has_a_file_for_every_instantiated_entity() {
+    let sys = build_system(&TransceiverConfig::default()).expect("build");
+    let dir = std::env::temp_dir().join(format!("ocapi_dect_prj_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manifest = write_vhdl_project(&sys, None, &dir).expect("write");
+    let top = std::fs::read_to_string(dir.join("dect_top.vhd")).expect("top");
+    let listed = std::fs::read_to_string(dir.join("files.lst")).expect("list");
+    let _ = std::fs::remove_dir_all(&dir);
+    let entities: Vec<&str> = top
+        .split("entity work.")
+        .skip(1)
+        .map(|rest| rest.split_whitespace().next().unwrap_or(""))
+        .collect();
+    // The seven memories and every timed component.
+    assert!(entities.len() >= 7 + sys.timed.len(), "{entities:?}");
+    for e in entities {
+        let file = format!("{e}.vhd");
+        assert!(manifest.files.contains(&file), "no file for entity {e}");
+        assert!(listed.lines().any(|l| l == file), "{file} not in files.lst");
+    }
+    // Each file is written once, memories between the entities and the top.
+    let pos = |f: &str| manifest.files.iter().position(|x| x == f);
+    assert!(pos("irom.vhd") < pos("dect_top.vhd"));
+    assert!(pos(&format!("{}.vhd", sys.timed[0].comp.name)) < pos("irom.vhd"));
 }
 
 #[test]

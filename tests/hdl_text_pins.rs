@@ -1,11 +1,13 @@
-//! Pins the RT-level text the generators emit and the size of the RT
-//! kernel's model of it. For each of the five in-tree designs, the
-//! FNV-1a-64 hash and byte length of `vhdl::system_source` and
-//! `verilog::system_source`, and `RtlSystemSim::signal_count`, must stay
-//! exactly these; so must every file the two project writers produce for
-//! a traced HCOR run. A refactor of how the RT structure is derived must
-//! not move a byte; Table 1's code-size column counts this text.
+//! Pins the RT-level text the generators emit and the RT kernel's model
+//! of it. For each of the five in-tree designs, the FNV-1a-64 hash and
+//! byte length of `vhdl::system_source` and `verilog::system_source`,
+//! `RtlSystemSim::signal_count`, and the hash and length of a canonical
+//! dump of the lowered `RtlDesign` must stay exactly these; so must every
+//! file the two project writers produce for a traced HCOR run. A refactor
+//! of how the RT structure is derived must not move a byte; Table 1's
+//! code-size column counts this text.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use asic_dse::ocapi::{InterpSim, Simulator, System, Value};
@@ -13,7 +15,7 @@ use asic_dse::ocapi_designs::dect::transceiver::{build_system, TransceiverConfig
 use asic_dse::ocapi_designs::{hcor, image, modem, wlan};
 use asic_dse::ocapi_hdl::project::{write_verilog_project, write_vhdl_project};
 use asic_dse::ocapi_hdl::{verilog, vhdl};
-use asic_dse::ocapi_rtl::RtlSystemSim;
+use asic_dse::ocapi_rtl::{ProcessBody, RtlDesign, RtlSystemSim};
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -81,6 +83,57 @@ fn dect_text_is_pinned() {
             (0xa090060239b0072e, 64096),
             319
         )
+    );
+}
+
+/// Every signal's name, type and init, then every process's name,
+/// trigger and body: statements by `Debug`, an extern block by its name
+/// and port signals.
+fn design_dump(d: &RtlDesign) -> String {
+    let mut out = format!("design {}\n", d.name);
+    for s in &d.signals {
+        let _ = writeln!(out, "signal {} {:?} {:?}", s.name, s.ty, s.init);
+    }
+    for p in &d.processes {
+        let _ = write!(out, "process {} {:?} ", p.name, p.trigger);
+        let _ = match &p.body {
+            ProcessBody::Stmts(body) => writeln!(out, "{body:?}"),
+            ProcessBody::Extern {
+                inputs,
+                outputs,
+                block,
+            } => writeln!(out, "extern {} {inputs:?} {outputs:?}", block.name()),
+        };
+    }
+    out
+}
+
+/// `(hash, length)` of the canonical dump of one design's lowered RT
+/// design.
+fn rt_design_pin(sys: System) -> (u64, usize) {
+    pin(&design_dump(
+        RtlSystemSim::new(sys).expect("lower").design(),
+    ))
+}
+
+#[test]
+fn rt_designs_are_pinned() {
+    let got = [
+        rt_design_pin(hcor::build_system().expect("hcor")),
+        rt_design_pin(modem::build_system().expect("modem")),
+        rt_design_pin(wlan::build_system().expect("wlan")),
+        rt_design_pin(image::build_system(2).expect("image")),
+        rt_design_pin(build_system(&TransceiverConfig::default()).expect("dect")),
+    ];
+    assert_eq!(
+        got,
+        [
+            (0x03ea1f30d6147910, 10921),
+            (0x13df1809560e1887, 9423),
+            (0x8db8e4534d567f60, 12427),
+            (0xa9ff30b51d632b9d, 17977),
+            (0xb6d5664d18e5289d, 77170),
+        ]
     );
 }
 
