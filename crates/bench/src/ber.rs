@@ -10,11 +10,18 @@
 //! [`Robust`] envelope: bounded retry per chunk, and per-burst
 //! checkpoint manifests so a killed sweep resumes (`--resume`) to
 //! byte-identical totals.
+//!
+//! A batched worker builds one transceiver batch per lane count
+//! ([`WorkerSims`]) and resets it between chunks: the systems are
+//! captured and hash-checked against the tape once per worker, not once
+//! per chunk, and each burst's fault plan is sampled from the batch's
+//! own lane-0 system. A chunk that fails or panics drops the worker's
+//! batches, so its retry runs on a fresh build.
 
 use ocapi::sim::par::{map_indexed, ParConfig, ParError};
 use ocapi::{
     apply_plan_lane, BatchObs, BatchedSim, CompiledTape, CoreError, FaultPlan, FaultySim,
-    InterpSim, OptLevel, SigType, Value,
+    InterpSim, OptLevel, SigType, Value, WorkerSims,
 };
 use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::transceiver::{
@@ -253,7 +260,6 @@ fn run_bursts_batched(
             finished: false,
         })
         .collect();
-    sim.set_input("hold_request", Value::Bool(false))?;
     loop {
         let mut any = false;
         for (l, s) in st.iter().enumerate() {
@@ -266,6 +272,9 @@ fn run_bursts_batched(
         if !any {
             break;
         }
+        // Driven every cycle, as `run_burst` drives it: a fault that
+        // flips the input lasts one cycle, not the rest of the burst.
+        sim.set_input("hold_request", Value::Bool(false))?;
         for (l, plan) in plans.iter().enumerate() {
             if st[l].finished || !sim.alive(l) {
                 continue;
@@ -319,12 +328,14 @@ fn run_bursts_batched(
 /// One chunk of the batched measurement: the bursts at `seeds` (global
 /// burst indices), one per lane, through one shared tape walk per
 /// cycle. `fault_rate` of `None` runs fault-free; `Some(rate)` builds
-/// one independent plan per burst, seeded on the global index. With a
-/// cached `tape`, the per-chunk levelization and optimization are
-/// skipped entirely — the chunk's freshly built systems are verified
-/// against the tape's structural hash and instantiated directly.
+/// one independent plan per burst, seeded on the global index. The
+/// chunk runs on the worker's batch for its lane count, reset; the
+/// first chunk of a lane count builds it — from the cached `tape`
+/// (systems verified against its structural hash) or, without one, by
+/// compiling at `level`.
 #[allow(clippy::too_many_arguments)]
 fn batched_chunk(
+    sims: &mut WorkerSims,
     cfg: &TransceiverConfig,
     channel: &[f64],
     noise: f64,
@@ -346,27 +357,35 @@ fn batched_chunk(
             })
         })
         .collect();
-    let mut systems = Vec::with_capacity(seeds.len());
-    let mut plans = Vec::with_capacity(seeds.len());
-    for (i, seed) in seeds.iter().enumerate() {
-        let sys = build_system(cfg)?;
-        plans.push(match fault_rate {
+    let sim = sims.get(seeds.len(), || {
+        let systems = seeds
+            .iter()
+            .map(|_| build_system(cfg))
+            .collect::<Result<_, _>>()?;
+        match tape {
+            Some(tape) => BatchedSim::from_tape(systems, tape),
+            None => BatchedSim::new_with(systems, level),
+        }
+    })?;
+    // A plan depends only on the design's structure, never on its
+    // untimed state, so the batch's own system samples it.
+    let plans: Vec<FaultPlan> = seeds
+        .iter()
+        .zip(&bursts)
+        .map(|(seed, burst)| match fault_rate {
             Some(rate) => {
-                let cycles = (bursts[i].samples.len() * CYCLES_PER_SYMBOL) as u64;
-                FaultPlan::random(&sys, cycles, rate, 0xdec7 + *seed as u64)
+                let cycles = (burst.samples.len() * CYCLES_PER_SYMBOL) as u64;
+                FaultPlan::random(sim.system(), cycles, rate, 0xdec7 + *seed as u64)
             }
             None => FaultPlan::new(),
-        });
-        systems.push(sys);
-    }
-    let mut sim = match tape {
-        Some(tape) => BatchedSim::from_tape(systems, tape)?,
-        None => BatchedSim::new_with(systems, level)?,
-    };
+        })
+        .collect();
+    // Attached per chunk, so the deterministic `batch.lanes` total
+    // counts chunks' lanes, not workers'.
     if let Some(reg) = obs {
         sim.attach_obs(BatchObs::new(reg));
     }
-    let outcomes = run_bursts_batched(&mut sim, &bursts, &plans)?;
+    let outcomes = run_bursts_batched(sim, &bursts, &plans)?;
     Ok(bursts
         .iter()
         .zip(&outcomes)
@@ -389,8 +408,8 @@ fn batched_chunk(
 ///
 /// A cached `tape` (compiled once from the same transceiver config at
 /// the same level — the simulation service's tape cache) skips
-/// per-chunk recompilation; `None` preserves the compile-per-chunk CLI
-/// behaviour. Totals are bit-identical either way.
+/// compilation; with `None` each worker compiles once per lane count.
+/// Totals are bit-identical either way.
 ///
 /// # Errors
 ///
@@ -423,8 +442,10 @@ pub fn measure_batched(
         lanes.max(1),
         BerCount::encode,
         BerCount::decode,
-        |seeds| {
+        WorkerSims::default,
+        |sims, seeds| {
             batched_chunk(
+                sims,
                 &cfg,
                 channel,
                 noise,
@@ -485,8 +506,10 @@ pub fn measure_with_faults_batched(
         lanes.max(1),
         BerCount::encode,
         BerCount::decode,
-        |seeds| {
+        WorkerSims::default,
+        |sims, seeds| {
             batched_chunk(
+                sims,
                 &cfg,
                 channel,
                 noise,
@@ -508,5 +531,149 @@ pub fn fmt_ber(c: BerCount) -> String {
         format!("<{:.1e}", 1.0 / c.bits as f64)
     } else {
         format!("{:.2e}", c.rate())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+    use ocapi::{ChaosKind, ChaosPlan};
+
+    const CHANNEL: [f64; 3] = [1.0, 0.65, 0.35];
+
+    fn adaptive() -> TransceiverConfig {
+        TransceiverConfig {
+            train: true,
+            agc: false,
+            adapt: true,
+        }
+    }
+
+    fn tape() -> CompiledTape {
+        let sys = build_system(&adaptive()).expect("build");
+        CompiledTape::compile(&sys, OptLevel::Full).expect("compile")
+    }
+
+    /// 19 bursts leave a short last chunk at 3 lanes (one burst) and at
+    /// 8 (three), and give every lane count a chunk that reuses a batch.
+    #[test]
+    fn reused_batches_give_the_scalar_totals_at_every_geometry() {
+        let tape = tape();
+        let scalar = measure(&ParConfig::single(), &CHANNEL, 0.4, true, 19, 16).expect("scalar");
+        // The totals before batches were reused, batched or not.
+        assert_eq!((scalar.errors, scalar.bits), (3, 228));
+        // Burst 4's plan flips `hold_request`; the batched driver held
+        // that lane forever before it drove the input every cycle.
+        let faulty = measure_with_faults(&ParConfig::single(), &CHANNEL, 0.2, 0.02, 7, 16)
+            .expect("scalar faulty");
+        assert_eq!((faulty.errors, faulty.bits), (5, 84));
+        for lanes in [1usize, 3, 8] {
+            for threads in [1usize, 4] {
+                let pool = ParConfig::new(threads);
+                let rb = Robust::plain(&pool);
+                for tape in [None, Some(&tape)] {
+                    let at = format!("lanes={lanes} threads={threads} cached={}", tape.is_some());
+                    let c = measure_batched(
+                        &rb,
+                        "reuse",
+                        &CHANNEL,
+                        0.4,
+                        true,
+                        19,
+                        16,
+                        lanes,
+                        OptLevel::Full,
+                        tape,
+                    )
+                    .expect("batched");
+                    assert_eq!(c, scalar, "{at}");
+                    let f = measure_with_faults_batched(
+                        &rb,
+                        "reuse_f",
+                        &CHANNEL,
+                        0.2,
+                        0.02,
+                        7,
+                        16,
+                        lanes,
+                        OptLevel::Full,
+                        tape,
+                    )
+                    .expect("batched faulty");
+                    assert_eq!(f, faulty, "{at}");
+                }
+            }
+        }
+    }
+
+    /// A chunk whose first attempt panics after it has run — leaving its
+    /// batch mid-burst — is retried on a freshly built batch, and the
+    /// totals match a clean run.
+    #[test]
+    fn a_panicked_chunk_is_retried_on_a_fresh_batch() {
+        let tape = tape();
+        let cfg = adaptive();
+        for threads in [1usize, 4] {
+            let pool = ParConfig::new(threads);
+            let clean = measure_batched(
+                &Robust::plain(&pool),
+                "clean",
+                &CHANNEL,
+                0.4,
+                true,
+                7,
+                16,
+                3,
+                OptLevel::Full,
+                Some(&tape),
+            )
+            .expect("clean");
+            // Chunks [0,1,2] [3,4,5] [6]: the second panics once.
+            let plan = ChaosPlan::new(vec![(3, 0, ChaosKind::Panic).into()]);
+            let states = AtomicUsize::new(0);
+            let rb = Robust {
+                attempts: 2,
+                ..Robust::plain(&pool)
+            };
+            let parts = rb
+                .run_chunked(
+                    "chaos",
+                    0,
+                    7,
+                    3,
+                    BerCount::encode,
+                    BerCount::decode,
+                    || {
+                        states.fetch_add(1, Ordering::Relaxed);
+                        WorkerSims::default()
+                    },
+                    |sims, seeds| {
+                        let counts = batched_chunk(
+                            sims,
+                            &cfg,
+                            &CHANNEL,
+                            0.4,
+                            None,
+                            16,
+                            OptLevel::Full,
+                            Some(&tape),
+                            None,
+                            seeds,
+                        )?;
+                        plan.strike(seeds[0])?;
+                        Ok(counts)
+                    },
+                )
+                .expect("retried run");
+            assert_eq!(sum(parts), clean, "threads={threads}");
+            assert_eq!(plan.attempts(3), 2, "threads={threads}");
+            if threads == 1 {
+                // One worker: its state is dropped after the panic and
+                // rebuilt for [6]; the retry round builds a third.
+                assert_eq!(states.into_inner(), 3);
+            }
+        }
     }
 }

@@ -260,7 +260,8 @@ fn system_level_campaign(
                 let (c, d) = s.split_once(',')?;
                 Some((c.parse().ok()?, d == "1"))
             },
-            |idxs| {
+            || (),
+            |_, idxs| {
                 let plan = &plans[idxs[0]];
                 let mut sim =
                     ocapi::FaultySim::new(InterpSim::new(hcor::build_system()?)?, plan.clone());

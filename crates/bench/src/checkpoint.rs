@@ -290,7 +290,10 @@ impl<'a> Robust<'a> {
     /// unit (1 = scalar; `--lanes` for lane-batched drivers), with
     /// bounded retry, periodic checkpointing, and resume.
     ///
-    /// `run` receives the **global indices** of one chunk's items and
+    /// `run` receives the worker's state (built by `init`, as in
+    /// [`ocapi::map_indexed_with`]: once per worker and manifest flush,
+    /// and afresh after a chunk that fails or panics, so a retry never
+    /// reuses it) and the **global indices** of one chunk's items, and
     /// returns one result per index; item values must depend only on the
     /// global index (the determinism contract of every driver here), so
     /// re-chunking the leftover items of a resumed run cannot change
@@ -305,7 +308,7 @@ impl<'a> Robust<'a> {
     /// the failed run still advances), plus manifest I/O and decode
     /// errors.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_chunked<R: Send>(
+    pub fn run_chunked<S, R: Send>(
         &self,
         stream: &str,
         fp: u64,
@@ -313,7 +316,8 @@ impl<'a> Robust<'a> {
         chunk: usize,
         encode: impl Fn(&R) -> String,
         decode: impl Fn(&str) -> Option<R>,
-        run: impl Fn(&[usize]) -> Result<Vec<R>, CoreError> + Sync,
+        init: impl Fn() -> S + Sync,
+        run: impl Fn(&mut S, &[usize]) -> Result<Vec<R>, CoreError> + Sync,
     ) -> Result<Vec<R>, BenchError> {
         let chunk = chunk.max(1);
         let jd;
@@ -351,7 +355,9 @@ impl<'a> Robust<'a> {
         };
         for group in chunks.chunks(per_group) {
             let (res, stats) =
-                map_indexed_retry(self.pool, group, self.attempts, |_, idxs| run(idxs));
+                map_indexed_retry(self.pool, group, self.attempts, &init, |st, _, idxs| {
+                    run(st, idxs)
+                });
             self.counter("robust.retries", stats.retries);
             let res = res.map_err(|e| match e {
                 ParError::Task { index, error } => {
@@ -462,10 +468,12 @@ mod tests {
         args.checkpoint_every = 2;
         let enc = |r: &u64| r.to_string();
         let dec = |s: &str| s.parse::<u64>().ok();
-        let run = |idxs: &[usize]| Ok(idxs.iter().map(|i| (*i as u64) * 10).collect::<Vec<u64>>());
+        let run = |_: &mut (), idxs: &[usize]| {
+            Ok(idxs.iter().map(|i| (*i as u64) * 10).collect::<Vec<u64>>())
+        };
         // Full uninterrupted run.
         let rb = Robust::new(&args, &pool, None);
-        let full = rb.run_chunked("s", 7, 9, 3, enc, dec, run).unwrap();
+        let full = rb.run_chunked("s", 7, 9, 3, enc, dec, || (), run).unwrap();
         // Simulate a partial run: manifest holding only items 0..4.
         let mut st = CheckpointStream::open(&dir, "s", 7, false).unwrap();
         for i in 0..4usize {
@@ -476,7 +484,7 @@ mod tests {
         args2.resume = true;
         let rb2 = Robust::new(&args2, &pool, None);
         // Different chunking on resume: results still identical.
-        let resumed = rb2.run_chunked("s", 7, 9, 2, enc, dec, run).unwrap();
+        let resumed = rb2.run_chunked("s", 7, 9, 2, enc, dec, || (), run).unwrap();
         assert_eq!(resumed, full);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -509,7 +517,8 @@ mod tests {
                     2,
                     enc,
                     dec,
-                    |idxs| Ok(idxs.iter().map(|i| *i as u64 * 10).collect::<Vec<u64>>()),
+                    || (),
+                    |_, idxs| Ok(idxs.iter().map(|i| *i as u64 * 10).collect::<Vec<u64>>()),
                 )
             });
             let jb = s.spawn(move || {
@@ -520,7 +529,8 @@ mod tests {
                     2,
                     enc,
                     dec,
-                    |idxs| Ok(idxs.iter().map(|i| *i as u64 * 1000).collect::<Vec<u64>>()),
+                    || (),
+                    |_, idxs| Ok(idxs.iter().map(|i| *i as u64 * 1000).collect::<Vec<u64>>()),
                 )
             });
             (ja.join().unwrap().unwrap(), jb.join().unwrap().unwrap())
@@ -541,9 +551,16 @@ mod tests {
         let obs = Registry::new();
         let again = Robust::new(&args2, &pool, Some(&obs))
             .for_job("job-A")
-            .run_chunked("s", 7, 8, 2, enc, dec, |_| {
-                Err(ocapi::CoreError::WorkerPanic { index: 0 })
-            })
+            .run_chunked(
+                "s",
+                7,
+                8,
+                2,
+                enc,
+                dec,
+                || (),
+                |_, _| Err(ocapi::CoreError::WorkerPanic { index: 0 }),
+            )
             .unwrap();
         assert_eq!(again, a);
         assert_eq!(obs.counter("robust.items_resumed").get(), 8);
@@ -575,7 +592,8 @@ mod tests {
             1,
             |r: &u64| r.to_string(),
             |s| s.parse().ok(),
-            |idxs| {
+            || (),
+            |_, idxs| {
                 let i = idxs[0];
                 if i == 2 && tries.fetch_add(1, Ordering::SeqCst) < 2 {
                     return Err(ocapi::CoreError::WorkerPanic { index: i });

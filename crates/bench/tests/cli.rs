@@ -168,8 +168,9 @@ fn batched_ber_counts_equal_scalar_for_all_lane_and_thread_counts() {
     // not divide the burst count (ragged final chunk).
     let channel = [1.0, 0.65, 0.35];
     let scalar = measure(&ParConfig::new(1), &channel, 0.4, true, 5, 24).expect("measure");
-    // A tape compiled once up front must reproduce the compile-per-chunk
-    // totals bit-for-bit too — the simulation service's warm path.
+    // A tape compiled once up front must reproduce the totals of
+    // batches the workers compile themselves bit-for-bit too — the
+    // simulation service's warm path.
     let cfg = TransceiverConfig {
         train: true,
         agc: false,

@@ -53,8 +53,14 @@ pub trait UntimedBlock {
     /// pre-filled with the previous (held) values.
     fn fire(&mut self, inputs: &[Value], outputs: &mut [Value]);
 
-    /// Returns the block to its power-up state.
-    fn reset(&mut self) {}
+    /// Returns the block to its power-up state: afterwards it must
+    /// behave exactly like a freshly built copy. Simulators call this
+    /// from their own `reset`, and the campaign and BER drivers reset
+    /// and reuse one simulator per worker instead of building one per
+    /// run, so a block that keeps any state across firings must restore
+    /// all of it here. There is no default: a stateless block says so
+    /// with an empty body.
+    fn reset(&mut self);
 
     /// If this block is a memory, its structural description — code
     /// generators use it to emit a behavioural HDL model instead of a
@@ -94,12 +100,17 @@ impl fmt::Debug for dyn UntimedBlock {
 ///
 /// Ports: `addr: Bits(a)`, `we: Bool`, `wdata: T` → `rdata: T`. A write
 /// is visible from the *next* firing (write happens after the read).
+/// Power-up contents are zero apart from the [`Ram::preload`]ed words,
+/// which [`UntimedBlock::reset`] restores.
 #[derive(Debug, Clone)]
 pub struct Ram {
     name: String,
     addr_bits: u32,
     ty: SigType,
     words: Vec<Value>,
+    /// Preloaded `(address, word)` pairs in call order: the non-zero
+    /// part of the power-up contents.
+    preloaded: Vec<(usize, Value)>,
 }
 
 impl Ram {
@@ -115,10 +126,12 @@ impl Ram {
             addr_bits,
             ty,
             words: vec![ty.zero(); 1 << addr_bits],
+            preloaded: Vec::new(),
         }
     }
 
-    /// Pre-loads a word (for test setup).
+    /// Pre-loads a word: it becomes part of the power-up contents, so a
+    /// reset restores it.
     ///
     /// # Panics
     ///
@@ -126,6 +139,7 @@ impl Ram {
     pub fn preload(&mut self, addr: usize, value: Value) {
         assert_eq!(value.sig_type(), self.ty, "preload type mismatch");
         self.words[addr] = value;
+        self.preloaded.push((addr, value));
     }
 
     /// Reads a word directly (for test inspection).
@@ -178,8 +192,9 @@ impl UntimedBlock for Ram {
     }
 
     fn reset(&mut self) {
-        for w in &mut self.words {
-            *w = self.ty.zero();
+        self.words.fill(self.ty.zero());
+        for &(addr, value) in &self.preloaded {
+            self.words[addr] = value;
         }
     }
 
@@ -273,6 +288,9 @@ impl UntimedBlock for Rom {
         outputs[0] = self.words.get(addr).copied().unwrap_or(self.ty.zero());
     }
 
+    /// Read-only: nothing to restore.
+    fn reset(&mut self) {}
+
     fn memory_spec(&self) -> Option<MemorySpec> {
         Some(MemorySpec {
             is_rom: true,
@@ -285,6 +303,11 @@ impl UntimedBlock for Rom {
 
 /// An untimed block defined by a closure — the quickest way to drop a
 /// high-level model of an undesigned component into a clocked system.
+///
+/// The closure is a `Fn`: a pure function of the inputs, with no
+/// captured state that a reset would have to restore. A model that
+/// keeps state across firings implements [`UntimedBlock`] itself, with
+/// a `reset` that restores it.
 ///
 /// # Example
 ///
@@ -311,7 +334,7 @@ pub struct FnBlock<F> {
 
 impl<F> FnBlock<F>
 where
-    F: FnMut(&[Value], &mut [Value]),
+    F: Fn(&[Value], &mut [Value]),
 {
     /// Wraps a closure as an untimed block.
     pub fn new(name: &str, inputs: Vec<PortDecl>, outputs: Vec<PortDecl>, behaviour: F) -> Self {
@@ -326,7 +349,7 @@ where
 
 impl<F> UntimedBlock for FnBlock<F>
 where
-    F: FnMut(&[Value], &mut [Value]),
+    F: Fn(&[Value], &mut [Value]),
 {
     fn name(&self) -> &str {
         &self.name
@@ -343,6 +366,9 @@ where
     fn fire(&mut self, inputs: &[Value], outputs: &mut [Value]) {
         (self.behaviour)(inputs, outputs)
     }
+
+    /// A `Fn` closure holds no state between firings.
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -371,10 +397,22 @@ mod tests {
 
     #[test]
     fn ram_reset_clears() {
+        // Reset returns the power-up contents: written words are
+        // cleared, preloaded words are restored.
         let mut ram = Ram::new("r", 2, SigType::Bits(8));
         ram.preload(1, Value::bits(8, 9));
+        let mut out = [Value::bits(8, 0)];
+        for (addr, v) in [(1, 7), (2, 5)] {
+            ram.fire(
+                &[Value::bits(2, addr), Value::Bool(true), Value::bits(8, v)],
+                &mut out,
+            );
+        }
+        assert_eq!(ram.word(1), Value::bits(8, 7));
+        assert_eq!(ram.word(2), Value::bits(8, 5));
         ram.reset();
-        assert_eq!(ram.word(1), Value::bits(8, 0));
+        assert_eq!(ram.word(1), Value::bits(8, 9));
+        assert_eq!(ram.word(2), Value::bits(8, 0));
     }
 
     #[test]

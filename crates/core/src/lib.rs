@@ -91,9 +91,11 @@ pub use sim::fault::{
 };
 pub use sim::hash::{hash_compiled, hash_system, CompiledTape};
 pub use sim::obs::{BatchObs, SimObs};
-pub use sim::par::{map_indexed_retry, ParConfig, ParError, PoolStats, RetryStats, Stopwatch};
+pub use sim::par::{
+    map_indexed_retry, map_indexed_with, ParConfig, ParError, PoolStats, RetryStats, Stopwatch,
+};
 pub use sim::snapshot::{SimSnapshot, SnapshotBackend};
-pub use sim::{BatchedSim, CompiledSim, InterpSim, OptLevel, OptStats, Simulator};
+pub use sim::{BatchedSim, CompiledSim, InterpSim, OptLevel, OptStats, Simulator, WorkerSims};
 pub use sim::{FusedSim, FusedTape, LowerStats};
 pub use system::{
     InstanceId, Net, NetSink, NetSource, PrimaryInput, PrimaryOutput, System, SystemBuilder,

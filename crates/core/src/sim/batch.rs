@@ -410,7 +410,11 @@ impl BatchedSim {
     /// Returns every lane to power-up state: state slots, FSM states,
     /// registers and untimed blocks. Masked lanes are revived, the cycle
     /// count restarts at 0 and enabled traces restart empty; the budget
-    /// and any attached bundle stay.
+    /// and any attached bundle stay. From here the batch steps exactly
+    /// as a fresh build from the same tape would — every output, net,
+    /// trace row and snapshot — which is what lets drivers reuse one
+    /// batch per worker ([`WorkerSims`]) instead of building one per
+    /// run.
     pub fn reset(&mut self) {
         self.st.reset(&self.prog, &self.systems[0]);
         for u in self.systems.iter_mut().flat_map(|s| &mut s.untimed) {
@@ -660,6 +664,44 @@ impl BatchedSim {
             .unwrap_or(CoreError::Unsupported {
                 op: "batched step with no lanes".to_owned(),
             })
+    }
+}
+
+/// One worker's reusable batches for a lane-batched driver: at most one
+/// [`BatchedSim`] per lane count, reset before each reuse. A driver that
+/// shards chunks of `lanes` runs over a pool keeps one of these per
+/// worker (the per-worker state of
+/// [`map_indexed_with`](crate::sim::par::map_indexed_with)), so a worker
+/// builds — captures and hash-checks — one batch for its full chunks and
+/// one for a short last chunk, instead of one per chunk. Sound because
+/// [`BatchedSim::reset`] equals a fresh build.
+#[derive(Debug, Default)]
+pub struct WorkerSims(Vec<BatchedSim>);
+
+impl WorkerSims {
+    /// A power-up batch of `lanes` lanes: the one this worker kept for
+    /// that lane count, reset, or else a new one from `build`, which must
+    /// return a batch of `lanes` lanes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `build`'s error.
+    pub fn get(
+        &mut self,
+        lanes: usize,
+        build: impl FnOnce() -> Result<BatchedSim, CoreError>,
+    ) -> Result<&mut BatchedSim, CoreError> {
+        let k = match self.0.iter().position(|s| s.lanes == lanes) {
+            Some(k) => {
+                self.0[k].reset();
+                k
+            }
+            None => {
+                self.0.push(build()?);
+                self.0.len() - 1
+            }
+        };
+        Ok(&mut self.0[k])
     }
 }
 

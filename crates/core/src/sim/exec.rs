@@ -298,12 +298,16 @@ impl State {
         st
     }
 
-    /// Returns every lane's slots, FSM states and registers to power-up
-    /// values (untimed blocks reset separately, with their systems).
+    /// Returns every lane's slots, FSM states, SFG activation flags and
+    /// registers to power-up values, as [`State::new`] builds them
+    /// (untimed blocks reset separately, with their systems).
     pub(crate) fn reset(&mut self, prog: &Program, sys: &System) {
         let n = self.n;
         for (stripe, v) in self.slots.chunks_exact_mut(n).zip(&prog.init_slots) {
             stripe.fill(*v);
+        }
+        for (act, on) in self.active.iter_mut().zip(&self.always_on) {
+            act.fill(*on);
         }
         for (i, t) in sys.timed.iter().enumerate() {
             let initial = t.comp.fsm.as_ref().map_or(0, |f| f.initial.0);

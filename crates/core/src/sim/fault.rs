@@ -28,7 +28,10 @@
 //! * [`run_campaign_cached_par`] — lane-batched: chunks of events share
 //!   one walk of a [`CompiledTape`] per cycle, and
 //!   classify every event exactly as the reference does over
-//!   [`CompiledSim`] at the tape's level.
+//!   [`CompiledSim`] at the tape's level. Each worker builds one batch
+//!   per lane count ([`WorkerSims`]) and resets it between chunks, so a
+//!   campaign captures and hash-checks systems once per worker, not
+//!   once per event.
 //!
 //! Because both cycle-true back-ends expose identical peek/poke
 //! semantics, the interpreted and compiled simulators stay
@@ -40,10 +43,10 @@
 //! [`ocapi-gatesim`]: https://example.org/asic-dse
 
 use crate::rng::XorShift64;
-use crate::sim::batch::BatchedSim;
+use crate::sim::batch::{BatchedSim, WorkerSims};
 use crate::sim::compiled::CompiledSim;
 use crate::sim::hash::CompiledTape;
-use crate::sim::par::{map_indexed, ParConfig, ParError};
+use crate::sim::par::{map_indexed, map_indexed_with, ParConfig, ParError};
 use crate::sim::Simulator;
 use crate::system::System;
 use crate::trace::Trace;
@@ -697,9 +700,10 @@ pub fn apply_plan_lane(
     Ok(())
 }
 
-/// One lane-batched chunk of faulty runs: `chunk.len()` lanes
-/// instantiated from `tape` and stepped through one shared tape walk per
-/// cycle, each lane injecting its own event. The work item of
+/// One lane-batched chunk of faulty runs: `chunk.len()` lanes of the
+/// worker's batch for that lane count (built from `tape` on first use,
+/// reset after), stepped through one shared tape walk per cycle, each
+/// lane injecting its own event. The work item of
 /// [`run_campaign_cached_par`].
 ///
 /// Per-lane semantics replicate [`run_event`] exactly: a failing fault
@@ -707,6 +711,7 @@ pub fn apply_plan_lane(
 /// its [`FaultOutcome::Detected`] record) while the remaining lanes keep
 /// running; surviving lanes are classified against the golden trace.
 fn run_event_chunk(
+    sims: &mut WorkerSims,
     make_sys: &impl Fn() -> Result<System, CoreError>,
     stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
     cycles: u64,
@@ -714,23 +719,25 @@ fn run_event_chunk(
     chunk: &[FaultEvent],
     tape: &CompiledTape,
 ) -> Result<Vec<FaultOutcome>, CoreError> {
-    let mut systems = Vec::with_capacity(chunk.len());
-    for _ in 0..chunk.len() {
-        systems.push(make_sys()?);
-    }
-    let mut sim = BatchedSim::from_tape(systems, tape)?;
-    sim.enable_trace();
+    let sim = sims.get(chunk.len(), || {
+        let systems = (0..chunk.len())
+            .map(|_| make_sys())
+            .collect::<Result<_, _>>()?;
+        let mut sim = BatchedSim::from_tape(systems, tape)?;
+        sim.enable_trace();
+        Ok(sim)
+    })?;
     let plans: Vec<FaultPlan> = chunk
         .iter()
         .map(|e| FaultPlan::new().with(e.clone()))
         .collect();
     for c in 0..cycles {
-        stimulus(&mut sim, c)?;
+        stimulus(sim, c)?;
         for (lane, plan) in plans.iter().enumerate() {
             if !sim.alive(lane) {
                 continue;
             }
-            if let Err(e) = apply_plan_lane(&mut sim, lane, plan) {
+            if let Err(e) = apply_plan_lane(sim, lane, plan) {
                 sim.fail_lane(lane, e);
             }
         }
@@ -761,6 +768,13 @@ fn run_event_chunk(
 /// recompiled per chunk — the campaign path of the persistent simulation
 /// service, where one cached compilation serves thousands of jobs. A
 /// one-off campaign compiles its tape with [`CompiledTape::compile`].
+///
+/// Nor is one built per chunk: each worker keeps one batch per lane
+/// count and resets it between chunks ([`WorkerSims`]), and drops it
+/// after a chunk that fails or panics. With `T` workers, `L` lanes and
+/// `E` events, `make_sys` runs at most `1 + T·L + (E mod L)` times (the
+/// golden run, one full batch per worker, one short last batch) instead
+/// of `1 + E`.
 ///
 /// The golden run uses the scalar [`CompiledSim`] built from the same
 /// tape. `stimulus` must be a pure function of the cycle number (it is
@@ -799,8 +813,8 @@ pub fn run_campaign_cached_par(
         cycles,
     )?;
     let chunks: Vec<&[FaultEvent]> = events.chunks(lanes.max(1)).collect();
-    let parts = map_indexed(pool, &chunks, |_, chunk| {
-        run_event_chunk(&make_sys, &stimulus, cycles, &golden, chunk, tape)
+    let parts = map_indexed_with(pool, &chunks, WorkerSims::default, |sims, _, chunk| {
+        run_event_chunk(sims, &make_sys, &stimulus, cycles, &golden, chunk, tape)
             .map(|outcomes| chunk.iter().cloned().zip(outcomes).collect::<Vec<_>>())
     })
     .map_err(par_error)?;

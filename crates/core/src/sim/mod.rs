@@ -33,7 +33,7 @@ pub mod opt;
 pub mod par;
 pub mod snapshot;
 
-pub use batch::BatchedSim;
+pub use batch::{BatchedSim, WorkerSims};
 pub use budget::{Budget, BudgetKind};
 pub use chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 pub use compiled::CompiledSim;

@@ -28,6 +28,17 @@
 //!    hit first. A panicking item is caught ([`ParError::Panic`]) and
 //!    surfaces as an error — never a hang, never a torn-down process.
 //!
+//! **Per-worker state.** [`map_indexed_with`] and [`map_indexed_retry`]
+//! give each worker one value built by an `init` closure on the
+//! worker's first item and handed to every item it runs — the place to
+//! keep a simulator that is reset between items instead of rebuilt for
+//! each. An item's result must not depend on what earlier items left in
+//! the state (a reset that equals a fresh build keeps that promise), so
+//! which worker runs which item still cannot show in the output. After
+//! an item that fails or panics, the worker drops its state and builds a
+//! fresh one for its next item, so a half-updated simulator is never
+//! reused and a retry starts from a fresh build.
+//!
 //! The pool is built on the standard library only: the workspace builds
 //! fully offline, with zero registry dependencies.
 
@@ -123,6 +134,25 @@ enum Slot<R, E> {
     Panicked,
 }
 
+/// What one worker did: its items' outcomes, the seconds it spent inside
+/// the work closure, and how many items it claimed away from a static
+/// block partition.
+struct Shard<R, E> {
+    done: Vec<(usize, Slot<R, E>)>,
+    busy: f64,
+    steals: u64,
+}
+
+impl<R, E> Default for Shard<R, E> {
+    fn default() -> Self {
+        Shard {
+            done: Vec::new(),
+            busy: 0.0,
+            steals: 0,
+        }
+    }
+}
+
 /// Bookkeeping of a retrying sharded map ([`map_indexed_retry`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
@@ -134,69 +164,91 @@ pub struct RetryStats {
 }
 
 /// Runs `f` over the given item indices on the pool, one guarded call
-/// per index, returning `(index, outcome)` pairs in unspecified order.
-fn run_indices<T, R, E, F>(
+/// per index, and returns one [`Shard`] per worker in worker order. Each
+/// worker builds its state with `init` on first use and drops it after
+/// an item that fails or panics (see the module docs).
+fn run_indices<T, S, R, E, I, F>(
     pool: &ParConfig,
     items: &[T],
     indices: &[usize],
+    init: &I,
     f: &F,
-) -> Vec<(usize, Slot<R, E>)>
+) -> Vec<Shard<R, E>>
 where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
-    let run_one = |i: usize| -> Slot<R, E> {
-        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-            Ok(Ok(r)) => Slot::Done(r),
-            Ok(Err(e)) => Slot::Failed(e),
-            Err(_) => Slot::Panicked,
-        }
-    };
     let workers = pool.threads.min(indices.len().max(1));
-    if workers <= 1 {
-        return indices.iter().map(|&i| (i, run_one(i))).collect();
-    }
     let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let run_one = &run_one;
-    let mut out: Vec<(usize, Slot<R, E>)> = Vec::with_capacity(indices.len());
-    let worker_results = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut mine: Vec<(usize, Slot<R, E>)> = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= indices.len() {
-                            break;
-                        }
-                        let i = indices[k];
-                        mine.push((i, run_one(i)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    });
-    // A worker's join only fails when its loop panicked outside the
-    // guard; the indices it claimed simply stay missing and the caller
-    // treats them as panicked.
-    for joined in worker_results.into_iter().flatten() {
-        out.extend(joined);
+    // One worker loop, shared by both paths, so sequential and threaded
+    // execution have byte-identical per-item semantics.
+    let work = |w: usize| -> Shard<R, E> {
+        let mut shard = Shard::default();
+        let mut state: Option<S> = None;
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = indices.get(k) else { break };
+            // An item is "stolen" when the dynamic cursor hands it to a
+            // different worker than a static block partition would have.
+            if k * workers / indices.len() != w {
+                shard.steals += 1;
+            }
+            let t0 = Stopwatch::start();
+            let run = || f(state.get_or_insert_with(init), i, &items[i]);
+            let slot = match catch_unwind(AssertUnwindSafe(run)) {
+                Ok(Ok(r)) => Slot::Done(r),
+                Ok(Err(e)) => Slot::Failed(e),
+                Err(_) => Slot::Panicked,
+            };
+            if !matches!(slot, Slot::Done(_)) {
+                state = None;
+            }
+            shard.busy += t0.elapsed_secs();
+            shard.done.push((i, slot));
+        }
+        shard
+    };
+    if workers <= 1 {
+        return vec![work(0)];
     }
-    out
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
+        // A worker's join only fails when its loop panicked outside the
+        // guard; the indices it claimed simply stay missing and the
+        // merge treats them as panicked.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_default())
+            .collect()
+    })
 }
 
-/// [`map_indexed`] with bounded retry: an item whose closure fails or
-/// panics is re-executed — on whichever worker is free, but always with
-/// its original index, hence its original seed stream — until it
-/// succeeds or `attempts` total attempts are spent. Items that still
-/// fail after the last round are merged exactly like [`map_indexed`]:
-/// the lowest-indexed failure is reported, identically for every thread
-/// count.
+/// Order-restoring merge with deterministic failure selection: the
+/// lowest-indexed failure wins, as in a sequential loop. An index with
+/// no outcome (its worker died outside the guard) counts as a panic.
+fn merge<R, E>(slots: Vec<Option<Slot<R, E>>>) -> Result<Vec<R>, ParError<E>> {
+    let mut out = Vec::with_capacity(slots.len());
+    for (index, slot) in slots.into_iter().enumerate() {
+        match slot {
+            Some(Slot::Done(r)) => out.push(r),
+            Some(Slot::Failed(error)) => return Err(ParError::Task { index, error }),
+            Some(Slot::Panicked) | None => return Err(ParError::Panic { index }),
+        }
+    }
+    Ok(out)
+}
+
+/// [`map_indexed_with`] with bounded retry: an item whose closure fails
+/// or panics is re-executed — on whichever worker is free, but always
+/// with its original index, hence its original seed stream, and always
+/// on a freshly built worker state — until it succeeds or `attempts`
+/// total attempts are spent. Items that still fail after the last round
+/// are merged exactly like [`map_indexed`]: the lowest-indexed failure
+/// is reported, identically for every thread count.
 ///
 /// The result is **deterministic regardless of which worker or attempt
 /// succeeds**, provided `f` is a pure function of `(index, item)` — the
@@ -206,57 +258,49 @@ where
 ///
 /// Returns the lowest-indexed [`ParError`] among items whose final
 /// attempt failed, after all items and retries have run.
-pub fn map_indexed_retry<T, R, E, F>(
+pub fn map_indexed_retry<T, S, R, E, I, F>(
     pool: &ParConfig,
     items: &[T],
     attempts: u32,
+    init: I,
     f: F,
 ) -> (Result<Vec<R>, ParError<E>>, RetryStats)
 where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
     let n = items.len();
     let attempts = attempts.max(1);
     let mut stats = RetryStats::default();
     let mut slots: Vec<Option<Slot<R, E>>> = Vec::new();
     slots.resize_with(n, || None);
-    let all: Vec<usize> = (0..n).collect();
-    for (i, slot) in run_indices(pool, items, &all, &f) {
-        slots[i] = Some(slot);
-    }
-    for _round in 1..attempts {
-        let failed: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, Some(Slot::Done(_))))
-            .map(|(i, _)| i)
-            .collect();
-        if failed.is_empty() {
-            break;
-        }
-        stats.retries += failed.len() as u64;
-        for (i, slot) in run_indices(pool, items, &failed, &f) {
-            if matches!(slot, Slot::Done(_)) {
-                stats.recovered += 1;
+    let mut pending: Vec<usize> = (0..n).collect();
+    for round in 0..attempts {
+        if round > 0 {
+            pending = (0..n)
+                .filter(|&i| !matches!(slots[i], Some(Slot::Done(_))))
+                .collect();
+            if pending.is_empty() {
+                break;
             }
-            slots[i] = Some(slot);
+            stats.retries += pending.len() as u64;
+        }
+        for shard in run_indices(pool, items, &pending, &init, &f) {
+            for (i, slot) in shard.done {
+                if round > 0 && matches!(slot, Slot::Done(_)) {
+                    stats.recovered += 1;
+                }
+                slots[i] = Some(slot);
+            }
         }
         // An index never handed back (a worker died outside the guard)
         // stays in its previous non-Done state and is retried again or
         // reported as the panic it was.
     }
-    let mut out = Vec::with_capacity(n);
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Slot::Done(r)) => out.push(r),
-            Some(Slot::Failed(error)) => return (Err(ParError::Task { index, error }), stats),
-            Some(Slot::Panicked) | None => return (Err(ParError::Panic { index }), stats),
-        }
-    }
-    (Ok(out), stats)
+    (merge(slots), stats)
 }
 
 /// Maps `f` over `items` on a pool of [`ParConfig::threads`] workers,
@@ -280,6 +324,30 @@ where
     map_indexed_stats(pool, items, f).0
 }
 
+/// [`map_indexed`] with per-worker state: each worker builds one `S`
+/// with `init` and passes it to every item it runs, and drops it after
+/// an item that fails or panics (see the module docs). `f` must give
+/// the same result whatever an earlier item left in the state.
+///
+/// # Errors
+///
+/// As [`map_indexed`].
+pub fn map_indexed_with<T, S, R, E, I, F>(
+    pool: &ParConfig,
+    items: &[T],
+    init: I,
+    f: F,
+) -> Result<Vec<R>, ParError<E>>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
+{
+    map_indexed_retry(pool, items, 1, init, f).0
+}
+
 /// [`map_indexed`] plus the [`PoolStats`] of the run, for the
 /// throughput-observability path of the benchmark harnesses.
 pub fn map_indexed_stats<T, R, E, F>(
@@ -295,96 +363,28 @@ where
 {
     let started = Stopwatch::start();
     let n = items.len();
-    let workers = pool.threads.min(n.max(1));
-
-    // One guarded call, shared by both paths, so sequential and
-    // threaded execution have byte-identical per-item semantics.
-    let run_one = |i: usize| -> Slot<R, E> {
-        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-            Ok(Ok(r)) => Slot::Done(r),
-            Ok(Err(e)) => Slot::Failed(e),
-            Err(_) => Slot::Panicked,
-        }
-    };
-
+    let all: Vec<usize> = (0..n).collect();
+    let shards = run_indices(pool, items, &all, &|| (), &|_: &mut (), i, t: &T| f(i, t));
     let mut stats = PoolStats {
-        threads: workers,
+        threads: shards.len(),
         items: n,
-        per_worker_items: vec![0; workers],
-        per_worker_busy: vec![0.0; workers],
+        per_worker_items: Vec::with_capacity(shards.len()),
+        per_worker_busy: Vec::with_capacity(shards.len()),
         wall_secs: 0.0,
         steals: 0,
     };
-
-    let mut slots: Vec<Option<Slot<R, E>>> = Vec::with_capacity(n);
-    if workers <= 1 {
-        for i in 0..n {
-            let t0 = Stopwatch::start();
-            slots.push(Some(run_one(i)));
-            stats.per_worker_busy[0] += t0.elapsed_secs();
-            stats.per_worker_items[0] += 1;
-        }
-    } else {
-        slots.resize_with(n, || None);
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let run_one = &run_one;
-        let worker_results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut mine: Vec<(usize, Slot<R, E>)> = Vec::new();
-                        let mut busy = 0.0f64;
-                        let mut steals = 0u64;
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            // An item is "stolen" when the dynamic
-                            // cursor hands it to a different worker than
-                            // a static block partition would have.
-                            if i * workers / n != w {
-                                steals += 1;
-                            }
-                            let t0 = Stopwatch::start();
-                            let slot = run_one(i);
-                            busy += t0.elapsed_secs();
-                            mine.push((i, slot));
-                        }
-                        (mine, busy, steals)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        });
-        // A worker's join only fails if the loop itself panicked (the
-        // item closure is guarded); its claimed items then stay None
-        // and are reported as panics by the merge below.
-        for (w, joined) in worker_results.into_iter().enumerate() {
-            if let Ok((mine, busy, steals)) = joined {
-                stats.per_worker_items[w] = mine.len();
-                stats.per_worker_busy[w] = busy;
-                stats.steals += steals;
-                for (i, slot) in mine {
-                    slots[i] = Some(slot);
-                }
-            }
+    let mut slots: Vec<Option<Slot<R, E>>> = Vec::new();
+    slots.resize_with(n, || None);
+    for shard in shards {
+        stats.per_worker_items.push(shard.done.len());
+        stats.per_worker_busy.push(shard.busy);
+        stats.steals += shard.steals;
+        for (i, slot) in shard.done {
+            slots[i] = Some(slot);
         }
     }
     stats.wall_secs = started.elapsed_secs();
-
-    // Order-restoring merge with deterministic failure selection: the
-    // lowest-indexed failure wins, as in a sequential loop.
-    let mut out = Vec::with_capacity(n);
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Slot::Done(r)) => out.push(r),
-            Some(Slot::Failed(error)) => return (Err(ParError::Task { index, error }), stats),
-            Some(Slot::Panicked) | None => return (Err(ParError::Panic { index }), stats),
-        }
-    }
-    (Ok(out), stats)
+    (merge(slots), stats)
 }
 
 #[cfg(test)]
@@ -487,16 +487,22 @@ mod tests {
         let items: Vec<usize> = (0..24).collect();
         for threads in [1usize, 4] {
             let tries: Vec<AtomicU32> = (0..24).map(|_| AtomicU32::new(0)).collect();
-            let (out, stats) = map_indexed_retry(&ParConfig::new(threads), &items, 3, |i, x| {
-                let attempt = tries[i].fetch_add(1, Ordering::Relaxed);
-                if *x == 7 && attempt == 0 {
-                    panic!("chaos");
-                }
-                if *x == 11 && attempt < 2 {
-                    return Err("flaky");
-                }
-                Ok(*x * 2)
-            });
+            let (out, stats) = map_indexed_retry(
+                &ParConfig::new(threads),
+                &items,
+                3,
+                || (),
+                |_, i, x| {
+                    let attempt = tries[i].fetch_add(1, Ordering::Relaxed);
+                    if *x == 7 && attempt == 0 {
+                        panic!("chaos");
+                    }
+                    if *x == 11 && attempt < 2 {
+                        return Err("flaky");
+                    }
+                    Ok(*x * 2)
+                },
+            );
             let out = out.unwrap();
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
             assert_eq!(stats.retries, 3, "threads={threads}"); // 7 once, 11 twice
@@ -508,13 +514,19 @@ mod tests {
     fn exhausted_retries_report_lowest_index_deterministically() {
         let items: Vec<usize> = (0..32).collect();
         for threads in [1usize, 4] {
-            let (out, stats) = map_indexed_retry(&ParConfig::new(threads), &items, 2, |_, x| {
-                if *x == 13 || *x == 21 {
-                    Err(format!("bad {x}"))
-                } else {
-                    Ok(*x)
-                }
-            });
+            let (out, stats) = map_indexed_retry(
+                &ParConfig::new(threads),
+                &items,
+                2,
+                || (),
+                |_, _, x| {
+                    if *x == 13 || *x == 21 {
+                        Err(format!("bad {x}"))
+                    } else {
+                        Ok(*x)
+                    }
+                },
+            );
             assert_eq!(
                 out.unwrap_err(),
                 ParError::Task {
@@ -530,9 +542,75 @@ mod tests {
     #[test]
     fn single_attempt_matches_map_indexed() {
         let items: Vec<u64> = (0..10).collect();
-        let (out, stats) =
-            map_indexed_retry(&ParConfig::new(2), &items, 1, |_, x| Ok::<_, ()>(*x + 1));
+        let (out, stats) = map_indexed_retry(
+            &ParConfig::new(2),
+            &items,
+            1,
+            || (),
+            |_, _, x| Ok::<_, ()>(*x + 1),
+        );
         assert_eq!(out.unwrap(), (1..=10).collect::<Vec<_>>());
         assert_eq!(stats, RetryStats::default());
+    }
+
+    #[test]
+    fn worker_state_is_built_once_per_worker() {
+        use std::sync::atomic::AtomicU32;
+        let items: Vec<u64> = (0..40).collect();
+        for threads in [1usize, 3] {
+            let built = AtomicU32::new(0);
+            // The state counts the items its worker ran; the results do
+            // not depend on it, as the contract asks.
+            let out = map_indexed_with(
+                &ParConfig::new(threads),
+                &items,
+                || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    0u64
+                },
+                |seen, _, x| {
+                    *seen += 1;
+                    Ok::<_, ()>(*x * 2)
+                },
+            )
+            .unwrap();
+            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            let built = built.load(Ordering::Relaxed) as usize;
+            assert!((1..=threads).contains(&built), "threads={threads}: {built}");
+        }
+    }
+
+    #[test]
+    fn worker_state_is_dropped_after_a_failed_item() {
+        use std::sync::atomic::AtomicU32;
+        // One worker, so the item order is the cursor order: item 2
+        // errs and item 5 panics, each on a state that has run earlier
+        // items; the item after each failure starts on a fresh state.
+        let items: Vec<u32> = (0..8).collect();
+        let built = AtomicU32::new(0);
+        let (out, stats) = map_indexed_retry(
+            &ParConfig::single(),
+            &items,
+            2,
+            || {
+                built.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            },
+            |ran: &mut Vec<u32>, _, x| {
+                ran.push(*x);
+                match (*x, ran.len()) {
+                    (2, n) if n > 1 => Err("dirty"),
+                    (5, n) if n > 1 => panic!("dirty"),
+                    _ => Ok(ran.len()),
+                }
+            },
+        );
+        // First round: states [0,1,2] [3,4,5] [6,7]; the retry round
+        // runs 2 and 5 on one fresh state, where 2 is its first item and
+        // 5 its second, so 5 fails again and its state is dropped.
+        assert_eq!(out.unwrap_err(), ParError::Panic { index: 5 });
+        assert_eq!(built.load(Ordering::Relaxed), 4);
+        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.recovered, 1);
     }
 }

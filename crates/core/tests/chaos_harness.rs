@@ -78,10 +78,16 @@ fn chaos_panic_is_contained_and_retry_recovers() {
             (3, 0, ChaosKind::Panic).into(),
             (6, 0, ChaosKind::BudgetKill).into(),
         ]);
-        let (result, stats) = map_indexed_retry(&pool, &items, 2, |i, seed| {
-            plan.strike(i)?;
-            simulate_item(*seed)
-        });
+        let (result, stats) = map_indexed_retry(
+            &pool,
+            &items,
+            2,
+            || (),
+            |_, i, seed| {
+                plan.strike(i)?;
+                simulate_item(*seed)
+            },
+        );
         let got = result.unwrap_or_else(|e| panic!("threads={threads}: {e:?}"));
         assert_eq!(got, clean, "threads={threads}");
         assert_eq!(stats.retries, 2, "threads={threads}");
@@ -105,10 +111,16 @@ fn chaos_exhausted_retries_fail_at_lowest_index_for_any_thread_count() {
             (11, 0, ChaosKind::BudgetKill).into(),
             (11, 1, ChaosKind::BudgetKill).into(),
         ]);
-        let (result, stats) = map_indexed_retry(&pool, &items, 2, |i, seed| {
-            plan.strike(i)?;
-            simulate_item(*seed)
-        });
+        let (result, stats) = map_indexed_retry(
+            &pool,
+            &items,
+            2,
+            || (),
+            |_, i, seed| {
+                plan.strike(i)?;
+                simulate_item(*seed)
+            },
+        );
         match result {
             Err(ParError::Task { index, error }) => {
                 assert_eq!(index, 5, "threads={threads}");
@@ -142,10 +154,16 @@ fn chaos_delay_changes_timing_but_not_results() {
             (0, 0, ChaosKind::Delay(10)).into(),
             (4, 0, ChaosKind::Delay(5)).into(),
         ]);
-        let (result, stats) = map_indexed_retry(&pool, &items, 1, |i, seed| {
-            plan.strike(i)?;
-            simulate_item(*seed)
-        });
+        let (result, stats) = map_indexed_retry(
+            &pool,
+            &items,
+            1,
+            || (),
+            |_, i, seed| {
+                plan.strike(i)?;
+                simulate_item(*seed)
+            },
+        );
         assert_eq!(result.unwrap(), clean, "threads={threads}");
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.recovered, 0);

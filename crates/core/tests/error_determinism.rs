@@ -138,18 +138,24 @@ fn oscillation_diagnostics_identical_across_worker_threads() {
     let items: Vec<u64> = (0..8).collect();
     for threads in [1, 4] {
         let pool = ParConfig::new(threads);
-        let (result, _) = map_indexed_retry(&pool, &items, 1, |_, _| {
-            let mut sim = InterpSim::new(looped_system())?;
-            let err = match sim.step() {
-                Err(e) => e,
-                Ok(()) => {
-                    return Err(CoreError::CheckFailed {
-                        diagnostics: vec!["loop not detected".into()],
-                    })
-                }
-            };
-            Ok::<String, CoreError>(err.to_string())
-        });
+        let (result, _) = map_indexed_retry(
+            &pool,
+            &items,
+            1,
+            || (),
+            |_, _, _| {
+                let mut sim = InterpSim::new(looped_system())?;
+                let err = match sim.step() {
+                    Err(e) => e,
+                    Ok(()) => {
+                        return Err(CoreError::CheckFailed {
+                            diagnostics: vec!["loop not detected".into()],
+                        })
+                    }
+                };
+                Ok::<String, CoreError>(err.to_string())
+            },
+        );
         let messages = result.unwrap();
         for m in &messages {
             assert_eq!(m, EXPECT, "threads={threads}");
@@ -165,26 +171,32 @@ fn deadlock_diagnostics_identical_across_worker_threads() {
     let items: Vec<u64> = (0..8).collect();
     for threads in [1, 4] {
         let pool = ParConfig::new(threads);
-        let (result, _) = map_indexed_retry(&pool, &items, 1, |_, _| {
-            let mut g = DataflowGraph::new();
-            let src_b = g.add(Box::new(Source::new("src_b", [Value::bits(8, 1)])));
-            let src_a = g.add(Box::new(Source::new("src_a", [Value::bits(8, 2)])));
-            let b = g.add(Box::new(FnActor::new("b", 2, 1, |i, o| o.push(i[0]))));
-            let a = g.add(Box::new(FnActor::new("a", 2, 1, |i, o| o.push(i[0]))));
-            g.connect(src_a, 0, a, 0, &[])?;
-            g.connect(src_b, 0, b, 0, &[])?;
-            g.connect(a, 0, b, 1, &[])?;
-            g.connect(b, 0, a, 1, &[])?;
-            let err = match g.run(u64::MAX) {
-                Err(e) => e,
-                Ok(_) => {
-                    return Err(CoreError::CheckFailed {
-                        diagnostics: vec!["deadlock not detected".into()],
-                    })
-                }
-            };
-            Ok::<String, CoreError>(err.to_string())
-        });
+        let (result, _) = map_indexed_retry(
+            &pool,
+            &items,
+            1,
+            || (),
+            |_, _, _| {
+                let mut g = DataflowGraph::new();
+                let src_b = g.add(Box::new(Source::new("src_b", [Value::bits(8, 1)])));
+                let src_a = g.add(Box::new(Source::new("src_a", [Value::bits(8, 2)])));
+                let b = g.add(Box::new(FnActor::new("b", 2, 1, |i, o| o.push(i[0]))));
+                let a = g.add(Box::new(FnActor::new("a", 2, 1, |i, o| o.push(i[0]))));
+                g.connect(src_a, 0, a, 0, &[])?;
+                g.connect(src_b, 0, b, 0, &[])?;
+                g.connect(a, 0, b, 1, &[])?;
+                g.connect(b, 0, a, 1, &[])?;
+                let err = match g.run(u64::MAX) {
+                    Err(e) => e,
+                    Ok(_) => {
+                        return Err(CoreError::CheckFailed {
+                            diagnostics: vec!["deadlock not detected".into()],
+                        })
+                    }
+                };
+                Ok::<String, CoreError>(err.to_string())
+            },
+        );
         let messages = result.unwrap();
         for m in &messages {
             assert_eq!(m, EXPECT, "threads={threads}");

@@ -11,12 +11,20 @@
 //! entry serves them all. Least-recently-used entries beyond a fixed
 //! capacity are evicted.
 //!
+//! Capturing a design and hashing it cost as much as a short job, so a
+//! lookup names the design variant and the cache remembers each
+//! variant's structural hash from its first request: a hit neither
+//! builds nor hashes a system. The two transceiver variants share one
+//! hash (they differ only in ROM contents, which live in each job's own
+//! systems) and therefore one tape.
+//!
 //! Telemetry lands in the server's advisory [`Registry`] as
 //! `serve.cache.hits` / `serve.cache.misses` / `serve.cache.evictions`.
 //! The counters are *advisory*: they depend on request interleaving
 //! across connections, so they appear in `stats`/`perf` frames, never
 //! in deterministic results.
 
+use std::borrow::Borrow;
 use std::sync::Mutex;
 
 use ocapi::{hash_system, CompiledTape, CoreError, OptLevel, System};
@@ -31,6 +39,9 @@ struct Entry {
 
 struct Inner {
     entries: Vec<Entry>,
+    /// The structural hash of every design variant looked up so far;
+    /// never evicted (one word per variant the registry names).
+    hashes: Vec<(String, u64)>,
     clock: u64,
 }
 
@@ -57,6 +68,7 @@ impl TapeCache {
         TapeCache {
             inner: Mutex::new(Inner {
                 entries: Vec::new(),
+                hashes: Vec::new(),
                 clock: 0,
             }),
             capacity: capacity.max(1),
@@ -66,11 +78,7 @@ impl TapeCache {
 
     /// Number of cached tapes.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// True when nothing is cached yet.
@@ -78,35 +86,85 @@ impl TapeCache {
         self.len() == 0
     }
 
-    /// The tape for `sys` at `level`: a clone of the cached tape on a
-    /// hit (cheap — the program is reference-counted), a fresh
-    /// compilation inserted into the cache on a miss. The system itself
-    /// is not retained; callers keep it to instantiate simulators.
+    /// The tape of design variant `variant` at `level`: a clone of the
+    /// cached tape on a hit (cheap — the program is reference-counted),
+    /// a fresh compilation inserted into the cache on a miss.
+    ///
+    /// `build` captures the variant's system, and must capture the same
+    /// structure every time it is called for the same variant, as the
+    /// design registry's builders do. It runs only when the cache cannot
+    /// answer without it: on the variant's first lookup, to learn its
+    /// structural hash, and on a miss, to compile. A hit neither builds
+    /// nor hashes. The system is not retained; callers that already hold
+    /// one pass it by reference.
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::NotCompilable`] from a miss's
-    /// compilation; the failed key is not cached.
-    pub fn get(&self, sys: &System, level: OptLevel) -> Result<CompiledTape, CoreError> {
-        let key = (hash_system(sys), level);
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.clock += 1;
-            let stamp = inner.clock;
-            if let Some(e) = inner.entries.iter_mut().find(|e| e.key == key) {
-                e.stamp = stamp;
-                let tape = e.tape.clone();
-                drop(inner);
-                self.obs.advisory_counter("serve.cache.hits").add(1);
-                return Ok(tape);
-            }
+    /// Propagates `build`'s error and [`CoreError::NotCompilable`] from
+    /// a miss's compilation; the failed key is not cached.
+    pub fn get<S: Borrow<System>>(
+        &self,
+        variant: &str,
+        level: OptLevel,
+        build: impl FnOnce() -> Result<S, CoreError>,
+    ) -> Result<CompiledTape, CoreError> {
+        let known = self
+            .lock()
+            .hashes
+            .iter()
+            .find(|(v, _)| v == variant)
+            .map(|(_, h)| *h);
+        if let Some(tape) = known.and_then(|h| self.hit((h, level))) {
+            return Ok(tape);
         }
+        let sys = build()?;
+        let sys = sys.borrow();
+        let h = match known {
+            Some(h) => h,
+            None => {
+                let h = hash_system(sys);
+                let mut inner = self.lock();
+                // A racing first lookup of the variant may have added it.
+                if inner.hashes.iter().all(|(v, _)| v != variant) {
+                    inner.hashes.push((variant.to_owned(), h));
+                }
+                drop(inner);
+                // A new variant may share its structure with a cached one.
+                if let Some(tape) = self.hit((h, level)) {
+                    return Ok(tape);
+                }
+                h
+            }
+        };
+        self.compile((h, level), sys)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The cached tape under `key`, marked most recently used.
+    fn hit(&self, key: (u64, OptLevel)) -> Option<CompiledTape> {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let stamp = inner.clock;
+        let e = inner.entries.iter_mut().find(|e| e.key == key)?;
+        e.stamp = stamp;
+        let tape = e.tape.clone();
+        drop(inner);
+        self.obs.advisory_counter("serve.cache.hits").add(1);
+        Some(tape)
+    }
+
+    /// Compiles `sys` and caches its tape under `key`, evicting the
+    /// least recently used entries beyond capacity.
+    fn compile(&self, key: (u64, OptLevel), sys: &System) -> Result<CompiledTape, CoreError> {
         // Compile outside the lock: a slow compilation must not stall
         // every other connection's cache hits. Two racing misses on the
         // same key both compile; the duplicate insert below is folded.
-        let tape = CompiledTape::compile(sys, level)?;
+        let tape = CompiledTape::compile(sys, key.1)?;
         self.obs.advisory_counter("serve.cache.misses").add(1);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
         if let Some(e) = inner.entries.iter_mut().find(|e| e.key == key) {
@@ -167,18 +225,43 @@ mod tests {
     #[test]
     fn repeat_lookups_hit_without_recompiling() {
         let cache = TapeCache::new(4, Registry::new());
-        let t1 = cache.get(&design("d"), OptLevel::Full).unwrap();
-        let t2 = cache.get(&design("d"), OptLevel::Full).unwrap();
+        let t1 = cache.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
+        let t2 = cache.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
         assert_eq!(t1.program_hash(), t2.program_hash());
         assert_eq!(cache.stats(), (1, 1, 0));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
+    fn a_hit_neither_builds_nor_hashes() {
+        let cache = TapeCache::new(4, Registry::new());
+        let cold = cache.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
+        let warm = cache
+            .get("d", OptLevel::Full, || -> Result<System, CoreError> {
+                panic!("a hit must not build the system")
+            })
+            .unwrap();
+        assert_eq!(cold.program_hash(), warm.program_hash());
+        // A new level of a known variant builds (to compile) but does not
+        // hash again; a new variant of a known structure builds and
+        // hashes, then shares the cached tape.
+        cache.get("d", OptLevel::None, || Ok(design("d"))).unwrap();
+        let same = cache
+            .get("d_again", OptLevel::Full, || Ok(design("d")))
+            .unwrap();
+        assert_eq!(same.program_hash(), cold.program_hash());
+        assert_eq!(cache.stats(), (2, 2, 0));
+        // A system the caller already holds is passed by reference.
+        let sys = design("e");
+        cache.get("e", OptLevel::Full, || Ok(&sys)).unwrap();
+        assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
     fn opt_level_is_part_of_the_key() {
         let cache = TapeCache::new(4, Registry::new());
-        cache.get(&design("d"), OptLevel::None).unwrap();
-        cache.get(&design("d"), OptLevel::Full).unwrap();
+        cache.get("d", OptLevel::None, || Ok(design("d"))).unwrap();
+        cache.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
         assert_eq!(cache.stats(), (0, 2, 0));
         assert_eq!(cache.len(), 2);
     }
@@ -186,16 +269,16 @@ mod tests {
     #[test]
     fn capacity_overflow_evicts_least_recently_used() {
         let cache = TapeCache::new(2, Registry::new());
-        cache.get(&design("a"), OptLevel::Full).unwrap();
-        cache.get(&design("b"), OptLevel::Full).unwrap();
+        cache.get("a", OptLevel::Full, || Ok(design("a"))).unwrap();
+        cache.get("b", OptLevel::Full, || Ok(design("b"))).unwrap();
         // Touch `a` so `b` is the LRU entry.
-        cache.get(&design("a"), OptLevel::Full).unwrap();
-        cache.get(&design("c"), OptLevel::Full).unwrap();
+        cache.get("a", OptLevel::Full, || Ok(design("a"))).unwrap();
+        cache.get("c", OptLevel::Full, || Ok(design("c"))).unwrap();
         assert_eq!(cache.stats().2, 1, "one eviction expected");
         // `a` survived (hit), `b` was evicted (miss again).
-        cache.get(&design("a"), OptLevel::Full).unwrap();
+        cache.get("a", OptLevel::Full, || Ok(design("a"))).unwrap();
         let misses_before = cache.stats().1;
-        cache.get(&design("b"), OptLevel::Full).unwrap();
+        cache.get("b", OptLevel::Full, || Ok(design("b"))).unwrap();
         assert_eq!(cache.stats().1, misses_before + 1);
     }
 }

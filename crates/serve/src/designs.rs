@@ -3,10 +3,12 @@
 //!
 //! A request names a design (`"hcor"`, `"dect"`, `"dect_fixed"`); the
 //! registry maps the name to a builder that re-elaborates the system on
-//! demand. Systems are rebuilt per job (and per chunk inside sharded
-//! jobs — untimed blocks carry per-instance state), but the *compiled
-//! tape* is fetched from the cache by structural hash, so repeat
-//! requests never pay levelization again.
+//! demand. Systems are rebuilt per job (and once per worker inside
+//! sharded jobs — untimed blocks carry per-instance state), but the
+//! *compiled tape* is fetched from the cache by the variant's name, so
+//! repeat requests never pay levelization, nor a capture or hash for
+//! the lookup. The builders must be deterministic: the cache remembers
+//! each name's structural hash from its first request.
 
 use ocapi::{CoreError, System};
 use ocapi_designs::dect::transceiver::{build_system as build_dect, TransceiverConfig};

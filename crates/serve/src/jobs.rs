@@ -7,9 +7,13 @@
 //! `ocapi`/`ocapi-bench` drivers, and stream response frames. The
 //! deterministic frames are pure functions of the request — per-item
 //! seeds come from [`XorShift64::stream`] keyed on global indices, the
-//! worker pool is per-job, and the robustness counters of each job live
-//! in a per-request [`Registry`] so concurrent jobs can never
-//! cross-contaminate each other's numbers.
+//! worker pool is per-job, and no job reports into a registry another
+//! job could share.
+//!
+//! A tape-cache hit builds no system (the cache remembers each design
+//! variant's structural hash), and the campaign and BER drivers build
+//! one simulator per worker and reset it between chunks. What a job
+//! still builds per request is listed in DESIGN.md §14.
 
 use std::io::Write;
 
@@ -21,7 +25,6 @@ use ocapi::{
 };
 use ocapi_bench::ber::measure_batched;
 use ocapi_bench::Robust;
-use ocapi_obs::Registry;
 
 use crate::designs::Design;
 use crate::error::ServeError;
@@ -271,11 +274,8 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
         };
 
     let sw = ocapi_obs::Stopwatch::start();
-    let tape = state.cache.get(&design.build()?, level)?;
+    let tape = state.cache.get(design.name(), level, || design.build())?;
     let pool = ParConfig::new(threads);
-    // Per-request registry: this job's robustness and batch counters
-    // never mix with another job's.
-    let job_obs = Registry::new();
     let rb = Robust {
         pool: &pool,
         attempts: opt_u64(req, "retries", 1)?.max(1) as u32,
@@ -283,7 +283,7 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
         dir: ckpt_dir,
         job: None,
         resume,
-        obs: Some(&job_obs),
+        obs: None,
     }
     .for_job(id);
 
@@ -375,7 +375,7 @@ pub fn run_campaign_job(
 
     let sw = ocapi_obs::Stopwatch::start();
     let sys = design.build()?;
-    let tape = state.cache.get(&sys, level)?;
+    let tape = state.cache.get(design.name(), level, || Ok(&sys))?;
     let inputs = input_decls(&sys);
     let events = campaign_events(&sys, n_events, seed, cycles);
     let pool = ParConfig::new(threads);
@@ -420,7 +420,10 @@ pub fn session_open(
     let level = opt_level(req)?;
     let engine = engine_of(req)?;
     let seed = opt_u64(req, "seed", 1)?;
-    let design_hash = state.cache.get(&design.build()?, level)?.program_hash();
+    let design_hash = state
+        .cache
+        .get(design.name(), level, || design.build())?
+        .program_hash();
     let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
     if sessions.contains(name) {
         return Err(ServeError::Parse(format!(
@@ -504,7 +507,9 @@ pub fn session_run(
     let sys = parked.design.build()?;
     let inputs = input_decls(&sys);
     let outputs = output_names(&sys);
-    let tape = state.cache.get(&sys, parked.level)?;
+    let tape = state
+        .cache
+        .get(parked.design.name(), parked.level, || Ok(&sys))?;
     let mut sim = CompiledSim::from_tape(sys, &tape)?;
     if let Some(bytes) = &parked.snapshot {
         sim.restore(&SimSnapshot::from_bytes(bytes)?)?;

@@ -16,8 +16,8 @@ impl WireId {
     }
 }
 
-/// The gate types of the library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The gate types of the library, ordered as declared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GateKind {
     /// Constant 0 driver.
     Const0,

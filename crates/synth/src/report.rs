@@ -107,13 +107,15 @@ impl ChipReport {
     }
 }
 
-/// Breakdown of a netlist by gate kind, ordered by area contribution.
+/// Breakdown of a netlist by gate kind, ordered by area contribution,
+/// largest first; rows of equal area (the zero-area constants, say) in
+/// [`GateKind`] order, so the table is the same on every run.
 pub fn histogram_table(c: &ComponentNetlist) -> String {
     let mut rows: Vec<(GateKind, usize)> = c.netlist.histogram().into_iter().collect();
     rows.sort_by(|a, b| {
         let aa = a.0.area() * a.1 as f64;
         let bb = b.0.area() * b.1 as f64;
-        bb.total_cmp(&aa)
+        bb.total_cmp(&aa).then(a.0.cmp(&b.0))
     });
     let mut out = format!("{:<8} {:>8} {:>10}\n", "gate", "count", "area");
     for (k, n) in rows {
@@ -125,4 +127,36 @@ pub fn histogram_table(c: &ComponentNetlist) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gate::Netlist;
+
+    #[test]
+    fn histogram_rows_of_equal_area_keep_gate_kind_order() {
+        let mut netlist = Netlist::new();
+        let a = netlist.gate(GateKind::Const1, &[]);
+        let b = netlist.gate(GateKind::Const0, &[]);
+        netlist.gate(GateKind::Nand2, &[a, b]);
+        netlist.gate(GateKind::Nor2, &[a, b]);
+        netlist.gate(GateKind::Inv, &[a]);
+        netlist.gate(GateKind::Inv, &[b]);
+        netlist.gate(GateKind::Xor2, &[a, b]);
+        let c = ComponentNetlist {
+            name: "tie".to_owned(),
+            netlist,
+            units: Vec::new(),
+            nodes_mapped: 0,
+        };
+        let rows: Vec<String> = histogram_table(&c)
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().next().unwrap_or("").to_owned())
+            .collect();
+        // Xor2 2.5; then Nand2, Nor2 and the two inverters all at 1.0;
+        // then the zero-area constants.
+        assert_eq!(rows, ["Xor2", "Inv", "Nand2", "Nor2", "Const0", "Const1"]);
+    }
 }

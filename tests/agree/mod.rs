@@ -11,6 +11,15 @@
 //! tape engines also every net and every register each cycle, and the
 //! FSM states at the end.
 //!
+//! On the engines with a reset — the interpreter and the tape engines at
+//! every level — [`check_reset`] then asks that reset-then-replay equal
+//! a fresh build: each engine is run from its build, reset (a 64-lane
+//! batch with its last lane masked first) and run again over the same
+//! stimulus, and the two runs must match in every read each cycle, in
+//! every trace, and in the snapshots at power-up and at the end. The
+//! campaign and BER drivers reuse one reset batch per worker on the
+//! strength of this check.
+//!
 //! A generated system is a pure function of its seed. One that
 //! disagrees is shrunk (components, expression steps and stimulus
 //! cycles are dropped one at a time while the same engine still
@@ -37,7 +46,7 @@ use ocapi::sim::par::map_indexed;
 use ocapi::{
     BatchedSim, CompiledSim, Component, CoreError, FnBlock, Format, InstanceId, InterpSim,
     OptLevel, Overflow, ParConfig, PortDecl, Rounding, Sig, SigType, Simulator, System,
-    SystemBuilder, Value,
+    SystemBuilder, Trace, Value,
 };
 use ocapi_gatesim::GateSystemSim;
 use ocapi_rtl::RtlSystemSim;
@@ -67,6 +76,19 @@ trait Engine: Simulator {
     fn state(&self, _instance: &str) -> Vec<Result<String, CoreError>> {
         Vec::new()
     }
+
+    /// Returns the engine to power-up state, for [`check_reset`].
+    fn reset_engine(&mut self) {}
+
+    /// The snapshot of each lane read, as bytes.
+    fn snapshots(&self) -> Vec<Result<Vec<u8>, CoreError>> {
+        Vec::new()
+    }
+
+    /// The trace of each lane read.
+    fn traces(&self) -> Vec<Trace> {
+        vec![self.trace().clone()]
+    }
 }
 
 impl Engine for RtlSystemSim {}
@@ -87,6 +109,14 @@ macro_rules! scalar_engine {
             fn state(&self, instance: &str) -> Vec<Result<String, CoreError>> {
                 vec![self.state_name(instance).map(str::to_owned)]
             }
+
+            fn reset_engine(&mut self) {
+                self.reset();
+            }
+
+            fn snapshots(&self) -> Vec<Result<Vec<u8>, CoreError>> {
+                vec![Ok(self.snapshot().to_bytes())]
+            }
         }
     )*};
 }
@@ -105,6 +135,25 @@ impl Engine for BatchedSim {
     fn state(&self, instance: &str) -> Vec<Result<String, CoreError>> {
         let state = |lane| self.state_name_lane(lane, instance).map(str::to_owned);
         vec![state(0), state(self.lanes() - 1)]
+    }
+
+    /// Masks the last lane first: reset must revive it.
+    fn reset_engine(&mut self) {
+        let dead = CoreError::Unsupported {
+            op: "masked before reset".to_owned(),
+        };
+        self.fail_lane(self.lanes() - 1, dead);
+        self.reset();
+    }
+
+    fn snapshots(&self) -> Vec<Result<Vec<u8>, CoreError>> {
+        let snap = |lane| self.snapshot_lane(lane).map(|s| s.to_bytes());
+        vec![snap(0), snap(self.lanes() - 1)]
+    }
+
+    fn traces(&self) -> Vec<Trace> {
+        let trace = |lane| self.trace_lane(lane).cloned().unwrap_or_default();
+        vec![trace(0), trace(self.lanes() - 1)]
     }
 }
 
@@ -160,6 +209,18 @@ fn compare<T: PartialEq + fmt::Debug>(
     Ok(())
 }
 
+/// Every value the checker reads off `sys`: the primary outputs, the
+/// nets, then the registers.
+fn reads_of(sys: &System) -> Vec<Read<'_>> {
+    let outputs = sys.primary_outputs.iter().map(|p| Read::Output(&p.name));
+    let nets = sys.nets.iter().map(|n| Read::Net(&n.name));
+    let mut reads: Vec<Read> = outputs.chain(nets).collect();
+    for t in &sys.timed {
+        reads.extend(t.comp.regs.iter().map(|r| Read::Reg(&t.name, &r.name)));
+    }
+    reads
+}
+
 /// Builds the twelve engine configurations from `mk`, drives them with
 /// one stimulus cycle per word and returns the first disagreement with
 /// the interpreter: a failed build or step, a primary output, a net or a
@@ -183,12 +244,7 @@ fn check(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Resu
     }
 
     let probe = mk();
-    let outputs = probe.primary_outputs.iter().map(|p| Read::Output(&p.name));
-    let nets = probe.nets.iter().map(|n| Read::Net(&n.name));
-    let mut reads: Vec<Read> = outputs.chain(nets).collect();
-    for t in &probe.timed {
-        reads.extend(t.comp.regs.iter().map(|r| Read::Reg(&t.name, &r.name)));
-    }
+    let reads = reads_of(&probe);
     for (cycle, &word) in stimuli.iter().enumerate() {
         let values = inputs(&probe, word);
         for (name, sim) in &mut engines {
@@ -209,9 +265,90 @@ fn check(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Resu
     Ok(())
 }
 
-/// [`check`], with a panic anywhere reported as engine `panic`.
+/// What one run of an engine from power-up shows.
+#[derive(PartialEq)]
+struct Run {
+    /// Each lane read's snapshot before the first step.
+    start: Vec<Result<Vec<u8>, CoreError>>,
+    /// Every read on every lane read, per cycle.
+    seen: Vec<Vec<Result<Value, CoreError>>>,
+    traces: Vec<Trace>,
+    /// Each lane read's snapshot after the last step.
+    end: Vec<Result<Vec<u8>, CoreError>>,
+}
+
+/// Runs `sim` from where it stands over `stimuli`, recording every read.
+fn record(sim: &mut dyn Engine, probe: &System, stimuli: &[u64]) -> Result<Run, String> {
+    let reads = reads_of(probe);
+    let start = sim.snapshots();
+    let mut seen = Vec::with_capacity(stimuli.len());
+    for (cycle, &word) in stimuli.iter().enumerate() {
+        for (input, v) in inputs(probe, word) {
+            sim.set_input(&input, v)
+                .map_err(|e| format!("cycle {cycle}, {input}: {e}"))?;
+        }
+        sim.step()
+            .map_err(|e| format!("cycle {cycle}, step: {e}"))?;
+        seen.push(reads.iter().flat_map(|&r| sim.read(r)).collect());
+    }
+    Ok(Run {
+        start,
+        seen,
+        traces: sim.traces(),
+        end: sim.snapshots(),
+    })
+}
+
+/// Reset-then-replay equals a fresh build (see the module docs): the
+/// interpreter, and compiled and batched x1/x64 at every level, each run
+/// from its build, reset and run again; returns the first engine whose
+/// two runs differ, named `<engine> reset`.
+fn check_reset(mk: &dyn Fn() -> System, stimuli: &[u64]) -> Result<(), Mismatch> {
+    let mut built = vec![("interp".to_owned(), boxed(InterpSim::new(mk())))];
+    for level in LEVELS {
+        let compiled = boxed(CompiledSim::new_with(mk(), level));
+        built.push((format!("compiled {level:?}"), compiled));
+        for lanes in [1, 64] {
+            let batched = boxed(BatchedSim::from_fn(lanes, || Ok(mk()), level));
+            built.push((format!("batched x{lanes} {level:?}"), batched));
+        }
+    }
+    let probe = mk();
+    for (name, sim) in built {
+        let name = format!("{name} reset");
+        let fail = |what: String| (name.clone(), what);
+        let mut sim = sim.map_err(|e| fail(format!("build: {e}")))?;
+        sim.enable_trace();
+        let fresh = record(sim.as_mut(), &probe, stimuli).map_err(fail)?;
+        sim.reset_engine();
+        let replay =
+            record(sim.as_mut(), &probe, stimuli).map_err(|e| fail(format!("replay {e}")))?;
+        let cycle = fresh
+            .seen
+            .iter()
+            .zip(&replay.seen)
+            .position(|(a, b)| a != b);
+        let what = if fresh.start != replay.start {
+            "snapshot at power-up differs".to_owned()
+        } else if let Some(c) = cycle {
+            format!("cycle {c}: a read differs from the fresh run")
+        } else if fresh.traces != replay.traces {
+            "trace differs".to_owned()
+        } else if fresh.end != replay.end {
+            "final snapshot differs".to_owned()
+        } else {
+            continue;
+        };
+        return Err(fail(what));
+    }
+    Ok(())
+}
+
+/// [`check`] then [`check_reset`], with a panic anywhere reported as
+/// engine `panic`.
 fn verdict(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Result<(), Mismatch> {
-    catch_unwind(AssertUnwindSafe(|| check(mk, stimuli, gates))).unwrap_or_else(|p| {
+    let both = || check(mk, stimuli, gates).and_then(|()| check_reset(mk, stimuli));
+    catch_unwind(AssertUnwindSafe(both)).unwrap_or_else(|p| {
         let text = p.downcast_ref::<String>().cloned().unwrap_or_default();
         Err(("panic".to_owned(), text))
     })
