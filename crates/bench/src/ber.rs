@@ -20,8 +20,8 @@
 
 use ocapi::sim::par::{map_indexed, ParConfig, ParError};
 use ocapi::{
-    apply_plan_lane, BatchObs, BatchedSim, CompiledTape, CoreError, FaultPlan, FaultySim,
-    InterpSim, OptLevel, SigType, Value, WorkerSims,
+    apply_plan_lane, BatchedSim, CompiledTape, CoreError, FaultPlan, FaultySim, InterpSim,
+    OptLevel, SigType, Value, WorkerSims,
 };
 use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::transceiver::{
@@ -383,7 +383,7 @@ fn batched_chunk(
     // Attached per chunk, so the deterministic `batch.lanes` total
     // counts chunks' lanes, not workers'.
     if let Some(reg) = obs {
-        sim.attach_obs(BatchObs::new(reg));
+        sim.attach_obs(reg);
     }
     let outcomes = run_bursts_batched(sim, &bursts, &plans)?;
     Ok(bursts

@@ -29,8 +29,8 @@
 
 use ocapi::sim::par::{map_indexed, ParError};
 use ocapi::{
-    BatchObs, BatchedSim, CompiledSim, CompiledTape, Component, CoreError, InterpSim, OptLevel,
-    ParConfig, SimObs, Simulator, System, Value,
+    BatchedSim, CompiledSim, CompiledTape, Component, CoreError, InterpSim, OptLevel, ParConfig,
+    Simulator, System, Value,
 };
 use ocapi_bench::{
     mb, parse_args, timed, write_profile, BenchArgs, BenchError, CountingAlloc, Reporter,
@@ -200,12 +200,12 @@ fn design_table(
     let (level, lanes) = (args.opt_level(), args.lanes);
     let interp = measure(
         || Ok(InterpSim::new((d.build)()?)?),
-        Some(&|s: &mut InterpSim| s.attach_obs(SimObs::interp(obs))),
+        Some(&|s: &mut InterpSim| s.attach_obs(obs)),
         |s| (d.drive)(s, n_obj),
     )?;
     let compiled = measure(
         || Ok(CompiledSim::new_with((d.build)()?, level)?),
-        Some(&|s: &mut CompiledSim| s.attach_obs(SimObs::compiled(obs))),
+        Some(&|s: &mut CompiledSim| s.attach_obs(obs)),
         |s| (d.drive)(s, n_obj),
     )?;
     // The lane-batched compiled tape, all `--lanes` instances driven in
@@ -213,7 +213,7 @@ fn design_table(
     // trait); the aggregate throughput is instance-cycles per second.
     let batched = measure(
         || Ok(BatchedSim::from_fn(lanes, d.build, level)?),
-        Some(&|s: &mut BatchedSim| s.attach_obs(BatchObs::new(obs))),
+        Some(&|s: &mut BatchedSim| s.attach_obs(obs)),
         |s| Ok((d.drive)(s, n_obj)? * lanes as u64),
     )?;
     let rtl = measure(

@@ -12,9 +12,8 @@
 //! and thread topology decide only *which worker* computes an item,
 //! never its value.
 //!
-//! The manifest format is deliberately boring (the workspace builds
-//! offline with zero registry dependencies, so there is no JSON parser
-//! to lean on):
+//! The manifest format is deliberately boring plain text, one line per
+//! completed item:
 //!
 //! ```text
 //! ocapi-checkpoint v1
@@ -30,32 +29,29 @@
 //! a typed [`BenchError::Checkpoint`], not silent corruption.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 
+use ocapi::sim::hash::Fnv;
 use ocapi::sim::par::{map_indexed_retry, ParError};
 use ocapi::{CoreError, ParConfig};
 use ocapi_obs::Registry;
 
 use crate::cli::BenchArgs;
 use crate::error::BenchError;
+use crate::report::write_atomic;
 
 const MAGIC: &str = "ocapi-checkpoint v1";
 
-/// FNV-1a 64 over a list of textual workload parameters: the stream
-/// fingerprint. Stable across platforms and sessions.
+/// FNV-1a 64 ([`Fnv`]) over a list of textual workload parameters:
+/// the stream fingerprint. Stable across platforms and sessions.
 pub fn fingerprint(parts: &[&str]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::new();
     for p in parts {
-        for b in p.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        h.write(p.as_bytes());
         // Separator so ["ab","c"] and ["a","bc"] differ.
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h.write(&[0x1f]);
     }
-    h
+    h.finish()
 }
 
 /// One stream's manifest: the completed item payloads, keyed by global
@@ -173,10 +169,9 @@ impl CheckpointStream {
         self.done.insert(index, payload);
     }
 
-    /// Atomically persists the manifest: the full document is written to
-    /// a sibling temp file, fsynced, and renamed over the manifest path,
-    /// so a kill at any instant leaves either the old or the new
-    /// manifest — never a torn one.
+    /// Atomically persists the manifest with [`write_atomic`] (sibling
+    /// temp file, fsync, rename), so a kill at any instant leaves either
+    /// the old or the new manifest — never a torn one.
     ///
     /// # Errors
     ///
@@ -190,13 +185,7 @@ impl CheckpointStream {
         for (i, p) in &self.done {
             doc.push_str(&format!("{i} {p}\n"));
         }
-        let tmp = self.path.with_extension("ckpt.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(doc.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        write_atomic(&self.path, doc.as_bytes())?;
         Ok(())
     }
 }
@@ -417,6 +406,9 @@ mod tests {
     fn fingerprint_separates_parameter_boundaries() {
         assert_ne!(fingerprint(&["ab", "c"]), fingerprint(&["a", "bc"]));
         assert_eq!(fingerprint(&["x", "y"]), fingerprint(&["x", "y"]));
+        // Manifests on disk name their workload by these values.
+        assert_eq!(fingerprint(&["x", "y"]), 0xdeee_3252_ccb4_fed4);
+        assert_eq!(fingerprint(&["ber", "dect"]), 0x199b_e5e5_e071_eb80);
     }
 
     #[test]

@@ -90,7 +90,6 @@ pub use sim::fault::{
     FaultKind, FaultOutcome, FaultPlan, FaultSite, FaultySim,
 };
 pub use sim::hash::{hash_compiled, hash_system, CompiledTape};
-pub use sim::obs::{BatchObs, SimObs};
 pub use sim::par::{
     map_indexed_retry, map_indexed_with, ParConfig, ParError, PoolStats, RetryStats, Stopwatch,
 };

@@ -52,11 +52,13 @@
 
 use std::sync::Arc;
 
+use ocapi_obs::Registry;
+
 use crate::sim::budget::Budget;
-use crate::sim::compiled::{decode, encode, Program};
+use crate::sim::compiled::Program;
 use crate::sim::exec::{self, All, Lanes, Live, One, State};
 use crate::sim::hash::CompiledTape;
-use crate::sim::obs::{BatchObs, TapeObs};
+use crate::sim::obs::TapeObs;
 use crate::sim::opt::{OptLevel, OptStats};
 use crate::sim::snapshot::SimSnapshot;
 use crate::sim::Simulator;
@@ -392,17 +394,17 @@ impl BatchedSim {
         self.prog.opt_stats
     }
 
-    /// Attaches the batch observability bundle: flushes the
-    /// (deterministic) `batch.lanes` counter once, then every batched
-    /// step bumps `batch.tape_passes`, every masking event bumps
-    /// `batch.masked_lanes`, and the per-phase spans time the shared
-    /// tape walk.
-    pub fn attach_obs(&mut self, obs: BatchObs) {
-        obs.lanes.add(self.lanes as u64);
-        self.attach(obs.into());
+    /// Starts reporting into `reg`: flushes the (deterministic)
+    /// `batch.lanes` counter once, then every batched step bumps
+    /// `batch.tape_passes`, every masking event bumps
+    /// `batch.masked_lanes`, and the phase spans under `batch` time the
+    /// shared tape walk.
+    pub fn attach_obs(&mut self, reg: &Registry) {
+        self.attach(TapeObs::batch(reg, self.lanes));
     }
 
-    /// Attaches either bundle, already resolved to the per-cycle handles.
+    /// Attaches a bundle already resolved to the per-cycle handles
+    /// (`CompiledSim` attaches the `compiled` one).
     pub(crate) fn attach(&mut self, obs: TapeObs) {
         self.obs = Some(obs);
     }
@@ -445,7 +447,7 @@ impl BatchedSim {
         let slot = self.input_slot(name, &value)?;
         self.check_lane(lane)?;
         if self.alive[lane] {
-            self.st.slots[slot * self.lanes + lane] = encode(&value);
+            self.st.slots[slot * self.lanes + lane] = value.to_raw();
         }
         Ok(())
     }
@@ -499,7 +501,7 @@ impl BatchedSim {
         let i = self.net_index(name)?;
         value.check_type_with(self.systems[0].nets[i].ty, || format!("net `{name}`"))?;
         if self.alive[lane] {
-            self.st.slots[self.prog.net_slot[i] as usize * self.lanes + lane] = encode(&value);
+            self.st.slots[self.prog.net_slot[i] as usize * self.lanes + lane] = value.to_raw();
         }
         Ok(())
     }
@@ -518,9 +520,9 @@ impl BatchedSim {
     ) -> Result<Value, CoreError> {
         self.check_lane(lane)?;
         let (i, j) = crate::sim::interp::find_reg(&self.systems[0], instance, reg)?;
-        Ok(decode(
-            self.st.regs[i][j * self.lanes + lane],
+        Ok(Value::from_raw(
             self.systems[0].timed[i].comp.regs[j].ty,
+            self.st.regs[i][j * self.lanes + lane],
         ))
     }
 
@@ -545,7 +547,7 @@ impl BatchedSim {
             format!("register `{instance}.{reg}`")
         })?;
         if self.alive[lane] {
-            self.st.regs[i][j * self.lanes + lane] = encode(&value);
+            self.st.regs[i][j * self.lanes + lane] = value.to_raw();
         }
         Ok(())
     }
@@ -620,7 +622,7 @@ impl BatchedSim {
 
     fn read_net_slot(&self, net: usize, lane: usize) -> Value {
         let sl = self.prog.net_slot[net] as usize;
-        decode(self.st.slots[sl * self.lanes + lane], self.prog.slot_ty[sl])
+        Value::from_raw(self.prog.slot_ty[sl], self.st.slots[sl * self.lanes + lane])
     }
 
     /// Appends the finished cycle to every live lane's trace. A lane
@@ -637,7 +639,7 @@ impl BatchedSim {
                 }
                 let row = traced_nets(&self.systems[0]).map(|net| {
                     let sl = prog.net_slot[net] as usize;
-                    decode(st.slots[sl * n + l], prog.slot_ty[sl])
+                    Value::from_raw(prog.slot_ty[sl], st.slots[sl * n + l])
                 });
                 if let Err(e) = trace.record_cycle(row) {
                     failed.push((l, e));
@@ -718,7 +720,7 @@ fn cycle<L: Lanes>(
     let io = &prog.untimed_io;
 
     // Guard evaluation over held values.
-    let t = obs.and_then(|o| o.pre.as_ref()).map(|s| s.timer());
+    let t = obs.map(|o| o.pre.timer());
     exec::run(&prog.pre_tape, io, st, systems, lanes);
     drop(t);
 
@@ -759,7 +761,7 @@ impl Simulator for BatchedSim {
     /// Broadcasts to every live lane.
     fn set_input(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
         let slot = self.input_slot(name, &value)?;
-        broadcast(&mut self.st.slots, slot, &self.alive, encode(&value));
+        broadcast(&mut self.st.slots, slot, &self.alive, value.to_raw());
         Ok(())
     }
 
@@ -832,7 +834,7 @@ impl Simulator for BatchedSim {
         let i = self.net_index(name)?;
         value.check_type_with(self.systems[0].nets[i].ty, || format!("net `{name}`"))?;
         let slot = self.prog.net_slot[i] as usize;
-        broadcast(&mut self.st.slots, slot, &self.alive, encode(&value));
+        broadcast(&mut self.st.slots, slot, &self.alive, value.to_raw());
         Ok(())
     }
 
@@ -847,7 +849,7 @@ impl Simulator for BatchedSim {
         value.check_type_with(self.systems[0].timed[i].comp.regs[j].ty, || {
             format!("register `{instance}.{reg}`")
         })?;
-        broadcast(&mut self.st.regs[i], j, &self.alive, encode(&value));
+        broadcast(&mut self.st.regs[i], j, &self.alive, value.to_raw());
         Ok(())
     }
 }
@@ -878,7 +880,7 @@ mod tests {
     fn obs_counts_lanes_tape_passes_and_maskings() {
         let reg = Registry::new();
         let mut sim = BatchedSim::from_fn(4, || Ok(counter_system()), OptLevel::Full).unwrap();
-        sim.attach_obs(BatchObs::new(&reg));
+        sim.attach_obs(&reg);
         sim.run(5).unwrap();
         sim.fail_lane(
             2,

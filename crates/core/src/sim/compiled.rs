@@ -33,13 +33,14 @@
 
 use std::collections::HashMap;
 
-use ocapi_fixp::{Fix, Format, Overflow, Rounding};
+use ocapi_fixp::{Format, Overflow, Rounding};
+use ocapi_obs::Registry;
 
 use crate::comp::{Component, NodeId, NodeKind};
 use crate::sim::batch::BatchedSim;
 use crate::sim::budget::Budget;
 use crate::sim::hash::CompiledTape;
-use crate::sim::obs::SimObs;
+use crate::sim::obs::TapeObs;
 use crate::sim::opt::{self, OptEnv, OptLevel, OptStats};
 use crate::sim::snapshot::SimSnapshot;
 use crate::sim::Simulator;
@@ -332,24 +333,6 @@ pub(crate) struct RegWriteSel {
 #[derive(Debug)]
 pub struct CompiledSim(BatchedSim);
 
-pub(crate) fn encode(v: &Value) -> u64 {
-    match v {
-        Value::Bool(b) => *b as u64,
-        Value::Bits { bits, .. } => *bits,
-        Value::Fixed(f) => f.mantissa() as u64,
-        Value::Float(x) => x.to_bits(),
-    }
-}
-
-pub(crate) fn decode(bits: u64, ty: SigType) -> Value {
-    match ty {
-        SigType::Bool => Value::Bool(bits != 0),
-        SigType::Bits(w) => Value::bits(w, bits),
-        SigType::Fixed(f) => Value::Fixed(Fix::from_raw(bits as i64, f)),
-        SigType::Float => Value::Float(f64::from_bits(bits)),
-    }
-}
-
 pub(crate) fn mask_of(w: u32) -> u64 {
     if w >= 64 {
         u64::MAX
@@ -371,7 +354,7 @@ struct Builder {
 
 impl Builder {
     fn alloc(&mut self, init: Value) -> u32 {
-        self.slots.push(encode(&init));
+        self.slots.push(init.to_raw());
         self.slot_ty.push(init.sig_type());
         self.slots.len() as u32 - 1
     }
@@ -700,19 +683,16 @@ impl CompiledSim {
         self.0.system()
     }
 
-    /// Attaches an observability bundle (counters + phase spans, see
-    /// [`SimObs::compiled`]): every subsequent [`Simulator::step`]
-    /// reports cycle, SFG-activation and register-update counts and
-    /// per-phase wall time. Detached simulators pay nothing. The
-    /// build-time optimizer statistics ([`CompiledSim::opt_stats`]) are
-    /// flushed into the bundle's `compiled.opt.*` counters at attach
-    /// time; they are pure functions of the system and therefore live in
-    /// the deterministic namespace.
-    pub fn attach_obs(&mut self, obs: SimObs) {
-        if let Some(oc) = &obs.opt {
-            oc.record(&self.opt_stats());
-        }
-        self.0.attach(obs.into());
+    /// Starts reporting into `reg`: every subsequent
+    /// [`Simulator::step`] bumps the `compiled.cycles`,
+    /// `compiled.sfg_firings` and `compiled.reg_updates` counters and
+    /// times its phases under the `compiled` span. Detached simulators
+    /// pay nothing. The build-time optimizer statistics
+    /// ([`CompiledSim::opt_stats`]) are flushed into the `compiled.opt.*`
+    /// counters here; they are pure functions of the system and
+    /// therefore live in the deterministic namespace.
+    pub fn attach_obs(&mut self, reg: &Registry) {
+        self.0.attach(TapeObs::compiled(reg, &self.opt_stats()));
     }
 
     /// Number of instructions executed per cycle (tape + guard pre-tape).

@@ -38,9 +38,7 @@ use std::cmp::Ordering;
 
 use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
-use crate::sim::compiled::{
-    decode, encode, Cmp, CompiledTransition, Micro, Program, RegWriteSel, UntimedIo,
-};
+use crate::sim::compiled::{Cmp, CompiledTransition, Micro, Program, RegWriteSel, UntimedIo};
 use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::system::System;
 use crate::value::Value;
@@ -313,7 +311,7 @@ impl State {
             let initial = t.comp.fsm.as_ref().map_or(0, |f| f.initial.0);
             self.states[i * n..(i + 1) * n].fill(initial);
             for (stripe, r) in self.regs[i].chunks_exact_mut(n).zip(&t.comp.regs) {
-                stripe.fill(encode(&r.init));
+                stripe.fill(r.init.to_raw());
             }
         }
     }
@@ -720,14 +718,20 @@ pub(crate) fn run<L: Lanes>(
                 let at = move |x: u32, l: usize| x as usize * n + l;
                 for l in (0..n).filter(move |l| lanes.live(*l)) {
                     in_buf.clear();
-                    in_buf.extend(ins.iter().map(|(sl, ty)| decode(s[at(*sl, l)], *ty)));
+                    in_buf.extend(
+                        ins.iter()
+                            .map(|(sl, ty)| Value::from_raw(*ty, s[at(*sl, l)])),
+                    );
                     out_buf.clear();
-                    out_buf.extend(outs.iter().map(|(sl, ty)| decode(s[at(*sl, l)], *ty)));
+                    out_buf.extend(
+                        outs.iter()
+                            .map(|(sl, ty)| Value::from_raw(*ty, s[at(*sl, l)])),
+                    );
                     let block = &mut systems[l].untimed[u].block;
                     if block.ready(in_buf) {
                         block.fire(in_buf, out_buf);
                         for ((sl, _), v) in outs.iter().zip(out_buf.iter()) {
-                            s[at(*sl, l)] = encode(v);
+                            s[at(*sl, l)] = v.to_raw();
                         }
                     }
                 }

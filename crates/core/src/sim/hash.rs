@@ -20,6 +20,10 @@
 //!   program hash — so tapes, snapshots and cache entries can never be
 //!   confused across optimization levels.
 //!
+//! Both hashes stream into [`Fnv`], the workspace's one FNV-1a hasher,
+//! which also checksums snapshots, fingerprints checkpoint workloads
+//! and digests the outputs of a served session.
+//!
 //! Both hashes are pure functions of their inputs: stable across
 //! processes, platforms and sessions (no pointer values, no iteration
 //! over unordered containers). That stability is load-bearing — the
@@ -45,6 +49,7 @@
 //! one-lane form, shares the tape's program — so there is no per-engine
 //! or per-lane-count artifact to cache beside it.
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::sim::compiled::{build_program, Program};
@@ -52,12 +57,134 @@ use crate::sim::opt::OptLevel;
 use crate::system::System;
 use crate::CoreError;
 
+/// FNV-1a, 64-bit — the in-tree hash behind design hashes, snapshot
+/// checksums, checkpoint fingerprints and session digests (offline
+/// build: no external hashing crates).
+///
+/// It is also a [`fmt::Write`] sink: a design hash streams `{:?}` text
+/// into it instead of building a `String` first. FNV-1a consumes bytes
+/// one at a time, so the split of the input into chunks does not
+/// change the value.
+///
+/// ```
+/// use ocapi::sim::hash::Fnv;
+///
+/// let mut h = Fnv::new();
+/// h.write(b"ab");
+/// let mut split = Fnv::from_state(Fnv::new().finish());
+/// split.write(b"a");
+/// split.write(b"b");
+/// assert_eq!(h.finish(), split.finish());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
+
+impl Fnv {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher at the FNV-1a offset basis.
+    pub fn new() -> Fnv {
+        Fnv(Self::OFFSET)
+    }
+
+    /// A hasher resuming from a value [`Fnv::finish`] returned, e.g. a
+    /// running digest kept between requests.
+    pub fn from_state(state: u64) -> Fnv {
+        Fnv(state)
+    }
+
+    /// Hashes `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Hashes one field: `s`, then a `0xff` delimiter, so ("ab","c")
+    /// and ("a","bc") hash differently.
+    pub(crate) fn field(&mut self, s: &str) {
+        self.write(s.as_bytes());
+        self.write(&[0xff]);
+    }
+
+    /// [`Fnv::field`] of formatted text, streamed: the same value as
+    /// `field(&format!(..))`.
+    pub(crate) fn field_fmt(&mut self, args: fmt::Arguments<'_>) {
+        // Writing into an `Fnv` cannot fail.
+        let _ = fmt::Write::write_fmt(self, args);
+        self.write(&[0xff]);
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// The structural design hash of a system — the interpreted-family
-/// member of the cache-key contract (see the module docs). Stable
-/// across re-elaboration: building the same design twice yields the
-/// same hash.
+/// member of the cache-key contract (see the module docs): names,
+/// components (ports, registers, expression nodes, SFGs, FSMs), untimed
+/// block interfaces, and the interconnect. Mutable untimed state (RAM
+/// contents) deliberately does not contribute. Stable across
+/// re-elaboration: building the same design twice yields the same hash.
 pub fn hash_system(sys: &System) -> u64 {
-    crate::sim::snapshot::hash_system(sys)
+    let mut h = Fnv::new();
+    h.field("ocapi.system.v1");
+    h.field(&sys.name);
+    for t in &sys.timed {
+        h.field(&t.name);
+        h.field_fmt(format_args!(
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            t.comp.inputs, t.comp.outputs, t.comp.regs, t.comp.nodes, t.comp.sfgs, t.comp.fsm
+        ));
+    }
+    for u in &sys.untimed {
+        h.field(u.block.name());
+        h.field_fmt(format_args!("{:?}|{:?}", u.inputs, u.outputs));
+    }
+    for n in &sys.nets {
+        h.field_fmt(format_args!(
+            "{}|{:?}|{:?}|{:?}",
+            n.name, n.ty, n.source, n.sinks
+        ));
+    }
+    h.field_fmt(format_args!(
+        "{:?}|{:?}",
+        sys.primary_inputs, sys.primary_outputs
+    ));
+    h.finish()
+}
+
+/// The design hash of a compiled back-end: the structural hash
+/// `system_hash` ([`hash_system`] of the compiled system) combined with
+/// the levelized program (slot layout, both tapes, FSM tables,
+/// register-write selectors, net-to-slot map). Two builds of the same
+/// system at different optimization levels produce different tapes,
+/// hence different hashes — a snapshot cannot cross them.
+fn hash_program(system_hash: u64, prog: &Program) -> u64 {
+    let mut h = Fnv::new();
+    h.field("ocapi.program.v1");
+    h.write(&system_hash.to_le_bytes());
+    h.field_fmt(format_args!(
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        prog.slot_ty, prog.pre_tape, prog.tape, prog.fsm_tables, prog.reg_writes, prog.net_slot
+    ));
+    h.finish()
 }
 
 /// The program hash of `sys` compiled at `level` — a convenience that
@@ -103,7 +230,7 @@ impl CompiledTape {
     pub fn compile(sys: &System, level: OptLevel) -> Result<CompiledTape, CoreError> {
         let prog = build_program(sys, level)?;
         let system_hash = hash_system(sys);
-        let program_hash = crate::sim::snapshot::hash_program(system_hash, &prog);
+        let program_hash = hash_program(system_hash, &prog);
         Ok(CompiledTape {
             prog: Arc::new(prog),
             system_hash,

@@ -17,12 +17,15 @@
 //! Phases 1 and 2 are one work-list loop here: token production is simply
 //! the first wave of assignments, whose input-dependency set is empty.
 
+use ocapi_obs::Registry;
+
 use crate::comp::{NodeId, Reg};
 use crate::fsm::StateRef;
 use crate::sim::budget::Budget;
 use crate::sim::eval::{eval_node, EvalCache};
-use crate::sim::obs::SimObs;
-use crate::sim::snapshot::{check_words, hash_system, reg_types, SimSnapshot, SnapshotBackend};
+use crate::sim::hash::hash_system;
+use crate::sim::obs::InterpObs;
+use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::sim::Simulator;
 use crate::system::{NetSource, System};
 use crate::trace::Trace;
@@ -103,7 +106,7 @@ pub struct InterpSim {
     cycle: u64,
     trace: Option<Trace>,
     full_trace: Option<Trace>,
-    obs: Option<SimObs>,
+    obs: Option<InterpObs>,
     budget: Budget,
     design_hash: u64,
 }
@@ -267,13 +270,14 @@ impl InterpSim {
         Ok(())
     }
 
-    /// Attaches an observability bundle (counters + phase spans +
-    /// event log, see [`SimObs::interp`]): every subsequent
-    /// [`Simulator::step`] reports cycle, SFG-firing, convergence and
-    /// register-update counts and per-phase wall time. Detached
+    /// Starts reporting into `reg`: every subsequent
+    /// [`Simulator::step`] bumps the `interp.cycles`,
+    /// `interp.sfg_firings`, `interp.convergence_iters` and
+    /// `interp.reg_updates` counters, times its phases under the
+    /// `interp` span, and logs deadlocks to the event log. Detached
     /// simulators pay nothing.
-    pub fn attach_obs(&mut self, obs: SimObs) {
-        self.obs = Some(obs);
+    pub fn attach_obs(&mut self, reg: &Registry) {
+        self.obs = Some(InterpObs::new(reg));
     }
 
     /// The simulated system.

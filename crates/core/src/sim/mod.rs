@@ -28,7 +28,7 @@ pub mod fault;
 pub mod hash;
 mod interp;
 mod lower;
-pub mod obs;
+mod obs;
 pub mod opt;
 pub mod par;
 pub mod snapshot;
@@ -40,7 +40,6 @@ pub use compiled::CompiledSim;
 pub use hash::{hash_compiled, hash_system, CompiledTape};
 pub use interp::InterpSim;
 pub use lower::{FusedSim, FusedTape, LowerStats};
-pub use obs::{BatchObs, SimObs};
 pub use opt::{OptLevel, OptStats};
 pub use snapshot::{SimSnapshot, SnapshotBackend};
 

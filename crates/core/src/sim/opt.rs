@@ -44,7 +44,7 @@ use std::collections::HashMap;
 
 use crate::value::{BinOp, SigType, UnOp, Value};
 
-use super::compiled::{decode, encode, mask_of, CompiledTransition, Instr, RegWriteSel, UntimedIo};
+use super::compiled::{mask_of, CompiledTransition, Instr, RegWriteSel, UntimedIo};
 
 /// How hard [`crate::CompiledSim::new_with`] optimises the evaluation
 /// tape. The default (used by [`crate::CompiledSim::new`]) is `Full`.
@@ -301,7 +301,7 @@ fn pass(
         // semantics (bit-identical fixed-point quantisation).
         if let Some(v) = fold(&ins, is_const, slots, slot_ty) {
             if v.sig_type() == slot_ty[dst] {
-                slots[dst] = encode(&v);
+                slots[dst] = v.to_raw();
                 is_const[dst] = true;
                 stats.folded += 1;
                 continue;
@@ -374,7 +374,7 @@ fn resolve_reads(ins: &mut Instr, subst: &[u32]) {
 /// same [`UnOp::apply`]/[`BinOp::apply`] the interpreted simulator runs,
 /// so folding is bit-identical — including fixed-point quantisation.
 fn fold(ins: &Instr, is_const: &[bool], slots: &[u64], slot_ty: &[SigType]) -> Option<Value> {
-    let val = |s: u32| decode(slots[s as usize], slot_ty[s as usize]);
+    let val = |s: u32| Value::from_raw(slot_ty[s as usize], slots[s as usize]);
     match ins {
         Instr::Un { op, a, .. } if is_const[*a as usize] => Some(op.apply(val(*a))),
         Instr::Bin { op, a, b, .. } if is_const[*a as usize] && is_const[*b as usize] => {

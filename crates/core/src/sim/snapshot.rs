@@ -11,7 +11,8 @@
 //! Two rules make restores safe rather than undefined behaviour:
 //!
 //! 1. **Design-hash keying.** Every snapshot records a 64-bit FNV-1a
-//!    hash of the design structure it was taken from; for the compiled
+//!    hash ([`crate::sim::hash`]) of the design structure it was taken
+//!    from; for the compiled
 //!    back-ends the hash also covers the levelized tape, so the same
 //!    design compiled at a different [`OptLevel`](crate::OptLevel)
 //!    produces a *different* hash. A restore into a mismatched
@@ -28,7 +29,7 @@
 //! The format is hand-rolled (magic + little-endian sections) — the
 //! workspace builds offline with zero serialisation dependencies. A
 //! human-readable JSON rendering is available via
-//! [`SimSnapshot::to_json`] for debugging and manifests.
+//! [`SimSnapshot::to_json`] for debugging.
 //!
 //! Snapshots of [`CompiledSim`](crate::CompiledSim) and of a
 //! [`BatchedSim`](crate::BatchedSim) lane are interchangeable when both
@@ -37,114 +38,13 @@
 //! captures and restores one lane of the striped layout of `sim::exec` —
 //! a session parked on a scalar simulator can resume in a batch lane.
 
-use std::fmt::{self, Write as _};
+use ocapi_obs::json::{obj, Json};
 
 use crate::rng::XorShift64;
+use crate::sim::hash::Fnv;
 use crate::system::System;
 use crate::value::{SigType, Value};
 use crate::CoreError;
-
-/// FNV-1a, 64-bit — the in-tree hash used for design hashes and
-/// snapshot checksums (offline build: no external hashing crates).
-///
-/// It is also a [`fmt::Write`] sink: a design hash streams `{:?}` text
-/// into it instead of building a `String` first. FNV-1a consumes bytes
-/// one at a time, so the split of the text into chunks does not change
-/// the value.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Fnv {
-        Fnv(Self::OFFSET)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Hashes one field: `s`, then a `0xff` delimiter, so ("ab","c")
-    /// and ("a","bc") hash differently.
-    pub(crate) fn field(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xff]);
-    }
-
-    /// [`Fnv::field`] of formatted text, streamed: the same value as
-    /// `field(&format!(..))`.
-    pub(crate) fn field_fmt(&mut self, args: fmt::Arguments<'_>) {
-        // Writing into an `Fnv` cannot fail.
-        let _ = fmt::Write::write_fmt(self, args);
-        self.write(&[0xff]);
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// The structural design hash of a system, as seen by the interpreted
-/// simulator: names, components (ports, registers, expression nodes,
-/// SFGs, FSMs), untimed block interfaces, and the interconnect.
-/// Mutable untimed state (RAM contents) deliberately does not
-/// contribute.
-pub(crate) fn hash_system(sys: &System) -> u64 {
-    let mut h = Fnv::new();
-    h.field("ocapi.system.v1");
-    h.field(&sys.name);
-    for t in &sys.timed {
-        h.field(&t.name);
-        h.field_fmt(format_args!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            t.comp.inputs, t.comp.outputs, t.comp.regs, t.comp.nodes, t.comp.sfgs, t.comp.fsm
-        ));
-    }
-    for u in &sys.untimed {
-        h.field(u.block.name());
-        h.field_fmt(format_args!("{:?}|{:?}", u.inputs, u.outputs));
-    }
-    for n in &sys.nets {
-        h.field_fmt(format_args!(
-            "{}|{:?}|{:?}|{:?}",
-            n.name, n.ty, n.source, n.sinks
-        ));
-    }
-    h.field_fmt(format_args!(
-        "{:?}|{:?}",
-        sys.primary_inputs, sys.primary_outputs
-    ));
-    h.finish()
-}
-
-/// The design hash of a compiled back-end: the structural hash
-/// `system_hash` ([`hash_system`] of the compiled system) combined with
-/// the levelized program (slot layout, both tapes, FSM tables,
-/// register-write selectors, net-to-slot map). Two builds of the same
-/// system at different optimization levels produce different tapes,
-/// hence different hashes — a snapshot cannot cross them.
-pub(crate) fn hash_program(system_hash: u64, prog: &super::compiled::Program) -> u64 {
-    let mut h = Fnv::new();
-    h.field("ocapi.program.v1");
-    h.write(&system_hash.to_le_bytes());
-    h.field_fmt(format_args!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        prog.slot_ty, prog.pre_tape, prog.tape, prog.fsm_tables, prog.reg_writes, prog.net_slot
-    ));
-    h.finish()
-}
 
 /// The register types of `sys` in snapshot order: instance by
 /// instance, register by register.
@@ -405,33 +305,26 @@ impl SimSnapshot {
         })
     }
 
-    /// A human-readable JSON rendering (deterministic, hand-rolled) for
-    /// debugging and checkpoint manifests. Not a restore format — use
-    /// [`SimSnapshot::to_bytes`] for that.
+    /// A human-readable JSON rendering for debugging, printed compactly
+    /// from a [`Json`] value: version, backend, design hash (hex), cycle
+    /// and every section's words as exact integers. Not a restore
+    /// format — use [`SimSnapshot::to_bytes`] for that.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"version\":{VERSION},\"backend\":\"{}\",\"design_hash\":\"{:#018x}\",\"cycle\":{},\"sections\":{{",
-            self.backend.name(),
-            self.design_hash,
-            self.cycle
-        );
-        for (i, (name, words)) in self.sections.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":[", ocapi_obs::json::escape(name));
-            for (j, w) in words.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{w}");
-            }
-            s.push(']');
-        }
-        s.push_str("}}");
-        s
+        let sections = self.sections.iter().map(|(name, words)| {
+            let words = words.iter().map(|&w| Json::U64(w)).collect();
+            (name.clone(), Json::Arr(words))
+        });
+        obj([
+            ("version", Json::U64(VERSION.into())),
+            ("backend", Json::Str(self.backend.name().to_owned())),
+            (
+                "design_hash",
+                Json::Str(format!("{:#018x}", self.design_hash)),
+            ),
+            ("cycle", Json::U64(self.cycle)),
+            ("sections", Json::Obj(sections.collect())),
+        ])
+        .to_string()
     }
 }
 
@@ -545,6 +438,17 @@ mod tests {
             other => panic!("expected format error, got {other:?}"),
         }
         assert!(s.check(SnapshotBackend::Compiled, s.design_hash()).is_ok());
+    }
+
+    #[test]
+    fn json_round_trips_exactly() {
+        let s = sample();
+        let text = s.to_json();
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.to_string(), text);
+        let slots = v.get("sections").and_then(|x| x.get("slots"));
+        let last = slots.and_then(Json::as_arr).and_then(|w| w.last());
+        assert_eq!(last.and_then(Json::as_u64), Some(u64::MAX));
     }
 
     #[test]

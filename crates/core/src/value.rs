@@ -141,6 +141,7 @@ impl Value {
     /// by the compiled back-end's state slots and by simulator
     /// snapshots: `Bool` → 0/1, `Bits` → the word, `Fixed` → the
     /// mantissa bits, `Float` → the IEEE-754 bit pattern.
+    #[inline]
     pub fn to_raw(&self) -> u64 {
         match self {
             Value::Bool(b) => *b as u64,
@@ -164,10 +165,11 @@ impl Value {
 
     /// Rebuilds a value of type `ty` from its [`Value::to_raw`]
     /// encoding.
+    #[inline]
     pub fn from_raw(ty: SigType, raw: u64) -> Value {
         match ty {
             SigType::Bool => Value::Bool(raw != 0),
-            SigType::Bits(w) => Value::bits(w, mask(w, raw)),
+            SigType::Bits(w) => Value::bits(w, raw),
             SigType::Fixed(f) => Value::Fixed(Fix::from_raw(raw as i64, f)),
             SigType::Float => Value::Float(f64::from_bits(raw)),
         }

@@ -21,7 +21,7 @@ mod agree;
 
 use ocapi::{
     CompiledSim, Component, ComponentBuilder, Fix, Format, InterpSim, OptLevel, OptStats, Overflow,
-    Rounding, Sig, SigType, SimObs, Simulator, System, Value,
+    Rounding, Sig, SigType, Simulator, System, Value,
 };
 
 /// Boundary values for an 8-bit word: identities, carries, wrap-around.
@@ -348,7 +348,7 @@ fn attach_obs_flushes_optimizer_counters() {
     )
     .expect("compiled");
     let stats = sim.opt_stats();
-    sim.attach_obs(SimObs::compiled(&reg));
+    sim.attach_obs(&reg);
     for (name, want) in [
         ("compiled.opt.instrs_in", stats.instrs_in),
         ("compiled.opt.instrs_out", stats.instrs_out),

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ocapi::sim::par::map_indexed;
 use ocapi::{
     run_campaign_par, Component, CoreError, FaultEvent, FaultPlan, InterpSim, ParConfig, SigType,
-    SimObs, Simulator, System, Value,
+    Simulator, System, Value,
 };
 use ocapi_obs::Registry;
 
@@ -103,7 +103,7 @@ fn obs_workload(threads: usize) -> String {
     let shards: Vec<u64> = (0..12).collect();
     map_indexed(&pool, &shards, |_, &seed| {
         let mut sim = InterpSim::new(small_system()?)?;
-        sim.attach_obs(SimObs::interp(&reg));
+        sim.attach_obs(&reg);
         for cycle in 0..32u64 {
             sim.set_input("en", Value::Bool((cycle + seed) % 5 != 2))?;
             sim.step()?;

@@ -15,8 +15,8 @@ mod agree;
 
 use ocapi::rng::XorShift64;
 use ocapi::{
-    BatchObs, BatchedSim, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel, Overflow,
-    Rounding, SigType, SimObs, Simulator, System, Value,
+    BatchedSim, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel, Overflow, Rounding,
+    SigType, Simulator, System, Value,
 };
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor, image, modem, wlan};
@@ -366,7 +366,7 @@ fn tape_engine_obs_counts_are_pinned() {
 
         let reg = Registry::new();
         let mut c = CompiledSim::new_with(mk(), OptLevel::Full).expect("compiled");
-        c.attach_obs(SimObs::compiled(&reg));
+        c.attach_obs(&reg);
         warm(&mut c, &sig, 21, 16);
         c.enable_trace();
         warm(&mut c, &sig, 22, 24);
@@ -377,7 +377,7 @@ fn tape_engine_obs_counts_are_pinned() {
 
         let reg = Registry::new();
         let mut b1 = BatchedSim::from_fn(1, || Ok(mk()), OptLevel::Full).expect("batched");
-        b1.attach_obs(BatchObs::new(&reg));
+        b1.attach_obs(&reg);
         b1.enable_trace();
         warm(&mut b1, &sig, 24, 32);
         let e = CoreError::Unsupported {
@@ -390,7 +390,7 @@ fn tape_engine_obs_counts_are_pinned() {
 
         let reg = Registry::new();
         let mut b8 = BatchedSim::from_fn(8, || Ok(mk()), OptLevel::Full).expect("batched");
-        b8.attach_obs(BatchObs::new(&reg));
+        b8.attach_obs(&reg);
         warm(&mut b8, &sig, 25, 10);
         b8.enable_trace();
         warm(&mut b8, &sig, 26, 10);

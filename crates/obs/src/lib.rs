@@ -41,8 +41,9 @@
 //! * [`PoolStats`] / [`Stopwatch`] — the per-worker bookkeeping of the
 //!   sharded engine (`ocapi::sim::par`), extracted here so the bench
 //!   harnesses stop re-rolling their own `Instant` plumbing.
-//! * [`json`] — the hand-rolled profile export with the
-//!   deterministic/timing split described above.
+//! * [`json`] — the workspace's one JSON value ([`json::Json`]): its
+//!   parser, its compact and indented printers, and the profile export
+//!   with the deterministic/timing split described above.
 
 mod counter;
 mod event;
@@ -226,21 +227,21 @@ impl Registry {
     /// structure + hit counts, event totals. Byte-identical for every
     /// thread count of the same workload.
     pub fn deterministic_json(&self) -> String {
-        json::deterministic_json(self)
+        format!("{:#}", json::deterministic(self))
     }
 
     /// The timing section: span durations (inclusive and exclusive),
     /// and the event entries themselves. Advisory — different on every
     /// run.
     pub fn timing_json(&self) -> String {
-        json::timing_json(self)
+        format!("{:#}", json::timing(self))
     }
 
     /// The full profile document for `bin`, with the deterministic and
     /// timing sections cleanly separated (CI strips `timing` before
     /// byte-diffing across thread counts).
     pub fn profile_json(&self, bin: &str) -> String {
-        json::profile_json(self, bin)
+        format!("{:#}\n", json::profile(self, bin))
     }
 }
 

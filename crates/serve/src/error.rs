@@ -12,6 +12,7 @@ use std::fmt;
 
 use ocapi::CoreError;
 use ocapi_bench::BenchError;
+use ocapi_obs::json::ParseError;
 
 /// A simulation-service failure, on either side of the socket.
 #[derive(Debug)]
@@ -72,6 +73,15 @@ impl Error for ServeError {
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> ServeError {
         ServeError::Io(e)
+    }
+}
+
+/// Malformed JSON is a [`ServeError::Parse`] whose text is the parse
+/// error's (`json at byte N: …`), unchanged: it reaches clients in
+/// `error` frames.
+impl From<ParseError> for ServeError {
+    fn from(e: ParseError) -> ServeError {
+        ServeError::Parse(e.to_string())
     }
 }
 

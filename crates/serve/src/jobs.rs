@@ -15,9 +15,11 @@
 //! one simulator per worker and reset it between chunks. What a job
 //! still builds per request is listed in DESIGN.md §14.
 
+use std::fmt::Write as _;
 use std::io::Write;
 
 use ocapi::rng::XorShift64;
+use ocapi::sim::hash::Fnv;
 use ocapi::sim::par::ParConfig;
 use ocapi::{
     run_campaign_cached_par, CompiledSim, CoreError, FaultEvent, FaultPlan, FaultSite, Fix,
@@ -25,24 +27,12 @@ use ocapi::{
 };
 use ocapi_bench::ber::measure_batched;
 use ocapi_bench::Robust;
+use ocapi_obs::json::{obj, Json};
 
 use crate::designs::Design;
 use crate::error::ServeError;
-use crate::json::{obj, Json};
 use crate::proto::send;
 use crate::server::{ParkedSession, ServerState, SessionLookup};
-
-/// FNV-1a 64 offset/prime, matching the other hashes in the workspace.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Typed field access: a missing or mistyped field is a parse error
 /// naming the field, not a silent default.
@@ -437,7 +427,7 @@ pub fn session_open(
             level,
             seed,
             snapshot: None,
-            digest: FNV_OFFSET,
+            digest: Fnv::new().finish(),
         },
     );
     drop(sessions);
@@ -515,17 +505,19 @@ pub fn session_run(
         sim.restore(&SimSnapshot::from_bytes(bytes)?)?;
     }
     let from_cycle = sim.cycle();
-    let mut digest = parked.digest;
+    let mut digest = Fnv::from_state(parked.digest);
     for _ in 0..cycles {
         let cycle = sim.cycle();
         drive_inputs(&mut sim, &inputs, parked.seed, cycle)?;
         sim.step()?;
-        digest = fnv(digest, &cycle.to_be_bytes());
+        digest.write(&cycle.to_be_bytes());
         for name in &outputs {
             let v = sim.output(name)?;
-            digest = fnv(digest, format!("{v:?}").as_bytes());
+            // Writing into an `Fnv` cannot fail.
+            let _ = write!(digest, "{v:?}");
         }
     }
+    let digest = digest.finish();
     let to_cycle = sim.cycle();
     let snapshot = sim.snapshot().to_bytes();
     {

@@ -21,7 +21,10 @@
 //!
 //! # Layout
 //!
-//! * [`json`] — dependency-free JSON parse/serialize (canonical form).
+//! * [`Json`] — the request and frame value, re-exported from
+//!   [`ocapi_obs::json`], the workspace's one JSON parser and printer.
+//!   Frames print compactly; a parse error becomes
+//!   [`ServeError::Parse`] with its `json at byte N: …` text unchanged.
 //! * [`proto`] — the length-prefixed frame transport and the
 //!   deterministic/advisory/terminal frame taxonomy.
 //! * [`cache`] — the LRU [`cache::TapeCache`] with
@@ -42,14 +45,13 @@ pub mod cache;
 pub mod designs;
 pub mod error;
 pub mod jobs;
-pub mod json;
 pub mod proto;
 pub mod server;
 
 pub use cache::TapeCache;
 pub use designs::Design;
 pub use error::ServeError;
-pub use json::Json;
+pub use ocapi_obs::json::Json;
 pub use server::{ParkedSession, ServerState, SessionLookup, SessionTable};
 
 /// Crate version reported by the `ping` op.

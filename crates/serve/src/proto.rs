@@ -24,8 +24,9 @@
 
 use std::io::{Read, Write};
 
+use ocapi_obs::json::Json;
+
 use crate::error::ServeError;
-use crate::json::Json;
 
 /// Upper bound on a frame payload; a length prefix beyond this is a
 /// protocol error, not an allocation request.
@@ -115,7 +116,7 @@ pub fn send(w: &mut impl Write, frame: &Json) -> Result<(), ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::obj;
+    use ocapi_obs::json::obj;
 
     #[test]
     fn frames_round_trip_through_a_byte_pipe() {
@@ -143,9 +144,9 @@ mod tests {
 
     #[test]
     fn frame_classification_matches_the_contract() {
-        let done = obj([("type", crate::json::Json::Str("done".into()))]);
-        let perf = obj([("type", crate::json::Json::Str("perf".into()))]);
-        let chunk = obj([("type", crate::json::Json::Str("chunk".into()))]);
+        let done = obj([("type", Json::Str("done".into()))]);
+        let perf = obj([("type", Json::Str("perf".into()))]);
+        let chunk = obj([("type", Json::Str("chunk".into()))]);
         assert!(is_deterministic(&done) && is_terminal(&done));
         assert!(!is_deterministic(&perf) && !is_terminal(&perf));
         assert!(is_deterministic(&chunk) && !is_terminal(&chunk));

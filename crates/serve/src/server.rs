@@ -17,12 +17,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ocapi::OptLevel;
+use ocapi_obs::json::{obj, Json};
 use ocapi_obs::{Counter, Registry};
 
 use crate::cache::TapeCache;
 use crate::designs::Design;
 use crate::error::ServeError;
-use crate::json::{obj, Json};
 use crate::proto::{read_frame, send};
 use crate::{jobs, VERSION};
 
@@ -363,7 +363,7 @@ pub fn serve_connection(state: &ServerState, stream: UnixStream) -> Result<bool,
             Err(e) => {
                 // A malformed frame has no usable id; report and keep
                 // the framing (which is still intact) alive.
-                reply_error(&Json::Null, &e.to_string(), &mut writer)?;
+                reply_error(&Json::Null, &ServeError::from(e).to_string(), &mut writer)?;
                 continue;
             }
         };
@@ -467,7 +467,10 @@ mod tests {
                 Ok(req) => {
                     handle_request(&state, &req, &mut out).unwrap();
                 }
-                Err(e) => super::reply_error(&Json::Null, &e.to_string(), &mut out).unwrap(),
+                Err(e) => {
+                    let e = ServeError::from(e).to_string();
+                    super::reply_error(&Json::Null, &e, &mut out).unwrap();
+                }
             }
         }
         let mut frames = Vec::new();

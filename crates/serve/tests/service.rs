@@ -8,9 +8,9 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-use ocapi_serve::json::Json;
 use ocapi_serve::proto::{is_deterministic, is_terminal, read_frame, write_frame};
 use ocapi_serve::server::{handle_request, run, ServerState};
+use ocapi_serve::Json;
 
 /// Runs one request through the executor directly (no socket) and
 /// returns the canonical bytes of its deterministic frames.
@@ -250,6 +250,44 @@ fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
     let ok = exchange(&socket, &campaign("after", 2, 1));
     assert!(ok.contains("\"type\":\"done\""), "{ok}");
     assert_eq!(ok, transcript(&state, &campaign("after", 2, 1)));
+
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut w = stream.try_clone().unwrap();
+    write_frame(&mut w, r#"{"op":"shutdown","id":"bye"}"#).unwrap();
+    w.flush().unwrap();
+    daemon.join().unwrap();
+}
+
+/// A number that overflows `f64` is a parse error frame. It used to
+/// parse to infinity, which prints as `null`, so `"noise":[1e400]` ran
+/// as a BER point with infinite noise and answered with chunks.
+#[test]
+fn numbers_beyond_f64_are_refused_with_an_error_frame() {
+    let socket = std::env::temp_dir()
+        .join(format!("ocapi-serve-inf-{}.sock", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let state = Arc::new(ServerState::new(&socket, 8, 8, None));
+    let daemon = {
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || run(&state).unwrap())
+    };
+    for _ in 0..200 {
+        if UnixStream::connect(&socket).is_ok() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    let reply = exchange(
+        &socket,
+        r#"{"op":"ber","id":"inf","design":"dect","noise":[1e400],"bursts":1}"#,
+    );
+    assert_eq!(
+        reply,
+        "{\"id\":\"\",\"type\":\"error\",\"message\":\
+         \"parse error: json at byte 53: number `1e400` is out of range\"}\n"
+    );
 
     let stream = UnixStream::connect(&socket).unwrap();
     let mut w = stream.try_clone().unwrap();
