@@ -12,11 +12,13 @@
 //! byte-identical totals.
 //!
 //! A batched worker builds one transceiver batch per lane count
-//! ([`WorkerSims`]) and resets it between chunks: the systems are
-//! captured and hash-checked against the tape once per worker, not once
-//! per chunk, and each burst's fault plan is sampled from the batch's
-//! own lane-0 system. A chunk that fails or panics drops the worker's
-//! batches, so its retry runs on a fresh build.
+//! ([`WorkerSims`]) and resets it between chunks. A batch is one
+//! captured transceiver whose untimed blocks every lane copies, so the
+//! system is captured and hash-checked against the tape once per worker
+//! and lane count — not once per chunk or per lane — and each burst's
+//! fault plan is sampled from the batch's system. A chunk that fails or
+//! panics drops the worker's batches, so its retry runs on a fresh
+//! build.
 
 use ocapi::sim::par::{map_indexed, ParConfig, ParError};
 use ocapi::{
@@ -330,9 +332,9 @@ fn run_bursts_batched(
 /// cycle. `fault_rate` of `None` runs fault-free; `Some(rate)` builds
 /// one independent plan per burst, seeded on the global index. The
 /// chunk runs on the worker's batch for its lane count, reset; the
-/// first chunk of a lane count builds it — from the cached `tape`
-/// (systems verified against its structural hash) or, without one, by
-/// compiling at `level`.
+/// first chunk of a lane count builds it from one captured transceiver
+/// — over the cached `tape` (the system verified against its structural
+/// hash) or, without one, by compiling it at `level`.
 #[allow(clippy::too_many_arguments)]
 fn batched_chunk(
     sims: &mut WorkerSims,
@@ -357,15 +359,9 @@ fn batched_chunk(
             })
         })
         .collect();
-    let sim = sims.get(seeds.len(), || {
-        let systems = seeds
-            .iter()
-            .map(|_| build_system(cfg))
-            .collect::<Result<_, _>>()?;
-        match tape {
-            Some(tape) => BatchedSim::from_tape(systems, tape),
-            None => BatchedSim::new_with(systems, level),
-        }
+    let sim = sims.get(seeds.len(), || match tape {
+        Some(tape) => BatchedSim::replicate(build_system(cfg)?, seeds.len(), tape),
+        None => BatchedSim::from_fn(seeds.len(), || build_system(cfg), level),
     })?;
     // A plan depends only on the design's structure, never on its
     // untimed state, so the batch's own system samples it.

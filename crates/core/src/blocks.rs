@@ -8,6 +8,7 @@
 //! the RAM cells attached to the datapaths (§4, Figure 6).
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::comp::PortDecl;
 use crate::value::{SigType, Value};
@@ -52,6 +53,14 @@ pub trait UntimedBlock {
     /// One firing: consume `inputs`, produce `outputs`. `outputs` is
     /// pre-filled with the previous (held) values.
     fn fire(&mut self, inputs: &[Value], outputs: &mut [Value]);
+
+    /// A copy of this block in its current state, whose
+    /// [`UntimedBlock::reset`] restores the same power-up state as the
+    /// original's. A lane-batched simulator captures one system and
+    /// gives each lane copies of its (power-up) blocks, so every lane
+    /// owns its untimed state without a capture of its own. A block
+    /// that derives `Clone` returns `Box::new(self.clone())`.
+    fn boxed_clone(&self) -> Box<dyn UntimedBlock>;
 
     /// Returns the block to its power-up state: afterwards it must
     /// behave exactly like a freshly built copy. Simulators call this
@@ -191,6 +200,10 @@ impl UntimedBlock for Ram {
         }
     }
 
+    fn boxed_clone(&self) -> Box<dyn UntimedBlock> {
+        Box::new(self.clone())
+    }
+
     fn reset(&mut self) {
         self.words.fill(self.ty.zero());
         for &(addr, value) in &self.preloaded {
@@ -288,6 +301,10 @@ impl UntimedBlock for Rom {
         outputs[0] = self.words.get(addr).copied().unwrap_or(self.ty.zero());
     }
 
+    fn boxed_clone(&self) -> Box<dyn UntimedBlock> {
+        Box::new(self.clone())
+    }
+
     /// Read-only: nothing to restore.
     fn reset(&mut self) {}
 
@@ -307,7 +324,8 @@ impl UntimedBlock for Rom {
 /// The closure is a `Fn`: a pure function of the inputs, with no
 /// captured state that a reset would have to restore. A model that
 /// keeps state across firings implements [`UntimedBlock`] itself, with
-/// a `reset` that restores it.
+/// a `reset` that restores it. Copies of the block
+/// ([`UntimedBlock::boxed_clone`]) share the one closure.
 ///
 /// # Example
 ///
@@ -329,7 +347,18 @@ pub struct FnBlock<F> {
     name: String,
     inputs: Vec<PortDecl>,
     outputs: Vec<PortDecl>,
-    behaviour: F,
+    behaviour: Arc<F>,
+}
+
+impl<F> Clone for FnBlock<F> {
+    fn clone(&self) -> Self {
+        FnBlock {
+            name: self.name.clone(),
+            inputs: self.inputs.clone(),
+            outputs: self.outputs.clone(),
+            behaviour: Arc::clone(&self.behaviour),
+        }
+    }
 }
 
 impl<F> FnBlock<F>
@@ -342,14 +371,14 @@ where
             name: name.to_owned(),
             inputs,
             outputs,
-            behaviour,
+            behaviour: Arc::new(behaviour),
         }
     }
 }
 
 impl<F> UntimedBlock for FnBlock<F>
 where
-    F: Fn(&[Value], &mut [Value]),
+    F: Fn(&[Value], &mut [Value]) + 'static,
 {
     fn name(&self) -> &str {
         &self.name
@@ -365,6 +394,10 @@ where
 
     fn fire(&mut self, inputs: &[Value], outputs: &mut [Value]) {
         (self.behaviour)(inputs, outputs)
+    }
+
+    fn boxed_clone(&self) -> Box<dyn UntimedBlock> {
+        Box::new(self.clone())
     }
 
     /// A `Fn` closure holds no state between firings.

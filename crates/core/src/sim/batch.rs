@@ -26,7 +26,9 @@
 //! Lanes stay *independent*:
 //!
 //! * every lane has its own FSM states, SFG activation flags, register
-//!   file and untimed-block state (one [`System`] per lane);
+//!   file and untimed blocks; the lanes share one [`System`], the
+//!   structure the tape was compiled from, and each owns copies of its
+//!   untimed blocks ([`UntimedBlock::boxed_clone`]);
 //! * control-flow divergence is handled per lane — transition selection
 //!   and `Drive`/`Fire` resolution read the lane's own stripe;
 //! * a per-lane error (a trace fault, a failed fault-injection poke)
@@ -50,10 +52,12 @@
 //!
 //! [`CompiledSim`]: crate::CompiledSim
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ocapi_obs::Registry;
 
+use crate::blocks::UntimedBlock;
 use crate::sim::budget::Budget;
 use crate::sim::compiled::Program;
 use crate::sim::exec::{self, All, Lanes, Live, One, State};
@@ -67,21 +71,32 @@ use crate::trace::{make_trace, traced_nets, Trace};
 use crate::value::Value;
 use crate::CoreError;
 
+/// Every lane's untimed blocks, lane-major: block `u` of lane `l` at
+/// `l * U + u`, `U` being the system's untimed-block count.
+type LaneBlocks = Vec<Box<dyn UntimedBlock>>;
+
 /// The compiled-tape simulator over N lanes. See the [module docs](self).
 ///
-/// Construct with [`BatchedSim::new`] / [`BatchedSim::new_with`] from one
-/// structurally identical [`System`] per lane (the systems carry the
-/// per-lane untimed-block state), or with [`BatchedSim::from_fn`] from a
-/// builder closure. Drive either through the lane-addressed methods
-/// (`set_input_lane`, `output_lane`, …) or through the [`Simulator`]
-/// trait, which *broadcasts* writes to every live lane and reads lane 0 —
-/// a 1-lane batch is exactly the scalar [`CompiledSim`].
+/// Construct with [`BatchedSim::replicate`] from one captured [`System`]
+/// and its [`CompiledTape`], or with [`BatchedSim::from_fn`] from a
+/// builder closure: either captures the design once and gives every
+/// lane copies of its untimed blocks. [`BatchedSim::new`],
+/// [`BatchedSim::new_with`] and [`BatchedSim::from_tape`] take one
+/// structurally identical system per lane instead; the batch keeps lane
+/// 0's structure and the other lanes' untimed blocks. Drive either
+/// through the lane-addressed methods (`set_input_lane`, `output_lane`,
+/// …) or through the [`Simulator`] trait, which *broadcasts* writes to
+/// every live lane and reads lane 0 — a 1-lane batch is exactly the
+/// scalar [`CompiledSim`].
 ///
 /// [`CompiledSim`]: crate::CompiledSim
 pub struct BatchedSim {
-    /// One system per lane; `systems[0]` is the one the tape was
-    /// compiled from, every lane's untimed blocks live in its own copy.
-    systems: Vec<System>,
+    /// The system the tape was compiled from: the structure every lane
+    /// shares. Its untimed blocks never fire; they stay at power-up as
+    /// the template the lanes' blocks are copied from.
+    system: System,
+    /// Every lane's untimed blocks, `U = system.untimed.len()` a lane.
+    blocks: LaneBlocks,
     /// Shared with the [`CompiledTape`] it was instantiated from.
     prog: Arc<Program>,
     lanes: usize,
@@ -103,30 +118,47 @@ pub struct BatchedSim {
 impl std::fmt::Debug for BatchedSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchedSim")
-            .field("system", &self.systems[0].name)
+            .field("system", &self.system.name)
             .field("lanes", &self.lanes)
             .field("tape_len", &self.prog.tape.len())
             .finish()
     }
 }
 
-/// Validates a lane set: non-empty and structurally identical to lane 0.
-fn check_lanes(systems: &[System]) -> Result<(), CoreError> {
-    if systems.is_empty() {
-        return Err(CoreError::CheckFailed {
-            diagnostics: vec!["a batched simulator needs at least one lane".to_owned()],
-        });
+fn no_lanes() -> CoreError {
+    CoreError::CheckFailed {
+        diagnostics: vec!["a batched simulator needs at least one lane".to_owned()],
     }
-    let diags: Vec<String> = systems
-        .iter()
-        .enumerate()
-        .skip(1)
-        .filter_map(|(l, s)| shape_diff(&systems[0], s, l))
-        .collect();
+}
+
+/// `lanes` lanes' copies of `sys`'s untimed blocks, in their current
+/// state.
+fn copies(sys: &System, lanes: usize) -> LaneBlocks {
+    (0..lanes)
+        .flat_map(|_| sys.untimed.iter().map(|u| u.block.boxed_clone()))
+        .collect()
+}
+
+/// A lane set, validated (non-empty and structurally identical to lane
+/// 0) and split into what a batch keeps: lane 0's system, the lane
+/// count, and every lane's untimed blocks — copies of lane 0's, then
+/// each other lane's own.
+fn split_lanes(systems: Vec<System>) -> Result<(System, usize, LaneBlocks), CoreError> {
+    let lanes = systems.len();
+    let mut systems = systems.into_iter();
+    let system = systems.next().ok_or_else(no_lanes)?;
+    let mut blocks = copies(&system, 1);
+    let mut diags = Vec::new();
+    for (l, s) in (1..).zip(systems) {
+        match shape_diff(&system, &s, l) {
+            Some(d) => diags.push(d),
+            None => blocks.extend(s.untimed.into_iter().map(|u| u.block)),
+        }
+    }
     if !diags.is_empty() {
         return Err(CoreError::CheckFailed { diagnostics: diags });
     }
-    Ok(())
+    Ok((system, lanes, blocks))
 }
 
 /// One structural difference between two lane systems, rendered.
@@ -188,8 +220,9 @@ impl BatchedSim {
     /// [`BatchedSim::new`] with an explicit tape-optimization level.
     ///
     /// All systems must be structurally identical (same components,
-    /// nets, ports — e.g. built by the same closure); each lane keeps
-    /// its own system for per-lane untimed-block state.
+    /// nets, ports — e.g. built by the same closure). The batch keeps
+    /// `systems[0]` as its structure and each other lane's untimed
+    /// blocks; lane 0 runs on copies of its system's blocks.
     ///
     /// # Errors
     ///
@@ -198,12 +231,27 @@ impl BatchedSim {
     /// [`CoreError::NotCompilable`] when the design has no static
     /// single-pass schedule.
     pub fn new_with(systems: Vec<System>, level: OptLevel) -> Result<BatchedSim, CoreError> {
-        check_lanes(&systems)?;
-        // The tape path, minus its structural check: `systems[0]` is
-        // the system just compiled.
-        let tape = CompiledTape::compile(&systems[0], level)?;
+        let (system, lanes, blocks) = split_lanes(systems)?;
+        BatchedSim::compiled(blocks, system, lanes, level)
+    }
+
+    /// The tape path, minus its structural check: `system` is the
+    /// system just compiled.
+    fn compiled(
+        blocks: LaneBlocks,
+        system: System,
+        lanes: usize,
+        level: OptLevel,
+    ) -> Result<BatchedSim, CoreError> {
+        let tape = CompiledTape::compile(&system, level)?;
         let design_hash = tape.program_hash();
-        Ok(BatchedSim::from_parts(systems, tape.prog, design_hash))
+        Ok(BatchedSim::from_parts(
+            blocks,
+            system,
+            lanes,
+            tape.prog,
+            design_hash,
+        ))
     }
 
     /// Instantiates a batch from a cached [`CompiledTape`] without
@@ -219,20 +267,59 @@ impl BatchedSim {
     /// when `systems[0]` is not structurally the system the tape was
     /// compiled from.
     pub fn from_tape(systems: Vec<System>, tape: &CompiledTape) -> Result<BatchedSim, CoreError> {
-        check_lanes(&systems)?;
-        tape.check_system(&systems[0])?;
+        let (system, lanes, blocks) = split_lanes(systems)?;
+        tape.check_system(&system)?;
         Ok(BatchedSim::from_parts(
-            systems,
+            blocks,
+            system,
+            lanes,
             Arc::clone(&tape.prog),
             tape.program_hash(),
         ))
     }
 
-    /// Assembles a batch around an already-built program.
-    fn from_parts(systems: Vec<System>, prog: Arc<Program>, design_hash: u64) -> BatchedSim {
-        let lanes = systems.len();
+    /// Builds `lanes` lanes over a cached [`CompiledTape`] from one
+    /// captured system: the batch keeps `sys` as the structure every
+    /// lane shares and gives each lane copies of its untimed blocks
+    /// ([`UntimedBlock::boxed_clone`]), so a wide batch costs one capture
+    /// and one hash check, not one per lane. Behaviour is identical to
+    /// [`BatchedSim::from_tape`] over `lanes` separately built systems.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::CheckFailed`] for zero lanes and
+    /// [`CoreError::TapeMismatch`] when `sys` is not structurally the
+    /// system the tape was compiled from.
+    pub fn replicate(
+        sys: System,
+        lanes: usize,
+        tape: &CompiledTape,
+    ) -> Result<BatchedSim, CoreError> {
+        if lanes == 0 {
+            return Err(no_lanes());
+        }
+        tape.check_system(&sys)?;
+        Ok(BatchedSim::from_parts(
+            copies(&sys, lanes),
+            sys,
+            lanes,
+            Arc::clone(&tape.prog),
+            tape.program_hash(),
+        ))
+    }
+
+    /// Assembles a batch around an already-built program: `blocks`
+    /// holds `lanes` lanes' untimed blocks and `system` is the structure
+    /// the program was compiled from.
+    fn from_parts(
+        blocks: LaneBlocks,
+        system: System,
+        lanes: usize,
+        prog: Arc<Program>,
+        design_hash: u64,
+    ) -> BatchedSim {
         BatchedSim {
-            st: State::new(&prog, &systems[0], lanes),
+            st: State::new(&prog, &system, lanes),
             prog,
             lanes,
             alive: vec![true; lanes],
@@ -243,7 +330,8 @@ impl BatchedSim {
             obs: None,
             budget: Budget::none(),
             design_hash,
-            systems,
+            system,
+            blocks,
         }
     }
 
@@ -282,8 +370,14 @@ impl BatchedSim {
 
     /// [`BatchedSim::snapshot_lane`] of an in-range lane, masked or not.
     pub(crate) fn capture(&self, lane: usize) -> SimSnapshot {
-        self.st
-            .snapshot(lane, &self.systems[lane], self.design_hash, self.cycle)
+        let blocks = &self.blocks[self.lane_blocks(lane)];
+        self.st.snapshot(lane, blocks, self.design_hash, self.cycle)
+    }
+
+    /// Where lane `lane`'s untimed blocks sit in `blocks`.
+    fn lane_blocks(&self, lane: usize) -> Range<usize> {
+        let u = self.system.untimed.len();
+        lane * u..(lane + 1) * u
     }
 
     /// Restores one lane from a snapshot taken by
@@ -301,12 +395,14 @@ impl BatchedSim {
     /// for damaged sections.
     pub fn restore_lane(&mut self, lane: usize, snap: &SimSnapshot) -> Result<(), CoreError> {
         self.check_lane(lane)?;
+        let blocks = self.lane_blocks(lane);
         self.st.restore(
             lane,
             snap,
             self.design_hash,
             &self.prog,
-            &mut self.systems[lane],
+            &self.system,
+            &mut self.blocks[blocks],
         )?;
         if !self.alive[lane] {
             self.alive[lane] = true;
@@ -317,22 +413,22 @@ impl BatchedSim {
         Ok(())
     }
 
-    /// Builds `lanes` systems with `make_sys` and batches them.
+    /// Captures one system with `make_sys`, compiles it at `level` and
+    /// builds `lanes` lanes (at least one) over it, as
+    /// [`BatchedSim::replicate`] does over a cached tape.
     ///
     /// # Errors
     ///
-    /// Propagates `make_sys` errors, plus everything
-    /// [`BatchedSim::new_with`] reports.
+    /// Propagates `make_sys` errors, and [`CoreError::NotCompilable`]
+    /// when the design has no static single-pass schedule.
     pub fn from_fn(
         lanes: usize,
-        mut make_sys: impl FnMut() -> Result<System, CoreError>,
+        make_sys: impl FnOnce() -> Result<System, CoreError>,
         level: OptLevel,
     ) -> Result<BatchedSim, CoreError> {
-        let mut systems = Vec::with_capacity(lanes);
-        for _ in 0..lanes.max(1) {
-            systems.push(make_sys()?);
-        }
-        BatchedSim::new_with(systems, level)
+        let system = make_sys()?;
+        let lanes = lanes.max(1);
+        BatchedSim::compiled(copies(&system, lanes), system, lanes, level)
     }
 
     /// Number of lanes (live and masked).
@@ -378,9 +474,11 @@ impl BatchedSim {
         }
     }
 
-    /// The lane-0 system (the one the tape was compiled from).
+    /// The system the tape was compiled from: the structure every lane
+    /// shares. Its untimed blocks stay at power-up — each lane runs on
+    /// its own copies, whose state [`BatchedSim::snapshot_lane`] reads.
     pub fn system(&self) -> &System {
-        &self.systems[0]
+        &self.system
     }
 
     /// Instructions executed per batched cycle (tape + guard pre-tape);
@@ -418,16 +516,16 @@ impl BatchedSim {
     /// batch per worker ([`WorkerSims`]) instead of building one per
     /// run.
     pub fn reset(&mut self) {
-        self.st.reset(&self.prog, &self.systems[0]);
-        for u in self.systems.iter_mut().flat_map(|s| &mut s.untimed) {
-            u.block.reset();
+        self.st.reset(&self.prog, &self.system);
+        for b in &mut self.blocks {
+            b.reset();
         }
         self.alive.fill(true);
         self.masked = 0;
         self.errors.fill(None);
         self.cycle = 0;
         if let Some(traces) = &mut self.traces {
-            traces.fill_with(|| make_trace(&self.systems[0]));
+            traces.fill_with(|| make_trace(&self.system));
         }
     }
 
@@ -461,7 +559,7 @@ impl BatchedSim {
     #[inline]
     pub fn output_lane(&self, lane: usize, name: &str) -> Result<Value, CoreError> {
         self.check_lane(lane)?;
-        let sys = &self.systems[0];
+        let sys = &self.system;
         sys.primary_outputs
             .iter()
             .find(|p| p.name == name)
@@ -499,7 +597,7 @@ impl BatchedSim {
     ) -> Result<(), CoreError> {
         self.check_lane(lane)?;
         let i = self.net_index(name)?;
-        value.check_type_with(self.systems[0].nets[i].ty, || format!("net `{name}`"))?;
+        value.check_type_with(self.system.nets[i].ty, || format!("net `{name}`"))?;
         if self.alive[lane] {
             self.st.slots[self.prog.net_slot[i] as usize * self.lanes + lane] = value.to_raw();
         }
@@ -519,9 +617,9 @@ impl BatchedSim {
         reg: &str,
     ) -> Result<Value, CoreError> {
         self.check_lane(lane)?;
-        let (i, j) = crate::sim::interp::find_reg(&self.systems[0], instance, reg)?;
+        let (i, j) = crate::sim::interp::find_reg(&self.system, instance, reg)?;
         Ok(Value::from_raw(
-            self.systems[0].timed[i].comp.regs[j].ty,
+            self.system.timed[i].comp.regs[j].ty,
             self.st.regs[i][j * self.lanes + lane],
         ))
     }
@@ -542,8 +640,8 @@ impl BatchedSim {
         value: Value,
     ) -> Result<(), CoreError> {
         self.check_lane(lane)?;
-        let (i, j) = crate::sim::interp::find_reg(&self.systems[0], instance, reg)?;
-        value.check_type_with(self.systems[0].timed[i].comp.regs[j].ty, || {
+        let (i, j) = crate::sim::interp::find_reg(&self.system, instance, reg)?;
+        value.check_type_with(self.system.timed[i].comp.regs[j].ty, || {
             format!("register `{instance}.{reg}`")
         })?;
         if self.alive[lane] {
@@ -567,7 +665,7 @@ impl BatchedSim {
     /// not exist or the instance has no FSM.
     pub fn state_name_lane(&self, lane: usize, instance: &str) -> Result<&str, CoreError> {
         self.check_lane(lane)?;
-        let sys = &self.systems[0];
+        let sys = &self.system;
         let (i, t) = sys
             .timed
             .iter()
@@ -596,7 +694,7 @@ impl BatchedSim {
     }
 
     fn net_index(&self, name: &str) -> Result<usize, CoreError> {
-        self.systems[0]
+        self.system
             .nets
             .iter()
             .position(|n| n.name == name)
@@ -608,7 +706,8 @@ impl BatchedSim {
 
     #[inline(always)]
     fn input_slot(&self, name: &str, value: &Value) -> Result<usize, CoreError> {
-        let pi = self.systems[0]
+        let pi = self
+            .system
             .primary_inputs
             .iter()
             .find(|p| p.name == name)
@@ -637,7 +736,7 @@ impl BatchedSim {
                 if !self.alive[l] {
                     continue;
                 }
-                let row = traced_nets(&self.systems[0]).map(|net| {
+                let row = traced_nets(&self.system).map(|net| {
                     let sl = prog.net_slot[net] as usize;
                     Value::from_raw(prog.slot_ty[sl], st.slots[sl * n + l])
                 });
@@ -674,9 +773,10 @@ impl BatchedSim {
 /// shards chunks of `lanes` runs over a pool keeps one of these per
 /// worker (the per-worker state of
 /// [`map_indexed_with`](crate::sim::par::map_indexed_with)), so a worker
-/// builds — captures and hash-checks — one batch for its full chunks and
-/// one for a short last chunk, instead of one per chunk. Sound because
-/// [`BatchedSim::reset`] equals a fresh build.
+/// builds one batch for its full chunks and one for a short last chunk,
+/// instead of one per chunk. Built with [`BatchedSim::replicate`], each
+/// batch is one capture and one hash check, whatever its lane count.
+/// Sound because [`BatchedSim::reset`] equals a fresh build.
 #[derive(Debug, Default)]
 pub struct WorkerSims(Vec<BatchedSim>);
 
@@ -713,7 +813,7 @@ impl WorkerSims {
 fn cycle<L: Lanes>(
     prog: &Program,
     st: &mut State,
-    systems: &mut [System],
+    blocks: &mut [Box<dyn UntimedBlock>],
     lanes: L,
     obs: Option<&TapeObs>,
 ) {
@@ -721,7 +821,7 @@ fn cycle<L: Lanes>(
 
     // Guard evaluation over held values.
     let t = obs.map(|o| o.pre.timer());
-    exec::run(&prog.pre_tape, io, st, systems, lanes);
+    exec::run(&prog.pre_tape, io, st, blocks, lanes);
     drop(t);
 
     let t = obs.map(|o| o.select.timer());
@@ -730,7 +830,7 @@ fn cycle<L: Lanes>(
 
     // Main tape: one walk, all lanes.
     let t = obs.map(|o| o.eval.timer());
-    exec::run(&prog.tape, io, st, systems, lanes);
+    exec::run(&prog.tape, io, st, blocks, lanes);
     drop(t);
 
     let t = obs.map(|o| o.commit.timer());
@@ -781,14 +881,14 @@ impl Simulator for BatchedSim {
         if self.masked == self.lanes {
             return Err(self.first_error());
         }
-        let (prog, st, systems) = (&*self.prog, &mut self.st, &mut self.systems[..]);
+        let (prog, st, blocks) = (&*self.prog, &mut self.st, &mut self.blocks[..]);
         let obs = self.obs.as_ref();
         if self.lanes == 1 {
-            cycle(prog, st, systems, One, obs);
+            cycle(prog, st, blocks, One, obs);
         } else if self.masked == 0 {
-            cycle(prog, st, systems, All(self.lanes), obs);
+            cycle(prog, st, blocks, All(self.lanes), obs);
         } else {
-            cycle(prog, st, systems, Live(&self.alive), obs);
+            cycle(prog, st, blocks, Live(&self.alive), obs);
         }
         self.cycle += 1;
         if self.traces.is_some() {
@@ -809,11 +909,7 @@ impl Simulator for BatchedSim {
     /// Starts recording one trace per lane.
     fn enable_trace(&mut self) {
         if self.traces.is_none() {
-            self.traces = Some(
-                (0..self.lanes)
-                    .map(|_| make_trace(&self.systems[0]))
-                    .collect(),
-            );
+            self.traces = Some((0..self.lanes).map(|_| make_trace(&self.system)).collect());
         }
     }
 
@@ -832,7 +928,7 @@ impl Simulator for BatchedSim {
     /// Broadcasts to every live lane.
     fn poke_net(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
         let i = self.net_index(name)?;
-        value.check_type_with(self.systems[0].nets[i].ty, || format!("net `{name}`"))?;
+        value.check_type_with(self.system.nets[i].ty, || format!("net `{name}`"))?;
         let slot = self.prog.net_slot[i] as usize;
         broadcast(&mut self.st.slots, slot, &self.alive, value.to_raw());
         Ok(())
@@ -845,8 +941,8 @@ impl Simulator for BatchedSim {
 
     /// Broadcasts to every live lane.
     fn poke_reg(&mut self, instance: &str, reg: &str, value: Value) -> Result<(), CoreError> {
-        let (i, j) = crate::sim::interp::find_reg(&self.systems[0], instance, reg)?;
-        value.check_type_with(self.systems[0].timed[i].comp.regs[j].ty, || {
+        let (i, j) = crate::sim::interp::find_reg(&self.system, instance, reg)?;
+        value.check_type_with(self.system.timed[i].comp.regs[j].ty, || {
             format!("register `{instance}.{reg}`")
         })?;
         broadcast(&mut self.st.regs[i], j, &self.alive, value.to_raw());

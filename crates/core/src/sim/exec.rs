@@ -38,6 +38,7 @@ use std::cmp::Ordering;
 
 use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
+use crate::blocks::UntimedBlock;
 use crate::sim::compiled::{Cmp, CompiledTransition, Micro, Program, RegWriteSel, UntimedIo};
 use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::system::System;
@@ -137,7 +138,10 @@ impl Lanes for One {
 /// fixed 8-lane chunks: every operand chunk is loaded (one range check
 /// each) before the destination chunk is stored, so an op whose
 /// destination is also a source stays correct; a scalar tail takes the
-/// last `n % 8` lanes.
+/// last `n % 8` lanes. A chunk is computed by a plain loop over the
+/// loaded arrays rather than `[T; N]::map` or `array::from_fn`, whose
+/// per-element closures LLVM leaves out of line once `exec::run` grows
+/// past its inlining limits.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct All(pub(crate) usize);
 
@@ -175,7 +179,11 @@ impl Lanes for All {
         let mut l = 0;
         while l + CHUNK <= n {
             let x = load(s, a + l);
-            s[d + l..d + l + CHUNK].copy_from_slice(&x.map(&f));
+            let mut out = [0; CHUNK];
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = f(x[k]);
+            }
+            s[d + l..d + l + CHUNK].copy_from_slice(&out);
             l += CHUNK;
         }
         for l in l..n {
@@ -190,7 +198,10 @@ impl Lanes for All {
         let mut l = 0;
         while l + CHUNK <= n {
             let (x, y) = (load(s, a + l), load(s, b + l));
-            let out: [u64; CHUNK] = std::array::from_fn(|k| f(x[k], y[k]));
+            let mut out = [0; CHUNK];
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = f(x[k], y[k]);
+            }
             s[d + l..d + l + CHUNK].copy_from_slice(&out);
             l += CHUNK;
         }
@@ -211,7 +222,10 @@ impl Lanes for All {
         let mut l = 0;
         while l + CHUNK <= n {
             let (x, y, z) = (load(s, a + l), load(s, b + l), load(s, c + l));
-            let out: [u64; CHUNK] = std::array::from_fn(|k| f(x[k], y[k], z[k]));
+            let mut out = [0; CHUNK];
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = f(x[k], y[k], z[k]);
+            }
             s[d + l..d + l + CHUNK].copy_from_slice(&out);
             l += CHUNK;
         }
@@ -298,7 +312,7 @@ impl State {
 
     /// Returns every lane's slots, FSM states, SFG activation flags and
     /// registers to power-up values, as [`State::new`] builds them
-    /// (untimed blocks reset separately, with their systems).
+    /// (untimed blocks reset separately).
     pub(crate) fn reset(&mut self, prog: &Program, sys: &System) {
         let n = self.n;
         for (stripe, v) in self.slots.chunks_exact_mut(n).zip(&prog.init_slots) {
@@ -316,9 +330,14 @@ impl State {
         }
     }
 
-    /// Captures lane `l` — `sys` is that lane's system, holding its
-    /// untimed-block state.
-    pub(crate) fn snapshot(&self, l: usize, sys: &System, hash: u64, cycle: u64) -> SimSnapshot {
+    /// Captures lane `l`, whose untimed blocks are `blocks`.
+    pub(crate) fn snapshot(
+        &self,
+        l: usize,
+        blocks: &[Box<dyn UntimedBlock>],
+        hash: u64,
+        cycle: u64,
+    ) -> SimSnapshot {
         let n = self.n;
         let mut s = SimSnapshot::new(SnapshotBackend::Compiled, hash, cycle);
         s.push_section(
@@ -342,8 +361,8 @@ impl State {
                 .copied()
                 .collect(),
         );
-        for (i, u) in sys.untimed.iter().enumerate() {
-            let words = u.block.snapshot_state();
+        for (i, b) in blocks.iter().enumerate() {
+            let words = b.snapshot_state();
             if !words.is_empty() {
                 s.push_section(&format!("untimed.{i}"), words);
             }
@@ -351,9 +370,9 @@ impl State {
         s
     }
 
-    /// Validates `snap` against this build and installs it into lane
-    /// `l`, whose system (and untimed blocks) is `sys`. The caller
-    /// adopts the snapshot's cycle count.
+    /// Validates `snap` against this build of `sys` and installs it into
+    /// lane `l`, whose untimed blocks are `blocks`. The caller adopts the
+    /// snapshot's cycle count.
     ///
     /// # Errors
     ///
@@ -367,7 +386,8 @@ impl State {
         snap: &SimSnapshot,
         hash: u64,
         prog: &Program,
-        sys: &mut System,
+        sys: &System,
+        blocks: &mut [Box<dyn UntimedBlock>],
     ) -> Result<(), CoreError> {
         let n = self.n;
         snap.check(SnapshotBackend::Compiled, hash)?;
@@ -398,14 +418,11 @@ impl State {
         for (w, x) in regs.zip(reg_words) {
             *w = *x;
         }
-        for (i, u) in sys.untimed.iter_mut().enumerate() {
+        for (i, b) in blocks.iter_mut().enumerate() {
             let words = snap.section(&format!("untimed.{i}")).unwrap_or(&[]);
-            if !u.block.restore_state(words) {
+            if !b.restore_state(words) {
                 return Err(CoreError::SnapshotFormat {
-                    reason: format!(
-                        "untimed block `{}` rejected its state section",
-                        u.block.name()
-                    ),
+                    reason: format!("untimed block `{}` rejected its state section", b.name()),
                 });
             }
         }
@@ -544,15 +561,16 @@ fn cast_lanes<L: Lanes>(
 }
 
 /// Evaluates `ops` in every live lane of `st` — the one interpreter of
-/// [`Micro`] semantics. `io` is the program's untimed-block wiring and
-/// `systems[l]` holds lane `l`'s untimed blocks. Each op is one kernel
-/// call of `lanes`; only `Fire` and the `Drive` of an FSM instance walk
-/// the lanes one by one.
+/// [`Micro`] semantics. `io` is the program's untimed-block wiring, one
+/// entry per block, and `blocks` every lane's blocks, lane-major: block
+/// `u` of lane `l` at `l * io.len() + u`. Each op is one kernel call of
+/// `lanes`; only `Fire` and the `Drive` of an FSM instance walk the
+/// lanes one by one.
 pub(crate) fn run<L: Lanes>(
     ops: &[Micro],
     io: &[UntimedIo],
     st: &mut State,
-    systems: &mut [System],
+    blocks: &mut [Box<dyn UntimedBlock>],
     lanes: L,
 ) {
     let n = lanes.n();
@@ -727,7 +745,7 @@ pub(crate) fn run<L: Lanes>(
                         outs.iter()
                             .map(|(sl, ty)| Value::from_raw(*ty, s[at(*sl, l)])),
                     );
-                    let block = &mut systems[l].untimed[u].block;
+                    let block = &mut blocks[l * io.len() + u];
                     if block.ready(in_buf) {
                         block.fire(in_buf, out_buf);
                         for ((sl, _), v) in outs.iter().zip(out_buf.iter()) {

@@ -29,9 +29,10 @@
 //!   one walk of a [`CompiledTape`] per cycle, and
 //!   classify every event exactly as the reference does over
 //!   [`CompiledSim`] at the tape's level. Each worker builds one batch
-//!   per lane count ([`WorkerSims`]) and resets it between chunks, so a
-//!   campaign captures and hash-checks systems once per worker, not
-//!   once per event.
+//!   per lane count ([`WorkerSims`]) from one captured system and
+//!   resets it between chunks, so a campaign captures and hash-checks a
+//!   system once per worker and lane count, not once per event or
+//!   lane.
 //!
 //! Because both cycle-true back-ends expose identical peek/poke
 //! semantics, the interpreted and compiled simulators stay
@@ -701,9 +702,9 @@ pub fn apply_plan_lane(
 }
 
 /// One lane-batched chunk of faulty runs: `chunk.len()` lanes of the
-/// worker's batch for that lane count (built from `tape` on first use,
-/// reset after), stepped through one shared tape walk per cycle, each
-/// lane injecting its own event. The work item of
+/// worker's batch for that lane count (built on first use from one
+/// system and `tape`, reset after), stepped through one shared tape walk
+/// per cycle, each lane injecting its own event. The work item of
 /// [`run_campaign_cached_par`].
 ///
 /// Per-lane semantics replicate [`run_event`] exactly: a failing fault
@@ -720,10 +721,7 @@ fn run_event_chunk(
     tape: &CompiledTape,
 ) -> Result<Vec<FaultOutcome>, CoreError> {
     let sim = sims.get(chunk.len(), || {
-        let systems = (0..chunk.len())
-            .map(|_| make_sys())
-            .collect::<Result<_, _>>()?;
-        let mut sim = BatchedSim::from_tape(systems, tape)?;
+        let mut sim = BatchedSim::replicate(make_sys()?, chunk.len(), tape)?;
         sim.enable_trace();
         Ok(sim)
     })?;
@@ -771,10 +769,12 @@ fn run_event_chunk(
 ///
 /// Nor is one built per chunk: each worker keeps one batch per lane
 /// count and resets it between chunks ([`WorkerSims`]), and drops it
-/// after a chunk that fails or panics. With `T` workers, `L` lanes and
-/// `E` events, `make_sys` runs at most `1 + T·L + (E mod L)` times (the
-/// golden run, one full batch per worker, one short last batch) instead
-/// of `1 + E`.
+/// after a chunk that fails or panics. A batch is one call of
+/// `make_sys`, whose untimed blocks every lane copies
+/// ([`BatchedSim::replicate`]), so `make_sys` must build the same
+/// system on every call. With `T` workers, `L` lanes and `E` events,
+/// it runs at most `1 + T + [E mod L ≠ 0]` times (the golden run, one
+/// full batch per worker, one short last batch) instead of `1 + E`.
 ///
 /// The golden run uses the scalar [`CompiledSim`] built from the same
 /// tape. `stimulus` must be a pure function of the cycle number (it is

@@ -518,6 +518,148 @@ fn batched_campaign_outcomes_equal_scalar_for_all_geometries() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// One capture per batch: lanes own copies of the captured system's blocks.
+// ---------------------------------------------------------------------------
+
+/// 64 DECT lanes built from one capture step exactly as 64 lanes built
+/// from 64 captures: each lane gets its own seeded burst, and every
+/// lane's full state — slots, registers, FSM states and RAM contents —
+/// is byte-identical between the two batches at every checkpoint.
+#[test]
+fn lanes_of_one_capture_equal_lanes_of_separate_captures() {
+    const LANES: usize = 64;
+    let cfg = TransceiverConfig::default();
+    let build = || dect::transceiver::build_system(&cfg).unwrap();
+    let tape = CompiledTape::compile(&build(), OptLevel::Full).unwrap();
+    let mut one = BatchedSim::replicate(build(), LANES, &tape).unwrap();
+    let mut many = BatchedSim::from_tape((0..LANES).map(|_| build()).collect(), &tape).unwrap();
+    assert_eq!(one.design_hash(), many.design_hash());
+    let bursts: Vec<_> = (0..LANES as u64)
+        .map(|l| {
+            dect::burst::generate(&dect::burst::BurstConfig {
+                payload_len: 16,
+                channel: vec![1.0, 0.5],
+                noise: 0.2,
+                seed: 0x1a7e + l,
+            })
+        })
+        .collect();
+    let cycles = bursts[0].samples.len() * dect::transceiver::CYCLES_PER_SYMBOL;
+    let checkpoints = [1, 37, cycles / 2, cycles];
+    for c in 1..=cycles {
+        let symbol = (c - 1) / dect::transceiver::CYCLES_PER_SYMBOL;
+        for sim in [&mut one, &mut many] {
+            for (l, burst) in bursts.iter().enumerate() {
+                let x = burst.samples[symbol % burst.samples.len()];
+                sim.set_input_lane(l, "sample", Value::Fixed(x)).unwrap();
+            }
+            sim.set_input("hold_request", Value::Bool(false)).unwrap();
+            sim.step().unwrap();
+        }
+        if checkpoints.contains(&c) {
+            for l in 0..LANES {
+                assert_eq!(
+                    one.snapshot_lane(l).unwrap().to_bytes(),
+                    many.snapshot_lane(l).unwrap().to_bytes(),
+                    "lane {l} cycle {c}"
+                );
+            }
+        }
+    }
+    // The lanes diverged: their own bursts reached their own RAMs.
+    let blocks = |l: usize| {
+        let snap = one.snapshot_lane(l).unwrap();
+        (0..one.system().untimed.len())
+            .map(|u| {
+                snap.section(&format!("untimed.{u}"))
+                    .unwrap_or(&[])
+                    .to_vec()
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_ne!(blocks(0), blocks(1));
+}
+
+/// A RAM preloaded with one word at address 0, written only when the
+/// primary input `we` is high: `y` reads the word back every cycle.
+fn preloaded_ram_system() -> System {
+    let c = Component::build("port");
+    let we_in = c.input("we_in", SigType::Bool).unwrap();
+    let rdata = c.input("rdata", SigType::Bits(8)).unwrap();
+    let addr = c.output("addr", SigType::Bits(2)).unwrap();
+    let we = c.output("we", SigType::Bool).unwrap();
+    let wdata = c.output("wdata", SigType::Bits(8)).unwrap();
+    let y = c.output("y", SigType::Bits(8)).unwrap();
+    let s = c.sfg("access").unwrap();
+    s.drive(addr, &c.const_bits(2, 0)).unwrap();
+    s.drive(we, &c.read(we_in)).unwrap();
+    s.drive(wdata, &c.const_bits(8, 0x11)).unwrap();
+    s.drive(y, &c.read(rdata)).unwrap();
+    let comp = c.finish().unwrap();
+
+    let mut ram = Ram::new("ram", 2, SigType::Bits(8));
+    ram.preload(0, Value::bits(8, 0x5a));
+    let mut sb = System::build("preloaded");
+    let p = sb.add_component("port", comp).unwrap();
+    let r = sb.add_block(Box::new(ram)).unwrap();
+    sb.input("we", SigType::Bool).unwrap();
+    sb.connect_input("we", p, "we_in").unwrap();
+    sb.connect(p, "addr", r, "addr").unwrap();
+    sb.connect(p, "we", r, "we").unwrap();
+    sb.connect(p, "wdata", r, "wdata").unwrap();
+    sb.connect(r, "rdata", p, "rdata").unwrap();
+    sb.output("y", p, "y").unwrap();
+    sb.finish().unwrap()
+}
+
+/// Lanes built from one capture own their blocks: only lane 0 writes
+/// its RAM, and lane 1 still reads its own power-up word. The captured
+/// system's RAM never fires, so it stays at power-up too; a reset
+/// restores the preload in every lane.
+#[test]
+fn a_lane_of_one_capture_reads_its_own_ram() {
+    let tape = CompiledTape::compile(&preloaded_ram_system(), OptLevel::Full).unwrap();
+    let mut sim = BatchedSim::replicate(preloaded_ram_system(), 2, &tape).unwrap();
+    let power_up = Value::bits(8, 0x5a);
+    for (c, we0) in [true, false, false].into_iter().enumerate() {
+        sim.set_input_lane(0, "we", Value::Bool(we0)).unwrap();
+        sim.set_input_lane(1, "we", Value::Bool(false)).unwrap();
+        sim.step().unwrap();
+        let want0 = if c == 0 {
+            power_up
+        } else {
+            Value::bits(8, 0x11)
+        };
+        assert_eq!(sim.output_lane(0, "y").unwrap(), want0, "lane 0 cycle {c}");
+        assert_eq!(
+            sim.output_lane(1, "y").unwrap(),
+            power_up,
+            "lane 1 cycle {c}"
+        );
+    }
+    let template = sim.system().untimed[0].block.snapshot_state();
+    assert_eq!(template, [0x5a, 0, 0, 0]);
+    assert_eq!(
+        sim.snapshot_lane(0).unwrap().section("untimed.0"),
+        Some(&[0x11, 0, 0, 0][..])
+    );
+    assert_eq!(
+        sim.snapshot_lane(1).unwrap().section("untimed.0"),
+        Some(&template[..])
+    );
+    sim.reset();
+    sim.set_input("we", Value::Bool(false)).unwrap();
+    sim.step().unwrap();
+    for l in 0..2 {
+        assert_eq!(sim.output_lane(l, "y").unwrap(), power_up, "lane {l}");
+    }
+    assert!(matches!(
+        BatchedSim::replicate(preloaded_ram_system(), 0, &tape),
+        Err(CoreError::CheckFailed { .. })
+    ));
+}
+
 /// Structural lane mismatches are rejected up front with diagnostics.
 #[test]
 fn mismatched_lane_systems_are_rejected() {

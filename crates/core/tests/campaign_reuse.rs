@@ -1,8 +1,9 @@
 //! The lane-batched campaign driver reuses one reset batch per worker
-//! and lane count instead of building one per chunk of events. These
-//! tests pin what that must not change — every event's outcome, at every
-//! lane and thread count, including a short last chunk — and what it
-//! must change: how often the driver captures a system.
+//! and lane count instead of building one per chunk of events, and
+//! builds each batch from one captured system. These tests pin what that
+//! must not change — every event's outcome, at every lane and thread
+//! count, including a short last chunk — and what it must change: how
+//! often the driver captures a system.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -113,9 +114,10 @@ fn a_campaign_captures_once_per_worker_and_lane_count() {
             )
             .expect("cached campaign");
             let captures = captures.into_inner();
-            // The golden run, one full batch per worker, one short last
-            // batch; a build per event would be 1 + E.
-            let bound = 1 + threads * lanes + e % lanes;
+            // The golden run, one capture per worker's full batch, one
+            // for a short last batch; a capture per lane would be
+            // 1 + T·L + (E mod L), one per event 1 + E.
+            let bound = 1 + threads + usize::from(!e.is_multiple_of(lanes));
             assert!(
                 captures <= bound,
                 "lanes={lanes} threads={threads}: {captures} captures > {bound}"

@@ -80,6 +80,10 @@ impl UntimedBlock for HighLevelEqualizer {
         }]
     }
 
+    fn boxed_clone(&self) -> Box<dyn UntimedBlock> {
+        Box::new(self.clone())
+    }
+
     fn fire(&mut self, inputs: &[Value], outputs: &mut [Value]) {
         let op = inputs[0].as_bits().expect("op is bits");
         let x_in = inputs[1].as_fixed().expect("x_in is fixed");

@@ -52,13 +52,17 @@ fn opt_u64(req: &Json, key: &str, default: u64) -> Result<u64, ServeError> {
 }
 
 /// Upper bounds on the request fields that size a job's allocations
-/// (event list, golden trace, burst list, payload buffers). Far above
-/// every in-tree client, low enough that one request cannot exhaust the
-/// daemon's memory.
+/// (event list, golden trace, burst list, payload buffers, lane batch),
+/// its worker threads and its retries. Far above every in-tree client,
+/// low enough that one request cannot exhaust the daemon's memory or
+/// threads.
 const MAX_EVENTS: u64 = 1 << 16;
 const MAX_CYCLES: u64 = 1 << 16;
 const MAX_BURSTS: u64 = 1 << 16;
 const MAX_PAYLOAD_LEN: u64 = 1 << 12;
+const MAX_LANES: u64 = 256;
+const MAX_THREADS: u64 = 64;
+const MAX_RETRIES: u64 = 16;
 
 /// [`opt_u64`] that rejects values above `cap` with a parse error
 /// naming the field and the cap.
@@ -248,8 +252,8 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
     let noise = opt_f64_arr(req, "noise", &[0.05])?;
     let bursts = capped_u64(req, "bursts", 4, MAX_BURSTS)?.max(1);
     let payload_len = capped_u64(req, "payload_len", 64, MAX_PAYLOAD_LEN)?.max(16) as usize;
-    let lanes = opt_u64(req, "lanes", 1)?.max(1) as usize;
-    let threads = opt_u64(req, "threads", 1)?.max(1) as usize;
+    let lanes = capped_u64(req, "lanes", 1, MAX_LANES)?.max(1) as usize;
+    let threads = capped_u64(req, "threads", 1, MAX_THREADS)?.max(1) as usize;
     let level = opt_level(req)?;
     let use_checkpoint = opt_bool(req, "checkpoint", false)?;
     let resume = opt_bool(req, "resume", false)?;
@@ -268,7 +272,7 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
     let pool = ParConfig::new(threads);
     let rb = Robust {
         pool: &pool,
-        attempts: opt_u64(req, "retries", 1)?.max(1) as u32,
+        attempts: capped_u64(req, "retries", 1, MAX_RETRIES)?.max(1) as u32,
         every: opt_u64(req, "checkpoint_every", 4)?.max(1),
         dir: ckpt_dir,
         job: None,
@@ -359,8 +363,8 @@ pub fn run_campaign_job(
     let cycles = capped_u64(req, "cycles", 96, MAX_CYCLES)?.max(2);
     let n_events = capped_u64(req, "events", 32, MAX_EVENTS)?.max(1);
     let seed = opt_u64(req, "seed", 0xca3)?;
-    let lanes = opt_u64(req, "lanes", 1)?.max(1) as usize;
-    let threads = opt_u64(req, "threads", 1)?.max(1) as usize;
+    let lanes = capped_u64(req, "lanes", 1, MAX_LANES)?.max(1) as usize;
+    let threads = capped_u64(req, "threads", 1, MAX_THREADS)?.max(1) as usize;
     let level = opt_level(req)?;
 
     let sw = ocapi_obs::Stopwatch::start();

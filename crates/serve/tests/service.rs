@@ -240,6 +240,38 @@ fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
             "payload_len",
             format!(r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":{huge}}}"#),
         ),
+        // One burst or two events at most: uncapped, each of these runs
+        // one short job on at most two lanes and two workers.
+        (
+            "lanes",
+            format!(
+                r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":16,"lanes":{huge}}}"#
+            ),
+        ),
+        (
+            "lanes",
+            format!(
+                r#"{{"op":"campaign","id":"big","design":"hcor","cycles":8,"events":2,"lanes":{huge}}}"#
+            ),
+        ),
+        (
+            "threads",
+            format!(
+                r#"{{"op":"ber","id":"big","design":"dect","bursts":2,"payload_len":16,"threads":{huge}}}"#
+            ),
+        ),
+        (
+            "threads",
+            format!(
+                r#"{{"op":"campaign","id":"big","design":"hcor","cycles":8,"events":2,"threads":{huge}}}"#
+            ),
+        ),
+        (
+            "retries",
+            format!(
+                r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":16,"retries":{huge}}}"#
+            ),
+        ),
     ] {
         let reply = exchange(&socket, &request);
         assert!(reply.contains("\"type\":\"error\""), "{field}: {reply}");

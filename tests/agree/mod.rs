@@ -4,8 +4,9 @@
 //! captured design, which only means something if all of them compute
 //! the same cycles. [`check`] builds twelve engine configurations from a
 //! `Fn() -> System`: `InterpSim` as the reference, `CompiledSim` at the
-//! three [`OptLevel`]s, `BatchedSim` at 1 and 64 lanes per level (lanes
-//! 0 and 63 read), `RtlSystemSim`, and `GateSystemSim` under one of
+//! three [`OptLevel`]s, `BatchedSim` at 1 and 64 lanes per level (one
+//! capture whose untimed blocks every lane copies; lanes 0 and 63
+//! read), `RtlSystemSim`, and `GateSystemSim` under one of
 //! three synthesis option sets. It drives them with the same stimulus
 //! and compares every primary output on every engine each cycle; on the
 //! tape engines also every net and every register each cycle, and the
