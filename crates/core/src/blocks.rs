@@ -57,9 +57,12 @@ pub trait UntimedBlock {
     /// A copy of this block in its current state, whose
     /// [`UntimedBlock::reset`] restores the same power-up state as the
     /// original's. A lane-batched simulator captures one system and
-    /// gives each lane copies of its (power-up) blocks, so every lane
-    /// owns its untimed state without a capture of its own. A block
-    /// that derives `Clone` returns `Box::new(self.clone())`.
+    /// gives each lane copies of its (power-up) generic blocks, so every
+    /// lane owns its untimed state without a capture of its own. A
+    /// memory the compiled tape runs natively (see
+    /// [`UntimedBlock::memory_spec`]) is not copied per lane: each lane
+    /// keeps the memory's words in the tape state instead. A block that
+    /// derives `Clone` returns `Box::new(self.clone())`.
     fn boxed_clone(&self) -> Box<dyn UntimedBlock>;
 
     /// Returns the block to its power-up state: afterwards it must
@@ -71,9 +74,22 @@ pub trait UntimedBlock {
     /// with an empty body.
     fn reset(&mut self);
 
-    /// If this block is a memory, its structural description — code
-    /// generators use it to emit a behavioural HDL model instead of a
-    /// black box. Defaults to `None` (opaque behaviour).
+    /// If this block is a memory, its structural description. Defaults
+    /// to `None` (opaque behaviour).
+    ///
+    /// The HDL writers emit a behavioural model from the spec instead of
+    /// a black box. The compiled tape (`CompiledSim`, `BatchedSim`) runs
+    /// a block that reports a spec, and whose ports have the memory
+    /// shape — a ROM `addr: Bits(a)` → `data: W`, a RAM `addr: Bits(a)`,
+    /// `we: Bool`, `wdata: W` → `rdata: W`, `2^a` words of contents — as
+    /// that memory: each firing reads the word at the address masked to
+    /// `a` bits, and a RAM then stores `wdata` when `we` is set, as
+    /// [`Ram`] and [`Rom`] do. There, the block's `ready` and `fire` are
+    /// not called, its `contents` when the simulator is built are the
+    /// power-up contents a reset returns to, and a snapshot's section
+    /// for it is a RAM's words (none for a ROM). The interpreter and the
+    /// RT kernel still fire the block, so a block that reports a spec
+    /// must behave as that memory.
     fn memory_spec(&self) -> Option<MemorySpec> {
         None
     }

@@ -26,9 +26,15 @@
 //! Lanes stay *independent*:
 //!
 //! * every lane has its own FSM states, SFG activation flags, register
-//!   file and untimed blocks; the lanes share one [`System`], the
-//!   structure the tape was compiled from, and each owns copies of its
-//!   untimed blocks ([`UntimedBlock::boxed_clone`]);
+//!   file and untimed state; the lanes share one [`System`], the
+//!   structure the tape was compiled from. A block that reports a
+//!   [`MemorySpec`](crate::MemorySpec) and is wired in the memory shape
+//!   (a `Ram`, a `Rom`) runs as a native memory of the tape state: each
+//!   lane keeps a RAM's words as plain `u64`s, and a ROM is read from
+//!   the lane's power-up image, which lanes of one capture share. This
+//!   memory plan is the one thing planned per instance, from the batch's
+//!   own system(s), never from the shared program. Each lane owns copies
+//!   of the remaining, generic blocks ([`UntimedBlock::boxed_clone`]);
 //! * control-flow divergence is handled per lane — transition selection
 //!   and `Drive`/`Fire` resolution read the lane's own stripe;
 //! * a per-lane error (a trace fault, a failed fault-injection poke)
@@ -60,7 +66,7 @@ use ocapi_obs::Registry;
 use crate::blocks::UntimedBlock;
 use crate::sim::budget::Budget;
 use crate::sim::compiled::Program;
-use crate::sim::exec::{self, All, Lanes, Live, One, State};
+use crate::sim::exec::{self, All, Fired, Lanes, Live, Memory, MemoryPlan, One, State};
 use crate::sim::hash::CompiledTape;
 use crate::sim::obs::TapeObs;
 use crate::sim::opt::{OptLevel, OptStats};
@@ -71,19 +77,27 @@ use crate::trace::{make_trace, traced_nets, Trace};
 use crate::value::Value;
 use crate::CoreError;
 
-/// Every lane's untimed blocks, lane-major: block `u` of lane `l` at
-/// `l * U + u`, `U` being the system's untimed-block count.
+/// Every lane's generic untimed blocks (those not run as memories),
+/// lane-major: generic block `g` of lane `l` at `l * G + g`, `G` being
+/// the generic blocks a lane.
 type LaneBlocks = Vec<Box<dyn UntimedBlock>>;
+
+/// Lanes `1..`'s own untimed blocks, one vector a lane in system order,
+/// when each lane brought its own system; empty when every lane copies
+/// the batch's.
+type OwnBlocks = Vec<Vec<Box<dyn UntimedBlock>>>;
 
 /// The compiled-tape simulator over N lanes. See the [module docs](self).
 ///
 /// Construct with [`BatchedSim::replicate`] from one captured [`System`]
 /// and its [`CompiledTape`], or with [`BatchedSim::from_fn`] from a
-/// builder closure: either captures the design once and gives every
-/// lane copies of its untimed blocks. [`BatchedSim::new`],
+/// builder closure: either captures the design once, shares its
+/// memories' power-up images between the lanes and gives every lane
+/// copies of its generic untimed blocks. [`BatchedSim::new`],
 /// [`BatchedSim::new_with`] and [`BatchedSim::from_tape`] take one
 /// structurally identical system per lane instead; the batch keeps lane
-/// 0's structure and the other lanes' untimed blocks. Drive either
+/// 0's structure and the other lanes' generic blocks, and each lane's
+/// memories start from its own blocks' contents. Drive either
 /// through the lane-addressed methods (`set_input_lane`, `output_lane`,
 /// …) or through the [`Simulator`] trait, which *broadcasts* writes to
 /// every live lane and reads lane 0 — a 1-lane batch is exactly the
@@ -93,9 +107,10 @@ type LaneBlocks = Vec<Box<dyn UntimedBlock>>;
 pub struct BatchedSim {
     /// The system the tape was compiled from: the structure every lane
     /// shares. Its untimed blocks never fire; they stay at power-up as
-    /// the template the lanes' blocks are copied from.
+    /// the template the lanes' generic blocks are copied from and its
+    /// memories' images are read from.
     system: System,
-    /// Every lane's untimed blocks, `U = system.untimed.len()` a lane.
+    /// Every lane's generic untimed blocks; the memories live in `st`.
     blocks: LaneBlocks,
     /// Shared with the [`CompiledTape`] it was instantiated from.
     prog: Arc<Program>,
@@ -131,34 +146,93 @@ fn no_lanes() -> CoreError {
     }
 }
 
-/// `lanes` lanes' copies of `sys`'s untimed blocks, in their current
-/// state.
-fn copies(sys: &System, lanes: usize) -> LaneBlocks {
-    (0..lanes)
-        .flat_map(|_| sys.untimed.iter().map(|u| u.block.boxed_clone()))
-        .collect()
-}
-
 /// A lane set, validated (non-empty and structurally identical to lane
 /// 0) and split into what a batch keeps: lane 0's system, the lane
-/// count, and every lane's untimed blocks — copies of lane 0's, then
-/// each other lane's own.
-fn split_lanes(systems: Vec<System>) -> Result<(System, usize, LaneBlocks), CoreError> {
+/// count, and each other lane's own untimed blocks.
+fn split_lanes(systems: Vec<System>) -> Result<(System, usize, OwnBlocks), CoreError> {
     let lanes = systems.len();
     let mut systems = systems.into_iter();
     let system = systems.next().ok_or_else(no_lanes)?;
-    let mut blocks = copies(&system, 1);
+    let mut own = Vec::with_capacity(lanes.saturating_sub(1));
     let mut diags = Vec::new();
     for (l, s) in (1..).zip(systems) {
         match shape_diff(&system, &s, l) {
             Some(d) => diags.push(d),
-            None => blocks.extend(s.untimed.into_iter().map(|u| u.block)),
+            None => own.push(s.untimed.into_iter().map(|u| u.block).collect()),
         }
     }
     if !diags.is_empty() {
         return Err(CoreError::CheckFailed { diagnostics: diags });
     }
-    Ok((system, lanes, blocks))
+    Ok((system, lanes, own))
+}
+
+/// The memory plan of `lanes` lanes of `system` compiled into `prog`,
+/// and every lane's generic blocks. A block whose
+/// [`UntimedBlock::memory_spec`] is wired in the memory shape
+/// ([`Memory::wire`]) runs as a native memory; every other block stays
+/// generic. Lane 0 — and every lane when `own` is empty — reads
+/// `system`'s memory images and copies its generic blocks; lane `l` of
+/// `own` brings its own blocks (`own[l - 1]`), whose contents each lane
+/// takes once. A lane whose block at a memory's index is not that
+/// memory fails with [`CoreError::CheckFailed`] naming the lane.
+fn memory_plan(
+    prog: &Program,
+    system: &System,
+    lanes: usize,
+    own: OwnBlocks,
+) -> Result<(MemoryPlan, LaneBlocks), CoreError> {
+    let mut fired = Vec::new();
+    let mut mems: Vec<Memory> = Vec::new();
+    let mut generic = Vec::new();
+    for (inst, io) in system.untimed.iter().zip(&prog.untimed_io) {
+        match inst.block.memory_spec().and_then(|s| Memory::wire(io, &s)) {
+            Some(m) => {
+                fired.push(Fired::Memory(mems.len()));
+                mems.push(m);
+            }
+            None => {
+                fired.push(Fired::Block(generic.len()));
+                generic.push(&*inst.block);
+            }
+        }
+    }
+    let copies = if own.is_empty() { lanes } else { 1 };
+    let mut blocks = Vec::with_capacity(lanes * generic.len());
+    for _ in 0..copies {
+        blocks.extend(generic.iter().map(|b| b.boxed_clone()));
+    }
+    for _ in 1..copies {
+        mems.iter_mut().for_each(Memory::push_copy);
+    }
+    let mut diags = Vec::new();
+    for (l, lane) in (1..).zip(own) {
+        for (b, f) in lane.into_iter().zip(&fired) {
+            match *f {
+                Fired::Block(_) => blocks.push(b),
+                Fired::Memory(k) => {
+                    if !mems[k].push_own(b.memory_spec()) {
+                        diags.push(format!(
+                            "lane {l}: untimed block `{}` is not the memory lane 0 runs",
+                            b.name()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    if !diags.is_empty() {
+        return Err(CoreError::CheckFailed { diagnostics: diags });
+    }
+    let generic = generic.len();
+    Ok((
+        MemoryPlan {
+            fired,
+            mems,
+            generic,
+        },
+        blocks,
+    ))
 }
 
 /// One structural difference between two lane systems, rendered.
@@ -231,27 +305,21 @@ impl BatchedSim {
     /// [`CoreError::NotCompilable`] when the design has no static
     /// single-pass schedule.
     pub fn new_with(systems: Vec<System>, level: OptLevel) -> Result<BatchedSim, CoreError> {
-        let (system, lanes, blocks) = split_lanes(systems)?;
-        BatchedSim::compiled(blocks, system, lanes, level)
+        let (system, lanes, own) = split_lanes(systems)?;
+        BatchedSim::compiled(own, system, lanes, level)
     }
 
     /// The tape path, minus its structural check: `system` is the
     /// system just compiled.
     fn compiled(
-        blocks: LaneBlocks,
+        own: OwnBlocks,
         system: System,
         lanes: usize,
         level: OptLevel,
     ) -> Result<BatchedSim, CoreError> {
         let tape = CompiledTape::compile(&system, level)?;
         let design_hash = tape.program_hash();
-        Ok(BatchedSim::from_parts(
-            blocks,
-            system,
-            lanes,
-            tape.prog,
-            design_hash,
-        ))
+        BatchedSim::from_parts(own, system, lanes, tape.prog, design_hash)
     }
 
     /// Instantiates a batch from a cached [`CompiledTape`] without
@@ -267,20 +335,21 @@ impl BatchedSim {
     /// when `systems[0]` is not structurally the system the tape was
     /// compiled from.
     pub fn from_tape(systems: Vec<System>, tape: &CompiledTape) -> Result<BatchedSim, CoreError> {
-        let (system, lanes, blocks) = split_lanes(systems)?;
+        let (system, lanes, own) = split_lanes(systems)?;
         tape.check_system(&system)?;
-        Ok(BatchedSim::from_parts(
-            blocks,
+        BatchedSim::from_parts(
+            own,
             system,
             lanes,
             Arc::clone(&tape.prog),
             tape.program_hash(),
-        ))
+        )
     }
 
     /// Builds `lanes` lanes over a cached [`CompiledTape`] from one
     /// captured system: the batch keeps `sys` as the structure every
-    /// lane shares and gives each lane copies of its untimed blocks
+    /// lane shares, shares one power-up image per memory between the
+    /// lanes and gives each lane copies of its generic untimed blocks
     /// ([`UntimedBlock::boxed_clone`]), so a wide batch costs one capture
     /// and one hash check, not one per lane. Behaviour is identical to
     /// [`BatchedSim::from_tape`] over `lanes` separately built systems.
@@ -299,27 +368,29 @@ impl BatchedSim {
             return Err(no_lanes());
         }
         tape.check_system(&sys)?;
-        Ok(BatchedSim::from_parts(
-            copies(&sys, lanes),
+        BatchedSim::from_parts(
+            Vec::new(),
             sys,
             lanes,
             Arc::clone(&tape.prog),
             tape.program_hash(),
-        ))
+        )
     }
 
-    /// Assembles a batch around an already-built program: `blocks`
-    /// holds `lanes` lanes' untimed blocks and `system` is the structure
-    /// the program was compiled from.
+    /// Assembles a batch of `lanes` lanes around an already-built
+    /// program: `system` is the structure the program was compiled from,
+    /// and `own` the other lanes' blocks when each lane brought its own
+    /// system (see [`memory_plan`]).
     fn from_parts(
-        blocks: LaneBlocks,
+        own: OwnBlocks,
         system: System,
         lanes: usize,
         prog: Arc<Program>,
         design_hash: u64,
-    ) -> BatchedSim {
-        BatchedSim {
-            st: State::new(&prog, &system, lanes),
+    ) -> Result<BatchedSim, CoreError> {
+        let (plan, blocks) = memory_plan(&prog, &system, lanes, own)?;
+        Ok(BatchedSim {
+            st: State::new(&prog, &system, lanes, plan),
             prog,
             lanes,
             alive: vec![true; lanes],
@@ -332,7 +403,7 @@ impl BatchedSim {
             design_hash,
             system,
             blocks,
-        }
+        })
     }
 
     /// Attaches watchdog limits ([`Budget`]) to the whole batch:
@@ -374,10 +445,10 @@ impl BatchedSim {
         self.st.snapshot(lane, blocks, self.design_hash, self.cycle)
     }
 
-    /// Where lane `lane`'s untimed blocks sit in `blocks`.
+    /// Where lane `lane`'s generic untimed blocks sit in `blocks`.
     fn lane_blocks(&self, lane: usize) -> Range<usize> {
-        let u = self.system.untimed.len();
-        lane * u..(lane + 1) * u
+        let g = self.st.plan.generic;
+        lane * g..(lane + 1) * g
     }
 
     /// Restores one lane from a snapshot taken by
@@ -428,7 +499,7 @@ impl BatchedSim {
     ) -> Result<BatchedSim, CoreError> {
         let system = make_sys()?;
         let lanes = lanes.max(1);
-        BatchedSim::compiled(copies(&system, lanes), system, lanes, level)
+        BatchedSim::compiled(Vec::new(), system, lanes, level)
     }
 
     /// Number of lanes (live and masked).
@@ -475,8 +546,9 @@ impl BatchedSim {
     }
 
     /// The system the tape was compiled from: the structure every lane
-    /// shares. Its untimed blocks stay at power-up — each lane runs on
-    /// its own copies, whose state [`BatchedSim::snapshot_lane`] reads.
+    /// shares. Its untimed blocks stay at power-up — each lane runs its
+    /// own memories and copies of the generic blocks, whose state
+    /// [`BatchedSim::snapshot_lane`] reads.
     pub fn system(&self) -> &System {
         &self.system
     }
@@ -508,7 +580,8 @@ impl BatchedSim {
     }
 
     /// Returns every lane to power-up state: state slots, FSM states,
-    /// registers and untimed blocks. Masked lanes are revived, the cycle
+    /// registers, memories (each lane's power-up image) and generic
+    /// untimed blocks. Masked lanes are revived, the cycle
     /// count restarts at 0 and enabled traces restart empty; the budget
     /// and any attached bundle stay. From here the batch steps exactly
     /// as a fresh build from the same tape would — every output, net,

@@ -26,7 +26,20 @@
 //! kind, and a cast's shift direction, rounding and overflow mode — a
 //! `CastF` is `Fix::cast`'s exact arithmetic inlined on `i64`s, keeping
 //! `Fix::from_raw`'s mantissa-range assert. `SelectU` is a mask blend.
-//! Only `Fire` and the `Drive` of an FSM instance walk lanes one by one.
+//! Only the `Fire` of a generic untimed block and the `Drive` of an FSM
+//! instance walk lanes one by one with per-lane calls.
+//!
+//! **Memories.** A `Fire` of a block that reports a
+//! [`MemorySpec`](crate::MemorySpec) and is wired in the memory shape
+//! ([`Memory::wire`]) runs natively: each live lane masks its address,
+//! reads a `u64` word — a ROM from its lane's power-up image, a RAM from
+//! its lane's words — and a RAM then stores its canonical `wdata` when
+//! `we` is set. No `Value` is built and no block is called; the
+//! memories are part of the [`State`], planned when the state is built
+//! from the batch's own blocks (not from the [`Program`], so two
+//! systems that share a tape still read their own contents). Every
+//! other block fires through its lane's own copy
+//! ([`Fired::Block`]).
 //!
 //! **Static control.** An instance without an FSM runs every SFG every
 //! cycle. Its activation flags are set once, when the [`State`] is
@@ -35,14 +48,15 @@
 //! commit as plain stripe copies.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
-use crate::blocks::UntimedBlock;
+use crate::blocks::{MemorySpec, UntimedBlock};
 use crate::sim::compiled::{Cmp, CompiledTransition, Micro, Program, RegWriteSel, UntimedIo};
 use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
 use crate::system::System;
-use crate::value::Value;
+use crate::value::{SigType, Value};
 use crate::CoreError;
 
 /// Lane geometry of a striped state vector, and the fixed-width lane
@@ -259,6 +273,201 @@ impl Lanes for Live<'_> {
     }
 }
 
+/// How the tape's `Fire` runs one untimed block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fired {
+    /// Through each lane's own copy of generic block `g`: block `g` of
+    /// lane `l` at `l * G + g` of the lane-major block slice, `G` being
+    /// [`MemoryPlan::generic`].
+    Block(usize),
+    /// As native memory `k` of the state ([`MemoryPlan::mems`]).
+    Memory(usize),
+}
+
+/// An untimed block the tape runs as a memory of its state: a block
+/// that reports a [`MemorySpec`] and is wired in the memory shape. A ROM
+/// reads each lane's power-up image; a RAM keeps each lane's words.
+#[derive(Debug)]
+pub(crate) struct Memory {
+    /// The address slot.
+    addr: u32,
+    /// A RAM's `we` and `wdata` slots; `None` for a ROM.
+    write: Option<[u32; 2]>,
+    /// The read-data slot.
+    data: u32,
+    /// The word type.
+    word: SigType,
+    /// `2^a - 1`: the address bits `Value::from_raw` keeps.
+    mask: u64,
+    /// Each lane's power-up contents, `2^a` words. Lane 0 reads the
+    /// batch's system's block; a lane that copies that system shares
+    /// lane 0's image, and a lane that brought its own block reads that
+    /// block's (sharing lane 0's when they are equal).
+    power_up: Vec<Arc<[u64]>>,
+    /// A RAM's words, lane after lane: word `x` of lane `l` at
+    /// `l * 2^a + x`. Empty for a ROM.
+    words: Vec<u64>,
+}
+
+impl Memory {
+    /// The memory `spec` describes, if the block's wiring `io` has its
+    /// shape — a ROM `addr: Bits(a)` → `data: W`, a RAM `addr: Bits(a)`,
+    /// `we: Bool`, `wdata: W` → `rdata: W` — and its contents are `2^a`
+    /// words of type `W`. Its one lane, lane 0, reads those contents.
+    pub(crate) fn wire(io: &UntimedIo, spec: &MemorySpec) -> Option<Memory> {
+        let (ins, outs) = io;
+        let word = spec.word;
+        let a = spec.addr_bits;
+        let [(addr, SigType::Bits(w)), rest @ ..] = &ins[..] else {
+            return None;
+        };
+        let write = match (spec.is_rom, rest) {
+            (true, []) => None,
+            (false, [(we, SigType::Bool), (wdata, ty)]) if *ty == word => Some([*we, *wdata]),
+            _ => return None,
+        };
+        let [(data, ty)] = &outs[..] else {
+            return None;
+        };
+        let image = Memory::contents(spec)?;
+        let depth_ok = (1..usize::BITS).contains(&a) && image.len() == 1 << a;
+        (*w == a && *ty == word && depth_ok).then(|| Memory {
+            addr: *addr,
+            write,
+            data: *data,
+            word,
+            mask: (1 << a) - 1,
+            power_up: vec![image],
+            words: Vec::new(),
+        })
+    }
+
+    /// `spec`'s contents as raw words, if every one has type
+    /// `spec.word`.
+    fn contents(spec: &MemorySpec) -> Option<Arc<[u64]>> {
+        let word = spec.word;
+        spec.contents
+            .iter()
+            .map(|v| (v.sig_type() == word).then(|| v.to_raw()))
+            .collect()
+    }
+
+    /// Adds a lane that shares lane 0's power-up image.
+    pub(crate) fn push_copy(&mut self) {
+        self.power_up.push(Arc::clone(&self.power_up[0]));
+    }
+
+    /// Adds a lane whose own block reports `spec`. Returns `false`, and
+    /// adds nothing, when `spec` is not this memory: another kind,
+    /// address width or word type, or contents that do not fit it.
+    pub(crate) fn push_own(&mut self, spec: Option<MemorySpec>) -> bool {
+        let Some(spec) = spec.filter(|s| {
+            s.is_rom == self.write.is_none()
+                && s.addr_bits == self.mask.count_ones()
+                && s.word == self.word
+                && s.contents.len() == self.depth()
+        }) else {
+            return false;
+        };
+        let lane0 = &self.power_up[0];
+        let shared = spec
+            .contents
+            .iter()
+            .zip(lane0.iter())
+            .all(|(v, w)| v.sig_type() == self.word && v.to_raw() == *w);
+        let image = if shared {
+            Some(Arc::clone(lane0))
+        } else {
+            Memory::contents(&spec)
+        };
+        let ok = image.is_some();
+        self.power_up.extend(image);
+        ok
+    }
+
+    /// Words a lane.
+    fn depth(&self) -> usize {
+        self.power_up[0].len()
+    }
+
+    /// Returns every lane's RAM words to its power-up image.
+    fn reset(&mut self) {
+        if self.write.is_none() {
+            return;
+        }
+        let d = self.depth();
+        self.words.resize(self.power_up.len() * d, 0);
+        for (lane, image) in self.words.chunks_exact_mut(d).zip(&self.power_up) {
+            lane.copy_from_slice(image);
+        }
+    }
+
+    /// Lane `l`'s words: a RAM's current contents, nothing for a ROM
+    /// (its contents never change, so a snapshot carries none).
+    fn lane(&self, l: usize) -> &[u64] {
+        let d = self.depth();
+        self.words.get(l * d..(l + 1) * d).unwrap_or(&[])
+    }
+
+    /// Installs `words` as lane `l`'s contents, with `Ram::restore_state`'s
+    /// checks: a RAM takes exactly its depth of words its type can hold,
+    /// a ROM only an empty section. Returns `false`, changing nothing,
+    /// when they do not fit.
+    fn restore(&mut self, l: usize, words: &[u64]) -> bool {
+        if self.write.is_none() {
+            return words.is_empty();
+        }
+        let d = self.depth();
+        if words.len() != d || !words.iter().all(|w| Value::raw_fits(self.word, *w)) {
+            return false;
+        }
+        self.words[l * d..(l + 1) * d].copy_from_slice(words);
+        true
+    }
+
+    /// One `Fire` in every live lane: the lane reads the word at its
+    /// address masked to `a` bits and, for a RAM, then stores its
+    /// `wdata` there when `we` is non-zero. The stored word is canonical
+    /// (`Value::from_raw(W, wdata).to_raw()`), so a fixed-point `wdata`
+    /// keeps `Fix::from_raw`'s mantissa-range assert on every firing,
+    /// write or not — what `Ram::fire` over `Value`s does.
+    #[inline(always)]
+    fn fire<L: Lanes>(&mut self, s: &mut [u64], lanes: L) {
+        let n = lanes.n();
+        let d = self.depth();
+        let at = move |x: u32, l: usize| x as usize * n + l;
+        for l in (0..n).filter(move |l| lanes.live(*l)) {
+            let a = (s[at(self.addr, l)] & self.mask) as usize;
+            let read = match self.write {
+                None => self.power_up[l][a],
+                Some([we, wdata]) => {
+                    let w = Value::from_raw(self.word, s[at(wdata, l)]).to_raw();
+                    let cell = &mut self.words[l * d + a];
+                    let read = *cell;
+                    if s[at(we, l)] != 0 {
+                        *cell = w;
+                    }
+                    read
+                }
+            };
+            s[at(self.data, l)] = read;
+        }
+    }
+}
+
+/// The memory plan of one instance: how each untimed block fires, the
+/// native memories with every lane's contents, and how many generic
+/// blocks each lane owns.
+#[derive(Debug)]
+pub(crate) struct MemoryPlan {
+    /// Per untimed block of the system, in system order.
+    pub(crate) fired: Vec<Fired>,
+    /// The native memories, each with every lane's contents.
+    pub(crate) mems: Vec<Memory>,
+    /// Generic blocks a lane (`G`).
+    pub(crate) generic: usize,
+}
+
 /// The mutable state of `n` lanes over one [`Program`], striped
 /// lane-major. A snapshot of one lane is exactly the
 /// [`SnapshotBackend::Compiled`] layout.
@@ -277,15 +486,20 @@ pub(crate) struct State {
     always_on: Vec<bool>,
     /// Per instance: register `r` of lane `l` at `regs[i][r * n + l]`.
     pub(crate) regs: Vec<Vec<u64>>,
-    /// `Fire` marshalling buffers, kept so that steady-state cycles do
-    /// not allocate.
+    /// The memory plan: how each untimed block fires, and the memories'
+    /// contents in every lane.
+    pub(crate) plan: MemoryPlan,
+    /// Generic `Fire` marshalling buffers, kept so that steady-state
+    /// cycles do not allocate.
     in_buf: Vec<Value>,
     out_buf: Vec<Value>,
 }
 
 impl State {
-    /// Power-up state of `n` lanes of `sys` compiled into `prog`.
-    pub(crate) fn new(prog: &Program, sys: &System, n: usize) -> State {
+    /// Power-up state of `n` lanes of `sys` compiled into `prog`, whose
+    /// untimed blocks fire as `untimed` plans (one power-up image per lane
+    /// in each of its memories).
+    pub(crate) fn new(prog: &Program, sys: &System, n: usize, plan: MemoryPlan) -> State {
         let always_on: Vec<bool> = prog.fsm_tables.iter().map(Vec::is_empty).collect();
         let mut st = State {
             n,
@@ -303,6 +517,7 @@ impl State {
                 .iter()
                 .map(|t| vec![0; t.comp.regs.len() * n])
                 .collect(),
+            plan,
             in_buf: Vec::new(),
             out_buf: Vec::new(),
         };
@@ -310,9 +525,9 @@ impl State {
         st
     }
 
-    /// Returns every lane's slots, FSM states, SFG activation flags and
-    /// registers to power-up values, as [`State::new`] builds them
-    /// (untimed blocks reset separately).
+    /// Returns every lane's slots, FSM states, SFG activation flags,
+    /// registers and memories to power-up values, as [`State::new`]
+    /// builds them (generic untimed blocks reset separately).
     pub(crate) fn reset(&mut self, prog: &Program, sys: &System) {
         let n = self.n;
         for (stripe, v) in self.slots.chunks_exact_mut(n).zip(&prog.init_slots) {
@@ -328,9 +543,14 @@ impl State {
                 stripe.fill(r.init.to_raw());
             }
         }
+        for m in &mut self.plan.mems {
+            m.reset();
+        }
     }
 
-    /// Captures lane `l`, whose untimed blocks are `blocks`.
+    /// Captures lane `l`, whose generic untimed blocks are `blocks`. A
+    /// RAM's `untimed.<u>` section is the lane's words, as
+    /// `Ram::snapshot_state` gives them; a ROM has none.
     pub(crate) fn snapshot(
         &self,
         l: usize,
@@ -361,18 +581,22 @@ impl State {
                 .copied()
                 .collect(),
         );
-        for (i, b) in blocks.iter().enumerate() {
-            let words = b.snapshot_state();
+        for (u, fired) in self.plan.fired.iter().enumerate() {
+            let words = match *fired {
+                Fired::Block(g) => blocks[g].snapshot_state(),
+                Fired::Memory(k) => self.plan.mems[k].lane(l).to_vec(),
+            };
             if !words.is_empty() {
-                s.push_section(&format!("untimed.{i}"), words);
+                s.push_section(&format!("untimed.{u}"), words);
             }
         }
         s
     }
 
     /// Validates `snap` against this build of `sys` and installs it into
-    /// lane `l`, whose untimed blocks are `blocks`. The caller adopts the
-    /// snapshot's cycle count.
+    /// lane `l`, whose generic untimed blocks are `blocks`. A memory
+    /// checks its section as `Ram::restore_state` does. The caller adopts
+    /// the snapshot's cycle count.
     ///
     /// # Errors
     ///
@@ -418,11 +642,18 @@ impl State {
         for (w, x) in regs.zip(reg_words) {
             *w = *x;
         }
-        for (i, b) in blocks.iter_mut().enumerate() {
-            let words = snap.section(&format!("untimed.{i}")).unwrap_or(&[]);
-            if !b.restore_state(words) {
+        for (u, fired) in self.plan.fired.iter().enumerate() {
+            let words = snap.section(&format!("untimed.{u}")).unwrap_or(&[]);
+            let fits = match *fired {
+                Fired::Block(g) => blocks[g].restore_state(words),
+                Fired::Memory(k) => self.plan.mems[k].restore(l, words),
+            };
+            if !fits {
                 return Err(CoreError::SnapshotFormat {
-                    reason: format!("untimed block `{}` rejected its state section", b.name()),
+                    reason: format!(
+                        "untimed block `{}` rejected its state section",
+                        sys.untimed[u].block.name()
+                    ),
                 });
             }
         }
@@ -562,10 +793,11 @@ fn cast_lanes<L: Lanes>(
 
 /// Evaluates `ops` in every live lane of `st` — the one interpreter of
 /// [`Micro`] semantics. `io` is the program's untimed-block wiring, one
-/// entry per block, and `blocks` every lane's blocks, lane-major: block
-/// `u` of lane `l` at `l * io.len() + u`. Each op is one kernel call of
-/// `lanes`; only `Fire` and the `Drive` of an FSM instance walk the
-/// lanes one by one.
+/// entry per block, and `blocks` every lane's generic blocks, lane-major
+/// (see [`Fired::Block`]). Each op is one kernel call of `lanes`; a
+/// memory's `Fire` is one pass over the lanes' words, and only a generic
+/// `Fire` and the `Drive` of an FSM instance walk the lanes one by one
+/// with per-lane calls.
 pub(crate) fn run<L: Lanes>(
     ops: &[Micro],
     io: &[UntimedIo],
@@ -579,6 +811,7 @@ pub(crate) fn run<L: Lanes>(
         regs,
         active,
         always_on,
+        plan,
         in_buf,
         out_buf,
         ..
@@ -732,7 +965,15 @@ pub(crate) fn run<L: Lanes>(
             }
             Micro::Fire { inst } => {
                 let u = inst as usize;
+                let g = match plan.fired[u] {
+                    Fired::Memory(k) => {
+                        plan.mems[k].fire(s, lanes);
+                        continue;
+                    }
+                    Fired::Block(g) => g,
+                };
                 let (ins, outs) = &io[u];
+                let per_lane = plan.generic;
                 let at = move |x: u32, l: usize| x as usize * n + l;
                 for l in (0..n).filter(move |l| lanes.live(*l)) {
                     in_buf.clear();
@@ -745,7 +986,7 @@ pub(crate) fn run<L: Lanes>(
                         outs.iter()
                             .map(|(sl, ty)| Value::from_raw(*ty, s[at(*sl, l)])),
                     );
-                    let block = &mut blocks[l * io.len() + u];
+                    let block = &mut blocks[l * per_lane + g];
                     if block.ready(in_buf) {
                         block.fire(in_buf, out_buf);
                         for ((sl, _), v) in outs.iter().zip(out_buf.iter()) {

@@ -7,8 +7,8 @@
 use ocapi::rng::XorShift64;
 use ocapi::{
     run_campaign_cached_par, run_campaign_par, BatchedSim, CompiledSim, CompiledTape, Component,
-    CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, InterpSim, OptLevel, Overflow, ParConfig,
-    Ram, Rounding, SigType, Simulator, System, Value,
+    CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, FnBlock, InterpSim, MemorySpec, OptLevel,
+    Overflow, ParConfig, PortDecl, Ram, Rounding, SigType, Simulator, System, UntimedBlock, Value,
 };
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor};
@@ -79,6 +79,11 @@ fn float_system() -> System {
 /// lanes fed different data diverge *inside the untimed block*, proving
 /// per-lane `Fire` state isolation.
 fn ram_system() -> System {
+    ram_system_with(Box::new(Ram::new("ram", 4, SigType::Bits(8))))
+}
+
+/// [`ram_system`] around `ram`, a block with the RAM's ports.
+fn ram_system_with(ram: Box<dyn UntimedBlock>) -> System {
     let c = Component::build("dp");
     let rdata = c.input("rdata", SigType::Bits(8)).unwrap();
     let wdata_in = c.input("wdata_in", SigType::Bits(8)).unwrap();
@@ -98,9 +103,7 @@ fn ram_system() -> System {
 
     let mut sb = System::build("ramsys");
     let dp = sb.add_component("dp", comp).unwrap();
-    let r = sb
-        .add_block(Box::new(Ram::new("ram", 4, SigType::Bits(8))))
-        .unwrap();
+    let r = sb.add_block(ram).unwrap();
     sb.input("wdata_in", SigType::Bits(8)).unwrap();
     sb.connect_input("wdata_in", dp, "wdata_in").unwrap();
     sb.connect(dp, "addr", r, "addr").unwrap();
@@ -581,9 +584,9 @@ fn lanes_of_one_capture_equal_lanes_of_separate_captures() {
     assert_ne!(blocks(0), blocks(1));
 }
 
-/// A RAM preloaded with one word at address 0, written only when the
+/// A RAM preloaded with `word` at address 0, written only when the
 /// primary input `we` is high: `y` reads the word back every cycle.
-fn preloaded_ram_system() -> System {
+fn preloaded_ram_system(word: u64) -> System {
     let c = Component::build("port");
     let we_in = c.input("we_in", SigType::Bool).unwrap();
     let rdata = c.input("rdata", SigType::Bits(8)).unwrap();
@@ -599,7 +602,7 @@ fn preloaded_ram_system() -> System {
     let comp = c.finish().unwrap();
 
     let mut ram = Ram::new("ram", 2, SigType::Bits(8));
-    ram.preload(0, Value::bits(8, 0x5a));
+    ram.preload(0, Value::bits(8, word));
     let mut sb = System::build("preloaded");
     let p = sb.add_component("port", comp).unwrap();
     let r = sb.add_block(Box::new(ram)).unwrap();
@@ -619,8 +622,8 @@ fn preloaded_ram_system() -> System {
 /// restores the preload in every lane.
 #[test]
 fn a_lane_of_one_capture_reads_its_own_ram() {
-    let tape = CompiledTape::compile(&preloaded_ram_system(), OptLevel::Full).unwrap();
-    let mut sim = BatchedSim::replicate(preloaded_ram_system(), 2, &tape).unwrap();
+    let tape = CompiledTape::compile(&preloaded_ram_system(0x5a), OptLevel::Full).unwrap();
+    let mut sim = BatchedSim::replicate(preloaded_ram_system(0x5a), 2, &tape).unwrap();
     let power_up = Value::bits(8, 0x5a);
     for (c, we0) in [true, false, false].into_iter().enumerate() {
         sim.set_input_lane(0, "we", Value::Bool(we0)).unwrap();
@@ -655,9 +658,226 @@ fn a_lane_of_one_capture_reads_its_own_ram() {
         assert_eq!(sim.output_lane(l, "y").unwrap(), power_up, "lane {l}");
     }
     assert!(matches!(
-        BatchedSim::replicate(preloaded_ram_system(), 0, &tape),
+        BatchedSim::replicate(preloaded_ram_system(0x5a), 0, &tape),
         Err(CoreError::CheckFailed { .. })
     ));
+}
+
+/// Lanes that bring their own systems read their own RAM contents:
+/// three lanes preloaded with different words each read back their own,
+/// keep it while another lane writes, and return to it after a reset.
+#[test]
+fn lanes_of_separate_captures_read_their_own_preloads() {
+    let words = [0x5a, 0x33, 0xc0];
+    let tape = CompiledTape::compile(&preloaded_ram_system(0), OptLevel::Full).unwrap();
+    let systems = words.iter().map(|w| preloaded_ram_system(*w)).collect();
+    let mut sim = BatchedSim::from_tape(systems, &tape).unwrap();
+    let check = |sim: &BatchedSim, want: [u64; 3], when: &str| {
+        for (l, w) in want.into_iter().enumerate() {
+            let y = sim.output_lane(l, "y").unwrap();
+            assert_eq!(y, Value::bits(8, w), "lane {l} {when}");
+            let section = sim.snapshot_lane(l).unwrap();
+            assert_eq!(section.section("untimed.0"), Some(&[w, 0, 0, 0][..]));
+        }
+    };
+    sim.set_input("we", Value::Bool(false)).unwrap();
+    sim.step().unwrap();
+    check(&sim, words, "at power-up");
+    sim.set_input_lane(1, "we", Value::Bool(true)).unwrap();
+    sim.step().unwrap();
+    sim.set_input("we", Value::Bool(false)).unwrap();
+    sim.step().unwrap();
+    check(&sim, [words[0], 0x11, words[2]], "after lane 1 wrote");
+    sim.reset();
+    sim.set_input("we", Value::Bool(false)).unwrap();
+    sim.step().unwrap();
+    check(&sim, words, "after reset");
+}
+
+/// The adaptive and the fixed transceiver differ only in their
+/// instruction ROM, so they share one tape. In one batch each lane reads
+/// its own ROM: every output of every cycle equals a `CompiledSim` of
+/// that lane's variant, and the two lanes' outputs part.
+#[test]
+fn transceiver_variants_in_one_batch_read_their_own_roms() {
+    let variant = |adapt: bool| {
+        dect::transceiver::build_system(&TransceiverConfig {
+            train: adapt,
+            agc: false,
+            adapt,
+        })
+        .unwrap()
+    };
+    let tape = CompiledTape::compile(&variant(true), OptLevel::Full).unwrap();
+    let mut batch = BatchedSim::from_tape(vec![variant(true), variant(false)], &tape).unwrap();
+    let mut solo = [
+        CompiledSim::from_tape(variant(true), &tape).unwrap(),
+        CompiledSim::from_tape(variant(false), &tape).unwrap(),
+    ];
+    let burst = dect::burst::generate(&dect::burst::BurstConfig {
+        payload_len: 16,
+        channel: vec![1.0, 0.5],
+        noise: 0.2,
+        seed: 0x0b0e,
+    });
+    let outputs: Vec<String> = variant(true)
+        .primary_outputs
+        .iter()
+        .map(|p| p.name.clone())
+        .collect();
+    let mut parted = false;
+    for (c, x) in burst
+        .samples
+        .iter()
+        .flat_map(|x| [x; dect::transceiver::CYCLES_PER_SYMBOL])
+        .enumerate()
+    {
+        batch.set_input("sample", Value::Fixed(*x)).unwrap();
+        batch.set_input("hold_request", Value::Bool(false)).unwrap();
+        batch.step().unwrap();
+        for sim in &mut solo {
+            sim.set_input("sample", Value::Fixed(*x)).unwrap();
+            sim.set_input("hold_request", Value::Bool(false)).unwrap();
+            sim.step().unwrap();
+        }
+        for o in &outputs {
+            let lanes = [0, 1].map(|l| batch.output_lane(l, o).unwrap());
+            for (l, sim) in solo.iter().enumerate() {
+                assert_eq!(lanes[l], sim.output(o).unwrap(), "lane {l} `{o}` cycle {c}");
+            }
+            parted |= lanes[0] != lanes[1];
+        }
+    }
+    assert!(parted, "the variants' ROMs never showed");
+}
+
+/// An accumulator that reports itself as a 4-word ROM, but whose
+/// address port is 3 bits wide: not the memory shape, so the tape fires
+/// the block itself.
+#[derive(Debug, Clone)]
+struct Misreported {
+    acc: u64,
+}
+
+impl UntimedBlock for Misreported {
+    fn name(&self) -> &str {
+        "acc"
+    }
+
+    fn input_ports(&self) -> Vec<PortDecl> {
+        vec![PortDecl {
+            name: "addr".into(),
+            ty: SigType::Bits(3),
+        }]
+    }
+
+    fn output_ports(&self) -> Vec<PortDecl> {
+        vec![PortDecl {
+            name: "data".into(),
+            ty: SigType::Bits(8),
+        }]
+    }
+
+    fn fire(&mut self, inputs: &[Value], outputs: &mut [Value]) {
+        self.acc = (self.acc + inputs[0].as_bits().unwrap_or(0)) & 0xff;
+        outputs[0] = Value::bits(8, self.acc);
+    }
+
+    fn boxed_clone(&self) -> Box<dyn UntimedBlock> {
+        Box::new(self.clone())
+    }
+
+    fn reset(&mut self) {
+        self.acc = 0;
+    }
+
+    fn memory_spec(&self) -> Option<MemorySpec> {
+        Some(MemorySpec {
+            is_rom: true,
+            addr_bits: 2,
+            word: SigType::Bits(8),
+            contents: vec![Value::bits(8, 7); 4],
+        })
+    }
+
+    fn snapshot_state(&self) -> Vec<u64> {
+        vec![self.acc]
+    }
+
+    fn restore_state(&mut self, words: &[u64]) -> bool {
+        match words {
+            [w] if *w <= 0xff => {
+                self.acc = *w;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// A block that reports a `MemorySpec` but is wired in another shape
+/// runs on the generic `Fire`: at 1 and 3 lanes every output equals the
+/// interpreter's, and every lane's state section is the block's own.
+#[test]
+fn a_memory_spec_in_another_shape_fires_the_block() {
+    let make = || {
+        let mut sb = System::build("misreported");
+        let b = sb.add_block(Box::new(Misreported { acc: 0 })).unwrap();
+        sb.input("a", SigType::Bits(3)).unwrap();
+        sb.connect_input("a", b, "addr").unwrap();
+        sb.output("y", b, "data").unwrap();
+        sb.finish().unwrap()
+    };
+    for lanes in [1, 3] {
+        let mut interp = InterpSim::new(make()).unwrap();
+        let mut batch = BatchedSim::from_fn(lanes, || Ok(make()), OptLevel::Full).unwrap();
+        for c in 0..12u64 {
+            let a = Value::bits(3, (c * 5 + 3) % 8);
+            interp.set_input("a", a).unwrap();
+            interp.step().unwrap();
+            batch.set_input("a", a).unwrap();
+            batch.step().unwrap();
+            let y = interp.output("y").unwrap();
+            for l in 0..lanes {
+                assert_eq!(batch.output_lane(l, "y").unwrap(), y, "lane {l} cycle {c}");
+                let snap = batch.snapshot_lane(l).unwrap();
+                assert_eq!(snap.section("untimed.0"), Some(&[y.to_raw()][..]));
+            }
+        }
+    }
+}
+
+/// A lane whose block at a memory's index is not that memory is refused
+/// with a diagnostic naming the lane: lane 1's `ram` has the RAM's
+/// ports but is a closure that reports no `MemorySpec`.
+#[test]
+fn a_lane_whose_block_is_not_the_memory_is_refused() {
+    let ram = Ram::new("ram", 4, SigType::Bits(8));
+    let not_a_ram = || {
+        ram_system_with(Box::new(FnBlock::new(
+            "ram",
+            ram.input_ports(),
+            ram.output_ports(),
+            |_, out| out[0] = Value::bits(8, 0),
+        )))
+    };
+    let tape = CompiledTape::compile(&ram_system(), OptLevel::Full).unwrap();
+    for result in [
+        BatchedSim::new(vec![ram_system(), not_a_ram()]),
+        BatchedSim::from_tape(vec![ram_system(), ram_system(), not_a_ram()], &tape),
+    ] {
+        match result {
+            Err(CoreError::CheckFailed { diagnostics }) => {
+                assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
+                assert!(diagnostics[0].starts_with("lane "), "{diagnostics:?}");
+                assert!(diagnostics[0].contains("`ram`"), "{diagnostics:?}");
+            }
+            other => panic!("expected CheckFailed, got {:?}", other.map(|_| ())),
+        }
+    }
+    // The other way round, lane 0's block is generic and lane 1's `Ram`
+    // fires as a block too.
+    assert!(BatchedSim::new(vec![not_a_ram(), ram_system()]).is_ok());
 }
 
 /// Structural lane mismatches are rejected up front with diagnostics.

@@ -14,10 +14,12 @@
 mod agree;
 
 use ocapi::rng::XorShift64;
+use ocapi::sim::hash::Fnv;
 use ocapi::{
     BatchedSim, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel, Overflow, Rounding,
-    SigType, Simulator, System, Value,
+    SigType, SimSnapshot, Simulator, System, Value,
 };
+use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor, image, modem, wlan};
 use ocapi_obs::Registry;
@@ -403,5 +405,138 @@ fn tape_engine_obs_counts_are_pinned() {
         warm(&mut b8, &sig, 27, 20);
         let got = obs_pin(&reg, &BATCH_COUNTERS);
         assert_eq!(got, own(eight_lanes), "{name}: eight lanes");
+    }
+}
+
+/// `snap` with section `name` holding `words`, re-framed with a fresh
+/// checksum so only the restore-time checks can catch the damage.
+fn with_section(snap: &SimSnapshot, name: &str, words: &[u64]) -> SimSnapshot {
+    let bytes = snap.to_bytes();
+    let body = &bytes[..bytes.len() - 8];
+    let u32_at = |p: usize| u32::from_le_bytes([body[p], body[p + 1], body[p + 2], body[p + 3]]);
+    // magic, version, backend, reserved, design hash, cycle, sections
+    let mut out = body[..28].to_vec();
+    let mut pos = 28;
+    for _ in 0..u32_at(24) {
+        let head = 2 + usize::from(u16::from_le_bytes([body[pos], body[pos + 1]]));
+        let end = pos + head + 4 + 8 * u32_at(pos + head) as usize;
+        if &body[pos + 2..pos + head] == name.as_bytes() {
+            out.extend_from_slice(&body[pos..pos + head]);
+            out.extend_from_slice(&(words.len() as u32).to_le_bytes());
+            out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        } else {
+            out.extend_from_slice(&body[pos..end]);
+        }
+        pos = end;
+    }
+    let mut h = Fnv::new();
+    h.write(&out);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+    SimSnapshot::from_bytes(&out).expect("re-framed snapshot")
+}
+
+/// The tape runs DECT's RAMs and ROMs as native memories; the
+/// interpreter fires the `Ram` and `Rom` blocks. Driven through its own
+/// seeded burst, each lane of an 8-lane batch holds at every checkpoint
+/// the `untimed.<u>` sections of a `CompiledSim` given that burst, and
+/// lane 0 those of the interpreter: a RAM's words, and no section for
+/// either ROM. A RAM section holding a word its type cannot hold is
+/// refused with the block's `SnapshotFormat` text.
+#[test]
+fn native_memories_hold_what_the_interpreters_blocks_hold() {
+    const LANES: usize = 8;
+    let mk = || dect::transceiver::build_system(&TransceiverConfig::default()).expect("dect");
+    let sys = mk();
+    let sections: Vec<String> = (0..sys.untimed.len())
+        .map(|u| format!("untimed.{u}"))
+        .collect();
+    let roms: Vec<usize> = (0..sys.untimed.len())
+        .filter(|u| {
+            sys.untimed[*u]
+                .block
+                .memory_spec()
+                .is_some_and(|m| m.is_rom)
+        })
+        .collect();
+    assert_eq!(roms.len(), 2);
+    let bursts: Vec<Burst> = (0..LANES as u64)
+        .map(|l| {
+            generate(&BurstConfig {
+                payload_len: 16,
+                channel: vec![1.0, 0.5],
+                noise: 0.2,
+                seed: 0x3e3 + l,
+            })
+        })
+        .collect();
+    let mut interp = InterpSim::new(mk()).expect("interp");
+    let mut scalar: Vec<CompiledSim> = (0..LANES)
+        .map(|_| CompiledSim::new_with(mk(), OptLevel::Full).expect("compiled"))
+        .collect();
+    let mut batch = BatchedSim::from_fn(LANES, || Ok(mk()), OptLevel::Full).expect("batched");
+    let per_symbol = dect::transceiver::CYCLES_PER_SYMBOL;
+    let cycles = bursts[0].samples.len() * per_symbol;
+    let memories = |snap: &SimSnapshot| -> Vec<Option<Vec<u64>>> {
+        sections
+            .iter()
+            .map(|s| snap.section(s).map(<[u64]>::to_vec))
+            .collect()
+    };
+    for c in 1..=cycles {
+        let sample = |l: usize| {
+            let b = &bursts[l].samples;
+            Value::Fixed(b[((c - 1) / per_symbol) % b.len()])
+        };
+        interp.set_input("sample", sample(0)).expect("input");
+        interp
+            .set_input("hold_request", Value::Bool(false))
+            .expect("input");
+        interp.step().expect("step");
+        for (l, sim) in scalar.iter_mut().enumerate() {
+            sim.set_input("sample", sample(l)).expect("input");
+            sim.set_input("hold_request", Value::Bool(false))
+                .expect("input");
+            sim.step().expect("step");
+            batch.set_input_lane(l, "sample", sample(l)).expect("input");
+        }
+        batch
+            .set_input("hold_request", Value::Bool(false))
+            .expect("input");
+        batch.step().expect("step");
+        if [1, 37, cycles / 2, cycles].contains(&c) {
+            let want0 = memories(&interp.snapshot());
+            for u in &roms {
+                assert_eq!(want0[*u], None, "ROM {u} at cycle {c}");
+            }
+            for (l, sim) in scalar.iter().enumerate() {
+                let lane = memories(&batch.snapshot_lane(l).expect("lane"));
+                assert_eq!(lane, memories(&sim.snapshot()), "lane {l} cycle {c}");
+                if l == 0 {
+                    assert_eq!(lane, want0, "lane 0 vs interp, cycle {c}");
+                }
+            }
+        }
+    }
+    // The lanes' RAMs diverged with their bursts.
+    let lane = |l: usize| memories(&batch.snapshot_lane(l).expect("lane"));
+    assert_ne!(lane(0), lane(1));
+
+    let u = sys
+        .untimed
+        .iter()
+        .position(|b| b.block.name() == "sample_a")
+        .expect("sample_a");
+    let snap = scalar[2].snapshot();
+    let mut words = snap.section(&sections[u]).expect("RAM section").to_vec();
+    words[5] = u64::MAX >> 1;
+    let bad = with_section(&snap, &sections[u], &words);
+    for result in [scalar[0].restore(&bad), batch.restore_lane(4, &bad)] {
+        match result {
+            Err(CoreError::SnapshotFormat { reason }) => assert_eq!(
+                reason,
+                "untimed block `sample_a` rejected its state section"
+            ),
+            other => panic!("expected SnapshotFormat, got {other:?}"),
+        }
     }
 }

@@ -16,7 +16,7 @@
 
 use ocapi::{CoreError, System};
 use ocapi::{PortDecl, Ram, Rom, SigType, UntimedBlock, Value};
-use ocapi_fixp::{Fix, Overflow, Rounding};
+use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
 use super::datapaths;
 use super::pc_controller;
@@ -154,6 +154,43 @@ impl UntimedBlock for HighLevelEqualizer {
 
     fn reset(&mut self) {
         *self = HighLevelEqualizer::new(&self.name);
+    }
+
+    /// The taps' mantissas, then the delay line's: `2 * TAPS` words.
+    fn snapshot_state(&self) -> Vec<u64> {
+        self.taps
+            .iter()
+            .chain(&self.delay)
+            .map(|f| f.mantissa() as u64)
+            .collect()
+    }
+
+    /// Takes exactly `2 * TAPS` words, each tap a `coef_fmt` mantissa and
+    /// each delay-line entry a `sample_fmt` one.
+    fn restore_state(&mut self, words: &[u64]) -> bool {
+        if words.len() != 2 * TAPS {
+            return false;
+        }
+        let (taps, delay) = words.split_at(TAPS);
+        let read = |words: &[u64], fmt: Format| -> Option<Vec<Fix>> {
+            let range = fmt.min_mantissa()..=fmt.max_mantissa();
+            words
+                .iter()
+                .map(|w| {
+                    range
+                        .contains(&(*w as i64))
+                        .then(|| Fix::from_raw(*w as i64, fmt))
+                })
+                .collect()
+        };
+        match (read(taps, coef_fmt()), read(delay, sample_fmt())) {
+            (Some(taps), Some(delay)) => {
+                self.taps = taps;
+                self.delay = delay;
+                true
+            }
+            _ => false,
+        }
     }
 }
 

@@ -2,11 +2,15 @@
 //! against the bit-exact software reference, sync detection, LMS
 //! convergence, the Figure 2 hold mechanism and cross-simulator equality.
 
-use ocapi::{CompiledSim, InterpSim, Simulator, Value};
+use ocapi::sim::hash::Fnv;
+use ocapi::{CompiledSim, CoreError, InterpSim, SimSnapshot, Simulator, Value};
 use ocapi_designs::dect::burst::{generate, BurstConfig};
+use ocapi_designs::dect::highlevel::build_mixed_system;
 use ocapi_designs::dect::reference::Reference;
-use ocapi_designs::dect::transceiver::{build_system, run_burst, TransceiverConfig};
-use ocapi_designs::dect::{DELAY, TRAIN_LEN};
+use ocapi_designs::dect::transceiver::{
+    build_system, run_burst, TransceiverConfig, CYCLES_PER_SYMBOL,
+};
+use ocapi_designs::dect::{DELAY, TAPS, TRAIN_LEN};
 
 fn default_burst() -> BurstConfig {
     BurstConfig {
@@ -194,7 +198,6 @@ fn mixed_refinement_matches_cycle_true() {
     // The paper's §1 headline: a high-level (untimed) equalizer model
     // replaces the 11 MAC datapaths + sum tree, and the mixed system
     // stays bit-exact with the fully refined cycle-true machine.
-    use ocapi_designs::dect::highlevel::build_mixed_system;
     let cfg = TransceiverConfig::default();
     let burst = generate(&default_burst());
 
@@ -213,7 +216,6 @@ fn mixed_refinement_matches_cycle_true() {
 
 #[test]
 fn mixed_refinement_survives_hold() {
-    use ocapi_designs::dect::highlevel::build_mixed_system;
     let cfg = TransceiverConfig::default();
     let burst = generate(&default_burst());
     let mut refined = InterpSim::new(build_system(&cfg).unwrap()).unwrap();
@@ -221,4 +223,109 @@ fn mixed_refinement_survives_hold() {
     let mut mixed = InterpSim::new(build_mixed_system(&cfg).unwrap()).unwrap();
     let b = run_burst(&mut mixed, &burst, Some((101, 7))).unwrap();
     assert_eq!(a, b);
+}
+
+/// `snap` with section `name` holding `words`, re-framed with a fresh
+/// checksum so only the restore-time checks can catch the damage.
+fn with_section(snap: &SimSnapshot, name: &str, words: &[u64]) -> SimSnapshot {
+    let bytes = snap.to_bytes();
+    let body = &bytes[..bytes.len() - 8];
+    let u32_at = |p: usize| u32::from_le_bytes([body[p], body[p + 1], body[p + 2], body[p + 3]]);
+    // magic, version, backend, reserved, design hash, cycle, sections
+    let mut out = body[..28].to_vec();
+    let mut pos = 28;
+    for _ in 0..u32_at(24) {
+        let head = 2 + usize::from(u16::from_le_bytes([body[pos], body[pos + 1]]));
+        let end = pos + head + 4 + 8 * u32_at(pos + head) as usize;
+        if &body[pos + 2..pos + head] == name.as_bytes() {
+            out.extend_from_slice(&body[pos..pos + head]);
+            out.extend_from_slice(&(words.len() as u32).to_le_bytes());
+            out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        } else {
+            out.extend_from_slice(&body[pos..end]);
+        }
+        pos = end;
+    }
+    let mut h = Fnv::new();
+    h.write(&out);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+    SimSnapshot::from_bytes(&out).expect("re-framed snapshot")
+}
+
+/// Parks a run of the mixed-refinement system at cycle 128 with
+/// `snapshot`, restores it into a fresh simulator with `restore` and
+/// continues to cycle 256: every output of every later cycle equals the
+/// uninterrupted run's, because the snapshot carries the equalizer's
+/// taps and delay line. A truncated equalizer section is refused.
+fn mixed_run_resumes<S: Simulator>(
+    new: impl Fn() -> S,
+    snapshot: impl Fn(&S) -> SimSnapshot,
+    restore: impl Fn(&mut S, &SimSnapshot) -> Result<(), CoreError>,
+) {
+    const CYCLES: usize = 256;
+    const PARK: usize = 128;
+    let burst = generate(&BurstConfig {
+        payload_len: 32,
+        channel: vec![1.0, 0.4],
+        noise: 0.02,
+        seed: 7,
+    });
+    let sys = build_mixed_system(&TransceiverConfig::default()).unwrap();
+    let outputs: Vec<String> = sys.primary_outputs.iter().map(|p| p.name.clone()).collect();
+    let eq = sys
+        .untimed
+        .iter()
+        .position(|u| u.block.name() == "equalizer")
+        .unwrap();
+    let section = format!("untimed.{eq}");
+    let drive = |sim: &mut S, cycles: std::ops::Range<usize>| -> Vec<Vec<Value>> {
+        cycles
+            .map(|c| {
+                let x = burst.samples[(c / CYCLES_PER_SYMBOL) % burst.samples.len()];
+                sim.set_input("sample", Value::Fixed(x)).unwrap();
+                sim.set_input("hold_request", Value::Bool(false)).unwrap();
+                sim.step().unwrap();
+                outputs.iter().map(|o| sim.output(o).unwrap()).collect()
+            })
+            .collect()
+    };
+
+    let want = drive(&mut new(), 0..CYCLES);
+    let mut first = new();
+    drive(&mut first, 0..PARK);
+    let snap = snapshot(&first);
+    assert_eq!(snap.section(&section).map(<[u64]>::len), Some(2 * TAPS));
+    let mut resumed = new();
+    restore(&mut resumed, &snap).unwrap();
+    for (k, got) in drive(&mut resumed, PARK..CYCLES).iter().enumerate() {
+        let c = PARK + k;
+        for ((name, g), w) in outputs.iter().zip(got).zip(&want[c]) {
+            assert_eq!(g, w, "output `{name}` at cycle {}", c + 1);
+        }
+    }
+
+    let words = snap.section(&section).unwrap();
+    let truncated = with_section(&snap, &section, &words[..words.len() - 1]);
+    match restore(&mut new(), &truncated) {
+        Err(CoreError::SnapshotFormat { reason }) => assert_eq!(
+            reason,
+            "untimed block `equalizer` rejected its state section"
+        ),
+        other => panic!("expected SnapshotFormat, got {other:?}"),
+    }
+}
+
+#[test]
+fn mixed_refinement_resumes_from_a_snapshot() {
+    let sys = || build_mixed_system(&TransceiverConfig::default()).unwrap();
+    mixed_run_resumes(
+        || InterpSim::new(sys()).unwrap(),
+        InterpSim::snapshot,
+        InterpSim::restore,
+    );
+    mixed_run_resumes(
+        || CompiledSim::new(sys()).unwrap(),
+        CompiledSim::snapshot,
+        CompiledSim::restore,
+    );
 }
