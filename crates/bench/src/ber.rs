@@ -22,8 +22,8 @@
 
 use ocapi::sim::par::{map_indexed, ParConfig, ParError};
 use ocapi::{
-    apply_plan_lane, BatchedSim, CompiledTape, CoreError, FaultPlan, FaultySim, InterpSim,
-    OptLevel, SigType, Value, WorkerSims,
+    apply_lane_faults, BatchedSim, CompiledTape, CoreError, FaultPlan, FaultySim, InterpSim,
+    LaneFault, OptLevel, SigType, Value, WorkerSims,
 };
 use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::transceiver::{
@@ -250,7 +250,7 @@ struct LaneDrive {
 fn run_bursts_batched(
     sim: &mut BatchedSim,
     bursts: &[Burst],
-    plans: &[FaultPlan],
+    plans: &[Vec<LaneFault>],
 ) -> Result<Vec<Option<Vec<SymbolRecord>>>, CoreError> {
     use ocapi::Simulator as _;
     let mut st: Vec<LaneDrive> = bursts
@@ -277,12 +277,9 @@ fn run_bursts_batched(
         // Driven every cycle, as `run_burst` drives it: a fault that
         // flips the input lasts one cycle, not the rest of the burst.
         sim.set_input("hold_request", Value::Bool(false))?;
-        for (l, plan) in plans.iter().enumerate() {
-            if st[l].finished || !sim.alive(l) {
-                continue;
-            }
-            if let Err(e) = apply_plan_lane(sim, l, plan) {
-                sim.fail_lane(l, e);
+        for (l, faults) in plans.iter().enumerate() {
+            if !st[l].finished {
+                apply_lane_faults(sim, l, faults);
             }
         }
         if sim.step().is_err() {
@@ -364,16 +361,21 @@ fn batched_chunk(
         None => BatchedSim::from_fn(seeds.len(), || build_system(cfg), level),
     })?;
     // A plan depends only on the design's structure, never on its
-    // untimed state, so the batch's own system samples it.
-    let plans: Vec<FaultPlan> = seeds
+    // untimed state, so the batch's own system samples it, and each
+    // event is resolved against the batch once.
+    let plans: Vec<Vec<LaneFault>> = seeds
         .iter()
         .zip(&bursts)
         .map(|(seed, burst)| match fault_rate {
             Some(rate) => {
                 let cycles = (burst.samples.len() * CYCLES_PER_SYMBOL) as u64;
-                FaultPlan::random(sim.system(), cycles, rate, 0xdec7 + *seed as u64)
+                let plan = FaultPlan::random(sim.system(), cycles, rate, 0xdec7 + *seed as u64);
+                plan.events()
+                    .iter()
+                    .map(|e| LaneFault::resolve(sim, e))
+                    .collect()
             }
-            None => FaultPlan::new(),
+            None => Vec::new(),
         })
         .collect();
     // Attached per chunk, so the deterministic `batch.lanes` total

@@ -7,6 +7,7 @@
 //! its input tokens are available — which is how the DECT design models
 //! the RAM cells attached to the datapaths (§4, Figure 6).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,8 +17,11 @@ use crate::value::{SigType, Value};
 /// Structural description of a memory block, letting code generators
 /// emit a behavioural HDL model instead of a black box (the "behavioural
 /// model supplied separately" of the original flow, now generated).
+///
+/// A block reports its contents borrowed, so reading a spec copies no
+/// words; [`MemorySpec::into_owned`] detaches one from its block.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MemorySpec {
+pub struct MemorySpec<'a> {
     /// True for read-only memories.
     pub is_rom: bool,
     /// Address width in bits.
@@ -25,7 +29,17 @@ pub struct MemorySpec {
     /// Word type.
     pub word: SigType,
     /// Initial/constant contents (length `2^addr_bits`).
-    pub contents: Vec<Value>,
+    pub contents: Cow<'a, [Value]>,
+}
+
+impl MemorySpec<'_> {
+    /// The same spec, owning its contents.
+    pub fn into_owned(self) -> MemorySpec<'static> {
+        MemorySpec {
+            contents: Cow::Owned(self.contents.into_owned()),
+            ..self
+        }
+    }
 }
 
 /// A high-level (untimed) process usable inside a clocked system.
@@ -90,7 +104,7 @@ pub trait UntimedBlock {
     /// for it is a RAM's words (none for a ROM). The interpreter and the
     /// RT kernel still fire the block, so a block that reports a spec
     /// must behave as that memory.
-    fn memory_spec(&self) -> Option<MemorySpec> {
+    fn memory_spec(&self) -> Option<MemorySpec<'_>> {
         None
     }
 
@@ -227,12 +241,12 @@ impl UntimedBlock for Ram {
         }
     }
 
-    fn memory_spec(&self) -> Option<MemorySpec> {
+    fn memory_spec(&self) -> Option<MemorySpec<'_>> {
         Some(MemorySpec {
             is_rom: false,
             addr_bits: self.addr_bits,
             word: self.ty,
-            contents: self.words.clone(),
+            contents: Cow::Borrowed(&self.words),
         })
     }
 
@@ -324,12 +338,12 @@ impl UntimedBlock for Rom {
     /// Read-only: nothing to restore.
     fn reset(&mut self) {}
 
-    fn memory_spec(&self) -> Option<MemorySpec> {
+    fn memory_spec(&self) -> Option<MemorySpec<'_>> {
         Some(MemorySpec {
             is_rom: true,
             addr_bits: self.addr_bits,
             word: self.ty,
-            contents: self.words.clone(),
+            contents: Cow::Borrowed(&self.words),
         })
     }
 }

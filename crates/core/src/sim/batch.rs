@@ -74,7 +74,7 @@ use crate::sim::snapshot::SimSnapshot;
 use crate::sim::Simulator;
 use crate::system::System;
 use crate::trace::{make_trace, traced_nets, Trace};
-use crate::value::Value;
+use crate::value::{SigType, Value};
 use crate::CoreError;
 
 /// Every lane's generic untimed blocks (those not run as memories),
@@ -86,6 +86,15 @@ type LaneBlocks = Vec<Box<dyn UntimedBlock>>;
 /// when each lane brought its own system; empty when every lane copies
 /// the batch's.
 type OwnBlocks = Vec<Vec<Box<dyn UntimedBlock>>>;
+
+/// One state word of every lane: a net's slot or a register.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Word {
+    /// State slot `k`.
+    Slot(usize),
+    /// Register `j` of timed instance `i`.
+    Reg(usize, usize),
+}
 
 /// The compiled-tape simulator over N lanes. See the [module docs](self).
 ///
@@ -728,6 +737,58 @@ impl BatchedSim {
     /// masked lane's trace ends at its failing cycle.
     pub fn trace_lane(&self, lane: usize) -> Option<&Trace> {
         self.traces.as_ref().and_then(|t| t.get(lane))
+    }
+
+    /// Lane `lane`'s primary outputs as raw state words, in system
+    /// order. Every slot holds its value's canonical [`Value::to_raw`]
+    /// word (checked in debug builds), so two runs' outputs are equal
+    /// values — floats by bit pattern — exactly when these words are.
+    pub(crate) fn raw_outputs(&self, lane: usize) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let (prog, n) = (&*self.prog, self.lanes);
+        self.system.primary_outputs.iter().map(move |p| {
+            let sl = prog.net_slot[p.net] as usize;
+            let raw = self.st.slots[sl * n + lane];
+            debug_assert!(
+                Value::raw_fits(prog.slot_ty[sl], raw),
+                "output `{}` holds {raw:#x}, not a {} word",
+                p.name,
+                prog.slot_ty[sl]
+            );
+            raw
+        })
+    }
+
+    /// Where net `name` lives in a lane's state, and the type its word
+    /// is read as. Fails as [`BatchedSim::poke_net_lane`] fails to write
+    /// back a value read there: an unknown net, or a net declared with
+    /// another type than its slot holds.
+    pub(crate) fn net_word(&self, name: &str) -> Result<(Word, SigType), CoreError> {
+        let i = self.net_index(name)?;
+        let sl = self.prog.net_slot[i] as usize;
+        let (ty, declared) = (self.prog.slot_ty[sl], self.system.nets[i].ty);
+        if ty != declared {
+            return Err(CoreError::ValueType {
+                context: format!("net `{name}`"),
+                expected: declared,
+            });
+        }
+        Ok((Word::Slot(sl), ty))
+    }
+
+    /// Where register `instance.reg` lives in a lane's state, and its
+    /// type.
+    pub(crate) fn reg_word(&self, instance: &str, reg: &str) -> Result<(Word, SigType), CoreError> {
+        let (i, j) = crate::sim::interp::find_reg(&self.system, instance, reg)?;
+        Ok((Word::Reg(i, j), self.system.timed[i].comp.regs[j].ty))
+    }
+
+    /// Lane `lane`'s state word at `w` (see [`BatchedSim::net_word`]).
+    pub(crate) fn word_mut(&mut self, w: Word, lane: usize) -> &mut u64 {
+        let n = self.lanes;
+        match w {
+            Word::Slot(sl) => &mut self.st.slots[sl * n + lane],
+            Word::Reg(i, j) => &mut self.st.regs[i][j * n + lane],
+        }
     }
 
     /// The current FSM state name of a timed instance in one lane.

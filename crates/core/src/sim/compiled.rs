@@ -720,6 +720,12 @@ impl CompiledSim {
     pub fn reset(&mut self) {
         self.0.reset();
     }
+
+    /// The primary outputs as raw state words (see
+    /// [`BatchedSim::raw_outputs`]).
+    pub(crate) fn raw_outputs(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.0.raw_outputs(0)
+    }
 }
 
 /// Monomorphises one generic instruction using the static slot types.

@@ -360,7 +360,7 @@ impl Memory {
     /// Adds a lane whose own block reports `spec`. Returns `false`, and
     /// adds nothing, when `spec` is not this memory: another kind,
     /// address width or word type, or contents that do not fit it.
-    pub(crate) fn push_own(&mut self, spec: Option<MemorySpec>) -> bool {
+    pub(crate) fn push_own(&mut self, spec: Option<MemorySpec<'_>>) -> bool {
         let Some(spec) = spec.filter(|s| {
             s.is_rom == self.write.is_none()
                 && s.addr_bits == self.mask.count_ones()

@@ -23,16 +23,22 @@
 //! sharded over a worker pool with reports that are bit-identical for
 //! every thread count:
 //!
-//! * [`run_campaign_par`] — the reference: one fresh simulator of any
-//!   back-end per event;
+//! * [`run_campaign_par`] — the reference: one fresh [`FaultySim`] of
+//!   any back-end per event, classified by comparing its recorded trace
+//!   with the golden run's;
 //! * [`run_campaign_cached_par`] — lane-batched: chunks of events share
-//!   one walk of a [`CompiledTape`] per cycle, and
-//!   classify every event exactly as the reference does over
-//!   [`CompiledSim`] at the tape's level. Each worker builds one batch
-//!   per lane count ([`WorkerSims`]) from one captured system and
-//!   resets it between chunks, so a campaign captures and hash-checks a
-//!   system once per worker and lane count, not once per event or
-//!   lane.
+//!   one walk of a [`CompiledTape`] per cycle, and classify every event
+//!   exactly as the reference does over [`CompiledSim`] at the tape's
+//!   level, without a trace. The golden run keeps its primary outputs
+//!   as raw words, one row a cycle; after every step each live lane's
+//!   output slots are compared with that row, and the lane's first
+//!   differing cycle is kept. Each event is resolved once into a
+//!   [`LaneFault`] — its site's state word, type and window — which
+//!   [`apply_lane_faults`] pokes straight into the lane. Each worker
+//!   builds one batch per lane count ([`WorkerSims`]) from one captured
+//!   system and resets it between chunks, so a campaign captures and
+//!   hash-checks a system once per worker and lane count, not once per
+//!   event or lane.
 //!
 //! Because both cycle-true back-ends expose identical peek/poke
 //! semantics, the interpreted and compiled simulators stay
@@ -44,14 +50,14 @@
 //! [`ocapi-gatesim`]: https://example.org/asic-dse
 
 use crate::rng::XorShift64;
-use crate::sim::batch::{BatchedSim, WorkerSims};
+use crate::sim::batch::{BatchedSim, Word, WorkerSims};
 use crate::sim::compiled::CompiledSim;
 use crate::sim::hash::CompiledTape;
 use crate::sim::par::{map_indexed, map_indexed_with, ParConfig, ParError};
 use crate::sim::Simulator;
 use crate::system::System;
 use crate::trace::Trace;
-use crate::value::Value;
+use crate::value::{SigType, Value};
 use crate::CoreError;
 
 use ocapi_fixp::Fix;
@@ -156,8 +162,14 @@ impl FaultEvent {
 
     /// Whether the fault is applied in the step beginning at `cycle`.
     pub fn active_at(&self, cycle: u64) -> bool {
-        cycle >= self.cycle && cycle - self.cycle < self.duration.max(1)
+        in_window(self.cycle, self.duration, cycle)
     }
+}
+
+/// Whether a fault applied from `start` for `duration` cycles (at least
+/// one) is applied in the step beginning at `cycle`.
+fn in_window(start: u64, duration: u64, cycle: u64) -> bool {
+    cycle >= start && cycle - start < duration.max(1)
 }
 
 /// A declarative schedule of fault events.
@@ -426,7 +438,7 @@ impl<S: Simulator> Simulator for FaultySim<S> {
 /// What one injected fault did to the design, relative to the golden run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultOutcome {
-    /// Outputs matched the golden trace cycle-for-cycle: the fault was
+    /// Outputs matched the golden run's cycle-for-cycle: the fault was
     /// logically masked.
     Masked,
     /// The run completed but a primary output diverged — the dangerous
@@ -666,39 +678,86 @@ pub fn run_campaign_par<S: Simulator>(
     Ok(CampaignReport { outcomes })
 }
 
-/// Applies every event of `plan` active at the batch's current cycle to
-/// one lane of a [`BatchedSim`], mirroring `FaultySim::apply_faults`
-/// exactly (peek, corrupt, poke — in event order). Lane-batched
-/// Monte-Carlo drivers call this before each step and mask the lane
-/// ([`BatchedSim::fail_lane`]) when it fails, so one lane's bad fault
-/// site never aborts its batch.
-///
-/// # Errors
-///
-/// Returns the first peek/poke error ([`CoreError::UnknownName`] for an
-/// unknown site, [`CoreError::ValueType`] for a type conflict).
-pub fn apply_plan_lane(
-    sim: &mut BatchedSim,
-    lane: usize,
-    plan: &FaultPlan,
-) -> Result<(), CoreError> {
-    let now = sim.cycle();
-    for event in plan.events() {
-        if !event.active_at(now) {
-            continue;
-        }
-        match &event.site {
-            FaultSite::Net(name) => {
-                let v = sim.peek_net_lane(lane, name)?;
-                sim.poke_net_lane(lane, name, corrupt(v, event.kind))?;
-            }
-            FaultSite::Reg { instance, reg } => {
-                let v = sim.peek_reg_lane(lane, instance, reg)?;
-                sim.poke_reg_lane(lane, instance, reg, corrupt(v, event.kind))?;
-            }
+/// One [`FaultEvent`] resolved against a [`BatchedSim`]'s system: the
+/// state word its site names (a net's slot or a register) and the type
+/// that word is read as, its corruption and its cycle window. A site the
+/// batch cannot poke — an unknown name, or a net declared with another
+/// type than its slot holds — resolves to the error the lane fails with
+/// at the event's first active cycle, as [`FaultySim`] fails there.
+/// Built once per run with [`LaneFault::resolve`], applied with
+/// [`apply_lane_faults`], so no site is looked up by name per cycle.
+#[derive(Debug, Clone)]
+pub struct LaneFault {
+    site: Result<(Word, SigType), CoreError>,
+    kind: FaultKind,
+    cycle: u64,
+    duration: u64,
+}
+
+impl LaneFault {
+    /// Resolves `event` against `sim`'s system.
+    pub fn resolve(sim: &BatchedSim, event: &FaultEvent) -> LaneFault {
+        let site = match &event.site {
+            FaultSite::Net(name) => sim.net_word(name),
+            FaultSite::Reg { instance, reg } => sim.reg_word(instance, reg),
+        };
+        LaneFault {
+            site,
+            kind: event.kind,
+            cycle: event.cycle,
+            duration: event.duration,
         }
     }
-    Ok(())
+
+    /// Whether the fault is applied in the step beginning at `cycle`.
+    fn active_at(&self, cycle: u64) -> bool {
+        in_window(self.cycle, self.duration, cycle)
+    }
+}
+
+/// Applies every fault of `faults` active at the batch's current cycle to
+/// one live lane, in order, as [`FaultySim`] applies a plan to its
+/// simulator: the lane's word is read at its type, corrupted as its
+/// [`FaultKind`] says and written back. A fault that resolved to an
+/// error masks the lane with it ([`BatchedSim::fail_lane`]), so one
+/// lane's bad site never aborts its batch; a masked lane takes no
+/// further faults. Both lane-batched drivers — the campaign chunk and
+/// the BER bursts — call this before each step.
+pub fn apply_lane_faults(sim: &mut BatchedSim, lane: usize, faults: &[LaneFault]) {
+    let now = sim.cycle();
+    for f in faults.iter().filter(|f| f.active_at(now)) {
+        if !sim.alive(lane) {
+            return;
+        }
+        match &f.site {
+            Ok((word, ty)) => {
+                let w = sim.word_mut(*word, lane);
+                *w = corrupt(Value::from_raw(*ty, *w), f.kind).to_raw();
+            }
+            Err(e) => sim.fail_lane(lane, e.clone()),
+        }
+    }
+}
+
+/// The golden (fault-free) run of [`run_campaign_cached_par`]: the
+/// [`CompiledSim`] of `tape` over `cycles` cycles, its primary outputs
+/// recorded as raw words ([`BatchedSim::raw_outputs`]), one row of
+/// `outputs` words a cycle, in one allocation.
+fn golden_rows(
+    make_sys: &impl Fn() -> Result<System, CoreError>,
+    tape: &CompiledTape,
+    stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
+    cycles: u64,
+) -> Result<Vec<u64>, CoreError> {
+    let mut sim = CompiledSim::from_tape(make_sys()?, tape)?;
+    let outputs = sim.system().primary_outputs.len();
+    let mut rows = Vec::with_capacity(outputs * cycles as usize);
+    for c in 0..cycles {
+        stimulus(&mut sim, c)?;
+        sim.step()?;
+        rows.extend(sim.raw_outputs());
+    }
+    Ok(rows)
 }
 
 /// One lane-batched chunk of faulty runs: `chunk.len()` lanes of the
@@ -708,52 +767,49 @@ pub fn apply_plan_lane(
 /// [`run_campaign_cached_par`].
 ///
 /// Per-lane semantics replicate [`run_event`] exactly: a failing fault
-/// application or step masks *that lane* at the pre-step cycle (becoming
-/// its [`FaultOutcome::Detected`] record) while the remaining lanes keep
-/// running; surviving lanes are classified against the golden trace.
+/// application masks *that lane* at the pre-step cycle (becoming its
+/// [`FaultOutcome::Detected`] record) while the remaining lanes keep
+/// running. After every step each live lane's raw outputs are compared
+/// with that cycle's golden row, and its first differing cycle is kept;
+/// a lane error wins over a divergence.
 fn run_event_chunk(
     sims: &mut WorkerSims,
     make_sys: &impl Fn() -> Result<System, CoreError>,
     stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
+    golden: &[u64],
     cycles: u64,
-    golden: &Trace,
     chunk: &[FaultEvent],
     tape: &CompiledTape,
 ) -> Result<Vec<FaultOutcome>, CoreError> {
-    let sim = sims.get(chunk.len(), || {
-        let mut sim = BatchedSim::replicate(make_sys()?, chunk.len(), tape)?;
-        sim.enable_trace();
-        Ok(sim)
-    })?;
-    let plans: Vec<FaultPlan> = chunk
-        .iter()
-        .map(|e| FaultPlan::new().with(e.clone()))
-        .collect();
+    let lanes = chunk.len();
+    let sim = sims.get(lanes, || BatchedSim::replicate(make_sys()?, lanes, tape))?;
+    let faults: Vec<LaneFault> = chunk.iter().map(|e| LaneFault::resolve(sim, e)).collect();
+    let outputs = sim.system().primary_outputs.len();
+    let mut diverged: Vec<Option<u64>> = vec![None; lanes];
     for c in 0..cycles {
         stimulus(sim, c)?;
-        for (lane, plan) in plans.iter().enumerate() {
-            if !sim.alive(lane) {
-                continue;
-            }
-            if let Err(e) = apply_plan_lane(sim, lane, plan) {
-                sim.fail_lane(lane, e);
-            }
+        for (lane, fault) in faults.iter().enumerate() {
+            apply_lane_faults(sim, lane, std::slice::from_ref(fault));
         }
         if sim.step().is_err() {
             // Every lane is masked; the per-lane errors are recorded.
             break;
         }
+        let row = &golden[c as usize * outputs..][..outputs];
+        for (lane, first) in diverged.iter_mut().enumerate() {
+            let differs = || !sim.raw_outputs(lane).eq(row.iter().copied());
+            if first.is_none() && sim.alive(lane) && differs() {
+                *first = Some(c);
+            }
+        }
     }
-    Ok((0..chunk.len())
-        .map(|lane| match sim.lane_error(lane) {
-            Some((cycle, error)) => classify_error(*cycle, error.clone()),
-            None => match sim
-                .trace_lane(lane)
-                .and_then(|t| first_output_divergence(golden, t))
-            {
-                Some(first_divergence) => FaultOutcome::SilentCorruption { first_divergence },
-                None => FaultOutcome::Masked,
-            },
+    Ok(diverged
+        .into_iter()
+        .enumerate()
+        .map(|(lane, first)| match (sim.lane_error(lane), first) {
+            (Some((cycle, error)), _) => classify_error(*cycle, error.clone()),
+            (None, Some(first_divergence)) => FaultOutcome::SilentCorruption { first_divergence },
+            (None, None) => FaultOutcome::Masked,
         })
         .collect())
 }
@@ -777,10 +833,17 @@ fn run_event_chunk(
 /// full batch per worker, one short last batch) instead of `1 + E`.
 ///
 /// The golden run uses the scalar [`CompiledSim`] built from the same
-/// tape. `stimulus` must be a pure function of the cycle number (it is
-/// invoked once per cycle and broadcast to every live lane), which every
-/// campaign stimulus already satisfies — per-run divergence comes from
-/// the injected faults, never the stimulus.
+/// tape and records its primary outputs as raw words, one row a cycle,
+/// in one allocation. No lane records a trace: after every step each
+/// live lane's output slots are compared with that cycle's row and its
+/// first differing cycle is kept, and every event's site is resolved
+/// once per chunk ([`LaneFault`]). Raw words compare as the reference
+/// compares values (floats by bit pattern) because every slot holds its
+/// value's canonical [`Value::to_raw`] word. `stimulus` must be a pure
+/// function of the cycle number (it is invoked once per cycle and
+/// broadcast to every live lane), which every campaign stimulus already
+/// satisfies — per-run divergence comes from the injected faults, never
+/// the stimulus.
 ///
 /// **Determinism:** a lane runs the event at global index
 /// `chunk * lanes + lane` and injects exactly what the scalar path
@@ -807,14 +870,10 @@ pub fn run_campaign_cached_par(
     events: &[FaultEvent],
     lanes: usize,
 ) -> Result<CampaignReport, CoreError> {
-    let golden = golden_trace(
-        &|| CompiledSim::from_tape(make_sys()?, tape),
-        &stimulus,
-        cycles,
-    )?;
+    let golden = golden_rows(&make_sys, tape, &stimulus, cycles)?;
     let chunks: Vec<&[FaultEvent]> = events.chunks(lanes.max(1)).collect();
     let parts = map_indexed_with(pool, &chunks, WorkerSims::default, |sims, _, chunk| {
-        run_event_chunk(sims, &make_sys, &stimulus, cycles, &golden, chunk, tape)
+        run_event_chunk(sims, &make_sys, &stimulus, &golden, cycles, chunk, tape)
             .map(|outcomes| chunk.iter().cloned().zip(outcomes).collect::<Vec<_>>())
     })
     .map_err(par_error)?;

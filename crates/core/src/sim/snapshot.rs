@@ -1,7 +1,7 @@
 //! Versioned, checksummed simulator snapshots.
 //!
-//! A long validation run (ROADMAP item 5: a persistent simulation
-//! service with warm restarts) needs to park a simulator and pick it up
+//! A long validation run, or a session of the persistent simulation
+//! service (`ocapi-serve`), needs to park a simulator and pick it up
 //! later — possibly in another process. [`SimSnapshot`] captures the
 //! complete mutable state of a back-end: every state slot or net value,
 //! FSM selectors, register files, untimed-block memories, the cycle

@@ -791,12 +791,12 @@ impl UntimedBlock for Misreported {
         self.acc = 0;
     }
 
-    fn memory_spec(&self) -> Option<MemorySpec> {
+    fn memory_spec(&self) -> Option<MemorySpec<'_>> {
         Some(MemorySpec {
             is_rom: true,
             addr_bits: 2,
             word: SigType::Bits(8),
-            contents: vec![Value::bits(8, 7); 4],
+            contents: vec![Value::bits(8, 7); 4].into(),
         })
     }
 

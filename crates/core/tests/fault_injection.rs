@@ -3,6 +3,9 @@
 //! every injected fault, because both expose identical peek/poke
 //! semantics to [`FaultySim`].
 
+#[path = "../../../tests/agree/mod.rs"]
+mod agree;
+
 use ocapi::rng::XorShift64;
 use ocapi::{
     CompiledSim, Component, FaultEvent, FaultPlan, FaultSite, FaultySim, Format, InterpSim,
@@ -175,4 +178,12 @@ fn fault_plan_site_enumeration_covers_system() {
     assert!(sites.contains(&FaultSite::net("x")));
     // 3 registers + every net.
     assert_eq!(sites.len(), 3 + sys.nets.len());
+}
+
+/// The mixed system — bit-word, fixed-point and float registers, the
+/// float one corrupted in its bit pattern — classifies every fault
+/// event alike on every campaign driver.
+#[test]
+fn fault_campaigns_agree_on_the_mixed_system() {
+    agree::check_design_faults(&[("mixed", mixed_system)], 0xF10A7, 48);
 }

@@ -65,6 +65,13 @@ fn tape_engines_match_interp_on_all_designs() {
     agree::check_designs(&designs(), &[0xD1FF], 48);
 }
 
+/// HCOR and DECT (fixed-point outputs, RAM and ROM blocks) classify
+/// every fault event alike on every campaign driver.
+#[test]
+fn fault_campaigns_agree_on_hcor_and_dect() {
+    agree::check_design_faults(&designs()[..2], 0xFA17, 48);
+}
+
 /// Seeded sweep: more seeds × more cycles under `slow-tests`, the
 /// seeds' stimuli back to back on one build of each design.
 #[test]

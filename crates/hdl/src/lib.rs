@@ -93,7 +93,7 @@ fn modules(top: &Top) -> Vec<&Module> {
 
 /// The distinct memory blocks of `top`, by block name in first-instance
 /// order.
-fn memories(top: &Top) -> Vec<(&str, &MemorySpec)> {
+fn memories(top: &Top) -> Vec<(&str, &MemorySpec<'static>)> {
     let specs = top
         .blocks
         .iter()

@@ -435,7 +435,7 @@ pub struct Block {
     /// The block name.
     pub name: String,
     /// Its memory model; `None` is a black box.
-    pub memory: Option<MemorySpec>,
+    pub memory: Option<MemorySpec<'static>>,
     /// Per input port: its declaration and the net that drives it.
     pub inputs: Vec<(PortDecl, usize)>,
     /// Per output port: its declaration and the net it drives; `None`
@@ -478,7 +478,7 @@ impl Top {
         });
         let blocks = sys.untimed.iter().enumerate().map(|(ui, u)| Block {
             name: u.block.name().to_owned(),
-            memory: u.block.memory_spec(),
+            memory: u.block.memory_spec().map(MemorySpec::into_owned),
             inputs: u
                 .inputs
                 .iter()

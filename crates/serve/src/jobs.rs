@@ -52,7 +52,7 @@ fn opt_u64(req: &Json, key: &str, default: u64) -> Result<u64, ServeError> {
 }
 
 /// Upper bounds on the request fields that size a job's allocations
-/// (event list, golden trace, burst list, payload buffers, lane batch),
+/// (event list, golden output rows, burst list, payload buffers, lane batch),
 /// its worker threads and its retries. Far above every in-tree client,
 /// low enough that one request cannot exhaust the daemon's memory or
 /// threads.

@@ -21,6 +21,16 @@
 //! campaign and BER drivers reuse one reset batch per worker on the
 //! strength of this check.
 //!
+//! [`check_faults`] holds the fault-campaign drivers to the same
+//! account: seeded flips and stuck-ats over every site of a system, and
+//! one unknown site, run through the reference driver over the
+//! interpreter and over the compiled engine at `None` and `Full`, and
+//! through the lane-batched driver at 1 and 64 lanes, must classify
+//! every event alike. `tests/engines_agree.rs` runs it on 8 generated
+//! systems (256 with `slow-tests`), `crates/core/tests/tape_engines.rs`
+//! on HCOR and DECT, and `crates/core/tests/fault_injection.rs` on a
+//! system with a float register.
+//!
 //! A generated system is a pure function of its seed. One that
 //! disagrees is shrunk (components, expression steps and stimulus
 //! cycles are dropped one at a time while the same engine still
@@ -45,9 +55,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ocapi::rng::XorShift64;
 use ocapi::sim::par::map_indexed;
 use ocapi::{
-    BatchedSim, CompiledSim, Component, CoreError, FnBlock, Format, InstanceId, InterpSim,
-    OptLevel, Overflow, ParConfig, PortDecl, Rounding, Sig, SigType, Simulator, System,
-    SystemBuilder, Trace, Value,
+    run_campaign_cached_par, run_campaign_par, BatchedSim, CampaignReport, CompiledSim,
+    CompiledTape, Component, CoreError, FaultEvent, FaultPlan, FaultSite, FnBlock, Format,
+    InstanceId, InterpSim, OptLevel, Overflow, ParConfig, PortDecl, Rounding, Sig, SigType,
+    Simulator, System, SystemBuilder, Trace, Value,
 };
 use ocapi_gatesim::GateSystemSim;
 use ocapi_rtl::RtlSystemSim;
@@ -719,6 +730,140 @@ pub fn check_designs(designs: &[Design], seeds: &[u64], cycles: usize) {
         }
         verdict(mk, &stimuli, &SynthOptions::default())
             .map_err(|m| format!("{name}: `{}` {}", m.0, m.1))
+    });
+    if let Err(e) = result {
+        panic!("{e}");
+    }
+}
+
+/// At least this many fault events a campaign: more than one 64-lane
+/// chunk, so the lane driver runs a full batch and a short last one.
+const FAULT_EVENTS: usize = 71;
+
+/// The fault events of one campaign over `sys`, a pure function of
+/// `seed`: a flip or a 1–8-cycle stuck-at per draw, on a random bit
+/// (taken modulo the site's width) at a random cycle of `0..cycles`, so
+/// some windows run past the last cycle. Draw `i` targets site
+/// `i mod sites` — every site at least once — and one draw in the first
+/// 64 targets a net no system has.
+fn fault_events(sys: &System, cycles: u64, seed: u64) -> Vec<FaultEvent> {
+    let sites = FaultPlan::sites(sys);
+    let mut n = FAULT_EVENTS.max(sites.len() + 1);
+    n += usize::from(n.is_multiple_of(64));
+    let mut rng = XorShift64::stream(0xfa_017, seed);
+    let unknown = rng.index(n.min(64));
+    (0..n)
+        .map(|i| {
+            let site = match i {
+                _ if i == unknown => FaultSite::net("no_such_net"),
+                _ => sites[i % sites.len()].clone(),
+            };
+            let bit = rng.below(64) as u32;
+            let cycle = rng.below(cycles);
+            if rng.chance(0.3) {
+                FaultEvent::stuck_at(site, bit, rng.next_bool(), cycle, 1 + rng.below(8))
+            } else {
+                FaultEvent::flip(site, bit, cycle)
+            }
+        })
+        .collect()
+}
+
+/// The first event two campaign reports classify differently.
+fn same_outcomes(a: &CampaignReport, b: &CampaignReport) -> Result<(), String> {
+    if a.outcomes.len() != b.outcomes.len() {
+        return Err(format!(
+            "{} outcomes against {}",
+            b.outcomes.len(),
+            a.outcomes.len()
+        ));
+    }
+    match a.outcomes.iter().zip(&b.outcomes).position(|(x, y)| x != y) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "event {i} ({:?}): {:?}, reference {:?}",
+            a.outcomes[i].0, b.outcomes[i].1, a.outcomes[i].1
+        )),
+    }
+}
+
+/// Fault campaigns agree on every driver: over [`fault_events`] of
+/// `mk`'s system, driven by one stimulus word a cycle, the reference
+/// driver over `FaultySim<InterpSim>` against `FaultySim<CompiledSim>`
+/// at `None`, that against `FaultySim<CompiledSim>` at `Full`, and the
+/// lane-batched driver at 1 and 64 lanes on 2 threads against
+/// `FaultySim<CompiledSim>` at the tape's level, outcome by outcome.
+/// Returns the first campaign that fails or disagrees.
+fn check_faults(
+    mk: &(dyn Fn() -> System + Sync),
+    stimuli: &[u64],
+    seed: u64,
+) -> Result<(), Mismatch> {
+    let probe = mk();
+    let rows: Vec<Vec<(String, Value)>> = stimuli.iter().map(|&w| inputs(&probe, w)).collect();
+    let stimulus = |sim: &mut dyn Simulator, cycle: u64| {
+        for (input, v) in &rows[cycle as usize] {
+            sim.set_input(input, *v)?;
+        }
+        Ok(())
+    };
+    let cycles = stimuli.len() as u64;
+    let events = fault_events(&probe, cycles, seed);
+    let pool = ParConfig::new(2);
+    let campaign = |name: String, report: Result<CampaignReport, CoreError>| {
+        report.map_err(|e| (name, e.to_string()))
+    };
+    let mut reference = campaign(
+        "interp".to_owned(),
+        run_campaign_par(&pool, || InterpSim::new(mk()), stimulus, cycles, &events),
+    )?;
+    for level in [OptLevel::None, OptLevel::Full] {
+        let name = format!("compiled {level:?}");
+        let tape = CompiledTape::compile(&probe, level);
+        let tape = tape.map_err(|e| (name.clone(), e.to_string()))?;
+        let scalar = || CompiledSim::from_tape(mk(), &tape);
+        let compiled = campaign(
+            name.clone(),
+            run_campaign_par(&pool, scalar, stimulus, cycles, &events),
+        )?;
+        same_outcomes(&reference, &compiled).map_err(|e| (name, e))?;
+        for lanes in [1, 64] {
+            let name = format!("lanes x{lanes} {level:?}");
+            let build = || Ok(mk());
+            let batched = campaign(
+                name.clone(),
+                run_campaign_cached_par(&pool, build, &tape, stimulus, cycles, &events, lanes),
+            )?;
+            same_outcomes(&compiled, &batched).map_err(|e| (name, e))?;
+        }
+        reference = compiled;
+    }
+    Ok(())
+}
+
+/// [`check_faults`] on the generated case of every seed in `seeds`,
+/// sharded over the deterministic worker pool; the seed also draws the
+/// events. Panics with the first seed that disagrees and its recipe.
+pub fn check_generated_faults(seeds: impl IntoIterator<Item = u64>) {
+    let seeds: Vec<u64> = seeds.into_iter().collect();
+    let result = map_indexed(&ParConfig::available(), &seeds, |_, &seed| {
+        let r = recipe(seed);
+        check_faults(&|| system(&r), &r.stimuli, seed)
+            .map_err(|m| format!("seed {seed}: `{}` {}\nrecipe: {r:#?}", m.0, m.1))
+    });
+    if let Err(e) = result {
+        panic!("{e}");
+    }
+}
+
+/// [`check_faults`] on each of `designs`, driven by `cycles` stimulus
+/// words drawn from `seed`. Panics naming the first design that
+/// disagrees.
+pub fn check_design_faults(designs: &[Design], seed: u64, cycles: usize) {
+    let result = map_indexed(&ParConfig::available(), designs, |_, (name, mk)| {
+        let mut rng = XorShift64::new(seed);
+        let stimuli: Vec<u64> = (0..cycles).map(|_| rng.next_u64()).collect();
+        check_faults(mk, &stimuli, seed).map_err(|m| format!("{name}: `{}` {}", m.0, m.1))
     });
     if let Err(e) = result {
         panic!("{e}");

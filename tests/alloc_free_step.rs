@@ -5,7 +5,8 @@
 //! simulator. Register pokes — the fault injector's per-cycle corruption
 //! primitive — are allocation-free too. A traced cycle feeds its row
 //! straight into the trace, so all it may allocate is the amortized
-//! growth of the trace's value columns.
+//! growth of the trace's value columns. A fault campaign records no
+//! trace, so its allocations do not grow with its length.
 //!
 //! The global allocator counts per thread, so tests running in parallel
 //! do not see each other's allocations.
@@ -14,7 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
 use asic_dse::ocapi::rng::XorShift64;
-use asic_dse::ocapi::{BatchedSim, CompiledSim, CoreError, InterpSim, Simulator, System, Value};
+use asic_dse::ocapi::{
+    run_campaign_cached_par, BatchedSim, CompiledSim, CompiledTape, CoreError, FaultEvent,
+    FaultPlan, InterpSim, OptLevel, ParConfig, Simulator, System, Value,
+};
 use asic_dse::ocapi_designs::dect::burst::{generate, BurstConfig};
 use asic_dse::ocapi_designs::dect::transceiver::{
     build_system, TransceiverConfig, CYCLES_PER_SYMBOL,
@@ -297,4 +301,45 @@ fn hcor_poke_reg_is_allocation_free() {
 #[test]
 fn dect_poke_reg_is_allocation_free() {
     assert_poke_reg_alloc_free(&dect_workload());
+}
+
+/// One lane-batched campaign over the same 20 flips allocates as often
+/// at 96 cycles as at 48: the golden outputs fill one buffer sized up
+/// front, and no lane records a trace.
+#[test]
+fn campaign_allocations_do_not_grow_with_its_length() {
+    let w = hcor_workload();
+    let sys = (w.build)();
+    let tape = CompiledTape::compile(&sys, OptLevel::Full).expect("compile");
+    let sites = FaultPlan::sites(&sys);
+    let events: Vec<FaultEvent> = (0..20)
+        .map(|i| {
+            let mut r = XorShift64::stream(0xa110c, i);
+            let site = sites[r.index(sites.len())].clone();
+            let bit = r.below(u64::from(FaultPlan::site_width(&sys, &site))) as u32;
+            FaultEvent::flip(site, bit, 1 + r.below(47))
+        })
+        .collect();
+    let stimulus = |sim: &mut dyn Simulator, cycle: u64| {
+        for (name, v) in w.inputs.iter().zip(&w.rows[cycle as usize]) {
+            sim.set_input(name, *v)?;
+        }
+        Ok(())
+    };
+    let campaign = |cycles| {
+        let before = allocations();
+        run_campaign_cached_par(
+            &ParConfig::single(),
+            hcor::build_system,
+            &tape,
+            stimulus,
+            cycles,
+            &events,
+            1,
+        )
+        .expect("campaign");
+        allocations() - before
+    };
+    let (short, long) = (campaign(48), campaign(96));
+    assert_eq!(short, long, "48 cycles: {short} allocations, 96: {long}");
 }

@@ -4,8 +4,9 @@
 //! systems (1,024 with the `slow-tests` feature) on interp, compiled and
 //! batched at every opt level, RT and gates, and reset-then-replay on
 //! the engines with a reset. A mismatch panics with the seed and a
-//! shrunk recipe. The in-tree designs run through the same checker in
-//! `crates/core/tests/tape_engines.rs`.
+//! shrunk recipe. Fault campaigns over 8 of them (256 with
+//! `slow-tests`) run through every campaign driver. The in-tree designs
+//! run through the same checker in `crates/core/tests/tape_engines.rs`.
 
 mod agree;
 
@@ -73,4 +74,12 @@ fn preloaded_ram() -> System {
 #[test]
 fn reset_restores_preloaded_ram_on_every_engine() {
     agree::check_designs(&[("preloaded_ram", preloaded_ram)], &[0x5EED], 48);
+}
+
+/// Fault campaigns classify every event alike on the reference driver
+/// over the interpreter and the compiled engine at both ends of the
+/// optimizer, and on the lane-batched driver at 1 and 64 lanes.
+#[test]
+fn generated_fault_campaigns_agree_on_every_driver() {
+    agree::check_generated_faults(0..if agree::SLOW { 256 } else { 8 });
 }
