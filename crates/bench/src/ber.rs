@@ -11,19 +11,19 @@
 //! checkpoint manifests so a killed sweep resumes (`--resume`) to
 //! byte-identical totals.
 //!
-//! A batched worker builds one transceiver batch per lane count
-//! ([`WorkerSims`]) and resets it between chunks. A batch is one
-//! captured transceiver whose untimed blocks every lane copies, so the
-//! system is captured and hash-checked against the tape once per worker
-//! and lane count — not once per chunk or per lane — and each burst's
-//! fault plan is sampled from the batch's system. A chunk that fails or
-//! panics drops the worker's batches, so its retry runs on a fresh
-//! build.
+//! A batched call captures the transceiver once, on the calling
+//! thread, into one [`CompiledDesign`]: checked against the cached tape
+//! (one structural hash check) or compiled. Every worker builds its
+//! batches from that design — one per lane count ([`WorkerSims`]),
+//! reset between chunks — so workers capture and hash nothing, and each
+//! burst's fault plan is sampled from the design's template. A chunk
+//! that fails or panics drops the worker's batches, so its retry runs
+//! on a fresh build.
 
 use ocapi::sim::par::{map_indexed, ParConfig, ParError};
 use ocapi::{
-    apply_lane_faults, BatchedSim, CompiledTape, CoreError, FaultPlan, FaultySim, InterpSim,
-    LaneFault, OptLevel, SigType, Value, WorkerSims,
+    apply_lane_faults, BatchedSim, CompiledDesign, CompiledTape, CoreError, FaultPlan, FaultySim,
+    InterpSim, LaneFault, OptLevel, SigType, Value, WorkerSims,
 };
 use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::transceiver::{
@@ -59,23 +59,30 @@ impl BerCount {
         format!("{},{}", self.errors, self.bits)
     }
 
-    /// Parses [`BerCount::encode`]'s payload.
+    /// Parses [`BerCount::encode`]'s payload; `None` for anything else,
+    /// including more errors than bits.
     pub fn decode(s: &str) -> Option<BerCount> {
         let (e, b) = s.split_once(',')?;
-        Some(BerCount {
+        let count = BerCount {
             errors: e.parse().ok()?,
             bits: b.parse().ok()?,
-        })
+        };
+        (count.errors <= count.bits).then_some(count)
     }
 }
 
-fn sum(parts: Vec<BerCount>) -> BerCount {
+/// The total of per-burst counts. A burst compares a few hundred bits,
+/// so only counts read back from a damaged manifest can overflow it.
+fn sum(parts: Vec<BerCount>) -> Result<BerCount, BenchError> {
     parts
         .into_iter()
-        .fold(BerCount::default(), |a, b| BerCount {
-            errors: a.errors + b.errors,
-            bits: a.bits + b.bits,
+        .try_fold(BerCount::default(), |a, b| {
+            Some(BerCount {
+                errors: a.errors.checked_add(b.errors)?,
+                bits: a.bits.checked_add(b.bits)?,
+            })
         })
+        .ok_or_else(|| BenchError::Checkpoint("resumed bit counts overflow".into()))
 }
 
 fn par_err(e: ParError<CoreError>) -> BenchError {
@@ -146,7 +153,7 @@ pub fn measure(
         Ok::<_, CoreError>(out)
     })
     .map_err(par_err)?;
-    Ok(sum(parts))
+    sum(parts)
 }
 
 /// Same measurement with random transient bit flips injected into the
@@ -194,7 +201,7 @@ pub fn measure_with_faults(
         Ok::<_, CoreError>(out)
     })
     .map_err(par_err)?;
-    Ok(sum(parts))
+    sum(parts)
 }
 
 /// Per-burst error accounting, shared by the scalar and batched paths:
@@ -328,20 +335,16 @@ fn run_bursts_batched(
 /// burst indices), one per lane, through one shared tape walk per
 /// cycle. `fault_rate` of `None` runs fault-free; `Some(rate)` builds
 /// one independent plan per burst, seeded on the global index. The
-/// chunk runs on the worker's batch for its lane count, reset; the
-/// first chunk of a lane count builds it from one captured transceiver
-/// — over the cached `tape` (the system verified against its structural
-/// hash) or, without one, by compiling it at `level`.
+/// chunk runs on the worker's batch of `design` for its lane count,
+/// reset, or on a new one.
 #[allow(clippy::too_many_arguments)]
 fn batched_chunk(
     sims: &mut WorkerSims,
-    cfg: &TransceiverConfig,
+    design: &CompiledDesign,
     channel: &[f64],
     noise: f64,
     fault_rate: Option<f64>,
     payload_len: usize,
-    level: OptLevel,
-    tape: Option<&CompiledTape>,
     obs: Option<&ocapi_obs::Registry>,
     seeds: &[usize],
 ) -> Result<Vec<BerCount>, CoreError> {
@@ -356,10 +359,7 @@ fn batched_chunk(
             })
         })
         .collect();
-    let sim = sims.get(seeds.len(), || match tape {
-        Some(tape) => BatchedSim::replicate(build_system(cfg)?, seeds.len(), tape),
-        None => BatchedSim::from_fn(seeds.len(), || build_system(cfg), level),
-    })?;
+    let sim = sims.get(seeds.len(), design)?;
     // A plan depends only on the design's structure, never on its
     // untimed state, so the batch's own system samples it, and each
     // event is resolved against the batch once.
@@ -395,6 +395,61 @@ fn batched_chunk(
         .collect())
 }
 
+/// The design of one batched call: the transceiver `cfg` captured once
+/// and paired with the cached `tape` (one structural hash check) or,
+/// without one, compiled at `level`.
+fn transceiver(
+    cfg: &TransceiverConfig,
+    level: OptLevel,
+    tape: Option<&CompiledTape>,
+) -> Result<CompiledDesign, CoreError> {
+    let sys = build_system(cfg)?;
+    match tape {
+        Some(tape) => CompiledDesign::new(sys, tape),
+        None => CompiledDesign::compile(sys, level),
+    }
+}
+
+/// The two batched measurements over one design: `n_bursts` bursts in
+/// chunks of `lanes` under `rb`, checkpointed in `stream` under the
+/// workload fingerprint `fp`.
+#[allow(clippy::too_many_arguments)]
+fn run_batched(
+    rb: &Robust,
+    stream: &str,
+    fp: u64,
+    design: &CompiledDesign,
+    channel: &[f64],
+    noise: f64,
+    fault_rate: Option<f64>,
+    n_bursts: u64,
+    payload_len: usize,
+    lanes: usize,
+) -> Result<BerCount, BenchError> {
+    let parts = rb.run_chunked(
+        stream,
+        fp,
+        n_bursts as usize,
+        lanes.max(1),
+        BerCount::encode,
+        BerCount::decode,
+        WorkerSims::default,
+        |sims, seeds| {
+            batched_chunk(
+                sims,
+                design,
+                channel,
+                noise,
+                fault_rate,
+                payload_len,
+                rb.obs,
+                seeds,
+            )
+        },
+    )?;
+    sum(parts)
+}
+
 /// [`measure`] over the lane-batched compiled back-end: bursts are
 /// chunked into groups of `lanes` and every chunk is one work item of
 /// the `--threads` pool, walking the micro-op tape once per cycle for
@@ -404,15 +459,15 @@ fn batched_chunk(
 /// time. Under a checkpointing [`Robust`] envelope, per-burst counts
 /// land in the `stream` manifest and `--resume` skips completed bursts.
 ///
-/// A cached `tape` (compiled once from the same transceiver config at
-/// the same level — the simulation service's tape cache) skips
-/// compilation; with `None` each worker compiles once per lane count.
-/// Totals are bit-identical either way.
+/// The call captures the transceiver once and forms one design with a
+/// cached `tape` (compiled once from the same transceiver config at the
+/// same level — the simulation service's tape cache) or, with `None`,
+/// by compiling it at `level`. Totals are bit-identical either way.
 ///
 /// # Errors
 ///
 /// As [`measure`], plus checkpoint manifest I/O and decode errors, and
-/// [`CoreError::TapeMismatch`](ocapi::CoreError) via [`BenchError::Item`]
+/// [`CoreError::TapeMismatch`](ocapi::CoreError) via [`BenchError::Core`]
 /// when `tape` was compiled from a different design.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_batched(
@@ -433,30 +488,19 @@ pub fn measure_batched(
         adapt,
     };
     let fp = point_fingerprint(stream, channel, noise, adapt as u64, n_bursts, payload_len);
-    let parts = rb.run_chunked(
+    let design = transceiver(&cfg, level, tape)?;
+    run_batched(
+        rb,
         stream,
         fp,
-        n_bursts as usize,
-        lanes.max(1),
-        BerCount::encode,
-        BerCount::decode,
-        WorkerSims::default,
-        |sims, seeds| {
-            batched_chunk(
-                sims,
-                &cfg,
-                channel,
-                noise,
-                None,
-                payload_len,
-                level,
-                tape,
-                rb.obs,
-                seeds,
-            )
-        },
-    )?;
-    Ok(sum(parts))
+        &design,
+        channel,
+        noise,
+        None,
+        n_bursts,
+        payload_len,
+        lanes,
+    )
 }
 
 /// [`measure_with_faults`] over the lane-batched back-end: one
@@ -497,30 +541,19 @@ pub fn measure_with_faults_batched(
         n_bursts,
         payload_len,
     );
-    let parts = rb.run_chunked(
+    let design = transceiver(&cfg, level, tape)?;
+    run_batched(
+        rb,
         stream,
         fp,
-        n_bursts as usize,
-        lanes.max(1),
-        BerCount::encode,
-        BerCount::decode,
-        WorkerSims::default,
-        |sims, seeds| {
-            batched_chunk(
-                sims,
-                &cfg,
-                channel,
-                noise,
-                Some(rate),
-                payload_len,
-                level,
-                tape,
-                rb.obs,
-                seeds,
-            )
-        },
-    )?;
-    Ok(sum(parts))
+        &design,
+        channel,
+        noise,
+        Some(rate),
+        n_bursts,
+        payload_len,
+        lanes,
+    )
 }
 
 /// Formats a BER for the tables: `<1/bits` when no errors were seen.
@@ -606,13 +639,58 @@ mod tests {
         }
     }
 
+    /// A checkpointed count with more errors than bits, or counts whose
+    /// total overflows, can only come from a damaged manifest: the
+    /// resume fails with a typed error instead of reporting a BER
+    /// above 1 or panicking.
+    #[test]
+    fn impossible_resumed_counts_are_a_damaged_manifest() {
+        assert_eq!(
+            BerCount::decode("3,7"),
+            Some(BerCount { errors: 3, bits: 7 })
+        );
+        assert_eq!(BerCount::decode("7,3"), None);
+        let dir = std::env::temp_dir().join(format!("ocapi-ber-damaged-{}", std::process::id()));
+        let dir = dir.to_string_lossy().into_owned();
+        let pool = ParConfig::single();
+        let rb = Robust {
+            dir: Some(&dir),
+            resume: true,
+            ..Robust::plain(&pool)
+        };
+        let max = u64::MAX;
+        for damaged in [["1,12", "7,3"], ["1,12", &format!("0,{max}")[..]]] {
+            let mut st = crate::checkpoint::CheckpointStream::open(&dir, "s", 5, false).unwrap();
+            for (i, payload) in damaged.iter().enumerate() {
+                st.record(i, (*payload).to_owned());
+            }
+            st.flush().unwrap();
+            let parts = rb.run_chunked(
+                "s",
+                5,
+                2,
+                1,
+                BerCount::encode,
+                BerCount::decode,
+                || (),
+                |_, _| Err(CoreError::WorkerPanic { index: 0 }),
+            );
+            let err = parts.and_then(sum).unwrap_err();
+            assert!(
+                matches!(err, BenchError::Checkpoint(_)),
+                "{damaged:?}: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A chunk whose first attempt panics after it has run — leaving its
     /// batch mid-burst — is retried on a freshly built batch, and the
     /// totals match a clean run.
     #[test]
     fn a_panicked_chunk_is_retried_on_a_fresh_batch() {
         let tape = tape();
-        let cfg = adaptive();
+        let design = transceiver(&adaptive(), OptLevel::Full, Some(&tape)).expect("design");
         for threads in [1usize, 4] {
             let pool = ParConfig::new(threads);
             let clean = measure_batched(
@@ -648,24 +726,14 @@ mod tests {
                         WorkerSims::default()
                     },
                     |sims, seeds| {
-                        let counts = batched_chunk(
-                            sims,
-                            &cfg,
-                            &CHANNEL,
-                            0.4,
-                            None,
-                            16,
-                            OptLevel::Full,
-                            Some(&tape),
-                            None,
-                            seeds,
-                        )?;
+                        let counts =
+                            batched_chunk(sims, &design, &CHANNEL, 0.4, None, 16, None, seeds)?;
                         plan.strike(seeds[0])?;
                         Ok(counts)
                     },
                 )
                 .expect("retried run");
-            assert_eq!(sum(parts), clean, "threads={threads}");
+            assert_eq!(sum(parts).expect("sum"), clean, "threads={threads}");
             assert_eq!(plan.attempts(3), 2, "threads={threads}");
             if threads == 1 {
                 // One worker: its state is dropped after the panic and

@@ -23,9 +23,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ocapi::rng::XorShift64;
-use ocapi::sim::fault::{run_campaign_cached_par, run_campaign_par, FaultEvent, FaultPlan};
+use ocapi::sim::fault::{run_campaign_batched, run_campaign_par, FaultEvent, FaultPlan};
 use ocapi::sim::par::ParConfig;
-use ocapi::{CompiledTape, InterpSim, Simulator, Value};
+use ocapi::{CompiledDesign, InterpSim, Simulator, Value};
 use ocapi_bench::{
     fingerprint, parse_args, timed, write_profile, BenchArgs, BenchError, Reporter, Robust,
 };
@@ -115,22 +115,14 @@ fn system_level_campaign(
 
     // The same campaign through the lane-batched compiled back-end:
     // `--lanes` fault runs share one micro-op tape walk per cycle, and
-    // the chunks shard across the same worker pool. The one tape compile
-    // is part of the timed run. Classification must match the scalar
+    // the chunks shard across the same worker pool. The one capture and
+    // tape compile of the design are part of the timed run. Classification must match the scalar
     // interpreter event-for-event — asserted on every benchmark run,
     // like the thread-count contract above.
     let t_batched = root.child("campaign_batched").timer();
     let (batched, secs_batched) = timed(|| {
-        let tape = CompiledTape::compile(&sys, args.opt_level())?;
-        run_campaign_cached_par(
-            &pool,
-            hcor::build_system,
-            &tape,
-            stimulus,
-            cycles,
-            &events,
-            args.lanes,
-        )
+        let design = CompiledDesign::compile(hcor::build_system()?, args.opt_level())?;
+        run_campaign_batched(&pool, &design, stimulus, cycles, &events, args.lanes)
     });
     let batched = batched?;
     drop(t_batched);
@@ -229,9 +221,9 @@ fn system_level_campaign(
     let t_degrade = root.child("degrade").timer();
     let sw_degrade = ocapi_obs::Stopwatch::start();
     for &rate in rates {
-        // Plans are built sequentially (the captured `System` holds
-        // `dyn` blocks and cannot cross threads); the simulation runs
-        // they drive are the work items. `rate` > 1 approximates
+        // Plans are sampled up front, in order, from the one captured
+        // system; the simulation runs they drive are the work items.
+        // `rate` > 1 approximates
         // multiple faults per cycle by stacking independent plans.
         let plans: Vec<FaultPlan> = (0..runs)
             .map(|seed| {

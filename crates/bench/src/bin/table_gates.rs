@@ -415,9 +415,8 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
 
     // Model-parallel partitioned gate engine on a paper-scale workload:
     // the synthesized HCOR correlator stamped into a registered replica
-    // chain (large enough that one settle dominates the per-clock
-    // thread hand-off), clocked through an LFSR stimulus by the flat
-    // single-core kernel and by `PartitionedGateSim` at `--partitions`.
+    // chain, clocked through an LFSR stimulus by the flat single-core
+    // kernel and by `PartitionedGateSim` at `--partitions`.
     // Output digests and kernel stats must match bit-for-bit — the
     // partitioned engine is a parallel schedule of the same events, not
     // an approximation — so the digest lands in the deterministic
@@ -425,10 +424,11 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     // throughput pair and the speedup land in perf.
     use ocapi_designs::scaled;
     use ocapi_gatesim::{GateSim, PartitionOptions, PartitionedGateSim};
-    // Sized so one flat settle (~0.5-1 ms) dominates the per-clock
-    // scoped-thread hand-off (~0.2 ms for 4 workers): small enough for
-    // a smoke run, large enough that the speedup is structural rather
-    // than noise on a multi-core runner.
+    // Sized for a smoke run with settles large enough to split. The
+    // partitioned engine opens scoped threads on every clock: on a
+    // 2-vCPU VM that hand-off made K=2 on two threads run at 0.71-0.77x
+    // flat at 192 replicas, slower than K=2 on one thread (0.99x), so
+    // a settle does not dominate it there (ROADMAP item 4).
     let replicas = if args.quick { 192 } else { 384 };
     let cycles = if args.quick { 48 } else { 96 };
     let scaled_net =

@@ -162,6 +162,11 @@ impl CheckpointStream {
         self.resumed
     }
 
+    /// The highest completed item index, if any.
+    fn last_index(&self) -> Option<usize> {
+        self.done.keys().next_back().copied()
+    }
+
     /// Records item `index` as completed. Not persisted until
     /// [`CheckpointStream::flush`]. Payloads must be single-line.
     pub fn record(&mut self, index: usize, payload: String) {
@@ -295,7 +300,9 @@ impl<'a> Robust<'a> {
     /// lowest-indexed chunk that still fails after `attempts` tries
     /// (completed chunks of the same group are checkpointed first, so
     /// the failed run still advances), plus manifest I/O and decode
-    /// errors.
+    /// errors: [`BenchError::Checkpoint`] for a payload `decode`
+    /// refuses and for an item index at or beyond `n_items`, which no
+    /// run of this stream writes.
     #[allow(clippy::too_many_arguments)]
     pub fn run_chunked<S, R: Send>(
         &self,
@@ -323,6 +330,11 @@ impl<'a> Robust<'a> {
         };
         let mut results: Vec<Option<R>> = (0..n_items).map(|_| None).collect();
         if let Some(st) = &manifest {
+            if let Some(i) = st.last_index().filter(|i| *i >= n_items) {
+                return Err(BenchError::Checkpoint(format!(
+                    "`{stream}`: item {i} is beyond the stream's {n_items} items"
+                )));
+            }
             for (i, slot) in results.iter_mut().enumerate() {
                 if let Some(payload) = st.completed(i) {
                     *slot = Some(decode(payload).ok_or_else(|| {
@@ -556,6 +568,46 @@ mod tests {
             .unwrap();
         assert_eq!(again, a);
         assert_eq!(obs.counter("robust.items_resumed").get(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A manifest line whose index is at or beyond the stream's item
+    /// count can only come from damage: the resume is refused with a
+    /// typed error, resumes nothing and leaves the manifest as it was.
+    #[test]
+    fn an_item_beyond_the_stream_is_a_damaged_manifest() {
+        let dir = tmpdir("beyond");
+        let mut st = CheckpointStream::open(&dir, "s", 7, false).unwrap();
+        st.record(0, "0".into());
+        st.record(4, "40".into());
+        st.flush().unwrap();
+        let before = std::fs::read(dir.clone() + "/" + &stream_file("s")).unwrap();
+        let pool = ParConfig::single();
+        let obs = Registry::new();
+        let rb = Robust {
+            dir: Some(&dir),
+            every: 1,
+            resume: true,
+            obs: Some(&obs),
+            ..Robust::plain(&pool)
+        };
+        let err = rb
+            .run_chunked(
+                "s",
+                7,
+                4,
+                1,
+                |r: &u64| r.to_string(),
+                |s| s.parse().ok(),
+                || (),
+                |_, idxs| Ok(idxs.iter().map(|i| *i as u64 * 10).collect()),
+            )
+            .unwrap_err();
+        assert!(matches!(err, BenchError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("item 4 is beyond"), "{err}");
+        assert_eq!(obs.counter("robust.items_resumed").get(), 0);
+        let after = std::fs::read(dir.clone() + "/" + &stream_file("s")).unwrap();
+        assert_eq!(before, after);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -48,7 +48,12 @@ impl MemorySpec<'_> {
 /// carry this cycle's tokens; if it returns `true`, [`UntimedBlock::fire`]
 /// runs and must write every output. If it returns `false`, the outputs
 /// hold their previous values.
-pub trait UntimedBlock {
+///
+/// A block is `Send + Sync`, so a captured [`System`](crate::System) is
+/// too: one template serves every simulator built from a
+/// [`CompiledDesign`](crate::CompiledDesign), on any thread, without a
+/// capture of its own.
+pub trait UntimedBlock: Send + Sync {
     /// Instance name (unique within the system).
     fn name(&self) -> &str;
 
@@ -355,7 +360,8 @@ impl UntimedBlock for Rom {
 /// captured state that a reset would have to restore. A model that
 /// keeps state across firings implements [`UntimedBlock`] itself, with
 /// a `reset` that restores it. Copies of the block
-/// ([`UntimedBlock::boxed_clone`]) share the one closure.
+/// ([`UntimedBlock::boxed_clone`]) share the one closure, which is
+/// `Send + Sync` as every block is.
 ///
 /// # Example
 ///
@@ -393,7 +399,7 @@ impl<F> Clone for FnBlock<F> {
 
 impl<F> FnBlock<F>
 where
-    F: Fn(&[Value], &mut [Value]),
+    F: Fn(&[Value], &mut [Value]) + Send + Sync,
 {
     /// Wraps a closure as an untimed block.
     pub fn new(name: &str, inputs: Vec<PortDecl>, outputs: Vec<PortDecl>, behaviour: F) -> Self {
@@ -408,7 +414,7 @@ where
 
 impl<F> UntimedBlock for FnBlock<F>
 where
-    F: Fn(&[Value], &mut [Value]) + 'static,
+    F: Fn(&[Value], &mut [Value]) + Send + Sync + 'static,
 {
     fn name(&self) -> &str {
         &self.name

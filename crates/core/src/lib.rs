@@ -86,10 +86,11 @@ pub use fsm::{Fsm, FsmBuilder, StateRef, Transition, TransitionBuilder};
 pub use sim::budget::{Budget, BudgetKind};
 pub use sim::chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 pub use sim::fault::{
-    apply_lane_faults, run_campaign_cached_par, run_campaign_par, CampaignReport, FaultEvent,
-    FaultKind, FaultOutcome, FaultPlan, FaultSite, FaultySim, LaneFault,
+    apply_lane_faults, run_campaign_batched, run_campaign_cached_par, run_campaign_par,
+    CampaignReport, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultSite, FaultySim,
+    LaneFault,
 };
-pub use sim::hash::{hash_compiled, hash_system, CompiledTape};
+pub use sim::hash::{hash_compiled, hash_system, CompiledDesign, CompiledTape};
 pub use sim::par::{
     map_indexed_retry, map_indexed_with, ParConfig, ParError, PoolStats, RetryStats, Stopwatch,
 };

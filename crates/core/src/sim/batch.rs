@@ -27,14 +27,16 @@
 //!
 //! * every lane has its own FSM states, SFG activation flags, register
 //!   file and untimed state; the lanes share one [`System`], the
-//!   structure the tape was compiled from. A block that reports a
-//!   [`MemorySpec`](crate::MemorySpec) and is wired in the memory shape
-//!   (a `Ram`, a `Rom`) runs as a native memory of the tape state: each
-//!   lane keeps a RAM's words as plain `u64`s, and a ROM is read from
-//!   the lane's power-up image, which lanes of one capture share. This
-//!   memory plan is the one thing planned per instance, from the batch's
-//!   own system(s), never from the shared program. Each lane owns copies
-//!   of the remaining, generic blocks ([`UntimedBlock::boxed_clone`]);
+//!   structure the tape was compiled from — a [`CompiledDesign`]'s
+//!   template, which every batch of the design shares. A block that
+//!   reports a [`MemorySpec`](crate::MemorySpec) and is wired in the
+//!   memory shape (a `Ram`, a `Rom`) runs as a native memory of the tape
+//!   state: each lane keeps a RAM's words as plain `u64`s, and a ROM is
+//!   read from the lane's power-up image, which lanes of one template
+//!   share. This memory plan is the one thing planned per instance, from
+//!   the batch's template (and lanes' own systems), never from the
+//!   shared program. Each lane owns copies of the remaining, generic
+//!   blocks ([`UntimedBlock::boxed_clone`]);
 //! * control-flow divergence is handled per lane — transition selection
 //!   and `Drive`/`Fire` resolution read the lane's own stripe;
 //! * a per-lane error (a trace fault, a failed fault-injection poke)
@@ -67,7 +69,7 @@ use crate::blocks::UntimedBlock;
 use crate::sim::budget::Budget;
 use crate::sim::compiled::Program;
 use crate::sim::exec::{self, All, Fired, Lanes, Live, Memory, MemoryPlan, One, State};
-use crate::sim::hash::CompiledTape;
+use crate::sim::hash::{CompiledDesign, CompiledTape};
 use crate::sim::obs::TapeObs;
 use crate::sim::opt::{OptLevel, OptStats};
 use crate::sim::snapshot::SimSnapshot;
@@ -98,15 +100,15 @@ pub(crate) enum Word {
 
 /// The compiled-tape simulator over N lanes. See the [module docs](self).
 ///
-/// Construct with [`BatchedSim::replicate`] from one captured [`System`]
-/// and its [`CompiledTape`], or with [`BatchedSim::from_fn`] from a
-/// builder closure: either captures the design once, shares its
-/// memories' power-up images between the lanes and gives every lane
-/// copies of its generic untimed blocks. [`BatchedSim::new`],
-/// [`BatchedSim::new_with`] and [`BatchedSim::from_tape`] take one
-/// structurally identical system per lane instead; the batch keeps lane
-/// 0's structure and the other lanes' generic blocks, and each lane's
-/// memories start from its own blocks' contents. Drive either
+/// Construct with [`BatchedSim::from_design`] from a [`CompiledDesign`],
+/// or with [`BatchedSim::from_fn`] from a builder closure: the batch
+/// shares the design's template, its memories' power-up images are
+/// shared between the lanes, and every lane copies its generic untimed
+/// blocks. [`BatchedSim::new`], [`BatchedSim::new_with`] and
+/// [`BatchedSim::from_tape`] take one structurally identical system per
+/// lane instead; lane 0's system becomes the template, the batch keeps
+/// the other lanes' generic blocks, and each lane's memories start from
+/// its own blocks' contents. Drive either
 /// through the lane-addressed methods (`set_input_lane`, `output_lane`,
 /// …) or through the [`Simulator`] trait, which *broadcasts* writes to
 /// every live lane and reads lane 0 — a 1-lane batch is exactly the
@@ -115,10 +117,11 @@ pub(crate) enum Word {
 /// [`CompiledSim`]: crate::CompiledSim
 pub struct BatchedSim {
     /// The system the tape was compiled from: the structure every lane
-    /// shares. Its untimed blocks never fire; they stay at power-up as
-    /// the template the lanes' generic blocks are copied from and its
-    /// memories' images are read from.
-    system: System,
+    /// shares, and the template every batch of its design shares. Its
+    /// untimed blocks never fire; they stay at power-up as the template
+    /// the lanes' generic blocks are copied from and its memories'
+    /// images are read from.
+    system: Arc<System>,
     /// Every lane's generic untimed blocks; the memories live in `st`.
     blocks: LaneBlocks,
     /// Shared with the [`CompiledTape`] it was instantiated from.
@@ -315,20 +318,7 @@ impl BatchedSim {
     /// single-pass schedule.
     pub fn new_with(systems: Vec<System>, level: OptLevel) -> Result<BatchedSim, CoreError> {
         let (system, lanes, own) = split_lanes(systems)?;
-        BatchedSim::compiled(own, system, lanes, level)
-    }
-
-    /// The tape path, minus its structural check: `system` is the
-    /// system just compiled.
-    fn compiled(
-        own: OwnBlocks,
-        system: System,
-        lanes: usize,
-        level: OptLevel,
-    ) -> Result<BatchedSim, CoreError> {
-        let tape = CompiledTape::compile(&system, level)?;
-        let design_hash = tape.program_hash();
-        BatchedSim::from_parts(own, system, lanes, tape.prog, design_hash)
+        BatchedSim::from_parts(&CompiledDesign::compile(system, level)?, lanes, own)
     }
 
     /// Instantiates a batch from a cached [`CompiledTape`] without
@@ -345,62 +335,40 @@ impl BatchedSim {
     /// compiled from.
     pub fn from_tape(systems: Vec<System>, tape: &CompiledTape) -> Result<BatchedSim, CoreError> {
         let (system, lanes, own) = split_lanes(systems)?;
-        tape.check_system(&system)?;
-        BatchedSim::from_parts(
-            own,
-            system,
-            lanes,
-            Arc::clone(&tape.prog),
-            tape.program_hash(),
-        )
+        BatchedSim::from_parts(&CompiledDesign::new(system, tape)?, lanes, own)
     }
 
-    /// Builds `lanes` lanes over a cached [`CompiledTape`] from one
-    /// captured system: the batch keeps `sys` as the structure every
-    /// lane shares, shares one power-up image per memory between the
-    /// lanes and gives each lane copies of its generic untimed blocks
-    /// ([`UntimedBlock::boxed_clone`]), so a wide batch costs one capture
-    /// and one hash check, not one per lane. Behaviour is identical to
-    /// [`BatchedSim::from_tape`] over `lanes` separately built systems.
+    /// Builds `lanes` lanes of `design`: the batch shares the design's
+    /// template and program, shares one power-up image per memory
+    /// between the lanes and gives each lane copies of the template's
+    /// generic untimed blocks ([`UntimedBlock::boxed_clone`]), so it
+    /// captures and hashes nothing, whatever its lane count. Behaviour
+    /// is identical to [`BatchedSim::from_tape`] over `lanes` separately
+    /// built systems.
     ///
     /// # Errors
     ///
-    /// [`CoreError::CheckFailed`] for zero lanes and
-    /// [`CoreError::TapeMismatch`] when `sys` is not structurally the
-    /// system the tape was compiled from.
-    pub fn replicate(
-        sys: System,
-        lanes: usize,
-        tape: &CompiledTape,
-    ) -> Result<BatchedSim, CoreError> {
+    /// [`CoreError::CheckFailed`] for zero lanes.
+    pub fn from_design(design: &CompiledDesign, lanes: usize) -> Result<BatchedSim, CoreError> {
         if lanes == 0 {
             return Err(no_lanes());
         }
-        tape.check_system(&sys)?;
-        BatchedSim::from_parts(
-            Vec::new(),
-            sys,
-            lanes,
-            Arc::clone(&tape.prog),
-            tape.program_hash(),
-        )
+        BatchedSim::from_parts(design, lanes, Vec::new())
     }
 
-    /// Assembles a batch of `lanes` lanes around an already-built
-    /// program: `system` is the structure the program was compiled from,
-    /// and `own` the other lanes' blocks when each lane brought its own
-    /// system (see [`memory_plan`]).
+    /// Assembles a batch of `lanes` lanes of `design`, with `own` the
+    /// other lanes' blocks when each lane brought its own system (see
+    /// [`memory_plan`]).
     fn from_parts(
-        own: OwnBlocks,
-        system: System,
+        design: &CompiledDesign,
         lanes: usize,
-        prog: Arc<Program>,
-        design_hash: u64,
+        own: OwnBlocks,
     ) -> Result<BatchedSim, CoreError> {
-        let (plan, blocks) = memory_plan(&prog, &system, lanes, own)?;
+        let (system, tape) = (Arc::clone(design.template()), design.tape());
+        let (plan, blocks) = memory_plan(&tape.prog, &system, lanes, own)?;
         Ok(BatchedSim {
-            st: State::new(&prog, &system, lanes, plan),
-            prog,
+            st: State::new(&tape.prog, &system, lanes, plan),
+            prog: Arc::clone(&tape.prog),
             lanes,
             alive: vec![true; lanes],
             masked: 0,
@@ -409,7 +377,7 @@ impl BatchedSim {
             traces: None,
             obs: None,
             budget: Budget::none(),
-            design_hash,
+            design_hash: tape.program_hash(),
             system,
             blocks,
         })
@@ -494,8 +462,8 @@ impl BatchedSim {
     }
 
     /// Captures one system with `make_sys`, compiles it at `level` and
-    /// builds `lanes` lanes (at least one) over it, as
-    /// [`BatchedSim::replicate`] does over a cached tape.
+    /// builds `lanes` lanes (at least one) of that design, as
+    /// [`BatchedSim::from_design`] does.
     ///
     /// # Errors
     ///
@@ -506,9 +474,8 @@ impl BatchedSim {
         make_sys: impl FnOnce() -> Result<System, CoreError>,
         level: OptLevel,
     ) -> Result<BatchedSim, CoreError> {
-        let system = make_sys()?;
-        let lanes = lanes.max(1);
-        BatchedSim::compiled(Vec::new(), system, lanes, level)
+        let design = CompiledDesign::compile(make_sys()?, level)?;
+        BatchedSim::from_design(&design, lanes.max(1))
     }
 
     /// Number of lanes (live and masked).
@@ -908,24 +875,25 @@ impl BatchedSim {
 /// worker (the per-worker state of
 /// [`map_indexed_with`](crate::sim::par::map_indexed_with)), so a worker
 /// builds one batch for its full chunks and one for a short last chunk,
-/// instead of one per chunk. Built with [`BatchedSim::replicate`], each
-/// batch is one capture and one hash check, whatever its lane count.
-/// Sound because [`BatchedSim::reset`] equals a fresh build.
+/// instead of one per chunk. Every batch is built from the driver's one
+/// [`CompiledDesign`] ([`BatchedSim::from_design`]), so a worker
+/// captures and hashes nothing. Sound because [`BatchedSim::reset`]
+/// equals a fresh build.
 #[derive(Debug, Default)]
 pub struct WorkerSims(Vec<BatchedSim>);
 
 impl WorkerSims {
-    /// A power-up batch of `lanes` lanes: the one this worker kept for
-    /// that lane count, reset, or else a new one from `build`, which must
-    /// return a batch of `lanes` lanes.
+    /// A power-up batch of `lanes` lanes of `design` — the driver's one
+    /// design, the same on every call: the batch this worker kept for
+    /// that lane count, reset, or else a new one.
     ///
     /// # Errors
     ///
-    /// Propagates `build`'s error.
+    /// [`CoreError::CheckFailed`] for zero lanes.
     pub fn get(
         &mut self,
         lanes: usize,
-        build: impl FnOnce() -> Result<BatchedSim, CoreError>,
+        design: &CompiledDesign,
     ) -> Result<&mut BatchedSim, CoreError> {
         let k = match self.0.iter().position(|s| s.lanes == lanes) {
             Some(k) => {
@@ -933,7 +901,7 @@ impl WorkerSims {
                 k
             }
             None => {
-                self.0.push(build()?);
+                self.0.push(BatchedSim::from_design(design, lanes)?);
                 self.0.len() - 1
             }
         };

@@ -39,7 +39,7 @@ use ocapi_obs::Registry;
 use crate::comp::{Component, NodeId, NodeKind};
 use crate::sim::batch::BatchedSim;
 use crate::sim::budget::Budget;
-use crate::sim::hash::CompiledTape;
+use crate::sim::hash::{CompiledDesign, CompiledTape};
 use crate::sim::obs::TapeObs;
 use crate::sim::opt::{self, OptEnv, OptLevel, OptStats};
 use crate::sim::snapshot::SimSnapshot;
@@ -639,6 +639,18 @@ impl CompiledSim {
     /// structurally the system the tape was compiled from.
     pub fn from_tape(sys: System, tape: &CompiledTape) -> Result<CompiledSim, CoreError> {
         BatchedSim::from_tape(vec![sys], tape).map(CompiledSim)
+    }
+
+    /// A simulator of `design`: the one-lane
+    /// [`BatchedSim::from_design`], sharing the design's template and
+    /// program, so it captures and hashes nothing.
+    ///
+    /// # Errors
+    ///
+    /// None in practice: [`BatchedSim::from_design`] fails only for zero
+    /// lanes.
+    pub fn from_design(design: &CompiledDesign) -> Result<CompiledSim, CoreError> {
+        BatchedSim::from_design(design, 1).map(CompiledSim)
     }
 
     /// Attaches watchdog limits ([`Budget`]): subsequent steps fail

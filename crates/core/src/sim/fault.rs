@@ -26,19 +26,20 @@
 //! * [`run_campaign_par`] — the reference: one fresh [`FaultySim`] of
 //!   any back-end per event, classified by comparing its recorded trace
 //!   with the golden run's;
-//! * [`run_campaign_cached_par`] — lane-batched: chunks of events share
-//!   one walk of a [`CompiledTape`] per cycle, and classify every event
-//!   exactly as the reference does over [`CompiledSim`] at the tape's
-//!   level, without a trace. The golden run keeps its primary outputs
-//!   as raw words, one row a cycle; after every step each live lane's
-//!   output slots are compared with that row, and the lane's first
-//!   differing cycle is kept. Each event is resolved once into a
-//!   [`LaneFault`] — its site's state word, type and window — which
-//!   [`apply_lane_faults`] pokes straight into the lane. Each worker
-//!   builds one batch per lane count ([`WorkerSims`]) from one captured
-//!   system and resets it between chunks, so a campaign captures and
-//!   hash-checks a system once per worker and lane count, not once per
-//!   event or lane.
+//! * [`run_campaign_batched`] — lane-batched over one
+//!   [`CompiledDesign`]: chunks of events share one walk of its tape per
+//!   cycle, and classify every event exactly as the reference does over
+//!   [`CompiledSim`] at the tape's level, without a trace. The golden
+//!   run keeps its primary outputs as raw words, one row a cycle; after
+//!   every step each live lane's output slots are compared with that
+//!   row, and the lane's first differing cycle is kept. Each event is
+//!   resolved once into a [`LaneFault`] — its site's state word, type
+//!   and window — which [`apply_lane_faults`] pokes straight into the
+//!   lane. The golden simulator and every worker's batches
+//!   ([`WorkerSims`], one per lane count, reset between chunks) share
+//!   the design's template, so the driver captures and hashes nothing.
+//!   [`run_campaign_cached_par`] forms that design from a builder and a
+//!   cached tape: one capture and one hash check a campaign.
 //!
 //! Because both cycle-true back-ends expose identical peek/poke
 //! semantics, the interpreted and compiled simulators stay
@@ -52,7 +53,7 @@
 use crate::rng::XorShift64;
 use crate::sim::batch::{BatchedSim, Word, WorkerSims};
 use crate::sim::compiled::CompiledSim;
-use crate::sim::hash::CompiledTape;
+use crate::sim::hash::{CompiledDesign, CompiledTape};
 use crate::sim::par::{map_indexed, map_indexed_with, ParConfig, ParError};
 use crate::sim::Simulator;
 use crate::system::System;
@@ -739,17 +740,16 @@ pub fn apply_lane_faults(sim: &mut BatchedSim, lane: usize, faults: &[LaneFault]
     }
 }
 
-/// The golden (fault-free) run of [`run_campaign_cached_par`]: the
-/// [`CompiledSim`] of `tape` over `cycles` cycles, its primary outputs
+/// The golden (fault-free) run of [`run_campaign_batched`]: the
+/// [`CompiledSim`] of `design` over `cycles` cycles, its primary outputs
 /// recorded as raw words ([`BatchedSim::raw_outputs`]), one row of
 /// `outputs` words a cycle, in one allocation.
 fn golden_rows(
-    make_sys: &impl Fn() -> Result<System, CoreError>,
-    tape: &CompiledTape,
+    design: &CompiledDesign,
     stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
     cycles: u64,
 ) -> Result<Vec<u64>, CoreError> {
-    let mut sim = CompiledSim::from_tape(make_sys()?, tape)?;
+    let mut sim = CompiledSim::from_design(design)?;
     let outputs = sim.system().primary_outputs.len();
     let mut rows = Vec::with_capacity(outputs * cycles as usize);
     for c in 0..cycles {
@@ -761,10 +761,10 @@ fn golden_rows(
 }
 
 /// One lane-batched chunk of faulty runs: `chunk.len()` lanes of the
-/// worker's batch for that lane count (built on first use from one
-/// system and `tape`, reset after), stepped through one shared tape walk
-/// per cycle, each lane injecting its own event. The work item of
-/// [`run_campaign_cached_par`].
+/// worker's batch of `design` for that lane count (built on first use,
+/// reset after), stepped through one shared tape walk per cycle, each
+/// lane injecting its own event. The work item of
+/// [`run_campaign_batched`].
 ///
 /// Per-lane semantics replicate [`run_event`] exactly: a failing fault
 /// application masks *that lane* at the pre-step cycle (becoming its
@@ -774,15 +774,14 @@ fn golden_rows(
 /// a lane error wins over a divergence.
 fn run_event_chunk(
     sims: &mut WorkerSims,
-    make_sys: &impl Fn() -> Result<System, CoreError>,
+    design: &CompiledDesign,
     stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
     golden: &[u64],
     cycles: u64,
     chunk: &[FaultEvent],
-    tape: &CompiledTape,
 ) -> Result<Vec<FaultOutcome>, CoreError> {
     let lanes = chunk.len();
-    let sim = sims.get(lanes, || BatchedSim::replicate(make_sys()?, lanes, tape))?;
+    let sim = sims.get(lanes, design)?;
     let faults: Vec<LaneFault> = chunk.iter().map(|e| LaneFault::resolve(sim, e)).collect();
     let outputs = sim.system().primary_outputs.len();
     let mut diverged: Vec<Option<u64>> = vec![None; lanes];
@@ -815,27 +814,21 @@ fn run_event_chunk(
 }
 
 /// [`run_campaign_par`] over the lane-batched compiled back-end
-/// ([`BatchedSim`]), instantiated from one cached [`CompiledTape`]:
-/// events are grouped into chunks of `lanes`, every chunk walks the
-/// micro-op tape once per cycle for all of its lanes, and the chunks
-/// shard across [`ParConfig::threads`] worker threads. No simulator is
-/// recompiled per chunk — the campaign path of the persistent simulation
-/// service, where one cached compilation serves thousands of jobs. A
-/// one-off campaign compiles its tape with [`CompiledTape::compile`].
+/// ([`BatchedSim`]) of one [`CompiledDesign`]: events are grouped into
+/// chunks of `lanes`, every chunk walks the design's micro-op tape once
+/// per cycle for all of its lanes, and the chunks shard across
+/// [`ParConfig::threads`] worker threads. Nothing is compiled, captured
+/// or hashed: the golden run and every worker's batches are built from
+/// the design and share its template and program — the campaign path of
+/// the persistent simulation service, where one cached design serves
+/// thousands of jobs. Each worker keeps one batch per lane count and
+/// resets it between chunks ([`WorkerSims`]), and drops it after a chunk
+/// that fails or panics.
 ///
-/// Nor is one built per chunk: each worker keeps one batch per lane
-/// count and resets it between chunks ([`WorkerSims`]), and drops it
-/// after a chunk that fails or panics. A batch is one call of
-/// `make_sys`, whose untimed blocks every lane copies
-/// ([`BatchedSim::replicate`]), so `make_sys` must build the same
-/// system on every call. With `T` workers, `L` lanes and `E` events,
-/// it runs at most `1 + T + [E mod L ≠ 0]` times (the golden run, one
-/// full batch per worker, one short last batch) instead of `1 + E`.
-///
-/// The golden run uses the scalar [`CompiledSim`] built from the same
-/// tape and records its primary outputs as raw words, one row a cycle,
-/// in one allocation. No lane records a trace: after every step each
-/// live lane's output slots are compared with that cycle's row and its
+/// The golden run uses the design's scalar [`CompiledSim`] and records
+/// its primary outputs as raw words, one row a cycle, in one
+/// allocation. No lane records a trace: after every step each live
+/// lane's output slots are compared with that cycle's row and its
 /// first differing cycle is kept, and every event's site is resolved
 /// once per chunk ([`LaneFault`]). Raw words compare as the reference
 /// compares values (floats by bit pattern) because every slot holds its
@@ -856,11 +849,39 @@ fn run_event_chunk(
 ///
 /// # Errors
 ///
-/// As [`run_campaign_par`]: errors from system construction, the golden
-/// run and stimulus application propagate; per-lane faulty-run errors
-/// are recorded as [`FaultOutcome::Detected`]. Additionally
-/// [`CoreError::TapeMismatch`] when `make_sys` builds a system the tape
-/// was not compiled from.
+/// As [`run_campaign_par`]: errors from the golden run and stimulus
+/// application propagate; per-lane faulty-run errors are recorded as
+/// [`FaultOutcome::Detected`].
+pub fn run_campaign_batched(
+    pool: &ParConfig,
+    design: &CompiledDesign,
+    stimulus: impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError> + Sync,
+    cycles: u64,
+    events: &[FaultEvent],
+    lanes: usize,
+) -> Result<CampaignReport, CoreError> {
+    let golden = golden_rows(design, &stimulus, cycles)?;
+    let chunks: Vec<&[FaultEvent]> = events.chunks(lanes.max(1)).collect();
+    let parts = map_indexed_with(pool, &chunks, WorkerSims::default, |sims, _, chunk| {
+        run_event_chunk(sims, design, &stimulus, &golden, cycles, chunk)
+            .map(|outcomes| chunk.iter().cloned().zip(outcomes).collect::<Vec<_>>())
+    })
+    .map_err(par_error)?;
+    Ok(CampaignReport {
+        outcomes: parts.into_iter().flatten().collect(),
+    })
+}
+
+/// [`run_campaign_batched`] over the design that one `make_sys` call and
+/// a cached `tape` form ([`CompiledDesign::new`]): one capture and one
+/// structural hash check a campaign. A one-off campaign compiles its
+/// tape with [`CompiledTape::compile`].
+///
+/// # Errors
+///
+/// As [`run_campaign_batched`], plus `make_sys`'s error and
+/// [`CoreError::TapeMismatch`] when it builds a system the tape was not
+/// compiled from.
 pub fn run_campaign_cached_par(
     pool: &ParConfig,
     make_sys: impl Fn() -> Result<System, CoreError> + Sync,
@@ -870,16 +891,8 @@ pub fn run_campaign_cached_par(
     events: &[FaultEvent],
     lanes: usize,
 ) -> Result<CampaignReport, CoreError> {
-    let golden = golden_rows(&make_sys, tape, &stimulus, cycles)?;
-    let chunks: Vec<&[FaultEvent]> = events.chunks(lanes.max(1)).collect();
-    let parts = map_indexed_with(pool, &chunks, WorkerSims::default, |sims, _, chunk| {
-        run_event_chunk(sims, &make_sys, &stimulus, &golden, cycles, chunk, tape)
-            .map(|outcomes| chunk.iter().cloned().zip(outcomes).collect::<Vec<_>>())
-    })
-    .map_err(par_error)?;
-    Ok(CampaignReport {
-        outcomes: parts.into_iter().flatten().collect(),
-    })
+    let design = CompiledDesign::new(make_sys()?, tape)?;
+    run_campaign_batched(pool, &design, stimulus, cycles, events, lanes)
 }
 
 #[cfg(test)]

@@ -33,21 +33,21 @@
 //!
 //! [`CompiledTape`] is the cacheable artifact itself: one levelization +
 //! optimization of a system, shareable across threads (the program is
-//! behind an [`Arc`]) and instantiable into simulators without
-//! recompiling via [`crate::CompiledSim::from_tape`] and
-//! [`crate::BatchedSim::from_tape`]. Instantiation verifies the
-//! structural hash of the offered system against the tape's, so a cache
-//! lookup gone wrong is a typed [`CoreError::TapeMismatch`], never a
-//! silently wrong simulation. That check runs on every instantiation;
-//! it streams the system's `{:?}` text into the hasher without building
-//! a string, so on a short run it costs about what formatting costs.
-//! Compiling hashes the system once: the program hash extends the
-//! structural hash instead of recomputing it, and
-//! [`crate::CompiledSim::new_with`] and [`crate::BatchedSim::new_with`]
-//! go through [`CompiledTape::compile`] too. One simulator executes the
-//! tape as it is — every [`crate::BatchedSim`], and `CompiledSim` as its
-//! one-lane form, shares the tape's program — so there is no per-engine
-//! or per-lane-count artifact to cache beside it.
+//! behind an [`Arc`]). [`CompiledDesign`] pairs a tape with one
+//! captured [`System`] of its structure, checked against it once: that
+//! immutable template is what every simulator built from the
+//! design shares ([`crate::CompiledSim::from_design`],
+//! [`crate::BatchedSim::from_design`]), on any thread, so building one
+//! captures and hashes nothing. Forming a design is the one place the
+//! structural hash of an offered system is compared with a tape's; a
+//! cache lookup gone wrong is a typed [`CoreError::TapeMismatch`] there,
+//! never a silently wrong simulation. The `from_tape` constructors form
+//! a design from the system they are given. Compiling hashes the system
+//! once: the program hash extends the structural hash instead of
+//! recomputing it. One simulator executes the tape as it is — every
+//! [`crate::BatchedSim`], and `CompiledSim` as its one-lane form, shares
+//! the tape's program — so there is no per-engine or per-lane-count
+//! artifact to cache beside it.
 
 use std::fmt;
 use std::sync::Arc;
@@ -208,7 +208,8 @@ pub fn hash_compiled(sys: &System, level: OptLevel) -> Result<u64, CoreError> {
 ///
 /// This is the unit the simulation service caches: compile once per
 /// `(structural hash, optimization level)`, then serve every job that
-/// asks for the same design from the cached tape.
+/// asks for the same structure from the cached tape, paired with its
+/// design variant's template in a [`CompiledDesign`].
 #[derive(Debug, Clone)]
 pub struct CompiledTape {
     pub(crate) prog: Arc<Program>,
@@ -220,8 +221,7 @@ pub struct CompiledTape {
 impl CompiledTape {
     /// Levelizes and monomorphises `sys` at `level` into a cacheable
     /// tape. The system itself is not consumed or retained — tapes key
-    /// on hashes, and every instantiation brings its own freshly built
-    /// system (untimed blocks carry per-instance state).
+    /// on hashes, and a [`CompiledDesign`] pairs a tape with its system.
     ///
     /// # Errors
     ///
@@ -264,13 +264,18 @@ impl CompiledTape {
     }
 
     /// Verifies that `sys` is structurally the system this tape was
-    /// compiled from; every `from_tape` constructor goes through here.
+    /// compiled from; [`CompiledDesign::new`] goes through here.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::TapeMismatch`] when the hashes disagree.
     pub(crate) fn check_system(&self, sys: &System) -> Result<(), CoreError> {
-        let got = hash_system(sys);
+        self.check_hash(hash_system(sys))
+    }
+
+    /// [`CompiledTape::check_system`] for a system whose structural hash
+    /// is already known.
+    fn check_hash(&self, got: u64) -> Result<(), CoreError> {
         if got != self.system_hash {
             return Err(CoreError::TapeMismatch {
                 expected: self.system_hash,
@@ -280,6 +285,98 @@ impl CompiledTape {
         Ok(())
     }
 }
+
+/// One design, captured once and checked against its compiled tape
+/// once: an immutable [`System`] template behind an [`Arc`], paired
+/// with the [`CompiledTape`] compiled from it.
+///
+/// Every simulator built from a design shares its template
+/// ([`crate::CompiledSim::from_design`], [`crate::BatchedSim::from_design`]):
+/// the template's untimed blocks never fire, lanes copy its generic
+/// blocks and read its memories' power-up contents. So building a
+/// simulator, on any thread, captures and hashes nothing, and the
+/// question "does this system match this tape?" is answered once, where
+/// the design is formed. Cloning a design clones two `Arc`s.
+///
+/// Two variants of one structure (the same design with other memory
+/// contents) are two designs: each keeps its own template, and both can
+/// share one tape ([`CompiledDesign::with_tape`]).
+#[derive(Debug, Clone)]
+pub struct CompiledDesign {
+    system: Arc<System>,
+    tape: CompiledTape,
+}
+
+impl CompiledDesign {
+    /// Pairs `sys` with `tape`, once `sys` is verified to be
+    /// structurally the system the tape was compiled from: the one
+    /// structural hash check of the design.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::TapeMismatch`] when it is not.
+    pub fn new(sys: System, tape: &CompiledTape) -> Result<CompiledDesign, CoreError> {
+        tape.check_system(&sys)?;
+        Ok(CompiledDesign {
+            system: Arc::new(sys),
+            tape: tape.clone(),
+        })
+    }
+
+    /// Compiles `sys` at `level` ([`CompiledTape::compile`]) and keeps it
+    /// as the design's template.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NotCompilable`] when the design has no
+    /// static single-pass schedule.
+    pub fn compile(sys: System, level: OptLevel) -> Result<CompiledDesign, CoreError> {
+        let tape = CompiledTape::compile(&sys, level)?;
+        Ok(CompiledDesign {
+            system: Arc::new(sys),
+            tape,
+        })
+    }
+
+    /// This design's template paired with `tape`, another compilation
+    /// of the same structure (e.g. at another level): the two stored
+    /// structural hashes are compared, and nothing is rehashed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::TapeMismatch`] when `tape` was compiled from
+    /// another structure.
+    pub fn with_tape(&self, tape: &CompiledTape) -> Result<CompiledDesign, CoreError> {
+        tape.check_hash(self.tape.system_hash)?;
+        Ok(CompiledDesign {
+            system: Arc::clone(&self.system),
+            tape: tape.clone(),
+        })
+    }
+
+    /// The template: the system the tape was compiled from.
+    pub fn system(&self) -> &System {
+        &self.system
+    }
+
+    /// The shared template itself, for simulators that keep it.
+    pub(crate) fn template(&self) -> &Arc<System> {
+        &self.system
+    }
+
+    /// The compiled tape.
+    pub fn tape(&self) -> &CompiledTape {
+        &self.tape
+    }
+}
+
+/// A design is shared across worker threads, so it and its template
+/// must stay `Send + Sync`; this fails to compile if either stops being.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<CompiledDesign>();
+    send_sync::<System>();
+};
 
 #[cfg(test)]
 mod tests {

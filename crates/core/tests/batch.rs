@@ -6,9 +6,10 @@
 
 use ocapi::rng::XorShift64;
 use ocapi::{
-    run_campaign_cached_par, run_campaign_par, BatchedSim, CompiledSim, CompiledTape, Component,
-    CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, FnBlock, InterpSim, MemorySpec, OptLevel,
-    Overflow, ParConfig, PortDecl, Ram, Rounding, SigType, Simulator, System, UntimedBlock, Value,
+    run_campaign_cached_par, run_campaign_par, BatchedSim, CompiledDesign, CompiledSim,
+    CompiledTape, Component, CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, FnBlock,
+    InterpSim, MemorySpec, OptLevel, Overflow, ParConfig, PortDecl, Ram, Rounding, SigType,
+    Simulator, System, UntimedBlock, Value,
 };
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor};
@@ -535,7 +536,8 @@ fn lanes_of_one_capture_equal_lanes_of_separate_captures() {
     let cfg = TransceiverConfig::default();
     let build = || dect::transceiver::build_system(&cfg).unwrap();
     let tape = CompiledTape::compile(&build(), OptLevel::Full).unwrap();
-    let mut one = BatchedSim::replicate(build(), LANES, &tape).unwrap();
+    let design = CompiledDesign::new(build(), &tape).unwrap();
+    let mut one = BatchedSim::from_design(&design, LANES).unwrap();
     let mut many = BatchedSim::from_tape((0..LANES).map(|_| build()).collect(), &tape).unwrap();
     assert_eq!(one.design_hash(), many.design_hash());
     let bursts: Vec<_> = (0..LANES as u64)
@@ -618,12 +620,14 @@ fn preloaded_ram_system(word: u64) -> System {
 
 /// Lanes built from one capture own their blocks: only lane 0 writes
 /// its RAM, and lane 1 still reads its own power-up word. The captured
-/// system's RAM never fires, so it stays at power-up too; a reset
-/// restores the preload in every lane.
+/// system's RAM never fires, so it stays at power-up too, and a second
+/// batch of the design shares that template; a reset restores the
+/// preload in every lane.
 #[test]
 fn a_lane_of_one_capture_reads_its_own_ram() {
     let tape = CompiledTape::compile(&preloaded_ram_system(0x5a), OptLevel::Full).unwrap();
-    let mut sim = BatchedSim::replicate(preloaded_ram_system(0x5a), 2, &tape).unwrap();
+    let design = CompiledDesign::new(preloaded_ram_system(0x5a), &tape).unwrap();
+    let mut sim = BatchedSim::from_design(&design, 2).unwrap();
     let power_up = Value::bits(8, 0x5a);
     for (c, we0) in [true, false, false].into_iter().enumerate() {
         sim.set_input_lane(0, "we", Value::Bool(we0)).unwrap();
@@ -651,6 +655,11 @@ fn a_lane_of_one_capture_reads_its_own_ram() {
         sim.snapshot_lane(1).unwrap().section("untimed.0"),
         Some(&template[..])
     );
+    let mut other = BatchedSim::from_design(&design, 1).unwrap();
+    assert!(std::ptr::eq(other.system(), sim.system()));
+    other.set_input("we", Value::Bool(false)).unwrap();
+    other.step().unwrap();
+    assert_eq!(other.output("y").unwrap(), power_up);
     sim.reset();
     sim.set_input("we", Value::Bool(false)).unwrap();
     sim.step().unwrap();
@@ -658,7 +667,7 @@ fn a_lane_of_one_capture_reads_its_own_ram() {
         assert_eq!(sim.output_lane(l, "y").unwrap(), power_up, "lane {l}");
     }
     assert!(matches!(
-        BatchedSim::replicate(preloaded_ram_system(0x5a), 0, &tape),
+        BatchedSim::from_design(&design, 0),
         Err(CoreError::CheckFailed { .. })
     ));
 }

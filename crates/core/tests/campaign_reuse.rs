@@ -1,9 +1,10 @@
 //! The lane-batched campaign driver reuses one reset batch per worker
 //! and lane count instead of building one per chunk of events, and
-//! builds each batch from one captured system. These tests pin what that
-//! must not change — every event's outcome, at every lane and thread
-//! count, including a short last chunk — and what it must change: how
-//! often the driver captures a system.
+//! builds every batch and the golden run from one design, captured
+//! once. These tests pin what that must not change — every event's
+//! outcome, at every lane and thread count, including a short last
+//! chunk — and what it must change: how often a campaign captures a
+//! system.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -92,11 +93,10 @@ fn reused_batches_classify_every_event_as_fresh_builds_do() {
 }
 
 #[test]
-fn a_campaign_captures_once_per_worker_and_lane_count() {
+fn a_campaign_captures_its_system_once() {
     let sys = hcor::build_system().expect("hcor");
     let events = events(&sys);
     let tape = CompiledTape::compile(&sys, OptLevel::Full).expect("compile");
-    let e = EVENTS as usize;
     for lanes in [1usize, 3, 8] {
         for threads in [1usize, 4] {
             let captures = AtomicUsize::new(0);
@@ -113,18 +113,10 @@ fn a_campaign_captures_once_per_worker_and_lane_count() {
                 lanes,
             )
             .expect("cached campaign");
-            let captures = captures.into_inner();
-            // The golden run, one capture per worker's full batch, one
-            // for a short last batch; a capture per lane would be
-            // 1 + T·L + (E mod L), one per event 1 + E.
-            let bound = 1 + threads + usize::from(!e.is_multiple_of(lanes));
-            assert!(
-                captures <= bound,
-                "lanes={lanes} threads={threads}: {captures} captures > {bound}"
-            );
-            if threads == 1 {
-                assert_eq!(captures, bound, "lanes={lanes}");
-            }
+            // One design serves the golden run and every worker's
+            // batches; a capture per worker and lane count would be up
+            // to 1 + T + [E mod L ≠ 0], one per event 1 + E.
+            assert_eq!(captures.into_inner(), 1, "lanes={lanes} threads={threads}");
         }
     }
 }

@@ -11,12 +11,13 @@
 //! entry serves them all. Least-recently-used entries beyond a fixed
 //! capacity are evicted.
 //!
-//! Capturing a design and hashing it cost as much as a short job, so a
-//! lookup names the design variant and the cache remembers each
-//! variant's structural hash from its first request: a hit neither
-//! builds nor hashes a system. The two transceiver variants share one
-//! hash (they differ only in ROM contents, which live in each job's own
-//! systems) and therefore one tape.
+//! A lookup names the design variant and returns a [`CompiledDesign`]:
+//! the variant's one template, paired with the cached tape of its
+//! structure and level. The template is captured and hashed on the
+//! variant's first lookup and never evicted, so a hit builds and hashes
+//! nothing, and a miss compiles from the template. The two transceiver
+//! variants share one structure (they differ only in ROM contents,
+//! which live in each variant's template) and therefore one tape.
 //!
 //! Telemetry lands in the server's advisory [`Registry`] as
 //! `serve.cache.hits` / `serve.cache.misses` / `serve.cache.evictions`.
@@ -24,11 +25,12 @@
 //! across connections, so they appear in `stats`/`perf` frames, never
 //! in deterministic results.
 
-use std::borrow::Borrow;
 use std::sync::Mutex;
 
-use ocapi::{hash_system, CompiledTape, CoreError, OptLevel, System};
+use ocapi::{hash_system, CompiledDesign, CompiledTape, CoreError, OptLevel, System};
 use ocapi_obs::Registry;
+
+use crate::designs::Design;
 
 /// One cache slot, ordered by recency via `stamp`.
 struct Entry {
@@ -39,13 +41,15 @@ struct Entry {
 
 struct Inner {
     entries: Vec<Entry>,
-    /// The structural hash of every design variant looked up so far;
-    /// never evicted (one word per variant the registry names).
-    hashes: Vec<(String, u64)>,
+    /// Every design variant looked up so far: its template, paired with
+    /// the tape it was first looked up at. Never evicted (one captured
+    /// system per variant the registry names).
+    variants: Vec<(String, CompiledDesign)>,
     clock: u64,
 }
 
-/// A thread-safe LRU cache of compiled tapes.
+/// A thread-safe LRU cache of compiled tapes, with one template per
+/// design variant.
 pub struct TapeCache {
     inner: Mutex<Inner>,
     capacity: usize,
@@ -68,7 +72,7 @@ impl TapeCache {
         TapeCache {
             inner: Mutex::new(Inner {
                 entries: Vec::new(),
-                hashes: Vec::new(),
+                variants: Vec::new(),
                 clock: 0,
             }),
             capacity: capacity.max(1),
@@ -86,57 +90,69 @@ impl TapeCache {
         self.len() == 0
     }
 
-    /// The tape of design variant `variant` at `level`: a clone of the
-    /// cached tape on a hit (cheap — the program is reference-counted),
-    /// a fresh compilation inserted into the cache on a miss.
+    /// The registry design `design` at `level`: [`TapeCache::get`] with
+    /// the registry's builder.
+    ///
+    /// # Errors
+    ///
+    /// As [`TapeCache::get`].
+    pub fn design(&self, design: Design, level: OptLevel) -> Result<CompiledDesign, CoreError> {
+        self.get(design.name(), level, || design.build())
+    }
+
+    /// Design variant `variant` at `level`: the variant's template paired
+    /// with the cached tape of its structure and level on a hit (cheap —
+    /// two reference counts), or with a fresh compilation of the
+    /// template, inserted into the cache, on a miss.
     ///
     /// `build` captures the variant's system, and must capture the same
-    /// structure every time it is called for the same variant, as the
-    /// design registry's builders do. It runs only when the cache cannot
-    /// answer without it: on the variant's first lookup, to learn its
-    /// structural hash, and on a miss, to compile. A hit neither builds
-    /// nor hashes. The system is not retained; callers that already hold
-    /// one pass it by reference.
+    /// system every time it is called for the same variant, as the
+    /// design registry's builders do. It runs once, on the variant's
+    /// first lookup, which hashes the capture to find its tape; forming
+    /// the design checks that hash once more. Every later lookup of the
+    /// variant, at any level, neither builds nor hashes.
     ///
     /// # Errors
     ///
     /// Propagates `build`'s error and [`CoreError::NotCompilable`] from
     /// a miss's compilation; the failed key is not cached.
-    pub fn get<S: Borrow<System>>(
+    pub fn get(
         &self,
         variant: &str,
         level: OptLevel,
-        build: impl FnOnce() -> Result<S, CoreError>,
-    ) -> Result<CompiledTape, CoreError> {
+        build: impl FnOnce() -> Result<System, CoreError>,
+    ) -> Result<CompiledDesign, CoreError> {
         let known = self
             .lock()
-            .hashes
+            .variants
             .iter()
             .find(|(v, _)| v == variant)
-            .map(|(_, h)| *h);
-        if let Some(tape) = known.and_then(|h| self.hit((h, level))) {
-            return Ok(tape);
+            .map(|(_, d)| d.clone());
+        if let Some(template) = known {
+            let key = (template.tape().system_hash(), level);
+            let tape = match self.hit(key) {
+                Some(tape) => tape,
+                None => self.insert(key, CompiledTape::compile(template.system(), level)?),
+            };
+            return template.with_tape(&tape);
         }
         let sys = build()?;
-        let sys = sys.borrow();
-        let h = match known {
-            Some(h) => h,
+        let key = (hash_system(&sys), level);
+        let design = match self.hit(key) {
+            // A new variant may share its structure with a cached one.
+            Some(tape) => CompiledDesign::new(sys, &tape)?,
             None => {
-                let h = hash_system(sys);
-                let mut inner = self.lock();
-                // A racing first lookup of the variant may have added it.
-                if inner.hashes.iter().all(|(v, _)| v != variant) {
-                    inner.hashes.push((variant.to_owned(), h));
-                }
-                drop(inner);
-                // A new variant may share its structure with a cached one.
-                if let Some(tape) = self.hit((h, level)) {
-                    return Ok(tape);
-                }
-                h
+                let design = CompiledDesign::compile(sys, level)?;
+                self.insert(key, design.tape().clone());
+                design
             }
         };
-        self.compile((h, level), sys)
+        let mut inner = self.lock();
+        // A racing first lookup of the variant may have added it.
+        if inner.variants.iter().all(|(v, _)| v != variant) {
+            inner.variants.push((variant.to_owned(), design.clone()));
+        }
+        Ok(design)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -156,13 +172,12 @@ impl TapeCache {
         Some(tape)
     }
 
-    /// Compiles `sys` and caches its tape under `key`, evicting the
-    /// least recently used entries beyond capacity.
-    fn compile(&self, key: (u64, OptLevel), sys: &System) -> Result<CompiledTape, CoreError> {
-        // Compile outside the lock: a slow compilation must not stall
-        // every other connection's cache hits. Two racing misses on the
-        // same key both compile; the duplicate insert below is folded.
-        let tape = CompiledTape::compile(sys, key.1)?;
+    /// Counts a miss and caches `tape`, compiled for it, under `key`,
+    /// evicting the least recently used entries beyond capacity.
+    /// Callers compile outside the lock: a slow compilation must not
+    /// stall every other connection's cache hits. Two racing misses on
+    /// the same key both compile; the duplicate insert is folded.
+    fn insert(&self, key: (u64, OptLevel), tape: CompiledTape) -> CompiledTape {
         self.obs.advisory_counter("serve.cache.misses").add(1);
         let mut inner = self.lock();
         inner.clock += 1;
@@ -189,7 +204,7 @@ impl TapeCache {
                 }
             }
         }
-        Ok(tape)
+        tape
     }
 
     /// Current values of the three cache counters
@@ -227,34 +242,45 @@ mod tests {
         let cache = TapeCache::new(4, Registry::new());
         let t1 = cache.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
         let t2 = cache.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
-        assert_eq!(t1.program_hash(), t2.program_hash());
+        assert_eq!(t1.tape().program_hash(), t2.tape().program_hash());
         assert_eq!(cache.stats(), (1, 1, 0));
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A builder that must not run.
+    fn no_build() -> Result<System, CoreError> {
+        panic!("a known variant must not build its system")
     }
 
     #[test]
     fn a_hit_neither_builds_nor_hashes() {
         let cache = TapeCache::new(4, Registry::new());
         let cold = cache.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
-        let warm = cache
-            .get("d", OptLevel::Full, || -> Result<System, CoreError> {
-                panic!("a hit must not build the system")
-            })
-            .unwrap();
-        assert_eq!(cold.program_hash(), warm.program_hash());
-        // A new level of a known variant builds (to compile) but does not
-        // hash again; a new variant of a known structure builds and
-        // hashes, then shares the cached tape.
-        cache.get("d", OptLevel::None, || Ok(design("d"))).unwrap();
+        let warm = cache.get("d", OptLevel::Full, no_build).unwrap();
+        assert_eq!(cold.tape().program_hash(), warm.tape().program_hash());
+        assert!(std::ptr::eq(cold.system(), warm.system()));
+        // A known variant at a new level compiles from its template,
+        // without building a system.
+        let other_level = cache.get("d", OptLevel::None, no_build).unwrap();
+        assert!(std::ptr::eq(other_level.system(), cold.system()));
+        assert_eq!(other_level.tape().level(), OptLevel::None);
+        assert_eq!(cache.stats(), (1, 2, 0));
+        // A new variant of a known structure builds its own template,
+        // hashes it, then shares the cached tape.
         let same = cache
             .get("d_again", OptLevel::Full, || Ok(design("d")))
             .unwrap();
-        assert_eq!(same.program_hash(), cold.program_hash());
+        assert_eq!(same.tape().program_hash(), cold.tape().program_hash());
+        assert!(!std::ptr::eq(same.system(), cold.system()));
         assert_eq!(cache.stats(), (2, 2, 0));
-        // A system the caller already holds is passed by reference.
-        let sys = design("e");
-        cache.get("e", OptLevel::Full, || Ok(&sys)).unwrap();
-        assert_eq!(cache.len(), 3);
+        // Once evicted, a known variant's tape is recompiled from its
+        // template, still without a build.
+        let small = TapeCache::new(1, Registry::new());
+        small.get("d", OptLevel::Full, || Ok(design("d"))).unwrap();
+        small.get("e", OptLevel::Full, || Ok(design("e"))).unwrap();
+        let back = small.get("d", OptLevel::Full, no_build).unwrap();
+        assert_eq!(back.tape().program_hash(), cold.tape().program_hash());
+        assert_eq!(small.stats(), (0, 3, 2));
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! simulate.
 //!
 //! A request names a design (`"hcor"`, `"dect"`, `"dect_fixed"`); the
-//! registry maps the name to a builder that re-elaborates the system on
-//! demand. Systems are rebuilt per job (and once per worker inside
-//! sharded jobs — untimed blocks carry per-instance state), but the
-//! *compiled tape* is fetched from the cache by the variant's name, so
-//! repeat requests never pay levelization, nor a capture or hash for
-//! the lookup. The builders must be deterministic: the cache remembers
-//! each name's structural hash from its first request.
+//! registry maps the name to a builder that elaborates the system. The
+//! cache calls it once per variant, on the variant's first request, and
+//! keeps that capture as the variant's template: every later job, and
+//! every worker in it, shares the template and the cached tape of its
+//! structure, so repeat requests pay no levelization, capture or hash.
+//! The builders must be deterministic: the template and the tapes it is
+//! paired with are keyed on the first capture's structural hash.
 
 use ocapi::{CoreError, System};
 use ocapi_designs::dect::transceiver::{build_system as build_dect, TransceiverConfig};
@@ -101,11 +101,11 @@ mod tests {
             .collect();
         assert_ne!(hashes[0], hashes[1], "hcor and dect differ structurally");
         // The two transceiver variants differ only in ROM contents
-        // (instruction program, training symbols), which live in the
-        // per-instance system, not the levelized tape — so they *share*
+        // (instruction program, training symbols), which live in each
+        // variant's template, not the levelized tape — so they *share*
         // a structural hash and therefore a cache entry. Correct by
-        // construction: `from_tape` reuses the tape but reads untimed
-        // contents from the job's own freshly built system.
+        // construction: a design pairs the shared tape with its own
+        // template, whose untimed contents every simulator reads.
         assert_eq!(hashes[1], hashes[2], "transceiver variants share structure");
     }
 }

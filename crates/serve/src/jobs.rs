@@ -1,19 +1,20 @@
-//! The job executor: dispatches cached tapes into the existing
+//! The job executor: dispatches cached designs into the existing
 //! campaign, BER and warm-session machinery.
 //!
 //! Every op handler follows the same shape: parse the request into
 //! typed parameters (failures become `error` frames naming the field),
-//! fetch the compiled tape from the cache, run the job through the
+//! fetch the compiled design from the cache, run the job through the
 //! `ocapi`/`ocapi-bench` drivers, and stream response frames. The
 //! deterministic frames are pure functions of the request — per-item
 //! seeds come from [`XorShift64::stream`] keyed on global indices, the
 //! worker pool is per-job, and no job reports into a registry another
 //! job could share.
 //!
-//! A tape-cache hit builds no system (the cache remembers each design
-//! variant's structural hash), and the campaign and BER drivers build
-//! one simulator per worker and reset it between chunks. What a job
-//! still builds per request is listed in DESIGN.md §14.
+//! A cache hit captures and hashes nothing: campaigns and sessions run
+//! on the variant's cached template ([`ocapi::CompiledDesign`]), and
+//! the drivers build one simulator per worker from it and reset it
+//! between chunks. A BER job's `ber::measure_batched` still captures
+//! the transceiver once per noise point.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -22,8 +23,8 @@ use ocapi::rng::XorShift64;
 use ocapi::sim::hash::Fnv;
 use ocapi::sim::par::ParConfig;
 use ocapi::{
-    run_campaign_cached_par, CompiledSim, CoreError, FaultEvent, FaultPlan, FaultSite, Fix,
-    OptLevel, Overflow, Rounding, SigType, SimSnapshot, Simulator, System, Value,
+    run_campaign_batched, CompiledSim, CoreError, FaultEvent, FaultPlan, FaultSite, Fix, OptLevel,
+    Overflow, Rounding, SigType, SimSnapshot, Simulator, System, Value,
 };
 use ocapi_bench::ber::measure_batched;
 use ocapi_bench::Robust;
@@ -234,7 +235,8 @@ fn output_names(sys: &System) -> Vec<String> {
 
 /// A BER job: the batched sweep driver over the cached transceiver
 /// tape, one sweep point per `chunk` frame, per-burst checkpointing
-/// namespaced by the request id when `checkpoint` is set.
+/// namespaced by the request id when `checkpoint` is set. Each point
+/// captures the transceiver once, to pair it with the tape.
 pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<(), ServeError> {
     let id = request_id(req)?;
     reject_engine(req, "ber")?;
@@ -268,7 +270,7 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
         };
 
     let sw = ocapi_obs::Stopwatch::start();
-    let tape = state.cache.get(design.name(), level, || design.build())?;
+    let compiled = state.cache.design(design, level)?;
     let pool = ParConfig::new(threads);
     let rb = Robust {
         pool: &pool,
@@ -294,7 +296,7 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
             payload_len,
             lanes,
             level,
-            Some(&tape),
+            Some(compiled.tape()),
         )?;
         tot_errors += c.errors;
         tot_bits += c.bits;
@@ -349,9 +351,9 @@ fn campaign_events(sys: &System, n: u64, seed: u64, cycles: u64) -> Vec<FaultEve
         .collect()
 }
 
-/// A fault-campaign job over the cached tape: deterministic event
-/// generation, the shared-golden batched parallel driver, one `done`
-/// frame with the classification counts.
+/// A fault-campaign job over the cached design: deterministic event
+/// generation from its template, the shared-golden batched parallel
+/// driver, one `done` frame with the classification counts.
 pub fn run_campaign_job(
     state: &ServerState,
     req: &Json,
@@ -368,15 +370,13 @@ pub fn run_campaign_job(
     let level = opt_level(req)?;
 
     let sw = ocapi_obs::Stopwatch::start();
-    let sys = design.build()?;
-    let tape = state.cache.get(design.name(), level, || Ok(&sys))?;
-    let inputs = input_decls(&sys);
-    let events = campaign_events(&sys, n_events, seed, cycles);
+    let compiled = state.cache.design(design, level)?;
+    let inputs = input_decls(compiled.system());
+    let events = campaign_events(compiled.system(), n_events, seed, cycles);
     let pool = ParConfig::new(threads);
-    let report = run_campaign_cached_par(
+    let report = run_campaign_batched(
         &pool,
-        || design.build(),
-        &tape,
+        &compiled,
         |sim, cycle| drive_inputs(sim, &inputs, seed, cycle),
         cycles,
         &events,
@@ -400,7 +400,7 @@ pub fn run_campaign_job(
     Ok(())
 }
 
-/// `session.open`: registers a warm session at cycle 0. The tape is
+/// `session.open`: registers a warm session at cycle 0. The design is
 /// compiled (or cache-hit) immediately, so the first `session.run` is
 /// already warm.
 pub fn session_open(
@@ -414,10 +414,7 @@ pub fn session_open(
     let level = opt_level(req)?;
     let engine = engine_of(req)?;
     let seed = opt_u64(req, "seed", 1)?;
-    let design_hash = state
-        .cache
-        .get(design.name(), level, || design.build())?
-        .program_hash();
+    let design_hash = state.cache.design(design, level)?.tape().program_hash();
     let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
     if sessions.contains(name) {
         return Err(ServeError::Parse(format!(
@@ -498,13 +495,10 @@ pub fn session_run(
             }
         }
     };
-    let sys = parked.design.build()?;
-    let inputs = input_decls(&sys);
-    let outputs = output_names(&sys);
-    let tape = state
-        .cache
-        .get(parked.design.name(), parked.level, || Ok(&sys))?;
-    let mut sim = CompiledSim::from_tape(sys, &tape)?;
+    let compiled = state.cache.design(parked.design, parked.level)?;
+    let inputs = input_decls(compiled.system());
+    let outputs = output_names(compiled.system());
+    let mut sim = CompiledSim::from_design(&compiled)?;
     if let Some(bytes) = &parked.snapshot {
         sim.restore(&SimSnapshot::from_bytes(bytes)?)?;
     }

@@ -7,8 +7,10 @@
 //! designs hundreds of times. This crate keeps a daemon (`served`)
 //! alive across jobs: requests arrive over a Unix-domain socket as
 //! length-prefixed JSON frames, compiled tapes are cached by
-//! [`ocapi::hash_system`] + [`ocapi::OptLevel`], and long-horizon runs
-//! park as [`ocapi::SimSnapshot`]s between requests (warm sessions).
+//! [`ocapi::hash_system`] + [`ocapi::OptLevel`] and paired with one
+//! captured template per design variant ([`ocapi::CompiledDesign`]),
+//! and long-horizon runs park as [`ocapi::SimSnapshot`]s between
+//! requests (warm sessions).
 //!
 //! # Determinism contract
 //!
@@ -28,9 +30,10 @@
 //! * [`proto`] — the length-prefixed frame transport and the
 //!   deterministic/advisory/terminal frame taxonomy.
 //! * [`cache`] — the LRU [`cache::TapeCache`] with
-//!   `serve.cache.{hits,misses,evictions}` counters.
+//!   `serve.cache.{hits,misses,evictions}` counters, and the variants'
+//!   templates.
 //! * [`designs`] — the registry of named buildable designs.
-//! * [`jobs`] — the executor dispatching into `run_campaign_cached_par`,
+//! * [`jobs`] — the executor dispatching into `run_campaign_batched`,
 //!   `ber::measure_batched` and `Robust::run_chunked`.
 //! * [`server`] — listener, connection threads, shared state.
 //!

@@ -327,3 +327,42 @@ fn numbers_beyond_f64_are_refused_with_an_error_frame() {
     w.flush().unwrap();
     daemon.join().unwrap();
 }
+
+/// `dect` and `dect_fixed` share one structure, so one cache entry and
+/// one program, but each keeps its own ROMs in its own template. Served
+/// on one state in the order `dect`, `dect_fixed`, `dect`, every
+/// transcript equals a fresh state's, and the two variants' results
+/// differ.
+#[test]
+fn transceivers_keep_their_own_roms_behind_one_program() {
+    let requests = |design: &str, session: &str| {
+        [
+            format!(
+                r#"{{"op":"campaign","id":"c","design":"{design}","cycles":64,"events":12,"seed":7}}"#
+            ),
+            format!(
+                r#"{{"op":"session.open","id":"o","session":"{session}","design":"{design}","seed":3}}"#
+            ),
+            format!(r#"{{"op":"session.run","id":"r","session":"{session}","cycles":24}}"#),
+            format!(r#"{{"op":"session.run","id":"r","session":"{session}","cycles":24}}"#),
+        ]
+    };
+    let shared = ServerState::new("/tmp/unused.sock", 8, 8, None);
+    let mut results = Vec::new();
+    for (k, design) in ["dect", "dect_fixed", "dect"].into_iter().enumerate() {
+        let session = format!("s{k}");
+        let fresh = ServerState::new("/tmp/unused.sock", 8, 8, None);
+        let mut all = String::new();
+        for req in requests(design, &session) {
+            let got = transcript(&shared, &req);
+            assert_eq!(got, transcript(&fresh, &req), "{req}");
+            all.push_str(&got);
+        }
+        // The variant's results, without the names that tell them apart.
+        results.push(all.replace(design, "D").replace(&session, "S"));
+    }
+    assert_eq!(shared.cache.stats().1, 1, "one compilation serves both");
+    assert_eq!(shared.cache.len(), 1);
+    assert_ne!(results[0], results[1], "dect and dect_fixed results differ");
+    assert_eq!(results[0], results[2]);
+}
