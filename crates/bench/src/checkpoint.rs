@@ -16,17 +16,22 @@
 //! completed item:
 //!
 //! ```text
-//! ocapi-checkpoint v1
+//! ocapi-checkpoint v2
 //! stream <name>
 //! fingerprint <16-hex-digit workload fingerprint>
 //! <index> <payload>
 //! ...
+//! checksum <16-hex-digit FNV-1a of every byte before this line>
 //! ```
 //!
 //! The fingerprint hashes the workload parameters that determine item
 //! values (channel taps, noise, burst counts — never the thread or lane
 //! count); resuming against a manifest with a different fingerprint is
-//! a typed [`BenchError::Checkpoint`], not silent corruption.
+//! a typed [`BenchError::Checkpoint`], not silent corruption. So is a
+//! manifest whose checksum is missing or wrong (a damaged line that
+//! still parses would otherwise resume to different totals), one that
+//! records an item twice, and a version-1 manifest, which had no
+//! checksum.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -40,7 +45,17 @@ use crate::cli::BenchArgs;
 use crate::error::BenchError;
 use crate::report::write_atomic;
 
-const MAGIC: &str = "ocapi-checkpoint v1";
+const MAGIC: &str = "ocapi-checkpoint v2";
+
+/// The first line of a version-1 manifest.
+const MAGIC_V1: &str = "ocapi-checkpoint v1";
+
+/// FNV-1a ([`Fnv`]) of a manifest's bytes before its checksum line.
+fn checksum(body: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.write(body.as_bytes());
+    h.finish()
+}
 
 /// FNV-1a 64 ([`Fnv`]) over a list of textual workload parameters:
 /// the stream fingerprint. Stable across platforms and sessions.
@@ -111,10 +126,29 @@ impl CheckpointStream {
 
     fn load(&mut self, text: &str) -> Result<(), BenchError> {
         let bad = |msg: String| BenchError::Checkpoint(format!("`{}`: {msg}", self.stream));
-        let mut lines = text.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(bad("not a checkpoint manifest".into()));
+        match text.lines().next() {
+            Some(MAGIC) => {}
+            Some(MAGIC_V1) => {
+                return Err(bad(
+                    "a version-1 manifest carries no checksum; rerun without --resume".into(),
+                ))
+            }
+            _ => return Err(bad("not a checkpoint manifest".into())),
         }
+        // The last line is `checksum <hex>` over every byte before it.
+        let (body, last) = text
+            .strip_suffix('\n')
+            .and_then(|t| t.rsplit_once('\n'))
+            .ok_or_else(|| bad("missing checksum".into()))?;
+        let body = &text[..body.len() + 1];
+        let stored = last
+            .strip_prefix("checksum ")
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(|| bad("missing checksum".into()))?;
+        if stored != checksum(body) {
+            return Err(bad("checksum mismatch: the manifest is damaged".into()));
+        }
+        let mut lines = body.lines().skip(1);
         match lines.next().and_then(|l| l.strip_prefix("stream ")) {
             Some(s) if s == self.stream => {}
             other => {
@@ -146,7 +180,9 @@ impl CheckpointStream {
             let idx: usize = idx
                 .parse()
                 .map_err(|_| bad(format!("malformed item index `{idx}`")))?;
-            self.done.insert(idx, payload.to_owned());
+            if self.done.insert(idx, payload.to_owned()).is_some() {
+                return Err(bad(format!("item {idx} is recorded twice")));
+            }
         }
         Ok(())
     }
@@ -174,9 +210,10 @@ impl CheckpointStream {
         self.done.insert(index, payload);
     }
 
-    /// Atomically persists the manifest with [`write_atomic`] (sibling
-    /// temp file, fsync, rename), so a kill at any instant leaves either
-    /// the old or the new manifest — never a torn one.
+    /// Atomically persists the manifest, its checksum line last, with
+    /// [`write_atomic`] (sibling temp file, fsync, rename), so a kill at
+    /// any instant leaves either the old or the new manifest — never a
+    /// torn one.
     ///
     /// # Errors
     ///
@@ -190,6 +227,7 @@ impl CheckpointStream {
         for (i, p) in &self.done {
             doc.push_str(&format!("{i} {p}\n"));
         }
+        doc.push_str(&format!("checksum {:016x}\n", checksum(&doc)));
         write_atomic(&self.path, doc.as_bytes())?;
         Ok(())
     }
@@ -609,6 +647,58 @@ mod tests {
         let after = std::fs::read(dir.clone() + "/" + &stream_file("s")).unwrap();
         assert_eq!(before, after);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The manifest `s1` of three items `0,12` holds in `dir`, edited by
+    /// `damage`; returns the refusal a resume meets.
+    fn damaged(tag: &str, damage: impl Fn(&str) -> String) -> String {
+        let dir = tmpdir(tag);
+        let mut st = CheckpointStream::open(&dir, "s1", 7, false).unwrap();
+        for i in 0..3 {
+            st.record(i, "0,12".into());
+        }
+        st.flush().unwrap();
+        let path = PathBuf::from(&dir).join(stream_file("s1"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, damage(&text)).unwrap();
+        let err = CheckpointStream::open(&dir, "s1", 7, true).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(matches!(err, BenchError::Checkpoint(_)), "{err}");
+        err.to_string()
+    }
+
+    /// The checksum line guards every byte before it: an item line that
+    /// still parses — a duplicate appended, a count changed — is a
+    /// damaged manifest, and so is one whose checksum is gone.
+    #[test]
+    fn a_damaged_manifest_fails_its_checksum() {
+        let appended = damaged("dup", |t| t.replace("2 0,12\n", "2 0,12\n1 1,12\n"));
+        assert!(appended.contains("checksum mismatch"), "{appended}");
+        let grown = damaged("grown", |t| t.replacen("0,12", "0,192", 1));
+        assert!(grown.contains("checksum mismatch"), "{grown}");
+        let cut = damaged("cut", |t| t[..t.find("checksum").unwrap()].to_owned());
+        assert!(cut.contains("missing checksum"), "{cut}");
+    }
+
+    /// A manifest that records an item twice is refused even when its
+    /// checksum is right.
+    #[test]
+    fn an_item_recorded_twice_is_refused() {
+        let twice = damaged("twice", |t| {
+            let body = t[..t.find("checksum").unwrap()].to_owned() + "1 1,12\n";
+            format!("{body}checksum {:016x}\n", checksum(&body))
+        });
+        assert!(twice.contains("item 1 is recorded twice"), "{twice}");
+    }
+
+    /// A version-1 manifest (no checksum) no longer resumes.
+    #[test]
+    fn a_version_1_manifest_is_refused() {
+        let v1 = damaged("v1", |t| {
+            let body = t[..t.find("checksum").unwrap()].to_owned();
+            body.replacen(MAGIC, MAGIC_V1, 1)
+        });
+        assert!(v1.contains("version-1"), "{v1}");
     }
 
     /// Distinct job ids that sanitise to the same string still get

@@ -26,8 +26,8 @@
 //!   JSON. Byte-identical across thread counts; the CI determinism job
 //!   diffs this file between `--threads 1` and `--threads 4`.
 //! * `--perf-json PATH` — write the throughput metrics (wall seconds,
-//!   cycles/sec, runs/sec, per-worker utilization) as JSON; CI merges
-//!   these into the `BENCH_PR.json` trajectory artifact.
+//!   cycles/sec, runs/sec) as JSON; CI merges these into the
+//!   `BENCH_PR.json` trajectory artifact.
 //! * `--profile-json PATH` — write the observability profile (counter
 //!   totals, span call-tree, per-phase timings) as JSON. The
 //!   `deterministic` section is byte-identical across thread counts;

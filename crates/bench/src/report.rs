@@ -11,9 +11,9 @@
 //!   classification counts, coverage, signatures, BER points. Identical
 //!   for every `--threads N`, so `cmp` on two results files is the
 //!   determinism check.
-//! * **perf** — wall-clock throughput: cycles/sec, runs/sec, per-worker
-//!   utilization, speedups. Different on every run; tracked over PRs as
-//!   the repo's performance trajectory.
+//! * **perf** — wall-clock throughput: cycles/sec, runs/sec, speedups.
+//!   Different on every run; tracked over PRs as the repo's performance
+//!   trajectory.
 
 use std::io::Write as _;
 use std::path::Path;

@@ -2,14 +2,16 @@
 //! BER measurement reads them.
 //!
 //! The manifest is the one a real `measure_batched` run writes. Every
-//! mutant is written back in its place and the same measurement is
-//! resumed from it: the resume must return `Ok` or a typed error, never
-//! panic. Every `Ok` must keep the two invariants a damaged manifest
-//! used to break: a BER of at most 1 (no more errors than bits), and
-//! every burst either resumed or run, once — no line beyond the stream
-//! counted as resumed.
+//! mutant's checksum line is recomputed, so the damage reaches the line
+//! parser behind the checksum. Every mutant is written back in its
+//! place and the same measurement is resumed from it: the resume must
+//! return `Ok` or a typed error, never panic. Every `Ok` must keep the
+//! two invariants a damaged manifest used to break: a BER of at most 1
+//! (no more errors than bits), and every burst either resumed or run,
+//! once — no line beyond the stream counted as resumed.
 
 use ocapi::rng::XorShift64;
+use ocapi::sim::hash::Fnv;
 use ocapi::{CompiledTape, OptLevel, ParConfig};
 use ocapi_bench::ber::measure_batched;
 use ocapi_bench::{BenchError, Robust};
@@ -36,6 +38,18 @@ const TOKENS: [&str; 11] = [
     "18446744073709551615",
     "18446744073709551616",
 ];
+
+/// `body` (a manifest up to its checksum line), ended by a newline and
+/// a checksum line that matches it.
+fn checksummed(mut body: Vec<u8>) -> Vec<u8> {
+    if !body.ends_with(b"\n") {
+        body.push(b'\n');
+    }
+    let mut h = Fnv::new();
+    h.write(&body);
+    body.extend_from_slice(format!("checksum {:016x}\n", h.finish()).as_bytes());
+    body
+}
 
 /// Mutates `doc` at or after byte `from`.
 fn mutate(doc: &[u8], from: usize, rng: &mut XorShift64) -> Vec<u8> {
@@ -108,6 +122,12 @@ fn mutated_manifests_resume_or_fail_typed() {
     let path = paths.next().expect("one manifest").expect("entry").path();
     assert!(paths.next().is_none(), "one stream, one manifest");
     let manifest = std::fs::read(&path).expect("manifest");
+    let text = String::from_utf8_lossy(&manifest);
+    let manifest = manifest[..text.rfind("checksum ").expect("checksum line")].to_vec();
+    assert_eq!(
+        checksummed(manifest.clone()),
+        std::fs::read(&path).expect("manifest")
+    );
     // The item lines follow three header lines (magic, stream and
     // fingerprint), where any change is a refusal.
     let items = (0..3).fold(0, |at, _| {
@@ -127,7 +147,7 @@ fn mutated_manifests_resume_or_fail_typed() {
     for _ in 0..MUTANTS {
         // Most mutants damage only the item lines.
         let from = if rng.chance(0.75) { items } else { 0 };
-        let mutant = mutate(&manifest, from, &mut rng);
+        let mutant = checksummed(mutate(&manifest, from, &mut rng));
         std::fs::write(&path, &mutant).expect("write mutant");
         let obs = Registry::new();
         let text = String::from_utf8_lossy(&mutant);

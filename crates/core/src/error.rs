@@ -118,9 +118,9 @@ pub enum CoreError {
         /// The cycle count at which the budget tripped.
         at_cycle: u64,
     },
-    /// A snapshot was offered to a simulator whose design hash does not
-    /// match the one the snapshot was taken from (different design, or
-    /// the same design compiled at a different optimization level).
+    /// A snapshot was offered to a simulator whose structural design
+    /// hash does not match the one the snapshot was taken from: a
+    /// different design.
     SnapshotMismatch {
         /// Design hash of the simulator refusing the restore.
         expected: u64,

@@ -91,10 +91,8 @@ pub use sim::fault::{
     LaneFault,
 };
 pub use sim::hash::{hash_compiled, hash_system, CompiledDesign, CompiledTape};
-pub use sim::par::{
-    map_indexed_retry, map_indexed_with, ParConfig, ParError, PoolStats, RetryStats, Stopwatch,
-};
-pub use sim::snapshot::{SimSnapshot, SnapshotBackend};
+pub use sim::par::{map_indexed_retry, map_indexed_with, ParConfig, ParError, RetryStats};
+pub use sim::snapshot::SimSnapshot;
 pub use sim::{BatchedSim, CompiledSim, InterpSim, OptLevel, OptStats, Simulator, WorkerSims};
 pub use sim::{FusedSim, FusedTape, LowerStats};
 pub use system::{

@@ -377,7 +377,7 @@ impl BatchedSim {
             traces: None,
             obs: None,
             budget: Budget::none(),
-            design_hash: tape.program_hash(),
+            design_hash: tape.system_hash(),
             system,
             blocks,
         })
@@ -391,18 +391,19 @@ impl BatchedSim {
         self.budget = budget;
     }
 
-    /// The design hash keying this batch's lane snapshots — identical
-    /// to [`crate::CompiledSim::design_hash`] for the same system and
-    /// optimization level, so lane snapshots and scalar compiled
-    /// snapshots are interchangeable.
+    /// The structural design hash keying this batch's lane snapshots
+    /// ([`crate::sim::hash::hash_system`] of its system): the same for
+    /// every engine and optimization level, so a lane snapshot restores
+    /// into [`crate::InterpSim`], [`crate::CompiledSim`] or another
+    /// batch's lane of the design.
     pub fn design_hash(&self) -> u64 {
         self.design_hash
     }
 
-    /// Captures the complete state of one (live) lane as a
-    /// [`SimSnapshot`] — the same shape a [`crate::CompiledSim`] of
-    /// this system produces. Lanes step in lock-step, so the snapshot
-    /// carries the batch-wide cycle count.
+    /// Captures the architectural state of one (live) lane as a
+    /// [`SimSnapshot`] — the same bytes [`crate::InterpSim`] and
+    /// [`crate::CompiledSim`] produce at the same cycle. Lanes step in
+    /// lock-step, so the snapshot carries the batch-wide cycle count.
     ///
     /// # Errors
     ///
@@ -419,7 +420,9 @@ impl BatchedSim {
     /// [`BatchedSim::snapshot_lane`] of an in-range lane, masked or not.
     pub(crate) fn capture(&self, lane: usize) -> SimSnapshot {
         let blocks = &self.blocks[self.lane_blocks(lane)];
-        self.st.snapshot(lane, blocks, self.design_hash, self.cycle)
+        let (prog, sys) = (&self.prog, &self.system);
+        self.st
+            .snapshot(lane, prog, sys, blocks, self.design_hash, self.cycle)
     }
 
     /// Where lane `lane`'s generic untimed blocks sit in `blocks`.
@@ -428,19 +431,18 @@ impl BatchedSim {
         lane * g..(lane + 1) * g
     }
 
-    /// Restores one lane from a snapshot taken by
-    /// [`BatchedSim::snapshot_lane`] or [`crate::CompiledSim::snapshot`]
-    /// on the same build. The lane is revived if it was masked, and the
-    /// batch-wide cycle counter is set to the snapshot's cycle — lanes
-    /// step in lock-step, so restore every lane from snapshots of the
-    /// same cycle.
+    /// Restores one lane from a snapshot of this design taken on any
+    /// engine: a lane of any batch, [`crate::CompiledSim`] at any
+    /// optimization level, or [`crate::InterpSim`]. The lane is revived
+    /// if it was masked, and the batch-wide cycle counter is set to the
+    /// snapshot's cycle — lanes step in lock-step, so restore every lane
+    /// from snapshots of the same cycle.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnknownName`] for an out-of-range lane,
     /// [`CoreError::SnapshotMismatch`] for a snapshot of a different
-    /// design or optimization level, and [`CoreError::SnapshotFormat`]
-    /// for damaged sections.
+    /// design, and [`CoreError::SnapshotFormat`] for damaged sections.
     pub fn restore_lane(&mut self, lane: usize, snap: &SimSnapshot) -> Result<(), CoreError> {
         self.check_lane(lane)?;
         let blocks = self.lane_blocks(lane);

@@ -628,10 +628,9 @@ impl CompiledSim {
 
     /// Instantiates a simulator from a cached [`CompiledTape`] without
     /// recompiling: the levelized program is shared and only the mutable
-    /// per-instance state is built fresh. Behaviour (and
-    /// [`CompiledSim::design_hash`]) is identical to compiling `sys` at
-    /// the tape's level — the warm path of the simulation service's
-    /// tape cache.
+    /// per-instance state is built fresh. Behaviour is identical to
+    /// compiling `sys` at the tape's level — the warm path of the
+    /// simulation service's tape cache.
     ///
     /// # Errors
     ///
@@ -661,31 +660,35 @@ impl CompiledSim {
         self.0.set_budget(budget);
     }
 
-    /// The design hash keying this simulator's snapshots: the system
-    /// structure *and* the levelized tape, so the same design compiled
-    /// at a different [`OptLevel`] refuses each other's snapshots.
+    /// The structural design hash keying this simulator's snapshots
+    /// ([`crate::sim::hash::hash_system`]), equal to
+    /// [`crate::InterpSim::design_hash`]: snapshots cross engines and
+    /// optimization levels. [`CompiledTape::program_hash`] names the
+    /// compiled build itself.
     pub fn design_hash(&self) -> u64 {
         self.0.design_hash()
     }
 
-    /// Captures the complete mutable simulation state — state slots,
-    /// FSM selectors, register files, stateful untimed blocks and the
-    /// cycle count — as a [`SimSnapshot`]. Traces and budgets are not
-    /// part of the snapshot. Take snapshots between steps.
+    /// Captures the architectural state — nets, FSM states, register
+    /// files, held untimed outputs, stateful untimed blocks and the
+    /// cycle count — as a [`SimSnapshot`], the same bytes
+    /// [`crate::InterpSim::snapshot`] gives at the same cycle. Traces
+    /// and budgets are not part of the snapshot. Take snapshots between
+    /// steps.
     pub fn snapshot(&self) -> SimSnapshot {
         self.0.capture(0)
     }
 
-    /// Restores state captured by [`CompiledSim::snapshot`] (or from a
-    /// [`BatchedSim`] lane of the same build).
+    /// Restores a snapshot of this design taken on any engine: this
+    /// simulator at any optimization level, a [`BatchedSim`] lane, or
+    /// [`crate::InterpSim`].
     ///
     /// # Errors
     ///
     /// [`CoreError::SnapshotMismatch`] when the snapshot was taken from
-    /// a different design or optimization level, and
-    /// [`CoreError::SnapshotFormat`] when it comes from a different
-    /// back-end family or has damaged sections. On error the simulator
-    /// state is unspecified; call [`CompiledSim::reset`] before reuse.
+    /// a different design, and [`CoreError::SnapshotFormat`] when it has
+    /// damaged sections. On error the simulator state is unspecified;
+    /// call [`CompiledSim::reset`] before reuse.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
         self.0.restore_lane(0, snap)
     }

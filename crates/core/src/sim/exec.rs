@@ -54,7 +54,7 @@ use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
 use crate::blocks::{MemorySpec, UntimedBlock};
 use crate::sim::compiled::{Cmp, CompiledTransition, Micro, Program, RegWriteSel, UntimedIo};
-use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::{held_outputs, taken, SimSnapshot};
 use crate::system::System;
 use crate::value::{SigType, Value};
 use crate::CoreError;
@@ -469,8 +469,11 @@ pub(crate) struct MemoryPlan {
 }
 
 /// The mutable state of `n` lanes over one [`Program`], striped
-/// lane-major. A snapshot of one lane is exactly the
-/// [`SnapshotBackend::Compiled`] layout.
+/// lane-major. What a lane keeps between cycles is the architectural
+/// state every engine snapshots (`sim::snapshot`): its net slots, the
+/// slots of untimed outputs that drive no net, FSM states, registers
+/// and memories. Every other slot is a constant or is written by the
+/// next step before it is read.
 pub(crate) struct State {
     n: usize,
     /// Slot `k` of lane `l`: `slots[k * n + l]`.
@@ -548,62 +551,53 @@ impl State {
         }
     }
 
-    /// Captures lane `l`, whose generic untimed blocks are `blocks`. A
-    /// RAM's `untimed.<u>` section is the lane's words, as
-    /// `Ram::snapshot_state` gives them; a ROM has none.
+    /// Captures lane `l` of `sys` compiled into `prog`, whose generic
+    /// untimed blocks are `blocks`, as the architectural snapshot every
+    /// engine takes: nets through [`Program::net_slot`], held outputs
+    /// through the untimed output slots that are no net's, FSM states,
+    /// registers and block sections. A RAM's `untimed.<u>` section is
+    /// the lane's words, as `Ram::snapshot_state` gives them; a ROM has
+    /// none.
     pub(crate) fn snapshot(
         &self,
         l: usize,
+        prog: &Program,
+        sys: &System,
         blocks: &[Box<dyn UntimedBlock>],
         hash: u64,
         cycle: u64,
     ) -> SimSnapshot {
         let n = self.n;
-        let mut s = SimSnapshot::new(SnapshotBackend::Compiled, hash, cycle);
-        s.push_section(
-            "slots",
-            self.slots.iter().skip(l).step_by(n).copied().collect(),
-        );
-        s.push_section(
-            "states",
-            self.states
-                .iter()
-                .skip(l)
-                .step_by(n)
-                .map(|x| u64::from(*x))
-                .collect(),
-        );
-        s.push_section(
-            "regs",
+        let slot = move |k: u32| self.slots[k as usize * n + l];
+        SimSnapshot::capture(
+            hash,
+            cycle,
+            prog.net_slot.iter().map(|k| slot(*k)),
+            self.states.iter().skip(l).step_by(n).map(|x| u64::from(*x)),
             self.regs
                 .iter()
                 .flat_map(|rf| rf.iter().skip(l).step_by(n))
-                .copied()
-                .collect(),
-        );
-        for (u, fired) in self.plan.fired.iter().enumerate() {
-            let words = match *fired {
+                .copied(),
+            held_outputs(sys).map(|(u, p)| slot(prog.untimed_io[u].1[p].0)),
+            self.plan.fired.iter().map(|fired| match *fired {
                 Fired::Block(g) => blocks[g].snapshot_state(),
                 Fired::Memory(k) => self.plan.mems[k].lane(l).to_vec(),
-            };
-            if !words.is_empty() {
-                s.push_section(&format!("untimed.{u}"), words);
-            }
-        }
-        s
+            }),
+        )
     }
 
-    /// Validates `snap` against this build of `sys` and installs it into
-    /// lane `l`, whose generic untimed blocks are `blocks`. A memory
-    /// checks its section as `Ram::restore_state` does. The caller adopts
-    /// the snapshot's cycle count.
+    /// Validates `snap` against `sys` and installs it into lane `l`,
+    /// whose generic untimed blocks are `blocks`: nets, held outputs,
+    /// FSM states, registers and block sections. A memory checks its
+    /// section as `Ram::restore_state` does. The other slots are left to
+    /// the next step, which writes each before reading it. The caller
+    /// adopts the snapshot's cycle count.
     ///
     /// # Errors
     ///
     /// [`CoreError::SnapshotMismatch`] for a snapshot of a different
-    /// design or optimization level, [`CoreError::SnapshotFormat`] for
-    /// another back-end family or damaged sections. On error the lane's
-    /// state is unspecified.
+    /// design, [`CoreError::SnapshotFormat`] for damaged sections. On
+    /// error the lane's state is unspecified.
     pub(crate) fn restore(
         &mut self,
         l: usize,
@@ -613,51 +607,36 @@ impl State {
         sys: &System,
         blocks: &mut [Box<dyn UntimedBlock>],
     ) -> Result<(), CoreError> {
+        let arch = snap.arch(sys, hash)?;
         let n = self.n;
-        snap.check(SnapshotBackend::Compiled, hash)?;
-        let slot_words = snap.section_exact("slots", prog.init_slots.len())?;
-        let state_words = snap.section_exact("states", sys.timed.len())?;
-        let n_regs = self.regs.iter().map(|rf| rf.len() / n).sum();
-        let reg_words = snap.section_exact("regs", n_regs)?;
-        check_words("slots", slot_words, prog.slot_ty.iter().copied())?;
-        check_words("regs", reg_words, reg_types(sys))?;
-        for (t, idx) in sys.timed.iter().zip(state_words) {
-            let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);
-            if *idx >= n_states {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!("state selector {idx} out of range for `{}`", t.name),
-                });
-            }
+        let held = held_outputs(sys).map(|(u, p)| prog.untimed_io[u].1[p].0);
+        for (k, w) in prog
+            .net_slot
+            .iter()
+            .copied()
+            .chain(held)
+            .zip(arch.nets.iter().chain(arch.held))
+        {
+            self.slots[k as usize * n + l] = *w;
         }
-        for (w, x) in self.slots.iter_mut().skip(l).step_by(n).zip(slot_words) {
-            *w = *x;
-        }
-        for (w, x) in self.states.iter_mut().skip(l).step_by(n).zip(state_words) {
+        for (w, x) in self.states.iter_mut().skip(l).step_by(n).zip(arch.states) {
             *w = *x as u32;
         }
         let regs = self
             .regs
             .iter_mut()
             .flat_map(|rf| rf.iter_mut().skip(l).step_by(n));
-        for (w, x) in regs.zip(reg_words) {
+        for (w, x) in regs.zip(arch.regs) {
             *w = *x;
         }
-        for (u, fired) in self.plan.fired.iter().enumerate() {
-            let words = snap.section(&format!("untimed.{u}")).unwrap_or(&[]);
-            let fits = match *fired {
+        let (fired, mems) = (&self.plan.fired, &mut self.plan.mems);
+        arch.hand_off(|u, words| {
+            let took = match fired[u] {
                 Fired::Block(g) => blocks[g].restore_state(words),
-                Fired::Memory(k) => self.plan.mems[k].restore(l, words),
+                Fired::Memory(k) => mems[k].restore(l, words),
             };
-            if !fits {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!(
-                        "untimed block `{}` rejected its state section",
-                        sys.untimed[u].block.name()
-                    ),
-                });
-            }
-        }
-        Ok(())
+            taken(took, sys.untimed[u].block.name())
+        })
     }
 }
 

@@ -1,9 +1,9 @@
 //! Stable design hashes and reusable compiled tapes — the **cache-key
 //! contract** of the persistent simulation service.
 //!
-//! Snapshot keying (DESIGN.md §12) already relies on two 64-bit FNV-1a
-//! hashes; this module promotes them from an internal detail to a
-//! documented API so a compiled-tape cache can be built on top of them:
+//! Two 64-bit FNV-1a hashes key what a simulator stores: snapshots
+//! (DESIGN.md §12) and the compiled-tape cache. This module documents
+//! them as an API so a cache can be built on top of them:
 //!
 //! * [`hash_system`] — the **structural** hash of a captured
 //!   [`System`]: names, components (ports, registers, expression nodes,
@@ -12,13 +12,15 @@
 //!   neither does anything about *how* the system will be simulated.
 //!   Two elaborations of the same design (the same builder called
 //!   twice) hash identically; any structural edit changes the hash.
+//!   It keys every snapshot, whichever engine or optimization level
+//!   took it.
 //! * [`CompiledTape::program_hash`] — the hash of a **compiled build**:
 //!   the structural hash combined with the levelized program (slot
 //!   layout, both micro-op tapes, FSM tables, register-write selectors,
 //!   net-to-slot map). The same system compiled at a different
 //!   [`OptLevel`] produces a different tape and therefore a different
-//!   program hash — so tapes, snapshots and cache entries can never be
-//!   confused across optimization levels.
+//!   program hash — so tapes and cache entries can never be confused
+//!   across optimization levels.
 //!
 //! Both hashes stream into [`Fnv`], the workspace's one FNV-1a hasher,
 //! which also checksums snapshots, fingerprints checkpoint workloads
@@ -136,8 +138,8 @@ impl fmt::Write for Fnv {
     }
 }
 
-/// The structural design hash of a system — the interpreted-family
-/// member of the cache-key contract (see the module docs): names,
+/// The structural design hash of a system — the snapshot key of every
+/// engine (see the module docs): names,
 /// components (ports, registers, expression nodes, SFGs, FSMs), untimed
 /// block interfaces, and the interconnect. Mutable untimed state (RAM
 /// contents) deliberately does not contribute. Stable across
@@ -170,12 +172,12 @@ pub fn hash_system(sys: &System) -> u64 {
     h.finish()
 }
 
-/// The design hash of a compiled back-end: the structural hash
-/// `system_hash` ([`hash_system`] of the compiled system) combined with
-/// the levelized program (slot layout, both tapes, FSM tables,
-/// register-write selectors, net-to-slot map). Two builds of the same
-/// system at different optimization levels produce different tapes,
-/// hence different hashes — a snapshot cannot cross them.
+/// The hash of a compiled build: the structural hash `system_hash`
+/// ([`hash_system`] of the compiled system) combined with the levelized
+/// program (slot layout, both tapes, FSM tables, register-write
+/// selectors, net-to-slot map). Two builds of the same system at
+/// different optimization levels produce different tapes, hence
+/// different hashes.
 fn hash_program(system_hash: u64, prog: &Program) -> u64 {
     let mut h = Fnv::new();
     h.field("ocapi.program.v1");
@@ -245,10 +247,9 @@ impl CompiledTape {
         self.system_hash
     }
 
-    /// The hash of this build: structure plus levelized program. Equal
-    /// to [`crate::CompiledSim::design_hash`] for a simulator built
-    /// from (or compiled identically to) this tape, so snapshots and
-    /// tape-cache entries share one key space.
+    /// The hash of this build: structure plus levelized program, the
+    /// key of a tape-cache entry. Snapshots key on
+    /// [`CompiledTape::system_hash`] instead, so they cross builds.
     pub fn program_hash(&self) -> u64 {
         self.program_hash
     }

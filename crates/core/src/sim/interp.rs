@@ -25,7 +25,7 @@ use crate::sim::budget::Budget;
 use crate::sim::eval::{eval_node, EvalCache};
 use crate::sim::hash::hash_system;
 use crate::sim::obs::InterpObs;
-use crate::sim::snapshot::{check_words, reg_types, SimSnapshot, SnapshotBackend};
+use crate::sim::snapshot::{held_outputs, taken, SimSnapshot};
 use crate::sim::Simulator;
 use crate::system::{NetSource, System};
 use crate::trace::Trace;
@@ -98,6 +98,10 @@ pub struct InterpSim {
     fresh_at_start: Vec<bool>,
     regs: Vec<Vec<Value>>,
     states: Vec<StateRef>,
+    /// Per untimed block, per output port: the value the block left
+    /// there when it last fired. A block reads it back as the held value
+    /// of an output that drives no net; a connected output reads its net.
+    held: Vec<Vec<Value>>,
     caches: Vec<EvalCache>,
     /// Per timed inst without an FSM: every SFG, precomputed so phase 0
     /// borrows the list instead of allocating it each cycle.
@@ -138,6 +142,11 @@ impl InterpSim {
             .iter()
             .map(|t| t.comp.fsm.as_ref().map_or(StateRef(0), |f| f.initial))
             .collect();
+        let held = sys
+            .untimed
+            .iter()
+            .map(|u| u.outputs.iter().map(|p| p.ty.zero()).collect())
+            .collect();
         let caches = sys
             .timed
             .iter()
@@ -163,6 +172,7 @@ impl InterpSim {
             fresh_at_start,
             regs,
             states,
+            held,
             caches,
             all_sfgs,
             scratch: StepScratch::default(),
@@ -187,85 +197,57 @@ impl InterpSim {
         self.design_hash
     }
 
-    /// Captures the complete mutable simulation state — net values,
-    /// register files, FSM states, stateful untimed blocks and the
-    /// cycle count — as a [`SimSnapshot`]. Traces and budgets are not
-    /// part of the snapshot. Take snapshots between steps.
+    /// Captures the architectural state — net values, FSM states,
+    /// register files, held untimed outputs, stateful untimed blocks and
+    /// the cycle count — as a [`SimSnapshot`], the layout every engine
+    /// shares. Traces and budgets are not part of the snapshot. Take
+    /// snapshots between steps.
     pub fn snapshot(&self) -> SimSnapshot {
-        let mut s = SimSnapshot::new(SnapshotBackend::Interp, self.design_hash, self.cycle);
-        s.push_section("nets", self.nets.iter().map(Value::to_raw).collect());
-        s.push_section(
-            "states",
-            self.states.iter().map(|st| st.index() as u64).collect(),
-        );
-        s.push_section(
-            "regs",
-            self.regs.iter().flatten().map(Value::to_raw).collect(),
-        );
-        for (i, u) in self.sys.untimed.iter().enumerate() {
-            let words = u.block.snapshot_state();
-            if !words.is_empty() {
-                s.push_section(&format!("untimed.{i}"), words);
-            }
-        }
-        s
+        SimSnapshot::capture(
+            self.design_hash,
+            self.cycle,
+            self.nets.iter().map(Value::to_raw),
+            self.states.iter().map(|st| st.index() as u64),
+            self.regs.iter().flatten().map(Value::to_raw),
+            held_outputs(&self.sys).map(|(u, p)| self.held[u][p].to_raw()),
+            self.sys.untimed.iter().map(|u| u.block.snapshot_state()),
+        )
     }
 
-    /// Restores state captured by [`InterpSim::snapshot`] on the same
-    /// design.
+    /// Restores a snapshot of this design taken on any engine: this
+    /// simulator, [`crate::CompiledSim`] at any optimization level, or a
+    /// [`crate::BatchedSim`] lane.
     ///
     /// # Errors
     ///
     /// [`CoreError::SnapshotMismatch`] when the snapshot was taken from
-    /// a different design, and [`CoreError::SnapshotFormat`] when it
-    /// comes from a different back-end family or has damaged sections.
-    /// On error the simulator state is unspecified; call
-    /// [`InterpSim::reset`] before reusing it.
+    /// a different design, and [`CoreError::SnapshotFormat`] when it has
+    /// damaged sections. On error the simulator state is unspecified;
+    /// call [`InterpSim::reset`] before reusing it.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
-        snap.check(SnapshotBackend::Interp, self.design_hash)?;
-        let net_words = snap.section_exact("nets", self.nets.len())?;
-        let state_words = snap.section_exact("states", self.states.len())?;
-        let n_regs: usize = self.regs.iter().map(Vec::len).sum();
-        let reg_words = snap.section_exact("regs", n_regs)?;
-        check_words("nets", net_words, self.sys.nets.iter().map(|n| n.ty))?;
-        check_words("regs", reg_words, reg_types(&self.sys))?;
-        for (i, t) in self.sys.timed.iter().enumerate() {
-            let idx = state_words[i];
-            let n_states = t.comp.fsm.as_ref().map_or(1, |f| f.states.len() as u64);
-            if idx >= n_states {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!("state selector {idx} out of range for `{}`", t.name),
-                });
-            }
-        }
-        for (slot, (net, raw)) in self
+        let arch = snap.arch(&self.sys, self.design_hash)?;
+        for (v, (net, raw)) in self
             .nets
             .iter_mut()
-            .zip(self.sys.nets.iter().zip(net_words))
+            .zip(self.sys.nets.iter().zip(arch.nets))
         {
-            *slot = Value::from_raw(net.ty, *raw);
+            *v = Value::from_raw(net.ty, *raw);
         }
-        for (st, idx) in self.states.iter_mut().zip(state_words) {
+        for (st, idx) in self.states.iter_mut().zip(arch.states) {
             *st = StateRef(*idx as u32);
         }
-        let mut k = 0;
-        for (i, t) in self.sys.timed.iter().enumerate() {
-            for (j, r) in t.comp.regs.iter().enumerate() {
-                self.regs[i][j] = Value::from_raw(r.ty, reg_words[k]);
-                k += 1;
-            }
+        let regs = self.sys.timed.iter().flat_map(|t| &t.comp.regs);
+        for ((v, r), raw) in self.regs.iter_mut().flatten().zip(regs).zip(arch.regs) {
+            *v = Value::from_raw(r.ty, *raw);
         }
-        for (i, u) in self.sys.untimed.iter_mut().enumerate() {
-            let words = snap.section(&format!("untimed.{i}")).unwrap_or(&[]);
-            if !u.block.restore_state(words) {
-                return Err(CoreError::SnapshotFormat {
-                    reason: format!(
-                        "untimed block `{}` rejected its state section",
-                        u.block.name()
-                    ),
-                });
-            }
+        for ((u, p), raw) in held_outputs(&self.sys).zip(arch.held) {
+            self.held[u][p] = Value::from_raw(self.sys.untimed[u].outputs[p].ty, *raw);
         }
+        let untimed = &mut self.sys.untimed;
+        arch.hand_off(|u, words| {
+            let block = &mut untimed[u].block;
+            taken(block.restore_state(words), block.name())
+        })?;
         self.cycle = snap.cycle();
         Ok(())
     }
@@ -354,8 +336,9 @@ impl InterpSim {
             .unwrap_or_else(|| EMPTY.get_or_init(Trace::default))
     }
 
-    /// Resets registers, FSM states, nets and untimed blocks to their
-    /// power-up values and rewinds the cycle counter.
+    /// Resets registers, FSM states, nets, held untimed outputs and
+    /// untimed blocks to their power-up values and rewinds the cycle
+    /// counter.
     pub fn reset(&mut self) {
         for (i, t) in self.sys.timed.iter().enumerate() {
             for (j, r) in t.comp.regs.iter().enumerate() {
@@ -369,8 +352,11 @@ impl InterpSim {
                 _ => net.ty.zero(),
             };
         }
-        for u in &mut self.sys.untimed {
+        for (u, held) in self.sys.untimed.iter_mut().zip(&mut self.held) {
             u.block.reset();
+            for (v, p) in held.iter_mut().zip(&u.outputs) {
+                *v = p.ty.zero();
+            }
         }
         self.cycle = 0;
         if let Some(t) = &mut self.trace {
@@ -402,6 +388,7 @@ impl Simulator for InterpSim {
         self.budget.check_cycle(self.cycle)?;
         let sys = &mut self.sys;
         let nets = &mut self.nets;
+        let held_outs = &mut self.held;
         let fresh = &mut self.fresh;
         let StepScratch {
             pending,
@@ -563,19 +550,24 @@ impl Simulator for InterpSim {
                 in_buf.extend(in_nets.iter().map(|n| nets[*n]));
                 let first = sys.out_base[sys.timed.len() + u];
                 let out_nets = &sys.out_net[first..first + inst.outputs.len()];
+                // Outputs are pre-filled with their held values: a net's
+                // word, or what the block left on an output that drives
+                // none.
+                let held = &mut held_outs[u];
                 out_buf.clear();
                 out_buf.extend(
                     out_nets
                         .iter()
-                        .enumerate()
-                        .map(|(p, n)| n.map_or(inst.outputs[p].ty.zero(), |n| nets[n])),
+                        .zip(held.iter())
+                        .map(|(n, h)| n.map_or(*h, |n| nets[n])),
                 );
                 if inst.block.ready(in_buf) {
                     inst.block.fire(in_buf, out_buf);
                 }
-                for (p, n) in out_nets.iter().enumerate() {
+                held.copy_from_slice(out_buf);
+                for (n, v) in out_nets.iter().zip(out_buf.iter()) {
                     if let Some(n) = n {
-                        nets[*n] = out_buf[p];
+                        nets[*n] = *v;
                         fresh[*n] = true;
                     }
                 }

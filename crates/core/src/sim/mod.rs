@@ -41,7 +41,7 @@ pub use hash::{hash_compiled, hash_system, CompiledDesign, CompiledTape};
 pub use interp::InterpSim;
 pub use lower::{FusedSim, FusedTape, LowerStats};
 pub use opt::{OptLevel, OptStats};
-pub use snapshot::{SimSnapshot, SnapshotBackend};
+pub use snapshot::SimSnapshot;
 
 use crate::trace::Trace;
 use crate::value::Value;

@@ -45,11 +45,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-// The per-worker bookkeeping types live in the observability crate so
-// the bench harnesses and this engine share one definition; re-exported
-// here (and from the crate root) for compatibility.
-pub use ocapi_obs::{PoolStats, Stopwatch};
-
 /// Worker-pool configuration for the sharded engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParConfig {
@@ -134,24 +129,8 @@ enum Slot<R, E> {
     Panicked,
 }
 
-/// What one worker did: its items' outcomes, the seconds it spent inside
-/// the work closure, and how many items it claimed away from a static
-/// block partition.
-struct Shard<R, E> {
-    done: Vec<(usize, Slot<R, E>)>,
-    busy: f64,
-    steals: u64,
-}
-
-impl<R, E> Default for Shard<R, E> {
-    fn default() -> Self {
-        Shard {
-            done: Vec::new(),
-            busy: 0.0,
-            steals: 0,
-        }
-    }
-}
+/// What one worker did: its items' outcomes, by item index.
+type Shard<R, E> = Vec<(usize, Slot<R, E>)>;
 
 /// Bookkeeping of a retrying sharded map ([`map_indexed_retry`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,18 +164,12 @@ where
     let cursor = AtomicUsize::new(0);
     // One worker loop, shared by both paths, so sequential and threaded
     // execution have byte-identical per-item semantics.
-    let work = |w: usize| -> Shard<R, E> {
-        let mut shard = Shard::default();
+    let work = || -> Shard<R, E> {
+        let mut shard = Shard::new();
         let mut state: Option<S> = None;
         loop {
             let k = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(&i) = indices.get(k) else { break };
-            // An item is "stolen" when the dynamic cursor hands it to a
-            // different worker than a static block partition would have.
-            if k * workers / indices.len() != w {
-                shard.steals += 1;
-            }
-            let t0 = Stopwatch::start();
             let run = || f(state.get_or_insert_with(init), i, &items[i]);
             let slot = match catch_unwind(AssertUnwindSafe(run)) {
                 Ok(Ok(r)) => Slot::Done(r),
@@ -206,17 +179,16 @@ where
             if !matches!(slot, Slot::Done(_)) {
                 state = None;
             }
-            shard.busy += t0.elapsed_secs();
-            shard.done.push((i, slot));
+            shard.push((i, slot));
         }
         shard
     };
     if workers <= 1 {
-        return vec![work(0)];
+        return vec![work()];
     }
     let work = &work;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
         // A worker's join only fails when its loop panicked outside the
         // guard; the indices it claimed simply stay missing and the
         // merge treats them as panicked.
@@ -289,7 +261,7 @@ where
             stats.retries += pending.len() as u64;
         }
         for shard in run_indices(pool, items, &pending, &init, &f) {
-            for (i, slot) in shard.done {
+            for (i, slot) in shard {
                 if round > 0 && matches!(slot, Slot::Done(_)) {
                     stats.recovered += 1;
                 }
@@ -321,7 +293,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    map_indexed_stats(pool, items, f).0
+    map_indexed_with(pool, items, || (), |_, i, t| f(i, t))
 }
 
 /// [`map_indexed`] with per-worker state: each worker builds one `S`
@@ -346,45 +318,6 @@ where
     F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
     map_indexed_retry(pool, items, 1, init, f).0
-}
-
-/// [`map_indexed`] plus the [`PoolStats`] of the run, for the
-/// throughput-observability path of the benchmark harnesses.
-pub fn map_indexed_stats<T, R, E, F>(
-    pool: &ParConfig,
-    items: &[T],
-    f: F,
-) -> (Result<Vec<R>, ParError<E>>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    let started = Stopwatch::start();
-    let n = items.len();
-    let all: Vec<usize> = (0..n).collect();
-    let shards = run_indices(pool, items, &all, &|| (), &|_: &mut (), i, t: &T| f(i, t));
-    let mut stats = PoolStats {
-        threads: shards.len(),
-        items: n,
-        per_worker_items: Vec::with_capacity(shards.len()),
-        per_worker_busy: Vec::with_capacity(shards.len()),
-        wall_secs: 0.0,
-        steals: 0,
-    };
-    let mut slots: Vec<Option<Slot<R, E>>> = Vec::new();
-    slots.resize_with(n, || None);
-    for shard in shards {
-        stats.per_worker_items.push(shard.done.len());
-        stats.per_worker_busy.push(shard.busy);
-        stats.steals += shard.steals;
-        for (i, slot) in shard.done {
-            slots[i] = Some(slot);
-        }
-    }
-    stats.wall_secs = started.elapsed_secs();
-    (merge(slots), stats)
 }
 
 #[cfg(test)]
@@ -460,18 +393,6 @@ mod tests {
             .unwrap_err();
             assert_eq!(err, ParError::Panic { index: 3 });
         }
-    }
-
-    #[test]
-    fn stats_account_for_every_item() {
-        let items: Vec<u64> = (0..100).collect();
-        let (out, stats) =
-            map_indexed_stats(&ParConfig::new(4), &items, |_, x| Ok::<_, ()>(*x + 1));
-        assert_eq!(out.unwrap().len(), 100);
-        assert_eq!(stats.items, 100);
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.per_worker_items.iter().sum::<usize>(), 100);
-        assert!(stats.utilization() >= 0.0 && stats.utilization() <= 1.0);
     }
 
     #[test]

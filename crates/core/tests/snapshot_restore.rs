@@ -1,14 +1,15 @@
 //! Differential tests for simulator snapshot/restore: a run that is
 //! interrupted at cycle `k`, serialized, restored into a *fresh*
 //! simulator and continued to `k + n` must be bit-identical to an
-//! uninterrupted run — for every back-end and optimization level. Plus
-//! the typed-error contract for mismatched designs, back-end families
-//! and damaged byte streams.
+//! uninterrupted run — for every back-end and optimization level, and
+//! across them, since every engine saves one architectural state. Plus
+//! the typed-error contract for mismatched designs and damaged byte
+//! streams.
 
 use ocapi::rng::XorShift64;
 use ocapi::{
     BatchedSim, CompiledSim, Component, CoreError, Fix, Format, InterpSim, OptLevel, Overflow,
-    Rounding, SigType, SimSnapshot, Simulator, SnapshotBackend, System, Value,
+    Rounding, SigType, SimSnapshot, Simulator, System, Value,
 };
 
 /// The FSM-bearing accumulator from `sim_equivalence.rs`: accumulates
@@ -194,7 +195,8 @@ fn batched_lane_snapshot_interops_with_scalar_compiled() {
     let snap = batch.snapshot_lane(2).unwrap();
     let bytes = snap.to_bytes();
     let snap = SimSnapshot::from_bytes(&bytes).unwrap();
-    assert_eq!(snap.backend(), SnapshotBackend::Compiled);
+    let interp = InterpSim::new(acc_system()).unwrap();
+    assert_eq!(snap.design_hash(), interp.design_hash());
 
     // Reference: lane 2's stimuli, scalar, uninterrupted.
     let mut reference = CompiledSim::new_with(acc_system(), level).unwrap();
@@ -243,7 +245,6 @@ fn snapshot_bytes_and_json_roundtrip() {
     let snap = sim.snapshot();
     let bytes = snap.to_bytes();
     let back = SimSnapshot::from_bytes(&bytes).unwrap();
-    assert_eq!(back.backend(), snap.backend());
     assert_eq!(back.design_hash(), snap.design_hash());
     assert_eq!(back.cycle(), snap.cycle());
     for name in ["nets", "states", "regs"] {
@@ -253,7 +254,7 @@ fn snapshot_bytes_and_json_roundtrip() {
     assert_eq!(back.to_bytes(), bytes);
 
     let json = snap.to_json();
-    assert!(json.contains("\"backend\""));
+    assert!(json.contains("\"version\":2"));
     assert!(json.contains("\"design_hash\""));
     assert!(json.contains("\"cycle\":3"));
     assert!(json.contains("\"sections\""));
@@ -261,42 +262,45 @@ fn snapshot_bytes_and_json_roundtrip() {
 
 #[test]
 fn snapshot_mismatch_is_a_typed_error() {
-    // Different optimization levels produce different tapes, so an
-    // opt-0 snapshot must not restore into an opt-2 simulator.
+    // Every engine keys its snapshots on the design's structure, so an
+    // opt-0 snapshot restores into an opt-2 simulator, an interpreter
+    // snapshot into a compiled one and back, and each runs on as the
+    // uninterrupted run does.
     let mut at0 = CompiledSim::new_with(acc_system(), OptLevel::None).unwrap();
     drive_cycle(&mut at0, 0);
     let snap0 = at0.snapshot();
     let mut at2 = CompiledSim::new_with(acc_system(), OptLevel::Full).unwrap();
-    assert!(matches!(
-        at2.restore(&snap0),
-        Err(CoreError::SnapshotMismatch { .. })
-    ));
+    at2.restore(&snap0).unwrap();
+    let mut interp = InterpSim::new(acc_system()).unwrap();
+    interp.restore(&snap0).unwrap();
+    let mut compiled = CompiledSim::new(acc_system()).unwrap();
+    compiled.restore(&interp.snapshot()).unwrap();
+    for i in 1..8 {
+        let want = drive_cycle(&mut at0, i);
+        assert_eq!(drive_cycle(&mut at2, i), want, "opt 2, cycle {i}");
+        assert_eq!(drive_cycle(&mut interp, i), want, "interp, cycle {i}");
+        assert_eq!(drive_cycle(&mut compiled, i), want, "compiled, cycle {i}");
+    }
 
-    // A different design is rejected the same way.
-    let mut other = System::build("other");
-    let u = other.add_component("u0", accumulator()).unwrap();
-    other.input("x", SigType::Bits(8)).unwrap();
-    other.input("stop", SigType::Bool).unwrap();
-    other.connect_input("x", u, "x").unwrap();
-    other.connect_input("stop", u, "stop").unwrap();
-    other.output("sum", u, "sum").unwrap();
-    let mut interp_other = InterpSim::new(other.finish().unwrap()).unwrap();
+    // A different design is rejected.
+    let other = || {
+        let mut sb = System::build("other");
+        let u = sb.add_component("u0", accumulator()).unwrap();
+        sb.input("x", SigType::Bits(8)).unwrap();
+        sb.input("stop", SigType::Bool).unwrap();
+        sb.connect_input("x", u, "x").unwrap();
+        sb.connect_input("stop", u, "stop").unwrap();
+        sb.output("sum", u, "sum").unwrap();
+        sb.finish().unwrap()
+    };
     let interp_snap = InterpSim::new(acc_system()).unwrap().snapshot();
     assert!(matches!(
-        interp_other.restore(&interp_snap),
+        InterpSim::new(other()).unwrap().restore(&interp_snap),
         Err(CoreError::SnapshotMismatch { .. })
     ));
-
-    // Crossing back-end families is a format error, not a hash check.
-    let mut compiled = CompiledSim::new(acc_system()).unwrap();
     assert!(matches!(
-        compiled.restore(&interp_snap),
-        Err(CoreError::SnapshotFormat { .. })
-    ));
-    let mut interp = InterpSim::new(acc_system()).unwrap();
-    assert!(matches!(
-        interp.restore(&snap0),
-        Err(CoreError::SnapshotFormat { .. })
+        CompiledSim::new(other()).unwrap().restore(&snap0),
+        Err(CoreError::SnapshotMismatch { .. })
     ));
 }
 
@@ -378,9 +382,9 @@ fn tamper(bytes: &[u8], name: &str, index: usize, word: u64) -> SimSnapshot {
     let mut out = bytes.to_vec();
     let u16_at = |b: &[u8], p: usize| usize::from(u16::from_le_bytes([b[p], b[p + 1]]));
     let u32_at = |b: &[u8], p: usize| u32::from_le_bytes(b[p..p + 4].try_into().unwrap()) as usize;
-    // magic, version, backend, reserved, design hash, cycle
-    let n_sections = u32_at(&out, 24);
-    let mut pos = 28;
+    // magic, version, design hash, cycle
+    let n_sections = u32_at(&out, 22);
+    let mut pos = 26;
     for _ in 0..n_sections {
         let name_len = u16_at(&out, pos);
         let this = std::str::from_utf8(&out[pos + 2..pos + 2 + name_len]).unwrap() == name;
@@ -406,9 +410,9 @@ fn tamper(bytes: &[u8], name: &str, index: usize, word: u64) -> SimSnapshot {
 #[test]
 fn json_escapes_section_names() {
     let name = "a\"b\\c";
-    // The header (magic, version, backend, reserved, hash, cycle), then
-    // one empty section and the checksum.
-    let mut bytes = InterpSim::new(acc_system()).unwrap().snapshot().to_bytes()[..24].to_vec();
+    // The header (magic, version, hash, cycle), then one empty section
+    // and the checksum.
+    let mut bytes = InterpSim::new(acc_system()).unwrap().snapshot().to_bytes()[..22].to_vec();
     bytes.extend_from_slice(&1u32.to_le_bytes());
     bytes.extend_from_slice(&(name.len() as u16).to_le_bytes());
     bytes.extend_from_slice(name.as_bytes());
@@ -452,15 +456,15 @@ fn out_of_range_words_are_rejected_on_restore() {
         drive_fixed(&mut compiled, 3);
         let bytes = compiled.snapshot().to_bytes();
         let bad_reg = tamper(&bytes, "regs", 0, too_big);
-        // Every slot of this design is Bool or at most 8 bits wide.
-        let bad_slot = tamper(&bytes, "slots", 0, u64::MAX >> 1);
+        // Both nets of this design are `<8,2>` fixed point.
+        let bad_net = tamper(&bytes, "nets", 0, u64::MAX >> 1);
 
         let mut fresh = CompiledSim::new_with(fixed_system(), level).unwrap();
         assert_bad_word(fresh.restore(&bad_reg), "regs", 0);
-        assert_bad_word(fresh.restore(&bad_slot), "slots", 0);
+        assert_bad_word(fresh.restore(&bad_net), "nets", 0);
         let mut batch = BatchedSim::from_fn(2, || Ok(fixed_system()), level).unwrap();
         assert_bad_word(batch.restore_lane(1, &bad_reg), "regs", 0);
-        assert_bad_word(batch.restore_lane(1, &bad_slot), "slots", 0);
+        assert_bad_word(batch.restore_lane(1, &bad_net), "nets", 0);
 
         // The untouched snapshot still restores and resumes.
         let good = SimSnapshot::from_bytes(&bytes).unwrap();

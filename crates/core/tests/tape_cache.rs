@@ -61,8 +61,8 @@ fn drive(sim: &mut dyn Simulator, i: u64) -> Value {
 }
 
 /// A tape-instantiated scalar simulator matches a from-scratch compile
-/// cycle for cycle and shares its snapshot key space, at every
-/// optimization level.
+/// cycle for cycle and keys its snapshots on the design's structure, at
+/// every optimization level.
 #[test]
 fn scalar_from_tape_matches_fresh_compile() {
     for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
@@ -70,7 +70,7 @@ fn scalar_from_tape_matches_fresh_compile() {
         let mut fresh = CompiledSim::new_with(acc_system(), level).unwrap();
         let mut cached = CompiledSim::from_tape(acc_system(), &tape).unwrap();
         assert_eq!(fresh.design_hash(), cached.design_hash());
-        assert_eq!(fresh.design_hash(), tape.program_hash());
+        assert_eq!(fresh.design_hash(), tape.system_hash());
         for i in 0..20 {
             assert_eq!(
                 drive(&mut fresh, i),

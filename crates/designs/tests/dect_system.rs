@@ -231,10 +231,10 @@ fn with_section(snap: &SimSnapshot, name: &str, words: &[u64]) -> SimSnapshot {
     let bytes = snap.to_bytes();
     let body = &bytes[..bytes.len() - 8];
     let u32_at = |p: usize| u32::from_le_bytes([body[p], body[p + 1], body[p + 2], body[p + 3]]);
-    // magic, version, backend, reserved, design hash, cycle, sections
-    let mut out = body[..28].to_vec();
-    let mut pos = 28;
-    for _ in 0..u32_at(24) {
+    // magic, version, design hash, cycle, sections
+    let mut out = body[..26].to_vec();
+    let mut pos = 26;
+    for _ in 0..u32_at(22) {
         let head = 2 + usize::from(u16::from_le_bytes([body[pos], body[pos + 1]]));
         let end = pos + head + 4 + 8 * u32_at(pos + head) as usize;
         if &body[pos + 2..pos + head] == name.as_bytes() {

@@ -110,8 +110,9 @@ fn opt_level(req: &Json) -> Result<OptLevel, ServeError> {
 /// The engine name a warm session asks for: `compiled` (default) or
 /// `fused`, echoed back by `session.open`. Both run the compiled tape;
 /// `fused` names the retired threaded-code engine and stays accepted so
-/// existing clients keep working. The interpreter is never served —
-/// park/resume is a compiled-family snapshot contract.
+/// existing clients keep working. A parked snapshot is the design's
+/// architectural state, which any engine restores, so the choice never
+/// reaches it; sessions run on `CompiledSim`.
 fn engine_of(req: &Json) -> Result<&'static str, ServeError> {
     match req.get("engine") {
         None => Ok("compiled"),

@@ -12,6 +12,14 @@
 //! tape engines also every net and every register each cycle, and the
 //! FSM states at the end.
 //!
+//! Every engine with snapshots saves one architectural state (see
+//! `ocapi::sim::snapshot`), so at a seeded cycle [`check`] parks the run:
+//! the interpreter's snapshot must equal, byte for byte, that of
+//! compiled at every level and of lanes 0 and 63 of every batch. It is
+//! then restored into a fresh build of every tape engine, and one tape
+//! snapshot into a fresh interpreter; each restored engine runs the
+//! rest of the stimulus and must read what the unbroken run reads.
+//!
 //! On the engines with a reset — the interpreter and the tape engines at
 //! every level — [`check_reset`] then asks that reset-then-replay equal
 //! a fresh build: each engine is run from its build, reset (a 64-lane
@@ -58,7 +66,7 @@ use ocapi::{
     run_campaign_cached_par, run_campaign_par, BatchedSim, CampaignReport, CompiledSim,
     CompiledTape, Component, CoreError, FaultEvent, FaultPlan, FaultSite, FnBlock, Format,
     InstanceId, InterpSim, OptLevel, Overflow, ParConfig, PortDecl, Rounding, Sig, SigType,
-    Simulator, System, SystemBuilder, Trace, Value,
+    SimSnapshot, Simulator, System, SystemBuilder, Trace, Value,
 };
 use ocapi_gatesim::GateSystemSim;
 use ocapi_rtl::RtlSystemSim;
@@ -97,6 +105,13 @@ trait Engine: Simulator {
         Vec::new()
     }
 
+    /// Restores `snap` into every lane.
+    fn restore_engine(&mut self, _snap: &SimSnapshot) -> Result<(), CoreError> {
+        Err(CoreError::Unsupported {
+            op: "restore".to_owned(),
+        })
+    }
+
     /// The trace of each lane read.
     fn traces(&self) -> Vec<Trace> {
         vec![self.trace().clone()]
@@ -128,6 +143,10 @@ macro_rules! scalar_engine {
 
             fn snapshots(&self) -> Vec<Result<Vec<u8>, CoreError>> {
                 vec![Ok(self.snapshot().to_bytes())]
+            }
+
+            fn restore_engine(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
+                self.restore(snap)
             }
         }
     )*};
@@ -163,6 +182,10 @@ impl Engine for BatchedSim {
         vec![snap(0), snap(self.lanes() - 1)]
     }
 
+    fn restore_engine(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
+        (0..self.lanes()).try_for_each(|lane| self.restore_lane(lane, snap))
+    }
+
     fn traces(&self) -> Vec<Trace> {
         let trace = |lane| self.trace_lane(lane).cloned().unwrap_or_default();
         vec![trace(0), trace(self.lanes() - 1)]
@@ -174,6 +197,9 @@ impl Engine for BatchedSim {
 type Mismatch = (String, String);
 
 type Engines = Vec<(String, Box<dyn Engine>)>;
+
+/// Engines as built, before a failed build is reported.
+type Built = Vec<(String, Result<Box<dyn Engine>, CoreError>)>;
 
 /// Set by the including package's `slow-tests` feature.
 pub const SLOW: bool = cfg!(feature = "slow-tests");
@@ -233,11 +259,9 @@ fn reads_of(sys: &System) -> Vec<Read<'_>> {
     reads
 }
 
-/// Builds the twelve engine configurations from `mk`, drives them with
-/// one stimulus cycle per word and returns the first disagreement with
-/// the interpreter: a failed build or step, a primary output, a net or a
-/// register each cycle, or an FSM state at the end.
-fn check(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Result<(), Mismatch> {
+/// The engines with a reset and snapshots, built from `mk`: the
+/// interpreter, then compiled and batched x1/x64 at every level.
+fn snapshot_engines(mk: &dyn Fn() -> System) -> Built {
     let mut built = vec![("interp".to_owned(), boxed(InterpSim::new(mk())))];
     for level in LEVELS {
         let compiled = boxed(CompiledSim::new_with(mk(), level));
@@ -247,8 +271,109 @@ fn check(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Resu
             built.push((format!("batched x{lanes} {level:?}"), batched));
         }
     }
-    built.push(("rtl".to_owned(), boxed(RtlSystemSim::new(mk()))));
-    built.push(("gates".to_owned(), boxed(GateSystemSim::new(mk(), gates))));
+    built
+}
+
+/// Where snapshot `got` first differs from the interpreter's `want`:
+/// the header field, or the section and word (a net by name).
+fn snapshot_diff(sys: &System, want: &[u8], got: &[u8]) -> Option<String> {
+    let decode = |b: &[u8]| SimSnapshot::from_bytes(b).map_err(|e| e.to_string());
+    let (want, got) = match (decode(want), decode(got)) {
+        (Ok(w), Ok(g)) => (w, g),
+        (w, g) => return (w != g).then(|| format!("{:?}, interp {:?}", g.err(), w.err())),
+    };
+    if (got.design_hash(), got.cycle()) != (want.design_hash(), want.cycle()) {
+        return Some(format!(
+            "hash {:#x} at cycle {}, interp {:#x} at cycle {}",
+            got.design_hash(),
+            got.cycle(),
+            want.design_hash(),
+            want.cycle()
+        ));
+    }
+    let blocks = (0..sys.untimed.len()).map(|u| format!("untimed.{u}"));
+    let names = ["nets", "states", "regs", "held"].map(str::to_owned);
+    for name in names.into_iter().chain(blocks) {
+        let (w, g) = (want.section(&name), got.section(&name));
+        if w == g {
+            continue;
+        }
+        let (w, g) = (w.unwrap_or_default(), g.unwrap_or_default());
+        let at = w
+            .iter()
+            .zip(g)
+            .position(|(a, b)| a != b)
+            .unwrap_or(w.len().min(g.len()));
+        let what = match name.as_str() {
+            "nets" if at < sys.nets.len() => format!("net `{}`", sys.nets[at].name),
+            _ => format!("section `{name}` word {at}"),
+        };
+        return Some(format!("{what}: {:?}, interp {:?}", g.get(at), w.get(at)));
+    }
+    (want != got).then(|| "another section differs".to_owned())
+}
+
+/// Parks the run after cycle `cycle` (see the module docs): every
+/// engine's snapshot must equal the interpreter's byte for byte; then a
+/// fresh build of every tape engine restores the interpreter's
+/// snapshot, a fresh interpreter the last engine's, and they join
+/// `engines`, named `<engine> from <source>`.
+fn park(mk: &dyn Fn() -> System, engines: &mut Engines, cycle: usize) -> Result<(), Mismatch> {
+    let probe = mk();
+    let Some(Ok(want)) = engines[0].1.snapshots().pop() else {
+        return Err(("interp".to_owned(), format!("cycle {cycle}: no snapshot")));
+    };
+    let mut last = None;
+    for (name, sim) in &engines[1..] {
+        for (read, got) in sim.snapshots().into_iter().enumerate() {
+            let fail = |what: String| {
+                (
+                    name.clone(),
+                    format!("cycle {cycle}, snapshot read {read}: {what}"),
+                )
+            };
+            let got = got.map_err(|e| fail(e.to_string()))?;
+            if let Some(what) = snapshot_diff(&probe, &want, &got) {
+                return Err(fail(what));
+            }
+            last = Some((name.clone(), got));
+        }
+    }
+    let Some((source, tape)) = last else {
+        return Ok(());
+    };
+    let decode = |b: &[u8]| SimSnapshot::from_bytes(b).expect("a snapshot decodes");
+    let (from_interp, from_tape) = (decode(&want), decode(&tape));
+    for (name, sim) in snapshot_engines(mk) {
+        let (snap, name) = match name.as_str() {
+            "interp" => (&from_tape, format!("interp from {source}")),
+            _ => (&from_interp, format!("{name} from interp")),
+        };
+        let fail = |what: String| (name.clone(), format!("cycle {cycle}, {what}"));
+        let mut sim = sim.map_err(|e| fail(format!("build: {e}")))?;
+        sim.restore_engine(snap)
+            .map_err(|e| fail(format!("restore: {e}")))?;
+        engines.push((name, sim));
+    }
+    Ok(())
+}
+
+/// Builds the twelve engine configurations from `mk`, drives them with
+/// one stimulus cycle per word and returns the first disagreement with
+/// the interpreter: a failed build or step, a primary output, a net or a
+/// register each cycle, an FSM state at the end, or at the parked cycle
+/// a snapshot or a restored engine's read (see [`park`]). Without
+/// synthesis options `gates`, the RT and gate engines sit out.
+fn check(
+    mk: &dyn Fn() -> System,
+    stimuli: &[u64],
+    gates: Option<&SynthOptions>,
+) -> Result<(), Mismatch> {
+    let mut built = snapshot_engines(mk);
+    if let Some(gates) = gates {
+        built.push(("rtl".to_owned(), boxed(RtlSystemSim::new(mk()))));
+        built.push(("gates".to_owned(), boxed(GateSystemSim::new(mk(), gates))));
+    }
     let mut engines = Engines::new();
     for (name, sim) in built {
         let sim = sim.map_err(|e| (name.clone(), format!("build: {e}")))?;
@@ -257,6 +382,7 @@ fn check(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Resu
 
     let probe = mk();
     let reads = reads_of(&probe);
+    let parked = stimuli.first().map(|w| *w as usize % stimuli.len());
     for (cycle, &word) in stimuli.iter().enumerate() {
         let values = inputs(&probe, word);
         for (name, sim) in &mut engines {
@@ -269,6 +395,9 @@ fn check(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Resu
         }
         for &r in &reads {
             compare(&engines, cycle, &r, |sim| sim.read(r))?;
+        }
+        if parked == Some(cycle) {
+            park(mk, &mut engines, cycle)?;
         }
     }
     for t in probe.timed.iter().filter(|t| t.comp.fsm.is_some()) {
@@ -316,17 +445,8 @@ fn record(sim: &mut dyn Engine, probe: &System, stimuli: &[u64]) -> Result<Run, 
 /// from its build, reset and run again; returns the first engine whose
 /// two runs differ, named `<engine> reset`.
 fn check_reset(mk: &dyn Fn() -> System, stimuli: &[u64]) -> Result<(), Mismatch> {
-    let mut built = vec![("interp".to_owned(), boxed(InterpSim::new(mk())))];
-    for level in LEVELS {
-        let compiled = boxed(CompiledSim::new_with(mk(), level));
-        built.push((format!("compiled {level:?}"), compiled));
-        for lanes in [1, 64] {
-            let batched = boxed(BatchedSim::from_fn(lanes, || Ok(mk()), level));
-            built.push((format!("batched x{lanes} {level:?}"), batched));
-        }
-    }
     let probe = mk();
-    for (name, sim) in built {
+    for (name, sim) in snapshot_engines(mk) {
         let name = format!("{name} reset");
         let fail = |what: String| (name.clone(), what);
         let mut sim = sim.map_err(|e| fail(format!("build: {e}")))?;
@@ -358,7 +478,11 @@ fn check_reset(mk: &dyn Fn() -> System, stimuli: &[u64]) -> Result<(), Mismatch>
 
 /// [`check`] then [`check_reset`], with a panic anywhere reported as
 /// engine `panic`.
-fn verdict(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Result<(), Mismatch> {
+fn verdict(
+    mk: &dyn Fn() -> System,
+    stimuli: &[u64],
+    gates: Option<&SynthOptions>,
+) -> Result<(), Mismatch> {
     let both = || check(mk, stimuli, gates).and_then(|()| check_reset(mk, stimuli));
     catch_unwind(AssertUnwindSafe(both)).unwrap_or_else(|p| {
         let text = p.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -649,7 +773,7 @@ fn connect(sb: &mut SystemBuilder, from: Option<(InstanceId, &str)>, to: Instanc
 }
 
 fn verdict_of(r: &Recipe) -> Result<(), Mismatch> {
-    verdict(&|| system(r), &r.stimuli, &synth_options(r.synth))
+    verdict(&|| system(r), &r.stimuli, Some(&synth_options(r.synth)))
 }
 
 /// Every recipe one drop smaller than `r`.
@@ -722,14 +846,25 @@ pub type Design = (&'static str, fn() -> System);
 /// `seed + i` for each of `seeds` in turn, on one build of the engines.
 /// Panics naming the first design that disagrees.
 pub fn check_designs(designs: &[Design], seeds: &[u64], cycles: usize) {
+    designs_on(designs, seeds, cycles, Some(&SynthOptions::default()));
+}
+
+/// [`check_designs`] on the interpreter and the tape engines only: for a
+/// design with a stateful generic untimed block, which the event-driven
+/// RT and gate engines fire at elaboration and on every input event
+/// rather than once a cycle.
+pub fn check_tape_designs(designs: &[Design], seeds: &[u64], cycles: usize) {
+    designs_on(designs, seeds, cycles, None);
+}
+
+fn designs_on(designs: &[Design], seeds: &[u64], cycles: usize, gates: Option<&SynthOptions>) {
     let result = map_indexed(&ParConfig::available(), designs, |i, (name, mk)| {
         let mut stimuli = Vec::new();
         for seed in seeds {
             let mut rng = XorShift64::new(seed.wrapping_add(i as u64));
             stimuli.extend((0..cycles).map(|_| rng.next_u64()));
         }
-        verdict(mk, &stimuli, &SynthOptions::default())
-            .map_err(|m| format!("{name}: `{}` {}", m.0, m.1))
+        verdict(mk, &stimuli, gates).map_err(|m| format!("{name}: `{}` {}", m.0, m.1))
     });
     if let Err(e) = result {
         panic!("{e}");

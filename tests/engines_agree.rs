@@ -2,7 +2,8 @@
 //!
 //! Runs the one generator and checker of `agree` on 72 generated
 //! systems (1,024 with the `slow-tests` feature) on interp, compiled and
-//! batched at every opt level, RT and gates, and reset-then-replay on
+//! batched at every opt level, RT and gates, with a snapshot parked at a
+//! seeded cycle and restored across engines, and reset-then-replay on
 //! the engines with a reset. A mismatch panics with the seed and a
 //! shrunk recipe. Fault campaigns over 8 of them (256 with
 //! `slow-tests`) run through every campaign driver. The in-tree designs
@@ -10,7 +11,7 @@
 
 mod agree;
 
-use ocapi::{Component, Ram, SigType, System, Value};
+use ocapi::{Component, FnBlock, PortDecl, Ram, SigType, System, Value};
 
 #[test]
 fn generated_systems_agree_on_every_engine() {
@@ -74,6 +75,67 @@ fn preloaded_ram() -> System {
 #[test]
 fn reset_restores_preloaded_ram_on_every_engine() {
     agree::check_designs(&[("preloaded_ram", preloaded_ram)], &[0x5EED], 48);
+}
+
+/// An untimed block with two outputs that drive no net: `last`, the
+/// input it last saw, and `n`, which each firing on a new input counts
+/// up from its held value and copies to the connected output `y`. Its
+/// input is a register that moves every cycle, so an event-driven
+/// engine that also fires the block at elaboration, or again on an
+/// unchanged input, counts alike.
+fn held_output() -> System {
+    let port = |name: &str| PortDecl {
+        name: name.into(),
+        ty: SigType::Bits(8),
+    };
+    let count = |inp: &[Value], out: &mut [Value]| {
+        let bits = |v: Value| v.as_bits().expect("bits");
+        let (x, last, n) = (bits(inp[0]), bits(out[0]), bits(out[1]));
+        let n = (n + u64::from(x != last)) & 0xff;
+        out[0] = inp[0];
+        out[1] = Value::bits(8, n);
+        out[2] = Value::bits(8, n);
+    };
+    let outputs = vec![port("last"), port("n"), port("y")];
+    let block = FnBlock::new("cnt", vec![port("x")], outputs, count);
+
+    let g = Component::build("src");
+    let step = g.input("s", SigType::Bool).expect("input");
+    let t = g.output("t", SigType::Bits(8)).expect("output");
+    let r = g.reg("r", SigType::Bits(8)).expect("reg");
+    let s = g.sfg("tick").expect("sfg");
+    s.drive(t, &g.q(r)).expect("drive");
+    let by = g.read(step).mux(&g.const_bits(8, 2), &g.const_bits(8, 1));
+    s.next(r, &(g.q(r) + by)).expect("next");
+    let src = g.finish().expect("finish");
+
+    let k = Component::build("sink");
+    let y = k.input("y", SigType::Bits(8)).expect("input");
+    let o = k.output("o", SigType::Bits(8)).expect("output");
+    let acc = k.reg("acc", SigType::Bits(8)).expect("reg");
+    let s = k.sfg("fold").expect("sfg");
+    s.drive(o, &k.q(acc)).expect("drive");
+    s.next(acc, &(k.q(acc) ^ k.read(y))).expect("next");
+    let sink = k.finish().expect("finish");
+
+    let mut sb = System::build("held_output");
+    sb.input("s", SigType::Bool).expect("pi");
+    let u = sb.add_component("src", src).expect("add");
+    let b = sb.add_block(Box::new(block)).expect("block");
+    let v = sb.add_component("sink", sink).expect("add");
+    sb.connect_input("s", u, "s").expect("connect");
+    sb.connect(u, "t", b, "x").expect("connect");
+    sb.connect(b, "y", v, "y").expect("connect");
+    sb.output("y", b, "y").expect("po");
+    sb.output("o", v, "o").expect("po");
+    sb.finish().expect("system")
+}
+
+/// Every engine holds an untimed output that drives no net between
+/// firings, as `UntimedBlock::fire` promises, and snapshots it.
+#[test]
+fn held_untimed_outputs_agree_on_every_engine() {
+    agree::check_designs(&[("held_output", held_output)], &[0x4E1D], 24);
 }
 
 /// Fault campaigns classify every event alike on the reference driver
