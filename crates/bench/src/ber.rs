@@ -6,30 +6,37 @@
 //! the fault plan), so the bursts fan across the worker pool of
 //! `ocapi::sim::par` and the summed `(errors, bits)` totals are
 //! **bit-identical for every thread count** — integer sums merged in
-//! burst order. The batched paths additionally run under the
-//! [`Robust`] envelope: bounded retry per chunk, and per-burst
-//! checkpoint manifests so a killed sweep resumes (`--resume`) to
-//! byte-identical totals.
+//! burst order.
 //!
-//! A batched call captures the transceiver once, on the calling
-//! thread, into one [`CompiledDesign`]: checked against the cached tape
-//! (one structural hash check) or compiled. Every worker builds its
-//! batches from that design — one per lane count ([`WorkerSims`]),
-//! reset between chunks — so workers capture and hash nothing, and each
-//! burst's fault plan is sampled from the design's template. A chunk
-//! that fails or panics drops the worker's batches, so its retry runs
-//! on a fresh build.
+//! Two calls measure one [`BerPoint`], in the shape of the fault
+//! campaigns (`run_campaign_par`, `run_campaign_batched`):
+//!
+//! * [`measure_reference`] runs every burst on its own interpreter of
+//!   the receiver a [`TransceiverConfig`] builds — the reference.
+//! * [`measure_lanes`] runs the bursts over one [`CompiledDesign`], a
+//!   chunk of lanes at a time, under the [`Robust`] envelope: bounded
+//!   retry per chunk, and per-burst checkpoint manifests so a killed
+//!   sweep resumes (`--resume`) to byte-identical totals. It captures
+//!   and hashes nothing: every worker builds its batches from the
+//!   design — one per lane count ([`WorkerSims`]), reset between chunks
+//!   — and each burst's fault plan is sampled from the design's
+//!   template. A chunk that fails or panics drops the worker's batches,
+//!   so its retry runs on a fresh build.
+//!
+//! [`measure_batched`] remains only as the repository benchmark's
+//! pinned entry point: it forms a design and calls [`measure_lanes`].
 
+use ocapi::sim::hash::Fnv;
 use ocapi::sim::par::{map_indexed, ParConfig, ParError};
 use ocapi::{
     apply_lane_faults, BatchedSim, CompiledDesign, CompiledTape, CoreError, FaultPlan, FaultySim,
-    InterpSim, LaneFault, OptLevel, SigType, Value, WorkerSims,
+    InterpSim, LaneFault, OptLevel, SigType, System, Value, WorkerSims,
 };
 use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::transceiver::{
     build_system, run_burst, SymbolRecord, TransceiverConfig, CYCLES_PER_SYMBOL,
 };
-use ocapi_designs::dect::DELAY;
+use ocapi_designs::dect::{err_fmt, DELAY};
 
 use crate::checkpoint::{fingerprint, Robust};
 use crate::error::BenchError;
@@ -71,6 +78,42 @@ impl BerCount {
     }
 }
 
+/// One point of a BER curve.
+#[derive(Debug, Clone, Copy)]
+pub struct BerPoint<'a> {
+    /// The multipath channel's impulse response (tap 0 first).
+    pub channel: &'a [f64],
+    /// Peak amplitude of the additive noise.
+    pub noise: f64,
+    /// Bursts measured, one work item each.
+    pub bursts: u64,
+    /// Payload bits per burst.
+    pub payload_len: usize,
+    /// Random transient bit flips injected into the receiver's
+    /// registers and nets, in faults per clock cycle, one independent
+    /// plan per burst; `None` runs fault-free.
+    pub fault_rate: Option<f64>,
+}
+
+impl BerPoint<'_> {
+    /// Burst `seed` (a global burst index) of this point.
+    fn burst(&self, seed: u64) -> Burst {
+        generate(&BurstConfig {
+            payload_len: self.payload_len,
+            channel: self.channel.to_vec(),
+            noise: self.noise,
+            seed: 1000 + seed,
+        })
+    }
+
+    /// The fault plan of burst `seed` over `sys`, or `None` fault-free.
+    fn plan(&self, sys: &System, burst: &Burst, seed: u64) -> Option<FaultPlan> {
+        let cycles = (burst.samples.len() * CYCLES_PER_SYMBOL) as u64;
+        self.fault_rate
+            .map(|rate| FaultPlan::random(sys, cycles, rate, 0xdec7 + seed))
+    }
+}
+
 /// The total of per-burst counts. A burst compares a few hundred bits,
 /// so only counts read back from a damaged manifest can overflow it.
 fn sum(parts: Vec<BerCount>) -> Result<BerCount, BenchError> {
@@ -92,136 +135,178 @@ fn par_err(e: ParError<CoreError>) -> BenchError {
     }
 }
 
-/// The workload fingerprint of one sweep point: everything that
-/// determines per-burst values — and nothing that only routes work
-/// (thread count, lane count), so checkpoints resume across topologies.
-fn point_fingerprint(
-    stream: &str,
-    channel: &[f64],
-    noise: f64,
-    knob: u64,
-    n_bursts: u64,
-    payload_len: usize,
-) -> u64 {
-    let taps: Vec<String> = channel.iter().map(|t| t.to_bits().to_string()).collect();
+/// The checkpoint fingerprint of `point` over `design` in `stream`:
+/// what fixes every burst's count — the design's structure
+/// ([`CompiledTape::system_hash`]), its memories' power-up contents and
+/// the point — and nothing that only routes work (threads, lanes) or
+/// picks the tape (its optimization level). A manifest therefore
+/// resumes across topologies and levels, and never into another
+/// receiver (the adaptive and the fixed one differ only in ROM
+/// contents) or another fault rate.
+fn point_fingerprint(stream: &str, design: &CompiledDesign, point: &BerPoint<'_>) -> u64 {
+    let mut memories = Fnv::new();
+    for u in &design.system().untimed {
+        if let Some(spec) = u.block.memory_spec() {
+            memories.write(&(spec.contents.len() as u64).to_le_bytes());
+            for word in spec.contents.iter() {
+                memories.write(&word.to_raw().to_le_bytes());
+            }
+        }
+    }
+    let taps: Vec<String> = point
+        .channel
+        .iter()
+        .map(|t| t.to_bits().to_string())
+        .collect();
+    let rate = point
+        .fault_rate
+        .map_or_else(|| "none".to_owned(), |r| r.to_bits().to_string());
     fingerprint(&[
         "ber",
         stream,
+        &format!("{:016x}", design.tape().system_hash()),
+        &format!("{:016x}", memories.finish()),
         &taps.join(";"),
-        &noise.to_bits().to_string(),
-        &knob.to_string(),
-        &n_bursts.to_string(),
-        &payload_len.to_string(),
+        &point.noise.to_bits().to_string(),
+        &rate,
+        &point.bursts.to_string(),
+        &point.payload_len.to_string(),
     ])
 }
 
-/// Runs `n_bursts` payload bursts (one work item each) and counts
-/// payload-bit errors. With `adapt` off the LMS update instruction is
-/// removed from the program: a fixed centre-tap receiver, the
-/// no-equalizer baseline.
+/// The interpreter reference: every burst of `point` runs on its own
+/// [`InterpSim`] of the receiver `cfg` builds (under a [`FaultySim`]
+/// with the burst's plan when `point.fault_rate` is set), one work item
+/// of `pool` each. A faulty run that trips a typed error — the
+/// detection path working — counts its burst fully errored.
 ///
 /// # Errors
 ///
 /// [`BenchError::Item`]/[`BenchError::Panic`] for the lowest-indexed
-/// burst whose run failed (system build, simulation, or a worker
-/// panic).
-pub fn measure(
+/// burst whose build or fault-free run failed, or whose worker panicked.
+pub fn measure_reference(
     pool: &ParConfig,
+    cfg: &TransceiverConfig,
+    point: &BerPoint<'_>,
+) -> Result<BerCount, BenchError> {
+    let bursts: Vec<u64> = (0..point.bursts).collect();
+    let parts = map_indexed(pool, &bursts, |_, seed| {
+        let burst = point.burst(*seed);
+        let sys = build_system(cfg)?;
+        let records = match point.plan(&sys, &burst, *seed) {
+            None => Some(run_burst(&mut InterpSim::new(sys)?, &burst, None)?),
+            Some(plan) => {
+                let mut sim = FaultySim::new(InterpSim::new(sys)?, plan);
+                run_burst(&mut sim, &burst, None).ok()
+            }
+        };
+        Ok::<_, CoreError>(count(&burst, records.as_deref()))
+    })
+    .map_err(par_err)?;
+    sum(parts)
+}
+
+/// The lane driver: the bursts of `point` over `design`, `lanes` bursts
+/// a chunk, each chunk one work item of `rb`'s pool that walks the tape
+/// once per cycle for all of its lanes. Seeds and fault plans key on the
+/// global burst index, never the lane or thread, so the totals equal
+/// [`measure_reference`]'s for the receiver `design` was captured from,
+/// bit for bit, at every lane and thread count; `lanes = 1` runs the
+/// compiled tape one burst at a time. A lane whose faults trip a typed
+/// error is masked off and its burst counted fully errored, without
+/// aborting the chunk. Under a checkpointing [`Robust`], per-burst
+/// counts land in the `stream` manifest, fingerprinted on the design's
+/// structure and memory contents and on `point`, and `--resume` skips
+/// completed bursts.
+///
+/// # Errors
+///
+/// As [`measure_reference`], per chunk; plus checkpoint manifest I/O
+/// and decode errors, and [`BenchError::Checkpoint`] for a manifest of
+/// another design or point.
+pub fn measure_lanes(
+    rb: &Robust<'_>,
+    stream: &str,
+    design: &CompiledDesign,
+    point: &BerPoint<'_>,
+    lanes: usize,
+) -> Result<BerCount, BenchError> {
+    // The fingerprint only names a manifest.
+    let fp = rb
+        .dir
+        .map_or(0, |_| point_fingerprint(stream, design, point));
+    let parts = rb.run_chunked(
+        stream,
+        fp,
+        point.bursts as usize,
+        lanes.max(1),
+        BerCount::encode,
+        BerCount::decode,
+        WorkerSims::default,
+        |sims, seeds| batched_chunk(sims, design, point, rb.obs, seeds),
+    )?;
+    sum(parts)
+}
+
+/// The repository benchmark's pinned entry point, kept only until the
+/// benchmark calls [`measure_lanes`]: captures the receiver `adapt`
+/// selects (trained and adaptive, or the fixed centre-tap baseline),
+/// pairs it with `tape` (one structural hash check) or, without one,
+/// compiles it at `level`, and measures the fault-free point over that
+/// design.
+///
+/// # Errors
+///
+/// As [`measure_lanes`], plus the capture's errors and
+/// [`CoreError::TapeMismatch`] via [`BenchError::Core`] when `tape` was
+/// compiled from another structure.
+#[allow(clippy::too_many_arguments)]
+pub fn measure_batched(
+    rb: &Robust,
+    stream: &str,
     channel: &[f64],
     noise: f64,
     adapt: bool,
     n_bursts: u64,
     payload_len: usize,
+    lanes: usize,
+    level: OptLevel,
+    tape: Option<&CompiledTape>,
 ) -> Result<BerCount, BenchError> {
     let cfg = TransceiverConfig {
         train: adapt,
         agc: false,
         adapt,
     };
-    let bursts: Vec<u64> = (0..n_bursts).collect();
-    let parts = map_indexed(pool, &bursts, |_, seed| {
-        let burst = generate(&BurstConfig {
-            payload_len,
-            channel: channel.to_vec(),
-            noise,
-            seed: 1000 + seed,
-        });
-        let mut sim = InterpSim::new(build_system(&cfg)?)?;
-        let records = run_burst(&mut sim, &burst, None)?;
-        let mut out = BerCount::default();
-        accumulate(&mut out, &burst, Some(&records));
-        Ok::<_, CoreError>(out)
-    })
-    .map_err(par_err)?;
-    sum(parts)
-}
-
-/// Same measurement with random transient bit flips injected into the
-/// receiver's registers and nets at `rate` faults per clock cycle, one
-/// independent fault plan per burst (seeded `0xdec7 + burst`).
-///
-/// A heavily faulted run may trip a typed error — that is the detection
-/// path working — and its burst is counted as fully errored.
-///
-/// # Errors
-///
-/// As [`measure`]; faulty-run errors are absorbed into the error count,
-/// so only build/stimulus failures surface.
-pub fn measure_with_faults(
-    pool: &ParConfig,
-    channel: &[f64],
-    noise: f64,
-    rate: f64,
-    n_bursts: u64,
-    payload_len: usize,
-) -> Result<BerCount, BenchError> {
-    let cfg = TransceiverConfig {
-        train: true,
-        agc: false,
-        adapt: true,
+    let design = CompiledDesign::new(build_system(&cfg)?, level, |_| tape.cloned())?;
+    let point = BerPoint {
+        channel,
+        noise,
+        bursts: n_bursts,
+        payload_len,
+        fault_rate: None,
     };
-    let bursts: Vec<u64> = (0..n_bursts).collect();
-    let parts = map_indexed(pool, &bursts, |_, seed| {
-        let burst = generate(&BurstConfig {
-            payload_len,
-            channel: channel.to_vec(),
-            noise,
-            seed: 1000 + seed,
-        });
-        let sys = build_system(&cfg)?;
-        let cycles = (burst.samples.len() * CYCLES_PER_SYMBOL) as u64;
-        let plan = FaultPlan::random(&sys, cycles, rate, 0xdec7 + seed);
-        let mut sim = FaultySim::new(InterpSim::new(sys)?, plan);
-        let mut out = BerCount::default();
-        accumulate(
-            &mut out,
-            &burst,
-            run_burst(&mut sim, &burst, None).ok().as_deref(),
-        );
-        Ok::<_, CoreError>(out)
-    })
-    .map_err(par_err)?;
-    sum(parts)
+    measure_lanes(rb, stream, &design, &point, lanes)
 }
 
-/// Per-burst error accounting, shared by the scalar and batched paths:
-/// completed records are compared bit-for-bit against the transmitted
-/// payload; a burst that erred out before finishing is counted fully
-/// errored (exactly the scalar `Err` branch).
-fn accumulate(out: &mut BerCount, burst: &Burst, records: Option<&[SymbolRecord]>) {
+/// One burst's count, the same on every path: completed records are
+/// compared bit for bit with the transmitted payload; a burst that
+/// erred out before finishing counts fully errored.
+fn count(burst: &Burst, records: Option<&[SymbolRecord]>) -> BerCount {
     match records {
         Some(records) => {
+            let mut out = BerCount::default();
             for (k, rec) in records.iter().enumerate().skip(burst.payload_start + DELAY) {
                 out.bits += 1;
                 if burst.bits[k - DELAY] != rec.bit {
                     out.errors += 1;
                 }
             }
+            out
         }
         None => {
             let n = burst.bits.len().saturating_sub(burst.payload_start + DELAY) as u64;
-            out.bits += n;
-            out.errors += n;
+            BerCount { errors: n, bits: n }
         }
     }
 }
@@ -311,7 +396,7 @@ fn run_bursts_batched(
                     err: sim
                         .output_lane(l, "err")?
                         .as_fixed()
-                        .ok_or_else(|| bad_output("err", SigType::Bool))?
+                        .ok_or_else(|| bad_output("err", SigType::Fixed(err_fmt())))?
                         .to_f64(),
                     detect: sim
                         .output_lane(l, "detect")?
@@ -331,34 +416,17 @@ fn run_bursts_batched(
         .collect())
 }
 
-/// One chunk of the batched measurement: the bursts at `seeds` (global
-/// burst indices), one per lane, through one shared tape walk per
-/// cycle. `fault_rate` of `None` runs fault-free; `Some(rate)` builds
-/// one independent plan per burst, seeded on the global index. The
-/// chunk runs on the worker's batch of `design` for its lane count,
-/// reset, or on a new one.
-#[allow(clippy::too_many_arguments)]
+/// One chunk of the lane driver: the bursts at `seeds` (global burst
+/// indices), one per lane, on the worker's batch of `design` for the
+/// chunk's lane count, reset, or on a new one.
 fn batched_chunk(
     sims: &mut WorkerSims,
     design: &CompiledDesign,
-    channel: &[f64],
-    noise: f64,
-    fault_rate: Option<f64>,
-    payload_len: usize,
+    point: &BerPoint<'_>,
     obs: Option<&ocapi_obs::Registry>,
     seeds: &[usize],
 ) -> Result<Vec<BerCount>, CoreError> {
-    let bursts: Vec<Burst> = seeds
-        .iter()
-        .map(|seed| {
-            generate(&BurstConfig {
-                payload_len,
-                channel: channel.to_vec(),
-                noise,
-                seed: 1000 + *seed as u64,
-            })
-        })
-        .collect();
+    let bursts: Vec<Burst> = seeds.iter().map(|seed| point.burst(*seed as u64)).collect();
     let sim = sims.get(seeds.len(), design)?;
     // A plan depends only on the design's structure, never on its
     // untimed state, so the batch's own system samples it, and each
@@ -366,17 +434,16 @@ fn batched_chunk(
     let plans: Vec<Vec<LaneFault>> = seeds
         .iter()
         .zip(&bursts)
-        .map(|(seed, burst)| match fault_rate {
-            Some(rate) => {
-                let cycles = (burst.samples.len() * CYCLES_PER_SYMBOL) as u64;
-                let plan = FaultPlan::random(sim.system(), cycles, rate, 0xdec7 + *seed as u64);
-                plan.events()
+        .map(
+            |(seed, burst)| match point.plan(sim.system(), burst, *seed as u64) {
+                Some(plan) => plan
+                    .events()
                     .iter()
                     .map(|e| LaneFault::resolve(sim, e))
-                    .collect()
-            }
-            None => Vec::new(),
-        })
+                    .collect(),
+                None => Vec::new(),
+            },
+        )
         .collect();
     // Attached per chunk, so the deterministic `batch.lanes` total
     // counts chunks' lanes, not workers'.
@@ -387,173 +454,8 @@ fn batched_chunk(
     Ok(bursts
         .iter()
         .zip(&outcomes)
-        .map(|(burst, records)| {
-            let mut out = BerCount::default();
-            accumulate(&mut out, burst, records.as_deref());
-            out
-        })
+        .map(|(burst, records)| count(burst, records.as_deref()))
         .collect())
-}
-
-/// The design of one batched call: the transceiver `cfg` captured once
-/// and paired with the cached `tape` (one structural hash check) or,
-/// without one, compiled at `level`.
-fn transceiver(
-    cfg: &TransceiverConfig,
-    level: OptLevel,
-    tape: Option<&CompiledTape>,
-) -> Result<CompiledDesign, CoreError> {
-    let sys = build_system(cfg)?;
-    match tape {
-        Some(tape) => CompiledDesign::new(sys, tape),
-        None => CompiledDesign::compile(sys, level),
-    }
-}
-
-/// The two batched measurements over one design: `n_bursts` bursts in
-/// chunks of `lanes` under `rb`, checkpointed in `stream` under the
-/// workload fingerprint `fp`.
-#[allow(clippy::too_many_arguments)]
-fn run_batched(
-    rb: &Robust,
-    stream: &str,
-    fp: u64,
-    design: &CompiledDesign,
-    channel: &[f64],
-    noise: f64,
-    fault_rate: Option<f64>,
-    n_bursts: u64,
-    payload_len: usize,
-    lanes: usize,
-) -> Result<BerCount, BenchError> {
-    let parts = rb.run_chunked(
-        stream,
-        fp,
-        n_bursts as usize,
-        lanes.max(1),
-        BerCount::encode,
-        BerCount::decode,
-        WorkerSims::default,
-        |sims, seeds| {
-            batched_chunk(
-                sims,
-                design,
-                channel,
-                noise,
-                fault_rate,
-                payload_len,
-                rb.obs,
-                seeds,
-            )
-        },
-    )?;
-    sum(parts)
-}
-
-/// [`measure`] over the lane-batched compiled back-end: bursts are
-/// chunked into groups of `lanes` and every chunk is one work item of
-/// the `--threads` pool, walking the micro-op tape once per cycle for
-/// all of its lanes. Per-burst seeds are unchanged (`1000 + burst`), so
-/// the summed totals are bit-identical for every lane count *and*
-/// thread count; `lanes = 1` is the scalar compiled path one burst at a
-/// time. Under a checkpointing [`Robust`] envelope, per-burst counts
-/// land in the `stream` manifest and `--resume` skips completed bursts.
-///
-/// The call captures the transceiver once and forms one design with a
-/// cached `tape` (compiled once from the same transceiver config at the
-/// same level — the simulation service's tape cache) or, with `None`,
-/// by compiling it at `level`. Totals are bit-identical either way.
-///
-/// # Errors
-///
-/// As [`measure`], plus checkpoint manifest I/O and decode errors, and
-/// [`CoreError::TapeMismatch`](ocapi::CoreError) via [`BenchError::Core`]
-/// when `tape` was compiled from a different design.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_batched(
-    rb: &Robust,
-    stream: &str,
-    channel: &[f64],
-    noise: f64,
-    adapt: bool,
-    n_bursts: u64,
-    payload_len: usize,
-    lanes: usize,
-    level: OptLevel,
-    tape: Option<&CompiledTape>,
-) -> Result<BerCount, BenchError> {
-    let cfg = TransceiverConfig {
-        train: adapt,
-        agc: false,
-        adapt,
-    };
-    let fp = point_fingerprint(stream, channel, noise, adapt as u64, n_bursts, payload_len);
-    let design = transceiver(&cfg, level, tape)?;
-    run_batched(
-        rb,
-        stream,
-        fp,
-        &design,
-        channel,
-        noise,
-        None,
-        n_bursts,
-        payload_len,
-        lanes,
-    )
-}
-
-/// [`measure_with_faults`] over the lane-batched back-end: one
-/// independent fault plan per burst (seeded `0xdec7 + burst`, keyed on
-/// the burst's *global* index — never its lane), applied per lane
-/// before every shared tape pass. A lane whose faults trip a typed
-/// error is masked off and its burst counted fully errored, exactly as
-/// the scalar path's `Err` branch, without aborting the chunk. Under a
-/// checkpointing [`Robust`] envelope, per-burst counts land in the
-/// `stream` manifest and `--resume` skips completed bursts.
-///
-/// # Errors
-///
-/// As [`measure_batched`].
-#[allow(clippy::too_many_arguments)]
-pub fn measure_with_faults_batched(
-    rb: &Robust,
-    stream: &str,
-    channel: &[f64],
-    noise: f64,
-    rate: f64,
-    n_bursts: u64,
-    payload_len: usize,
-    lanes: usize,
-    level: OptLevel,
-    tape: Option<&CompiledTape>,
-) -> Result<BerCount, BenchError> {
-    let cfg = TransceiverConfig {
-        train: true,
-        agc: false,
-        adapt: true,
-    };
-    let fp = point_fingerprint(
-        stream,
-        channel,
-        noise,
-        rate.to_bits(),
-        n_bursts,
-        payload_len,
-    );
-    let design = transceiver(&cfg, level, tape)?;
-    run_batched(
-        rb,
-        stream,
-        fp,
-        &design,
-        channel,
-        noise,
-        Some(rate),
-        n_bursts,
-        payload_len,
-        lanes,
-    )
 }
 
 /// Formats a BER for the tables: `<1/bits` when no errors were seen.
@@ -574,69 +476,125 @@ mod tests {
 
     const CHANNEL: [f64; 3] = [1.0, 0.65, 0.35];
 
-    fn adaptive() -> TransceiverConfig {
+    fn receiver(adapt: bool) -> TransceiverConfig {
         TransceiverConfig {
-            train: true,
+            train: adapt,
             agc: false,
-            adapt: true,
+            adapt,
         }
     }
 
-    fn tape() -> CompiledTape {
-        let sys = build_system(&adaptive()).expect("build");
-        CompiledTape::compile(&sys, OptLevel::Full).expect("compile")
+    fn design(adapt: bool) -> CompiledDesign {
+        let sys = build_system(&receiver(adapt)).expect("build");
+        CompiledDesign::new(sys, OptLevel::Full, |_| None).expect("compile")
     }
 
-    /// 19 bursts leave a short last chunk at 3 lanes (one burst) and at
-    /// 8 (three), and give every lane count a chunk that reuses a batch.
+    fn point(noise: f64, bursts: u64, fault_rate: Option<f64>) -> BerPoint<'static> {
+        BerPoint {
+            channel: &CHANNEL,
+            noise,
+            bursts,
+            payload_len: 16,
+            fault_rate,
+        }
+    }
+
+    /// The lane driver over each receiver's design equals the
+    /// interpreter reference of that receiver, fault-free and faulty, at
+    /// every geometry. 19 bursts leave a short last chunk at 3 lanes
+    /// (one burst) and at 8 (three), and give every lane count a chunk
+    /// that reuses a batch.
     #[test]
     fn reused_batches_give_the_scalar_totals_at_every_geometry() {
-        let tape = tape();
-        let scalar = measure(&ParConfig::single(), &CHANNEL, 0.4, true, 19, 16).expect("scalar");
-        // The totals before batches were reused, batched or not.
-        assert_eq!((scalar.errors, scalar.bits), (3, 228));
+        let single = ParConfig::single();
         // Burst 4's plan flips `hold_request`; the batched driver held
         // that lane forever before it drove the input every cycle.
-        let faulty = measure_with_faults(&ParConfig::single(), &CHANNEL, 0.2, 0.02, 7, 16)
-            .expect("scalar faulty");
-        assert_eq!((faulty.errors, faulty.bits), (5, 84));
-        for lanes in [1usize, 3, 8] {
-            for threads in [1usize, 4] {
-                let pool = ParConfig::new(threads);
-                let rb = Robust::plain(&pool);
-                for tape in [None, Some(&tape)] {
-                    let at = format!("lanes={lanes} threads={threads} cached={}", tape.is_some());
-                    let c = measure_batched(
-                        &rb,
-                        "reuse",
-                        &CHANNEL,
-                        0.4,
-                        true,
-                        19,
-                        16,
-                        lanes,
-                        OptLevel::Full,
-                        tape,
-                    )
-                    .expect("batched");
-                    assert_eq!(c, scalar, "{at}");
-                    let f = measure_with_faults_batched(
-                        &rb,
-                        "reuse_f",
-                        &CHANNEL,
-                        0.2,
-                        0.02,
-                        7,
-                        16,
-                        lanes,
-                        OptLevel::Full,
-                        tape,
-                    )
-                    .expect("batched faulty");
-                    assert_eq!(f, faulty, "{at}");
+        let points = [point(0.4, 19, None), point(0.2, 7, Some(0.02))];
+        for adapt in [true, false] {
+            let design = design(adapt);
+            let reference: Vec<BerCount> = points
+                .iter()
+                .map(|p| measure_reference(&single, &receiver(adapt), p).expect("reference"))
+                .collect();
+            if adapt {
+                // The totals before batches were reused, batched or not.
+                assert_eq!((reference[0].errors, reference[0].bits), (3, 228));
+                assert_eq!((reference[1].errors, reference[1].bits), (5, 84));
+            }
+            for lanes in [1usize, 3, 8] {
+                for threads in [1usize, 4] {
+                    let pool = ParConfig::new(threads);
+                    let rb = Robust::plain(&pool);
+                    for (p, want) in points.iter().zip(&reference) {
+                        let got = measure_lanes(&rb, "reuse", &design, p, lanes).expect("lanes");
+                        assert_eq!(
+                            got, *want,
+                            "adapt={adapt} lanes={lanes} threads={threads} faults={:?}",
+                            p.fault_rate
+                        );
+                    }
                 }
             }
+            // The benchmark's wrapper, with the design's tape or without.
+            let rb = Robust::plain(&single);
+            for tape in [None, Some(design.tape())] {
+                let got = measure_batched(
+                    &rb,
+                    "wrapper",
+                    &CHANNEL,
+                    0.4,
+                    adapt,
+                    19,
+                    16,
+                    3,
+                    OptLevel::None,
+                    tape,
+                )
+                .expect("wrapper");
+                assert_eq!(got, reference[0], "adapt={adapt} cached={}", tape.is_some());
+            }
         }
+    }
+
+    /// A manifest names the design's structure and memory contents and
+    /// the point: under one stream name it resumes across lanes, threads
+    /// and optimization levels, and is refused for the other receiver
+    /// (one structure, other ROMs) and for another fault rate.
+    #[test]
+    fn a_manifest_resumes_only_its_own_receiver_and_point() {
+        let dir = std::env::temp_dir().join(format!("ocapi-ber-keyed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir = dir.to_string_lossy().into_owned();
+        let (one, four) = (ParConfig::single(), ParConfig::new(4));
+        let rb = |pool, resume| Robust {
+            dir: Some(&dir),
+            resume,
+            ..Robust::plain(pool)
+        };
+        let (adaptive, fixed) = (design(true), design(false));
+        let clean = point(0.3, 2, None);
+        let want = measure_lanes(&rb(&one, false), "s", &adaptive, &clean, 1).expect("write");
+        let other_level = CompiledDesign::new(
+            build_system(&receiver(true)).expect("build"),
+            OptLevel::None,
+            |_| None,
+        )
+        .expect("compile");
+        let got = measure_lanes(&rb(&four, true), "s", &other_level, &clean, 2).expect("resume");
+        assert_eq!(got, want);
+        for (design, p) in [
+            (&fixed, clean),
+            (&adaptive, point(0.3, 2, Some(0.0))),
+            (&adaptive, point(0.3, 2, Some(0.01))),
+        ] {
+            let err = measure_lanes(&rb(&one, true), "s", design, &p, 1).unwrap_err();
+            assert!(
+                matches!(err, BenchError::Checkpoint(_)),
+                "faults {:?}: {err}",
+                p.fault_rate
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A checkpointed count with more errors than bits, or counts whose
@@ -689,23 +647,12 @@ mod tests {
     /// totals match a clean run.
     #[test]
     fn a_panicked_chunk_is_retried_on_a_fresh_batch() {
-        let tape = tape();
-        let design = transceiver(&adaptive(), OptLevel::Full, Some(&tape)).expect("design");
+        let design = design(true);
+        let p = point(0.4, 7, None);
         for threads in [1usize, 4] {
             let pool = ParConfig::new(threads);
-            let clean = measure_batched(
-                &Robust::plain(&pool),
-                "clean",
-                &CHANNEL,
-                0.4,
-                true,
-                7,
-                16,
-                3,
-                OptLevel::Full,
-                Some(&tape),
-            )
-            .expect("clean");
+            let clean =
+                measure_lanes(&Robust::plain(&pool), "clean", &design, &p, 3).expect("clean");
             // Chunks [0,1,2] [3,4,5] [6]: the second panics once.
             let plan = ChaosPlan::new(vec![(3, 0, ChaosKind::Panic).into()]);
             let states = AtomicUsize::new(0);
@@ -726,8 +673,7 @@ mod tests {
                         WorkerSims::default()
                     },
                     |sims, seeds| {
-                        let counts =
-                            batched_chunk(sims, &design, &CHANNEL, 0.4, None, 16, None, seeds)?;
+                        let counts = batched_chunk(sims, &design, &p, None, seeds)?;
                         plan.strike(seeds[0])?;
                         Ok(counts)
                     },

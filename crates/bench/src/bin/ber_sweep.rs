@@ -22,8 +22,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use ocapi::CompiledTape;
-use ocapi_bench::ber::{fmt_ber, measure, measure_batched, measure_with_faults_batched};
+use ocapi::CompiledDesign;
+use ocapi_bench::ber::{fmt_ber, measure_lanes, measure_reference, BerPoint};
 use ocapi_bench::{parse_args, timed, write_profile, BenchError, Reporter, Robust};
 use ocapi_designs::dect::transceiver::{build_system, TransceiverConfig};
 use ocapi_obs::Registry;
@@ -45,9 +45,9 @@ fn run(args: &ocapi_bench::BenchArgs) -> Result<(), BenchError> {
     let rb = Robust::new(args, &pool, Some(&obs));
     let root = obs.span("ber_sweep");
 
-    // Both receiver configurations compile once up front; every chunk
-    // of every sweep point reuses the cached tape instead of
-    // re-levelizing — the same artifact the simulation service caches.
+    // Each receiver is captured and compiled once, up front, into one
+    // design; every chunk of every sweep point builds its batches from
+    // it, capturing, hashing and compiling nothing.
     let sw_compile = ocapi_obs::Stopwatch::start();
     let cfg_eq = TransceiverConfig {
         train: true,
@@ -59,8 +59,8 @@ fn run(args: &ocapi_bench::BenchArgs) -> Result<(), BenchError> {
         agc: false,
         adapt: false,
     };
-    let tape_eq = CompiledTape::compile(&build_system(&cfg_eq)?, level)?;
-    let tape_fixed = CompiledTape::compile(&build_system(&cfg_fixed)?, level)?;
+    let design_eq = CompiledDesign::new(build_system(&cfg_eq)?, level, |_| None)?;
+    let design_fixed = CompiledDesign::new(build_system(&cfg_fixed)?, level, |_| None)?;
     let compile_secs = sw_compile.elapsed_secs();
 
     let (bursts, payload) = if args.quick { (2, 64) } else { (8, 160) };
@@ -91,30 +91,15 @@ fn run(args: &ocapi_bench::BenchArgs) -> Result<(), BenchError> {
     for channel in channels {
         for &noise in noises {
             let key = format!("ch{channel:?}_n{noise}");
-            let eq = measure_batched(
-                &rb,
-                &format!("eq_{key}"),
+            let point = BerPoint {
                 channel,
                 noise,
-                true,
                 bursts,
-                payload,
-                lanes,
-                level,
-                Some(&tape_eq),
-            )?;
-            let fixed = measure_batched(
-                &rb,
-                &format!("fixed_{key}"),
-                channel,
-                noise,
-                false,
-                bursts,
-                payload,
-                lanes,
-                level,
-                Some(&tape_fixed),
-            )?;
+                payload_len: payload,
+                fault_rate: None,
+            };
+            let eq = measure_lanes(&rb, &format!("eq_{key}"), &design_eq, &point, lanes)?;
+            let fixed = measure_lanes(&rb, &format!("fixed_{key}"), &design_fixed, &point, lanes)?;
             total_runs += 2 * bursts;
             println!(
                 "{:<22} {:>7.2} {:>14} {:>15}",
@@ -144,18 +129,14 @@ fn run(args: &ocapi_bench::BenchArgs) -> Result<(), BenchError> {
     let t_fault = root.child("fault_sweep").timer();
     let sw_fault = ocapi_obs::Stopwatch::start();
     for &rate in rates {
-        let c = measure_with_faults_batched(
-            &rb,
-            &format!("fault_r{rate}"),
-            &[1.0, 0.45],
-            0.05,
-            rate,
+        let point = BerPoint {
+            channel: &[1.0, 0.45],
+            noise: 0.05,
             bursts,
-            payload,
-            lanes,
-            level,
-            Some(&tape_eq),
-        )?;
+            payload_len: payload,
+            fault_rate: Some(rate),
+        };
+        let c = measure_lanes(&rb, &format!("fault_r{rate}"), &design_eq, &point, lanes)?;
         total_runs += bursts;
         println!("{rate:<22} {:>14}", fmt_ber(c));
         rep.result_u64(&format!("fault_r{rate}_errors"), c.errors);
@@ -179,32 +160,25 @@ fn run(args: &ocapi_bench::BenchArgs) -> Result<(), BenchError> {
     }
 
     // Scalar-vs-batched head-to-head on one equalised sweep point: the
-    // interpreted one-burst-at-a-time path against the lane-batched
-    // compiled tape at `--lanes`. Identical counts are asserted (the
-    // batching contract), and both throughputs land in the perf record
-    // — CI gates on batched_runs_per_sec rising with the lane count.
+    // interpreter reference, one burst at a time, against the lane
+    // driver at `--lanes`. Identical counts are asserted (the batching
+    // contract), and both throughputs land in the perf record — CI
+    // gates on batched_runs_per_sec rising with the lane count.
     // Deliberately uncheckpointed: it is a timing probe, not a campaign.
     let hh_bursts = if args.quick { 8 } else { 16 };
-    let hh_channel = [1.0, 0.65, 0.35];
+    let hh = BerPoint {
+        channel: &[1.0, 0.65, 0.35],
+        noise: 0.05,
+        bursts: hh_bursts,
+        payload_len: payload,
+        fault_rate: None,
+    };
     let rb_plain = Robust::plain(&pool);
     let t_hh = root.child("head_to_head").timer();
-    let (scalar_hh, scalar_secs) =
-        timed(|| measure(&pool, &hh_channel, 0.05, true, hh_bursts, payload));
+    let (scalar_hh, scalar_secs) = timed(|| measure_reference(&pool, &cfg_eq, &hh));
     let scalar_hh = scalar_hh?;
-    let (batched_hh, batched_secs) = timed(|| {
-        measure_batched(
-            &rb_plain,
-            "head_to_head",
-            &hh_channel,
-            0.05,
-            true,
-            hh_bursts,
-            payload,
-            lanes,
-            level,
-            Some(&tape_eq),
-        )
-    });
+    let (batched_hh, batched_secs) =
+        timed(|| measure_lanes(&rb_plain, "head_to_head", &design_eq, &hh, lanes));
     let batched_hh = batched_hh?;
     drop(t_hh);
     assert_eq!(batched_hh, scalar_hh, "batched BER diverged from scalar");

@@ -121,7 +121,7 @@ fn system_level_campaign(
     // like the thread-count contract above.
     let t_batched = root.child("campaign_batched").timer();
     let (batched, secs_batched) = timed(|| {
-        let design = CompiledDesign::compile(hcor::build_system()?, args.opt_level())?;
+        let design = CompiledDesign::new(hcor::build_system()?, args.opt_level(), |_| None)?;
         run_campaign_batched(&pool, &design, stimulus, cycles, &events, args.lanes)
     });
     let batched = batched?;

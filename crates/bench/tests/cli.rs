@@ -1,11 +1,10 @@
 //! The shared benchmark CLI: parsing contract for every bin, plus
-//! thread-count invariance of the sharded BER measurement (the property
-//! the CI determinism job checks end-to-end on the built binaries).
+//! thread-count invariance of the sharded BER reference (the property
+//! the CI determinism job checks end-to-end on the built binaries), and
+//! the lane driver's totals against the reference.
 
-use ocapi::{CompiledTape, OptLevel, ParConfig};
-use ocapi_bench::ber::{
-    measure, measure_batched, measure_with_faults, measure_with_faults_batched,
-};
+use ocapi::{CompiledDesign, CompiledTape, OptLevel, ParConfig};
+use ocapi_bench::ber::{measure_batched, measure_lanes, measure_reference, BerPoint};
 use ocapi_bench::{parse_arg_list, BenchArgs, Robust};
 use ocapi_designs::dect::transceiver::{build_system, TransceiverConfig};
 
@@ -143,21 +142,32 @@ fn ber_counts_invariant_across_thread_counts() {
     // A tiny sweep point, measured at 1, 2 and 8 workers: the summed
     // (errors, bits) totals must be bit-identical because every burst
     // carries its own explicit seed and the merge is order-keyed.
-    let baseline =
-        measure(&ParConfig::new(1), &[1.0, 0.65, 0.35], 0.4, true, 3, 24).expect("measure");
+    let cfg = TransceiverConfig::default();
+    let point = BerPoint {
+        channel: &[1.0, 0.65, 0.35],
+        noise: 0.4,
+        bursts: 3,
+        payload_len: 24,
+        fault_rate: None,
+    };
+    let baseline = measure_reference(&ParConfig::new(1), &cfg, &point).expect("measure");
     assert!(baseline.bits > 0, "the measurement must compare bits");
     for threads in [2usize, 8] {
-        let c = measure(
-            &ParConfig::new(threads),
-            &[1.0, 0.65, 0.35],
-            0.4,
-            true,
-            3,
-            24,
-        )
-        .expect("measure");
+        let c = measure_reference(&ParConfig::new(threads), &cfg, &point).expect("measure");
         assert_eq!(c, baseline, "BER totals diverged at {threads} thread(s)");
     }
+}
+
+/// The trained, adaptive receiver and its tape, compiled once up front.
+fn adaptive_tape() -> (TransceiverConfig, CompiledTape) {
+    let cfg = TransceiverConfig {
+        train: true,
+        agc: false,
+        adapt: true,
+    };
+    let tape = CompiledTape::compile(&build_system(&cfg).expect("build"), OptLevel::Full)
+        .expect("compile");
+    (cfg, tape)
 }
 
 #[test]
@@ -167,17 +177,18 @@ fn batched_ber_counts_equal_scalar_for_all_lane_and_thread_counts() {
     // so lanes × threads is pure geometry. Includes lane counts that do
     // not divide the burst count (ragged final chunk).
     let channel = [1.0, 0.65, 0.35];
-    let scalar = measure(&ParConfig::new(1), &channel, 0.4, true, 5, 24).expect("measure");
+    let (cfg, tape) = adaptive_tape();
+    let point = BerPoint {
+        channel: &channel,
+        noise: 0.4,
+        bursts: 5,
+        payload_len: 24,
+        fault_rate: None,
+    };
+    let scalar = measure_reference(&ParConfig::new(1), &cfg, &point).expect("measure");
     // A tape compiled once up front must reproduce the totals of
     // batches the workers compile themselves bit-for-bit too — the
     // simulation service's warm path.
-    let cfg = TransceiverConfig {
-        train: true,
-        agc: false,
-        adapt: true,
-    };
-    let tape = CompiledTape::compile(&build_system(&cfg).expect("build"), OptLevel::Full)
-        .expect("compile");
     for lanes in [1usize, 3, 8] {
         for threads in [1usize, 4] {
             let pool = ParConfig::new(threads);
@@ -211,36 +222,30 @@ fn batched_faulty_ber_counts_equal_scalar() {
     // The faulted variant exercises per-lane fault plans and the
     // masked-lane (fully-errored burst) accounting path.
     let channel = [1.0, 0.65, 0.35];
-    let scalar =
-        measure_with_faults(&ParConfig::new(1), &channel, 0.2, 0.02, 4, 24).expect("measure");
-    let pool = ParConfig::new(2);
-    let cfg = TransceiverConfig {
-        train: true,
-        agc: false,
-        adapt: true,
+    let (cfg, tape) = adaptive_tape();
+    let point = BerPoint {
+        channel: &channel,
+        noise: 0.2,
+        bursts: 4,
+        payload_len: 24,
+        fault_rate: Some(0.02),
     };
-    let tape = CompiledTape::compile(&build_system(&cfg).expect("build"), OptLevel::Full)
-        .expect("compile");
+    let scalar = measure_reference(&ParConfig::new(1), &cfg, &point).expect("measure");
+    let pool = ParConfig::new(2);
     for lanes in [1usize, 3] {
-        for tape in [None, Some(&tape)] {
-            let c = measure_with_faults_batched(
-                &Robust::plain(&pool),
-                "test_fault",
-                &channel,
-                0.2,
-                0.02,
-                4,
-                24,
-                lanes,
-                OptLevel::Full,
-                tape,
-            )
-            .expect("measure");
+        for cached in [None, Some(&tape)] {
+            let design =
+                CompiledDesign::new(build_system(&cfg).expect("build"), OptLevel::Full, |_| {
+                    cached.cloned()
+                })
+                .expect("design");
+            let c = measure_lanes(&Robust::plain(&pool), "test_fault", &design, &point, lanes)
+                .expect("measure");
             assert_eq!(
                 c,
                 scalar,
                 "faulted totals diverged at {lanes} lanes, cached={}",
-                tape.is_some()
+                cached.is_some()
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Seeded byte-mutation fuzzing of checkpoint manifests, as a resumed
 //! BER measurement reads them.
 //!
-//! The manifest is the one a real `measure_batched` run writes. Every
+//! The manifest is the one a real `measure_lanes` run writes. Every
 //! mutant's checksum line is recomputed, so the damage reaches the line
 //! parser behind the checksum. Every mutant is written back in its
 //! place and the same measurement is resumed from it: the resume must
@@ -12,8 +12,8 @@
 
 use ocapi::rng::XorShift64;
 use ocapi::sim::hash::Fnv;
-use ocapi::{CompiledTape, OptLevel, ParConfig};
-use ocapi_bench::ber::measure_batched;
+use ocapi::{CompiledDesign, OptLevel, ParConfig};
+use ocapi_bench::ber::{measure_lanes, BerPoint};
 use ocapi_bench::{BenchError, Robust};
 use ocapi_designs::dect::transceiver::{build_system, TransceiverConfig};
 use ocapi_obs::Registry;
@@ -92,9 +92,15 @@ fn mutated_manifests_resume_or_fail_typed() {
     let dir = std::env::temp_dir().join(format!("ocapi-manifest-fuzz-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir = dir.to_string_lossy().into_owned();
-    let cfg = TransceiverConfig::default();
-    let tape = CompiledTape::compile(&build_system(&cfg).expect("build"), OptLevel::Full)
-        .expect("compile");
+    let sys = build_system(&TransceiverConfig::default()).expect("build");
+    let design = CompiledDesign::new(sys, OptLevel::Full, |_| None).expect("compile");
+    let point = BerPoint {
+        channel: &CHANNEL,
+        noise: 0.3,
+        bursts: BURSTS,
+        payload_len: 16,
+        fault_rate: None,
+    };
     let pool = ParConfig::single();
     let measure = |resume: bool, obs: Option<&Registry>| {
         let rb = Robust {
@@ -104,18 +110,7 @@ fn mutated_manifests_resume_or_fail_typed() {
             obs,
             ..Robust::plain(&pool)
         };
-        measure_batched(
-            &rb,
-            "fuzz",
-            &CHANNEL,
-            0.3,
-            cfg.adapt,
-            BURSTS,
-            16,
-            BURSTS as usize,
-            OptLevel::Full,
-            Some(&tape),
-        )
+        measure_lanes(&rb, "fuzz", &design, &point, BURSTS as usize)
     };
     let reference = measure(false, None).expect("reference run");
     let mut paths = std::fs::read_dir(&dir).expect("checkpoint dir");

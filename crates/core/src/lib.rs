@@ -90,7 +90,7 @@ pub use sim::fault::{
     CampaignReport, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultSite, FaultySim,
     LaneFault,
 };
-pub use sim::hash::{hash_compiled, hash_system, CompiledDesign, CompiledTape};
+pub use sim::hash::{hash_system, CompiledDesign, CompiledTape};
 pub use sim::par::{map_indexed_retry, map_indexed_with, ParConfig, ParError, RetryStats};
 pub use sim::snapshot::SimSnapshot;
 pub use sim::{BatchedSim, CompiledSim, InterpSim, OptLevel, OptStats, Simulator, WorkerSims};

@@ -318,7 +318,7 @@ impl BatchedSim {
     /// single-pass schedule.
     pub fn new_with(systems: Vec<System>, level: OptLevel) -> Result<BatchedSim, CoreError> {
         let (system, lanes, own) = split_lanes(systems)?;
-        BatchedSim::from_parts(&CompiledDesign::compile(system, level)?, lanes, own)
+        BatchedSim::from_parts(&CompiledDesign::new(system, level, |_| None)?, lanes, own)
     }
 
     /// Instantiates a batch from a cached [`CompiledTape`] without
@@ -335,7 +335,8 @@ impl BatchedSim {
     /// compiled from.
     pub fn from_tape(systems: Vec<System>, tape: &CompiledTape) -> Result<BatchedSim, CoreError> {
         let (system, lanes, own) = split_lanes(systems)?;
-        BatchedSim::from_parts(&CompiledDesign::new(system, tape)?, lanes, own)
+        let design = CompiledDesign::new(system, tape.level(), |_| Some(tape.clone()))?;
+        BatchedSim::from_parts(&design, lanes, own)
     }
 
     /// Builds `lanes` lanes of `design`: the batch shares the design's
@@ -476,7 +477,7 @@ impl BatchedSim {
         make_sys: impl FnOnce() -> Result<System, CoreError>,
         level: OptLevel,
     ) -> Result<BatchedSim, CoreError> {
-        let design = CompiledDesign::compile(make_sys()?, level)?;
+        let design = CompiledDesign::new(make_sys()?, level, |_| None)?;
         BatchedSim::from_design(&design, lanes.max(1))
     }
 

@@ -874,8 +874,9 @@ pub fn run_campaign_batched(
 
 /// [`run_campaign_batched`] over the design that one `make_sys` call and
 /// a cached `tape` form ([`CompiledDesign::new`]): one capture and one
-/// structural hash check a campaign. A one-off campaign compiles its
-/// tape with [`CompiledTape::compile`].
+/// structural hash check a campaign. Kept only because the repository
+/// benchmark calls it; every other caller forms its design once and
+/// calls [`run_campaign_batched`].
 ///
 /// # Errors
 ///
@@ -891,7 +892,7 @@ pub fn run_campaign_cached_par(
     events: &[FaultEvent],
     lanes: usize,
 ) -> Result<CampaignReport, CoreError> {
-    let design = CompiledDesign::new(make_sys()?, tape)?;
+    let design = CompiledDesign::new(make_sys()?, tape.level(), |_| Some(tape.clone()))?;
     run_campaign_batched(pool, &design, stimulus, cycles, events, lanes)
 }
 

@@ -40,12 +40,13 @@
 //! immutable template is what every simulator built from the
 //! design shares ([`crate::CompiledSim::from_design`],
 //! [`crate::BatchedSim::from_design`]), on any thread, so building one
-//! captures and hashes nothing. Forming a design is the one place the
-//! structural hash of an offered system is compared with a tape's; a
-//! cache lookup gone wrong is a typed [`CoreError::TapeMismatch`] there,
-//! never a silently wrong simulation. The `from_tape` constructors form
-//! a design from the system they are given. Compiling hashes the system
-//! once: the program hash extends the structural hash instead of
+//! captures and hashes nothing. Forming a design ([`CompiledDesign::new`])
+//! hashes the offered system once, looks its tape up by that hash and
+//! compares the hash stored in the tape it gets back, or compiles the
+//! system without hashing it again: a cache lookup gone wrong is a typed
+//! [`CoreError::TapeMismatch`] there, never a silently wrong simulation.
+//! The `from_tape` constructors form a design from the system they are
+//! given. The program hash extends the structural hash instead of
 //! recomputing it. One simulator executes the tape as it is — every
 //! [`crate::BatchedSim`], and `CompiledSim` as its one-lane form, shares
 //! the tape's program — so there is no per-engine or per-lane-count
@@ -189,19 +190,6 @@ fn hash_program(system_hash: u64, prog: &Program) -> u64 {
     h.finish()
 }
 
-/// The program hash of `sys` compiled at `level` — a convenience that
-/// levelizes, optimizes and hashes in one call. Use [`CompiledTape`]
-/// when the compiled program itself is wanted too (a cache should:
-/// hashing alone costs a full compilation).
-///
-/// # Errors
-///
-/// Returns [`CoreError::NotCompilable`] when the design has no static
-/// single-pass schedule.
-pub fn hash_compiled(sys: &System, level: OptLevel) -> Result<u64, CoreError> {
-    Ok(CompiledTape::compile(sys, level)?.program_hash())
-}
-
 /// One levelized, optimized compilation of a system: the immutable
 /// program plus the two hashes that key it. Cheap to clone and safe to
 /// share across threads — the program is reference-counted, and
@@ -230,8 +218,17 @@ impl CompiledTape {
     /// Returns [`CoreError::NotCompilable`] when the conservative
     /// cross-component dependence graph is cyclic.
     pub fn compile(sys: &System, level: OptLevel) -> Result<CompiledTape, CoreError> {
+        CompiledTape::compile_hashed(sys, hash_system(sys), level)
+    }
+
+    /// [`CompiledTape::compile`] of a system whose structural hash the
+    /// caller has just computed from it.
+    fn compile_hashed(
+        sys: &System,
+        system_hash: u64,
+        level: OptLevel,
+    ) -> Result<CompiledTape, CoreError> {
         let prog = build_program(sys, level)?;
-        let system_hash = hash_system(sys);
         let program_hash = hash_program(system_hash, &prog);
         Ok(CompiledTape {
             prog: Arc::new(prog),
@@ -265,7 +262,7 @@ impl CompiledTape {
     }
 
     /// Verifies that `sys` is structurally the system this tape was
-    /// compiled from; [`CompiledDesign::new`] goes through here.
+    /// compiled from.
     ///
     /// # Errors
     ///
@@ -309,30 +306,32 @@ pub struct CompiledDesign {
 }
 
 impl CompiledDesign {
-    /// Pairs `sys` with `tape`, once `sys` is verified to be
-    /// structurally the system the tape was compiled from: the one
-    /// structural hash check of the design.
+    /// The design of `sys`, which becomes its template: `sys` is hashed
+    /// once ([`hash_system`]), `cached` is asked for a tape compiled from
+    /// a system of that hash, and a tape it returns is paired with `sys`
+    /// once the structural hash stored in the tape is found equal; with
+    /// none (`|_| None`), `sys` is compiled at `level` without hashing it
+    /// again. The one structural hash of the design, whichever way its
+    /// tape comes.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::TapeMismatch`] when it is not.
-    pub fn new(sys: System, tape: &CompiledTape) -> Result<CompiledDesign, CoreError> {
-        tape.check_system(&sys)?;
-        Ok(CompiledDesign {
-            system: Arc::new(sys),
-            tape: tape.clone(),
-        })
-    }
-
-    /// Compiles `sys` at `level` ([`CompiledTape::compile`]) and keeps it
-    /// as the design's template.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotCompilable`] when the design has no
-    /// static single-pass schedule.
-    pub fn compile(sys: System, level: OptLevel) -> Result<CompiledDesign, CoreError> {
-        let tape = CompiledTape::compile(&sys, level)?;
+    /// Returns [`CoreError::TapeMismatch`] when `cached` returns a tape
+    /// compiled from another structure, and [`CoreError::NotCompilable`]
+    /// when the design has no static single-pass schedule.
+    pub fn new(
+        sys: System,
+        level: OptLevel,
+        cached: impl FnOnce(u64) -> Option<CompiledTape>,
+    ) -> Result<CompiledDesign, CoreError> {
+        let system_hash = hash_system(&sys);
+        let tape = match cached(system_hash) {
+            Some(tape) => {
+                tape.check_hash(system_hash)?;
+                tape
+            }
+            None => CompiledTape::compile_hashed(&sys, system_hash, level)?,
+        };
         Ok(CompiledDesign {
             system: Arc::new(sys),
             tape,
@@ -435,18 +434,35 @@ mod tests {
     }
 
     #[test]
-    fn hash_compiled_matches_the_tape() {
-        let t = CompiledTape::compile(&build("d"), OptLevel::Full).unwrap();
-        assert_eq!(
-            hash_compiled(&build("d"), OptLevel::Full).unwrap(),
-            t.program_hash()
-        );
-    }
-
-    #[test]
     fn mismatched_system_is_a_typed_error() {
         let t = CompiledTape::compile(&build("d"), OptLevel::Full).unwrap();
         match t.check_system(&build("e")) {
+            Err(CoreError::TapeMismatch { expected, got }) => {
+                assert_eq!(expected, t.system_hash());
+                assert_eq!(got, hash_system(&build("e")));
+            }
+            other => panic!("expected TapeMismatch, got {other:?}"),
+        }
+    }
+
+    /// The constructor asks for a tape by the hash it computed, pairs
+    /// the one it gets after comparing stored hashes, and compiles when
+    /// it gets none.
+    #[test]
+    fn a_design_pairs_a_cached_tape_or_compiles() {
+        let t = CompiledTape::compile(&build("d"), OptLevel::None).unwrap();
+        let mut asked = None;
+        let cached = CompiledDesign::new(build("d"), OptLevel::Full, |h| {
+            asked = Some(h);
+            Some(t.clone())
+        })
+        .unwrap();
+        assert_eq!(asked, Some(t.system_hash()));
+        assert_eq!(cached.tape().program_hash(), t.program_hash());
+        let fresh = CompiledDesign::new(build("d"), OptLevel::Full, |_| None).unwrap();
+        assert_eq!(fresh.tape().level(), OptLevel::Full);
+        assert_eq!(fresh.tape().system_hash(), t.system_hash());
+        match CompiledDesign::new(build("e"), OptLevel::None, |_| Some(t.clone())) {
             Err(CoreError::TapeMismatch { expected, got }) => {
                 assert_eq!(expected, t.system_hash());
                 assert_eq!(got, hash_system(&build("e")));

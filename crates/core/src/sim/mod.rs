@@ -37,7 +37,7 @@ pub use batch::{BatchedSim, WorkerSims};
 pub use budget::{Budget, BudgetKind};
 pub use chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 pub use compiled::CompiledSim;
-pub use hash::{hash_compiled, hash_system, CompiledDesign, CompiledTape};
+pub use hash::{hash_system, CompiledDesign, CompiledTape};
 pub use interp::InterpSim;
 pub use lower::{FusedSim, FusedTape, LowerStats};
 pub use opt::{OptLevel, OptStats};

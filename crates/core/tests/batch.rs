@@ -536,7 +536,7 @@ fn lanes_of_one_capture_equal_lanes_of_separate_captures() {
     let cfg = TransceiverConfig::default();
     let build = || dect::transceiver::build_system(&cfg).unwrap();
     let tape = CompiledTape::compile(&build(), OptLevel::Full).unwrap();
-    let design = CompiledDesign::new(build(), &tape).unwrap();
+    let design = CompiledDesign::new(build(), OptLevel::Full, |_| Some(tape.clone())).unwrap();
     let mut one = BatchedSim::from_design(&design, LANES).unwrap();
     let mut many = BatchedSim::from_tape((0..LANES).map(|_| build()).collect(), &tape).unwrap();
     assert_eq!(one.design_hash(), many.design_hash());
@@ -625,8 +625,7 @@ fn preloaded_ram_system(word: u64) -> System {
 /// preload in every lane.
 #[test]
 fn a_lane_of_one_capture_reads_its_own_ram() {
-    let tape = CompiledTape::compile(&preloaded_ram_system(0x5a), OptLevel::Full).unwrap();
-    let design = CompiledDesign::new(preloaded_ram_system(0x5a), &tape).unwrap();
+    let design = CompiledDesign::new(preloaded_ram_system(0x5a), OptLevel::Full, |_| None).unwrap();
     let mut sim = BatchedSim::from_design(&design, 2).unwrap();
     let power_up = Value::bits(8, 0x5a);
     for (c, we0) in [true, false, false].into_iter().enumerate() {

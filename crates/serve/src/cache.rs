@@ -27,7 +27,7 @@
 
 use std::sync::Mutex;
 
-use ocapi::{hash_system, CompiledDesign, CompiledTape, CoreError, OptLevel, System};
+use ocapi::{CompiledDesign, CompiledTape, CoreError, OptLevel, System};
 use ocapi_obs::Registry;
 
 use crate::designs::Design;
@@ -108,9 +108,11 @@ impl TapeCache {
     /// `build` captures the variant's system, and must capture the same
     /// system every time it is called for the same variant, as the
     /// design registry's builders do. It runs once, on the variant's
-    /// first lookup, which hashes the capture to find its tape; forming
-    /// the design checks that hash once more. Every later lookup of the
-    /// variant, at any level, neither builds nor hashes.
+    /// first lookup, which hashes the capture once
+    /// ([`CompiledDesign::new`]): the hash finds a cached tape, whose
+    /// stored hash is compared with it, or keys the compilation. Every
+    /// later lookup of the variant, at any level, neither builds nor
+    /// hashes.
     ///
     /// # Errors
     ///
@@ -136,17 +138,16 @@ impl TapeCache {
             };
             return template.with_tape(&tape);
         }
-        let sys = build()?;
-        let key = (hash_system(&sys), level);
-        let design = match self.hit(key) {
-            // A new variant may share its structure with a cached one.
-            Some(tape) => CompiledDesign::new(sys, &tape)?,
-            None => {
-                let design = CompiledDesign::compile(sys, level)?;
-                self.insert(key, design.tape().clone());
-                design
-            }
-        };
+        // A new variant may share its structure with a cached one.
+        let mut missed = false;
+        let design = CompiledDesign::new(build()?, level, |hash| {
+            let tape = self.hit((hash, level));
+            missed = tape.is_none();
+            tape
+        })?;
+        if missed {
+            self.insert((design.tape().system_hash(), level), design.tape().clone());
+        }
         let mut inner = self.lock();
         // A racing first lookup of the variant may have added it.
         if inner.variants.iter().all(|(v, _)| v != variant) {

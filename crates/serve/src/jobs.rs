@@ -10,11 +10,10 @@
 //! worker pool is per-job, and no job reports into a registry another
 //! job could share.
 //!
-//! A cache hit captures and hashes nothing: campaigns and sessions run
-//! on the variant's cached template ([`ocapi::CompiledDesign`]), and
-//! the drivers build one simulator per worker from it and reset it
-//! between chunks. A BER job's `ber::measure_batched` still captures
-//! the transceiver once per noise point.
+//! A cache hit captures and hashes nothing: BER jobs, campaigns and
+//! sessions run on the variant's cached template
+//! ([`ocapi::CompiledDesign`]), and the drivers build one simulator per
+//! worker from it and reset it between chunks.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -26,7 +25,7 @@ use ocapi::{
     run_campaign_batched, CompiledSim, CoreError, FaultEvent, FaultPlan, FaultSite, Fix, OptLevel,
     Overflow, Rounding, SigType, SimSnapshot, Simulator, System, Value,
 };
-use ocapi_bench::ber::measure_batched;
+use ocapi_bench::ber::{measure_lanes, BerPoint};
 use ocapi_bench::Robust;
 use ocapi_obs::json::{obj, Json};
 
@@ -53,14 +52,18 @@ fn opt_u64(req: &Json, key: &str, default: u64) -> Result<u64, ServeError> {
 }
 
 /// Upper bounds on the request fields that size a job's allocations
-/// (event list, golden output rows, burst list, payload buffers, lane batch),
-/// its worker threads and its retries. Far above every in-tree client,
-/// low enough that one request cannot exhaust the daemon's memory or
-/// threads.
+/// (event list, golden output rows, burst list, payload buffers, channel
+/// copies, lane batch), its length (noise points, session cycles), its
+/// worker threads and its retries. Far above every in-tree client, low
+/// enough that one request cannot exhaust the daemon's memory or
+/// threads, or hold a connection for hours.
 const MAX_EVENTS: u64 = 1 << 16;
 const MAX_CYCLES: u64 = 1 << 16;
+const MAX_SESSION_CYCLES: u64 = 1 << 20;
 const MAX_BURSTS: u64 = 1 << 16;
 const MAX_PAYLOAD_LEN: u64 = 1 << 12;
+const MAX_TAPS: usize = 64;
+const MAX_POINTS: usize = 256;
 const MAX_LANES: u64 = 256;
 const MAX_THREADS: u64 = 64;
 const MAX_RETRIES: u64 = 16;
@@ -86,14 +89,31 @@ fn opt_bool(req: &Json, key: &str, default: bool) -> Result<bool, ServeError> {
     }
 }
 
-fn opt_f64_arr(req: &Json, key: &str, default: &[f64]) -> Result<Vec<f64>, ServeError> {
-    match req.get(key) {
-        None => Ok(default.to_vec()),
-        Some(v) => v
-            .as_arr()
-            .and_then(|items| items.iter().map(Json::as_f64).collect::<Option<Vec<f64>>>())
-            .ok_or_else(|| ServeError::Parse(format!("field `{key}` must be an array of numbers"))),
+/// An array of numbers, refused with a parse error naming the field and
+/// the cap when it holds more than `cap`.
+fn capped_f64_arr(
+    req: &Json,
+    key: &str,
+    default: &[f64],
+    cap: usize,
+) -> Result<Vec<f64>, ServeError> {
+    let items = match req.get(key) {
+        None => return Ok(default.to_vec()),
+        Some(v) => v.as_arr().ok_or_else(|| {
+            ServeError::Parse(format!("field `{key}` must be an array of numbers"))
+        })?,
+    };
+    if items.len() > cap {
+        return Err(ServeError::Parse(format!(
+            "field `{key}` has {} numbers, above the cap of {cap}",
+            items.len()
+        )));
     }
+    items
+        .iter()
+        .map(Json::as_f64)
+        .collect::<Option<Vec<f64>>>()
+        .ok_or_else(|| ServeError::Parse(format!("field `{key}` must be an array of numbers")))
 }
 
 fn opt_level(req: &Json) -> Result<OptLevel, ServeError> {
@@ -234,25 +254,22 @@ fn output_names(sys: &System) -> Vec<String> {
     sys.primary_outputs.iter().map(|o| o.name.clone()).collect()
 }
 
-/// A BER job: the batched sweep driver over the cached transceiver
-/// tape, one sweep point per `chunk` frame, per-burst checkpointing
-/// namespaced by the request id when `checkpoint` is set. Each point
-/// captures the transceiver once, to pair it with the tape.
+/// A BER job: the lane driver over the cached design of the receiver
+/// variant (`dect` or `dect_fixed`, each template holding its own ROMs),
+/// one sweep point per `chunk` frame, per-burst checkpointing namespaced
+/// by the request id when `checkpoint` is set. No point captures or
+/// hashes a system.
 pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<(), ServeError> {
     let id = request_id(req)?;
     reject_engine(req, "ber")?;
     let design = design_of(req, Design::Dect)?;
-    let adapt = match design {
-        Design::Dect => true,
-        Design::DectFixed => false,
-        Design::Hcor => {
-            return Err(ServeError::Parse(
-                "op `ber` needs a transceiver design (dect or dect_fixed)".into(),
-            ))
-        }
-    };
-    let channel = opt_f64_arr(req, "channel", &[1.0, 0.45])?;
-    let noise = opt_f64_arr(req, "noise", &[0.05])?;
+    if design == Design::Hcor {
+        return Err(ServeError::Parse(
+            "op `ber` needs a transceiver design (dect or dect_fixed)".into(),
+        ));
+    }
+    let channel = capped_f64_arr(req, "channel", &[1.0, 0.45], MAX_TAPS)?;
+    let noise = capped_f64_arr(req, "noise", &[0.05], MAX_POINTS)?;
     let bursts = capped_u64(req, "bursts", 4, MAX_BURSTS)?.max(1);
     let payload_len = capped_u64(req, "payload_len", 64, MAX_PAYLOAD_LEN)?.max(16) as usize;
     let lanes = capped_u64(req, "lanes", 1, MAX_LANES)?.max(1) as usize;
@@ -287,18 +304,14 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
     let mut tot_errors = 0u64;
     let mut tot_bits = 0u64;
     for (i, &noise_pt) in noise.iter().enumerate() {
-        let c = measure_batched(
-            &rb,
-            &format!("pt{i}"),
-            &channel,
-            noise_pt,
-            adapt,
+        let point = BerPoint {
+            channel: &channel,
+            noise: noise_pt,
             bursts,
             payload_len,
-            lanes,
-            level,
-            Some(compiled.tape()),
-        )?;
+            fault_rate: None,
+        };
+        let c = measure_lanes(&rb, &format!("pt{i}"), &compiled, &point, lanes)?;
         tot_errors += c.errors;
         tot_bits += c.bits;
         send(
@@ -463,7 +476,7 @@ pub fn session_run(
 ) -> Result<(), ServeError> {
     let id = request_id(req)?;
     let name = need_str(req, "session")?;
-    let cycles = opt_u64(req, "cycles", 16)?.max(1);
+    let cycles = capped_u64(req, "cycles", 16, MAX_SESSION_CYCLES)?.max(1);
     let parked = {
         let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
         match sessions.get(name) {

@@ -34,7 +34,7 @@
 //!   templates.
 //! * [`designs`] — the registry of named buildable designs.
 //! * [`jobs`] — the executor dispatching into `run_campaign_batched`,
-//!   `ber::measure_batched` and `Robust::run_chunked`.
+//!   `ber::measure_lanes` and `Robust::run_chunked`.
 //! * [`server`] — listener, connection threads, shared state.
 //!
 //! Binaries: `served` (the daemon) and `servectl` (client + load

@@ -8,6 +8,9 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
+use ocapi::ParConfig;
+use ocapi_bench::ber::{measure_reference, BerPoint};
+use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_serve::proto::{is_deterministic, is_terminal, read_frame, write_frame};
 use ocapi_serve::server::{handle_request, run, ServerState};
 use ocapi_serve::Json;
@@ -272,6 +275,25 @@ fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
                 r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":16,"retries":{huge}}}"#
             ),
         ),
+        // A thousand taps or points: uncapped, each runs one short burst.
+        (
+            "channel",
+            format!(
+                r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":16,"channel":[1{}]}}"#,
+                ",0".repeat(999)
+            ),
+        ),
+        (
+            "noise",
+            format!(
+                r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":16,"noise":[0{}]}}"#,
+                ",0".repeat(999)
+            ),
+        ),
+        (
+            "cycles",
+            format!(r#"{{"op":"session.run","id":"big","session":"none","cycles":{huge}}}"#),
+        ),
     ] {
         let reply = exchange(&socket, &request);
         assert!(reply.contains("\"type\":\"error\""), "{field}: {reply}");
@@ -365,4 +387,55 @@ fn transceivers_keep_their_own_roms_behind_one_program() {
     assert_eq!(shared.cache.len(), 1);
     assert_ne!(results[0], results[1], "dect and dect_fixed results differ");
     assert_eq!(results[0], results[2]);
+}
+
+/// A served BER job on each transceiver variant runs the lane driver
+/// over that variant's cached design, whose template holds its own
+/// ROMs: every point's counts equal the interpreter reference of its own
+/// receiver, at one lane and thread and at several, cold and warm.
+#[test]
+fn served_ber_equals_the_reference_of_each_receiver() {
+    let state = ServerState::new("/tmp/unused.sock", 8, 8, None);
+    let pool = ParConfig::single();
+    let noise = [0.05, 0.3, 0.45];
+    for (design, adapt) in [("dect", true), ("dect_fixed", false), ("dect", true)] {
+        let cfg = TransceiverConfig {
+            train: adapt,
+            agc: false,
+            adapt,
+        };
+        let want: Vec<String> = noise
+            .iter()
+            .map(|&noise| {
+                let point = BerPoint {
+                    channel: &[1.0, 0.65, 0.35],
+                    noise,
+                    bursts: 3,
+                    payload_len: 16,
+                    fault_rate: None,
+                };
+                let c = measure_reference(&pool, &cfg, &point).unwrap();
+                format!("{},{}", c.errors, c.bits)
+            })
+            .collect();
+        for (lanes, threads) in [(1, 1), (3, 2)] {
+            let reply = transcript(
+                &state,
+                &format!(
+                    r#"{{"op":"ber","id":"b","design":"{design}","channel":[1.0,0.65,0.35],"noise":[0.05,0.3,0.45],"bursts":3,"payload_len":16,"lanes":{lanes},"threads":{threads}}}"#
+                ),
+            );
+            let got: Vec<String> = reply
+                .lines()
+                .map(|line| Json::parse(line).unwrap())
+                .filter(|frame| frame.get("type").and_then(Json::as_str) == Some("chunk"))
+                .map(|frame| {
+                    let n = |k: &str| frame.get(k).and_then(Json::as_f64).unwrap();
+                    format!("{},{}", n("errors"), n("bits"))
+                })
+                .collect();
+            assert_eq!(got, want, "{design} lanes={lanes} threads={threads}");
+        }
+    }
+    assert_eq!(state.cache.stats().1, 1, "both receivers share one tape");
 }

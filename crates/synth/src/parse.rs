@@ -86,7 +86,8 @@ fn split_indexed(tok: &str, line: usize) -> Result<(&str, usize), SynthError> {
 ///
 /// Returns [`SynthError::Parse`] with the offending line number when a
 /// statement falls outside the emitted subset, references an undeclared
-/// wire, or the module header/ports are malformed.
+/// wire, or the module header/ports are malformed — including ports
+/// wider in total than the source has lines, which no netlist can bind.
 pub fn verilog_netlist(src: &str) -> Result<ParsedNetlist, SynthError> {
     let mut p = Parser {
         net: Netlist::new(),
@@ -95,6 +96,11 @@ pub fn verilog_netlist(src: &str) -> Result<ParsedNetlist, SynthError> {
         out_ports: Vec::new(),
     };
     let mut name = None;
+    // Every port bit takes a line (its own `assign`, or the declaration
+    // of `clk`/`rst`), so declared ports may total at most as many bits
+    // as the source has lines; a wider range is refused before it sizes
+    // anything.
+    let mut bindable = src.lines().count();
 
     for (ln, raw) in src.lines().enumerate() {
         let ln = ln + 1;
@@ -112,12 +118,12 @@ pub fn verilog_netlist(src: &str) -> Result<ParsedNetlist, SynthError> {
                 .ok_or_else(|| err(ln, "malformed module header"))?;
             name = Some(m.trim().to_owned());
         } else if let Some(rest) = stmt.strip_prefix("input ") {
-            let (width, pname) = parse_decl(rest, ln)?;
+            let (width, pname) = parse_decl(rest, ln, &mut bindable)?;
             if pname != "clk" && pname != "rst" {
                 p.in_ports.push((pname, vec![None; width]));
             }
         } else if let Some(rest) = stmt.strip_prefix("output ") {
-            let (width, pname) = parse_decl(rest, ln)?;
+            let (width, pname) = parse_decl(rest, ln, &mut bindable)?;
             p.out_ports.push((pname, vec![None; width]));
         } else if let Some(rest) = stmt.strip_prefix("wire ").or(stmt.strip_prefix("reg ")) {
             p.declare(rest.trim());
@@ -148,22 +154,32 @@ pub fn verilog_netlist(src: &str) -> Result<ParsedNetlist, SynthError> {
     })
 }
 
-/// Parses `[N:0] name` or `name` from a port declaration body.
-fn parse_decl(rest: &str, ln: usize) -> Result<(usize, String), SynthError> {
+/// Parses `[N:0] name` or `name` from a port declaration body, taking
+/// its width from the `bindable` bits left.
+fn parse_decl(rest: &str, ln: usize, bindable: &mut usize) -> Result<(usize, String), SynthError> {
     let rest = rest.trim();
-    if let Some(body) = rest.strip_prefix('[') {
-        let (range, pname) = body
-            .split_once(']')
-            .ok_or_else(|| err(ln, "malformed range"))?;
-        let msb = range
-            .split_once(':')
-            .and_then(|(m, l)| (l.trim() == "0").then(|| m.trim().parse::<usize>().ok()))
-            .flatten()
-            .ok_or_else(|| err(ln, format!("unsupported range `[{range}]`")))?;
-        Ok((msb + 1, pname.trim().to_owned()))
-    } else {
-        Ok((1, rest.to_owned()))
-    }
+    let (width, pname) = match rest.strip_prefix('[') {
+        Some(body) => {
+            let (range, pname) = body
+                .split_once(']')
+                .ok_or_else(|| err(ln, "malformed range"))?;
+            let msb = range
+                .split_once(':')
+                .and_then(|(m, l)| (l.trim() == "0").then(|| m.trim().parse::<usize>().ok()))
+                .flatten()
+                .ok_or_else(|| err(ln, format!("unsupported range `[{range}]`")))?;
+            (msb.checked_add(1), pname.trim())
+        }
+        None => (Some(1), rest),
+    };
+    let width = width.filter(|w| w <= bindable).ok_or_else(|| {
+        err(
+            ln,
+            format!("port `{pname}` is wider than the netlist can bind"),
+        )
+    })?;
+    *bindable -= width;
+    Ok((width, pname.to_owned()))
 }
 
 fn parse_assign(p: &mut Parser, rest: &str, ln: usize) -> Result<(), SynthError> {
@@ -328,6 +344,23 @@ mod tests {
             verilog_netlist(src),
             Err(SynthError::Parse { line: 3, .. })
         ));
+    }
+
+    /// A range no source can bind is refused before it sizes a port:
+    /// `usize::MAX` used to overflow `msb + 1`, and 10^15 bits to ask
+    /// for petabytes.
+    #[test]
+    fn ranges_wider_than_the_source_are_refused() {
+        for msb in ["18446744073709551615", "999999999999999", "5"] {
+            let src = format!("module m (clk, rst, a);\n  input [{msb}:0] a;\nendmodule\n");
+            match verilog_netlist(&src) {
+                Err(SynthError::Parse { line, message }) => {
+                    assert_eq!(line, 2);
+                    assert!(message.contains("wider than"), "{message}");
+                }
+                other => panic!("expected parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
