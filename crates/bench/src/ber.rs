@@ -14,14 +14,14 @@
 //! * [`measure_reference`] runs every burst on its own interpreter of
 //!   the receiver a [`TransceiverConfig`] builds — the reference.
 //! * [`measure_lanes`] runs the bursts over one [`CompiledDesign`], a
-//!   chunk of lanes at a time, under the [`Robust`] envelope: bounded
-//!   retry per chunk, and per-burst checkpoint manifests so a killed
-//!   sweep resumes (`--resume`) to byte-identical totals. It captures
-//!   and hashes nothing: every worker builds its batches from the
-//!   design — one per lane count ([`WorkerSims`]), reset between chunks
-//!   — and each burst's fault plan is sampled from the design's
-//!   template. A chunk that fails or panics drops the worker's batches,
-//!   so its retry runs on a fresh build.
+//!   chunk of lanes at a time, under the [`Robust`] envelope: per-burst
+//!   checkpoint manifests so a killed sweep resumes (`--resume`) to
+//!   byte-identical totals. It captures and hashes nothing: every
+//!   worker builds its batches from the design — one per lane count
+//!   ([`WorkerSims`]), reset between chunks — and each burst's fault
+//!   plan is sampled from the design's template. A chunk that fails or
+//!   panics drops the worker's batches, so its next chunk runs on a
+//!   fresh build.
 //!
 //! [`measure_batched`] remains only as the repository benchmark's
 //! pinned entry point: it forms a design and calls [`measure_lanes`].
@@ -470,9 +470,9 @@ pub fn fmt_ber(c: BerCount) -> String {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     use super::*;
-    use ocapi::{ChaosKind, ChaosPlan};
 
     const CHANNEL: [f64; 3] = [1.0, 0.65, 0.35];
 
@@ -642,27 +642,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A chunk whose first attempt panics after it has run — leaving its
-    /// batch mid-burst — is retried on a freshly built batch, and the
-    /// totals match a clean run.
+    /// A chunk that panics after it has run — leaving its batch
+    /// mid-burst — fails the run at its first item, and its worker drops
+    /// that batch: the worker's next chunk runs on a freshly built one
+    /// and counts exactly as in a clean run.
     #[test]
-    fn a_panicked_chunk_is_retried_on_a_fresh_batch() {
+    fn a_panicked_chunk_fails_at_its_first_item_and_the_next_gets_a_fresh_batch() {
         let design = design(true);
         let p = point(0.4, 7, None);
         for threads in [1usize, 4] {
             let pool = ParConfig::new(threads);
-            let clean =
-                measure_lanes(&Robust::plain(&pool), "clean", &design, &p, 3).expect("clean");
-            // Chunks [0,1,2] [3,4,5] [6]: the second panics once.
-            let plan = ChaosPlan::new(vec![(3, 0, ChaosKind::Panic).into()]);
-            let states = AtomicUsize::new(0);
-            let rb = Robust {
-                attempts: 2,
-                ..Robust::plain(&pool)
-            };
-            let parts = rb
-                .run_chunked(
-                    "chaos",
+            // Chunks [0,1,2] [3,4,5] [6]; `panic_at` names the chunk
+            // that panics once it has run.
+            let run = |panic_at: Option<usize>| {
+                let states = AtomicUsize::new(0);
+                let seen = Mutex::new(Vec::new());
+                let parts = Robust::plain(&pool).run_chunked(
+                    "s",
                     0,
                     7,
                     3,
@@ -674,17 +670,37 @@ mod tests {
                     },
                     |sims, seeds| {
                         let counts = batched_chunk(sims, &design, &p, None, seeds)?;
-                        plan.strike(seeds[0])?;
+                        if panic_at == Some(seeds[0]) {
+                            panic!("chunk {} panicked after running", seeds[0]);
+                        }
+                        let mut seen = seen.lock().unwrap();
+                        seen.extend(seeds.iter().copied().zip(counts.iter().copied()));
                         Ok(counts)
                     },
-                )
-                .expect("retried run");
-            assert_eq!(sum(parts).expect("sum"), clean, "threads={threads}");
-            assert_eq!(plan.attempts(3), 2, "threads={threads}");
+                );
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_by_key(|(i, _)| *i);
+                (parts, states.into_inner(), seen)
+            };
+            let (clean, _, _) = run(None);
+            let clean = clean.expect("clean run");
+            let (parts, states, seen) = run(Some(3));
+            assert!(
+                matches!(parts, Err(BenchError::Panic { index: 3 })),
+                "threads={threads}: {parts:?}"
+            );
+            assert_eq!(
+                seen.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+                [0, 1, 2, 6],
+                "threads={threads}"
+            );
+            for (i, counts) in &seen {
+                assert_eq!(*counts, clean[*i], "threads={threads}: item {i}");
+            }
             if threads == 1 {
                 // One worker: its state is dropped after the panic and
-                // rebuilt for [6]; the retry round builds a third.
-                assert_eq!(states.into_inner(), 3);
+                // rebuilt for [6].
+                assert_eq!(states, 2);
             }
         }
     }

@@ -7,8 +7,7 @@
 //!   manufacturing test set, and fault simulation grades them.
 //! * **System level** — a cycle-true `FaultySim` campaign over every
 //!   register and net of the captured system, classifying each injected
-//!   fault as masked, silently corrupting, detected, or timed out
-//!   (killed by a watchdog budget).
+//!   fault as masked, silently corrupting or detected.
 //!
 //! Both levels shard across the `--threads N` worker pool (fault
 //! batches at gate level, fault events at system level) with
@@ -110,8 +109,6 @@ fn system_level_campaign(
     drop(t_campaign);
     obs.counter("fault.campaign_injections")
         .add(report.total() as u64);
-    obs.counter("robust.budget_hits")
-        .add(report.timed_out() as u64);
 
     // The same campaign through the lane-batched compiled back-end:
     // `--lanes` fault runs share one micro-op tape walk per cycle, and
@@ -148,9 +145,6 @@ fn system_level_campaign(
         100.0 * report.silent_rate()
     );
     println!("  detected (error)   {:>6}", report.detected());
-    if report.timed_out() > 0 {
-        println!("  timed out (budget) {:>6}", report.timed_out());
-    }
     if let Some(lat) = report.mean_detection_latency() {
         println!("  mean latency to first visible effect: {lat:.1} cycles");
     }
@@ -168,7 +162,6 @@ fn system_level_campaign(
     rep.result_u64("campaign_masked", report.masked() as u64);
     rep.result_u64("campaign_silent", report.silent() as u64);
     rep.result_u64("campaign_detected", report.detected() as u64);
-    rep.result_u64("campaign_timed_out", report.timed_out() as u64);
     rep.perf_f64("campaign_secs_t1", secs_t1);
     rep.perf_f64("campaign_secs_tn", secs_tn);
     rep.perf_f64("campaign_speedup", secs_t1 / secs_tn.max(1e-12));

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use ocapi::sim::hash::Fnv;
-use ocapi::sim::par::{map_indexed_retry, ParError};
+use ocapi::sim::par::{map_indexed_with, ParError};
 use ocapi::{CoreError, ParConfig};
 use ocapi_obs::Registry;
 
@@ -233,17 +233,13 @@ impl CheckpointStream {
     }
 }
 
-/// The robustness envelope of a sharded run: worker pool, bounded
-/// retries, and (optionally) checkpointing — built once per bin from the
-/// parsed [`BenchArgs`] and threaded through the drivers.
+/// The robustness envelope of a sharded run: worker pool and
+/// (optionally) checkpointing — built once per bin from the parsed
+/// [`BenchArgs`] and threaded through the drivers.
 #[derive(Debug, Clone, Copy)]
 pub struct Robust<'a> {
     /// The worker pool.
     pub pool: &'a ParConfig,
-    /// Attempts per item (≥ 1); retries re-run the item with its
-    /// original index-derived seed, so a recovered item is bit-identical
-    /// to a first-try success.
-    pub attempts: u32,
     /// Flush the manifest every this many completed items.
     pub every: u64,
     /// Checkpoint directory (`--checkpoint`); `None` disables
@@ -275,7 +271,6 @@ impl<'a> Robust<'a> {
     pub fn new(args: &'a BenchArgs, pool: &'a ParConfig, obs: Option<&'a Registry>) -> Robust<'a> {
         Robust {
             pool,
-            attempts: args.retries,
             every: args.checkpoint_every,
             dir: args.checkpoint.as_deref(),
             job: None,
@@ -284,12 +279,11 @@ impl<'a> Robust<'a> {
         }
     }
 
-    /// A plain envelope with no checkpointing and no retries — the
-    /// pre-robustness behaviour, for tests and default paths.
+    /// A plain envelope with no checkpointing — for tests and default
+    /// paths.
     pub fn plain(pool: &'a ParConfig) -> Robust<'a> {
         Robust {
             pool,
-            attempts: 1,
             every: u64::MAX,
             dir: None,
             job: None,
@@ -320,27 +314,28 @@ impl<'a> Robust<'a> {
 
     /// Runs `n_items` work items through `run`, `chunk` items per work
     /// unit (1 = scalar; `--lanes` for lane-batched drivers), with
-    /// bounded retry, periodic checkpointing, and resume.
+    /// periodic checkpointing and resume.
     ///
     /// `run` receives the worker's state (built by `init`, as in
     /// [`ocapi::map_indexed_with`]: once per worker and manifest flush,
-    /// and afresh after a chunk that fails or panics, so a retry never
-    /// reuses it) and the **global indices** of one chunk's items, and
-    /// returns one result per index; item values must depend only on the
-    /// global index (the determinism contract of every driver here), so
-    /// re-chunking the leftover items of a resumed run cannot change
-    /// them. Results come back in item order — identical for every
-    /// chunk size, thread count, retry count, and resume history.
+    /// and afresh after a chunk that fails or panics, so a failed chunk
+    /// never leaves it to the next) and the **global indices** of one
+    /// chunk's items, and returns one result per index; item values must
+    /// depend only on the global index (the determinism contract of
+    /// every driver here), so re-chunking the leftover items of a
+    /// resumed run cannot change them. Results come back in item order —
+    /// identical for every chunk size, thread count and resume history.
     ///
     /// # Errors
     ///
     /// [`BenchError::Item`]/[`BenchError::Panic`] for the
-    /// lowest-indexed chunk that still fails after `attempts` tries
-    /// (completed chunks of the same group are checkpointed first, so
-    /// the failed run still advances), plus manifest I/O and decode
-    /// errors: [`BenchError::Checkpoint`] for a payload `decode`
-    /// refuses and for an item index at or beyond `n_items`, which no
-    /// run of this stream writes.
+    /// lowest-indexed chunk that fails or panics. Every chunk of its
+    /// flush group still runs, but none of them is recorded: only the
+    /// groups flushed before it stay on disk, and a resume reruns the
+    /// whole failing group. Manifest I/O and decode errors are
+    /// [`BenchError::Checkpoint`], as are a payload `decode` refuses and
+    /// an item index at or beyond `n_items`, which no run of this
+    /// stream writes.
     #[allow(clippy::too_many_arguments)]
     pub fn run_chunked<S, R: Send>(
         &self,
@@ -393,25 +388,16 @@ impl<'a> Robust<'a> {
             chunks.len().max(1)
         };
         for group in chunks.chunks(per_group) {
-            let (res, stats) =
-                map_indexed_retry(self.pool, group, self.attempts, &init, |st, _, idxs| {
-                    run(st, idxs)
-                });
-            self.counter("robust.retries", stats.retries);
-            let res = res.map_err(|e| match e {
-                ParError::Task { index, error } => {
-                    if matches!(error, CoreError::BudgetExceeded { .. }) {
-                        self.counter("robust.budget_hits", 1);
-                    }
-                    BenchError::Item {
+            let res = map_indexed_with(self.pool, group, &init, |st, _, idxs| run(st, idxs))
+                .map_err(|e| match e {
+                    ParError::Task { index, error } => BenchError::Item {
                         index: group[index][0],
                         error,
-                    }
-                }
-                ParError::Panic { index } => BenchError::Panic {
-                    index: group[index][0],
-                },
-            })?;
+                    },
+                    ParError::Panic { index } => BenchError::Panic {
+                        index: group[index][0],
+                    },
+                })?;
             for (idxs, rs) in group.iter().zip(res) {
                 if rs.len() != idxs.len() {
                     return Err(BenchError::Checkpoint(format!(
@@ -709,32 +695,47 @@ mod tests {
         assert_eq!(job_dir("/r", "a.b"), job_dir("/r", "a.b"));
     }
 
+    /// A failing chunk returns before its flush group is recorded: the
+    /// manifest keeps only the groups flushed before it, and a resume
+    /// without the failure reruns the rest to the uninterrupted results.
     #[test]
-    fn run_chunked_retries_flaky_items() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let pool = ParConfig::new(1);
-        let args = crate::cli::BenchArgs {
-            retries: 3,
-            ..crate::cli::BenchArgs::defaults("t")
-        };
-        let rb = Robust::new(&args, &pool, None);
-        let tries = AtomicU32::new(0);
-        let out = rb.run_chunked(
-            "s",
-            0,
-            4,
-            1,
-            |r: &u64| r.to_string(),
-            |s| s.parse().ok(),
-            || (),
-            |_, idxs| {
+    fn a_failed_group_leaves_only_earlier_groups_on_disk() {
+        let enc = |r: &u64| r.to_string();
+        let dec = |s: &str| s.parse::<u64>().ok();
+        let run = |fail: bool| {
+            move |_: &mut (), idxs: &[usize]| {
                 let i = idxs[0];
-                if i == 2 && tries.fetch_add(1, Ordering::SeqCst) < 2 {
-                    return Err(ocapi::CoreError::WorkerPanic { index: i });
+                if fail && i == 5 {
+                    return Err(CoreError::WorkerPanic { index: i });
                 }
-                Ok(vec![i as u64])
-            },
-        );
-        assert_eq!(out.unwrap(), vec![0, 1, 2, 3]);
+                Ok(vec![i as u64 * 10])
+            }
+        };
+        for threads in [1usize, 2] {
+            let pool = ParConfig::new(threads);
+            let full = Robust::plain(&pool)
+                .run_chunked("s", 7, 8, 1, enc, dec, || (), run(false))
+                .unwrap();
+            let dir = tmpdir(&format!("failed-group-{threads}"));
+            let mut args = crate::cli::BenchArgs::defaults("t");
+            args.checkpoint = Some(dir.clone());
+            args.checkpoint_every = 4;
+            let err = Robust::new(&args, &pool, None)
+                .run_chunked("s", 7, 8, 1, enc, dec, || (), run(true))
+                .unwrap_err();
+            assert!(matches!(err, BenchError::Item { index: 5, .. }), "{err}");
+            let st = CheckpointStream::open(&dir, "s", 7, true).unwrap();
+            assert_eq!(st.resumed(), 4);
+            assert!((0..4).all(|i| st.completed(i).is_some()));
+            assert!((4..8).all(|i| st.completed(i).is_none()));
+            args.resume = true;
+            let reg = Registry::new();
+            let resumed = Robust::new(&args, &pool, Some(&reg))
+                .run_chunked("s", 7, 8, 1, enc, dec, || (), run(false))
+                .unwrap();
+            assert_eq!(reg.counter("robust.items_resumed").get(), 4);
+            assert_eq!(resumed, full);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

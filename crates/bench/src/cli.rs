@@ -61,10 +61,6 @@ pub struct BenchArgs {
     /// Skip items already recorded in the checkpoint manifests
     /// (`--resume`; requires `--checkpoint`).
     pub resume: bool,
-    /// Attempts per sharded work item (≥ 1; `--retries`). Retried items
-    /// re-run with their original index-derived seeds, so recovery is
-    /// bit-identical to a first-try success.
-    pub retries: u32,
     /// Partition count for the model-parallel gate engine
     /// (`--partitions`, ≥ 1; 1 = single sub-kernel). Only `table_gates`
     /// acts on it today. Results are bit-identical for every K — the
@@ -87,7 +83,6 @@ impl BenchArgs {
             checkpoint: None,
             checkpoint_every: 64,
             resume: false,
-            retries: 1,
             partitions: 1,
         }
     }
@@ -111,7 +106,7 @@ impl BenchArgs {
 pub fn usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--threads N] [--lanes N] [--quick] [--opt N] [--json PATH] [--perf-json PATH] [--profile-json PATH]\n\
-         \x20      [--checkpoint DIR] [--checkpoint-every N] [--resume] [--retries N]\n\
+         \x20      [--checkpoint DIR] [--checkpoint-every N] [--resume]\n\
          \x20      [--partitions K]\n\
          \n\
          \x20 -t, --threads N    worker threads for the sharded engines (default 1;\n\
@@ -140,9 +135,6 @@ pub fn usage(bin: &str) -> String {
          \x20     --resume       skip items recorded in DIR's manifests; the\n\
          \x20                    resumed JSON output is byte-identical to an\n\
          \x20                    uninterrupted run at any --lanes x --threads\n\
-         \x20     --retries N    attempts per sharded work item (default 1);\n\
-         \x20                    retried items rerun with their original seeds,\n\
-         \x20                    so recovery is bit-identical\n\
          \x20     --partitions K\n\
          \x20                    partitions for the model-parallel gate engine\n\
          \x20                    (default 1). The netlist is split into K\n\
@@ -217,13 +209,6 @@ pub fn parse_arg_list(bin: &str, args: &[String]) -> Result<BenchArgs, String> {
                     parse_at_least_one("--checkpoint-every", &arg["--checkpoint-every=".len()..])?;
             }
             "--resume" => out.resume = true,
-            "--retries" => {
-                let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
-                out.retries = parse_at_least_one(arg, v)? as u32;
-            }
-            _ if arg.starts_with("--retries=") => {
-                out.retries = parse_at_least_one("--retries", &arg["--retries=".len()..])? as u32;
-            }
             "--partitions" => {
                 let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
                 out.partitions = parse_partitions(arg, v)?;
@@ -241,8 +226,7 @@ pub fn parse_arg_list(bin: &str, args: &[String]) -> Result<BenchArgs, String> {
     Ok(out)
 }
 
-/// Parses a count that must be at least 1 (checkpoint interval, retry
-/// attempts).
+/// Parses a count that must be at least 1 (the checkpoint interval).
 fn parse_at_least_one(flag: &str, v: &str) -> Result<u64, String> {
     match v.parse::<u64>() {
         Ok(n) if n >= 1 => Ok(n),

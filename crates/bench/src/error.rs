@@ -29,16 +29,15 @@ pub enum BenchError {
     Synth(SynthError),
     /// An HDL code-generation error while counting generated lines.
     Codegen(CodegenError),
-    /// Work item `index` of a sharded run failed after all retry
-    /// attempts.
+    /// Work item `index` of a sharded run failed.
     Item {
         /// Global index of the failed item (lowest-indexed failure,
         /// deterministic for every thread count).
         index: usize,
-        /// The item's final error.
+        /// The item's error.
         error: CoreError,
     },
-    /// Work item `index` panicked in a worker after all retry attempts.
+    /// Work item `index` panicked in a worker.
     Panic {
         /// Global index of the panicked item.
         index: usize,

@@ -109,15 +109,6 @@ pub enum CoreError {
         /// Index of the work item whose closure panicked.
         index: usize,
     },
-    /// A watchdog budget attached to the simulator ran out. The run is
-    /// stopped with a typed error instead of hanging: campaigns classify
-    /// the item as timed out and keep going.
-    BudgetExceeded {
-        /// Which budget was exhausted.
-        kind: crate::sim::budget::BudgetKind,
-        /// The cycle count at which the budget tripped.
-        at_cycle: u64,
-    },
     /// A snapshot was offered to a simulator whose structural design
     /// hash does not match the one the snapshot was taken from: a
     /// different design.
@@ -199,9 +190,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::WorkerPanic { index } => {
                 write!(f, "sharded work item {index} panicked in a worker thread")
-            }
-            CoreError::BudgetExceeded { kind, at_cycle } => {
-                write!(f, "{kind} budget exceeded at cycle {at_cycle}")
             }
             CoreError::SnapshotMismatch { expected, got } => {
                 write!(

@@ -83,15 +83,13 @@ pub use comp::{
 };
 pub use error::CoreError;
 pub use fsm::{Fsm, FsmBuilder, StateRef, Transition, TransitionBuilder};
-pub use sim::budget::{Budget, BudgetKind};
-pub use sim::chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 pub use sim::fault::{
     apply_lane_faults, run_campaign_batched, run_campaign_cached_par, run_campaign_par,
     CampaignReport, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultSite, FaultySim,
     LaneFault,
 };
 pub use sim::hash::{hash_system, CompiledDesign, CompiledTape};
-pub use sim::par::{map_indexed_retry, map_indexed_with, ParConfig, ParError, RetryStats};
+pub use sim::par::{map_indexed_with, ParConfig, ParError};
 pub use sim::snapshot::SimSnapshot;
 pub use sim::{BatchedSim, CompiledSim, InterpSim, OptLevel, OptStats, Simulator, WorkerSims};
 pub use sim::{FusedSim, FusedTape, LowerStats};

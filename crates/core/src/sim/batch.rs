@@ -66,7 +66,6 @@ use std::sync::Arc;
 use ocapi_obs::Registry;
 
 use crate::blocks::UntimedBlock;
-use crate::sim::budget::Budget;
 use crate::sim::compiled::Program;
 use crate::sim::exec::{self, All, Fired, Lanes, Live, Memory, MemoryPlan, One, State};
 use crate::sim::hash::{CompiledDesign, CompiledTape};
@@ -138,7 +137,6 @@ pub struct BatchedSim {
     cycle: u64,
     traces: Option<Vec<Trace>>,
     obs: Option<TapeObs>,
-    budget: Budget,
     design_hash: u64,
 }
 
@@ -377,19 +375,10 @@ impl BatchedSim {
             cycle: 0,
             traces: None,
             obs: None,
-            budget: Budget::none(),
             design_hash: tape.system_hash(),
             system,
             blocks,
         })
-    }
-
-    /// Attaches watchdog limits ([`Budget`]) to the whole batch:
-    /// subsequent steps fail with [`CoreError::BudgetExceeded`] —
-    /// a batch-wide error, not a lane masking — instead of running
-    /// past them.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
     }
 
     /// The structural design hash keying this batch's lane snapshots
@@ -560,13 +549,12 @@ impl BatchedSim {
 
     /// Returns every lane to power-up state: state slots, FSM states,
     /// registers, memories (each lane's power-up image) and generic
-    /// untimed blocks. Masked lanes are revived, the cycle
-    /// count restarts at 0 and enabled traces restart empty; the budget
-    /// and any attached bundle stay. From here the batch steps exactly
-    /// as a fresh build from the same tape would — every output, net,
-    /// trace row and snapshot — which is what lets drivers reuse one
-    /// batch per worker ([`WorkerSims`]) instead of building one per
-    /// run.
+    /// untimed blocks. Masked lanes are revived, the cycle count
+    /// restarts at 0 and enabled traces restart empty; an attached
+    /// bundle stays. From here the batch steps exactly as a fresh build
+    /// from the same tape would — every output, net, trace row and
+    /// snapshot — which is what lets drivers reuse one batch per worker
+    /// ([`WorkerSims`]) instead of building one per run.
     pub fn reset(&mut self) {
         self.st.reset(&self.prog, &self.system);
         for b in &mut self.blocks {
@@ -982,7 +970,6 @@ impl Simulator for BatchedSim {
     /// error — so a 1-lane batch reports errors exactly like the scalar
     /// compiled back-end.
     fn step(&mut self) -> Result<(), CoreError> {
-        self.budget.check_cycle(self.cycle)?;
         if self.masked == self.lanes {
             return Err(self.first_error());
         }

@@ -38,7 +38,6 @@ use ocapi_obs::Registry;
 
 use crate::comp::{Component, NodeId, NodeKind};
 use crate::sim::batch::BatchedSim;
-use crate::sim::budget::Budget;
 use crate::sim::hash::{CompiledDesign, CompiledTape};
 use crate::sim::obs::TapeObs;
 use crate::sim::opt::{self, OptEnv, OptLevel, OptStats};
@@ -652,14 +651,6 @@ impl CompiledSim {
         BatchedSim::from_design(design, 1).map(CompiledSim)
     }
 
-    /// Attaches watchdog limits ([`Budget`]): subsequent steps fail
-    /// with [`CoreError::BudgetExceeded`] instead of running past them.
-    /// The settle-iteration limit does not apply here — the compiled
-    /// tape is straight-line code with no settle loop.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.0.set_budget(budget);
-    }
-
     /// The structural design hash keying this simulator's snapshots
     /// ([`crate::sim::hash::hash_system`]), equal to
     /// [`crate::InterpSim::design_hash`]: snapshots cross engines and
@@ -673,8 +664,7 @@ impl CompiledSim {
     /// files, held untimed outputs, stateful untimed blocks and the
     /// cycle count — as a [`SimSnapshot`], the same bytes
     /// [`crate::InterpSim::snapshot`] gives at the same cycle. Traces
-    /// and budgets are not part of the snapshot. Take snapshots between
-    /// steps.
+    /// are not part of the snapshot. Take snapshots between steps.
     pub fn snapshot(&self) -> SimSnapshot {
         self.0.capture(0)
     }

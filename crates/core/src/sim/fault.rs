@@ -16,8 +16,8 @@
 //! built explicitly or sampled with the deterministic in-tree
 //! [`XorShift64`] PRNG, so every campaign is reproducible from its seed.
 //! A campaign sweeps a list of fault events against a golden
-//! (fault-free) run and classifies each as masked, silently corrupting,
-//! detected or timed out — the raw material for detection-latency and
+//! (fault-free) run and classifies each as masked, silently corrupting
+//! or detected — the raw material for detection-latency and
 //! graceful-degradation studies (see the `fault_coverage` and
 //! `ber_sweep` benchmark binaries). There are two campaign drivers, both
 //! sharded over a worker pool with reports that are bit-identical for
@@ -456,17 +456,6 @@ pub enum FaultOutcome {
         /// The reported error.
         error: CoreError,
     },
-    /// The run hit a watchdog budget ([`CoreError::BudgetExceeded`]) —
-    /// e.g. a fault that drove the design into a livelock the cycle
-    /// budget cut short. Kept separate from [`FaultOutcome::Detected`]
-    /// because the design did *not* flag the fault; the harness killed
-    /// the run.
-    TimedOut {
-        /// Cycle at which the budget tripped.
-        cycle: u64,
-        /// Which budget tripped.
-        kind: crate::sim::budget::BudgetKind,
-    },
 }
 
 /// Aggregate result of a fault campaign.
@@ -506,13 +495,13 @@ impl CampaignReport {
             .count()
     }
 
-    /// Faulty runs killed by a watchdog budget rather than completing or
-    /// raising a design-level error.
+    /// Always 0: every faulty run completes or fails with an error
+    /// ([`FaultOutcome::Detected`]). Kept only because the repository
+    /// benchmark still reads it, until its next change removes it with
+    /// its `campaign.timed_out` metric.
+    #[doc(hidden)]
     pub fn timed_out(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| matches!(o, FaultOutcome::TimedOut { .. }))
-            .count()
+        0
     }
 
     /// Fraction of faults that silently corrupted outputs (0 if none
@@ -534,7 +523,7 @@ impl CampaignReport {
             let at = match o {
                 FaultOutcome::SilentCorruption { first_divergence } => *first_divergence,
                 FaultOutcome::Detected { cycle, .. } => *cycle,
-                FaultOutcome::Masked | FaultOutcome::TimedOut { .. } => continue,
+                FaultOutcome::Masked => continue,
             };
             sum += at.saturating_sub(e.cycle) as f64;
             n += 1;
@@ -609,23 +598,12 @@ fn run_event<S: Simulator>(
         }
     }
     Ok(match detected {
-        Some((cycle, error)) => classify_error(cycle, error),
+        Some((cycle, error)) => FaultOutcome::Detected { cycle, error },
         None => match first_output_divergence(golden, sim.trace()) {
             Some(first_divergence) => FaultOutcome::SilentCorruption { first_divergence },
             None => FaultOutcome::Masked,
         },
     })
-}
-
-/// Classifies a faulty run's error: budget trips become
-/// [`FaultOutcome::TimedOut`] (the harness killed the run), everything
-/// else is a design-level [`FaultOutcome::Detected`]. Budget hits never
-/// abort a campaign shard — the item is classified and the sweep goes on.
-fn classify_error(cycle: u64, error: CoreError) -> FaultOutcome {
-    match error {
-        CoreError::BudgetExceeded { kind, .. } => FaultOutcome::TimedOut { cycle, kind },
-        error => FaultOutcome::Detected { cycle, error },
-    }
 }
 
 /// Maps a sharded-map failure onto the campaign's error type.
@@ -806,7 +784,10 @@ fn run_event_chunk(
         .into_iter()
         .enumerate()
         .map(|(lane, first)| match (sim.lane_error(lane), first) {
-            (Some((cycle, error)), _) => classify_error(*cycle, error.clone()),
+            (Some((cycle, error)), _) => FaultOutcome::Detected {
+                cycle: *cycle,
+                error: error.clone(),
+            },
             (None, Some(first_divergence)) => FaultOutcome::SilentCorruption { first_divergence },
             (None, None) => FaultOutcome::Masked,
         })

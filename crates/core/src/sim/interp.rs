@@ -21,7 +21,6 @@ use ocapi_obs::Registry;
 
 use crate::comp::{NodeId, Reg};
 use crate::fsm::StateRef;
-use crate::sim::budget::Budget;
 use crate::sim::eval::{eval_node, EvalCache};
 use crate::sim::hash::hash_system;
 use crate::sim::obs::InterpObs;
@@ -111,7 +110,6 @@ pub struct InterpSim {
     trace: Option<Trace>,
     full_trace: Option<Trace>,
     obs: Option<InterpObs>,
-    budget: Budget,
     design_hash: u64,
 }
 
@@ -180,16 +178,8 @@ impl InterpSim {
             trace: None,
             full_trace: None,
             obs: None,
-            budget: Budget::none(),
             design_hash,
         })
-    }
-
-    /// Attaches watchdog limits ([`Budget`]): subsequent steps fail
-    /// with [`CoreError::BudgetExceeded`] instead of running (or
-    /// settling) forever. [`Budget::none`] removes all limits.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
     }
 
     /// The structural design hash that keys this simulator's snapshots.
@@ -200,7 +190,7 @@ impl InterpSim {
     /// Captures the architectural state — net values, FSM states,
     /// register files, held untimed outputs, stateful untimed blocks and
     /// the cycle count — as a [`SimSnapshot`], the layout every engine
-    /// shares. Traces and budgets are not part of the snapshot. Take
+    /// shares. Traces are not part of the snapshot. Take
     /// snapshots between steps.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot::capture(
@@ -385,7 +375,6 @@ impl Simulator for InterpSim {
     }
 
     fn step(&mut self) -> Result<(), CoreError> {
-        self.budget.check_cycle(self.cycle)?;
         let sys = &mut self.sys;
         let nets = &mut self.nets;
         let held_outs = &mut self.held;
@@ -495,7 +484,6 @@ impl Simulator for InterpSim {
         fired.resize(sys.untimed.len(), false);
         loop {
             iterations += 1;
-            self.budget.check_settle(iterations, self.cycle)?;
             let mut progress = false;
 
             let mut i = 0;

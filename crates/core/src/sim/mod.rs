@@ -19,8 +19,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod batch;
-pub mod budget;
-pub mod chaos;
 mod compiled;
 mod eval;
 mod exec;
@@ -34,8 +32,6 @@ pub mod par;
 pub mod snapshot;
 
 pub use batch::{BatchedSim, WorkerSims};
-pub use budget::{Budget, BudgetKind};
-pub use chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 pub use compiled::CompiledSim;
 pub use hash::{hash_system, CompiledDesign, CompiledTape};
 pub use interp::InterpSim;

@@ -28,16 +28,18 @@
 //!    hit first. A panicking item is caught ([`ParError::Panic`]) and
 //!    surfaces as an error — never a hang, never a torn-down process.
 //!
-//! **Per-worker state.** [`map_indexed_with`] and [`map_indexed_retry`]
-//! give each worker one value built by an `init` closure on the
-//! worker's first item and handed to every item it runs — the place to
-//! keep a simulator that is reset between items instead of rebuilt for
-//! each. An item's result must not depend on what earlier items left in
-//! the state (a reset that equals a fresh build keeps that promise), so
-//! which worker runs which item still cannot show in the output. After
-//! an item that fails or panics, the worker drops its state and builds a
-//! fresh one for its next item, so a half-updated simulator is never
-//! reused and a retry starts from a fresh build.
+//! **Per-worker state.** [`map_indexed_with`] gives each worker one
+//! value built by an `init` closure on the worker's first item and
+//! handed to every item it runs — the place to keep a simulator that is
+//! reset between items instead of rebuilt for each. An item's result
+//! must not depend on what earlier items left in the state (a reset that
+//! equals a fresh build keeps that promise), so which worker runs which
+//! item still cannot show in the output. After an item that fails or
+//! panics, the worker drops its state and builds a fresh one for its
+//! next item, so a half-updated simulator is never reused.
+//!
+//! There is no retry: every item is a pure function of its index, so an
+//! item that failed once fails again on a fresh state.
 //!
 //! The pool is built on the standard library only: the workspace builds
 //! fully offline, with zero registry dependencies.
@@ -132,27 +134,11 @@ enum Slot<R, E> {
 /// What one worker did: its items' outcomes, by item index.
 type Shard<R, E> = Vec<(usize, Slot<R, E>)>;
 
-/// Bookkeeping of a retrying sharded map ([`map_indexed_retry`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Extra attempts executed (sum over all items and retry rounds).
-    pub retries: u64,
-    /// Items that failed or panicked at least once but eventually
-    /// succeeded on a retry.
-    pub recovered: u64,
-}
-
-/// Runs `f` over the given item indices on the pool, one guarded call
-/// per index, and returns one [`Shard`] per worker in worker order. Each
-/// worker builds its state with `init` on first use and drops it after
-/// an item that fails or panics (see the module docs).
-fn run_indices<T, S, R, E, I, F>(
-    pool: &ParConfig,
-    items: &[T],
-    indices: &[usize],
-    init: &I,
-    f: &F,
-) -> Vec<Shard<R, E>>
+/// Runs `f` over every item on the pool, one guarded call per item,
+/// and returns one [`Shard`] per worker in worker order. Each worker
+/// builds its state with `init` on first use and drops it after an item
+/// that fails or panics (see the module docs).
+fn run_items<T, S, R, E, I, F>(pool: &ParConfig, items: &[T], init: I, f: F) -> Vec<Shard<R, E>>
 where
     T: Sync,
     R: Send,
@@ -160,7 +146,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
-    let workers = pool.threads.min(indices.len().max(1));
+    let workers = pool.threads.min(items.len().max(1));
     let cursor = AtomicUsize::new(0);
     // One worker loop, shared by both paths, so sequential and threaded
     // execution have byte-identical per-item semantics.
@@ -168,9 +154,9 @@ where
         let mut shard = Shard::new();
         let mut state: Option<S> = None;
         loop {
-            let k = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&i) = indices.get(k) else { break };
-            let run = || f(state.get_or_insert_with(init), i, &items[i]);
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            let run = || f(state.get_or_insert_with(&init), i, item);
             let slot = match catch_unwind(AssertUnwindSafe(run)) {
                 Ok(Ok(r)) => Slot::Done(r),
                 Ok(Err(e)) => Slot::Failed(e),
@@ -212,67 +198,6 @@ fn merge<R, E>(slots: Vec<Option<Slot<R, E>>>) -> Result<Vec<R>, ParError<E>> {
         }
     }
     Ok(out)
-}
-
-/// [`map_indexed_with`] with bounded retry: an item whose closure fails
-/// or panics is re-executed — on whichever worker is free, but always
-/// with its original index, hence its original seed stream, and always
-/// on a freshly built worker state — until it succeeds or `attempts`
-/// total attempts are spent. Items that still fail after the last round
-/// are merged exactly like [`map_indexed`]: the lowest-indexed failure
-/// is reported, identically for every thread count.
-///
-/// The result is **deterministic regardless of which worker or attempt
-/// succeeds**, provided `f` is a pure function of `(index, item)` — the
-/// contract every campaign work item in this workspace already obeys.
-///
-/// # Errors
-///
-/// Returns the lowest-indexed [`ParError`] among items whose final
-/// attempt failed, after all items and retries have run.
-pub fn map_indexed_retry<T, S, R, E, I, F>(
-    pool: &ParConfig,
-    items: &[T],
-    attempts: u32,
-    init: I,
-    f: F,
-) -> (Result<Vec<R>, ParError<E>>, RetryStats)
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
-{
-    let n = items.len();
-    let attempts = attempts.max(1);
-    let mut stats = RetryStats::default();
-    let mut slots: Vec<Option<Slot<R, E>>> = Vec::new();
-    slots.resize_with(n, || None);
-    let mut pending: Vec<usize> = (0..n).collect();
-    for round in 0..attempts {
-        if round > 0 {
-            pending = (0..n)
-                .filter(|&i| !matches!(slots[i], Some(Slot::Done(_))))
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            stats.retries += pending.len() as u64;
-        }
-        for shard in run_indices(pool, items, &pending, &init, &f) {
-            for (i, slot) in shard {
-                if round > 0 && matches!(slot, Slot::Done(_)) {
-                    stats.recovered += 1;
-                }
-                slots[i] = Some(slot);
-            }
-        }
-        // An index never handed back (a worker died outside the guard)
-        // stays in its previous non-Done state and is retried again or
-        // reported as the panic it was.
-    }
-    (merge(slots), stats)
 }
 
 /// Maps `f` over `items` on a pool of [`ParConfig::threads`] workers,
@@ -317,7 +242,12 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
-    map_indexed_retry(pool, items, 1, init, f).0
+    let mut slots: Vec<Option<Slot<R, E>>> = Vec::new();
+    slots.resize_with(items.len(), || None);
+    for (i, slot) in run_items(pool, items, init, f).into_iter().flatten() {
+        slots[i] = Some(slot);
+    }
+    merge(slots)
 }
 
 #[cfg(test)]
@@ -403,44 +333,19 @@ mod tests {
     }
 
     #[test]
-    fn retry_recovers_first_attempt_panics() {
+    fn failing_items_run_once_and_report_the_lowest_index_deterministically() {
         use std::sync::atomic::AtomicU32;
-        let items: Vec<usize> = (0..24).collect();
-        for threads in [1usize, 4] {
-            let tries: Vec<AtomicU32> = (0..24).map(|_| AtomicU32::new(0)).collect();
-            let (out, stats) = map_indexed_retry(
-                &ParConfig::new(threads),
-                &items,
-                3,
-                || (),
-                |_, i, x| {
-                    let attempt = tries[i].fetch_add(1, Ordering::Relaxed);
-                    if *x == 7 && attempt == 0 {
-                        panic!("chaos");
-                    }
-                    if *x == 11 && attempt < 2 {
-                        return Err("flaky");
-                    }
-                    Ok(*x * 2)
-                },
-            );
-            let out = out.unwrap();
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-            assert_eq!(stats.retries, 3, "threads={threads}"); // 7 once, 11 twice
-            assert_eq!(stats.recovered, 2, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_report_lowest_index_deterministically() {
+        // Items 13 and 21 fail on every call. Each item, failing or not,
+        // runs exactly once, and item 13 is reported for every width.
         let items: Vec<usize> = (0..32).collect();
         for threads in [1usize, 4] {
-            let (out, stats) = map_indexed_retry(
+            let calls: Vec<AtomicU32> = items.iter().map(|_| AtomicU32::new(0)).collect();
+            let out = map_indexed_with(
                 &ParConfig::new(threads),
                 &items,
-                2,
                 || (),
-                |_, _, x| {
+                |_, i, x| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
                     if *x == 13 || *x == 21 {
                         Err(format!("bad {x}"))
                     } else {
@@ -455,23 +360,10 @@ mod tests {
                     error: "bad 13".to_owned()
                 }
             );
-            assert_eq!(stats.retries, 2); // two items, one retry round
-            assert_eq!(stats.recovered, 0);
+            for (i, n) in calls.iter().enumerate() {
+                assert_eq!(n.load(Ordering::Relaxed), 1, "threads={threads} item {i}");
+            }
         }
-    }
-
-    #[test]
-    fn single_attempt_matches_map_indexed() {
-        let items: Vec<u64> = (0..10).collect();
-        let (out, stats) = map_indexed_retry(
-            &ParConfig::new(2),
-            &items,
-            1,
-            || (),
-            |_, _, x| Ok::<_, ()>(*x + 1),
-        );
-        assert_eq!(out.unwrap(), (1..=10).collect::<Vec<_>>());
-        assert_eq!(stats, RetryStats::default());
     }
 
     #[test]
@@ -504,21 +396,25 @@ mod tests {
     #[test]
     fn worker_state_is_dropped_after_a_failed_item() {
         use std::sync::atomic::AtomicU32;
+        use std::sync::Mutex;
         // One worker, so the item order is the cursor order: item 2
         // errs and item 5 panics, each on a state that has run earlier
         // items; the item after each failure starts on a fresh state.
         let items: Vec<u32> = (0..8).collect();
         let built = AtomicU32::new(0);
-        let (out, stats) = map_indexed_retry(
+        let fresh = Mutex::new(Vec::new());
+        let out = map_indexed_with(
             &ParConfig::single(),
             &items,
-            2,
             || {
                 built.fetch_add(1, Ordering::Relaxed);
                 Vec::new()
             },
             |ran: &mut Vec<u32>, _, x| {
                 ran.push(*x);
+                if ran.len() == 1 {
+                    fresh.lock().unwrap().push(*x);
+                }
                 match (*x, ran.len()) {
                     (2, n) if n > 1 => Err("dirty"),
                     (5, n) if n > 1 => panic!("dirty"),
@@ -526,12 +422,16 @@ mod tests {
                 }
             },
         );
-        // First round: states [0,1,2] [3,4,5] [6,7]; the retry round
-        // runs 2 and 5 on one fresh state, where 2 is its first item and
-        // 5 its second, so 5 fails again and its state is dropped.
-        assert_eq!(out.unwrap_err(), ParError::Panic { index: 5 });
-        assert_eq!(built.load(Ordering::Relaxed), 4);
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.recovered, 1);
+        // States [0,1,2] [3,4,5] [6,7]; every item ran, and the lowest
+        // failing index is reported.
+        assert_eq!(
+            out.unwrap_err(),
+            ParError::Task {
+                index: 2,
+                error: "dirty"
+            }
+        );
+        assert_eq!(built.load(Ordering::Relaxed), 3);
+        assert_eq!(*fresh.lock().unwrap(), [0, 3, 6]);
     }
 }

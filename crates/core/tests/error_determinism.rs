@@ -6,7 +6,7 @@
 
 use ocapi::dataflow::{DataflowGraph, FnActor, Source};
 use ocapi::{
-    map_indexed_retry, run_campaign_cached_par, CompiledTape, Component, CoreError, FaultEvent,
+    map_indexed_with, run_campaign_cached_par, CompiledTape, Component, CoreError, FaultEvent,
     FaultSite, InterpSim, OptLevel, ParConfig, SigType, Simulator, System, Value,
 };
 
@@ -138,10 +138,9 @@ fn oscillation_diagnostics_identical_across_worker_threads() {
     let items: Vec<u64> = (0..8).collect();
     for threads in [1, 4] {
         let pool = ParConfig::new(threads);
-        let (result, _) = map_indexed_retry(
+        let result = map_indexed_with(
             &pool,
             &items,
-            1,
             || (),
             |_, _, _| {
                 let mut sim = InterpSim::new(looped_system())?;
@@ -171,10 +170,9 @@ fn deadlock_diagnostics_identical_across_worker_threads() {
     let items: Vec<u64> = (0..8).collect();
     for threads in [1, 4] {
         let pool = ParConfig::new(threads);
-        let (result, _) = map_indexed_retry(
+        let result = map_indexed_with(
             &pool,
             &items,
-            1,
             || (),
             |_, _, _| {
                 let mut g = DataflowGraph::new();

@@ -2,7 +2,9 @@
 //! `run_campaign_par` must produce a report **bit-identical** to its
 //! single-thread run for every worker-pool width, and a shard
 //! that panics must surface as a typed error (never hang the pool, and
-//! always the same error regardless of thread count).
+//! always the same error regardless of thread count). The same holds
+//! for single failing items in a map of real simulations: the lowest
+//! failing index is reported and every other item still runs.
 //!
 //! The same contract covers the observability registry: counter totals,
 //! span-tree structure and hit counts, and event totals are workload
@@ -10,12 +12,12 @@
 //! byte-identical at every `--threads` width (only the `timing` section
 //! may differ).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use ocapi::sim::par::map_indexed;
 use ocapi::{
-    run_campaign_par, Component, CoreError, FaultEvent, FaultPlan, InterpSim, ParConfig, SigType,
-    Simulator, System, Value,
+    run_campaign_par, Component, CoreError, FaultEvent, FaultPlan, InterpSim, ParConfig, ParError,
+    SigType, Simulator, System, Value,
 };
 use ocapi_obs::Registry;
 
@@ -205,6 +207,91 @@ fn failing_shard_propagates_its_error() {
         match result {
             Err(CoreError::UnknownName { kind, .. }) => assert_eq!(kind, "injected-failure"),
             other => panic!("expected UnknownName at {threads} thread(s), got {other:?}"),
+        }
+    }
+}
+
+/// Runs the system for 12 cycles with a `seed`-dependent enable and
+/// returns the final output word.
+fn simulate_item(seed: u64) -> Result<u64, CoreError> {
+    let mut sim = InterpSim::new(small_system()?)?;
+    for cycle in 0..12u64 {
+        sim.set_input("en", Value::Bool((cycle + seed) % 3 != 1))?;
+        sim.step()?;
+    }
+    let out = sim.output("o")?;
+    out.as_bits().ok_or_else(|| CoreError::CheckFailed {
+        diagnostics: vec![format!("unexpected output {out:?}")],
+    })
+}
+
+#[test]
+fn panicking_simulation_item_is_contained_at_its_index() {
+    let items: Vec<u64> = (0..8).collect();
+    let clean: Vec<u64> = items.iter().map(|s| simulate_item(*s).unwrap()).collect();
+
+    for threads in [1usize, 4] {
+        // Item 3 panics on its one run; the panic stays at that item,
+        // and every other item runs once and finishes clean.
+        let calls: Vec<AtomicU32> = items.iter().map(|_| AtomicU32::new(0)).collect();
+        let finished: Vec<AtomicU64> = items.iter().map(|_| AtomicU64::new(u64::MAX)).collect();
+        let result = map_indexed(&ParConfig::new(threads), &items, |i, seed| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            if i == 3 {
+                panic!("injected item panic");
+            }
+            let out = simulate_item(*seed)?;
+            finished[i].store(out, Ordering::Relaxed);
+            Ok::<_, CoreError>(out)
+        });
+        assert_eq!(
+            result.unwrap_err(),
+            ParError::Panic { index: 3 },
+            "threads={threads}"
+        );
+        for (i, want) in clean.iter().enumerate() {
+            assert_eq!(
+                calls[i].load(Ordering::Relaxed),
+                1,
+                "threads={threads} item {i}"
+            );
+            let got = finished[i].load(Ordering::Relaxed);
+            if i == 3 {
+                assert_eq!(got, u64::MAX, "threads={threads}");
+            } else {
+                assert_eq!(got, *want, "threads={threads} item {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn failing_simulation_items_fail_at_lowest_index_for_any_thread_count() {
+    let items: Vec<u64> = (0..16).collect();
+    for threads in [1usize, 2, 4, 8] {
+        // Items 5 and 11 fail with a typed error; the reported failure
+        // must be the lowest index, whatever the interleaving.
+        let result = map_indexed(&ParConfig::new(threads), &items, |i, seed| {
+            if i == 5 || i == 11 {
+                return Err(CoreError::UnknownName {
+                    kind: "injected-failure",
+                    name: format!("item {i}"),
+                });
+            }
+            simulate_item(*seed)
+        });
+        match result {
+            Err(ParError::Task { index, error }) => {
+                assert_eq!(index, 5, "threads={threads}");
+                assert!(
+                    matches!(
+                        &error,
+                        CoreError::UnknownName { kind: "injected-failure", name } if name == "item 5"
+                    ),
+                    "threads={threads}: {error:?}"
+                );
+            }
+            other => panic!("threads={threads}: expected Task error, got {other:?}"),
         }
     }
 }

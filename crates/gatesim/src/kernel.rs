@@ -14,13 +14,13 @@ use ocapi_synth::gate::{GateKind, Netlist, WireId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum GateError {
-    /// The event worklist did not quiesce within the evaluation budget:
+    /// The event worklist did not quiesce within the evaluation limit:
     /// a sensitised combinational loop (oscillating ring).
     Oscillation {
         /// Gate evaluations spent before giving up.
         evals: u64,
         /// Sorted, truncated descriptions of the gates still scheduled
-        /// when the budget ran out.
+        /// when the limit ran out.
         unstable: Vec<String>,
     },
     /// A worker of the sharded fault/BIST engine panicked while
@@ -30,17 +30,6 @@ pub enum GateError {
     WorkerPanic {
         /// Index of the work item whose worker panicked.
         index: usize,
-    },
-    /// A caller-supplied evaluation budget
-    /// ([`GateSim::set_eval_budget`]) ran out before the worklist
-    /// quiesced. Unlike [`GateError::Oscillation`] (the built-in
-    /// loop detector), this is a watchdog the harness chose — the
-    /// netlist may simply be larger than the budget allows.
-    BudgetExceeded {
-        /// Gate evaluations spent before the watchdog tripped.
-        evals: u64,
-        /// The configured budget.
-        budget: u64,
     },
 }
 
@@ -57,13 +46,6 @@ impl fmt::Display for GateError {
             }
             GateError::WorkerPanic { index } => {
                 write!(f, "sharded work item {index} panicked in a worker thread")
-            }
-            GateError::BudgetExceeded { evals, budget } => {
-                write!(
-                    f,
-                    "gate evaluation budget exceeded: {evals} evaluations \
-                     against a budget of {budget}"
-                )
             }
         }
     }
@@ -96,7 +78,7 @@ struct KernelObs {
 /// The built-in oscillation limit for a netlist of `gates` gates:
 /// 1024 evaluations per gate (plus one) per settle. Shared with the
 /// partitioned engine so its oscillation diagnostics report the
-/// flat-netlist budget regardless of how the net was cut.
+/// flat-netlist limit regardless of how the net was cut.
 pub(crate) fn osc_limit(gates: usize) -> u64 {
     (gates as u64 + 1) * 1024
 }
@@ -280,9 +262,6 @@ pub struct GateSim {
     sample_buf: Vec<(usize, bool)>,
     stats: GateSimStats,
     obs: Option<KernelObs>,
-    /// Caller-supplied watchdog on evaluations per settle; `None` uses
-    /// the built-in oscillation limit of 1024 evaluations per gate.
-    eval_budget: Option<u64>,
     /// Diagnostic relabel map: local gate index → the index reported
     /// in quiesce diagnostics. The partitioned engine installs the
     /// flat-netlist indices here so a sub-kernel's oscillation report
@@ -344,7 +323,6 @@ impl GateSim {
             sample_buf: Vec::new(),
             stats: GateSimStats::default(),
             obs: None,
-            eval_budget: None,
             labels: None,
         };
         sim.settle()?;
@@ -354,16 +332,6 @@ impl GateSim {
     /// The simulated netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.net
-    }
-
-    /// Caps the evaluations each [`GateSim::settle`] may spend before
-    /// failing with [`GateError::BudgetExceeded`] — a watchdog for
-    /// harnesses running untrusted netlists with a latency budget.
-    /// `None` restores the default: the built-in oscillation limit of
-    /// 1024 evaluations per gate, reported as
-    /// [`GateError::Oscillation`].
-    pub fn set_eval_budget(&mut self, budget: Option<u64>) {
-        self.eval_budget = budget;
     }
 
     /// Activity counters.
@@ -452,20 +420,16 @@ impl GateSim {
     ///
     /// Returns [`GateError::Oscillation`] when the built-in evaluation
     /// limit (1024 evaluations per gate) is exhausted: a sensitised
-    /// combinational loop. With a caller-supplied watchdog
-    /// ([`GateSim::set_eval_budget`]) the tighter of the two limits
-    /// applies and a watchdog trip is reported as
-    /// [`GateError::BudgetExceeded`] instead. Either way the worklist
-    /// is drained so the simulator is left in a defined (if
-    /// meaningless) state and can be reset by re-driving its inputs.
+    /// combinational loop. The worklist is then drained so the
+    /// simulator is left in a defined (if meaningless) state and can be
+    /// reset by re-driving its inputs.
     pub fn settle(&mut self) -> Result<(), GateError> {
         let mut guard = 0u64;
-        let osc_limit = osc_limit(self.gates.len());
-        let limit = self.eval_budget.map_or(osc_limit, |b| b.min(osc_limit));
+        let limit = osc_limit(self.gates.len());
         while let Some(gi) = self.dirty.pop() {
             guard += 1;
             if guard >= limit {
-                return Err(self.quiesce_failure(guard, gi, limit < osc_limit));
+                return Err(self.quiesce_failure(guard, gi));
             }
             let g = &self.gates[gi as usize];
             let newv = eval(g, &self.values);
@@ -481,32 +445,18 @@ impl GateSim {
         Ok(())
     }
 
-    /// Builds the failed-to-quiesce diagnostic, then drains the
-    /// worklist so the kernel stays usable. A watchdog trip
-    /// (`budgeted`) becomes [`GateError::BudgetExceeded`]; the
-    /// built-in limit becomes [`GateError::Oscillation`] with the full
-    /// membership of the sensitised loop(s).
-    fn quiesce_failure(&mut self, evals: u64, current: u32, budgeted: bool) -> GateError {
-        if budgeted {
-            self.dirty.clear();
-            self.flush_obs();
-            let budget = self.eval_budget.unwrap_or(evals);
-            if let Some(o) = &self.obs {
-                o.log.record(
-                    0,
-                    "budget",
-                    format!("{evals} evals against budget {budget}"),
-                );
-            }
-            return GateError::BudgetExceeded { evals, budget };
-        }
+    /// Builds the failed-to-quiesce diagnostic, a
+    /// [`GateError::Oscillation`] with the full membership of the
+    /// sensitised loop(s), then drains the worklist so the kernel stays
+    /// usable.
+    fn quiesce_failure(&mut self, evals: u64, current: u32) -> GateError {
         // By the time the built-in limit trips, every stable cone has
         // long quiesced — the only gates still being rescheduled are
         // the sensitised loop(s) and their immediate fanout. A snapshot
         // of the worklist would name whichever one or two gates the
-        // budget happened to trip on: a phase accident that differs
+        // limit happened to trip on: a phase accident that differs
         // between the flat kernel and a partitioned sub-kernel, whose
-        // budgets spend different eval counts on the stable cones.
+        // limits spend different eval counts on the stable cones.
         // Instead keep evaluating for a bounded post-mortem sweep
         // (uncounted in the activity stats) and report every gate it
         // visits — the loop membership, identical at any partition
@@ -826,7 +776,6 @@ mod tests {
             sample_buf: Vec::new(),
             stats: GateSimStats::default(),
             obs: None,
-            eval_budget: None,
             labels: None,
             net: clean,
         };
@@ -854,36 +803,6 @@ mod tests {
             other => panic!("expected oscillation, got {other:?}"),
         }
         assert!(err.to_string().contains("did not settle"));
-    }
-
-    #[test]
-    fn eval_budget_trips_before_oscillation_limit() {
-        // A perfectly healthy adder, but with a watchdog too tight for
-        // its settle: the caller budget trips as BudgetExceeded, not as
-        // a (false) oscillation diagnosis.
-        let mut net = Netlist::new();
-        let a = net.input_bus("a", 8);
-        let b = net.input_bus("b", 8);
-        let cin = net.constant(false);
-        let (sum, _) = ripple_add(&mut net, &a, &b, cin);
-        net.output_bus("sum", sum);
-        let mut sim = GateSim::new(net).unwrap();
-        sim.set_eval_budget(Some(3));
-        let aw = sim.netlist().input_by_name("a").unwrap().to_vec();
-        sim.set_bus(&aw, 0xff);
-        let err = sim.settle().unwrap_err();
-        match err {
-            GateError::BudgetExceeded { evals, budget } => {
-                assert_eq!(budget, 3);
-                assert_eq!(evals, 3);
-            }
-            other => panic!("expected budget trip, got {other:?}"),
-        }
-        // The kernel survives the trip: the worklist was drained, so a
-        // further settle with the budget lifted succeeds (on the now
-        // meaningless state — recovery of *values* needs a rebuild).
-        sim.set_eval_budget(None);
-        sim.settle().unwrap();
     }
 
     #[test]

@@ -723,8 +723,8 @@ impl PartitionedGateSim {
         self.flush_obs();
         // Normalize oscillation diagnostics to flat-netlist terms: the
         // sub-kernel already reports flat gate indices (via its relabel
-        // map), but its evaluation budget scales with the partition's
-        // gate count. Rewrite it to the budget the single-core kernel
+        // map), but its evaluation limit scales with the partition's
+        // gate count. Rewrite it to the limit the single-core kernel
         // uses for the whole net, so the diagnostic is byte-identical
         // at every `--partitions` count.
         result.map_err(|e| match e {

@@ -16,19 +16,13 @@ use ocapi_synth::{synthesize_with_held, SynthOptions};
 use crate::kernel::{GateError, GateSim, GateSimStats};
 
 /// Lifts a gate-kernel failure into the system-level error vocabulary: an
-/// oscillating netlist is the gate-level face of a combinational loop,
-/// and a tripped evaluation watchdog is a settle-iteration budget hit at
-/// the cycle the wrapper was stepping.
-fn gate_err(at_cycle: u64) -> impl Fn(GateError) -> CoreError {
-    move |e| match e {
+/// oscillating netlist is the gate-level face of a combinational loop.
+fn gate_err(e: GateError) -> CoreError {
+    match e {
         GateError::Oscillation { unstable, .. } => {
             CoreError::CombinationalLoop { waiting: unstable }
         }
         GateError::WorkerPanic { index } => CoreError::WorkerPanic { index },
-        GateError::BudgetExceeded { .. } => CoreError::BudgetExceeded {
-            kind: ocapi::BudgetKind::SettleIterations,
-            at_cycle,
-        },
     }
 }
 
@@ -247,12 +241,12 @@ impl GateSystemSim {
         }
 
         let n_outputs = outputs.len();
-        let mut sim = GateSim::new(flat).map_err(gate_err(0))?;
+        let mut sim = GateSim::new(flat).map_err(gate_err)?;
         for (net, v) in constants {
             let bus = net_bus[net].clone();
             sim.set_bus(&bus, encode(&v));
         }
-        sim.settle().map_err(gate_err(0))?;
+        sim.settle().map_err(gate_err)?;
 
         Ok(GateSystemSim {
             sim,
@@ -265,13 +259,6 @@ impl GateSystemSim {
             trace: None,
             obs: None,
         })
-    }
-
-    /// Caps the kernel evaluations each settle may spend
-    /// ([`GateSim::set_eval_budget`]); a trip surfaces as
-    /// [`CoreError::BudgetExceeded`] stamped with the current cycle.
-    pub fn set_eval_budget(&mut self, budget: Option<u64>) {
-        self.sim.set_eval_budget(budget);
     }
 
     /// Starts reporting into `reg`: per-phase spans under the `gatesim`
@@ -363,7 +350,7 @@ impl GateSystemSim {
                 waiting.sort();
                 return Err(CoreError::CombinationalLoop { waiting });
             }
-            self.sim.settle().map_err(gate_err(self.cycle))?;
+            self.sim.settle().map_err(gate_err)?;
             if !changed {
                 break;
             }
@@ -389,7 +376,7 @@ impl Simulator for GateSystemSim {
 
     fn step(&mut self) -> Result<(), CoreError> {
         let t_settle = self.obs.as_ref().map(|o| o.sp_settle.timer());
-        self.sim.settle().map_err(gate_err(self.cycle))?;
+        self.sim.settle().map_err(gate_err)?;
         drop(t_settle);
         let t_untimed = self.obs.as_ref().map(|o| o.sp_untimed.timer());
         self.run_untimed()?;
@@ -398,7 +385,7 @@ impl Simulator for GateSystemSim {
         for (i, (_, ty, wires)) in self.outputs.iter().enumerate() {
             self.latched[i] = decode(self.sim.bus(wires), *ty);
         }
-        self.sim.clock().map_err(gate_err(self.cycle))?;
+        self.sim.clock().map_err(gate_err)?;
         self.cycle += 1;
         drop(t_clock);
         if let Some(trace) = &mut self.trace {

@@ -230,7 +230,7 @@ fn fault_classification_is_invariant_across_partition_counts() {
 fn oscillation_diagnostics_match_flat_across_the_cut() {
     // A NAND-enabled inverter ring next to a pipelined adder: when the
     // enable input sensitises the loop, every engine must report the
-    // same Oscillation error — same spent evaluation budget, same
+    // same Oscillation error — same spent evaluation limit, same
     // sorted `unstable` gate list in *flat* netlist indices — even
     // though the partitioned engine discovered it inside a sub-kernel
     // with its own local gate numbering.

@@ -151,7 +151,7 @@ impl Registry {
 
     /// An *advisory* counter: same handle semantics as
     /// [`Registry::counter`], but the value is understood to depend on
-    /// scheduling (steal counts, retry tallies) and therefore exports
+    /// scheduling (e.g. steal counts) and therefore exports
     /// under the `timing` section instead of the deterministic one.
     pub fn advisory_counter(&self, name: &str) -> Counter {
         let mut advisory = self

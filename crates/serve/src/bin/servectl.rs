@@ -243,7 +243,6 @@ fn run_loadgen(
             checkpoint: None,
             checkpoint_every: 4,
             resume: false,
-            retries: 1,
             partitions: 1,
         };
         write_atomic(path, rep.perf_json(&args).as_bytes())?;

@@ -53,10 +53,10 @@ fn opt_u64(req: &Json, key: &str, default: u64) -> Result<u64, ServeError> {
 
 /// Upper bounds on the request fields that size a job's allocations
 /// (event list, golden output rows, burst list, payload buffers, channel
-/// copies, lane batch), its length (noise points, session cycles), its
-/// worker threads and its retries. Far above every in-tree client, low
-/// enough that one request cannot exhaust the daemon's memory or
-/// threads, or hold a connection for hours.
+/// copies, lane batch), its length (noise points, session cycles) and
+/// its worker threads. Far above every in-tree client, low enough that
+/// one request cannot exhaust the daemon's memory or threads, or hold a
+/// connection for hours.
 const MAX_EVENTS: u64 = 1 << 16;
 const MAX_CYCLES: u64 = 1 << 16;
 const MAX_SESSION_CYCLES: u64 = 1 << 20;
@@ -66,7 +66,6 @@ const MAX_TAPS: usize = 64;
 const MAX_POINTS: usize = 256;
 const MAX_LANES: u64 = 256;
 const MAX_THREADS: u64 = 64;
-const MAX_RETRIES: u64 = 16;
 
 /// [`opt_u64`] that rejects values above `cap` with a parse error
 /// naming the field and the cap.
@@ -292,7 +291,6 @@ pub fn run_ber(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<
     let pool = ParConfig::new(threads);
     let rb = Robust {
         pool: &pool,
-        attempts: capped_u64(req, "retries", 1, MAX_RETRIES)?.max(1) as u32,
         every: opt_u64(req, "checkpoint_every", 4)?.max(1),
         dir: ckpt_dir,
         job: None,
@@ -407,7 +405,6 @@ pub fn run_campaign_job(
                 ("masked", Json::Num(report.masked() as f64)),
                 ("silent", Json::Num(report.silent() as f64)),
                 ("detected", Json::Num(report.detected() as f64)),
-                ("timed_out", Json::Num(report.timed_out() as f64)),
             ]),
         ),
     )?;

@@ -32,6 +32,11 @@ use crate::error::ServeError;
 /// protocol error, not an allocation request.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// The most [`read_frame`] reserves before a payload's bytes arrive; a
+/// longer payload grows its buffer with the bytes received, so a bare
+/// length prefix cannot make the daemon hold [`MAX_FRAME`] bytes.
+const RESERVE: usize = 64 * 1024;
+
 /// Frame types that are pure functions of the request (the determinism
 /// contract covers exactly these).
 pub fn is_deterministic(frame: &Json) -> bool {
@@ -96,9 +101,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ServeError> {
             "frame length {len} exceeds the {MAX_FRAME}-byte limit"
         )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)
-        .map_err(|_| ServeError::Protocol("truncated frame payload".into()))?;
+    let mut buf = Vec::with_capacity(len.min(RESERVE));
+    let read = r.take(len as u64).read_to_end(&mut buf);
+    if !matches!(read, Ok(n) if n == len) {
+        return Err(ServeError::Protocol("truncated frame payload".into()));
+    }
     let text =
         String::from_utf8(buf).map_err(|_| ServeError::Protocol("frame is not UTF-8".into()))?;
     Ok(Some(text))

@@ -269,12 +269,6 @@ fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
                 r#"{{"op":"campaign","id":"big","design":"hcor","cycles":8,"events":2,"threads":{huge}}}"#
             ),
         ),
-        (
-            "retries",
-            format!(
-                r#"{{"op":"ber","id":"big","design":"dect","bursts":1,"payload_len":16,"retries":{huge}}}"#
-            ),
-        ),
         // A thousand taps or points: uncapped, each runs one short burst.
         (
             "channel",
