@@ -488,67 +488,6 @@ fn run(args: &BenchArgs) -> Result<(), BenchError> {
     rep.perf_f64("ablation_secs_t1", t_serial);
     rep.perf_f64("ablation_secs_tn", t_sharded);
 
-    // Packed vs scalar head-to-head on the same burst: the word-packed
-    // grader must classify identically to the per-fault reference and
-    // advance ≥ 32× more fault machines per gate evaluation — the
-    // multiple the parallel-pattern engine exists for (63 machines per
-    // word vs at most 1 for the scalar grader). Asserted on every run,
-    // like the thread-count contract; CI also gates on the ratio from
-    // the `table_gates` perf JSON.
-    let t_h2h = root.child("engine_h2h").timer();
-    let (packed, t_packed) =
-        timed(|| stuck_at_coverage_sharded_stats(&netlist.netlist, &stimuli, &pool));
-    let (packed, packed_stats) = packed?;
-    let (scalar, t_scalar) = timed(|| stuck_at_coverage(&netlist.netlist, &stimuli));
-    let (scalar, scalar_stats) = scalar?;
-    drop(t_h2h);
-    assert_eq!(
-        packed.detected, scalar.detected,
-        "packed and scalar graders disagree on detections"
-    );
-    assert_eq!(
-        packed.undetected, scalar.undetected,
-        "packed and scalar graders disagree on escapes"
-    );
-    let ratio =
-        packed_stats.faults_per_gate_eval() / scalar_stats.faults_per_gate_eval().max(1e-12);
-    println!("\npacked vs scalar grader on the same burst (identical classification):");
-    println!(
-        "  packed  {:>8.3} s   {:>7.2} faults/gate-eval",
-        t_packed,
-        packed_stats.faults_per_gate_eval()
-    );
-    println!(
-        "  scalar  {:>8.3} s   {:>7.2} faults/gate-eval   (packed advantage {ratio:.1}x)",
-        t_scalar,
-        scalar_stats.faults_per_gate_eval()
-    );
-    assert!(
-        ratio >= 32.0,
-        "packed grader advanced only {ratio:.1}x more faults per gate eval (need >= 32x)"
-    );
-    rep.perf_f64("fault_packed_secs", t_packed);
-    rep.perf_f64("fault_scalar_secs", t_scalar);
-    rep.perf_f64(
-        "fault_packed_faults_per_sec",
-        packed.total as f64 / t_packed.max(1e-12),
-    );
-    rep.perf_f64(
-        "fault_scalar_faults_per_sec",
-        scalar.total as f64 / t_scalar.max(1e-12),
-    );
-    rep.perf_u64("fault_packed_gate_evals", packed_stats.gate_evals);
-    rep.perf_u64("fault_scalar_gate_evals", scalar_stats.gate_evals);
-    rep.perf_f64(
-        "fault_packed_faults_per_gate_eval",
-        packed_stats.faults_per_gate_eval(),
-    );
-    rep.perf_f64(
-        "fault_scalar_faults_per_gate_eval",
-        scalar_stats.faults_per_gate_eval(),
-    );
-    rep.perf_f64("fault_eval_ratio", ratio);
-
     if !args.quick {
         println!(
             "\nReading the table: any data-rich stream (functional burst or\n\

@@ -78,21 +78,6 @@ impl XorShift64 {
         self.next_f64() < p
     }
 
-    /// The raw generator state, for snapshotting a stream position.
-    ///
-    /// Feed the value back through [`XorShift64::from_state`] to resume
-    /// the stream exactly where it left off.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds a generator from a [`XorShift64::state`] word, resuming
-    /// the stream at the saved position. A zero word (which no live
-    /// generator can produce) is remapped exactly like a zero seed.
-    pub fn from_state(state: u64) -> XorShift64 {
-        XorShift64::new(state)
-    }
-
     /// A decorrelated per-shard stream: generator number `index` of the
     /// family seeded by `base`.
     ///

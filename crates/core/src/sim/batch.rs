@@ -25,18 +25,17 @@
 //!
 //! Lanes stay *independent*:
 //!
-//! * every lane has its own FSM states, SFG activation flags, register
-//!   file and untimed state; the lanes share one [`System`], the
-//!   structure the tape was compiled from — a [`CompiledDesign`]'s
-//!   template, which every batch of the design shares. A block that
-//!   reports a [`MemorySpec`](crate::MemorySpec) and is wired in the
-//!   memory shape (a `Ram`, a `Rom`) runs as a native memory of the tape
-//!   state: each lane keeps a RAM's words as plain `u64`s, and a ROM is
-//!   read from the lane's power-up image, which lanes of one template
-//!   share. This memory plan is the one thing planned per instance, from
-//!   the batch's template (and lanes' own systems), never from the
-//!   shared program. Each lane owns copies of the remaining, generic
-//!   blocks ([`UntimedBlock::boxed_clone`]);
+//! * a batch is `lanes` lanes of one [`CompiledDesign`]: the lanes share
+//!   its [`System`] template, the structure the tape was compiled from,
+//!   and every lane has its own FSM states, SFG activation flags,
+//!   register file and untimed state. A block that reports a
+//!   [`MemorySpec`](crate::MemorySpec) and is wired in the memory shape
+//!   (a `Ram`, a `Rom`) runs as a native memory of the tape state: each
+//!   lane keeps a RAM's words as plain `u64`s, and every lane reads one
+//!   power-up image, the template block's contents. This memory plan is
+//!   the one thing planned per instance, from the template, never from
+//!   the shared program. Each lane owns copies of the template's other,
+//!   generic blocks ([`UntimedBlock::boxed_clone`]);
 //! * control-flow divergence is handled per lane — transition selection
 //!   and `Drive`/`Fire` resolution read the lane's own stripe;
 //! * a per-lane error (a trace fault, a failed fault-injection poke)
@@ -83,11 +82,6 @@ use crate::CoreError;
 /// the generic blocks a lane.
 type LaneBlocks = Vec<Box<dyn UntimedBlock>>;
 
-/// Lanes `1..`'s own untimed blocks, one vector a lane in system order,
-/// when each lane brought its own system; empty when every lane copies
-/// the batch's.
-type OwnBlocks = Vec<Vec<Box<dyn UntimedBlock>>>;
-
 /// One state word of every lane: a net's slot or a register.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Word {
@@ -103,15 +97,10 @@ pub(crate) enum Word {
 /// or with [`BatchedSim::from_fn`] from a builder closure: the batch
 /// shares the design's template, its memories' power-up images are
 /// shared between the lanes, and every lane copies its generic untimed
-/// blocks. [`BatchedSim::new`], [`BatchedSim::new_with`] and
-/// [`BatchedSim::from_tape`] take one structurally identical system per
-/// lane instead; lane 0's system becomes the template, the batch keeps
-/// the other lanes' generic blocks, and each lane's memories start from
-/// its own blocks' contents. Drive either
-/// through the lane-addressed methods (`set_input_lane`, `output_lane`,
-/// …) or through the [`Simulator`] trait, which *broadcasts* writes to
-/// every live lane and reads lane 0 — a 1-lane batch is exactly the
-/// scalar [`CompiledSim`].
+/// blocks. Drive it through the lane-addressed methods
+/// (`set_input_lane`, `output_lane`, …) or through the [`Simulator`]
+/// trait, which *broadcasts* writes to every live lane and reads lane 0
+/// — a 1-lane batch is exactly the scalar [`CompiledSim`].
 ///
 /// [`CompiledSim`]: crate::CompiledSim
 pub struct BatchedSim {
@@ -156,44 +145,15 @@ fn no_lanes() -> CoreError {
     }
 }
 
-/// A lane set, validated (non-empty and structurally identical to lane
-/// 0) and split into what a batch keeps: lane 0's system, the lane
-/// count, and each other lane's own untimed blocks.
-fn split_lanes(systems: Vec<System>) -> Result<(System, usize, OwnBlocks), CoreError> {
-    let lanes = systems.len();
-    let mut systems = systems.into_iter();
-    let system = systems.next().ok_or_else(no_lanes)?;
-    let mut own = Vec::with_capacity(lanes.saturating_sub(1));
-    let mut diags = Vec::new();
-    for (l, s) in (1..).zip(systems) {
-        match shape_diff(&system, &s, l) {
-            Some(d) => diags.push(d),
-            None => own.push(s.untimed.into_iter().map(|u| u.block).collect()),
-        }
-    }
-    if !diags.is_empty() {
-        return Err(CoreError::CheckFailed { diagnostics: diags });
-    }
-    Ok((system, lanes, own))
-}
-
 /// The memory plan of `lanes` lanes of `system` compiled into `prog`,
 /// and every lane's generic blocks. A block whose
 /// [`UntimedBlock::memory_spec`] is wired in the memory shape
-/// ([`Memory::wire`]) runs as a native memory; every other block stays
-/// generic. Lane 0 — and every lane when `own` is empty — reads
-/// `system`'s memory images and copies its generic blocks; lane `l` of
-/// `own` brings its own blocks (`own[l - 1]`), whose contents each lane
-/// takes once. A lane whose block at a memory's index is not that
-/// memory fails with [`CoreError::CheckFailed`] naming the lane.
-fn memory_plan(
-    prog: &Program,
-    system: &System,
-    lanes: usize,
-    own: OwnBlocks,
-) -> Result<(MemoryPlan, LaneBlocks), CoreError> {
+/// ([`Memory::wire`]) runs as a native memory, whose power-up image is
+/// read from `system`'s block; every other block stays generic, and
+/// each lane gets its own copy of it.
+fn memory_plan(prog: &Program, system: &System, lanes: usize) -> (MemoryPlan, LaneBlocks) {
     let mut fired = Vec::new();
-    let mut mems: Vec<Memory> = Vec::new();
+    let mut mems = Vec::new();
     let mut generic = Vec::new();
     for (inst, io) in system.untimed.iter().zip(&prog.untimed_io) {
         match inst.block.memory_spec().and_then(|s| Memory::wire(io, &s)) {
@@ -207,143 +167,44 @@ fn memory_plan(
             }
         }
     }
-    let copies = if own.is_empty() { lanes } else { 1 };
-    let mut blocks = Vec::with_capacity(lanes * generic.len());
-    for _ in 0..copies {
-        blocks.extend(generic.iter().map(|b| b.boxed_clone()));
-    }
-    for _ in 1..copies {
-        mems.iter_mut().for_each(Memory::push_copy);
-    }
-    let mut diags = Vec::new();
-    for (l, lane) in (1..).zip(own) {
-        for (b, f) in lane.into_iter().zip(&fired) {
-            match *f {
-                Fired::Block(_) => blocks.push(b),
-                Fired::Memory(k) => {
-                    if !mems[k].push_own(b.memory_spec()) {
-                        diags.push(format!(
-                            "lane {l}: untimed block `{}` is not the memory lane 0 runs",
-                            b.name()
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if !diags.is_empty() {
-        return Err(CoreError::CheckFailed { diagnostics: diags });
-    }
+    let blocks = (0..lanes)
+        .flat_map(|_| generic.iter().map(|b| b.boxed_clone()))
+        .collect();
     let generic = generic.len();
-    Ok((
+    (
         MemoryPlan {
             fired,
             mems,
             generic,
         },
         blocks,
-    ))
-}
-
-/// One structural difference between two lane systems, rendered.
-fn shape_diff(a: &System, b: &System, lane: usize) -> Option<String> {
-    if a.name != b.name {
-        return Some(format!("lane {lane}: system `{}` != `{}`", b.name, a.name));
-    }
-    if a.timed.len() != b.timed.len()
-        || a.untimed.len() != b.untimed.len()
-        || a.nets.len() != b.nets.len()
-        || a.primary_inputs.len() != b.primary_inputs.len()
-        || a.primary_outputs.len() != b.primary_outputs.len()
-    {
-        return Some(format!("lane {lane}: element counts differ from lane 0"));
-    }
-    for (x, y) in a.timed.iter().zip(&b.timed) {
-        if x.name != y.name
-            || x.comp.name != y.comp.name
-            || x.comp.nodes.len() != y.comp.nodes.len()
-            || x.comp.sfgs.len() != y.comp.sfgs.len()
-            || x.comp.regs.len() != y.comp.regs.len()
-        {
-            return Some(format!(
-                "lane {lane}: timed instance `{}` differs from lane 0",
-                y.name
-            ));
-        }
-    }
-    for (i, (x, y)) in a.nets.iter().zip(&b.nets).enumerate() {
-        if x.name != y.name || x.ty != y.ty {
-            return Some(format!(
-                "lane {lane}: net {i} (`{}`) differs from lane 0",
-                y.name
-            ));
-        }
-    }
-    for (x, y) in a.untimed.iter().zip(&b.untimed) {
-        if x.block.name() != y.block.name() {
-            return Some(format!(
-                "lane {lane}: untimed block `{}` differs from lane 0",
-                y.block.name()
-            ));
-        }
-    }
-    None
+    )
 }
 
 impl BatchedSim {
-    /// Compiles `systems[0]` and runs all lanes through its tape at the
-    /// default optimization level. One lane per system.
+    /// `systems.len()` lanes of `systems[0]`'s design; the other
+    /// captures are dropped unread. `systems[0]` is paired with `tape`
+    /// as [`CompiledDesign::new`] pairs a cached tape. Kept only for the
+    /// repository benchmark; build with [`BatchedSim::from_design`].
     ///
     /// # Errors
     ///
-    /// As [`BatchedSim::new_with`].
-    pub fn new(systems: Vec<System>) -> Result<BatchedSim, CoreError> {
-        BatchedSim::new_with(systems, OptLevel::default())
-    }
-
-    /// [`BatchedSim::new`] with an explicit tape-optimization level.
-    ///
-    /// All systems must be structurally identical (same components,
-    /// nets, ports — e.g. built by the same closure). The batch keeps
-    /// `systems[0]` as its structure and each other lane's untimed
-    /// blocks; lane 0 runs on copies of its system's blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::CheckFailed`] when `systems` is empty or the
-    /// lanes are not structurally identical, and
-    /// [`CoreError::NotCompilable`] when the design has no static
-    /// single-pass schedule.
-    pub fn new_with(systems: Vec<System>, level: OptLevel) -> Result<BatchedSim, CoreError> {
-        let (system, lanes, own) = split_lanes(systems)?;
-        BatchedSim::from_parts(&CompiledDesign::new(system, level, |_| None)?, lanes, own)
-    }
-
-    /// Instantiates a batch from a cached [`CompiledTape`] without
-    /// recompiling: the levelized program is shared and only the
-    /// lane-striped mutable state is built fresh. Behaviour and
-    /// [`BatchedSim::design_hash`] are identical to compiling
-    /// `systems[0]` at the tape's level — the warm path of the
-    /// simulation service's tape cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchedSim::new_with`], plus [`CoreError::TapeMismatch`]
-    /// when `systems[0]` is not structurally the system the tape was
-    /// compiled from.
+    /// [`CoreError::CheckFailed`] when `systems` is empty and
+    /// [`CoreError::TapeMismatch`] when `systems[0]` is not
+    /// structurally the system the tape was compiled from.
+    #[doc(hidden)]
     pub fn from_tape(systems: Vec<System>, tape: &CompiledTape) -> Result<BatchedSim, CoreError> {
-        let (system, lanes, own) = split_lanes(systems)?;
+        let lanes = systems.len();
+        let system = systems.into_iter().next().ok_or_else(no_lanes)?;
         let design = CompiledDesign::new(system, tape.level(), |_| Some(tape.clone()))?;
-        BatchedSim::from_parts(&design, lanes, own)
+        BatchedSim::from_design(&design, lanes)
     }
 
     /// Builds `lanes` lanes of `design`: the batch shares the design's
-    /// template and program, shares one power-up image per memory
-    /// between the lanes and gives each lane copies of the template's
+    /// template and program, its memories read one power-up image taken
+    /// from the template, and each lane gets copies of the template's
     /// generic untimed blocks ([`UntimedBlock::boxed_clone`]), so it
-    /// captures and hashes nothing, whatever its lane count. Behaviour
-    /// is identical to [`BatchedSim::from_tape`] over `lanes` separately
-    /// built systems.
+    /// captures and hashes nothing, whatever its lane count.
     ///
     /// # Errors
     ///
@@ -352,19 +213,8 @@ impl BatchedSim {
         if lanes == 0 {
             return Err(no_lanes());
         }
-        BatchedSim::from_parts(design, lanes, Vec::new())
-    }
-
-    /// Assembles a batch of `lanes` lanes of `design`, with `own` the
-    /// other lanes' blocks when each lane brought its own system (see
-    /// [`memory_plan`]).
-    fn from_parts(
-        design: &CompiledDesign,
-        lanes: usize,
-        own: OwnBlocks,
-    ) -> Result<BatchedSim, CoreError> {
         let (system, tape) = (Arc::clone(design.template()), design.tape());
-        let (plan, blocks) = memory_plan(&tape.prog, &system, lanes, own)?;
+        let (plan, blocks) = memory_plan(&tape.prog, &system, lanes);
         Ok(BatchedSim {
             st: State::new(&tape.prog, &system, lanes, plan),
             prog: Arc::clone(&tape.prog),
@@ -548,7 +398,7 @@ impl BatchedSim {
     }
 
     /// Returns every lane to power-up state: state slots, FSM states,
-    /// registers, memories (each lane's power-up image) and generic
+    /// registers, memories (their power-up images) and generic
     /// untimed blocks. Masked lanes are revived, the cycle count
     /// restarts at 0 and enabled traces restart empty; an attached
     /// bundle stays. From here the batch steps exactly as a fresh build
@@ -619,29 +469,6 @@ impl BatchedSim {
         self.check_lane(lane)?;
         let i = self.net_index(name)?;
         Ok(self.read_net_slot(i, lane))
-    }
-
-    /// Overwrites the value held on a named net of one lane — the
-    /// per-lane fault-injection primitive. Writes to masked lanes are
-    /// ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownName`] for an unknown net or lane and
-    /// [`CoreError::ValueType`] for a type mismatch.
-    pub fn poke_net_lane(
-        &mut self,
-        lane: usize,
-        name: &str,
-        value: Value,
-    ) -> Result<(), CoreError> {
-        self.check_lane(lane)?;
-        let i = self.net_index(name)?;
-        value.check_type_with(self.system.nets[i].ty, || format!("net `{name}`"))?;
-        if self.alive[lane] {
-            self.st.slots[self.prog.net_slot[i] as usize * self.lanes + lane] = value.to_raw();
-        }
-        Ok(())
     }
 
     /// Observes a register of one lane.
@@ -717,9 +544,9 @@ impl BatchedSim {
     }
 
     /// Where net `name` lives in a lane's state, and the type its word
-    /// is read as. Fails as [`BatchedSim::poke_net_lane`] fails to write
-    /// back a value read there: an unknown net, or a net declared with
-    /// another type than its slot holds.
+    /// is read as. Fails for an unknown net, or a net declared with
+    /// another type than its slot holds, so that a value read there can
+    /// be written back.
     pub(crate) fn net_word(&self, name: &str) -> Result<(Word, SigType), CoreError> {
         let i = self.net_index(name)?;
         let sl = self.prog.net_slot[i] as usize;

@@ -622,7 +622,7 @@ impl CompiledSim {
     /// Returns [`CoreError::NotCompilable`] when the conservative
     /// cross-component dependence graph is cyclic.
     pub fn new_with(sys: System, level: OptLevel) -> Result<CompiledSim, CoreError> {
-        BatchedSim::new_with(vec![sys], level).map(CompiledSim)
+        CompiledSim::from_design(&CompiledDesign::new(sys, level, |_| None)?)
     }
 
     /// Instantiates a simulator from a cached [`CompiledTape`] without
@@ -636,7 +636,9 @@ impl CompiledSim {
     /// Returns [`CoreError::TapeMismatch`] when `sys` is not
     /// structurally the system the tape was compiled from.
     pub fn from_tape(sys: System, tape: &CompiledTape) -> Result<CompiledSim, CoreError> {
-        BatchedSim::from_tape(vec![sys], tape).map(CompiledSim)
+        CompiledSim::from_design(&CompiledDesign::new(sys, tape.level(), |_| {
+            Some(tape.clone())
+        })?)
     }
 
     /// A simulator of `design`: the one-lane

@@ -32,13 +32,13 @@
 //! **Memories.** A `Fire` of a block that reports a
 //! [`MemorySpec`](crate::MemorySpec) and is wired in the memory shape
 //! ([`Memory::wire`]) runs natively: each live lane masks its address,
-//! reads a `u64` word — a ROM from its lane's power-up image, a RAM from
-//! its lane's words — and a RAM then stores its canonical `wdata` when
-//! `we` is set. No `Value` is built and no block is called; the
-//! memories are part of the [`State`], planned when the state is built
-//! from the batch's own blocks (not from the [`Program`], so two
-//! systems that share a tape still read their own contents). Every
-//! other block fires through its lane's own copy
+//! reads a `u64` word — a ROM from the one power-up image every lane
+//! shares, a RAM from its lane's words — and a RAM then stores its
+//! canonical `wdata` when `we` is set. No `Value` is built and no block
+//! is called; the memories are part of the [`State`], planned when the
+//! state is built from the batch's template (not from the [`Program`],
+//! so two variants of a design that share a tape still read their own
+//! contents). Every other block fires through its lane's own copy
 //! ([`Fired::Block`]).
 //!
 //! **Static control.** An instance without an FSM runs every SFG every
@@ -48,7 +48,6 @@
 //! commit as plain stripe copies.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 use ocapi_fixp::{Fix, Format, Overflow, Rounding};
 
@@ -285,8 +284,8 @@ pub(crate) enum Fired {
 }
 
 /// An untimed block the tape runs as a memory of its state: a block
-/// that reports a [`MemorySpec`] and is wired in the memory shape. A ROM
-/// reads each lane's power-up image; a RAM keeps each lane's words.
+/// that reports a [`MemorySpec`] and is wired in the memory shape. Every
+/// lane reads one power-up image; a RAM also keeps each lane's words.
 #[derive(Debug)]
 pub(crate) struct Memory {
     /// The address slot.
@@ -299,11 +298,9 @@ pub(crate) struct Memory {
     word: SigType,
     /// `2^a - 1`: the address bits `Value::from_raw` keeps.
     mask: u64,
-    /// Each lane's power-up contents, `2^a` words. Lane 0 reads the
-    /// batch's system's block; a lane that copies that system shares
-    /// lane 0's image, and a lane that brought its own block reads that
-    /// block's (sharing lane 0's when they are equal).
-    power_up: Vec<Arc<[u64]>>,
+    /// The power-up contents, `2^a` words: a ROM's words, and what a
+    /// reset returns every lane of a RAM to.
+    power_up: Box<[u64]>,
     /// A RAM's words, lane after lane: word `x` of lane `l` at
     /// `l * 2^a + x`. Empty for a ROM.
     words: Vec<u64>,
@@ -313,7 +310,7 @@ impl Memory {
     /// The memory `spec` describes, if the block's wiring `io` has its
     /// shape — a ROM `addr: Bits(a)` → `data: W`, a RAM `addr: Bits(a)`,
     /// `we: Bool`, `wdata: W` → `rdata: W` — and its contents are `2^a`
-    /// words of type `W`. Its one lane, lane 0, reads those contents.
+    /// words of type `W`, which become its power-up image.
     pub(crate) fn wire(io: &UntimedIo, spec: &MemorySpec) -> Option<Memory> {
         let (ins, outs) = io;
         let word = spec.word;
@@ -329,76 +326,37 @@ impl Memory {
         let [(data, ty)] = &outs[..] else {
             return None;
         };
-        let image = Memory::contents(spec)?;
-        let depth_ok = (1..usize::BITS).contains(&a) && image.len() == 1 << a;
+        let power_up = spec
+            .contents
+            .iter()
+            .map(|v| (v.sig_type() == word).then(|| v.to_raw()))
+            .collect::<Option<Box<[u64]>>>()?;
+        let depth_ok = (1..usize::BITS).contains(&a) && power_up.len() == 1 << a;
         (*w == a && *ty == word && depth_ok).then(|| Memory {
             addr: *addr,
             write,
             data: *data,
             word,
             mask: (1 << a) - 1,
-            power_up: vec![image],
+            power_up,
             words: Vec::new(),
         })
     }
 
-    /// `spec`'s contents as raw words, if every one has type
-    /// `spec.word`.
-    fn contents(spec: &MemorySpec) -> Option<Arc<[u64]>> {
-        let word = spec.word;
-        spec.contents
-            .iter()
-            .map(|v| (v.sig_type() == word).then(|| v.to_raw()))
-            .collect()
-    }
-
-    /// Adds a lane that shares lane 0's power-up image.
-    pub(crate) fn push_copy(&mut self) {
-        self.power_up.push(Arc::clone(&self.power_up[0]));
-    }
-
-    /// Adds a lane whose own block reports `spec`. Returns `false`, and
-    /// adds nothing, when `spec` is not this memory: another kind,
-    /// address width or word type, or contents that do not fit it.
-    pub(crate) fn push_own(&mut self, spec: Option<MemorySpec<'_>>) -> bool {
-        let Some(spec) = spec.filter(|s| {
-            s.is_rom == self.write.is_none()
-                && s.addr_bits == self.mask.count_ones()
-                && s.word == self.word
-                && s.contents.len() == self.depth()
-        }) else {
-            return false;
-        };
-        let lane0 = &self.power_up[0];
-        let shared = spec
-            .contents
-            .iter()
-            .zip(lane0.iter())
-            .all(|(v, w)| v.sig_type() == self.word && v.to_raw() == *w);
-        let image = if shared {
-            Some(Arc::clone(lane0))
-        } else {
-            Memory::contents(&spec)
-        };
-        let ok = image.is_some();
-        self.power_up.extend(image);
-        ok
-    }
-
     /// Words a lane.
     fn depth(&self) -> usize {
-        self.power_up[0].len()
+        self.power_up.len()
     }
 
-    /// Returns every lane's RAM words to its power-up image.
-    fn reset(&mut self) {
+    /// Returns the RAM words of each of `n` lanes to the power-up image.
+    fn reset(&mut self, n: usize) {
         if self.write.is_none() {
             return;
         }
         let d = self.depth();
-        self.words.resize(self.power_up.len() * d, 0);
-        for (lane, image) in self.words.chunks_exact_mut(d).zip(&self.power_up) {
-            lane.copy_from_slice(image);
+        self.words.resize(n * d, 0);
+        for lane in self.words.chunks_exact_mut(d) {
+            lane.copy_from_slice(&self.power_up);
         }
     }
 
@@ -439,7 +397,7 @@ impl Memory {
         for l in (0..n).filter(move |l| lanes.live(*l)) {
             let a = (s[at(self.addr, l)] & self.mask) as usize;
             let read = match self.write {
-                None => self.power_up[l][a],
+                None => self.power_up[a],
                 Some([we, wdata]) => {
                     let w = Value::from_raw(self.word, s[at(wdata, l)]).to_raw();
                     let cell = &mut self.words[l * d + a];
@@ -455,7 +413,7 @@ impl Memory {
     }
 }
 
-/// The memory plan of one instance: how each untimed block fires, the
+/// The memory plan of one batch: how each untimed block fires, the
 /// native memories with every lane's contents, and how many generic
 /// blocks each lane owns.
 #[derive(Debug)]
@@ -500,8 +458,7 @@ pub(crate) struct State {
 
 impl State {
     /// Power-up state of `n` lanes of `sys` compiled into `prog`, whose
-    /// untimed blocks fire as `untimed` plans (one power-up image per lane
-    /// in each of its memories).
+    /// untimed blocks fire as `plan` says.
     pub(crate) fn new(prog: &Program, sys: &System, n: usize, plan: MemoryPlan) -> State {
         let always_on: Vec<bool> = prog.fsm_tables.iter().map(Vec::is_empty).collect();
         let mut st = State {
@@ -547,7 +504,7 @@ impl State {
             }
         }
         for m in &mut self.plan.mems {
-            m.reset();
+            m.reset(n);
         }
     }
 

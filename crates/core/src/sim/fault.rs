@@ -348,11 +348,6 @@ impl<S: Simulator> FaultySim<S> {
         &self.inner
     }
 
-    /// The wrapped simulator, mutably.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Unwraps the inner simulator.
     pub fn into_inner(self) -> S {
         self.inner

@@ -257,11 +257,6 @@ impl InterpSim {
         &self.sys
     }
 
-    /// Gives the system back (e.g. to rebuild a different simulator).
-    pub fn into_system(self) -> System {
-        self.sys
-    }
-
     /// The current FSM state name of a timed instance, for tests and
     /// debugging.
     ///

@@ -16,9 +16,7 @@
 //!   block then port, which the block reads back as that output's
 //!   previous value when it next fires;
 //! * `untimed.<u>` — block `u`'s own state words, for a block that has
-//!   any (a RAM's words; none for a ROM);
-//! * `rng` — optionally, the positions of the PRNG streams driving the
-//!   stimuli.
+//!   any (a RAM's words; none for a ROM).
 //!
 //! Every word is its value's canonical [`Value::to_raw`] word, plus the
 //! completed-cycle count. [`InterpSim`](crate::InterpSim),
@@ -56,7 +54,6 @@
 
 use ocapi_obs::json::{obj, Json};
 
-use crate::rng::XorShift64;
 use crate::sim::hash::Fnv;
 use crate::system::System;
 use crate::value::{SigType, Value};
@@ -64,9 +61,6 @@ use crate::CoreError;
 
 const MAGIC: &[u8; 4] = b"OSNP";
 const VERSION: u16 = 2;
-
-/// Reserved section name carrying PRNG stream positions.
-const RNG_SECTION: &str = "rng";
 
 /// The untimed outputs of `sys` that drive no net, as (block, port),
 /// block then port: the outputs whose words section `held` carries.
@@ -201,22 +195,6 @@ impl SimSnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, w)| w.as_slice())
-    }
-
-    /// Attaches the positions of the PRNG streams driving the run, so a
-    /// restore resumes the stimulus exactly. Replaces any previously
-    /// attached streams.
-    pub fn set_rng_streams(&mut self, streams: &[XorShift64]) {
-        self.sections.retain(|(n, _)| n != RNG_SECTION);
-        self.push_section(RNG_SECTION, streams.iter().map(XorShift64::state).collect());
-    }
-
-    /// The PRNG streams attached via [`SimSnapshot::set_rng_streams`],
-    /// rebuilt at their saved positions (empty if none were attached).
-    pub fn rng_streams(&self) -> Vec<XorShift64> {
-        self.section(RNG_SECTION).map_or_else(Vec::new, |words| {
-            words.iter().copied().map(XorShift64::from_state).collect()
-        })
     }
 
     /// Checks this snapshot against a simulator of `sys` whose design
@@ -427,9 +405,7 @@ mod tests {
 
     fn sample() -> SimSnapshot {
         let nets = [1, 2, 3, u64::MAX];
-        let mut s = SimSnapshot::capture(0xdead_beef_1234_5678, 42, nets, [0], [], [], []);
-        s.set_rng_streams(&[XorShift64::new(7), XorShift64::new(9)]);
-        s
+        SimSnapshot::capture(0xdead_beef_1234_5678, 42, nets, [0], [], [], [])
     }
 
     /// `bytes` re-framed with a fresh checksum.
@@ -465,10 +441,6 @@ mod tests {
         assert_eq!(back.section("nets"), Some(&[1, 2, 3, u64::MAX][..]));
         assert_eq!(back.section("held"), Some(&[][..]));
         assert_eq!(back.cycle(), 42);
-        assert_eq!(
-            back.rng_streams(),
-            vec![XorShift64::new(7), XorShift64::new(9)]
-        );
     }
 
     #[test]

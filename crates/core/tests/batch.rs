@@ -7,9 +7,9 @@
 use ocapi::rng::XorShift64;
 use ocapi::{
     run_campaign_cached_par, run_campaign_par, BatchedSim, CompiledDesign, CompiledSim,
-    CompiledTape, Component, CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, FnBlock,
-    InterpSim, MemorySpec, OptLevel, Overflow, ParConfig, PortDecl, Ram, Rounding, SigType,
-    Simulator, System, UntimedBlock, Value,
+    CompiledTape, Component, CoreError, FaultEvent, FaultOutcome, FaultSite, Fix, InterpSim,
+    MemorySpec, OptLevel, Overflow, ParConfig, PortDecl, Ram, Rounding, SigType, Simulator, System,
+    UntimedBlock, Value,
 };
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor};
@@ -408,7 +408,7 @@ fn single_lane_batch_is_scalar_via_trait() {
     for (name, make) in designs {
         let sys = make();
         let mut rng = XorShift64::new(0x1a7e);
-        let mut batch = BatchedSim::new(vec![make()]).unwrap();
+        let mut batch = BatchedSim::from_fn(1, || Ok(make()), OptLevel::default()).unwrap();
         let mut interp = InterpSim::new(make()).unwrap();
         let mut scalar = CompiledSim::new(make()).unwrap();
         batch.enable_trace();
@@ -526,10 +526,11 @@ fn batched_campaign_outcomes_equal_scalar_for_all_geometries() {
 // One capture per batch: lanes own copies of the captured system's blocks.
 // ---------------------------------------------------------------------------
 
-/// 64 DECT lanes built from one capture step exactly as 64 lanes built
-/// from 64 captures: each lane gets its own seeded burst, and every
-/// lane's full state — slots, registers, FSM states and RAM contents —
-/// is byte-identical between the two batches at every checkpoint.
+/// 64 DECT lanes built from one capture step exactly as 64 one-lane
+/// simulators each built from its own capture: each lane gets its own
+/// seeded burst, and every lane's architectural state — nets,
+/// registers, FSM states and RAM contents — is byte-identical to its
+/// simulator's at every checkpoint.
 #[test]
 fn lanes_of_one_capture_equal_lanes_of_separate_captures() {
     const LANES: usize = 64;
@@ -538,8 +539,10 @@ fn lanes_of_one_capture_equal_lanes_of_separate_captures() {
     let tape = CompiledTape::compile(&build(), OptLevel::Full).unwrap();
     let design = CompiledDesign::new(build(), OptLevel::Full, |_| Some(tape.clone())).unwrap();
     let mut one = BatchedSim::from_design(&design, LANES).unwrap();
-    let mut many = BatchedSim::from_tape((0..LANES).map(|_| build()).collect(), &tape).unwrap();
-    assert_eq!(one.design_hash(), many.design_hash());
+    let mut many: Vec<CompiledSim> = (0..LANES)
+        .map(|_| CompiledSim::from_tape(build(), &tape).unwrap())
+        .collect();
+    assert_eq!(one.design_hash(), many[0].design_hash());
     let bursts: Vec<_> = (0..LANES as u64)
         .map(|l| {
             dect::burst::generate(&dect::burst::BurstConfig {
@@ -554,19 +557,20 @@ fn lanes_of_one_capture_equal_lanes_of_separate_captures() {
     let checkpoints = [1, 37, cycles / 2, cycles];
     for c in 1..=cycles {
         let symbol = (c - 1) / dect::transceiver::CYCLES_PER_SYMBOL;
-        for sim in [&mut one, &mut many] {
-            for (l, burst) in bursts.iter().enumerate() {
-                let x = burst.samples[symbol % burst.samples.len()];
-                sim.set_input_lane(l, "sample", Value::Fixed(x)).unwrap();
-            }
+        for (l, (burst, sim)) in bursts.iter().zip(&mut many).enumerate() {
+            let x = Value::Fixed(burst.samples[symbol % burst.samples.len()]);
+            one.set_input_lane(l, "sample", x).unwrap();
+            sim.set_input("sample", x).unwrap();
             sim.set_input("hold_request", Value::Bool(false)).unwrap();
             sim.step().unwrap();
         }
+        one.set_input("hold_request", Value::Bool(false)).unwrap();
+        one.step().unwrap();
         if checkpoints.contains(&c) {
-            for l in 0..LANES {
+            for (l, sim) in many.iter().enumerate() {
                 assert_eq!(
                     one.snapshot_lane(l).unwrap().to_bytes(),
-                    many.snapshot_lane(l).unwrap().to_bytes(),
+                    sim.snapshot().to_bytes(),
                     "lane {l} cycle {c}"
                 );
             }
@@ -671,94 +675,6 @@ fn a_lane_of_one_capture_reads_its_own_ram() {
     ));
 }
 
-/// Lanes that bring their own systems read their own RAM contents:
-/// three lanes preloaded with different words each read back their own,
-/// keep it while another lane writes, and return to it after a reset.
-#[test]
-fn lanes_of_separate_captures_read_their_own_preloads() {
-    let words = [0x5a, 0x33, 0xc0];
-    let tape = CompiledTape::compile(&preloaded_ram_system(0), OptLevel::Full).unwrap();
-    let systems = words.iter().map(|w| preloaded_ram_system(*w)).collect();
-    let mut sim = BatchedSim::from_tape(systems, &tape).unwrap();
-    let check = |sim: &BatchedSim, want: [u64; 3], when: &str| {
-        for (l, w) in want.into_iter().enumerate() {
-            let y = sim.output_lane(l, "y").unwrap();
-            assert_eq!(y, Value::bits(8, w), "lane {l} {when}");
-            let section = sim.snapshot_lane(l).unwrap();
-            assert_eq!(section.section("untimed.0"), Some(&[w, 0, 0, 0][..]));
-        }
-    };
-    sim.set_input("we", Value::Bool(false)).unwrap();
-    sim.step().unwrap();
-    check(&sim, words, "at power-up");
-    sim.set_input_lane(1, "we", Value::Bool(true)).unwrap();
-    sim.step().unwrap();
-    sim.set_input("we", Value::Bool(false)).unwrap();
-    sim.step().unwrap();
-    check(&sim, [words[0], 0x11, words[2]], "after lane 1 wrote");
-    sim.reset();
-    sim.set_input("we", Value::Bool(false)).unwrap();
-    sim.step().unwrap();
-    check(&sim, words, "after reset");
-}
-
-/// The adaptive and the fixed transceiver differ only in their
-/// instruction ROM, so they share one tape. In one batch each lane reads
-/// its own ROM: every output of every cycle equals a `CompiledSim` of
-/// that lane's variant, and the two lanes' outputs part.
-#[test]
-fn transceiver_variants_in_one_batch_read_their_own_roms() {
-    let variant = |adapt: bool| {
-        dect::transceiver::build_system(&TransceiverConfig {
-            train: adapt,
-            agc: false,
-            adapt,
-        })
-        .unwrap()
-    };
-    let tape = CompiledTape::compile(&variant(true), OptLevel::Full).unwrap();
-    let mut batch = BatchedSim::from_tape(vec![variant(true), variant(false)], &tape).unwrap();
-    let mut solo = [
-        CompiledSim::from_tape(variant(true), &tape).unwrap(),
-        CompiledSim::from_tape(variant(false), &tape).unwrap(),
-    ];
-    let burst = dect::burst::generate(&dect::burst::BurstConfig {
-        payload_len: 16,
-        channel: vec![1.0, 0.5],
-        noise: 0.2,
-        seed: 0x0b0e,
-    });
-    let outputs: Vec<String> = variant(true)
-        .primary_outputs
-        .iter()
-        .map(|p| p.name.clone())
-        .collect();
-    let mut parted = false;
-    for (c, x) in burst
-        .samples
-        .iter()
-        .flat_map(|x| [x; dect::transceiver::CYCLES_PER_SYMBOL])
-        .enumerate()
-    {
-        batch.set_input("sample", Value::Fixed(*x)).unwrap();
-        batch.set_input("hold_request", Value::Bool(false)).unwrap();
-        batch.step().unwrap();
-        for sim in &mut solo {
-            sim.set_input("sample", Value::Fixed(*x)).unwrap();
-            sim.set_input("hold_request", Value::Bool(false)).unwrap();
-            sim.step().unwrap();
-        }
-        for o in &outputs {
-            let lanes = [0, 1].map(|l| batch.output_lane(l, o).unwrap());
-            for (l, sim) in solo.iter().enumerate() {
-                assert_eq!(lanes[l], sim.output(o).unwrap(), "lane {l} `{o}` cycle {c}");
-            }
-            parted |= lanes[0] != lanes[1];
-        }
-    }
-    assert!(parted, "the variants' ROMs never showed");
-}
-
 /// An accumulator that reports itself as a 4-word ROM, but whose
 /// address port is 3 bits wide: not the memory shape, so the tape fires
 /// the block itself.
@@ -853,55 +769,6 @@ fn a_memory_spec_in_another_shape_fires_the_block() {
             }
         }
     }
-}
-
-/// A lane whose block at a memory's index is not that memory is refused
-/// with a diagnostic naming the lane: lane 1's `ram` has the RAM's
-/// ports but is a closure that reports no `MemorySpec`.
-#[test]
-fn a_lane_whose_block_is_not_the_memory_is_refused() {
-    let ram = Ram::new("ram", 4, SigType::Bits(8));
-    let not_a_ram = || {
-        ram_system_with(Box::new(FnBlock::new(
-            "ram",
-            ram.input_ports(),
-            ram.output_ports(),
-            |_, out| out[0] = Value::bits(8, 0),
-        )))
-    };
-    let tape = CompiledTape::compile(&ram_system(), OptLevel::Full).unwrap();
-    for result in [
-        BatchedSim::new(vec![ram_system(), not_a_ram()]),
-        BatchedSim::from_tape(vec![ram_system(), ram_system(), not_a_ram()], &tape),
-    ] {
-        match result {
-            Err(CoreError::CheckFailed { diagnostics }) => {
-                assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
-                assert!(diagnostics[0].starts_with("lane "), "{diagnostics:?}");
-                assert!(diagnostics[0].contains("`ram`"), "{diagnostics:?}");
-            }
-            other => panic!("expected CheckFailed, got {:?}", other.map(|_| ())),
-        }
-    }
-    // The other way round, lane 0's block is generic and lane 1's `Ram`
-    // fires as a block too.
-    assert!(BatchedSim::new(vec![not_a_ram(), ram_system()]).is_ok());
-}
-
-/// Structural lane mismatches are rejected up front with diagnostics.
-#[test]
-fn mismatched_lane_systems_are_rejected() {
-    let err = BatchedSim::new(vec![acc_system(), float_system()]).unwrap_err();
-    match err {
-        CoreError::CheckFailed { diagnostics } => {
-            assert!(!diagnostics.is_empty());
-        }
-        other => panic!("expected CheckFailed, got {other:?}"),
-    }
-    assert!(matches!(
-        BatchedSim::new(Vec::new()),
-        Err(CoreError::CheckFailed { .. })
-    ));
 }
 
 // ---------------------------------------------------------------------------

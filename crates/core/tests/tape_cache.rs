@@ -6,8 +6,8 @@
 //! checked against the reference campaign in the batch suite.
 
 use ocapi::{
-    BatchedSim, CompiledSim, CompiledTape, Component, CoreError, OptLevel, SigType, Simulator,
-    System, Value,
+    BatchedSim, CompiledDesign, CompiledSim, CompiledTape, Component, CoreError, OptLevel, SigType,
+    Simulator, System, Value,
 };
 
 /// The FSM accumulator from the batch suite: control flow diverges per
@@ -104,33 +104,42 @@ fn snapshots_interchange_between_fresh_and_cached() {
 }
 
 /// Lane-batched instantiation from one shared tape matches per-batch
-/// compilation for every lane count.
+/// compilation for every lane count, through a design paired with the
+/// cached tape and through the benchmark's `from_tape`, which builds
+/// `systems.len()` lanes of the first capture.
 #[test]
 fn batched_from_tape_matches_fresh_compile() {
     let tape = CompiledTape::compile(&acc_system(), OptLevel::Full).unwrap();
+    let design = CompiledDesign::new(acc_system(), OptLevel::Full, |_| Some(tape.clone())).unwrap();
     for lanes in [1usize, 3, 8] {
-        let systems = || (0..lanes).map(|_| acc_system()).collect::<Vec<_>>();
-        let mut fresh = BatchedSim::new_with(systems(), OptLevel::Full).unwrap();
-        let mut cached = BatchedSim::from_tape(systems(), &tape).unwrap();
+        let mut fresh = BatchedSim::from_fn(lanes, || Ok(acc_system()), OptLevel::Full).unwrap();
+        let mut cached = BatchedSim::from_design(&design, lanes).unwrap();
+        let systems = (0..lanes).map(|_| acc_system()).collect();
+        let mut wrapped = BatchedSim::from_tape(systems, &tape).unwrap();
+        assert_eq!(wrapped.lanes(), lanes);
         for i in 0..20 {
             for lane in 0..lanes {
                 // Stagger `stop` by lane so control flow differs across
                 // the batch.
                 let (x, _) = stimulus(i);
                 let stop = i == 3 + lane as u64;
-                for sim in [&mut fresh, &mut cached] {
+                for sim in [&mut fresh, &mut cached, &mut wrapped] {
                     sim.set_input_lane(lane, "x", Value::bits(8, x)).unwrap();
                     sim.set_input_lane(lane, "stop", Value::Bool(stop)).unwrap();
                 }
             }
-            fresh.step().unwrap();
-            cached.step().unwrap();
+            for sim in [&mut fresh, &mut cached, &mut wrapped] {
+                sim.step().unwrap();
+            }
             for lane in 0..lanes {
-                assert_eq!(
-                    fresh.output_lane(lane, "sum").unwrap(),
-                    cached.output_lane(lane, "sum").unwrap(),
-                    "lanes={lanes} lane={lane} diverged at cycle {i}"
-                );
+                let want = fresh.output_lane(lane, "sum").unwrap();
+                for sim in [&cached, &wrapped] {
+                    assert_eq!(
+                        sim.output_lane(lane, "sum").unwrap(),
+                        want,
+                        "lanes={lanes} lane={lane} diverged at cycle {i}"
+                    );
+                }
             }
         }
     }

@@ -17,8 +17,8 @@ mod agree;
 use ocapi::rng::XorShift64;
 use ocapi::sim::hash::Fnv;
 use ocapi::{
-    BatchedSim, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel, Overflow, Rounding,
-    SigType, SimSnapshot, Simulator, System, Value,
+    BatchedSim, CompiledDesign, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel,
+    Overflow, Rounding, SigType, SimSnapshot, Simulator, System, Value,
 };
 use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::highlevel::build_mixed_system;
@@ -312,7 +312,8 @@ fn tape_reuse_matches_fresh_compilation() {
     let tape = CompiledTape::compile(&mk(), OptLevel::Full).expect("tape");
     let mut from_tape = CompiledSim::from_tape(mk(), &tape).expect("from_tape");
     let mut fresh = CompiledSim::new_with(mk(), OptLevel::Full).expect("fresh");
-    let mut batch = BatchedSim::from_tape(vec![mk(), mk()], &tape).expect("from_tape");
+    let design = CompiledDesign::new(mk(), OptLevel::Full, |_| Some(tape.clone())).expect("design");
+    let mut batch = BatchedSim::from_design(&design, 2).expect("from_design");
     assert_eq!(from_tape.design_hash(), fresh.design_hash());
     assert_eq!(tape.system_hash(), fresh.design_hash());
     assert_eq!(batch.design_hash(), fresh.design_hash());
@@ -337,7 +338,7 @@ fn tape_rejects_the_wrong_system() {
         Err(CoreError::TapeMismatch { .. }) => {}
         other => panic!("expected TapeMismatch, got {:?}", other.map(|_| ())),
     }
-    match BatchedSim::from_tape(vec![wlan()], &tape) {
+    match CompiledDesign::new(wlan(), OptLevel::Full, |_| Some(tape.clone())) {
         Err(CoreError::TapeMismatch { .. }) => {}
         other => panic!("expected TapeMismatch, got {:?}", other.map(|_| ())),
     }

@@ -6,6 +6,14 @@
 //! their input bits change. The result implements [`Simulator`], so the
 //! same stimuli drive interpreted, compiled, RT-level and gate-level
 //! simulation — exactly the comparison of the paper's Table 1.
+//!
+//! Firing on input changes only is not the cycle schedulers' once a
+//! cycle: a stateful block whose state advances on unchanged inputs
+//! diverges here, as on RT level. A RAM written on consecutive cycles at
+//! an unchanged address with unchanged data fires once, so its read data
+//! keeps the stale word it read before the write (preloaded 0x5a, `we`
+//! high, `wdata` 0x11: 5a 5a 5a 5a here and on RT level, 5a 11 11 11 on
+//! the interpreter and the tape). A ROM is unaffected.
 
 use ocapi::{CoreError, NetSource, SigType, Simulator, System, Trace, UntimedBlock, Value};
 use ocapi_fixp::Fix;

@@ -273,10 +273,14 @@ impl RtlSystemSim {
         // inputs.
         //
         // Note: a stateful untimed block only re-fires when an input
-        // *changes* (event-driven semantics). Blocks whose state advances
-        // on identical consecutive inputs (e.g. a FIFO pop) would diverge
-        // from the cycle scheduler; address/write patterns like the
-        // RAM/ROM models are safe.
+        // *changes* (event-driven semantics), so it diverges from the
+        // cycle scheduler, which fires it once a cycle, whenever its
+        // state advances on identical consecutive inputs: a FIFO pop, and
+        // a RAM too. A RAM written on consecutive cycles at an unchanged
+        // address with unchanged data fires once, so its read data keeps
+        // the stale word it read before the write (preloaded 0x5a, `we`
+        // high, `wdata` 0x11: 5a 5a 5a 5a), where the interpreter and the
+        // tape read 5a 11 11 11. Only a ROM is safe.
         for (b, u) in top.blocks.iter().zip(std::mem::take(&mut sys.untimed)) {
             let inputs: Vec<SignalId> = b.inputs.iter().map(|(_, n)| net_sig[*n]).collect();
             let outputs = b

@@ -37,6 +37,12 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// length prefix cannot make the daemon hold [`MAX_FRAME`] bytes.
 const RESERVE: usize = 64 * 1024;
 
+/// The largest request payload `served` parses ([`read_request`]).
+/// Every request the field caps admit is a few KiB, while the parser
+/// holds a 32-byte value per array element, so a 1 MiB `[0,0,…]` would
+/// grow a 16 MiB vector: a longer request is refused unparsed.
+pub const MAX_REQUEST: usize = 64 * 1024;
+
 /// Frame types that are pure functions of the request (the determinism
 /// contract covers exactly these).
 pub fn is_deterministic(frame: &Json) -> bool {
@@ -82,6 +88,40 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), ServeError> 
 ///
 /// Socket I/O errors, oversized lengths, truncation, invalid UTF-8.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ServeError> {
+    match read_len(r)? {
+        Some(len) => read_payload(r, len).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Reads one request frame, as [`read_frame`] reads a frame, except
+/// that a payload over [`MAX_REQUEST`] bytes is read through a small
+/// buffer and dropped: `Ok(Some(Err(len)))` reports its length, and the
+/// framing stays intact for the next request.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn read_request(r: &mut impl Read) -> Result<Option<Result<String, usize>>, ServeError> {
+    let Some(len) = read_len(r)? else {
+        return Ok(None);
+    };
+    if len <= MAX_REQUEST {
+        return read_payload(r, len).map(|text| Some(Ok(text)));
+    }
+    if std::io::copy(&mut r.take(len as u64), &mut std::io::sink())? != len as u64 {
+        return Err(truncated());
+    }
+    Ok(Some(Err(len)))
+}
+
+fn truncated() -> ServeError {
+    ServeError::Protocol("truncated frame payload".into())
+}
+
+/// A frame's length prefix, at most [`MAX_FRAME`]; `None` at a clean
+/// end of stream.
+fn read_len(r: &mut impl Read) -> Result<Option<usize>, ServeError> {
     let mut len = [0u8; 4];
     match r.read(&mut len)? {
         0 => return Ok(None),
@@ -101,14 +141,19 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ServeError> {
             "frame length {len} exceeds the {MAX_FRAME}-byte limit"
         )));
     }
+    Ok(Some(len))
+}
+
+/// A `len`-byte UTF-8 payload.
+fn read_payload(r: &mut impl Read, len: usize) -> Result<String, ServeError> {
     let mut buf = Vec::with_capacity(len.min(RESERVE));
     let read = r.take(len as u64).read_to_end(&mut buf);
     if !matches!(read, Ok(n) if n == len) {
-        return Err(ServeError::Protocol("truncated frame payload".into()));
+        return Err(truncated());
     }
     let text =
         String::from_utf8(buf).map_err(|_| ServeError::Protocol("frame is not UTF-8".into()))?;
-    Ok(Some(text))
+    Ok(text)
 }
 
 /// Writes `frame` (rendered to its canonical byte form) to `w`.

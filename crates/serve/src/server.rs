@@ -23,7 +23,7 @@ use ocapi_obs::{Counter, Registry};
 use crate::cache::TapeCache;
 use crate::designs::Design;
 use crate::error::ServeError;
-use crate::proto::{read_frame, send};
+use crate::proto::{read_request, send, MAX_REQUEST};
 use crate::{jobs, VERSION};
 
 /// A warm session parked between `session.run` calls.
@@ -349,7 +349,8 @@ fn stats(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<(), Se
 }
 
 /// Serves one connection until the peer closes it, a transport error
-/// occurs, or a `shutdown` request arrives (the return value).
+/// occurs, or a `shutdown` request arrives (the return value). A request
+/// over [`MAX_REQUEST`] bytes is answered with an error frame unparsed.
 ///
 /// # Errors
 ///
@@ -357,7 +358,15 @@ fn stats(state: &ServerState, req: &Json, out: &mut impl Write) -> Result<(), Se
 pub fn serve_connection(state: &ServerState, stream: UnixStream) -> Result<bool, ServeError> {
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
-    while let Some(text) = read_frame(&mut reader)? {
+    while let Some(frame) = read_request(&mut reader)? {
+        let text = match frame {
+            Ok(text) => text,
+            Err(len) => {
+                let e = format!("request of {len} bytes exceeds the {MAX_REQUEST}-byte limit");
+                reply_error(&Json::Null, &ServeError::Parse(e).to_string(), &mut writer)?;
+                continue;
+            }
+        };
         let req = match Json::parse(&text) {
             Ok(req) => req,
             Err(e) => {
@@ -420,7 +429,7 @@ pub fn run(state: &Arc<ServerState>) -> Result<(), ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::write_frame;
+    use crate::proto::{read_frame, write_frame};
 
     fn roundtrip(state: &ServerState, req: &str) -> Vec<String> {
         let parsed = Json::parse(req).unwrap();

@@ -6,13 +6,18 @@
 //! `ServeError::Protocol`, never panic, and no allocation may exceed
 //! 64 KiB: a length prefix beyond `MAX_FRAME` is refused before it
 //! sizes a buffer, and one within it reserves at most 64 KiB before its
-//! payload arrives, while every mutant stream is under 1 KiB.
+//! payload arrives, while every mutant stream is under 1 KiB. A
+//! connection of the daemon refuses a 1 MiB request unparsed, within
+//! 2 MiB of allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use ocapi::rng::XorShift64;
 use ocapi_serve::proto::{read_frame, write_frame, MAX_FRAME};
+use ocapi_serve::server::{serve_connection, ServerState};
 use ocapi_serve::{Json, ServeError};
 
 /// Records the largest single allocation.
@@ -45,6 +50,9 @@ unsafe impl GlobalAlloc for Largest {
 
 #[global_allocator]
 static ALLOC: Largest = Largest;
+
+/// Held by each test while it reads `LARGEST`, which is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 const MUTANTS: usize = 400;
 
@@ -127,6 +135,7 @@ fn mutated_frame_streams_read_or_fail_typed_within_max_frame() {
 
     let mut rng = XorShift64::new(0xf4a3_e5ed);
     let (mut clean, mut refused) = (0usize, 0usize);
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     LARGEST.store(0, Ordering::Relaxed);
     for _ in 0..MUTANTS {
         let mutant = mutate(&stream, &mut rng);
@@ -147,4 +156,43 @@ fn mutated_frame_streams_read_or_fail_typed_within_max_frame() {
         clean >= 10 && refused >= 10,
         "clean {clean}, refused {refused}"
     );
+}
+
+/// A request frame over the daemon's 64 KiB request cap is refused
+/// before it is parsed: a 1 MiB `[0,0,…]` gets an error frame naming the
+/// cap, the next request on the same connection is answered, and no
+/// allocation exceeds 2 MiB. Parsing the array would grow one 16 MiB
+/// vector, 32 bytes an element.
+#[test]
+fn a_request_over_the_cap_is_refused_unparsed_and_the_connection_serves_on() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut zeros = "0,".repeat(1 << 19);
+    zeros.pop();
+    let big = format!("[{zeros}]");
+    let state = ServerState::new("/tmp/unused.sock", 4, 4, None);
+    let (mut client, daemon) = UnixStream::pair().expect("socket pair");
+    LARGEST.store(0, Ordering::Relaxed);
+    let replies = std::thread::scope(|s| {
+        let served = s.spawn(|| serve_connection(&state, daemon));
+        write_frame(&mut client, &big).expect("write");
+        let refused = read_frame(&mut client).expect("read").expect("a reply");
+        write_frame(&mut client, r#"{"op":"ping","id":"after"}"#).expect("write");
+        let pong = read_frame(&mut client).expect("read").expect("a reply");
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        assert!(!served.join().expect("join").expect("served"));
+        [refused, pong]
+    });
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(largest <= 2 << 20, "an allocation of {largest} bytes");
+    let [refused, pong] = replies.map(|r| Json::parse(&r).expect("a frame"));
+    assert_eq!(refused.get("type").and_then(Json::as_str), Some("error"));
+    let message = refused.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.contains(&format!("{} bytes", big.len())) && message.contains("65536-byte"),
+        "{message}"
+    );
+    assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
+    assert_eq!(pong.get("id").and_then(Json::as_str), Some("after"));
 }

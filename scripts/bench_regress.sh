@@ -2,7 +2,8 @@
 # bench_regress.sh BENCH_PR.json BENCH_BASELINE.json
 #
 # The CI perf-regression gate: the tracked throughput metrics of the PR
-# run must stay at or above 0.5x the committed baseline. The floor is
+# run must stay at or above 0.5x the committed baseline, and every key
+# the baseline records must still be written. The floor is
 # deliberately loose — CI runners are shared and the baseline was
 # recorded on a different machine — so the gate catches structural
 # regressions (a dropped fast path, an accidentally quadratic loop),
@@ -61,6 +62,18 @@ check_relative() { # bin key_a key_b ratio
     fail=1
   fi
 }
+
+# Every (bin, key) the baseline records, header field or perf metric,
+# must still be written by some run: a key no bin writes any more is a
+# stale floor that checks nothing. Refresh the baseline to drop it.
+stale=$(jq -rn --slurpfile pr "$pr" --slurpfile base "$base" '
+  def pairs(f): [f.bins[] | .bin as $b
+    | ((del(.perf) | keys[]), (.perf | keys[])) | "\($b).\(.)"] | unique;
+  (pairs($base[0]) - pairs($pr[0]))[]')
+for k in $stale; do
+  echo "FAIL $k: in the baseline, but no run in the PR writes it"
+  fail=1
+done
 
 check table1 hcor_compiled_cycles_per_sec
 check ber_sweep batched_runs_per_sec

@@ -156,12 +156,14 @@ fn engines(w: &Workload) -> Vec<(&'static str, usize, Box<dyn Simulator>)> {
         (
             "batched",
             4,
-            Box::new(BatchedSim::new((0..4).map(|_| (w.build)()).collect()).expect("batched")),
+            Box::new(BatchedSim::from_fn(4, || Ok((w.build)()), OptLevel::Full).expect("batched")),
         ),
         (
             "batched 1 lane",
             1,
-            Box::new(BatchedSim::new(vec![(w.build)()]).expect("batched 1 lane")),
+            Box::new(
+                BatchedSim::from_fn(1, || Ok((w.build)()), OptLevel::Full).expect("batched 1 lane"),
+            ),
         ),
         (
             "rtl",
@@ -257,7 +259,7 @@ fn assert_poke_reg_alloc_free(w: &Workload) {
     let sys = (w.build)();
     let mut interp = InterpSim::new((w.build)()).expect("interp");
     let mut compiled = CompiledSim::new((w.build)()).expect("compiled");
-    let mut batched = BatchedSim::new((0..4).map(|_| (w.build)()).collect()).expect("batched");
+    let mut batched = BatchedSim::from_fn(4, || Ok((w.build)()), OptLevel::Full).expect("batched");
     let counts = [
         (
             "interp",
