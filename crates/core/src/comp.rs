@@ -549,10 +549,12 @@ impl SfgBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::TypeMismatch`] if the signal type differs from
-    /// the port type, and [`CoreError::ConnectionConflict`] if this SFG
-    /// already drives the port.
+    /// Returns [`CoreError::ForeignSignal`] if the signal belongs to
+    /// another component, [`CoreError::TypeMismatch`] if its type differs
+    /// from the port type, and [`CoreError::ConnectionConflict`] if this
+    /// SFG already drives the port.
     pub fn drive(&self, port: OutPort, sig: &Sig) -> Result<(), CoreError> {
+        self.check_own(sig)?;
         let mut inner = self.inner.borrow_mut();
         let pty = inner.outputs[port.index()].ty;
         if pty != sig.ty {
@@ -577,10 +579,12 @@ impl SfgBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::TypeMismatch`] if the signal type differs from
-    /// the register type, and [`CoreError::ConnectionConflict`] if this
-    /// SFG already writes the register.
+    /// Returns [`CoreError::ForeignSignal`] if the signal belongs to
+    /// another component, [`CoreError::TypeMismatch`] if its type differs
+    /// from the register type, and [`CoreError::ConnectionConflict`] if
+    /// this SFG already writes the register.
     pub fn next(&self, reg: Reg, sig: &Sig) -> Result<(), CoreError> {
+        self.check_own(sig)?;
         let mut inner = self.inner.borrow_mut();
         let rty = inner.regs[reg.index()].ty;
         if rty != sig.ty {
@@ -599,6 +603,16 @@ impl SfgBuilder {
         }
         sfg.reg_writes.push((reg, sig.node));
         Ok(())
+    }
+
+    /// A signal of another component names a node of that component's
+    /// graph, not of this one.
+    fn check_own(&self, sig: &Sig) -> Result<(), CoreError> {
+        if Rc::ptr_eq(&self.inner, &sig.inner) {
+            Ok(())
+        } else {
+            Err(CoreError::ForeignSignal)
+        }
     }
 }
 

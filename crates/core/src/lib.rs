@@ -97,7 +97,7 @@ pub use system::{
     InstanceId, Net, NetSink, NetSource, PrimaryInput, PrimaryOutput, System, SystemBuilder,
     TimedInstance, UntimedInstance,
 };
-pub use trace::{Trace, TraceSignal};
+pub use trace::{Trace, TraceSignal, Traced};
 pub use value::{BinOp, SigType, UnOp, Value};
 
 // Re-export the fixed-point types commonly needed alongside `SigType::Fixed`.

@@ -38,10 +38,10 @@
 //!   generic blocks ([`UntimedBlock::boxed_clone`]);
 //! * control-flow divergence is handled per lane — transition selection
 //!   and `Drive`/`Fire` resolution read the lane's own stripe;
-//! * a per-lane error (a trace fault, a failed fault-injection poke)
-//!   **masks the lane off** instead of aborting the batch: the lane's
-//!   stripes freeze, its first error and cycle are recorded, and the
-//!   remaining lanes keep running.
+//! * a per-lane error (a failed fault-injection poke) **masks the lane
+//!   off** instead of aborting the batch: the lane's stripes freeze, its
+//!   first error and cycle are recorded, and the remaining lanes keep
+//!   running.
 //!
 //! Results are bit-identical to running N one-lane simulators: the
 //! `batch` and `tape_engines` integration suites assert every output
@@ -73,7 +73,7 @@ use crate::sim::opt::{OptLevel, OptStats};
 use crate::sim::snapshot::SimSnapshot;
 use crate::sim::Simulator;
 use crate::system::System;
-use crate::trace::{make_trace, traced_nets, Trace};
+use crate::trace::Trace;
 use crate::value::{SigType, Value};
 use crate::CoreError;
 
@@ -124,7 +124,6 @@ pub struct BatchedSim {
     /// First error per masked lane: (cycle before the failing step, error).
     errors: Vec<Option<(u64, CoreError)>>,
     cycle: u64,
-    traces: Option<Vec<Trace>>,
     obs: Option<TapeObs>,
     design_hash: u64,
 }
@@ -223,7 +222,6 @@ impl BatchedSim {
             masked: 0,
             errors: vec![None; lanes],
             cycle: 0,
-            traces: None,
             obs: None,
             design_hash: tape.system_hash(),
             system,
@@ -348,15 +346,10 @@ impl BatchedSim {
     /// poisoning the batch. Masking a dead or out-of-range lane is a
     /// no-op (the first error wins).
     pub fn fail_lane(&mut self, lane: usize, error: CoreError) {
-        let cycle = self.cycle;
-        self.mask_lane(lane, cycle, error);
-    }
-
-    fn mask_lane(&mut self, lane: usize, cycle: u64, error: CoreError) {
         if lane < self.lanes && self.alive[lane] {
             self.alive[lane] = false;
             self.masked += 1;
-            self.errors[lane] = Some((cycle, error));
+            self.errors[lane] = Some((self.cycle, error));
             if let Some(c) = self.obs.as_ref().and_then(|o| o.masked.as_ref()) {
                 c.incr();
             }
@@ -399,11 +392,11 @@ impl BatchedSim {
 
     /// Returns every lane to power-up state: state slots, FSM states,
     /// registers, memories (their power-up images) and generic
-    /// untimed blocks. Masked lanes are revived, the cycle count
-    /// restarts at 0 and enabled traces restart empty; an attached
-    /// bundle stays. From here the batch steps exactly as a fresh build
-    /// from the same tape would — every output, net, trace row and
-    /// snapshot — which is what lets drivers reuse one batch per worker
+    /// untimed blocks. Masked lanes are revived and the cycle count
+    /// restarts at 0; an attached bundle stays. From here the batch
+    /// steps exactly as a fresh build from the same tape would — every
+    /// output, net and snapshot — which is what lets drivers reuse one
+    /// batch per worker
     /// ([`WorkerSims`]) instead of building one per run.
     pub fn reset(&mut self) {
         self.st.reset(&self.prog, &self.system);
@@ -414,9 +407,6 @@ impl BatchedSim {
         self.masked = 0;
         self.errors.fill(None);
         self.cycle = 0;
-        if let Some(traces) = &mut self.traces {
-            traces.fill_with(|| make_trace(&self.system));
-        }
     }
 
     /// Sets a primary input of one lane for the coming cycle(s). Writes
@@ -515,13 +505,6 @@ impl BatchedSim {
             self.st.regs[i][j * self.lanes + lane] = value.to_raw();
         }
         Ok(())
-    }
-
-    /// The recorded trace of one lane (`None` before
-    /// [`Simulator::enable_trace`] or for an out-of-range lane). A
-    /// masked lane's trace ends at its failing cycle.
-    pub fn trace_lane(&self, lane: usize) -> Option<&Trace> {
-        self.traces.as_ref().and_then(|t| t.get(lane))
     }
 
     /// Lane `lane`'s primary outputs as raw state words, in system
@@ -643,36 +626,6 @@ impl BatchedSim {
         Value::from_raw(self.prog.slot_ty[sl], self.st.slots[sl * self.lanes + lane])
     }
 
-    /// Appends the finished cycle to every live lane's trace. A lane
-    /// whose row fails is masked at the cycle it failed in; the error
-    /// surfaces once every lane is masked.
-    fn record_traces(&mut self) -> Result<(), CoreError> {
-        let mut failed: Vec<(usize, CoreError)> = Vec::new();
-        if let Some(traces) = &mut self.traces {
-            let _t = self.obs.as_ref().map(|o| o.trace.timer());
-            let (prog, st, n) = (&self.prog, &self.st, self.lanes);
-            for (l, trace) in traces.iter_mut().enumerate() {
-                if !self.alive[l] {
-                    continue;
-                }
-                let row = traced_nets(&self.system).map(|net| {
-                    let sl = prog.net_slot[net] as usize;
-                    Value::from_raw(prog.slot_ty[sl], st.slots[sl * n + l])
-                });
-                if let Err(e) = trace.record_cycle(row) {
-                    failed.push((l, e));
-                }
-            }
-        }
-        for (l, e) in failed {
-            self.mask_lane(l, self.cycle - 1, e);
-        }
-        if self.masked == self.lanes {
-            return Err(self.first_error());
-        }
-        Ok(())
-    }
-
     /// The error of the lowest-indexed masked lane (every lane is dead
     /// when this is called).
     fn first_error(&self) -> CoreError {
@@ -786,14 +739,13 @@ impl Simulator for BatchedSim {
     }
 
     /// One batched cycle: guard pre-tape, per-lane transition selection,
-    /// one shared tape pass, per-lane register commit, per-lane trace.
-    /// A one-lane batch runs the executor's one-lane geometry; a wider
-    /// one its all-lanes kernels while every lane is live, and the
-    /// mask-guarded ones once one is not.
+    /// one shared tape pass, per-lane register commit. A one-lane batch
+    /// runs the executor's one-lane geometry; a wider one its all-lanes
+    /// kernels while every lane is live, and the mask-guarded ones once
+    /// one is not.
     ///
-    /// A lane whose trace recording fails is masked off (see
-    /// [`BatchedSim::fail_lane`]); the step itself only errors once
-    /// *every* lane is masked, returning the lowest-indexed lane's
+    /// The step only errors once *every* lane is masked (see
+    /// [`BatchedSim::fail_lane`]), returning the lowest-indexed lane's
     /// error — so a 1-lane batch reports errors exactly like the scalar
     /// compiled back-end.
     fn step(&mut self) -> Result<(), CoreError> {
@@ -810,9 +762,6 @@ impl Simulator for BatchedSim {
             cycle(prog, st, blocks, Live(&self.alive), obs);
         }
         self.cycle += 1;
-        if self.traces.is_some() {
-            self.record_traces()?;
-        }
         Ok(())
     }
 
@@ -825,18 +774,8 @@ impl Simulator for BatchedSim {
         self.cycle
     }
 
-    /// Starts recording one trace per lane.
-    fn enable_trace(&mut self) {
-        if self.traces.is_none() {
-            self.traces = Some((0..self.lanes).map(|_| make_trace(&self.system)).collect());
-        }
-    }
-
-    /// Lane 0's trace (see [`BatchedSim::trace_lane`]).
-    fn trace(&self) -> &Trace {
-        static EMPTY: std::sync::OnceLock<Trace> = std::sync::OnceLock::new();
-        self.trace_lane(0)
-            .unwrap_or_else(|| EMPTY.get_or_init(Trace::default))
+    fn empty_trace(&self) -> Trace {
+        Trace::of_system(&self.system)
     }
 
     /// Lane 0's value.
@@ -922,7 +861,6 @@ mod tests {
             "transition_select",
             "tape",
             "register_update",
-            "trace",
         ] {
             assert!(labels.iter().any(|l| l == want), "missing span `{want}`");
         }

@@ -665,8 +665,8 @@ impl CompiledSim {
     /// Captures the architectural state — nets, FSM states, register
     /// files, held untimed outputs, stateful untimed blocks and the
     /// cycle count — as a [`SimSnapshot`], the same bytes
-    /// [`crate::InterpSim::snapshot`] gives at the same cycle. Traces
-    /// are not part of the snapshot. Take snapshots between steps.
+    /// [`crate::InterpSim::snapshot`] gives at the same cycle. Take
+    /// snapshots between steps.
     pub fn snapshot(&self) -> SimSnapshot {
         self.0.capture(0)
     }
@@ -1092,12 +1092,8 @@ impl Simulator for CompiledSim {
         self.0.cycle()
     }
 
-    fn enable_trace(&mut self) {
-        self.0.enable_trace();
-    }
-
-    fn trace(&self) -> &Trace {
-        self.0.trace()
+    fn empty_trace(&self) -> Trace {
+        self.0.empty_trace()
     }
 
     fn peek_net(&self, name: &str) -> Result<Value, CoreError> {

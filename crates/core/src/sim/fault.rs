@@ -24,8 +24,8 @@
 //! every thread count:
 //!
 //! * [`run_campaign_par`] — the reference: one fresh [`FaultySim`] of
-//!   any back-end per event, classified by comparing its recorded trace
-//!   with the golden run's;
+//!   any back-end per event, classified by comparing the trace
+//!   [`Traced`] records of it with the golden run's;
 //! * [`run_campaign_batched`] — lane-batched over one
 //!   [`CompiledDesign`]: chunks of events share one walk of its tape per
 //!   cycle, and classify every event exactly as the reference does over
@@ -57,7 +57,7 @@ use crate::sim::hash::{CompiledDesign, CompiledTape};
 use crate::sim::par::{map_indexed, map_indexed_with, ParConfig, ParError};
 use crate::sim::Simulator;
 use crate::system::System;
-use crate::trace::Trace;
+use crate::trace::{Trace, Traced};
 use crate::value::{SigType, Value};
 use crate::CoreError;
 
@@ -406,12 +406,8 @@ impl<S: Simulator> Simulator for FaultySim<S> {
         self.inner.cycle()
     }
 
-    fn enable_trace(&mut self) {
-        self.inner.enable_trace();
-    }
-
-    fn trace(&self) -> &Trace {
-        self.inner.trace()
+    fn empty_trace(&self) -> Trace {
+        self.inner.empty_trace()
     }
 
     fn peek_net(&self, name: &str) -> Result<Value, CoreError> {
@@ -563,13 +559,12 @@ fn golden_trace<S: Simulator>(
     stimulus: &impl Fn(&mut dyn Simulator, u64) -> Result<(), CoreError>,
     cycles: u64,
 ) -> Result<Trace, CoreError> {
-    let mut golden_sim = make_sim()?;
-    golden_sim.enable_trace();
+    let mut golden = Traced::new(make_sim()?);
     for c in 0..cycles {
-        stimulus(&mut golden_sim, c)?;
-        golden_sim.step()?;
+        stimulus(&mut golden, c)?;
+        golden.step()?;
     }
-    Ok(golden_sim.trace().clone())
+    Ok(golden.trace().clone())
 }
 
 /// One faulty run, classified against the golden trace: the work item
@@ -582,8 +577,7 @@ fn run_event<S: Simulator>(
     event: &FaultEvent,
 ) -> Result<FaultOutcome, CoreError> {
     let plan = FaultPlan::new().with(event.clone());
-    let mut sim = FaultySim::new(make_sim()?, plan);
-    sim.enable_trace();
+    let mut sim = Traced::new(FaultySim::new(make_sim()?, plan));
     let mut detected: Option<(u64, CoreError)> = None;
     for c in 0..cycles {
         stimulus(&mut sim, c)?;

@@ -28,7 +28,6 @@ use crate::sim::snapshot::{held_outputs, taken, SimSnapshot};
 use crate::sim::Simulator;
 use crate::system::{NetSource, System};
 use crate::trace::Trace;
-use crate::trace::{make_trace, traced_nets};
 use crate::value::{SigType, Value};
 use crate::CoreError;
 
@@ -107,8 +106,6 @@ pub struct InterpSim {
     all_sfgs: Vec<Vec<crate::comp::SfgRef>>,
     scratch: StepScratch,
     cycle: u64,
-    trace: Option<Trace>,
-    full_trace: Option<Trace>,
     obs: Option<InterpObs>,
     design_hash: u64,
 }
@@ -175,8 +172,6 @@ impl InterpSim {
             all_sfgs,
             scratch: StepScratch::default(),
             cycle: 0,
-            trace: None,
-            full_trace: None,
             obs: None,
             design_hash,
         })
@@ -190,8 +185,7 @@ impl InterpSim {
     /// Captures the architectural state — net values, FSM states,
     /// register files, held untimed outputs, stateful untimed blocks and
     /// the cycle count — as a [`SimSnapshot`], the layout every engine
-    /// shares. Traces are not part of the snapshot. Take
-    /// snapshots between steps.
+    /// shares. Take snapshots between steps.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot::capture(
             self.design_hash,
@@ -300,27 +294,6 @@ impl InterpSim {
             })
     }
 
-    /// Starts recording *every net* each cycle (not only the primary
-    /// I/O): the full-hierarchy waveform view of the design, dumped with
-    /// [`InterpSim::full_trace`]`.to_vcd()`. Costs one value copy per net
-    /// per cycle.
-    pub fn enable_full_trace(&mut self) {
-        if self.full_trace.is_none() {
-            self.full_trace = Some(Trace::new(
-                self.sys.nets.iter().map(|n| (n.name.clone(), n.ty, false)),
-            ));
-        }
-    }
-
-    /// The full-hierarchy trace (empty unless
-    /// [`InterpSim::enable_full_trace`] was called before stepping).
-    pub fn full_trace(&self) -> &Trace {
-        static EMPTY: std::sync::OnceLock<Trace> = std::sync::OnceLock::new();
-        self.full_trace
-            .as_ref()
-            .unwrap_or_else(|| EMPTY.get_or_init(Trace::default))
-    }
-
     /// Resets registers, FSM states, nets, held untimed outputs and
     /// untimed blocks to their power-up values and rewinds the cycle
     /// counter.
@@ -344,12 +317,6 @@ impl InterpSim {
             }
         }
         self.cycle = 0;
-        if let Some(t) = &mut self.trace {
-            *t = make_trace(&self.sys);
-        }
-        if let Some(t) = &mut self.full_trace {
-            *t = Trace::new(self.sys.nets.iter().map(|n| (n.name.clone(), n.ty, false)));
-        }
     }
 }
 
@@ -604,16 +571,6 @@ impl Simulator for InterpSim {
         self.cycle += 1;
         drop(t_commit);
 
-        if self.trace.is_some() || self.full_trace.is_some() {
-            let _t_trace = self.obs.as_ref().map(|o| o.sp_trace.timer());
-            if let Some(trace) = &mut self.trace {
-                trace.record_cycle(traced_nets(sys).map(|net| nets[net]))?;
-            }
-            if let Some(trace) = &mut self.full_trace {
-                trace.record_cycle(nets)?;
-            }
-        }
-
         if let Some(o) = &self.obs {
             o.cycles.incr();
             o.sfg_firings.add(firings);
@@ -639,17 +596,8 @@ impl Simulator for InterpSim {
         self.cycle
     }
 
-    fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(make_trace(&self.sys));
-        }
-    }
-
-    fn trace(&self) -> &Trace {
-        static EMPTY: std::sync::OnceLock<Trace> = std::sync::OnceLock::new();
-        self.trace
-            .as_ref()
-            .unwrap_or_else(|| EMPTY.get_or_init(Trace::default))
+    fn empty_trace(&self) -> Trace {
+        Trace::of_system(&self.sys)
     }
 
     fn peek_net(&self, name: &str) -> Result<Value, CoreError> {

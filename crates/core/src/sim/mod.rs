@@ -72,12 +72,10 @@ pub trait Simulator {
     /// Number of completed cycles.
     fn cycle(&self) -> u64;
 
-    /// Starts recording primary inputs and outputs each cycle.
-    fn enable_trace(&mut self);
-
-    /// The recorded trace (empty unless [`Simulator::enable_trace`] was
-    /// called before stepping).
-    fn trace(&self) -> &Trace;
+    /// An empty trace declaring the primary inputs, then the primary
+    /// outputs: what [`Traced`](crate::Traced) records this engine's run
+    /// into.
+    fn empty_trace(&self) -> Trace;
 
     /// Runs `n` cycles.
     ///

@@ -13,10 +13,10 @@
 //! per back-end, mirroring the paper's three-phase cycle scheduler:
 //!
 //! * `interp` ([`InterpObs`]) → `transition_select`, `evaluate`,
-//!   `register_update`, `trace`
+//!   `register_update`
 //! * `compiled` ([`TapeObs::compiled`]) → `guard_pre_tape`,
-//!   `transition_select`, `tape`, `register_update`, `trace`
-//! * `batch` ([`TapeObs::batch`]) → the same five phases as `compiled`
+//!   `transition_select`, `tape`, `register_update`
+//! * `batch` ([`TapeObs::batch`]) → the same four phases as `compiled`
 //!
 //! The tape simulator (`BatchedSim`, and `CompiledSim` as its one-lane
 //! form) steps with one [`TapeObs`], so one step reports `compiled.*`
@@ -31,7 +31,7 @@ use ocapi_obs::{Counter, EventLog, Registry, Span};
 
 use crate::sim::opt::OptStats;
 
-/// The interpreted back-end's bundle: counters, the four phase spans
+/// The interpreted back-end's bundle: counters, the three phase spans
 /// under `interp`, and the event log (deadlock forensics). Several
 /// interpreters attached to one registry share the same counters and
 /// spans, so their contributions sum.
@@ -51,8 +51,6 @@ pub(crate) struct InterpObs {
     pub(crate) sp_eval: Span,
     /// Register update and state commit (phase 3).
     pub(crate) sp_commit: Span,
-    /// Trace recording, when enabled.
-    pub(crate) sp_trace: Span,
     /// Forensics sink (deadlocks).
     pub(crate) events: EventLog,
 }
@@ -68,14 +66,13 @@ impl InterpObs {
             sp_select: root.child("transition_select"),
             sp_eval: root.child("evaluate"),
             sp_commit: root.child("register_update"),
-            sp_trace: root.child("trace"),
             events: reg.events().clone(),
         }
     }
 }
 
 /// The handles one tape simulator (`BatchedSim`, and `CompiledSim` as
-/// its one-lane form) reports into: the five phase spans under its
+/// its one-lane form) reports into: the four phase spans under its
 /// root, one counter bumped per cycle, and the engine's own extras.
 #[derive(Debug)]
 pub(crate) struct TapeObs {
@@ -83,7 +80,6 @@ pub(crate) struct TapeObs {
     pub(crate) select: Span,
     pub(crate) eval: Span,
     pub(crate) commit: Span,
-    pub(crate) trace: Span,
     /// One per cycle: `compiled.cycles` or `batch.tape_passes`.
     passes: Counter,
     /// `compiled.sfg_firings` and `compiled.reg_updates`.
@@ -100,7 +96,6 @@ impl TapeObs {
             select: root.child("transition_select"),
             eval: root.child("tape"),
             commit: root.child("register_update"),
-            trace: root.child("trace"),
             passes,
             activity: None,
             masked: None,
@@ -182,7 +177,7 @@ mod tests {
         assert!(labels[0].iter().any(|l| l == "tape"));
         assert_eq!(roots[1].label(), "interp");
         assert!(labels[1].iter().any(|l| l == "evaluate"));
-        assert!(labels[1].len() >= 4 && labels[0].len() >= 4);
+        assert_eq!((labels[0].len(), labels[1].len()), (4, 3));
     }
 
     #[test]

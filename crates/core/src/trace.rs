@@ -1,42 +1,20 @@
 //! Cycle-accurate signal traces.
 //!
-//! Both simulators can record the primary inputs and outputs of every
-//! cycle. The recorded [`Trace`] is what the code generator turns into a
-//! verification testbench (§5/§6 of the paper: "during system simulation,
-//! the system stimuli are also translated into test-benches"), and it can
-//! be dumped as a VCD file for waveform viewing.
+//! A [`Trace`] records a run cycle by cycle: the primary inputs as
+//! applied, then the primary outputs of the finished cycle. It is what
+//! the code generator turns into a verification testbench (§5/§6 of the
+//! paper: "during system simulation, the system stimuli are also
+//! translated into test-benches"), and it can be dumped as a VCD file
+//! for waveform viewing. No engine records one itself: [`Traced`] wraps
+//! any [`Simulator`] and records its run.
 
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 
+use crate::sim::Simulator;
 use crate::system::System;
 use crate::value::{SigType, Value};
 use crate::CoreError;
-
-/// The nets a trace row records, in [`make_trace`]'s signal order:
-/// primary inputs, then primary outputs — as one exact-size iterator,
-/// so a row feeds [`Trace::record_cycle`] without being collected.
-pub(crate) fn traced_nets(sys: &System) -> impl ExactSizeIterator<Item = usize> + '_ {
-    let (ins, outs) = (&sys.primary_inputs, &sys.primary_outputs);
-    (0..ins.len() + outs.len()).map(move |k| match ins.get(k) {
-        Some(p) => p.net,
-        None => outs[k - ins.len()].net,
-    })
-}
-
-/// An empty trace of `sys`'s primary inputs, then its primary outputs.
-pub(crate) fn make_trace(sys: &System) -> Trace {
-    Trace::new(
-        sys.primary_inputs
-            .iter()
-            .map(|p| (p.name.clone(), p.ty, true))
-            .chain(
-                sys.primary_outputs
-                    .iter()
-                    .map(|p| (p.name.clone(), sys.nets[p.net].ty, false)),
-            ),
-    )
-}
 
 /// One recorded signal: name, type and per-cycle values.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,10 +52,24 @@ impl Trace {
         }
     }
 
+    /// An empty trace of `sys`'s primary inputs, then its primary
+    /// outputs: the declaration [`Simulator::empty_trace`] returns for
+    /// the engines that keep the system.
+    pub(crate) fn of_system(sys: &System) -> Trace {
+        let inputs = sys
+            .primary_inputs
+            .iter()
+            .map(|p| (p.name.clone(), p.ty, true));
+        let outputs = sys
+            .primary_outputs
+            .iter()
+            .map(|p| (p.name.clone(), sys.nets[p.net].ty, false));
+        Trace::new(inputs.chain(outputs))
+    }
+
     /// Appends one cycle of values (same order as the declarations).
-    /// `values` is any exact-size row — a slice, or a simulator's
-    /// iterator over its state, which is fed in without being collected
-    /// first.
+    /// `values` is any exact-size row: an array, a slice, or an
+    /// iterator fed in without being collected first.
     ///
     /// # Errors
     ///
@@ -156,6 +148,122 @@ impl Trace {
             }
         }
         out
+    }
+}
+
+/// Records the run of any [`Simulator`] as a [`Trace`].
+///
+/// `Traced` forwards every call to the engine it wraps. It keeps each
+/// primary input's value as last set — an input never set holds its
+/// type's zero, as at power-up on every engine — and after each
+/// successful step appends one row: those inputs, then every primary
+/// output the step left. A failed step records nothing. The row is
+/// reused scratch, so a traced step allocates only when the trace's
+/// value columns grow.
+///
+/// ```
+/// use ocapi::{Component, SigType, System, Value, InterpSim, Simulator, Traced};
+///
+/// # fn main() -> Result<(), ocapi::CoreError> {
+/// let c = Component::build("inv");
+/// let a = c.input("a", SigType::Bool)?;
+/// let y = c.output("y", SigType::Bool)?;
+/// c.sfg("run")?.drive(y, &!c.read(a))?;
+/// let mut sb = System::build("demo");
+/// let u = sb.add_component("u0", c.finish()?)?;
+/// sb.input("a", SigType::Bool)?;
+/// sb.connect_input("a", u, "a")?;
+/// sb.output("y", u, "y")?;
+///
+/// let mut sim = Traced::new(InterpSim::new(sb.finish()?)?);
+/// sim.set_input("a", Value::Bool(true))?;
+/// sim.run(2)?;
+/// let y = sim.trace().signal("y").map(|s| s.values.clone());
+/// assert_eq!(y, Some(vec![Value::Bool(false); 2]));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Traced<S> {
+    sim: S,
+    trace: Trace,
+    /// The primary inputs: the trace's leading columns.
+    inputs: usize,
+    /// The next row: the inputs as last set, then the outputs of the
+    /// last step.
+    row: Vec<Value>,
+}
+
+impl<S: Simulator> Traced<S> {
+    /// Wraps `sim`, recording into its [`Simulator::empty_trace`].
+    pub fn new(sim: S) -> Traced<S> {
+        let trace = sim.empty_trace();
+        let inputs = trace.signals.iter().take_while(|s| s.is_input).count();
+        let row = trace.signals.iter().map(|s| s.ty.zero()).collect();
+        Traced {
+            sim,
+            trace,
+            inputs,
+            row,
+        }
+    }
+
+    /// The recorded trace: one row per successful step.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// The wrapped engine.
+    pub fn inner(&self) -> &S {
+        &self.sim
+    }
+}
+
+impl<S: Simulator> Simulator for Traced<S> {
+    fn set_input(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
+        self.sim.set_input(name, value)?;
+        let inputs = &self.trace.signals[..self.inputs];
+        if let Some(k) = inputs.iter().position(|s| s.name == name) {
+            self.row[k] = value;
+        }
+        Ok(())
+    }
+
+    fn step(&mut self) -> Result<(), CoreError> {
+        self.sim.step()?;
+        let outputs = &self.trace.signals[self.inputs..];
+        for (v, s) in self.row[self.inputs..].iter_mut().zip(outputs) {
+            *v = self.sim.output(&s.name)?;
+        }
+        self.trace.record_cycle(&self.row)
+    }
+
+    fn output(&self, name: &str) -> Result<Value, CoreError> {
+        self.sim.output(name)
+    }
+
+    fn cycle(&self) -> u64 {
+        self.sim.cycle()
+    }
+
+    fn empty_trace(&self) -> Trace {
+        self.sim.empty_trace()
+    }
+
+    fn peek_net(&self, name: &str) -> Result<Value, CoreError> {
+        self.sim.peek_net(name)
+    }
+
+    fn poke_net(&mut self, name: &str, value: Value) -> Result<(), CoreError> {
+        self.sim.poke_net(name, value)
+    }
+
+    fn peek_reg(&self, instance: &str, reg: &str) -> Result<Value, CoreError> {
+        self.sim.peek_reg(instance, reg)
+    }
+
+    fn poke_reg(&mut self, instance: &str, reg: &str, value: Value) -> Result<(), CoreError> {
+        self.sim.poke_reg(instance, reg, value)
     }
 }
 

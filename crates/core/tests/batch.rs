@@ -222,14 +222,13 @@ fn batched_ram_system_matches_scalar_lanes_1_3_8() {
 }
 
 /// `reset` returns every lane to power-up — slots, registers, FSM states
-/// and each lane's own RAM — revives masked lanes and restarts traces:
-/// afterwards the batch steps exactly like a fresh one.
+/// and each lane's own RAM — and revives masked lanes: afterwards the
+/// batch steps exactly like a fresh one.
 #[test]
 fn reset_revives_lanes_and_matches_a_fresh_batch() {
     let lanes = 3;
     let stim = |l: usize, c: u64| Value::bits(8, (l as u64 * 37 + c * 5) & 0xff);
     let mut used = BatchedSim::from_fn(lanes, || Ok(ram_system()), OptLevel::Full).unwrap();
-    used.enable_trace();
     for c in 0..20 {
         for l in 0..lanes {
             used.set_input_lane(l, "wdata_in", stim(l, c + 100))
@@ -249,7 +248,6 @@ fn reset_revives_lanes_and_matches_a_fresh_batch() {
     assert!(used.alive(1) && used.lane_error(1).is_none());
 
     let mut fresh = BatchedSim::from_fn(lanes, || Ok(ram_system()), OptLevel::Full).unwrap();
-    fresh.enable_trace();
     for c in 0..20 {
         for sim in [&mut used, &mut fresh] {
             for l in 0..lanes {
@@ -266,7 +264,6 @@ fn reset_revives_lanes_and_matches_a_fresh_batch() {
         }
     }
     for l in 0..lanes {
-        assert_eq!(used.trace_lane(l), fresh.trace_lane(l), "lane {l}");
         assert_eq!(used.snapshot_lane(l), fresh.snapshot_lane(l), "lane {l}");
     }
 }
@@ -281,7 +278,6 @@ fn masked_lane_does_not_poison_the_batch() {
     let mut scalars: Vec<CompiledSim> = (0..lanes)
         .map(|_| CompiledSim::new_with(acc_system(), OptLevel::Full).unwrap())
         .collect();
-    batch.enable_trace();
 
     let drive = |batch: &mut BatchedSim, scalars: &mut Vec<CompiledSim>, c: u64| {
         for (l, scalar) in scalars.iter_mut().enumerate() {
@@ -333,8 +329,6 @@ fn masked_lane_does_not_poison_the_batch() {
         );
     }
     assert_eq!(batch.output_lane(1, "sum").unwrap(), frozen);
-    assert_eq!(batch.trace_lane(1).unwrap().len(), 5);
-    assert_eq!(batch.trace_lane(0).unwrap().len(), 10);
 
     // Masking the remaining lanes makes step() surface the lowest-lane
     // error, scalar-style.
@@ -392,10 +386,9 @@ type NamedDesign = (&'static str, fn() -> System);
 
 /// A one-lane batch is the scalar engine: on the FSM accumulator, on
 /// HCOR (FSM control) and on DECT (untimed blocks), every output of
-/// every cycle and the whole trace equal the interpreter's; its lane
-/// snapshot is the `CompiledSim` snapshot and resumes in a
-/// `CompiledSim`; and masking its one lane makes the next step return
-/// that lane's error.
+/// every cycle equals the interpreter's; its lane snapshot is the
+/// `CompiledSim` snapshot and resumes in a `CompiledSim`; and masking
+/// its one lane makes the next step return that lane's error.
 #[test]
 fn single_lane_batch_is_scalar_via_trait() {
     let designs: [NamedDesign; 3] = [
@@ -411,8 +404,6 @@ fn single_lane_batch_is_scalar_via_trait() {
         let mut batch = BatchedSim::from_fn(1, || Ok(make()), OptLevel::default()).unwrap();
         let mut interp = InterpSim::new(make()).unwrap();
         let mut scalar = CompiledSim::new(make()).unwrap();
-        batch.enable_trace();
-        interp.enable_trace();
         for c in 0..512 {
             step_all(&sys, &mut rng, &mut [&mut batch, &mut interp, &mut scalar]);
             for p in &sys.primary_outputs {
@@ -424,7 +415,6 @@ fn single_lane_batch_is_scalar_via_trait() {
                 );
             }
         }
-        assert_eq!(batch.trace(), interp.trace(), "{name}");
         assert_eq!(batch.cycle(), interp.cycle(), "{name}");
 
         let snap = batch.snapshot_lane(0).unwrap();

@@ -218,6 +218,30 @@ fn cross_component_signal_panics() {
     let _ = c1.const_bits(8, 1) + c2.const_bits(8, 1);
 }
 
+/// `drive` and `next` refuse a signal of another component with a typed
+/// error instead of binding whatever node of this component has its
+/// index, and the refused calls leave the SFG as it was.
+#[test]
+fn foreign_signal_is_refused_by_drive_and_next() {
+    let other = Component::build("other");
+    let a = other.input("a", SigType::Bits(8)).unwrap();
+    // Node 2 of `other`: an index `own` also has.
+    let foreign = other.read(a) + other.const_bits(8, 1);
+
+    let own = Component::build("own");
+    let y = own.output("y", SigType::Bits(8)).unwrap();
+    let r = own.reg("r", SigType::Bits(8)).unwrap();
+    let s = own.sfg("run").unwrap();
+    let q = own.q(r);
+    let next = q.clone() + own.const_bits(8, 1);
+    assert_eq!(s.drive(y, &foreign), Err(CoreError::ForeignSignal));
+    assert_eq!(s.next(r, &foreign), Err(CoreError::ForeignSignal));
+    s.drive(y, &q).unwrap();
+    s.next(r, &next).unwrap();
+    let comp = own.finish().unwrap();
+    assert!(comp.diagnostics.is_empty(), "{:?}", comp.diagnostics);
+}
+
 #[test]
 fn errors_render_usefully() {
     // Every error message a user can hit should carry the names involved.

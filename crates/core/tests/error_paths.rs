@@ -103,9 +103,8 @@ fn unsupported_peek_poke_default_is_typed() {
         fn cycle(&self) -> u64 {
             0
         }
-        fn enable_trace(&mut self) {}
-        fn trace(&self) -> &ocapi::Trace {
-            unimplemented!("not needed")
+        fn empty_trace(&self) -> ocapi::Trace {
+            ocapi::Trace::default()
         }
     }
     let mut s = Stub;

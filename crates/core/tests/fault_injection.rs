@@ -9,7 +9,7 @@ mod agree;
 use ocapi::rng::XorShift64;
 use ocapi::{
     CompiledSim, Component, FaultEvent, FaultPlan, FaultSite, FaultySim, Format, InterpSim,
-    Overflow, Rounding, SigType, Simulator, System, Value,
+    Overflow, Rounding, SigType, Simulator, System, Traced, Value,
 };
 
 /// An FSMD exercising all four value types: a bit-word counter, a bool
@@ -81,16 +81,14 @@ fn stimulus_value(fmt: Format, rng: &mut XorShift64) -> Value {
 /// asserts every primary output matches every cycle.
 fn assert_equivalent_under(plan: &FaultPlan, cycles: u64, stim_seed: u64) {
     let fmt = Format::new(10, 4).expect("fmt");
-    let mut interp = FaultySim::new(
+    let mut interp = Traced::new(FaultySim::new(
         InterpSim::new(mixed_system()).expect("interp"),
         plan.clone(),
-    );
-    let mut compiled = FaultySim::new(
+    ));
+    let mut compiled = Traced::new(FaultySim::new(
         CompiledSim::new(mixed_system()).expect("compiled"),
         plan.clone(),
-    );
-    interp.enable_trace();
-    compiled.enable_trace();
+    ));
     let mut rng_i = XorShift64::new(stim_seed);
     let mut rng_c = XorShift64::new(stim_seed);
     for cyc in 0..cycles {

@@ -3,7 +3,7 @@
 
 use ocapi::{
     CompiledSim, Component, CoreError, FnBlock, InterpSim, PortDecl, Ram, Rom, SigType, Simulator,
-    System, Value,
+    System, Traced, Value,
 };
 
 /// A 2-state accumulator component with an enable-controlled FSM, used by
@@ -355,8 +355,7 @@ fn rom_driven_counter_matches_compiled() {
 
 #[test]
 fn trace_records_io() {
-    let mut sim = InterpSim::new(acc_system()).unwrap();
-    sim.enable_trace();
+    let mut sim = Traced::new(InterpSim::new(acc_system()).unwrap());
     sim.set_input("stop", Value::Bool(false)).unwrap();
     for i in 1..=3 {
         sim.set_input("x", Value::bits(8, i)).unwrap();

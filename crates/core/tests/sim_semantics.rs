@@ -185,26 +185,3 @@ fn multiple_sfgs_per_transition_execute_together() {
     assert_eq!(interp.output("o1").unwrap(), Value::bits(4, 3));
     assert_eq!(interp.output("o2").unwrap(), Value::bits(4, 4));
 }
-
-#[test]
-fn full_trace_records_every_net() {
-    let mut sim = InterpSim::new(float_system()).unwrap();
-    sim.enable_full_trace();
-    sim.enable_trace();
-    for x in [1.0, 2.0] {
-        sim.set_input("x", Value::Float(x)).unwrap();
-        sim.step().unwrap();
-    }
-    let full = sim.full_trace();
-    assert_eq!(full.len(), 2);
-    // Every net appears: the primary input and the component output.
-    assert!(full.signal("x").is_some());
-    assert!(full.signal("u.y").is_some());
-    assert_eq!(full.signals.len(), sim.system().nets.len());
-    // VCD export covers the hierarchy.
-    let vcd = full.to_vcd();
-    assert!(vcd.contains("u.y"));
-    // Reset clears the recording.
-    sim.reset();
-    assert!(sim.full_trace().is_empty());
-}

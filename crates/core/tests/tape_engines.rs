@@ -5,7 +5,8 @@
 //! against the interpreter on these designs runs here, through the
 //! workspace's one every-engine checker (`tests/agree/mod.rs`) together
 //! with the RT and gate engines; generated systems run through it in
-//! `tests/engines_agree.rs`. The other tests pin what a stored artifact
+//! `tests/engines_agree.rs`, and `Traced` records one trace over every
+//! engine. The other tests pin what a stored artifact
 //! depends on: the program hash of every design at every level,
 //! snapshot interchange between the engines and levels, typed errors on
 //! a snapshot of another design, key or version, tape reuse and the obs
@@ -16,15 +17,19 @@ mod agree;
 
 use ocapi::rng::XorShift64;
 use ocapi::sim::hash::Fnv;
+use ocapi::sim::par::map_indexed;
 use ocapi::{
     BatchedSim, CompiledDesign, CompiledSim, CompiledTape, CoreError, Fix, InterpSim, OptLevel,
-    Overflow, Rounding, SigType, SimSnapshot, Simulator, System, Value,
+    Overflow, ParConfig, Rounding, SigType, SimSnapshot, Simulator, System, Trace, Traced, Value,
 };
 use ocapi_designs::dect::burst::{generate, Burst, BurstConfig};
 use ocapi_designs::dect::highlevel::build_mixed_system;
 use ocapi_designs::dect::transceiver::TransceiverConfig;
 use ocapi_designs::{dect, hcor, image, modem, wlan};
+use ocapi_gatesim::GateSystemSim;
 use ocapi_obs::Registry;
+use ocapi_rtl::RtlSystemSim;
+use ocapi_synth::SynthOptions;
 
 const LEVELS: [OptLevel; 3] = [OptLevel::None, OptLevel::Basic, OptLevel::Full];
 
@@ -94,6 +99,82 @@ fn tape_engines_fuzz_sweep_stays_bit_identical() {
         .map(|j| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(j))
         .collect();
     agree::check_designs(&designs(), &seeds, cycles);
+}
+
+/// `cycles` cycles of `sim` wrapped in [`Traced`], each setting three
+/// in four primary inputs to a random value drawn from `seed`, so some
+/// inputs stay unset for a while and others hold a value over cycles.
+fn traced_run<S: Simulator>(sim: S, seed: u64, cycles: usize) -> Result<Trace, CoreError> {
+    let mut sim = Traced::new(sim);
+    let inputs = sim.trace().signals.iter().filter(|s| s.is_input);
+    let inputs: Vec<(String, SigType)> = inputs.map(|s| (s.name.clone(), s.ty)).collect();
+    let mut rng = XorShift64::new(seed);
+    for _ in 0..cycles {
+        for (name, ty) in &inputs {
+            let v = random_input(*ty, &mut rng);
+            if rng.chance(0.75) {
+                sim.set_input(name, v)?;
+            }
+        }
+        sim.step()?;
+    }
+    Ok(sim.trace().clone())
+}
+
+/// `Traced` records one trace whatever it wraps: on every design, the
+/// interpreter, compiled at `None` and `Full`, lane 0 of a four-lane
+/// batch, RT and gate level, driven alike, record equal traces of one
+/// row a cycle. The gates skip synthesis's post-optimisation, which
+/// would take most of this test's time in a debug build.
+#[test]
+fn traced_engines_record_equal_traces() {
+    const CYCLES: usize = 48;
+    let unoptimized = SynthOptions {
+        optimize: false,
+        ..SynthOptions::default()
+    };
+    let result = map_indexed(&ParConfig::available(), &designs(), |i, (name, mk)| {
+        let seed = 0x7ACE + i as u64;
+        let run = |engine: &str, trace: Result<Trace, CoreError>| {
+            trace.map_err(|e| format!("{name} on {engine}: {e}"))
+        };
+        let batched = BatchedSim::from_fn(4, || Ok(mk()), OptLevel::Full);
+        let gates = GateSystemSim::new(mk(), &unoptimized);
+        let want = run(
+            "interp",
+            InterpSim::new(mk()).and_then(|s| traced_run(s, seed, CYCLES)),
+        )?;
+        let got = [
+            (
+                "compiled None",
+                CompiledSim::new_with(mk(), OptLevel::None)
+                    .and_then(|s| traced_run(s, seed, CYCLES)),
+            ),
+            (
+                "compiled Full",
+                CompiledSim::new_with(mk(), OptLevel::Full)
+                    .and_then(|s| traced_run(s, seed, CYCLES)),
+            ),
+            ("batched", batched.and_then(|s| traced_run(s, seed, CYCLES))),
+            (
+                "rtl",
+                RtlSystemSim::new(mk()).and_then(|s| traced_run(s, seed, CYCLES)),
+            ),
+            ("gates", gates.and_then(|s| traced_run(s, seed, CYCLES))),
+        ];
+        if want.len() != CYCLES {
+            return Err(format!("{name}: {} rows, not {CYCLES}", want.len()));
+        }
+        for (engine, trace) in got {
+            if run(engine, trace)? != want {
+                return Err(format!("{name}: the {engine} trace differs from interp's"));
+            }
+        }
+        Ok(())
+    });
+    if let Err(e) = result {
+        panic!("{e}");
+    }
 }
 
 /// The program hash keys snapshots, cached tapes and checkpoint
@@ -376,10 +457,10 @@ const BATCH_COUNTERS: [&str; 3] = ["batch.lanes", "batch.masked_lanes", "batch.t
 
 /// The compiled and batch observability bundles count exactly what they
 /// counted before the tape engines shared one simulator type. HCOR and
-/// DECT run a fixed stimulus: `CompiledSim` 16 cycles, 24 traced, a
-/// reset and 8 more (still traced); a traced one-lane batch masked after
-/// 32 cycles (the next step fails); an 8-lane batch traced from cycle
-/// 10, with lane 3 masked after 20 of its 40 cycles.
+/// DECT run a fixed stimulus: `CompiledSim` 16 cycles, 24 more, a reset
+/// and 8 more; a one-lane batch masked after 32 cycles (the next step
+/// fails); an 8-lane batch with lane 3 masked after 20 of its 40
+/// cycles.
 #[test]
 fn tape_engine_obs_counts_are_pinned() {
     let one_lane: &[(&str, u64)] = &[
@@ -389,7 +470,6 @@ fn tape_engine_obs_counts_are_pinned() {
         ("batch/guard_pre_tape", 32),
         ("batch/register_update", 32),
         ("batch/tape", 32),
-        ("batch/trace", 32),
         ("batch/transition_select", 32),
     ];
     let eight_lanes: &[(&str, u64)] = &[
@@ -399,7 +479,6 @@ fn tape_engine_obs_counts_are_pinned() {
         ("batch/guard_pre_tape", 40),
         ("batch/register_update", 40),
         ("batch/tape", 40),
-        ("batch/trace", 30),
         ("batch/transition_select", 40),
     ];
     let pinned: [(&str, &[(&str, u64)]); 2] = [
@@ -419,7 +498,6 @@ fn tape_engine_obs_counts_are_pinned() {
                 ("compiled/guard_pre_tape", 48),
                 ("compiled/register_update", 48),
                 ("compiled/tape", 48),
-                ("compiled/trace", 32),
                 ("compiled/transition_select", 48),
             ],
         ),
@@ -439,7 +517,6 @@ fn tape_engine_obs_counts_are_pinned() {
                 ("compiled/guard_pre_tape", 48),
                 ("compiled/register_update", 48),
                 ("compiled/tape", 48),
-                ("compiled/trace", 32),
                 ("compiled/transition_select", 48),
             ],
         ),
@@ -455,7 +532,6 @@ fn tape_engine_obs_counts_are_pinned() {
         let mut c = CompiledSim::new_with(mk(), OptLevel::Full).expect("compiled");
         c.attach_obs(&reg);
         warm(&mut c, &sig, 21, 16);
-        c.enable_trace();
         warm(&mut c, &sig, 22, 24);
         c.reset();
         warm(&mut c, &sig, 23, 8);
@@ -465,7 +541,6 @@ fn tape_engine_obs_counts_are_pinned() {
         let reg = Registry::new();
         let mut b1 = BatchedSim::from_fn(1, || Ok(mk()), OptLevel::Full).expect("batched");
         b1.attach_obs(&reg);
-        b1.enable_trace();
         warm(&mut b1, &sig, 24, 32);
         let e = CoreError::Unsupported {
             op: "pin mask".to_owned(),
@@ -479,7 +554,6 @@ fn tape_engine_obs_counts_are_pinned() {
         let mut b8 = BatchedSim::from_fn(8, || Ok(mk()), OptLevel::Full).expect("batched");
         b8.attach_obs(&reg);
         warm(&mut b8, &sig, 25, 10);
-        b8.enable_trace();
         warm(&mut b8, &sig, 26, 10);
         b8.fail_lane(
             3,

@@ -207,37 +207,6 @@ pub fn golden_signature(net: &Netlist, stimuli: &[CycleStimulus]) -> Result<Bist
     })
 }
 
-/// Runs independent BIST *sessions*, one per `block_len`-pattern block
-/// of `stimuli`, sharded across
-/// [`ParConfig::threads`](ocapi::ParConfig::threads) worker threads.
-///
-/// Each block starts from a freshly reset machine and a fresh MISR —
-/// the discipline a production BIST controller uses when a design (like
-/// the HCOR lock state) needs a reset between sessions to keep later
-/// logic observable. The blocks are independent work items, so they fan
-/// perfectly across the pool, and the returned signatures are merged in
-/// block order: **bit-identical for every thread count**.
-///
-/// # Errors
-///
-/// Returns [`GateError::Oscillation`] if the fault-free machine fails
-/// to settle inside any block, or [`GateError::WorkerPanic`] if a
-/// worker panics on a block (contained — never a hang).
-pub fn block_signatures(
-    net: &Netlist,
-    stimuli: &[CycleStimulus],
-    block_len: usize,
-    pool: &ocapi::ParConfig,
-) -> Result<Vec<BistReport>, GateError> {
-    let blocks: Vec<&[CycleStimulus]> = stimuli.chunks(block_len.max(1)).collect();
-    ocapi::sim::par::map_indexed(pool, &blocks, |_, block| golden_signature(net, block)).map_err(
-        |e| match e {
-            ocapi::ParError::Task { error, .. } => error,
-            ocapi::ParError::Panic { index } => GateError::WorkerPanic { index },
-        },
-    )
-}
-
 /// A complete BIST sign-off: the fused good-machine signature plus the
 /// stuck-at coverage the pattern set achieves.
 #[derive(Debug, Clone)]
@@ -349,23 +318,6 @@ mod tests {
         let o = n.gate(GateKind::Mux2, &[q, b, i[0]]);
         n.output_bus("y", vec![o, q]);
         n
-    }
-
-    #[test]
-    fn block_signatures_invariant_across_thread_counts() {
-        let n = demo_netlist();
-        let stim = lfsr_stimulus(&n, 96, 0xace1);
-        let baseline: Vec<u64> = stim
-            .chunks(16)
-            .map(|block| golden_signature(&n, block).expect("bist").signature)
-            .collect();
-        for threads in [1usize, 2, 8] {
-            let sigs =
-                block_signatures(&n, &stim, 16, &ocapi::ParConfig::new(threads)).expect("blocks");
-            assert_eq!(sigs.len(), 6);
-            let got: Vec<u64> = sigs.iter().map(|r| r.signature).collect();
-            assert_eq!(got, baseline, "threads={threads}");
-        }
     }
 
     #[test]

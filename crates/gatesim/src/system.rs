@@ -81,13 +81,12 @@ struct UntimedIo {
 
 /// Phase spans + cycle counter of the gate-level system simulator,
 /// resolved once at attach time (root span `gatesim`, children
-/// `settle`/`untimed`/`clock`/`trace`).
+/// `settle`/`untimed`/`clock`).
 struct SysObs {
     cycles: Counter,
     sp_settle: Span,
     sp_untimed: Span,
     sp_clock: Span,
-    sp_trace: Span,
 }
 
 /// Gate-level simulation of a captured system.
@@ -101,7 +100,6 @@ pub struct GateSystemSim {
     /// added at port boundaries are excluded).
     area: f64,
     cycle: u64,
-    trace: Option<Trace>,
     obs: Option<SysObs>,
 }
 
@@ -264,7 +262,6 @@ impl GateSystemSim {
             latched: vec![Value::Bool(false); n_outputs],
             area,
             cycle: 0,
-            trace: None,
             obs: None,
         })
     }
@@ -280,7 +277,6 @@ impl GateSystemSim {
             sp_settle: root.child("settle"),
             sp_untimed: root.child("untimed"),
             sp_clock: root.child("clock"),
-            sp_trace: root.child("trace"),
         });
         self.sim.attach_obs(reg);
     }
@@ -396,15 +392,6 @@ impl Simulator for GateSystemSim {
         self.sim.clock().map_err(gate_err)?;
         self.cycle += 1;
         drop(t_clock);
-        if let Some(trace) = &mut self.trace {
-            let _t_trace = self.obs.as_ref().map(|o| o.sp_trace.timer());
-            // Inputs, then the latched outputs, without collecting a row.
-            let (ins, outs) = (&self.inputs, &self.latched);
-            trace.record_cycle((0..ins.len() + outs.len()).map(|k| match ins.get(k) {
-                Some((_, ty, w)) => decode(self.sim.bus(w), *ty),
-                None => outs[k - ins.len()],
-            }))?;
-        }
         if let Some(o) = &self.obs {
             o.cycles.incr();
         }
@@ -426,21 +413,9 @@ impl Simulator for GateSystemSim {
         self.cycle
     }
 
-    fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Trace::new(
-                self.inputs
-                    .iter()
-                    .map(|(n, t, _)| (n.clone(), *t, true))
-                    .chain(self.outputs.iter().map(|(n, t, _)| (n.clone(), *t, false))),
-            ));
-        }
-    }
-
-    fn trace(&self) -> &Trace {
-        static EMPTY: std::sync::OnceLock<Trace> = std::sync::OnceLock::new();
-        self.trace
-            .as_ref()
-            .unwrap_or_else(|| EMPTY.get_or_init(Trace::default))
+    fn empty_trace(&self) -> Trace {
+        let inputs = self.inputs.iter().map(|(n, t, _)| (n.clone(), *t, true));
+        let outputs = self.outputs.iter().map(|(n, t, _)| (n.clone(), *t, false));
+        Trace::new(inputs.chain(outputs))
     }
 }

@@ -97,7 +97,7 @@ fn write_project(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocapi::{Component, InterpSim, SigType, Simulator, System, Value};
+    use ocapi::{Component, InterpSim, SigType, Simulator, System, Traced, Value};
 
     fn demo_system() -> System {
         let c = Component::build("counter");
@@ -120,11 +120,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ocapi_prj_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
 
-        let mut sim = InterpSim::new(demo_system()).expect("sim");
-        sim.enable_trace();
+        let mut sim = Traced::new(InterpSim::new(demo_system()).expect("sim"));
         sim.run(5).expect("run");
 
-        let manifest = write_vhdl_project(sim.system(), Some(sim.trace()), &dir).expect("write");
+        let sys = sim.inner().system();
+        let manifest = write_vhdl_project(sys, Some(sim.trace()), &dir).expect("write");
         assert_eq!(
             manifest.files,
             vec![
@@ -232,10 +232,10 @@ mod tests {
     fn writes_verilog_project() {
         let dir = std::env::temp_dir().join(format!("ocapi_vprj_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let mut sim = InterpSim::new(demo_system()).expect("sim");
-        sim.enable_trace();
+        let mut sim = Traced::new(InterpSim::new(demo_system()).expect("sim"));
         sim.run(3).expect("run");
-        let manifest = write_verilog_project(sim.system(), Some(sim.trace()), &dir).expect("write");
+        let sys = sim.inner().system();
+        let manifest = write_verilog_project(sys, Some(sim.trace()), &dir).expect("write");
         assert_eq!(
             manifest.files,
             vec!["demo.v".to_owned(), "demo_tb.v".to_owned()]

@@ -2,9 +2,10 @@
 //!
 //! "During system simulation, the system stimuli are also translated into
 //! test-benches that allow to verify the synthesis result of each
-//! component" (§6). Record a run with [`ocapi::Simulator::enable_trace`],
-//! then emit a self-checking VHDL or Verilog testbench that replays the
-//! stimuli and asserts the expected responses cycle by cycle.
+//! component" (§6). Record a run by driving any simulator wrapped in
+//! [`ocapi::Traced`], then emit a self-checking VHDL or Verilog
+//! testbench from its trace that replays the stimuli and asserts the
+//! expected responses cycle by cycle.
 
 use std::fmt::Write as _;
 

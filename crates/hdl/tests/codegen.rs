@@ -1,6 +1,6 @@
 //! Tests for VHDL/Verilog code generation and testbench generation.
 
-use ocapi::{Component, InterpSim, Ram, SigType, Simulator, System, Value};
+use ocapi::{Component, InterpSim, Ram, SigType, Simulator, System, Traced, Value};
 use ocapi_hdl::{project, report, testbench, verilog, vhdl, CodegenError};
 
 /// The paper's Figure 4 FSM with a small datapath.
@@ -228,8 +228,7 @@ fn verilog_casts_clamp_only_when_saturating() {
 
 #[test]
 fn testbenches_replay_trace() {
-    let mut sim = InterpSim::new(fig4_system()).unwrap();
-    sim.enable_trace();
+    let mut sim = Traced::new(InterpSim::new(fig4_system()).unwrap());
     sim.set_input("eof", Value::Bool(false)).unwrap();
     for i in 0..4 {
         sim.set_input("x", Value::bits(8, i * 3)).unwrap();
@@ -408,8 +407,7 @@ fn testbench_and_file_names_escape_reserved_words() {
     sb.output("case", u, "case").unwrap();
     let sys = sb.finish().unwrap();
 
-    let mut sim = InterpSim::new(sys).unwrap();
-    sim.enable_trace();
+    let mut sim = Traced::new(InterpSim::new(sys).unwrap());
     sim.set_input("signal", Value::bits(4, 3)).unwrap();
     sim.run(2).unwrap();
 
@@ -424,7 +422,8 @@ fn testbench_and_file_names_escape_reserved_words() {
     let dir = std::env::temp_dir().join(format!("ocapi_resv_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let manifest =
-        ocapi_hdl::project::write_vhdl_project(sim.system(), Some(sim.trace()), &dir).unwrap();
+        ocapi_hdl::project::write_vhdl_project(sim.inner().system(), Some(sim.trace()), &dir)
+            .unwrap();
     assert!(
         manifest.files.contains(&"with_esc_top.vhd".to_owned()),
         "{:?}",

@@ -195,12 +195,4 @@ impl RtlDesign {
             body,
         });
     }
-
-    /// Looks up a signal by name.
-    pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
-        self.signals
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| SignalId(i as u32))
-    }
 }

@@ -241,7 +241,6 @@ pub struct RtlSystemSim {
     outputs: Vec<(String, SignalId)>,
     latched: Vec<Value>,
     cycle: u64,
-    trace: Option<Trace>,
 }
 
 impl RtlSystemSim {
@@ -319,7 +318,6 @@ impl RtlSystemSim {
             outputs,
             latched: vec![Value::Bool(false); n_outputs],
             cycle: 0,
-            trace: None,
         })
     }
 
@@ -373,14 +371,6 @@ impl Simulator for RtlSystemSim {
         self.sim.schedule(self.clk, Value::Bool(false));
         self.sim.settle().map_err(to_core)?;
         self.cycle += 1;
-        if let Some(trace) = &mut self.trace {
-            // Inputs, then the latched outputs, without collecting a row.
-            let (ins, outs) = (&self.inputs, &self.latched);
-            trace.record_cycle((0..ins.len() + outs.len()).map(|k| match ins.get(k) {
-                Some((_, _, s)) => self.sim.value(*s),
-                None => outs[k - ins.len()],
-            }))?;
-        }
         Ok(())
     }
 
@@ -399,24 +389,13 @@ impl Simulator for RtlSystemSim {
         self.cycle
     }
 
-    fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace =
-                Some(Trace::new(
-                    self.inputs
-                        .iter()
-                        .map(|(n, t, _)| (n.clone(), *t, true))
-                        .chain(self.outputs.iter().map(|(n, s)| {
-                            (n.clone(), self.sim.design().signals[s.index()].ty, false)
-                        })),
-                ));
-        }
-    }
-
-    fn trace(&self) -> &Trace {
-        static EMPTY: std::sync::OnceLock<Trace> = std::sync::OnceLock::new();
-        self.trace
-            .as_ref()
-            .unwrap_or_else(|| EMPTY.get_or_init(Trace::default))
+    fn empty_trace(&self) -> Trace {
+        let signals = &self.sim.design().signals;
+        let inputs = self.inputs.iter().map(|(n, t, _)| (n.clone(), *t, true));
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|(n, s)| (n.clone(), signals[s.index()].ty, false));
+        Trace::new(inputs.chain(outputs))
     }
 }

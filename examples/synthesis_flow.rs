@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example synthesis_flow`.
 
-use asic_dse::ocapi::{InterpSim, Simulator, Value};
+use asic_dse::ocapi::{InterpSim, Simulator, Traced, Value};
 use asic_dse::ocapi_designs::hcor;
 use asic_dse::ocapi_gatesim::GateSystemSim;
 use asic_dse::ocapi_hdl::{project, testbench, vhdl};
@@ -21,12 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Simulate the captured description, recording a testbench trace.
     let bits = hcor::test_pattern(24, 7);
-    let mut golden = InterpSim::new(hcor::build_system()?)?;
-    golden.enable_trace();
+    let mut golden = Traced::new(InterpSim::new(hcor::build_system()?)?);
     hcor::run_detection(&mut golden, &bits, 15)?;
 
     // 3. Generate HDL and the self-checking testbench from the trace.
-    let vhdl_src = vhdl::system_source(golden.system())?;
+    let system = golden.inner().system();
+    let vhdl_src = vhdl::system_source(system)?;
     let tb = testbench::vhdl_testbench("hcor", golden.trace())?;
     println!(
         "generated VHDL: {} lines, testbench: {} lines ({} cycles)",
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3b. Write the hand-off project to disk, as the original flow did
     //     for the Synopsys/Cathedral tools.
     let dir = std::path::Path::new("target/generated/hcor");
-    let manifest = project::write_vhdl_project(golden.system(), Some(golden.trace()), dir)?;
+    let manifest = project::write_vhdl_project(system, Some(golden.trace()), dir)?;
     println!(
         "wrote {} VHDL files to {}: {:?}",
         manifest.files.len(),

@@ -24,8 +24,8 @@
 //! every level — [`check_reset`] then asks that reset-then-replay equal
 //! a fresh build: each engine is run from its build, reset (a 64-lane
 //! batch with its last lane masked first) and run again over the same
-//! stimulus, and the two runs must match in every read each cycle, in
-//! every trace, and in the snapshots at power-up and at the end. The
+//! stimulus, and the two runs must match in every read each cycle and
+//! in the snapshots at power-up and at the end. The
 //! campaign and BER drivers reuse one reset batch per worker on the
 //! strength of this check.
 //!
@@ -35,9 +35,10 @@
 //! interpreter and over the compiled engine at `None` and `Full`, and
 //! through the lane-batched driver at 1 and 64 lanes, must classify
 //! every event alike. `tests/engines_agree.rs` runs it on 8 generated
-//! systems (256 with `slow-tests`), `crates/core/tests/tape_engines.rs`
-//! on HCOR and DECT, and `crates/core/tests/fault_injection.rs` on a
-//! system with a float register.
+//! systems and on 8 with a memory (256 each with `slow-tests`),
+//! `crates/core/tests/tape_engines.rs` on HCOR and DECT, and
+//! `crates/core/tests/fault_injection.rs` on a system with a float
+//! register.
 //!
 //! A generated system is a pure function of its seed. One that
 //! disagrees is shrunk (components, expression steps, the memory and
@@ -71,7 +72,7 @@ use ocapi::{
     run_campaign_cached_par, run_campaign_par, BatchedSim, CampaignReport, CompiledSim,
     CompiledTape, Component, CoreError, FaultEvent, FaultPlan, FaultSite, FnBlock, Format,
     InstanceId, InterpSim, MemorySpec, OptLevel, Overflow, ParConfig, PortDecl, Ram, Rom, Rounding,
-    Sig, SigType, SimSnapshot, Simulator, System, SystemBuilder, Trace, UntimedBlock, Value,
+    Sig, SigType, SimSnapshot, Simulator, System, SystemBuilder, UntimedBlock, Value,
 };
 use ocapi_gatesim::GateSystemSim;
 use ocapi_rtl::RtlSystemSim;
@@ -115,11 +116,6 @@ trait Engine: Simulator {
         Err(CoreError::Unsupported {
             op: "restore".to_owned(),
         })
-    }
-
-    /// The trace of each lane read.
-    fn traces(&self) -> Vec<Trace> {
-        vec![self.trace().clone()]
     }
 }
 
@@ -189,11 +185,6 @@ impl Engine for BatchedSim {
 
     fn restore_engine(&mut self, snap: &SimSnapshot) -> Result<(), CoreError> {
         (0..self.lanes()).try_for_each(|lane| self.restore_lane(lane, snap))
-    }
-
-    fn traces(&self) -> Vec<Trace> {
-        let trace = |lane| self.trace_lane(lane).cloned().unwrap_or_default();
-        vec![trace(0), trace(self.lanes() - 1)]
     }
 }
 
@@ -419,7 +410,6 @@ struct Run {
     start: Vec<Result<Vec<u8>, CoreError>>,
     /// Every read on every lane read, per cycle.
     seen: Vec<Vec<Result<Value, CoreError>>>,
-    traces: Vec<Trace>,
     /// Each lane read's snapshot after the last step.
     end: Vec<Result<Vec<u8>, CoreError>>,
 }
@@ -441,7 +431,6 @@ fn record(sim: &mut dyn Engine, probe: &System, stimuli: &[u64]) -> Result<Run, 
     Ok(Run {
         start,
         seen,
-        traces: sim.traces(),
         end: sim.snapshots(),
     })
 }
@@ -456,7 +445,6 @@ fn check_reset(mk: &dyn Fn() -> System, stimuli: &[u64]) -> Result<(), Mismatch>
         let name = format!("{name} reset");
         let fail = |what: String| (name.clone(), what);
         let mut sim = sim.map_err(|e| fail(format!("build: {e}")))?;
-        sim.enable_trace();
         let fresh = record(sim.as_mut(), &probe, stimuli).map_err(fail)?;
         sim.reset_engine();
         let replay =
@@ -470,8 +458,6 @@ fn check_reset(mk: &dyn Fn() -> System, stimuli: &[u64]) -> Result<(), Mismatch>
             "snapshot at power-up differs".to_owned()
         } else if let Some(c) = cycle {
             format!("cycle {c}: a read differs from the fresh run")
-        } else if fresh.traces != replay.traces {
-            "trace differs".to_owned()
         } else if fresh.end != replay.end {
             "final snapshot differs".to_owned()
         } else {
@@ -575,7 +561,7 @@ struct Mem {
 
 /// One generated case, a pure function of its seed.
 #[derive(Debug, Clone)]
-struct Recipe {
+pub struct Recipe {
     /// Chained: each component's `fb` and `fx` read the previous one's
     /// `o` and `fo`.
     comps: Vec<Comp>,
@@ -676,7 +662,8 @@ fn random_mem(seed: u64) -> Mem {
     }
 }
 
-fn recipe(seed: u64) -> Recipe {
+/// The generated case of `seed`, with no memory.
+pub fn recipe(seed: u64) -> Recipe {
     let mut rng = XorShift64::stream(0xe9_a9ee, seed);
     let comps: Vec<Comp> = (0..1 + rng.index(3))
         .map(|_| random_comp(&mut rng))
@@ -695,7 +682,7 @@ fn recipe(seed: u64) -> Recipe {
 }
 
 /// The recipe of `seed` with a memory added, drawn from its own stream.
-fn memory_recipe(seed: u64) -> Recipe {
+pub fn memory_recipe(seed: u64) -> Recipe {
     Recipe {
         memory: Some(random_mem(seed)),
         ..recipe(seed)
@@ -1180,13 +1167,14 @@ fn check_faults(
     Ok(())
 }
 
-/// [`check_faults`] on the generated case of every seed in `seeds`,
+/// [`check_faults`] on the case `make` generates for every seed in
+/// `seeds` ([`recipe`], or [`memory_recipe`] for a memory in each),
 /// sharded over the deterministic worker pool; the seed also draws the
 /// events. Panics with the first seed that disagrees and its recipe.
-pub fn check_generated_faults(seeds: impl IntoIterator<Item = u64>) {
+pub fn check_generated_faults(seeds: impl IntoIterator<Item = u64>, make: fn(u64) -> Recipe) {
     let seeds: Vec<u64> = seeds.into_iter().collect();
     let result = map_indexed(&ParConfig::available(), &seeds, |_, &seed| {
-        let r = recipe(seed);
+        let r = make(seed);
         check_faults(&|| system(&r), &r.stimuli, seed)
             .map_err(|m| format!("seed {seed}: `{}` {}\nrecipe: {r:#?}", m.0, m.1))
     });

@@ -3,10 +3,11 @@
 //! on every cycle-based engine (the batched one at four lanes and at
 //! one), on the event-driven RT kernel and on the gate-level system
 //! simulator. Register pokes — the fault injector's per-cycle corruption
-//! primitive — are allocation-free too. A traced cycle feeds its row
-//! straight into the trace, so all it may allocate is the amortized
-//! growth of the trace's value columns. A fault campaign records no
-//! trace, so its allocations do not grow with its length.
+//! primitive — are allocation-free too. A cycle traced through
+//! `Traced` writes its row into reused scratch, so all it may allocate
+//! is the amortized growth of the trace's value columns. A fault
+//! campaign records no trace, so its allocations do not grow with its
+//! length.
 //!
 //! The global allocator counts per thread, so tests running in parallel
 //! do not see each other's allocations.
@@ -17,7 +18,7 @@ use std::cell::Cell;
 use asic_dse::ocapi::rng::XorShift64;
 use asic_dse::ocapi::{
     run_campaign_cached_par, BatchedSim, CompiledSim, CompiledTape, CoreError, FaultEvent,
-    FaultPlan, InterpSim, OptLevel, ParConfig, Simulator, System, Value,
+    FaultPlan, InterpSim, OptLevel, ParConfig, Simulator, System, Traced, Value,
 };
 use asic_dse::ocapi_designs::dect::burst::{generate, BurstConfig};
 use asic_dse::ocapi_designs::dect::transceiver::{
@@ -140,39 +141,33 @@ fn steady_state_allocations(sim: &mut dyn Simulator, w: &Workload, outputs: &[St
     allocations() - before
 }
 
-/// Every engine on `w`'s design, named, with its lane count.
-fn engines(w: &Workload) -> Vec<(&'static str, usize, Box<dyn Simulator>)> {
+/// Every engine on `w`'s design, named.
+fn engines(w: &Workload) -> Vec<(&'static str, Box<dyn Simulator>)> {
     vec![
         (
             "interp",
-            1,
             Box::new(InterpSim::new((w.build)()).expect("interp")),
         ),
         (
             "compiled",
-            1,
             Box::new(CompiledSim::new((w.build)()).expect("compiled")),
         ),
         (
             "batched",
-            4,
             Box::new(BatchedSim::from_fn(4, || Ok((w.build)()), OptLevel::Full).expect("batched")),
         ),
         (
             "batched 1 lane",
-            1,
             Box::new(
                 BatchedSim::from_fn(1, || Ok((w.build)()), OptLevel::Full).expect("batched 1 lane"),
             ),
         ),
         (
             "rtl",
-            1,
             Box::new(RtlSystemSim::new((w.build)()).expect("rtl")),
         ),
         (
             "gate",
-            1,
             Box::new(GateSystemSim::new((w.build)(), &SynthOptions::default()).expect("gate")),
         ),
     ]
@@ -181,7 +176,7 @@ fn engines(w: &Workload) -> Vec<(&'static str, usize, Box<dyn Simulator>)> {
 fn assert_alloc_free(w: &Workload) {
     let sys = (w.build)();
     let outputs: Vec<String> = sys.primary_outputs.iter().map(|o| o.name.clone()).collect();
-    for (name, _, mut sim) in engines(w) {
+    for (name, mut sim) in engines(w) {
         let n = steady_state_allocations(sim.as_mut(), w, &outputs);
         assert_eq!(
             n, 0,
@@ -202,27 +197,55 @@ fn dect_steady_state_is_allocation_free() {
 
 const TRACED: usize = 4_096;
 
+/// Allocations per cycle of `sim` wrapped in [`Traced`], over `TRACED`
+/// cycles of `w` from power-up.
+fn traced_allocations<S: Simulator>(sim: S, w: &Workload) -> f64 {
+    let mut sim = Traced::new(sim);
+    let before = allocations();
+    for row in w.rows.iter().cycle().take(TRACED) {
+        for (input, v) in w.inputs.iter().zip(row) {
+            sim.set_input(input, *v).expect("set");
+        }
+        sim.step().expect("step");
+    }
+    let per_cycle = (allocations() - before) as f64 / TRACED as f64;
+    assert_eq!(sim.trace().len(), TRACED);
+    per_cycle
+}
+
 /// Traced from power-up for `TRACED` cycles, every engine makes fewer
-/// than 0.1 allocations per lane-cycle: the trace's value columns grow
-/// by doubling, and no cycle collects a row of its own.
+/// than 0.1 allocations per cycle: the trace's value columns grow by
+/// doubling, and no cycle collects a row of its own.
 #[test]
 fn traced_cycles_do_not_allocate_rows() {
     let w = hcor_workload();
-    for (name, lanes, mut sim) in engines(&w) {
-        sim.enable_trace();
-        let before = allocations();
-        for row in w.rows.iter().cycle().take(TRACED) {
-            for (input, v) in w.inputs.iter().zip(row) {
-                sim.set_input(input, *v).expect("set");
-            }
-            sim.step().expect("step");
-        }
-        let per_lane_cycle = (allocations() - before) as f64 / (lanes * TRACED) as f64;
-        assert!(
-            per_lane_cycle < 0.1,
-            "{name}: {per_lane_cycle:.3} allocations per traced lane-cycle"
-        );
-        assert_eq!(sim.trace().len(), TRACED, "{name}");
+    let batched = |lanes| BatchedSim::from_fn(lanes, || Ok((w.build)()), OptLevel::Full);
+    let gate = GateSystemSim::new((w.build)(), &SynthOptions::default()).expect("gate");
+    let per_cycle = [
+        (
+            "interp",
+            traced_allocations(InterpSim::new((w.build)()).expect("interp"), &w),
+        ),
+        (
+            "compiled",
+            traced_allocations(CompiledSim::new((w.build)()).expect("compiled"), &w),
+        ),
+        (
+            "batched",
+            traced_allocations(batched(4).expect("batched"), &w),
+        ),
+        (
+            "batched 1 lane",
+            traced_allocations(batched(1).expect("batched 1 lane"), &w),
+        ),
+        (
+            "rtl",
+            traced_allocations(RtlSystemSim::new((w.build)()).expect("rtl"), &w),
+        ),
+        ("gate", traced_allocations(gate, &w)),
+    ];
+    for (name, n) in per_cycle {
+        assert!(n < 0.1, "{name}: {n:.3} allocations per traced cycle");
     }
 }
 

@@ -2,7 +2,7 @@
 //! generation and testbench generation; the generated artifacts must be
 //! complete, deterministic, and consistent with the recorded behaviour.
 
-use asic_dse::ocapi::{InterpSim, Simulator, Value};
+use asic_dse::ocapi::{InterpSim, Traced, Value};
 use asic_dse::ocapi_designs::dect::burst::{generate, BurstConfig};
 use asic_dse::ocapi_designs::dect::transceiver::{build_system, run_burst, TransceiverConfig};
 use asic_dse::ocapi_designs::hcor;
@@ -83,8 +83,7 @@ fn traces_feed_testbenches_for_the_full_transceiver() {
         payload_len: 4,
         ..BurstConfig::default()
     });
-    let mut sim = InterpSim::new(build_system(&cfg).expect("build")).expect("sim");
-    sim.enable_trace();
+    let mut sim = Traced::new(InterpSim::new(build_system(&cfg).expect("build")).expect("sim"));
     run_burst(&mut sim, &burst, None).expect("run");
     let trace = sim.trace();
     assert_eq!(trace.len(), burst.samples.len() * 4);
@@ -109,11 +108,9 @@ fn traces_feed_testbenches_for_the_full_transceiver() {
 fn traces_are_identical_between_interp_and_compiled() {
     use asic_dse::ocapi::CompiledSim;
     let bits = hcor::test_pattern(20, 1);
-    let mut a = InterpSim::new(hcor::build_system().expect("build")).expect("sim");
-    a.enable_trace();
+    let mut a = Traced::new(InterpSim::new(hcor::build_system().expect("build")).expect("sim"));
     hcor::run_detection(&mut a, &bits, 14).expect("run");
-    let mut b = CompiledSim::new(hcor::build_system().expect("build")).expect("sim");
-    b.enable_trace();
+    let mut b = Traced::new(CompiledSim::new(hcor::build_system().expect("build")).expect("sim"));
     hcor::run_detection(&mut b, &bits, 14).expect("run");
     assert_eq!(a.trace(), b.trace());
 }
@@ -150,8 +147,7 @@ fn testbench_respects_value_types() {
         payload_len: 2,
         ..BurstConfig::default()
     });
-    let mut sim = InterpSim::new(build_system(&cfg).expect("build")).expect("sim");
-    sim.enable_trace();
+    let mut sim = Traced::new(InterpSim::new(build_system(&cfg).expect("build")).expect("sim"));
     run_burst(&mut sim, &burst, None).expect("run");
     let tb = testbench::vhdl_testbench("dect", sim.trace()).expect("tb");
     assert!(

@@ -6,9 +6,10 @@
 //! or ROM added on all but RT and gates, with a snapshot parked at a
 //! seeded cycle and restored across engines, and reset-then-replay on
 //! the engines with a reset. A mismatch panics with the seed and a
-//! shrunk recipe. Fault campaigns over 8 of them (256 with
-//! `slow-tests`) run through every campaign driver. The in-tree designs
-//! run through the same checker in `crates/core/tests/tape_engines.rs`.
+//! shrunk recipe. Fault campaigns over 8 of them and over 8 with a
+//! memory (256 each with `slow-tests`) run through every campaign
+//! driver. The in-tree designs run through the same checker in
+//! `crates/core/tests/tape_engines.rs`.
 
 mod agree;
 
@@ -148,8 +149,13 @@ fn held_untimed_outputs_agree_on_every_engine() {
 
 /// Fault campaigns classify every event alike on the reference driver
 /// over the interpreter and the compiled engine at both ends of the
-/// optimizer, and on the lane-batched driver at 1 and 64 lanes.
+/// optimizer, and on the lane-batched driver at 1 and 64 lanes: over
+/// generated systems, and over the same systems with a RAM or ROM,
+/// native or fired as a generic block, whose address, write-enable and
+/// data nets the faults reach.
 #[test]
 fn generated_fault_campaigns_agree_on_every_driver() {
-    agree::check_generated_faults(0..if agree::SLOW { 256 } else { 8 });
+    let seeds = 0..if agree::SLOW { 256 } else { 8 };
+    agree::check_generated_faults(seeds.clone(), agree::recipe);
+    agree::check_generated_faults(seeds, agree::memory_recipe);
 }

@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use asic_dse::ocapi::{InterpSim, Simulator, System, Value};
+use asic_dse::ocapi::{InterpSim, Simulator, System, Traced, Value};
 use asic_dse::ocapi_designs::dect::transceiver::{build_system, TransceiverConfig};
 use asic_dse::ocapi_designs::{hcor, image, modem, wlan};
 use asic_dse::ocapi_hdl::project::{write_verilog_project, write_vhdl_project};
@@ -156,8 +156,7 @@ fn assert_project(dir: &Path, mut files: Vec<String>, want: &[(&str, u64, usize)
 #[test]
 fn hcor_project_files_are_pinned() {
     let bits = hcor::test_pattern(24, 5);
-    let mut sim = InterpSim::new(hcor::build_system().expect("build")).expect("sim");
-    sim.enable_trace();
+    let mut sim = Traced::new(InterpSim::new(hcor::build_system().expect("build")).expect("sim"));
     for (k, b) in bits.iter().enumerate() {
         sim.set_input("bit_in", Value::Bool(*b)).expect("bit");
         sim.set_input("enable", Value::Bool(k % 13 != 4))
@@ -169,7 +168,8 @@ fn hcor_project_files_are_pinned() {
     let _ = std::fs::remove_dir_all(&root);
 
     let dir = root.join("vhdl");
-    let m = write_vhdl_project(sim.system(), Some(sim.trace()), &dir).expect("vhdl project");
+    let sys = sim.inner().system();
+    let m = write_vhdl_project(sys, Some(sim.trace()), &dir).expect("vhdl project");
     assert_project(
         &dir,
         m.files,
@@ -183,7 +183,7 @@ fn hcor_project_files_are_pinned() {
     );
 
     let dir = root.join("verilog");
-    let m = write_verilog_project(sim.system(), Some(sim.trace()), &dir).expect("verilog project");
+    let m = write_verilog_project(sys, Some(sim.trace()), &dir).expect("verilog project");
     assert_project(
         &dir,
         m.files,
