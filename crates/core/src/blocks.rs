@@ -106,9 +106,9 @@ pub trait UntimedBlock: Send + Sync {
     /// [`Ram`] and [`Rom`] do. There, the block's `ready` and `fire` are
     /// not called, its `contents` when the simulator is built are the
     /// power-up contents a reset returns to, and a snapshot's section
-    /// for it is a RAM's words (none for a ROM). The interpreter and the
-    /// RT kernel still fire the block, so a block that reports a spec
-    /// must behave as that memory.
+    /// for it is a RAM's words (none for a ROM). The interpreter, the RT
+    /// kernel and gate level still fire the block, so a block that
+    /// reports a spec must behave as that memory.
     fn memory_spec(&self) -> Option<MemorySpec<'_>> {
         None
     }

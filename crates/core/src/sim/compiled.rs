@@ -392,11 +392,7 @@ pub(crate) fn build_program(sys: &System, level: OptLevel) -> Result<Program, Co
 
     // 1. Net slots.
     for net in &sys.nets {
-        let init = match &net.source {
-            NetSource::Constant(v) => *v,
-            _ => net.ty.zero(),
-        };
-        let s = b.alloc(init);
+        let s = b.alloc(net.power_up());
         b.net_slot.push(s);
     }
 

@@ -26,7 +26,7 @@ use crate::sim::hash::hash_system;
 use crate::sim::obs::InterpObs;
 use crate::sim::snapshot::{held_outputs, taken, SimSnapshot};
 use crate::sim::Simulator;
-use crate::system::{NetSource, System};
+use crate::system::{Net, NetSource, System};
 use crate::trace::Trace;
 use crate::value::{SigType, Value};
 use crate::CoreError;
@@ -119,14 +119,7 @@ impl InterpSim {
     /// Currently infallible, but returns `Result` for parity with
     /// [`crate::CompiledSim::new`], which can reject designs.
     pub fn new(sys: System) -> Result<InterpSim, CoreError> {
-        let nets: Vec<Value> = sys
-            .nets
-            .iter()
-            .map(|n| match &n.source {
-                NetSource::Constant(v) => *v,
-                _ => n.ty.zero(),
-            })
-            .collect();
+        let nets: Vec<Value> = sys.nets.iter().map(Net::power_up).collect();
         let regs = sys
             .timed
             .iter()
@@ -304,11 +297,8 @@ impl InterpSim {
             }
             self.states[i] = t.comp.fsm.as_ref().map_or(StateRef(0), |f| f.initial);
         }
-        for (i, net) in self.sys.nets.iter().enumerate() {
-            self.nets[i] = match &net.source {
-                NetSource::Constant(v) => *v,
-                _ => net.ty.zero(),
-            };
+        for (v, net) in self.nets.iter_mut().zip(&self.sys.nets) {
+            *v = net.power_up();
         }
         for (u, held) in self.sys.untimed.iter_mut().zip(&mut self.held) {
             u.block.reset();

@@ -79,6 +79,17 @@ pub struct Net {
     pub sinks: Vec<NetSink>,
 }
 
+impl Net {
+    /// The net's value at power-up: a tie-off's constant, otherwise its
+    /// type's zero.
+    pub fn power_up(&self) -> Value {
+        match self.source {
+            NetSource::Constant(v) => v,
+            _ => self.ty.zero(),
+        }
+    }
+}
+
 /// A timed component instantiated in a system.
 #[derive(Debug)]
 pub struct TimedInstance {
@@ -206,6 +217,66 @@ impl System {
             )
         });
         ports
+    }
+
+    /// The untimed blocks (indices into [`System::untimed`]) in the
+    /// order the RT and gate engines fire them once a cycle: each after
+    /// every block whose outputs reach its inputs combinationally,
+    /// through nets and through the timed instances' output drives (an
+    /// output depends on the inputs in the cone of its drive node in any
+    /// SFG). Guards read held inputs, so they add no path. Among blocks
+    /// free to fire, the lowest index goes first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::CombinationalLoop`] when the blocks feed each
+    /// other in a loop, naming every block on or behind it as
+    /// `name (untimed)`, sorted, as the interpreter reports a waiting
+    /// block.
+    pub fn untimed_order(&self) -> Result<Vec<usize>, CoreError> {
+        // Per block: the blocks whose outputs reach its inputs, found by
+        // walking back from its input nets.
+        let preds: Vec<Vec<usize>> = (0..self.untimed.len())
+            .map(|u| {
+                let mut found = Vec::new();
+                let mut seen = vec![false; self.nets.len()];
+                let mut stack = self.untimed_in_net[u].clone();
+                while let Some(net) = stack.pop() {
+                    if std::mem::replace(&mut seen[net], true) {
+                        continue;
+                    }
+                    match self.nets[net].source {
+                        NetSource::UntimedOut { inst, .. } => found.push(inst),
+                        NetSource::TimedOut { inst, port } => {
+                            let comp = &self.timed[inst].comp;
+                            let drives = comp.sfgs.iter().flat_map(|s| &s.outputs);
+                            for (_, node) in drives.filter(|(p, _)| p.index() == port) {
+                                let deps = comp.input_deps(*node).iter();
+                                stack.extend(deps.map(|&p| self.timed_in_net[inst][p as usize]));
+                            }
+                        }
+                        NetSource::PrimaryInput(_) | NetSource::Constant(_) => {}
+                    }
+                }
+                found
+            })
+            .collect();
+        let mut placed = vec![false; self.untimed.len()];
+        let mut order = Vec::with_capacity(self.untimed.len());
+        while order.len() < self.untimed.len() {
+            let free = |u: usize| !placed[u] && preds[u].iter().all(|&p| placed[p]);
+            let Some(u) = (0..self.untimed.len()).find(|&u| free(u)) else {
+                let mut waiting: Vec<String> = (0..self.untimed.len())
+                    .filter(|&u| !placed[u])
+                    .map(|u| format!("{} (untimed)", self.untimed[u].block.name()))
+                    .collect();
+                waiting.sort();
+                return Err(CoreError::CombinationalLoop { waiting });
+            };
+            placed[u] = true;
+            order.push(u);
+        }
+        Ok(order)
     }
 
     /// Total number of gates-of-state: registers plus FSM state bits,

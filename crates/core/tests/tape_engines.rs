@@ -73,14 +73,13 @@ fn tape_engines_match_interp_on_all_designs() {
 }
 
 /// The mixed-refinement DECT, whose high-level equalizer is a generic
-/// untimed block with its own state (an `untimed.<u>` section), on the
-/// interpreter and every tape engine, parked and restored across them.
-/// The RT and gate engines fire the equalizer on every input event, so
-/// they sit this one out.
+/// untimed block with its own state (an `untimed.<u>` section), on every
+/// engine of the checker, RT and gate level included, parked and
+/// restored across the interpreter and the tape engines.
 #[test]
 fn mixed_refinement_dect_matches_interp() {
     let mixed = || build_mixed_system(&TransceiverConfig::default()).expect("mixed dect");
-    agree::check_tape_designs(&[("dect_mixed", mixed)], &[0x313D], 48);
+    agree::check_designs(&[("dect_mixed", mixed)], &[0x313D], 48);
 }
 
 /// HCOR and DECT (fixed-point outputs, RAM and ROM blocks) classify

@@ -2,18 +2,13 @@
 //!
 //! Every timed component is synthesized to gates and merged into one flat
 //! netlist; untimed blocks stay behavioural (the way real netlist
-//! simulations keep vendor memory models behavioural) and fire whenever
-//! their input bits change. The result implements [`Simulator`], so the
+//! simulations keep vendor memory models behavioural). Each cycle, once
+//! the netlist has settled on the inputs, every block fires once in
+//! [`System::untimed_order`] on its settled input bits, and the netlist
+//! settles on its outputs before the next block fires: the cycle
+//! scheduler's once a cycle. The result implements [`Simulator`], so the
 //! same stimuli drive interpreted, compiled, RT-level and gate-level
 //! simulation — exactly the comparison of the paper's Table 1.
-//!
-//! Firing on input changes only is not the cycle schedulers' once a
-//! cycle: a stateful block whose state advances on unchanged inputs
-//! diverges here, as on RT level. A RAM written on consecutive cycles at
-//! an unchanged address with unchanged data fires once, so its read data
-//! keeps the stale word it read before the write (preloaded 0x5a, `we`
-//! high, `wdata` 0x11: 5a 5a 5a 5a here and on RT level, 5a 11 11 11 on
-//! the interpreter and the tape). A ROM is unaffected.
 
 use ocapi::{CoreError, NetSource, SigType, Simulator, System, Trace, UntimedBlock, Value};
 use ocapi_fixp::Fix;
@@ -34,22 +29,12 @@ fn gate_err(e: GateError) -> CoreError {
     }
 }
 
-fn encode(v: &Value) -> u64 {
-    match v {
-        Value::Bool(b) => *b as u64,
-        Value::Bits { bits, .. } => *bits,
-        Value::Fixed(f) => {
-            let wl = f.format().wl() as usize;
-            let mask = if wl >= 64 { u64::MAX } else { (1u64 << wl) - 1 };
-            (f.mantissa() as u64) & mask
-        }
-        // Synthesis rejects float signals on timed components, but
-        // untimed blocks stay behavioural and may carry floats as a
-        // 64-bit pattern.
-        Value::Float(x) => x.to_bits(),
-    }
-}
-
+/// The value of type `ty` a bus carries; a fixed-point mantissa is
+/// sign-extended. A bus is driven with [`Value::to_raw`], of which
+/// [`GateSim::set_bus`] drives only as many low bits as the bus has
+/// wires. Synthesis rejects float signals on timed components, but
+/// untimed blocks stay behavioural and may carry floats as a 64-bit
+/// pattern.
 fn decode(bits: u64, ty: SigType) -> Value {
     match ty {
         SigType::Bool => Value::Bool(bits & 1 == 1),
@@ -70,13 +55,6 @@ struct UntimedIo {
     out_wires: Vec<Vec<WireId>>,
     in_tys: Vec<SigType>,
     out_tys: Vec<SigType>,
-    /// The input pattern the block last saw; `None` before its first
-    /// visit.
-    last_in: Option<Vec<Value>>,
-    /// Input and output scratch, reused across passes and cycles so a
-    /// steady-state step allocates nothing.
-    ins: Vec<Value>,
-    outs: Vec<Value>,
 }
 
 /// Phase spans + cycle counter of the gate-level system simulator,
@@ -92,7 +70,14 @@ struct SysObs {
 /// Gate-level simulation of a captured system.
 pub struct GateSystemSim {
     sim: GateSim,
+    /// The untimed blocks, by index in the system.
     untimed: Vec<UntimedIo>,
+    /// The order they fire in ([`System::untimed_order`]).
+    order: Vec<usize>,
+    /// Input and output values of the block being fired, reused so a
+    /// steady-state step allocates nothing.
+    ins: Vec<Value>,
+    outs: Vec<Value>,
     inputs: Vec<(String, SigType, Vec<WireId>)>,
     outputs: Vec<(String, SigType, Vec<WireId>)>,
     latched: Vec<Value>,
@@ -119,9 +104,11 @@ impl GateSystemSim {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::CheckFailed`] wrapping synthesis errors
-    /// (float signals).
+    /// Returns [`CoreError::CombinationalLoop`] if the untimed blocks
+    /// feed each other in a loop, and [`CoreError::CheckFailed`]
+    /// wrapping synthesis errors (float signals).
     pub fn new(mut sys: System, options: &SynthOptions) -> Result<GateSystemSim, CoreError> {
+        let order = sys.untimed_order()?;
         let mut flat = Netlist::new();
 
         // One bus of wires per net.
@@ -209,6 +196,9 @@ impl GateSystemSim {
             .iter()
             .map(|p| (p.name.clone(), sys.nets[p.net].ty, net_bus[p.net].clone()))
             .collect();
+        let latched = (sys.primary_outputs.iter())
+            .map(|p| sys.nets[p.net].power_up())
+            .collect();
         let constants: Vec<(usize, Value)> = sys
             .nets
             .iter()
@@ -240,26 +230,24 @@ impl GateSystemSim {
                 out_wires,
                 in_tys,
                 out_tys,
-                last_in: None,
-                ins: Vec::new(),
-                outs: Vec::new(),
             });
         }
 
-        let n_outputs = outputs.len();
         let mut sim = GateSim::new(flat).map_err(gate_err)?;
         for (net, v) in constants {
-            let bus = net_bus[net].clone();
-            sim.set_bus(&bus, encode(&v));
+            sim.set_bus(&net_bus[net], v.to_raw());
         }
         sim.settle().map_err(gate_err)?;
 
         Ok(GateSystemSim {
             sim,
             untimed,
+            order,
+            ins: Vec::new(),
+            outs: Vec::new(),
             inputs,
             outputs,
-            latched: vec![Value::Bool(false); n_outputs],
+            latched,
             area,
             cycle: 0,
             obs: None,
@@ -296,68 +284,26 @@ impl GateSystemSim {
         self.sim.stats()
     }
 
-    /// Runs untimed blocks until no input pattern changes.
-    ///
-    /// Each pass visits every block whose input pattern changed, then
-    /// settles the netlist. If the blocks feed each other only
-    /// acyclically, n blocks reach their fixed point within n + 1
-    /// passes: give a block depth 0 when no block output reaches its
-    /// inputs, else one more than the deepest block feeding it, so
-    /// depths are below n. Inputs of depth-0 blocks are final before the
-    /// first pass; once pass p has visited every block of depth below p
-    /// with final inputs and settled, the inputs of depth-p blocks are
-    /// final too. So pass n visits the deepest blocks with final inputs
-    /// and pass n + 1 sees no change. A change in pass n + 1 therefore
-    /// means a combinational loop through the blocks: instead of firing,
-    /// that pass reports the blocks whose inputs still change, labelled
-    /// and sorted as the interpreter reports a waiting block.
+    /// Fires each untimed block once, in order, on its settled inputs,
+    /// and settles the netlist on its outputs before the next.
     fn run_untimed(&mut self) -> Result<(), CoreError> {
-        let bound = self.untimed.len() + 1;
-        for pass in 1..=bound {
-            let mut changed = false;
-            let mut waiting = Vec::new();
-            for u in &mut self.untimed {
-                u.ins.clear();
-                u.ins.extend(
-                    u.in_wires
-                        .iter()
-                        .zip(&u.in_tys)
-                        .map(|(w, ty)| decode(self.sim.bus(w), *ty)),
-                );
-                if u.last_in.as_ref() == Some(&u.ins) {
-                    continue;
-                }
-                if pass == bound {
-                    waiting.push(format!("{} (untimed)", u.block.name()));
-                    continue;
-                }
-                u.outs.clear();
-                u.outs.extend(
-                    u.out_wires
-                        .iter()
-                        .zip(&u.out_tys)
-                        .map(|(w, ty)| decode(self.sim.bus(w), *ty)),
-                );
-                if u.block.ready(&u.ins) {
-                    u.block.fire(&u.ins, &mut u.outs);
-                    for (w, v) in u.out_wires.iter().zip(&u.outs) {
-                        self.sim.set_bus(w, encode(v));
-                    }
-                }
-                match &mut u.last_in {
-                    Some(last) => last.clone_from(&u.ins),
-                    None => u.last_in = Some(u.ins.clone()),
-                }
-                changed = true;
+        for &u in &self.order {
+            let u = &mut self.untimed[u];
+            let sim = &mut self.sim;
+            let read = |(w, ty): (&Vec<WireId>, &SigType)| decode(sim.bus(w), *ty);
+            self.ins.clear();
+            self.ins.extend(u.in_wires.iter().zip(&u.in_tys).map(read));
+            if !u.block.ready(&self.ins) {
+                continue;
             }
-            if !waiting.is_empty() {
-                waiting.sort();
-                return Err(CoreError::CombinationalLoop { waiting });
+            self.outs.clear();
+            self.outs
+                .extend(u.out_wires.iter().zip(&u.out_tys).map(read));
+            u.block.fire(&self.ins, &mut self.outs);
+            for (w, v) in u.out_wires.iter().zip(&self.outs) {
+                sim.set_bus(w, v.to_raw());
             }
-            self.sim.settle().map_err(gate_err)?;
-            if !changed {
-                break;
-            }
+            sim.settle().map_err(gate_err)?;
         }
         Ok(())
     }
@@ -374,7 +320,7 @@ impl Simulator for GateSystemSim {
                 name: name.to_owned(),
             })?;
         value.check_type_with(*ty, || format!("primary input `{name}`"))?;
-        self.sim.set_bus(wires, encode(&value));
+        self.sim.set_bus(wires, value.to_raw());
         Ok(())
     }
 

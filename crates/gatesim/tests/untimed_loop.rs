@@ -1,11 +1,13 @@
-//! A combinational loop through an untimed block must fail the step, not
-//! hang it: `GateSystemSim` re-fires untimed blocks while their inputs
-//! change, and that re-firing is bounded.
+//! A combinational loop through an untimed block is refused, never run:
+//! the interpreter fails the step, and the RT and gate engines, which
+//! fire every block once a cycle in `System::untimed_order`, refuse to
+//! build, naming the block as the interpreter does.
 
 use ocapi::{
     Component, CoreError, FnBlock, InterpSim, PortDecl, SigType, Simulator, System, Value,
 };
 use ocapi_gatesim::GateSystemSim;
+use ocapi_rtl::RtlSystemSim;
 use ocapi_synth::SynthOptions;
 
 /// `inc` (untimed, y = x + 1) feeds a combinational pass-through
@@ -52,13 +54,11 @@ fn untimed_feedback_fails_like_the_interpreter() {
     };
     assert!(waiting.contains(&"inc (untimed)".to_owned()), "{waiting:?}");
 
-    let mut gates =
-        GateSystemSim::new(untimed_feedback(), &SynthOptions::default()).expect("synth");
-    let err = gates.step().expect_err("the gate level rejects the loop");
-    assert_eq!(
-        err,
-        CoreError::CombinationalLoop {
-            waiting: vec!["inc (untimed)".to_owned()],
-        }
-    );
+    let want = CoreError::CombinationalLoop {
+        waiting: vec!["inc (untimed)".to_owned()],
+    };
+    let gates = GateSystemSim::new(untimed_feedback(), &SynthOptions::default());
+    assert_eq!(gates.map(drop), Err(want.clone()), "gate level");
+    let rtl = RtlSystemSim::new(untimed_feedback());
+    assert_eq!(rtl.map(drop), Err(want), "RT level");
 }

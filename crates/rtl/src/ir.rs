@@ -1,16 +1,17 @@
 //! The RTL intermediate representation: signals, processes, statements.
 //!
 //! This mirrors the subset of VHDL the code generator emits: signal
-//! declarations, combinational processes with sensitivity lists,
-//! clock-edge processes, and behavioural "extern" processes for untimed
-//! blocks (the hand-supplied RAM/ROM models of the original flow).
+//! declarations, combinational processes with sensitivity lists and
+//! clock-edge processes. Untimed blocks (the hand-supplied RAM/ROM models
+//! of the original flow) are no processes: the design holds only the
+//! signals they read and drive, and [`crate::RtlSystemSim`] fires them.
 //!
 //! An [`RtlDesign`] is flat: one copy of every process per instance,
 //! states encoded as `Bits`. It is elaborated from the module AST of
 //! [`crate::ast`], which the HDL printers print one entity per component
 //! from.
 
-use ocapi::{BinOp, SigType, UnOp, UntimedBlock, Value};
+use ocapi::{BinOp, SigType, UnOp, Value};
 
 /// Identifier of a signal in an [`RtlDesign`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,30 +122,6 @@ pub enum Trigger {
     Rising(SignalId),
 }
 
-/// A process body: interpreted statements or a native behavioural model.
-pub enum ProcessBody {
-    /// Sequential statements (assignments take effect next delta).
-    Stmts(Vec<Stmt>),
-    /// A native untimed block: reads `inputs`, drives `outputs`.
-    Extern {
-        /// Signals gathered as the block's inputs (port order).
-        inputs: Vec<SignalId>,
-        /// Signals driven by the block's outputs (port order).
-        outputs: Vec<SignalId>,
-        /// The behavioural model.
-        block: Box<dyn UntimedBlock>,
-    },
-}
-
-impl std::fmt::Debug for ProcessBody {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProcessBody::Stmts(s) => write!(f, "Stmts({} statements)", s.len()),
-            ProcessBody::Extern { block, .. } => write!(f, "Extern({})", block.name()),
-        }
-    }
-}
-
 /// A process: trigger plus body.
 #[derive(Debug)]
 pub struct Process {
@@ -152,8 +129,8 @@ pub struct Process {
     pub name: String,
     /// Wake-up condition.
     pub trigger: Trigger,
-    /// What to execute.
-    pub body: ProcessBody,
+    /// Sequential statements (assignments take effect next delta).
+    pub body: Vec<Stmt>,
 }
 
 /// A complete RTL design.
@@ -188,7 +165,7 @@ impl RtlDesign {
     }
 
     /// Adds a process.
-    pub fn process(&mut self, name: &str, trigger: Trigger, body: ProcessBody) {
+    pub fn process(&mut self, name: &str, trigger: Trigger, body: Vec<Stmt>) {
         self.processes.push(Process {
             name: name.to_owned(),
             trigger,

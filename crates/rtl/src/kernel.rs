@@ -1,7 +1,7 @@
 //! The event-driven simulation kernel: delta cycles, event queues,
 //! sensitivity-driven process execution.
 
-use crate::ir::{Expr, ProcessBody, RtlDesign, SignalId, Stmt, Trigger};
+use crate::ir::{Expr, RtlDesign, SignalId, Stmt, Trigger};
 use crate::RtlError;
 use ocapi::Value;
 
@@ -39,9 +39,6 @@ pub struct RtlSim {
     to_run: Vec<usize>,
     /// process -> the delta (by `stats.deltas`) it was last queued in
     queued: Vec<u64>,
-    /// input and output values of the extern process being fired
-    ext_in: Vec<Value>,
-    ext_out: Vec<Value>,
     delta_limit: usize,
     stats: KernelStats,
 }
@@ -79,8 +76,6 @@ impl RtlSim {
             applying: Vec::new(),
             to_run: Vec::new(),
             queued,
-            ext_in: Vec::new(),
-            ext_out: Vec::new(),
             delta_limit: 10_000,
             stats: KernelStats::default(),
         }
@@ -177,32 +172,11 @@ impl RtlSim {
     /// A process that fails schedules nothing.
     fn run_process(&mut self, pi: usize) -> Result<(), RtlError> {
         self.stats.process_runs += 1;
-        match &mut self.design.processes[pi].body {
-            ProcessBody::Stmts(stmts) => {
-                let mark = self.scheduled.len();
-                for s in stmts.iter() {
-                    if let Err(e) = exec_stmt(s, &self.values, &mut self.scheduled) {
-                        self.scheduled.truncate(mark);
-                        return Err(e);
-                    }
-                }
-            }
-            ProcessBody::Extern {
-                inputs,
-                outputs,
-                block,
-            } => {
-                let values = &self.values;
-                self.ext_in.clear();
-                self.ext_in.extend(inputs.iter().map(|s| values[s.index()]));
-                self.ext_out.clear();
-                self.ext_out
-                    .extend(outputs.iter().map(|s| values[s.index()]));
-                if block.ready(&self.ext_in) {
-                    block.fire(&self.ext_in, &mut self.ext_out);
-                    self.scheduled
-                        .extend(outputs.iter().copied().zip(self.ext_out.iter().copied()));
-                }
+        let mark = self.scheduled.len();
+        for s in &self.design.processes[pi].body {
+            if let Err(e) = exec_stmt(s, &self.values, &mut self.scheduled) {
+                self.scheduled.truncate(mark);
+                return Err(e);
             }
         }
         Ok(())
@@ -265,7 +239,7 @@ fn eval(e: &Expr, values: &[Value]) -> Result<Value, RtlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ProcessBody, RtlDesign, Trigger};
+    use crate::ir::{RtlDesign, Trigger};
     use ocapi::SigType;
 
     fn b8(v: u64) -> Value {
@@ -282,26 +256,26 @@ mod tests {
         d.process(
             "pb",
             Trigger::Signals(vec![a]),
-            ProcessBody::Stmts(vec![Stmt::Assign(
+            vec![Stmt::Assign(
                 b,
                 Expr::Bin(
                     ocapi::BinOp::Add,
                     Box::new(Expr::Sig(a)),
                     Box::new(Expr::Const(b8(1))),
                 ),
-            )]),
+            )],
         );
         d.process(
             "pc",
             Trigger::Signals(vec![b]),
-            ProcessBody::Stmts(vec![Stmt::Assign(
+            vec![Stmt::Assign(
                 c,
                 Expr::Bin(
                     ocapi::BinOp::Add,
                     Box::new(Expr::Sig(b)),
                     Box::new(Expr::Const(b8(1))),
                 ),
-            )]),
+            )],
         );
         let mut sim = RtlSim::new(d);
         sim.elaborate().unwrap();
@@ -322,7 +296,7 @@ mod tests {
         d.process(
             "ff",
             Trigger::Rising(clk),
-            ProcessBody::Stmts(vec![Stmt::Assign(q, Expr::Sig(din))]),
+            vec![Stmt::Assign(q, Expr::Sig(din))],
         );
         let mut sim = RtlSim::new(d);
         sim.elaborate().unwrap();
@@ -346,10 +320,10 @@ mod tests {
         d.process(
             "inv",
             Trigger::Signals(vec![a]),
-            ProcessBody::Stmts(vec![Stmt::Assign(
+            vec![Stmt::Assign(
                 a,
                 Expr::Un(ocapi::UnOp::Not, Box::new(Expr::Sig(a))),
-            )]),
+            )],
         );
         let mut sim = RtlSim::new(d);
         assert!(matches!(
@@ -368,11 +342,11 @@ mod tests {
         d.process(
             "p",
             Trigger::Signals(vec![a]),
-            ProcessBody::Stmts(vec![Stmt::If {
+            vec![Stmt::If {
                 cond: Expr::Sig(a),
                 then: vec![Stmt::Assign(b, Expr::Sig(a))],
                 otherwise: vec![],
-            }]),
+            }],
         );
         let mut sim = RtlSim::new(d);
         let err = sim.elaborate().unwrap_err();
@@ -391,7 +365,7 @@ mod tests {
         d.process(
             "p",
             Trigger::Signals(vec![a]),
-            ProcessBody::Stmts(vec![Stmt::Assign(b, Expr::Sig(a))]),
+            vec![Stmt::Assign(b, Expr::Sig(a))],
         );
         let mut sim = RtlSim::new(d);
         sim.elaborate().unwrap();

@@ -56,6 +56,6 @@ mod lower;
 mod plan;
 
 pub use error::RtlError;
-pub use ir::{Expr, Process, ProcessBody, RtlDesign, SignalDecl, SignalId, Stmt, Trigger};
+pub use ir::{Expr, Process, RtlDesign, SignalDecl, SignalId, Stmt, Trigger};
 pub use kernel::{KernelStats, RtlSim};
 pub use lower::RtlSystemSim;

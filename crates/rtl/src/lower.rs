@@ -5,16 +5,20 @@
 //! prefixed with the instance name, ports bound to net signals, states
 //! encoded as `Bits`. A module becomes one process per named net, a
 //! controller process, one selection process per driven output and
-//! register, and one rising-edge process; untimed blocks become
-//! behavioural "extern" processes sensitive to their inputs. Guards read
-//! the held copies the module declares, which reproduces the cycle
-//! scheduler's phase-0 semantics event-accurately — the `rtl_matches_core`
-//! tests assert cycle-for-cycle equality against both core simulators.
+//! register, and one rising-edge process. Guards read the held copies the
+//! module declares, which reproduces the cycle scheduler's phase-0
+//! semantics event-accurately — the `rtl_matches_core` tests assert
+//! cycle-for-cycle equality against both core simulators.
+//!
+//! Untimed blocks are no processes. Each cycle, once the inputs have
+//! settled, [`RtlSystemSim`] fires every block once in
+//! [`System::untimed_order`] on its settled inputs and settles its
+//! outputs before the next, as the cycle scheduler fires it once a cycle.
 
-use ocapi::{BinOp, CoreError, NetSource, SigType, Simulator, System, Trace, Value};
+use ocapi::{BinOp, CoreError, SigType, Simulator, System, Trace, UntimedBlock, Value};
 
 use crate::ast::{self, ExprKind, Instance, Sharing, Top, Var};
-use crate::ir::{Expr, ProcessBody, RtlDesign, SignalId, Stmt, Trigger};
+use crate::ir::{Expr, RtlDesign, SignalId, Stmt, Trigger};
 use crate::kernel::{KernelStats, RtlSim};
 use crate::RtlError;
 
@@ -81,11 +85,7 @@ fn comb_process(d: &mut RtlDesign, name: &str, body: Vec<Stmt>) {
     }
     sensitivity.sort_by_key(|s| s.index());
     sensitivity.dedup();
-    d.process(
-        name,
-        Trigger::Signals(sensitivity),
-        ProcessBody::Stmts(body),
-    );
+    d.process(name, Trigger::Signals(sensitivity), body);
 }
 
 /// Elaborates one timed instance into `d`.
@@ -157,7 +157,7 @@ fn instantiate(d: &mut RtlDesign, clk: SignalId, net_sig: &[SignalId], inst: &In
         d.process(
             &format!("{}_p", net_name(net)),
             Trigger::Signals(sensitivity),
-            ProcessBody::Stmts(vec![Stmt::Assign(sig, expr)]),
+            vec![Stmt::Assign(sig, expr)],
         );
     }
 
@@ -222,12 +222,16 @@ fn instantiate(d: &mut RtlDesign, clk: SignalId, net_sig: &[SignalId], inst: &In
         .filter_map(|c| Some(Stmt::Assign(b.var(c.target)?, Expr::Sig(b.var(c.source)?))))
         .collect();
     if !seq.is_empty() {
-        d.process(
-            &format!("{prefix}.seq"),
-            Trigger::Rising(clk),
-            ProcessBody::Stmts(seq),
-        );
+        d.process(&format!("{prefix}.seq"), Trigger::Rising(clk), seq);
     }
+}
+
+/// An untimed block and the signals of its ports, in port order.
+#[derive(Debug)]
+struct Untimed {
+    block: Box<dyn UntimedBlock>,
+    inputs: Vec<SignalId>,
+    outputs: Vec<SignalId>,
 }
 
 /// Event-driven simulation of a lowered system, driven through the common
@@ -240,6 +244,13 @@ pub struct RtlSystemSim {
     inputs: Vec<(String, SigType, SignalId)>,
     outputs: Vec<(String, SignalId)>,
     latched: Vec<Value>,
+    /// The untimed blocks, by index in the system.
+    untimed: Vec<Untimed>,
+    /// The order they fire in ([`System::untimed_order`]).
+    order: Vec<usize>,
+    /// Input and output values of the block being fired.
+    ins: Vec<Value>,
+    outs: Vec<Value>,
     cycle: u64,
 }
 
@@ -248,56 +259,35 @@ impl RtlSystemSim {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::CombinationalLoop`] if elaboration does not
-    /// converge.
+    /// Returns [`CoreError::CombinationalLoop`] if the untimed blocks
+    /// feed each other in a loop or elaboration does not converge.
     pub fn new(mut sys: System) -> Result<RtlSystemSim, CoreError> {
+        let order = sys.untimed_order()?;
         let top = Top::new(&sys, Sharing::Reused);
         let mut d = RtlDesign::new(&top.name);
         let clk = d.signal("clk", SigType::Bool, Value::Bool(false));
         let net_sig: Vec<SignalId> = top
             .nets
             .iter()
-            .map(|n| {
-                let init = match n.source {
-                    NetSource::Constant(v) => v,
-                    _ => n.ty.zero(),
-                };
-                d.signal(&format!("net.{}", n.name), n.ty, init)
-            })
+            .map(|n| d.signal(&format!("net.{}", n.name), n.ty, n.power_up()))
             .collect();
         for inst in &top.instances {
             instantiate(&mut d, clk, &net_sig, inst);
         }
-        // Untimed blocks become extern processes, sensitive to their
-        // inputs.
-        //
-        // Note: a stateful untimed block only re-fires when an input
-        // *changes* (event-driven semantics), so it diverges from the
-        // cycle scheduler, which fires it once a cycle, whenever its
-        // state advances on identical consecutive inputs: a FIFO pop, and
-        // a RAM too. A RAM written on consecutive cycles at an unchanged
-        // address with unchanged data fires once, so its read data keeps
-        // the stale word it read before the write (preloaded 0x5a, `we`
-        // high, `wdata` 0x11: 5a 5a 5a 5a), where the interpreter and the
-        // tape read 5a 11 11 11. Only a ROM is safe.
-        for (b, u) in top.blocks.iter().zip(std::mem::take(&mut sys.untimed)) {
-            let inputs: Vec<SignalId> = b.inputs.iter().map(|(_, n)| net_sig[*n]).collect();
-            let outputs = b
-                .outputs
-                .iter()
-                .enumerate()
-                .map(|(k, (q, net))| match net {
-                    Some(n) => net_sig[*n],
-                    None => d.signal(&format!("{}.out{k}", b.name), q.ty, q.ty.zero()),
-                })
-                .collect();
-            let body = ProcessBody::Extern {
-                inputs: inputs.clone(),
-                outputs,
+        // An untimed output that drives no net keeps its held value in a
+        // signal of its own.
+        let untimed = (top.blocks.iter().zip(std::mem::take(&mut sys.untimed)))
+            .map(|(b, u)| Untimed {
                 block: u.block,
-            };
-            d.process(&format!("{}.beh", b.name), Trigger::Signals(inputs), body);
-        }
+                inputs: b.inputs.iter().map(|(_, n)| net_sig[*n]).collect(),
+                outputs: (b.outputs.iter().enumerate())
+                    .map(|(k, (q, net))| match net {
+                        Some(n) => net_sig[*n],
+                        None => d.signal(&format!("{}.out{k}", b.name), q.ty, q.ty.zero()),
+                    })
+                    .collect(),
+            })
+            .collect();
         let mut sim = RtlSim::new(d);
         sim.elaborate().map_err(to_core)?;
         let inputs = top
@@ -305,18 +295,25 @@ impl RtlSystemSim {
             .into_iter()
             .map(|p| (p.name, p.ty, net_sig[p.net]))
             .collect();
-        let n_outputs = top.outputs.len();
         let outputs: Vec<(String, SignalId)> = top
             .outputs
             .into_iter()
             .map(|p| (p.name, net_sig[p.net]))
+            .collect();
+        let latched = outputs
+            .iter()
+            .map(|(_, s)| sim.design().signals[s.index()].init)
             .collect();
         Ok(RtlSystemSim {
             sim,
             clk,
             inputs,
             outputs,
-            latched: vec![Value::Bool(false); n_outputs],
+            latched,
+            untimed,
+            order,
+            ins: Vec::new(),
+            outs: Vec::new(),
             cycle: 0,
         })
     }
@@ -361,6 +358,24 @@ impl Simulator for RtlSystemSim {
     fn step(&mut self) -> Result<(), CoreError> {
         // Apply inputs, settle the combinational logic of this cycle.
         self.sim.settle().map_err(to_core)?;
+        // Fire each untimed block once on its settled inputs; the order
+        // settles every block's inputs before it fires.
+        for &u in &self.order {
+            let u = &mut self.untimed[u];
+            let sim = &mut self.sim;
+            self.ins.clear();
+            self.ins.extend(u.inputs.iter().map(|s| sim.value(*s)));
+            if !u.block.ready(&self.ins) {
+                continue;
+            }
+            self.outs.clear();
+            self.outs.extend(u.outputs.iter().map(|s| sim.value(*s)));
+            u.block.fire(&self.ins, &mut self.outs);
+            for (s, v) in u.outputs.iter().zip(&self.outs) {
+                sim.schedule(*s, *v);
+            }
+            sim.settle().map_err(to_core)?;
+        }
         // Sample outputs (the values driven during this cycle).
         for (i, (_, sig)) in self.outputs.iter().enumerate() {
             self.latched[i] = self.sim.value(*sig);

@@ -8,9 +8,9 @@
 //! capture whose untimed blocks every lane copies; lanes 0 and 63
 //! read), `RtlSystemSim`, and `GateSystemSim` under one of
 //! three synthesis option sets. It drives them with the same stimulus
-//! and compares every primary output on every engine each cycle; on the
-//! tape engines also every net and every register each cycle, and the
-//! FSM states at the end.
+//! and compares every primary output on every engine before the first
+//! step and each cycle; on the tape engines also every net and every
+//! register each cycle, and the FSM states at the end.
 //!
 //! Every engine with snapshots saves one architectural state (see
 //! `ocapi::sim::snapshot`), so at a seeded cycle [`check`] parks the run:
@@ -47,9 +47,10 @@
 //! the shrunk recipe. [`check_generated_memories`] adds to the system
 //! of each seed a `Ram` or `Rom` that generated logic addresses and
 //! writes, sometimes wired out of the memory shape so the tape fires it
-//! as a generic block; those systems skip RT and gate level, which fire
-//! an untimed block only when an input changes. [`check_designs`] feeds
-//! the checker hand-written designs.
+//! as a generic block. Every engine fires an untimed block once a
+//! cycle, so these systems, like every other, run on all twelve
+//! configurations. [`check_designs`] feeds the checker hand-written
+//! designs.
 //!
 //! Every random differential of the workspace runs through this module,
 //! each on a slice of its own: `tests/engines_agree.rs` runs seeds
@@ -224,10 +225,11 @@ fn boxed<E: Engine + 'static>(sim: Result<E, CoreError>) -> Result<Box<dyn Engin
     sim.map(|s| Box::new(s) as Box<dyn Engine>)
 }
 
-/// The first engine lane on which `get` differs from the interpreter.
+/// The first engine lane on which `get` differs from the interpreter,
+/// reported `at` a cycle or at power-up.
 fn compare<T: PartialEq + fmt::Debug>(
     engines: &Engines,
-    cycle: usize,
+    at: &str,
     signal: &dyn fmt::Debug,
     get: impl Fn(&dyn Engine) -> Vec<T>,
 ) -> Result<(), Mismatch> {
@@ -235,8 +237,7 @@ fn compare<T: PartialEq + fmt::Debug>(
     for (name, sim) in &engines[1..] {
         for (read, got) in get(sim.as_ref()).into_iter().enumerate() {
             if Some(&got) != want.as_ref() {
-                let what =
-                    format!("cycle {cycle}, {signal:?} read {read}: {got:?}, interp {want:?}");
+                let what = format!("{at}, {signal:?} read {read}: {got:?}, interp {want:?}");
                 return Err((name.clone(), what));
             }
         }
@@ -357,20 +358,15 @@ fn park(mk: &dyn Fn() -> System, engines: &mut Engines, cycle: usize) -> Result<
 
 /// Builds the twelve engine configurations from `mk`, drives them with
 /// one stimulus cycle per word and returns the first disagreement with
-/// the interpreter: a failed build or step, a primary output, a net or a
-/// register each cycle, an FSM state at the end, or at the parked cycle
-/// a snapshot or a restored engine's read (see [`park`]). Without
-/// synthesis options `gates`, the RT and gate engines sit out.
-fn check(
-    mk: &dyn Fn() -> System,
-    stimuli: &[u64],
-    gates: Option<&SynthOptions>,
-) -> Result<(), Mismatch> {
+/// the interpreter: a failed build or step, a primary output before the
+/// first step, a primary output, a net or a register each cycle, an FSM
+/// state at the end, or at the parked cycle a snapshot or a restored
+/// engine's read (see [`park`]). The gate engine synthesizes with
+/// `gates`.
+fn check(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Result<(), Mismatch> {
     let mut built = snapshot_engines(mk);
-    if let Some(gates) = gates {
-        built.push(("rtl".to_owned(), boxed(RtlSystemSim::new(mk()))));
-        built.push(("gates".to_owned(), boxed(GateSystemSim::new(mk(), gates))));
-    }
+    built.push(("rtl".to_owned(), boxed(RtlSystemSim::new(mk()))));
+    built.push(("gates".to_owned(), boxed(GateSystemSim::new(mk(), gates))));
     let mut engines = Engines::new();
     for (name, sim) in built {
         let sim = sim.map_err(|e| (name.clone(), format!("build: {e}")))?;
@@ -378,9 +374,14 @@ fn check(
     }
 
     let probe = mk();
+    for p in &probe.primary_outputs {
+        let r = Read::Output(&p.name);
+        compare(&engines, "power-up", &r, |sim| sim.read(r))?;
+    }
     let reads = reads_of(&probe);
     let parked = stimuli.first().map(|w| *w as usize % stimuli.len());
     for (cycle, &word) in stimuli.iter().enumerate() {
+        let at = format!("cycle {cycle}");
         let values = inputs(&probe, word);
         for (name, sim) in &mut engines {
             for (input, v) in &values {
@@ -391,14 +392,15 @@ fn check(
                 .map_err(|e| (name.clone(), format!("cycle {cycle}, step: {e}")))?;
         }
         for &r in &reads {
-            compare(&engines, cycle, &r, |sim| sim.read(r))?;
+            compare(&engines, &at, &r, |sim| sim.read(r))?;
         }
         if parked == Some(cycle) {
             park(mk, &mut engines, cycle)?;
         }
     }
+    let at = format!("cycle {}", stimuli.len());
     for t in probe.timed.iter().filter(|t| t.comp.fsm.is_some()) {
-        compare(&engines, stimuli.len(), &t.name, |sim| sim.state(&t.name))?;
+        compare(&engines, &at, &t.name, |sim| sim.state(&t.name))?;
     }
     Ok(())
 }
@@ -470,11 +472,7 @@ fn check_reset(mk: &dyn Fn() -> System, stimuli: &[u64]) -> Result<(), Mismatch>
 
 /// [`check`] then [`check_reset`], with a panic anywhere reported as
 /// engine `panic`.
-fn verdict(
-    mk: &dyn Fn() -> System,
-    stimuli: &[u64],
-    gates: Option<&SynthOptions>,
-) -> Result<(), Mismatch> {
+fn verdict(mk: &dyn Fn() -> System, stimuli: &[u64], gates: &SynthOptions) -> Result<(), Mismatch> {
     let both = || check(mk, stimuli, gates).and_then(|()| check_reset(mk, stimuli));
     catch_unwind(AssertUnwindSafe(both)).unwrap_or_else(|p| {
         let text = p.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -570,10 +568,7 @@ pub struct Recipe {
     block: Option<(u8, u8)>,
     /// The last component's `ro` drives the first one's `fb`.
     feedback: bool,
-    /// A memory ([`memory_recipe`]). A system with one runs on the
-    /// interpreter and the tape engines only: RT and gate level fire an
-    /// untimed block only on an input event, so a RAM written twice at
-    /// one address with one word reads a stale word there.
+    /// A memory ([`memory_recipe`]).
     memory: Option<Mem>,
     /// One word per cycle; the primary-input values are drawn from it.
     stimuli: Vec<u64>,
@@ -947,8 +942,7 @@ fn connect(sb: &mut SystemBuilder, from: Option<(InstanceId, &str)>, to: Instanc
 }
 
 fn verdict_of(r: &Recipe) -> Result<(), Mismatch> {
-    let gates = r.memory.is_none().then(|| synth_options(r.synth));
-    verdict(&|| system(r), &r.stimuli, gates.as_ref())
+    verdict(&|| system(r), &r.stimuli, &synth_options(r.synth))
 }
 
 /// Every recipe one drop smaller than `r`.
@@ -1013,8 +1007,7 @@ pub fn check_generated(seeds: impl IntoIterator<Item = u64>) {
     check_seeds(seeds, recipe);
 }
 
-/// [`check_generated`] with a memory added to each case, on the
-/// interpreter and the tape engines.
+/// [`check_generated`] with a memory added to each case.
 pub fn check_generated_memories(seeds: impl IntoIterator<Item = u64>) {
     check_seeds(seeds, memory_recipe);
 }
@@ -1037,24 +1030,13 @@ pub type Design = (&'static str, fn() -> System);
 /// `seed + i` for each of `seeds` in turn, on one build of the engines.
 /// Panics naming the first design that disagrees.
 pub fn check_designs(designs: &[Design], seeds: &[u64], cycles: usize) {
-    designs_on(designs, seeds, cycles, Some(&SynthOptions::default()));
-}
-
-/// [`check_designs`] on the interpreter and the tape engines only: for a
-/// design with a stateful generic untimed block, which the event-driven
-/// RT and gate engines fire at elaboration and on every input event
-/// rather than once a cycle.
-pub fn check_tape_designs(designs: &[Design], seeds: &[u64], cycles: usize) {
-    designs_on(designs, seeds, cycles, None);
-}
-
-fn designs_on(designs: &[Design], seeds: &[u64], cycles: usize, gates: Option<&SynthOptions>) {
     let result = map_indexed(&ParConfig::available(), designs, |i, (name, mk)| {
         let mut stimuli = Vec::new();
         for seed in seeds {
             let mut rng = XorShift64::new(seed.wrapping_add(i as u64));
             stimuli.extend((0..cycles).map(|_| rng.next_u64()));
         }
+        let gates = &SynthOptions::default();
         verdict(mk, &stimuli, gates).map_err(|m| format!("{name}: `{}` {}", m.0, m.1))
     });
     if let Err(e) = result {

@@ -3,17 +3,22 @@
 //! Runs the one generator and checker of `agree` on 72 generated
 //! systems (1,024 with the `slow-tests` feature) on interp, compiled and
 //! batched at every opt level, RT and gates, and on 16 (256) with a RAM
-//! or ROM added on all but RT and gates, with a snapshot parked at a
-//! seeded cycle and restored across engines, and reset-then-replay on
-//! the engines with a reset. A mismatch panics with the seed and a
-//! shrunk recipe. Fault campaigns over 8 of them and over 8 with a
-//! memory (256 each with `slow-tests`) run through every campaign
-//! driver. The in-tree designs run through the same checker in
-//! `crates/core/tests/tape_engines.rs`.
+//! or ROM added, with a snapshot parked at a seeded cycle and restored
+//! across engines, and reset-then-replay on the engines with a reset. A
+//! mismatch panics with the seed and a shrunk recipe. Fault campaigns
+//! over 8 of them and over 8 with a memory (256 each with `slow-tests`)
+//! run through every campaign driver. The in-tree designs run through
+//! the same checker in `crates/core/tests/tape_engines.rs`.
 
 mod agree;
 
-use ocapi::{Component, FnBlock, PortDecl, Ram, SigType, System, Value};
+use ocapi::{
+    BatchedSim, CompiledSim, Component, FnBlock, InterpSim, OptLevel, PortDecl, Ram, Rom, SigType,
+    Simulator, System, Value,
+};
+use ocapi_gatesim::GateSystemSim;
+use ocapi_rtl::RtlSystemSim;
+use ocapi_synth::SynthOptions;
 
 #[test]
 fn generated_systems_agree_on_every_engine() {
@@ -23,8 +28,102 @@ fn generated_systems_agree_on_every_engine() {
 /// Generated systems with a RAM or ROM, some of them wired out of the
 /// memory shape so the tape fires them through the generic `Fire`.
 #[test]
-fn generated_memories_agree_on_the_tape_engines() {
+fn generated_memories_agree_on_every_engine() {
     agree::check_generated_memories(0..if agree::SLOW { 256 } else { 16 });
+}
+
+/// A RAM preloaded with 0x5a at address 0 and tied to write 0x11 there
+/// every cycle; its read word is the output `y`.
+fn ram_probe() -> System {
+    let mut ram = Ram::new("ram", 1, SigType::Bits(8));
+    ram.preload(0, Value::bits(8, 0x5a));
+    let mut sb = System::build("ram_probe");
+    let r = sb.add_block(Box::new(ram)).expect("block");
+    sb.tie(r, "addr", Value::bits(1, 0)).expect("tie");
+    sb.tie(r, "we", Value::Bool(true)).expect("tie");
+    sb.tie(r, "wdata", Value::bits(8, 0x11)).expect("tie");
+    sb.output("y", r, "rdata").expect("po");
+    sb.finish().expect("system")
+}
+
+/// Every engine fires an untimed block once a cycle, also when its
+/// inputs do not change: the RAM reads the preloaded word, then the
+/// word it wrote, on the interpreter, compiled, lanes 0 and 63 of a
+/// batch, RT and gate level.
+#[test]
+fn an_unchanged_ram_access_fires_every_cycle_on_every_engine() {
+    let want: Vec<Value> = [0x5a, 0x11, 0x11, 0x11].map(|w| Value::bits(8, w)).into();
+    let run = |sim: &mut dyn Simulator| -> Vec<Value> {
+        (0..want.len())
+            .map(|_| {
+                sim.step().expect("step");
+                sim.output("y").expect("y")
+            })
+            .collect()
+    };
+    let mut interp = InterpSim::new(ram_probe()).expect("interp");
+    assert_eq!(run(&mut interp), want, "interp");
+    let mut compiled = CompiledSim::new(ram_probe()).expect("compiled");
+    assert_eq!(run(&mut compiled), want, "compiled");
+    let mut rtl = RtlSystemSim::new(ram_probe()).expect("rtl");
+    assert_eq!(run(&mut rtl), want, "rtl");
+    let mut gates = GateSystemSim::new(ram_probe(), &SynthOptions::default()).expect("gates");
+    assert_eq!(run(&mut gates), want, "gates");
+    let mut batch = BatchedSim::from_fn(64, || Ok(ram_probe()), OptLevel::Full).expect("batch");
+    let mut lanes = [Vec::new(), Vec::new()];
+    for _ in &want {
+        batch.step().expect("step");
+        for (got, lane) in lanes.iter_mut().zip([0, 63]) {
+            got.push(batch.output_lane(lane, "y").expect("y"));
+        }
+    }
+    assert_eq!(lanes, [want.clone(), want], "batched lanes 0 and 63");
+}
+
+/// A ROM whose word, through a combinational component, addresses a RAM
+/// added before it; the primary inputs address the ROM and write the
+/// RAM.
+fn rom_addresses_ram() -> System {
+    let words = (0..16).map(|i| Value::bits(4, (i * 7 + 3) & 15)).collect();
+    let rom = Rom::new("rom", SigType::Bits(4), words);
+    let mut ram = Ram::new("ram", 4, SigType::Bits(8));
+    for i in 0..16 {
+        ram.preload(i, Value::bits(8, (i as u64 * 29 + 5) & 0xff));
+    }
+    let c = Component::build("mix");
+    let d = c.input("d", SigType::Bits(4)).expect("input");
+    let addr = c.output("addr", SigType::Bits(4)).expect("output");
+    let s = c.sfg("s").expect("sfg");
+    s.drive(addr, &(c.read(d) + c.const_bits(4, 5)))
+        .expect("drive");
+    let mix = c.finish().expect("finish");
+
+    let mut sb = System::build("rom_addresses_ram");
+    for (name, ty) in [
+        ("a", SigType::Bits(4)),
+        ("we", SigType::Bool),
+        ("wd", SigType::Bits(8)),
+    ] {
+        sb.input(name, ty).expect("pi");
+    }
+    let ram = sb.add_block(Box::new(ram)).expect("block");
+    let rom = sb.add_block(Box::new(rom)).expect("block");
+    let mix = sb.add_component("mix", mix).expect("add");
+    sb.connect_input("a", rom, "addr").expect("connect");
+    sb.connect(rom, "data", mix, "d").expect("connect");
+    sb.connect(mix, "addr", ram, "addr").expect("connect");
+    sb.connect_input("we", ram, "we").expect("connect");
+    sb.connect_input("wd", ram, "wdata").expect("connect");
+    sb.output("y", ram, "rdata").expect("po");
+    sb.finish().expect("system")
+}
+
+/// The RT and gate engines fire the ROM before the RAM its word
+/// addresses, though the RAM has the lower index: fired in index order,
+/// the RAM would read last cycle's address.
+#[test]
+fn blocks_fire_after_the_blocks_that_feed_them_on_every_engine() {
+    agree::check_designs(&[("rom_addresses_ram", rom_addresses_ram)], &[0x0DE5], 32);
 }
 
 /// A RAM whose power-up contents are not all zero: every word is
@@ -89,9 +188,7 @@ fn reset_restores_preloaded_ram_on_every_engine() {
 /// An untimed block with two outputs that drive no net: `last`, the
 /// input it last saw, and `n`, which each firing on a new input counts
 /// up from its held value and copies to the connected output `y`. Its
-/// input is a register that moves every cycle, so an event-driven
-/// engine that also fires the block at elaboration, or again on an
-/// unchanged input, counts alike.
+/// input is a register that moves every cycle.
 fn held_output() -> System {
     let port = |name: &str| PortDecl {
         name: name.into(),

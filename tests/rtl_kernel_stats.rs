@@ -1,7 +1,8 @@
 //! Pins the event semantics of the RT-level kernel: a fixed stimulus on
 //! each of the five in-tree designs must produce exactly these event,
 //! process-run and delta-cycle totals. Any change to how the kernel
-//! applies updates, dedups wake-ups or orders process runs moves them.
+//! applies updates, dedups wake-ups or orders process runs, or to when
+//! the untimed blocks fire, moves them.
 
 use asic_dse::ocapi::rng::XorShift64;
 use asic_dse::ocapi::{Fix, Overflow, Rounding, Simulator, System, Value};
@@ -101,5 +102,5 @@ fn dect_kernel_stats_are_pinned() {
     let mut sim = RtlSystemSim::new(build_system(&cfg).expect("build")).expect("lower");
     run_burst(&mut sim, &burst, Some((37, 9))).expect("run");
     assert_eq!(sim.cycle(), 201);
-    assert_eq!(sim.stats(), stats(17580, 30703, 2152));
+    assert_eq!(sim.stats(), stats(17251, 29496, 3775));
 }
